@@ -1,11 +1,12 @@
 """Stable-side slope in the unstable chart, and the transversality verdict.
 
-The stable manifold is naturally described in its own chart; its transverse
-slope is carried to the unstable chart either by the reversibility symmetry
-(q, p) -> (Rq, -Rp) when the model declares one, or by transporting the
-second-order jet of the stable generating function through a configuration
-chart transition chi with the full second-order chain rule.  The verdict
-then compares the two slopes at the matching point q1*.
+The stable manifold is naturally described in its own chart.  Its
+generating function there follows from the unstable one by the
+reversibility symmetry (q, p) -> (Rq, -Rp), and its second-order jet is
+carried to the unstable chart through a configuration chart transition chi
+with the full second-order chain rule.  The verdict then compares the two
+slopes at the matching point q1*.  On the torus the transition is the 2pi
+deck shift, so the same construction covers both built-in geometries.
 """
 
 from __future__ import annotations
@@ -14,29 +15,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .models import HamiltonianModel
+from .loops import loop_profile
+# Jet2 and the transitions live in models; charts re-exports them
+from .models import (ChartTransition, HamiltonianModel, Jet2,
+                     identity_transition, inversion_transition,
+                     torus_shift_transition)
+from .numerics import central_diff
 from .riccati import RiccatiSolution, SolverOptions, solve_riccati, BlowUpError
 
 
 class ReversibilityError(RuntimeError):
     """Model declares no usable reversibility for the requested shortcut."""
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Partial derivatives of the transition chi at (q1, 0)."""
-    dchi1_dq2: float
-    dchi2_dq2: float
-    d2chi1_dq22: float
-    d2chi2_dq22: float
-    dchi1_dq1: float
-
-
-@dataclass(frozen=True)
-class ChartTransition:
-    chi: Callable[[float, float], tuple[float, float]]
-    chi0: Callable[[float], float]
-    jet2: Callable[[float], Jet2]
 
 
 @dataclass(frozen=True)
@@ -69,38 +58,6 @@ class TransversalityReport:
         return {"q1_star": self.q1_star, "Tu": self.Tu, "Ts_hat": self.Ts_hat,
                 "gap": self.gap, "tol": self.tol,
                 "tol_tangent": self.tol_tangent, "verdict": self.verdict}
-
-
-def identity_transition() -> ChartTransition:
-    return ChartTransition(
-        chi=lambda q1, q2: (q1, q2),
-        chi0=lambda q1: q1,
-        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
-
-
-def torus_shift_transition() -> ChartTransition:
-    """chi(q) = (q1 - 2pi, q2): the deck transformation of the torus cover."""
-    return ChartTransition(
-        chi=lambda q1, q2: (q1 - 2.0 * math.pi, q2),
-        chi0=lambda q1: q1 - 2.0 * math.pi,
-        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
-
-
-def inversion_transition() -> ChartTransition:
-    """The sphere model's second chart: chi(q) = 4 q / |q|^2."""
-    def chi(q1, q2):
-        r2 = q1 * q1 + q2 * q2
-        return (4.0 * q1 / r2, 4.0 * q2 / r2)
-
-    return ChartTransition(
-        chi=chi,
-        chi0=lambda q1: 4.0 / q1,
-        jet2=lambda q1: Jet2(
-            dchi1_dq2=0.0,
-            dchi2_dq2=4.0 / (q1 * q1),
-            d2chi1_dq22=-8.0 / q1 ** 3,
-            d2chi2_dq22=0.0,
-            dchi1_dq1=-4.0 / (q1 * q1)))
 
 
 def jet_transport_stable(stable_jet: StableJet, transition: ChartTransition,
@@ -161,20 +118,30 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, profile,
     For a model whose second chart carries the same coefficient functions
     (as the sphere model does), the stable generating function there is the
     time-reversal of the unstable one: every momentum profile flips sign
-    and the slope is -Tu(r1 * q).
+    and the slope is -Tu(r1 * q).  The jet lives where r1 * q lies in the
+    solved interval.
     """
-    from .numerics import central_diff
-
-    def ddS0(q):
-        return -central_diff(profile.dS0, q)
-
+    eps, target = Tu_solution.epsilon_start, Tu_solution.q1_target
     return StableJet(
         dS0=lambda q: -profile.dS0(r1 * q),
-        ddS0=ddS0 if r1 == 1 else (lambda q: -central_diff(profile.dS0, r1 * q) * r1),
+        ddS0=lambda q: -r1 * central_diff(profile.dS0, r1 * q),
         S1=lambda q: -profile.S1(r1 * q),
         dS1=lambda q: -profile.dS1(r1 * q) * r1,
         T=lambda q: -Tu_solution(r1 * q),
-        interval=(Tu_solution.epsilon_start, Tu_solution.q1_target))
+        interval=(eps, target) if r1 == 1 else (-target, -eps))
+
+
+def verdict_options(model: HamiltonianModel) -> SolverOptions:
+    """Solver options of a verdict solve when the caller gives none.
+
+    A periodic model's stable slope is -Tu(pi), so its gap is 2 Tu(pi) and
+    a genuine tangency must land below tol_tangent rather than in the
+    inconclusive band; that needs a tighter solve than the Riccati defaults.
+    Other models keep the defaults, which are several times cheaper.
+    """
+    if model.periodic:
+        return SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)
+    return SolverOptions(sensitivity_check=False)
 
 
 def chart_transversality(model: HamiltonianModel, q1_star: float,
@@ -182,23 +149,25 @@ def chart_transversality(model: HamiltonianModel, q1_star: float,
                          opts: SolverOptions | None = None,
                          tol: float | None = None,
                          tol_tangent: float | None = None) -> TransversalityReport:
-    """Verdict at a matching point of a two-chart model (jet-transport route).
+    """Verdict at a matching point by jet transport between the charts.
 
-    Solves the unstable slope up to max(q1*, chi0-preimage coverage), builds
-    the stable jet by reversibility, transports it through the transition,
-    and compares at q1_star.  Requires chi0(q1_star) to be reachable by the
-    unstable solve, which holds at a fixed point of chi0.
+    Solves the unstable slope up to max(q1*, chi0(q1*)), builds the stable
+    jet by reversibility, transports it through the transition, and
+    compares at q1_star.  The solve defaults to verdict_options(model).
     """
     if model.reversibility is None:
         raise ReversibilityError(
             "jet route without reversibility needs a user-supplied stable jet")
-    from .loops import loop_profile as build_profile
-    profile = build_profile(model)
-    qt = transition.chi0(q1_star)
-    target = max(q1_star, qt)
-    if opts is None:
-        opts = SolverOptions(sensitivity_check=False)
-    sol = solve_riccati(model, target, opts=opts, profile=profile)
+    profile = loop_profile(model)
+    target = max(q1_star, transition.chi0(q1_star))
+    try:
+        sol = solve_riccati(model, target, opts=opts or verdict_options(model),
+                            profile=profile)
+    except BlowUpError as exc:
+        raise BlowUpError(exc.q1,
+                          "slope blows up at q1=%g before %g: graph form "
+                          "lost before the matching point"
+                          % (exc.q1, target)) from exc
     jet = stable_jet_from_unstable(sol, profile, r1=model.reversibility[0])
     Ts_hat = jet_transport_stable(jet, transition, q1_star)
     return transversality_verdict(sol(q1_star), Ts_hat, tol=tol,
@@ -240,23 +209,12 @@ def torus_transversality(model: HamiltonianModel,
                          tol_tangent: float | None = None) -> TransversalityReport:
     """Verdict at q1* = pi for periodic reversible models with r1 = -1.
 
-    Antiperiodicity turns the stable-side slope into -Tu(pi), so the
-    condition reduces to Tu(pi) != 0.  Solver defaults are tighter than the
-    plain Riccati defaults so a genuinely tangent case lands below the
-    tangent threshold rather than in the inconclusive band.
+    The jet transport through the 2pi shift then turns the stable-side
+    slope into -Tu(pi), so the condition reduces to Tu(pi) != 0.
     """
     if not model.periodic:
         raise ReversibilityError("torus verdict needs a periodic model")
     if model.reversibility is None or model.reversibility[0] != -1:
         raise ReversibilityError("torus verdict needs reversibility with r1=-1")
-    if opts is None:
-        opts = SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)
-    try:
-        sol = solve_riccati(model, math.pi, opts=opts)
-    except BlowUpError as exc:
-        raise BlowUpError(exc.q1,
-                          "slope blows up at q1=%g before pi: graph form "
-                          "lost before the matching point" % exc.q1) from exc
-    Tu = sol(math.pi)
-    return transversality_verdict(Tu, -Tu, tol=tol, tol_tangent=tol_tangent,
-                                  q1_star=math.pi)
+    return chart_transversality(model, math.pi, torus_shift_transition(),
+                                opts=opts, tol=tol, tol_tangent=tol_tangent)

@@ -15,18 +15,17 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import charts, melnikov as mel
+from . import melnikov as mel
+from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError, loop_profile
 from .models import (BUILTIN_NAMES, ConstructionError, builtin_model,
                      validate_hypotheses)
 from .numerics import parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
-from .charts import chart_transversality, inversion_transition, torus_transversality
 
 FMT = "%.17g"
 
@@ -39,25 +38,25 @@ class UsageError(ValueError):
 class RunConfig:
     model: str = ""
     params: dict = field(default_factory=dict)
-    rtol: float = 1e-9
-    atol: float = 1e-12
+    rtol: float | None = None
+    atol: float | None = None
     epsilon: float | None = None
-    cap: float = 1e8
+    cap: float | None = None
     tol: float | None = None
     grid: str | None = None
     sweep: str | None = None
     out: str | None = None
     format: str | None = None
 
-    def solver_options(self, sensitivity: bool = False) -> SolverOptions:
-        for name in ("rtol", "atol", "cap"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
+    def solver_options(self, base: SolverOptions) -> SolverOptions:
+        """base with every solver setting the user gave put in its place."""
+        given = {name: getattr(self, name)
+                 for name in ("rtol", "atol", "epsilon", "cap")
+                 if getattr(self, name) is not None}
+        for name, value in given.items():
+            if value <= 0:
                 raise UsageError("%s must be positive" % name)
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise UsageError("epsilon must be positive")
-        return SolverOptions(rtol=self.rtol, atol=self.atol,
-                             epsilon=self.epsilon, cap=self.cap,
-                             sensitivity_check=sensitivity)
+        return replace(base, **given)
 
 
 def _parse_params(items) -> dict:
@@ -182,8 +181,7 @@ def read_table(path: str):
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    made = make_model(cfg, strict=False)
-    model = made[0] if isinstance(made, tuple) else made
+    model, _ = make_model(cfg, strict=False)
     report = validate_hypotheses(model)
     entries = [e.__dict__ for e in report.entries]
     loop_error = None
@@ -214,18 +212,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _default_grid(model) -> str:
-    hi = math.pi if model.periodic else 2.0
-    return "0:%.17g:101" % hi
-
-
 def cmd_riccati(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    model = model[0] if isinstance(model, tuple) else model
-    grid = parse_grid(cfg.grid or _default_grid(model))
+    model, _ = make_model(cfg)
+    # default grid: from the equilibrium to the matching point
+    grid = parse_grid(cfg.grid or "0:%.17g:101" % model.matching[0])
     target = grid[-1]
-    opts = cfg.solver_options(sensitivity=True)
-    sol = solve_riccati(model, target, opts=opts)
+    sol = solve_riccati(model, target, opts=cfg.solver_options(SolverOptions()))
     comments = {
         "model": cfg.model,
         "T0": sol.T0,
@@ -237,9 +229,8 @@ def cmd_riccati(cfg: RunConfig) -> int:
     rows = [(q1, sol(q1)) for q1 in grid]
     stream = _open_out(cfg)
     if (cfg.format or "csv") == "json":
-        json.dump({"comments": {k: (v if isinstance(v, str) else v)
-                                for k, v in comments.items()},
-                   "header": ["q1", "Tu"], "rows": rows}, stream, indent=2)
+        json.dump({"comments": comments, "header": ["q1", "Tu"], "rows": rows},
+                  stream, indent=2)
         stream.write("\n")
     else:
         write_table(stream, comments, ["q1", "Tu"], rows)
@@ -248,22 +239,15 @@ def cmd_riccati(cfg: RunConfig) -> int:
     return 0
 
 
-def _transversality_report(model, cfg: RunConfig):
-    opts = cfg.solver_options()
-    if model.periodic:
-        # tighter-than-default solve separates tangency from solver noise
-        if cfg.rtol == 1e-9 and cfg.atol == 1e-12:
-            opts = SolverOptions(rtol=1e-12, atol=5e-14, epsilon=cfg.epsilon,
-                                 cap=cfg.cap, sensitivity_check=False)
-        return torus_transversality(model, opts=opts, tol=cfg.tol)
-    return chart_transversality(model, 2.0, inversion_transition(),
-                                opts=opts, tol=cfg.tol)
+def _transversality_report(cfg: RunConfig):
+    model, _ = make_model(cfg)
+    return chart_transversality(
+        model, *model.matching,
+        opts=cfg.solver_options(verdict_options(model)), tol=cfg.tol)
 
 
 def cmd_transversality(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    model = model[0] if isinstance(model, tuple) else model
-    report = _transversality_report(model, cfg)
+    report = _transversality_report(cfg)
     doc = {"model": cfg.model, "params": cfg.params}
     doc.update(report.as_dict())
     stream = _open_out(cfg)
@@ -282,11 +266,10 @@ def cmd_transversality(cfg: RunConfig) -> int:
 
 
 def cmd_melnikov(cfg: RunConfig) -> int:
-    made = make_model(cfg)
-    if not isinstance(made, tuple) or made[1] is None:
+    _model, pert = make_model(cfg)
+    if pert is None:
         raise UsageError("melnikov needs a model with a perturbation "
                          "(pendula_weak)")
-    _model, pert = made
     grid = parse_grid(cfg.grid or "-4:4:81")
     res = mel.reduced_melnikov(pert, grid)
     derivs = mel.melnikov_derivatives(pert)
@@ -325,20 +308,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if "=" not in cfg.sweep:
         raise UsageError("--sweep must be param=a:b:n")
     pname, gspec = cfg.sweep.split("=", 1)
-    values = parse_grid(gspec)
-
-    def one(v: float):
-        sub = RunConfig(model=cfg.model, params={**cfg.params, pname: v},
-                        rtol=cfg.rtol, atol=cfg.atol, epsilon=cfg.epsilon,
-                        cap=cfg.cap, tol=cfg.tol)
-        model = make_model(sub)
-        model = model[0] if isinstance(model, tuple) else model
-        rep = _transversality_report(model, sub)
-        return (v, rep)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(one, values))
-
+    results = [(v, _transversality_report(
+        replace(cfg, params={**cfg.params, pname: v})))
+        for v in parse_grid(gspec)]
     stream = _open_out(cfg)
     write_table(stream, {"model": cfg.model, "sweep_param": pname},
                 ["%s" % pname, "Tu", "Ts_hat", "gap", "verdict_code"],

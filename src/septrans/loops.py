@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from .models import HamiltonianModel
-from .numerics import adaptive_simpson, central_diff
+from .numerics import central_diff
 
 
 class LoopConstructionError(ValueError):
@@ -149,4 +149,5 @@ def loop_action_sigma(profile: LoopProfile) -> float:
     if not profile.periodic:
         raise UnsupportedOperationError(
             "loop action is defined for periodic models only")
-    return adaptive_simpson(profile.dS0, 0.0, 2.0 * math.pi, tol=1e-12)
+    return quad(profile.dS0, 0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-12,
+                limit=200)[0]

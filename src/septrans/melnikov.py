@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import root
+from scipy.optimize import brentq, root
 
 from .charts import TransversalityReport
 from .models import PerturbationModel
-from .numerics import bisect, richardson_diff
+from .numerics import richardson_diff
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,19 @@ def melnikov_potential(pert: PerturbationModel,
 
 
 def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
-    """Sample the reduced potential L~(s) = L(kappa(s)) on a grid."""
+    """Sample the reduced potential L~(s) = L(kappa(s)) on a grid.
+
+    The quadrature diagnostics report the worst window, tail bound and
+    quadrature error over the grid.
+    """
     s_grid = np.asarray(s_grid, dtype=float)
-    diag: dict = {}
-    samples = np.array([melnikov_potential(pert, s=float(s), diag=diag)
-                        for s in s_grid])
+    diags = [{} for _ in s_grid]
+    samples = np.array([melnikov_potential(pert, s=float(s), diag=d)
+                        for s, d in zip(s_grid, diags)])
+    worst = ({k: max(d[k] for d in diags)
+              for k in ("t_cut", "tail_bound", "quad_error")} if diags else {})
     return MelnikovResult(s_grid=s_grid, L_samples=samples,
-                          quadrature_diag=diag)
+                          quadrature_diag=worst)
 
 
 def melnikov_derivatives(pert: PerturbationModel) -> tuple[float, float]:
@@ -183,7 +189,7 @@ def xi_max(lam: float) -> float:
     hi = 1.0
     while g(hi) < 0:
         hi *= 2.0
-    t_star = bisect(g, 1e-12, hi, tol=1e-12)
+    t_star = brentq(g, 1e-12, hi, xtol=1e-12)
     return 4.0 * (math.atan(math.exp(lam * t_star))
                   - math.atan(math.exp(t_star)))
 
@@ -191,5 +197,5 @@ def xi_max(lam: float) -> float:
 def lambda0_threshold() -> float:
     """Frequency ratio at which the phase advance reaches pi/2; above it the
     nondegeneracy argument for the reduced potential fails."""
-    return bisect(lambda lam: xi_max(lam) - 0.5 * math.pi, 1.0 + 1e-9, 10.0,
-                  tol=1e-10)
+    return brentq(lambda lam: xi_max(lam) - 0.5 * math.pi, 1.0 + 1e-9, 10.0,
+                  xtol=1e-10)

@@ -12,7 +12,9 @@ The sign convention puts Y positive when the potential curves downward in q2.
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
 ("pendula_identical"), and two pendula with different frequencies coupled
-weakly ("pendula_weak", which also carries a PerturbationModel).
+weakly ("pendula_weak", which also carries a PerturbationModel).  Each
+declares its matching point q1* and the chart transition through which the
+stable slope reaches the unstable chart there.
 """
 
 from __future__ import annotations
@@ -37,6 +39,55 @@ class ConstructionError(ValueError):
 
 
 @dataclass(frozen=True)
+class Jet2:
+    """Partial derivatives of the transition chi at (q1, 0)."""
+    dchi1_dq2: float
+    dchi2_dq2: float
+    d2chi1_dq22: float
+    d2chi2_dq22: float
+    dchi1_dq1: float
+
+
+@dataclass(frozen=True)
+class ChartTransition:
+    chi: Callable[[float, float], tuple[float, float]]
+    chi0: Callable[[float], float]
+    jet2: Callable[[float], Jet2]
+
+
+def identity_transition() -> ChartTransition:
+    return ChartTransition(
+        chi=lambda q1, q2: (q1, q2),
+        chi0=lambda q1: q1,
+        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
+
+
+def torus_shift_transition() -> ChartTransition:
+    """chi(q) = (q1 - 2pi, q2): the deck transformation of the torus cover."""
+    return ChartTransition(
+        chi=lambda q1, q2: (q1 - 2.0 * math.pi, q2),
+        chi0=lambda q1: q1 - 2.0 * math.pi,
+        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
+
+
+def inversion_transition() -> ChartTransition:
+    """The sphere model's second chart: chi(q) = 4 q / |q|^2."""
+    def chi(q1, q2):
+        r2 = q1 * q1 + q2 * q2
+        return (4.0 * q1 / r2, 4.0 * q2 / r2)
+
+    return ChartTransition(
+        chi=chi,
+        chi0=lambda q1: 4.0 / q1,
+        jet2=lambda q1: Jet2(
+            dchi1_dq2=0.0,
+            dchi2_dq2=4.0 / (q1 * q1),
+            d2chi1_dq22=-8.0 / q1 ** 3,
+            d2chi2_dq22=0.0,
+            dchi1_dq1=-4.0 / (q1 * q1)))
+
+
+@dataclass(frozen=True)
 class HamiltonianModel:
     """Transverse 2nd-order jets of B(q) and V(q) along q2 = 0, plus metadata.
 
@@ -45,6 +96,10 @@ class HamiltonianModel:
     profile, consumed by the loop-profile builder) and "ddV0" (second
     derivative of V0, consumed by the linearization).  Missing entries fall
     back to central finite differences.
+
+    matching is (q1*, transition): the point on the loop line where the
+    verdict compares the slopes, and the chart transition that carries the
+    stable generating function into the unstable chart there.
     """
     b110: ScalarFn
     b120: ScalarFn
@@ -61,6 +116,7 @@ class HamiltonianModel:
     derivatives: Mapping[str, ScalarFn] = field(default_factory=dict)
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
+    matching: tuple[float, ChartTransition] | None = None
 
     def coefficient(self, cname: str) -> ScalarFn:
         if cname not in COEFF_NAMES:
@@ -283,7 +339,8 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         b110=b110, b120=zero, b220=b110, b112=b112, b122=zero, b222=b112,
         V0=V0, V1=zero, Y=Y, domain=(0.0, 8.0), periodic=False,
         reversibility=(1, 1), derivatives=derivs, name="neumann",
-        params={"lambda1": lambda1, "lambda2": lambda2})
+        params={"lambda1": lambda1, "lambda2": lambda2},
+        matching=(2.0, inversion_transition()))
 
 
 def _cosine_poly(coeffs: Sequence[float]) -> ScalarFn:
@@ -328,7 +385,8 @@ def _pendula_identical(f_coeffs: Sequence[float],
             "Y": lambda q1: -math.sin(q1) - df(q1),
             "S1": lambda q1: math.cos(q1 / 2.0),
         },
-        name="pendula_identical", params={"f%d" % k: c for k, c in enumerate(cs)})
+        name="pendula_identical", params={"f%d" % k: c for k, c in enumerate(cs)},
+        matching=(math.pi, torus_shift_transition()))
 
 
 def _weak_h_funcs(lam: float):
@@ -427,7 +485,8 @@ def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
             "Y": lambda q1: -lsq * h1(q1) * math.sin(h(q1)),
             "S1": lambda q1: lam * h1(q1) * math.cos(h(q1) / 2.0),
         },
-        name="pendula_weak", params={"lam": lam})
+        name="pendula_weak", params={"lam": lam},
+        matching=(math.pi, torus_shift_transition()))
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
     # the s=0 loop lies on q2=0

@@ -1,13 +1,8 @@
-"""Small shared numerical helpers: finite differences, Simpson quadrature, bisection."""
+"""Small shared numerical helpers: finite differences and grid parsing."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable
-
-
-def fd_step(x: float, scale: float = 1e-6) -> float:
-    return scale * max(1.0, abs(x))
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
@@ -17,65 +12,16 @@ def central_diff(f: Callable[[float], float], x: float, h: float | None = None) 
     roundoff for smooth double-precision integrands.
     """
     if h is None:
-        h = fd_step(x)
+        h = 1e-6 * max(1.0, abs(x))
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
 
 def second_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
     """Second derivative by the 4th-order five-point stencil."""
     if h is None:
-        h = fd_step(x, 1e-4)
+        h = 1e-4 * max(1.0, abs(x))
     return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)
             + 16 * f(x - h) - f(x - 2 * h)) / (12 * h * h)
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature with Richardson correction.
-
-    Recursive interval halving; each panel accepted when the classic
-    15*tol Simpson error estimate is met.
-    """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, lm, flm, m, fm, left, tol / 2, depth - 1)
-                + recurse(m, fm, rm, frm, b, fb, right, tol / 2, depth - 1))
-
-    return recurse(a, fa, m, fm, b, fb, whole, tol, max_depth)
-
-
-def bisect(f: Callable[[float], float], a: float, b: float,
-           tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of f on [a, b] by plain bisection; f(a), f(b) must differ in sign."""
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise ValueError("bisect: no sign change on [%g, %g]" % (a, b))
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or 0.5 * (b - a) < tol:
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
 
 
 def richardson_diff(f: Callable[[float], float], x: float, h: float,

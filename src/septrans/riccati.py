@@ -73,10 +73,11 @@ class RiccatiSolution:
 
     def __call__(self, q1):
         q1a = np.asarray(q1, dtype=float)
+        if np.any(q1a > self.q1_target):
+            raise ValueError("q1=%g beyond the solved interval, which ends "
+                             "at %g" % (np.max(q1a), self.q1_target))
         out = np.where(q1a <= self.epsilon_start, self._initial,
-                       self._dense(np.minimum(np.maximum(q1a,
-                                                         self.epsilon_start),
-                                              self.q1_target))[0])
+                       self._dense(np.maximum(q1a, self.epsilon_start))[0])
         return float(out) if np.isscalar(q1) or q1a.ndim == 0 else out
 
 

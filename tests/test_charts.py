@@ -191,6 +191,18 @@ def test_torus_transversality_cosine_coupling():
     assert r.Tu < 0
 
 
+@pytest.mark.parametrize("name,params", [
+    ("pendula_identical", [0.1]), ("pendula_identical", [0.0]),
+    ("pendula_identical", [0.25, -0.125]), ("pendula_weak", [2.0])])
+def test_torus_verdict_is_jet_transport_through_the_shift(name, params):
+    made = builtin_model(name, params)
+    m = made[0] if isinstance(made, tuple) else made
+    r = chart_transversality(m, math.pi, torus_shift_transition())
+    assert r == torus_transversality(m)
+    assert m.matching[0] == math.pi
+    assert r == chart_transversality(m, *m.matching)
+
+
 def test_torus_transversality_requires_structure():
     with pytest.raises(ReversibilityError):
         torus_transversality(builtin_model("neumann", [1.0, 2.0]))

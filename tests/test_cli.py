@@ -133,7 +133,14 @@ def test_transversality_torus_tangent(capsys):
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0")
     assert code == 0
-    assert json.loads(out)["verdict"] == "tangent"
+    doc = json.loads(out)
+    assert doc["verdict"] == "tangent"
+    # an explicit --rtol is used as given, even when it equals the
+    # Riccati default; the verdict's own default solve is tighter
+    code, out = run(capsys, "transversality", "--model", "pendula_identical",
+                    "--params", "f0=0", "--rtol", "1e-9")
+    assert code == 0
+    assert abs(json.loads(out)["gap"]) > 1e3 * abs(doc["gap"])
 
 
 def test_transversality_csv(capsys):
@@ -221,10 +228,16 @@ def test_sweep_requires_spec(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    import septrans
+    # the child process imports the same septrans as this one
+    src = os.path.dirname(os.path.dirname(septrans.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     r = subprocess.run([sys.executable, "-m", "septrans", "validate",
                         "--model", "neumann", "--params", "lambda1=1",
-                        "lambda2=2"], capture_output=True, text=True)
+                        "lambda2=2"], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert r.returncode == 0
     assert json.loads(r.stdout)["ok"] is True

@@ -61,6 +61,21 @@ def test_reduced_potential_shape():
     assert L[1] == pytest.approx(L[3], abs=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reduced_potential_reports_worst_quadrature():
+    # a short window makes every tail bound visible; the grid ends on its
+    # most benign point, so the worst values come from earlier points
+    pert = replace(weak(2.0), decay_rate=10.0)
+    grid = [-3.0, -1.0, 0.0]
+    res = reduced_melnikov(pert, grid)
+    diags = [{} for _ in grid]
+    for s, d in zip(grid, diags):
+        melnikov_potential(pert, s=s, diag=d)
+    for key in ("t_cut", "tail_bound", "quad_error"):
+        assert res.quadrature_diag[key] == max(d[key] for d in diags)
+        assert res.quadrature_diag[key] > diags[-1][key]
+
+
 def test_reduced_potential_matches_closed_form_at_three():
     res = reduced_melnikov(weak(1.0), [3.0])
     assert res.L_samples[0] == pytest.approx(closed_form_lam1(3.0), abs=1e-6)

@@ -186,6 +186,16 @@ def test_blow_up_reported_with_location():
     assert "blow-up" in str(exc_info.value)
 
 
+def test_query_beyond_target_raises():
+    m = get_model("neumann", [1.0, 2.0])
+    sol = solve_riccati(m, 1.0, opts=SolverOptions(sensitivity_check=False))
+    assert sol(1.0) == sol(np.array([0.5, 1.0]))[1]
+    with pytest.raises(ValueError, match="beyond the solved interval"):
+        sol(1.5)
+    with pytest.raises(ValueError):
+        sol(np.array([0.5, 1.5]))
+
+
 def test_comparison_bracketing():
     # coupling (2 - cos)/8: in x = -cos(q1/2) variables the slope stays
     # between the constant-coefficient solutions with c^2 = min(1 - 2f),
