@@ -225,6 +225,8 @@ def cmd_riccati(cfg: RunConfig) -> int:
         "epsilon_start": sol.epsilon_start,
         "blow_up": "false",
         "startup_sensitivity": sol.diagnostics.get("startup_sensitivity", 0.0),
+        "startup_sensitivity_ok": ("true" if sol.diagnostics[
+            "startup_sensitivity_ok"] else "false"),
     }
     rows = [(q1, sol(q1)) for q1 in grid]
     stream = _open_out(cfg)
@@ -303,23 +305,46 @@ def cmd_melnikov(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """One row per sweep value.  A value whose model cannot be built or
+    solved gets a row of nan and an error_<value> comment, and the sweep
+    exits with the exit code of its first such failure."""
     if not cfg.sweep:
         raise UsageError("sweep needs --sweep param=a:b:n")
     if "=" not in cfg.sweep:
         raise UsageError("--sweep must be param=a:b:n")
     pname, gspec = cfg.sweep.split("=", 1)
-    results = [(v, _transversality_report(
-        replace(cfg, params={**cfg.params, pname: v})))
-        for v in parse_grid(gspec)]
+    comments = {"model": cfg.model, "sweep_param": pname}
+    rows = []
+    code = 0
+    for v in parse_grid(gspec):
+        try:
+            r = _transversality_report(
+                replace(cfg, params={**cfg.params, pname: v}))
+        except (BlowUpError, ValueError) as exc:
+            fcode, message = failure(exc)
+            print("%s=%s: %s" % (pname, FMT % v, message), file=sys.stderr)
+            comments["error_" + FMT % v] = message
+            rows.append((v, math.nan, math.nan, math.nan, math.nan))
+            code = code or fcode
+            continue
+        rows.append((v, r.Tu, r.Ts_hat, r.gap,
+                     {"transversal": 1.0, "tangent": 0.0,
+                      "inconclusive": -1.0}[r.verdict]))
     stream = _open_out(cfg)
-    write_table(stream, {"model": cfg.model, "sweep_param": pname},
-                ["%s" % pname, "Tu", "Ts_hat", "gap", "verdict_code"],
-                [(v, r.Tu, r.Ts_hat, r.gap,
-                  {"transversal": 1.0, "tangent": 0.0,
-                   "inconclusive": -1.0}[r.verdict]) for v, r in results])
+    write_table(stream, comments,
+                ["%s" % pname, "Tu", "Ts_hat", "gap", "verdict_code"], rows)
     if stream is not sys.stdout:
         stream.close()
-    return 0
+    return code
+
+
+def failure(exc: BlowUpError | ValueError) -> tuple[int, str]:
+    """The documented exit code of a failed run and its message."""
+    if isinstance(exc, LoopConstructionError):
+        return 1, "hypothesis failure: %s" % exc
+    if isinstance(exc, BlowUpError):
+        return 3, "numerical failure: %s" % exc
+    return 2, "error: %s" % exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,18 +389,10 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except LoopConstructionError as exc:
-        print("hypothesis failure: %s" % exc, file=sys.stderr)
-        return 1
-    except (UsageError, ConstructionError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except BlowUpError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except (BlowUpError, ValueError) as exc:
+        code, message = failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,18 +10,22 @@ with beta = det B0 / b220.  The first two are built here by construction;
 the third is a consistency condition between V1 and the rest of the model
 and is recorded as a residual.  The induced inner dynamics on the loop is
 q1' = beta(q1) * dS0(q1).
+
+A profile is evaluated through one function, its point: point(q1) returns
+the model's jet at q1 together with beta, dS0, S1 and dS1 there, from one
+jet evaluation.  The profile's four function fields are views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 from scipy.integrate import quad, solve_ivp
 
-from .models import HamiltonianModel
-from .numerics import central_diff
+from .models import CoefficientJet, HamiltonianModel, JetView, loop_momenta
 
 
 class LoopConstructionError(ValueError):
@@ -37,8 +41,39 @@ class InnerTimeResult(NamedTuple):
     clipped: bool
 
 
+# a loop point is the tuple (c, beta, dS0, S1, dS1): the model's jet c at
+# q1 (None for a profile built by hand) and the profiles at q1
+POINT_NAMES = ("c", "beta", "dS0", "S1", "dS1")
+
+
+def _loop_point(jet: Callable[[float], CoefficientJet], q1: float) -> tuple:
+    c = jet(q1)
+    beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
+    if ds0 != ds0:
+        raise LoopConstructionError(
+            "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g"
+            % (-2.0 * c.V0 / beta, q1))
+    return c, beta, ds0, s1, c.dS1
+
+
+class _LoopView(JetView):
+    """A profile field as a view of the loop point of a model's jet."""
+    __slots__ = ()
+
+    def __call__(self, q1: float) -> float:
+        return _loop_point(self.jet, q1)[self.index]
+
+
 @dataclass(frozen=True)
 class LoopProfile:
+    """Momentum profiles of the loop on q2 = 0.
+
+    jet is the jet of the model the profile was built from, and point(q1)
+    the loop point there (see POINT_NAMES).  When the four function fields
+    are the views loop_profile made of that jet, point evaluates the jet
+    once per call; otherwise (a field replaced, another jet, or a profile
+    built by hand) point calls the jet and each field.
+    """
     dS0: Callable[[float], float]
     S1: Callable[[float], float]
     dS1: Callable[[float], float]
@@ -46,6 +81,23 @@ class LoopProfile:
     interval: tuple[float, float]
     periodic: bool = False
     diagnostics: dict = field(default_factory=dict)
+    jet: Callable[[float], CoefficientJet] | None = field(
+        default=None, repr=False, compare=False)
+    point: Callable[[float], tuple] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        jet = self.jet
+        fns = [getattr(self, name) for name in POINT_NAMES[1:]]
+        if jet is not None and all(isinstance(f, _LoopView) and f.jet is jet
+                                   and f.index == i
+                                   for i, f in enumerate(fns, 1)):
+            point = partial(_loop_point, jet)
+        else:
+            def point(q1: float) -> tuple:
+                return (None if jet is None else jet(q1),
+                        *(f(q1) for f in fns))
+        object.__setattr__(self, "point", point)
 
     def dS0_extended(self, q1: float) -> float:
         """2pi-antiperiodic extension of dS0 (periodic models only)."""
@@ -70,41 +122,25 @@ def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
     1e-6 on the check grid.
     """
     a, b = model.domain
-    beta = model.beta
-
-    def dS0(q1: float) -> float:
-        rad = -2.0 * model.V0(q1) / beta(q1)
-        if rad < 0.0:
-            if rad > -1e-14:
-                return 0.0
-            raise LoopConstructionError(
-                "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
-        return math.sqrt(rad)
-
-    def S1(q1: float) -> float:
-        return -(model.b120(q1) / model.b220(q1)) * dS0(q1)
-
-    dS1_analytic = model.derivatives.get("S1")
-    if dS1_analytic is not None:
-        dS1 = dS1_analytic
-    else:
-        def dS1(q1: float) -> float:
-            return central_diff(S1, q1)
+    jet = model.jet
+    profile = LoopProfile(
+        **{name: _LoopView(jet, i)
+           for i, name in enumerate(POINT_NAMES) if i},
+        interval=(a, b), periodic=model.periodic, jet=jet)
 
     # consistency of V1 with the rest of the model, checked on the interior
     worst = 0.0
     margin = 1e-3 * (b - a)
     for i in range(1, n_check):
         q1 = a + margin + (b - a - 2 * margin) * i / n_check
-        r = dS1(q1) * beta(q1) * dS0(q1) + model.V1(q1)
+        c, beta, ds0, _s1, ds1 = profile.point(q1)
+        r = ds1 * beta * ds0 + c.V1
         worst = max(worst, abs(r))
     if worst > 1e-6:
         raise LoopConstructionError(
             "inconsistent V1: restriction residual %.3g > 1e-6" % worst)
-
-    return LoopProfile(dS0=dS0, S1=S1, dS1=dS1, beta=beta, interval=(a, b),
-                       periodic=model.periodic,
-                       diagnostics={"restriction_residual_max": worst})
+    profile.diagnostics["restriction_residual_max"] = worst
+    return profile
 
 
 def restriction_residual(profile: LoopProfile, model: HamiltonianModel,
@@ -131,7 +167,8 @@ def inner_time_param(profile: LoopProfile, q1_start: float,
     margin = 1e-12 * (b - a)
 
     def rhs(_t, y):
-        return [profile.beta(y[0]) * profile.dS0(y[0])]
+        _c, beta, ds0, _s1, _ds1 = profile.point(y[0])
+        return [beta * ds0]
 
     def hit_edge(_t, y):
         return min(y[0] - a - margin, b - margin - y[0])

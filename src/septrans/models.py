@@ -9,6 +9,11 @@ origin is described by second-order jets in q2 along the loop line:
 with B0 = [[b110, b120], [b120, b220]] and B2 = [[b112, b122], [b122, b222]].
 The sign convention puts Y positive when the potential curves downward in q2.
 
+A model is evaluated through one function, its jet: jet(q1) returns the
+nine coefficients together with S1' (the derivative of the loop's p2
+profile) and b220', the two derivatives the Riccati solver and its oracle
+need.  The nine coefficient fields are views of the jet.
+
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
 ("pendula_identical"), and two pendula with different frequencies coupled
@@ -21,13 +26,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .numerics import central_diff, second_diff
 
 ScalarFn = Callable[[float], float]
 
 COEFF_NAMES = ("b110", "b120", "b220", "b112", "b122", "b222", "V0", "V1", "Y")
+
+
+class CoefficientJet(NamedTuple):
+    """The nine coefficients at one q1, then S1' and b220' there."""
+    b110: float
+    b120: float
+    b220: float
+    b112: float
+    b122: float
+    b222: float
+    V0: float
+    V1: float
+    Y: float
+    dS1: float
+    db220: float
+
+
+class JetView:
+    """One entry of a fused evaluation as a function: q1 -> jet(q1)[index]."""
+    __slots__ = ("jet", "index")
+
+    def __init__(self, jet: Callable[[float], tuple], index: int):
+        self.jet = jet
+        self.index = index
+
+    def __call__(self, q1: float) -> float:
+        return self.jet(q1)[self.index]
+
+
+# derivatives keys whose entries are views of the jet: S1' and b220'
+_JET_DERIVATIVES = ("S1", "b220")
+
+
+def loop_momenta(b110: float, b120: float, b220: float,
+                 V0: float) -> tuple[float, float, float]:
+    """(beta, dS0, S1) of the zero-energy orbit on q2 = 0 from the
+    coefficients at one point (see septrans.loops).
+
+    beta = det B0 / b220, dS0 = sqrt(-2 V0 / beta), S1 = -(b120 / b220) dS0.
+    dS0 and S1 are nan where -2 V0 / beta < 0, where no loop passes.
+    """
+    beta = (b110 * b220 - b120 * b120) / b220
+    rad = -2.0 * V0 / beta
+    if rad < 0.0:
+        if rad <= -1e-14:
+            return beta, math.nan, math.nan
+        rad = 0.0
+    ds0 = math.sqrt(rad)
+    return beta, ds0, -(b120 / b220) * ds0
 
 
 class DomainError(ValueError):
@@ -93,9 +147,16 @@ class HamiltonianModel:
 
     derivatives maps a coefficient name to its analytic first derivative in
     q1; two extra keys are recognized: "S1" (derivative of the loop's p2
-    profile, consumed by the loop-profile builder) and "ddV0" (second
-    derivative of V0, consumed by the linearization).  Missing entries fall
-    back to central finite differences.
+    profile) and "ddV0" (second derivative of V0, consumed by the
+    linearization).  Missing entries fall back to central finite
+    differences.
+
+    jet is the model's one evaluation (see CoefficientJet).  A built-in
+    passes its fused jet through from_jet, which makes the nine fields and
+    derivatives["S1"], derivatives["b220"] views of it.  A model given by
+    its fields, or one whose fields no longer are those views (as after
+    dataclasses.replace of a field), gets a jet assembled from its fields,
+    so a jet never disagrees with the fields.
 
     matching is (q1*, transition): the point on the loop line where the
     verdict compares the slopes, and the chart transition that carries the
@@ -117,6 +178,28 @@ class HamiltonianModel:
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
     matching: tuple[float, ChartTransition] | None = None
+    jet: Callable[[float], CoefficientJet] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        jet = self.jet
+        views = ([getattr(self, c) for c in COEFF_NAMES]
+                 + [self.derivatives.get(k) for k in _JET_DERIVATIVES])
+        if jet is None or not all(isinstance(v, JetView) and v.jet is jet
+                                  and v.index == i
+                                  for i, v in enumerate(views)):
+            object.__setattr__(self, "jet", _assembled_jet(self))
+
+    @classmethod
+    def from_jet(cls, jet: Callable[[float], CoefficientJet],
+                 derivatives: Mapping[str, ScalarFn], **kwargs):
+        """A model whose fields, S1' and b220' are views of jet."""
+        n = len(COEFF_NAMES)
+        derivs = dict(derivatives)
+        derivs.update((k, JetView(jet, n + i))
+                      for i, k in enumerate(_JET_DERIVATIVES))
+        return cls(**{c: JetView(jet, i) for i, c in enumerate(COEFF_NAMES)},
+                   derivatives=derivs, jet=jet, **kwargs)
 
     def coefficient(self, cname: str) -> ScalarFn:
         if cname not in COEFF_NAMES:
@@ -134,23 +217,26 @@ class HamiltonianModel:
         a, b = self.domain
         return a - slack <= q1 <= b + slack
 
-    def beta(self, q1: float) -> float:
-        """beta = det B0 / b220, the effective inverse mass along the loop."""
-        b11, b12, b22 = self.b110(q1), self.b120(q1), self.b220(q1)
-        return (b11 * b22 - b12 * b12) / b22
 
+def _assembled_jet(model: HamiltonianModel
+                   ) -> Callable[[float], CoefficientJet]:
+    """The jet of a model given by its fields: each field is called once per
+    point; S1' and b220' come from derivatives or by central differences."""
+    fields = tuple(getattr(model, c) for c in COEFF_NAMES)
+    ds1 = model.derivatives.get("S1")
+    if ds1 is None:
+        def s1(q1):
+            return loop_momenta(model.b110(q1), model.b120(q1),
+                                model.b220(q1), model.V0(q1))[2]
 
-@dataclass(frozen=True)
-class CoefficientValues:
-    b110: float
-    b120: float
-    b220: float
-    b112: float
-    b122: float
-    b222: float
-    V0: float
-    V1: float
-    Y: float
+        def ds1(q1):
+            return central_diff(s1, q1)
+
+    def jet(q1: float) -> CoefficientJet:
+        return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
+                              model.derivative("b220", q1))
+
+    return jet
 
 
 @dataclass(frozen=True)
@@ -200,12 +286,12 @@ class ValidationReport:
         return [e for e in self.entries if not e.passed]
 
 
-def eval_coefficients(model: HamiltonianModel, q1: float) -> CoefficientValues:
-    """Pointwise values of the nine expansion coefficients at q1."""
+def eval_coefficients(model: HamiltonianModel, q1: float) -> CoefficientJet:
+    """The model's jet at q1, after checking that q1 lies in its domain."""
     if not model.in_domain(q1):
         raise DomainError("q1=%g outside domain [%g, %g]"
                           % (q1, model.domain[0], model.domain[1]))
-    return CoefficientValues(*(model.coefficient(c)(q1) for c in COEFF_NAMES))
+    return model.jet(q1)
 
 
 def _grid(model: HamiltonianModel, n: int = 256) -> list[float]:
@@ -233,22 +319,23 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     """
     entries: list[CheckEntry] = []
     grid = _grid(model)
+    jets = [model.jet(q1) for q1 in grid]
 
     worst_det = math.inf
     worst_b11 = math.inf
-    for q1 in grid:
-        b11, b12, b22 = model.b110(q1), model.b120(q1), model.b220(q1)
-        worst_b11 = min(worst_b11, b11)
-        worst_det = min(worst_det, b11 * b22 - b12 * b12)
+    for c in jets:
+        worst_b11 = min(worst_b11, c.b110)
+        worst_det = min(worst_det, c.b110 * c.b220 - c.b120 * c.b120)
     ok = worst_b11 > 0 and worst_det > 0
     entries.append(CheckEntry(
         "kinetic_positive_definite", ok,
         "min b110=%.3g, min det B0=%.3g on %d-point grid"
         % (worst_b11, worst_det, len(grid)), min(worst_b11, worst_det)))
 
-    v00 = model.V0(0.0)
+    c0 = model.jet(0.0)
+    v00 = c0.V0
     dv00 = model.derivative("V0", 0.0)
-    v10 = model.V1(0.0)
+    v10 = c0.V1
     ok = abs(v00) < 1e-10 and abs(dv00) < 1e-8 and abs(v10) < 1e-10
     entries.append(CheckEntry(
         "critical_point_at_origin", ok,
@@ -267,21 +354,21 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     a, b = model.domain
     margin = 1e-3 * (b - a)
     worst_v0 = -math.inf
-    for q1 in grid:
-        lo, hi = a + margin, (b - margin if model.periodic else b)
+    lo, hi = a + margin, (b - margin if model.periodic else b)
+    for q1, c in zip(grid, jets):
         if lo < q1 < hi:
-            worst_v0 = max(worst_v0, model.V0(q1))
+            worst_v0 = max(worst_v0, c.V0)
     entries.append(CheckEntry(
         "potential_negative_on_interior", worst_v0 < 0,
         "max interior V0=%.3g" % worst_v0, worst_v0))
 
     if model.periodic:
         worst = 0.0
-        for cname in COEFF_NAMES:
-            fn = model.coefficient(cname)
-            for i in range(0, len(grid), 3):
-                q1 = grid[i]
-                worst = max(worst, abs(fn(q1 + 2 * math.pi) - fn(q1)))
+        n = len(COEFF_NAMES)
+        for i in range(0, len(grid), 3):
+            shifted = model.jet(grid[i] + 2 * math.pi)
+            worst = max(worst, *(abs(x - y) for x, y
+                                 in zip(shifted[:n], jets[i][:n])))
         entries.append(CheckEntry(
             "coefficients_2pi_periodic", worst < 1e-10,
             "max |f(q1+2pi)-f(q1)|=%.2e" % worst, worst))
@@ -304,15 +391,20 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
     def A(q1):
         return 4.0 + q1 * q1
 
-    b110 = lambda q1: A(q1) ** 2 / 16.0
-    b112 = lambda q1: A(q1) / 4.0
+    def jet(q1):
+        a = A(q1)
+        a2 = a ** 2
+        b11 = a2 / 16.0
+        b12 = a / 4.0
+        return CoefficientJet(
+            b11, 0.0, b11,                                  # b110 b120 b220
+            b12, 0.0, b12,                                  # b112 b122 b222
+            -8.0 * l1s * q1 * q1 / a2,                      # V0
+            0.0,                                            # V1
+            16.0 / a2 * (l2s - 2.0 * l1s * q1 * q1 / a),    # Y
+            0.0, q1 * a / 4.0)                              # S1' b220'
+
     zero = lambda q1: 0.0
-
-    def V0(q1):
-        return -8.0 * l1s * q1 * q1 / A(q1) ** 2
-
-    def Y(q1):
-        return 16.0 / A(q1) ** 2 * (l2s - 2.0 * l1s * q1 * q1 / A(q1))
 
     def dV0(q1):
         return -16.0 * l1s * q1 * (4.0 - q1 * q1) / A(q1) ** 3
@@ -324,8 +416,8 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
                               - 6.0 * q1 * q1 * (4.0 - q1 * q1) / a ** 4)
 
     derivs = {
-        "b110": lambda q1: q1 * A(q1) / 4.0,
-        "b220": lambda q1: q1 * A(q1) / 4.0,
+        # b110 = b220 on the sphere
+        "b110": JetView(jet, CoefficientJet._fields.index("db220")),
         "b120": zero,
         "b112": lambda q1: q1 / 2.0,
         "b222": lambda q1: q1 / 2.0,
@@ -333,21 +425,22 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         "V0": dV0,
         "ddV0": ddV0,
         "V1": zero,
-        "S1": zero,
     }
-    return HamiltonianModel(
-        b110=b110, b120=zero, b220=b110, b112=b112, b122=zero, b222=b112,
-        V0=V0, V1=zero, Y=Y, domain=(0.0, 8.0), periodic=False,
-        reversibility=(1, 1), derivatives=derivs, name="neumann",
+    return HamiltonianModel.from_jet(
+        jet, derivs, domain=(0.0, 8.0), periodic=False,
+        reversibility=(1, 1), name="neumann",
         params={"lambda1": lambda1, "lambda2": lambda2},
         matching=(2.0, inversion_transition()))
 
 
 def _cosine_poly(coeffs: Sequence[float]) -> ScalarFn:
-    cs = tuple(float(c) for c in coeffs)
+    terms = tuple(enumerate(float(c) for c in coeffs))
 
     def f(q1: float) -> float:
-        return sum(c * math.cos(k * q1) for k, c in enumerate(cs))
+        total = 0
+        for k, c in terms:
+            total += c * math.cos(k * q1)
+        return total
 
     return f
 
@@ -367,124 +460,135 @@ def _pendula_identical(f_coeffs: Sequence[float],
     def df(q1):
         return -sum(c * k * math.sin(k * q1) for k, c in enumerate(cs))
 
-    one = lambda q1: 1.0
+    def jet(q1):
+        cos_q = math.cos(q1)
+        return CoefficientJet(
+            1.0, -1.0, 2.0,                                 # b110 b120 b220
+            0.0, 0.0, 0.0,                                  # b112 b122 b222
+            2.0 * (cos_q - 1.0),                            # V0
+            -math.sin(q1),                                  # V1
+            cos_q - f(q1),                                  # Y
+            math.cos(q1 / 2.0), 0.0)                        # S1' b220'
+
     zero = lambda q1: 0.0
-    return HamiltonianModel(
-        b110=one, b120=lambda q1: -1.0, b220=lambda q1: 2.0,
-        b112=zero, b122=zero, b222=zero,
-        V0=lambda q1: 2.0 * (math.cos(q1) - 1.0),
-        V1=lambda q1: -math.sin(q1),
-        Y=lambda q1: math.cos(q1) - f(q1),
-        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
-        derivatives={
-            "b110": zero, "b120": zero, "b220": zero,
+    return HamiltonianModel.from_jet(
+        jet, {
+            "b110": zero, "b120": zero,
             "b112": zero, "b122": zero, "b222": zero,
             "V0": lambda q1: -2.0 * math.sin(q1),
             "ddV0": lambda q1: -2.0 * math.cos(q1),
             "V1": lambda q1: -math.cos(q1),
             "Y": lambda q1: -math.sin(q1) - df(q1),
-            "S1": lambda q1: math.cos(q1 / 2.0),
         },
+        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
         name="pendula_identical", params={"f%d" % k: c for k, c in enumerate(cs)},
         matching=(math.pi, torus_shift_transition()))
 
 
 def _weak_h_funcs(lam: float):
-    """The coupling profile h with h' and h'' for the weak-pendula model.
+    """The coupling profile h of the weak-pendula model, with h_h1(q1) =
+    (q1 mod 2pi, h, h', sin(h/2)) and h_jet(q1) = (h, h', h'', sin(h/2),
+    cos(h/2)).
 
     h(0)=0, h(pi)=pi, h(2pi)=2pi, extended oddly and 2pi-equivariantly to
     the whole line.  Near multiples of 2pi, h ~ 4 (q1/4)^lam up to the sign,
     so the direct quotient formulas for h', h'' are replaced by their power
-    limits to avoid 0/0.
+    limits to avoid 0/0; at the multiples themselves h'' is unbounded for
+    1 < lam < 2 and h_jet gives it as nan.
     """
+    two_pi = 2.0 * math.pi
+
     def h_base(r: float) -> float:
         # r in [0, 2pi]; reflect the upper half to keep tan bounded
         if r <= math.pi:
             return 4.0 * math.atan(math.tan(r / 4.0) ** lam)
-        return 2.0 * math.pi - h_base(2.0 * math.pi - r)
+        return two_pi - h_base(two_pi - r)
 
     def h(q1: float) -> float:
-        two_pi = 2.0 * math.pi
+        n = math.floor(q1 / two_pi)
+        return h_base(q1 - n * two_pi) + n * two_pi
+
+    def h_h1(q1: float):
         n = math.floor(q1 / two_pi)
         r = q1 - n * two_pi
-        return h_base(r) + n * two_pi
-
-    def h1(q1: float) -> float:
-        two_pi = 2.0 * math.pi
-        r = q1 - math.floor(q1 / two_pi) * two_pi
+        hh = h_base(r) + n * two_pi
+        sin_h2 = math.sin(hh / 2.0)
         d = min(r, two_pi - r)
         if d < 1e-5:
             # h ~ 4 (d/4)^lam about the nearest pendulum-1 equilibrium
-            return lam * 4.0 ** (1.0 - lam) * d ** (lam - 1.0) if lam != 1.0 else 1.0
-        return lam * math.sin(h(q1) / 2.0) / math.sin(q1 / 2.0)
+            h1 = lam * 4.0 ** (1.0 - lam) * d ** (lam - 1.0) if lam != 1.0 else 1.0
+        else:
+            h1 = lam * sin_h2 / math.sin(q1 / 2.0)
+        return r, hh, h1, sin_h2
 
-    def h2(q1: float) -> float:
-        two_pi = 2.0 * math.pi
-        r = q1 - math.floor(q1 / two_pi) * two_pi
+    def h_jet(q1: float):
+        r, hh, h1, sin_h2 = h_h1(q1)
+        cos_h2 = math.cos(hh / 2.0)
         d = min(r, two_pi - r)
-        sign = 1.0 if r <= math.pi else -1.0
-        if d < 1e-5:
-            if lam == 1.0:
-                return 0.0
-            return sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam) * d ** (lam - 2.0)
-        hp = h1(q1)
-        s1 = math.sin(q1 / 2.0)
-        return (lam / 2.0) * (hp * math.cos(h(q1) / 2.0)
-                              - math.sin(h(q1) / 2.0)
-                              * math.cos(q1 / 2.0) / s1) / s1
+        if d >= 1e-5:
+            s1 = math.sin(q1 / 2.0)
+            h2 = (lam / 2.0) * (h1 * cos_h2
+                                - sin_h2 * math.cos(q1 / 2.0) / s1) / s1
+        elif lam == 1.0:
+            h2 = 0.0
+        elif d == 0.0 and lam < 2.0:
+            h2 = math.nan
+        else:
+            sign = 1.0 if r <= math.pi else -1.0
+            h2 = sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam) * d ** (lam - 2.0)
+        return hh, h1, h2, sin_h2, cos_h2
 
-    return h, h1, h2
+    return h, h_h1, h_jet
 
 
 def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
     if lam < 1.0:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
-    h, h1, h2 = _weak_h_funcs(lam)
+    h, h_h1, h_jet = _weak_h_funcs(lam)
 
-    def V0(q1):
-        return (math.cos(q1) - 1.0) + lsq * (math.cos(h(q1)) - 1.0)
-
-    def V1(q1):
-        return -lsq * math.sin(h(q1))
-
-    def Y(q1):
-        return lsq * math.cos(h(q1))
+    def jet(q1):
+        hh, h1, h2, _sin_h2, cos_h2 = h_jet(q1)
+        sin_h, cos_h = math.sin(hh), math.cos(hh)
+        return CoefficientJet(
+            1.0, -h1, 1.0 + h1 ** 2,                        # b110 b120 b220
+            0.0, 0.0, 0.0,                                  # b112 b122 b222
+            (math.cos(q1) - 1.0) + lsq * (cos_h - 1.0),     # V0
+            -lsq * sin_h,                                   # V1
+            lsq * cos_h,                                    # Y
+            lam * h1 * cos_h2, 2.0 * h1 * h2)               # S1' b220'
 
     def dV0(q1):
-        return -math.sin(q1) - lsq * h1(q1) * math.sin(h(q1))
+        _r, hh, h1, _sin_h2 = h_h1(q1)
+        return -math.sin(q1) - lsq * h1 * math.sin(hh)
 
     def ddV0(q1):
-        hp = h1(q1)
-        hh = h(q1)
+        hh, h1, h2 = h_jet(q1)[:3]
         # h''*sin(h) ~ d^(2*lam-2) -> 0 at the equilibria for every lam >= 1
-        two_pi = 2.0 * math.pi
-        r = q1 - math.floor(q1 / two_pi) * two_pi
-        if min(r, two_pi - r) < 1e-5:
+        r = q1 - math.floor(q1 / (2.0 * math.pi)) * 2.0 * math.pi
+        if min(r, 2.0 * math.pi - r) < 1e-5:
             hpp_sin = 0.0
         else:
-            hpp_sin = h2(q1) * math.sin(hh)
-        return -math.cos(q1) - lsq * (hpp_sin + hp * hp * math.cos(hh))
+            hpp_sin = h2 * math.sin(hh)
+        return -math.cos(q1) - lsq * (hpp_sin + h1 * h1 * math.cos(hh))
 
     def dV1(q1):
-        return -lsq * h1(q1) * math.cos(h(q1))
+        _r, hh, h1, _sin_h2 = h_h1(q1)
+        return -lsq * h1 * math.cos(hh)
 
-    one = lambda q1: 1.0
+    def dY(q1):
+        _r, hh, h1, _sin_h2 = h_h1(q1)
+        return -lsq * h1 * math.sin(hh)
+
     zero = lambda q1: 0.0
-    model = HamiltonianModel(
-        b110=one, b120=lambda q1: -h1(q1), b220=lambda q1: 1.0 + h1(q1) ** 2,
-        b112=zero, b122=zero, b222=zero,
-        V0=V0, V1=V1, Y=Y,
-        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
-        derivatives={
+    model = HamiltonianModel.from_jet(
+        jet, {
             "b110": zero,
-            "b120": lambda q1: -h2(q1),
-            "b220": lambda q1: 2.0 * h1(q1) * h2(q1),
+            "b120": lambda q1: -h_jet(q1)[2],
             "b112": zero, "b122": zero, "b222": zero,
-            "V0": dV0, "ddV0": ddV0, "V1": dV1,
-            "Y": lambda q1: -lsq * h1(q1) * math.sin(h(q1)),
-            "S1": lambda q1: lam * h1(q1) * math.cos(h(q1) / 2.0),
+            "V0": dV0, "ddV0": ddV0, "V1": dV1, "Y": dY,
         },
+        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
         name="pendula_weak", params={"lam": lam},
         matching=(math.pi, torus_shift_transition()))
 
@@ -500,7 +604,7 @@ def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
         eta1 = 2.0 / math.cosh(u)
         eta2 = 2.0 * lam / math.cosh(lam * t)
         p2 = eta2
-        p1 = eta1 + h1(q1) * eta2
+        p1 = eta1 + h_h1(q1)[2] * eta2
         return (q1, q2, p1, p2)
 
     def kappa(s: float):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .loops import LoopProfile, loop_profile
-from .models import HamiltonianModel
+from .models import CoefficientJet, HamiltonianModel, JetView
 
 
 class BlowUpError(RuntimeError):
@@ -42,12 +42,26 @@ class HypothesesError(ValueError):
     """No real initial slope: Delta < 0, hypotheses violated."""
 
 
+# what the slope equation and its linear form read at one q1, in the order
+# of the tuple riccati_terms returns; q1dot = beta * dS0 is the inner
+# dynamics on the loop
+TERM_NAMES = ("q1dot", "alpha", "beta", "delta", "b220", "db220")
+
+
 @dataclass(frozen=True)
 class RiccatiCoefficients:
+    """alpha, beta, delta and b220 as functions of q1.
+
+    jet is the jet of the model they come from; integration evaluates it
+    through riccati_terms.  Hand-built coefficients without a jet serve
+    riccati_initial only.
+    """
     alpha: Callable[[float], float]
     beta: Callable[[float], float]
     delta: Callable[[float], float]
     b220: Callable[[float], float]
+    jet: Callable[[float], CoefficientJet] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -72,33 +86,47 @@ class RiccatiSolution:
     _initial: float = 0.0
 
     def __call__(self, q1):
+        """T at q1 in [0, q1_target]; on [0, epsilon_start] the solve's
+        start value (T0, or -T0 on the stable side).  Raises ValueError
+        outside that interval."""
         q1a = np.asarray(q1, dtype=float)
         if np.any(q1a > self.q1_target):
             raise ValueError("q1=%g beyond the solved interval, which ends "
                              "at %g" % (np.max(q1a), self.q1_target))
+        if np.any(q1a < 0.0):
+            raise ValueError("q1=%g below the solved interval, which starts "
+                             "at 0" % np.min(q1a))
         out = np.where(q1a <= self.epsilon_start, self._initial,
                        self._dense(np.maximum(q1a, self.epsilon_start))[0])
         return float(out) if np.isscalar(q1) or q1a.ndim == 0 else out
 
 
+def riccati_terms(jet: Callable[[float], CoefficientJet],
+                  profile: LoopProfile) -> Callable[[float], tuple]:
+    """q1 -> the terms named by TERM_NAMES, with the coefficients of jet and
+    the loop of profile, from one evaluation of the profile's point."""
+    point = replace(profile, jet=jet).point
+
+    def terms(q1: float) -> tuple:
+        c, beta, ds0, s1, ds1 = point(q1)
+        alpha = (c.Y - c.b110 * ds1 * ds1
+                 - 0.5 * (c.b112 * ds0 * ds0 + 2.0 * c.b122 * ds0 * s1
+                          + c.b222 * s1 * s1))
+        return beta * ds0, alpha, beta, c.b120 * ds1, c.b220, c.db220
+
+    return terms
+
+
 def riccati_coefficients(model: HamiltonianModel,
                          profile: LoopProfile) -> RiccatiCoefficients:
-    """Assemble alpha, beta, delta, b220 from the model and loop profile."""
-
-    def alpha(q1: float) -> float:
-        ds1 = profile.dS1(q1)
-        ds0 = profile.dS0(q1)
-        s1 = profile.S1(q1)
-        return (model.Y(q1) - model.b110(q1) * ds1 * ds1
-                - 0.5 * (model.b112(q1) * ds0 * ds0
-                         + 2.0 * model.b122(q1) * ds0 * s1
-                         + model.b222(q1) * s1 * s1))
-
-    def delta(q1: float) -> float:
-        return model.b120(q1) * profile.dS1(q1)
-
-    return RiccatiCoefficients(alpha=alpha, beta=profile.beta, delta=delta,
-                               b220=model.b220)
+    """alpha, beta, delta, b220 from the model's jet and the loop profile:
+    alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2,
+    delta = b120 dS1."""
+    terms = riccati_terms(model.jet, profile)
+    return RiccatiCoefficients(
+        **{name: JetView(terms, TERM_NAMES.index(name))
+           for name in ("alpha", "beta", "delta", "b220")},
+        jet=model.jet)
 
 
 def riccati_initial(coeffs: RiccatiCoefficients) -> tuple[float, float]:
@@ -122,12 +150,12 @@ def _integrate(coeffs: RiccatiCoefficients, profile: LoopProfile,
                eps: float, q1_target: float, T_start: float,
                opts: SolverOptions, stable: bool):
     sgn = -1.0 if stable else 1.0
+    terms = riccati_terms(coeffs.jet, profile)
 
     def rhs(q1, y):
-        denom = coeffs.beta(q1) * profile.dS0(q1)
+        q1dot, alpha, _beta, delta, b220, _db220 = terms(q1)
         T = y[0]
-        return [(sgn * coeffs.alpha(q1) - 2.0 * coeffs.delta(q1) * T
-                 - sgn * coeffs.b220(q1) * T * T) / denom]
+        return [(sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot]
 
     def blow_up(q1, y):
         return opts.cap - abs(y[0])
@@ -208,6 +236,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
         profile = loop_profile(model)
     coeffs = riccati_coefficients(model, profile)
     T0, _ = riccati_initial(coeffs)
+    terms = riccati_terms(model.jet, profile)
 
     # inner expansion rate at the equilibrium sets the time horizon
     h = 1e-5
@@ -218,15 +247,11 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
     q1s = 1e-6 * q1_target
     t_span = (0.0, 100.0 / rate)
 
-    def q1dot(q1):
-        return profile.beta(q1) * profile.dS0(q1)
-
     def rhs(_t, y):
         q1, yy, yp = y
-        b = coeffs.b220(q1)
-        db_dt = model.derivative("b220", q1) * q1dot(q1)
-        acoef = 2.0 * coeffs.delta(q1) - db_dt / b
-        return [q1dot(q1), yp, -acoef * yp + b * coeffs.alpha(q1) * yy]
+        q1dot, alpha, _beta, delta, b, db = terms(q1)
+        acoef = 2.0 * delta - db * q1dot / b
+        return [q1dot, yp, -acoef * yp + b * alpha * yy]
 
     def y_zero(_t, y):
         return y[1]

@@ -105,6 +105,17 @@ def test_riccati_json_format(capsys):
     assert len(doc["rows"]) == 5
 
 
+def test_riccati_reports_startup_sensitivity_ok(capsys):
+    args = ("riccati", "--model", "neumann", "--params", "lambda1=1",
+            "lambda2=2", "--grid", "0:2:5")
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert "# startup_sensitivity_ok = true" in out.splitlines()
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["comments"]["startup_sensitivity_ok"] == "true"
+
+
 def test_riccati_blow_up_exit_three(capsys):
     code = main(["riccati", "--model", "neumann", "--params", "lambda1=1",
                  "lambda2=2", "--cap", "1.5"])
@@ -219,6 +230,25 @@ def test_sweep_ordered_output(tmp_path, capsys):
     for f0, Tu in zip(rows[1:, 0], rows[1:, 1]):
         b = math.sqrt(1.0 - 2.0 * f0)
         assert Tu == pytest.approx((b - 1.0 / b) / 2.0, abs=1e-8)
+
+
+def test_sweep_keeps_going_past_a_failed_point(tmp_path, capsys):
+    # f(0) = f0 + f1 < 0 at the first value only
+    out_file = tmp_path / "sweep.csv"
+    params = ("--model", "pendula_identical", "--params", "f1=-0.1")
+    code, _ = run(capsys, "sweep", *params, "--sweep", "f0=0.05:0.4:5",
+                  "--out", str(out_file))
+    assert code == 2
+    comments, header, rows = read_table(str(out_file))
+    assert rows.shape == (5, 5)
+    assert np.all(np.isnan(rows[0, 1:]))
+    assert "f(0)=-0.05" in comments["error_%.17g" % rows[0, 0]]
+    assert sum(k.startswith("error_") for k in comments) == 1
+    for f0, Tu, Ts_hat, gap, _code in rows[1:]:
+        code, out = run(capsys, "transversality", *params, "f0=%.17g" % f0)
+        assert code == 0
+        doc = json.loads(out)
+        assert (Tu, Ts_hat, gap) == (doc["Tu"], doc["Ts_hat"], doc["gap"])
 
 
 def test_sweep_requires_spec(capsys):

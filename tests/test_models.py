@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from septrans.loops import LoopConstructionError, loop_profile
 from septrans.models import (ConstructionError, DomainError, builtin_model,
                              eval_coefficients, validate_hypotheses,
                              HamiltonianModel, COEFF_NAMES)
+from septrans.numerics import central_diff
+from septrans.riccati import (SolverOptions, riccati_to_linear_oracle,
+                              solve_riccati)
 
 
 def neumann(l1=1.0, l2=2.0):
@@ -155,3 +161,95 @@ def test_analytic_derivatives_match_finite_differences():
             for q1 in (0.7, 1.9, 3.0):
                 assert fn(q1) == pytest.approx(
                     central_diff(m.coefficient(cname), q1), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the fused jet against the jet assembled from the fields
+
+BUILTINS = [("neumann", [1.3, 2.4]), ("pendula_identical", [0.25, -0.125]),
+            ("pendula_weak", [2.0])]
+
+
+def get_model(name, params):
+    made = builtin_model(name, params)
+    return made[0] if isinstance(made, tuple) else made
+
+
+def rebuilt(m, **fields):
+    """m rebuilt from its nine fields and derivatives, which takes the
+    assembled-jet path; fields replaces some of the nine."""
+    kw = {c: getattr(m, c) for c in COEFF_NAMES}
+    kw.update(fields)
+    return HamiltonianModel(
+        **kw, domain=m.domain, periodic=m.periodic,
+        reversibility=m.reversibility, derivatives=m.derivatives,
+        name=m.name, params=m.params, matching=m.matching)
+
+
+def plain_solve(m):
+    return solve_riccati(m, m.matching[0],
+                         opts=SolverOptions(sensitivity_check=False))
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_fused_jet_solves_like_assembled_jet(name, params):
+    m = get_model(name, params)
+    copy = rebuilt(m)
+    assert copy.jet is not m.jet
+    for q1 in (0.3, 1.7, 2.9):
+        assert copy.jet(q1) == m.jet(q1)
+    fused, assembled = plain_solve(m), plain_solve(copy)
+    for key in ("n_rhs_evaluations", "n_steps"):
+        assert assembled.diagnostics[key] == fused.diagnostics[key]
+    target = m.matching[0]
+    assert assembled(target) == pytest.approx(fused(target), abs=1e-13)
+    assert riccati_to_linear_oracle(copy, target) == pytest.approx(
+        riccati_to_linear_oracle(m, target), abs=1e-13)
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_replaced_v1_fails_restriction_check(name, params):
+    m = get_model(name, params)
+    bad = replace(m, V1=lambda q1, v1=m.V1: v1(q1) + 0.1)
+    assert bad.jet(1.0).V1 == m.V1(1.0) + 0.1
+    with pytest.raises(LoopConstructionError, match="inconsistent V1"):
+        loop_profile(bad)
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_replaced_y_solves_like_rebuilt_copy(name, params):
+    m = get_model(name, params)
+    Y = lambda q1, y=m.Y: 0.9 * y(q1)
+    a, b = plain_solve(replace(m, Y=Y)), plain_solve(rebuilt(m, Y=Y))
+    assert a.diagnostics == b.diagnostics
+    target = m.matching[0]
+    assert a(target) == b(target)
+    assert a(target) != plain_solve(m)(target)
+
+
+@st.composite
+def admissible_points(draw):
+    """A built-in from the boxes of test_acceptance.random_admissible_sets,
+    and a point inside its loop."""
+    name = draw(st.sampled_from([n for n, _ in BUILTINS]))
+    if name == "neumann":
+        l1 = draw(st.floats(0.5, 2.0))
+        params = [l1, l1 * draw(st.floats(1.1, 4.0))]
+    elif name == "pendula_identical":
+        f0 = draw(st.floats(0.05, 0.35))
+        params = [f0, draw(st.floats(-0.4, 0.4)) * f0]
+    else:
+        params = [draw(st.floats(1.5, 3.5))]
+    m = get_model(name, params)
+    return m, draw(st.floats(0.1, m.domain[1] - 0.1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(admissible_points())
+def test_jet_derivatives_match_central_differences(point):
+    m, q1 = point
+    c = m.jet(q1)
+    assert c.dS1 == pytest.approx(central_diff(loop_profile(m).S1, q1),
+                                  rel=1e-7, abs=1e-7)
+    assert c.db220 == pytest.approx(central_diff(m.b220, q1),
+                                    rel=1e-7, abs=1e-7)

@@ -54,6 +54,15 @@ def test_alpha_reduces_to_y_without_coupling():
         assert c.alpha(q1) == m.Y(q1)
 
 
+def test_replaced_profile_field_reaches_the_coefficients():
+    m = get_model("pendula_identical", [0.2])
+    p0 = replace(loop_profile(m), dS1=lambda q1: 0.0)
+    c = riccati_coefficients(m, p0)
+    for q1 in (0.5, 2.0):
+        assert c.delta(q1) == 0.0
+        assert c.alpha(q1) == m.Y(q1)
+
+
 def test_initial_condition_neumann():
     _, c = coeffs_for("neumann", [1.0, 2.0])
     T0, Delta = riccati_initial(c)
@@ -194,6 +203,16 @@ def test_query_beyond_target_raises():
         sol(1.5)
     with pytest.raises(ValueError):
         sol(np.array([0.5, 1.5]))
+
+
+def test_query_below_interval_raises():
+    m = get_model("neumann", [1.0, 2.0])
+    sol = solve_riccati(m, 1.0, opts=SolverOptions(sensitivity_check=False))
+    assert sol(0.0) == sol(sol.epsilon_start / 2) == sol.T0
+    with pytest.raises(ValueError, match="below the solved interval"):
+        sol(-1.0)
+    with pytest.raises(ValueError):
+        sol(np.array([-0.5, 0.5]))
 
 
 def test_comparison_bracketing():
