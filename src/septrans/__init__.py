@@ -6,9 +6,9 @@ from .models import (HamiltonianModel, PerturbationModel, builtin_model,
 from .equilibrium import Linearization, check_positive_definite, linearize
 from .loops import (LoopProfile, inner_time_param, loop_action_sigma,
                     loop_profile, restriction_residual)
-from .riccati import (RiccatiCoefficients, RiccatiSolution, SolverOptions,
-                      riccati_coefficients, riccati_initial, solve_riccati,
-                      riccati_to_linear_oracle, BlowUpError)
+from .riccati import (RiccatiSolution, SolverOptions, riccati_initial,
+                      riccati_terms, solve_riccati, riccati_to_linear_oracle,
+                      BlowUpError)
 from .charts import (ChartTransition, StableJet, TransversalityReport,
                      chart_transversality, identity_transition,
                      inversion_transition, jet_transport_stable,
@@ -27,9 +27,8 @@ __all__ = [
     "Linearization", "check_positive_definite", "linearize",
     "LoopProfile", "inner_time_param", "loop_action_sigma", "loop_profile",
     "restriction_residual",
-    "RiccatiCoefficients", "RiccatiSolution", "SolverOptions",
-    "riccati_coefficients", "riccati_initial", "solve_riccati",
-    "riccati_to_linear_oracle", "BlowUpError",
+    "RiccatiSolution", "SolverOptions", "riccati_initial", "riccati_terms",
+    "solve_riccati", "riccati_to_linear_oracle", "BlowUpError",
     "ChartTransition", "StableJet", "TransversalityReport",
     "chart_transversality", "identity_transition", "inversion_transition",
     "jet_transport_stable", "stable_from_reversibility",

@@ -22,8 +22,8 @@ import numpy as np
 from . import melnikov as mel
 from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError, loop_profile
-from .models import (BUILTIN_NAMES, ConstructionError, builtin_model,
-                     validate_hypotheses)
+from .models import (BUILTIN_NAMES, ConstructionError, HamiltonianModel,
+                     builtin_model, validate_hypotheses)
 from .numerics import parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
 
@@ -117,21 +117,21 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def make_model(cfg: RunConfig, strict: bool = True):
-    """Returns (model, pert-or-None) for the configured built-in."""
+def make_model(cfg: RunConfig, strict: bool = True) -> HamiltonianModel:
+    """The configured built-in model."""
     name, p = cfg.model, cfg.params
     try:
         if name == "neumann":
             if "lambda1" not in p or "lambda2" not in p:
                 raise UsageError("neumann needs --params lambda1=.. lambda2=..")
-            return builtin_model(name, [p["lambda1"], p["lambda2"]]), None
+            return builtin_model(name, [p["lambda1"], p["lambda2"]])
         if name == "pendula_identical":
             ks = sorted(k for k in p if k.startswith("f"))
             if not ks:
                 raise UsageError("pendula_identical needs --params f0=.. [f1=..]")
             n = max(int(k[1:]) for k in ks)
             coeffs = [p.get("f%d" % i, 0.0) for i in range(n + 1)]
-            return builtin_model(name, coeffs, strict=strict), None
+            return builtin_model(name, coeffs, strict=strict)
         if name == "pendula_weak":
             if "lam" not in p:
                 raise UsageError("pendula_weak needs --params lam=..")
@@ -181,7 +181,7 @@ def read_table(path: str):
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    model, _ = make_model(cfg, strict=False)
+    model = make_model(cfg, strict=False)
     report = validate_hypotheses(model)
     entries = [e.__dict__ for e in report.entries]
     loop_error = None
@@ -213,7 +213,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_riccati(cfg: RunConfig) -> int:
-    model, _ = make_model(cfg)
+    model = make_model(cfg)
     # default grid: from the equilibrium to the matching point
     grid = parse_grid(cfg.grid or "0:%.17g:101" % model.matching[0])
     target = grid[-1]
@@ -242,7 +242,7 @@ def cmd_riccati(cfg: RunConfig) -> int:
 
 
 def _transversality_report(cfg: RunConfig):
-    model, _ = make_model(cfg)
+    model = make_model(cfg)
     return chart_transversality(
         model, *model.matching,
         opts=cfg.solver_options(verdict_options(model)), tol=cfg.tol)
@@ -268,7 +268,7 @@ def cmd_transversality(cfg: RunConfig) -> int:
 
 
 def cmd_melnikov(cfg: RunConfig) -> int:
-    _model, pert = make_model(cfg)
+    pert = make_model(cfg).perturbation
     if pert is None:
         raise UsageError("melnikov needs a model with a perturbation "
                          "(pendula_weak)")

@@ -13,7 +13,7 @@ q1' = beta(q1) * dS0(q1).
 
 A profile is evaluated through one function, its point: point(q1) returns
 the model's jet at q1 together with beta, dS0, S1 and dS1 there, from one
-jet evaluation.  The profile's four function fields are views of it.
+jet evaluation.  The profile's four functions read it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from scipy.integrate import quad, solve_ivp
 
-from .models import CoefficientJet, HamiltonianModel, JetView, loop_momenta
+from .models import CoefficientJet, HamiltonianModel, loop_momenta
 
 
 class LoopConstructionError(ValueError):
@@ -42,7 +42,7 @@ class InnerTimeResult(NamedTuple):
 
 
 # a loop point is the tuple (c, beta, dS0, S1, dS1): the model's jet c at
-# q1 (None for a profile built by hand) and the profiles at q1
+# q1 and the profiles at q1
 POINT_NAMES = ("c", "beta", "dS0", "S1", "dS1")
 
 
@@ -56,58 +56,44 @@ def _loop_point(jet: Callable[[float], CoefficientJet], q1: float) -> tuple:
     return c, beta, ds0, s1, c.dS1
 
 
-class _LoopView(JetView):
-    """A profile field as a view of the loop point of a model's jet."""
-    __slots__ = ()
-
-    def __call__(self, q1: float) -> float:
-        return _loop_point(self.jet, q1)[self.index]
-
-
 @dataclass(frozen=True)
 class LoopProfile:
     """Momentum profiles of the loop on q2 = 0.
 
     jet is the jet of the model the profile was built from, and point(q1)
-    the loop point there (see POINT_NAMES).  When the four function fields
-    are the views loop_profile made of that jet, point evaluates the jet
-    once per call; otherwise (a field replaced, another jet, or a profile
-    built by hand) point calls the jet and each field.
+    the loop point there (see POINT_NAMES), from one jet evaluation.
     """
-    dS0: Callable[[float], float]
-    S1: Callable[[float], float]
-    dS1: Callable[[float], float]
-    beta: Callable[[float], float]
+    jet: Callable[[float], CoefficientJet] = field(repr=False, compare=False)
     interval: tuple[float, float]
     periodic: bool = False
     diagnostics: dict = field(default_factory=dict)
-    jet: Callable[[float], CoefficientJet] | None = field(
-        default=None, repr=False, compare=False)
     point: Callable[[float], tuple] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jet = self.jet
-        fns = [getattr(self, name) for name in POINT_NAMES[1:]]
-        if jet is not None and all(isinstance(f, _LoopView) and f.jet is jet
-                                   and f.index == i
-                                   for i, f in enumerate(fns, 1)):
-            point = partial(_loop_point, jet)
-        else:
-            def point(q1: float) -> tuple:
-                return (None if jet is None else jet(q1),
-                        *(f(q1) for f in fns))
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", partial(_loop_point, self.jet))
+
+    def beta(self, q1: float) -> float:
+        return self.point(q1)[1]
+
+    def dS0(self, q1: float) -> float:
+        return self.point(q1)[2]
+
+    def S1(self, q1: float) -> float:
+        return self.point(q1)[3]
+
+    def dS1(self, q1: float) -> float:
+        return self.point(q1)[4]
 
     def dS0_extended(self, q1: float) -> float:
         """2pi-antiperiodic extension of dS0 (periodic models only)."""
-        return _antiperiodic(self.dS0, self.interval, q1)
+        return _antiperiodic(self.dS0, q1)
 
     def S1_extended(self, q1: float) -> float:
-        return _antiperiodic(self.S1, self.interval, q1)
+        return _antiperiodic(self.S1, q1)
 
 
-def _antiperiodic(fn, interval, q1):
+def _antiperiodic(fn, q1):
     two_pi = 2.0 * math.pi
     n = math.floor(q1 / two_pi)
     r = q1 - n * two_pi
@@ -122,11 +108,7 @@ def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
     1e-6 on the check grid.
     """
     a, b = model.domain
-    jet = model.jet
-    profile = LoopProfile(
-        **{name: _LoopView(jet, i)
-           for i, name in enumerate(POINT_NAMES) if i},
-        interval=(a, b), periodic=model.periodic, jet=jet)
+    profile = LoopProfile(model.jet, (a, b), periodic=model.periodic)
 
     # consistency of V1 with the rest of the model, checked on the interior
     worst = 0.0
@@ -146,8 +128,8 @@ def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
 def restriction_residual(profile: LoopProfile, model: HamiltonianModel,
                          q1: float) -> float:
     """dS1*beta*dS0 + V1 at q1; near zero certifies consistency."""
-    return (profile.dS1(q1) * profile.beta(q1) * profile.dS0(q1)
-            + model.V1(q1))
+    _c, beta, ds0, _s1, ds1 = profile.point(q1)
+    return ds1 * beta * ds0 + model.V1(q1)
 
 
 def inner_time_param(profile: LoopProfile, q1_start: float,

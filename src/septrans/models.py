@@ -99,7 +99,6 @@ class Jet2:
     dchi2_dq2: float
     d2chi1_dq22: float
     d2chi2_dq22: float
-    dchi1_dq1: float
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def identity_transition() -> ChartTransition:
     return ChartTransition(
         chi=lambda q1, q2: (q1, q2),
         chi0=lambda q1: q1,
-        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
+        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
 
 
 def torus_shift_transition() -> ChartTransition:
@@ -121,7 +120,7 @@ def torus_shift_transition() -> ChartTransition:
     return ChartTransition(
         chi=lambda q1, q2: (q1 - 2.0 * math.pi, q2),
         chi0=lambda q1: q1 - 2.0 * math.pi,
-        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0, 1.0))
+        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
 
 
 def inversion_transition() -> ChartTransition:
@@ -137,8 +136,7 @@ def inversion_transition() -> ChartTransition:
             dchi1_dq2=0.0,
             dchi2_dq2=4.0 / (q1 * q1),
             d2chi1_dq22=-8.0 / q1 ** 3,
-            d2chi2_dq22=0.0,
-            dchi1_dq1=-4.0 / (q1 * q1)))
+            d2chi2_dq22=0.0))
 
 
 @dataclass(frozen=True)
@@ -156,11 +154,14 @@ class HamiltonianModel:
     derivatives["S1"], derivatives["b220"] views of it.  A model given by
     its fields, or one whose fields no longer are those views (as after
     dataclasses.replace of a field), gets a jet assembled from its fields,
-    so a jet never disagrees with the fields.
+    so a jet never disagrees with the fields.  Derivatives that hold views
+    of a fused jet describe that jet's fields only: unless all nine fields
+    are views of the same jet, the whole mapping is dropped.
 
     matching is (q1*, transition): the point on the loop line where the
     verdict compares the slopes, and the chart transition that carries the
     stable generating function into the unstable chart there.
+    perturbation is the model's first-order perturbation, if it has one.
     """
     b110: ScalarFn
     b120: ScalarFn
@@ -178,16 +179,23 @@ class HamiltonianModel:
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
     matching: tuple[float, ChartTransition] | None = None
+    perturbation: PerturbationModel | None = None
     jet: Callable[[float], CoefficientJet] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        jet = self.jet
-        views = ([getattr(self, c) for c in COEFF_NAMES]
-                 + [self.derivatives.get(k) for k in _JET_DERIVATIVES])
-        if jet is None or not all(isinstance(v, JetView) and v.jet is jet
-                                  and v.index == i
-                                  for i, v in enumerate(views)):
+        fields = [getattr(self, c) for c in COEFF_NAMES]
+        fused = getattr(fields[0], "jet", None)
+        if not all(isinstance(f, JetView) and f.jet is fused and f.index == i
+                   for i, f in enumerate(fields)):
+            fused = None
+        if any(isinstance(d, JetView) and d.jet is not fused
+               for d in self.derivatives.values()):
+            object.__setattr__(self, "derivatives", {})
+        views = [self.derivatives.get(k) for k in _JET_DERIVATIVES]
+        if self.jet is None or self.jet is not fused or not all(
+                isinstance(v, JetView) and v.jet is fused and v.index == i
+                for i, v in enumerate(views, len(COEFF_NAMES))):
             object.__setattr__(self, "jet", _assembled_jet(self))
 
     @classmethod
@@ -404,8 +412,6 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
             16.0 / a2 * (l2s - 2.0 * l1s * q1 * q1 / a),    # Y
             0.0, q1 * a / 4.0)                              # S1' b220'
 
-    zero = lambda q1: 0.0
-
     def dV0(q1):
         return -16.0 * l1s * q1 * (4.0 - q1 * q1) / A(q1) ** 3
 
@@ -415,21 +421,10 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         return -16.0 * l1s * ((4.0 - 3.0 * q1 * q1) / a ** 3
                               - 6.0 * q1 * q1 * (4.0 - q1 * q1) / a ** 4)
 
-    derivs = {
-        # b110 = b220 on the sphere
-        "b110": JetView(jet, CoefficientJet._fields.index("db220")),
-        "b120": zero,
-        "b112": lambda q1: q1 / 2.0,
-        "b222": lambda q1: q1 / 2.0,
-        "b122": zero,
-        "V0": dV0,
-        "ddV0": ddV0,
-        "V1": zero,
-    }
     return HamiltonianModel.from_jet(
-        jet, derivs, domain=(0.0, 8.0), periodic=False,
-        reversibility=(1, 1), name="neumann",
-        params={"lambda1": lambda1, "lambda2": lambda2},
+        jet, {"V0": dV0, "ddV0": ddV0, "V1": lambda q1: 0.0},
+        domain=(0.0, 8.0), periodic=False, reversibility=(1, 1),
+        name="neumann", params={"lambda1": lambda1, "lambda2": lambda2},
         matching=(2.0, inversion_transition()))
 
 
@@ -457,9 +452,6 @@ def _pendula_identical(f_coeffs: Sequence[float],
 
     cs = tuple(float(c) for c in f_coeffs)
 
-    def df(q1):
-        return -sum(c * k * math.sin(k * q1) for k, c in enumerate(cs))
-
     def jet(q1):
         cos_q = math.cos(q1)
         return CoefficientJet(
@@ -470,15 +462,11 @@ def _pendula_identical(f_coeffs: Sequence[float],
             cos_q - f(q1),                                  # Y
             math.cos(q1 / 2.0), 0.0)                        # S1' b220'
 
-    zero = lambda q1: 0.0
     return HamiltonianModel.from_jet(
         jet, {
-            "b110": zero, "b120": zero,
-            "b112": zero, "b122": zero, "b222": zero,
             "V0": lambda q1: -2.0 * math.sin(q1),
             "ddV0": lambda q1: -2.0 * math.cos(q1),
             "V1": lambda q1: -math.cos(q1),
-            "Y": lambda q1: -math.sin(q1) - df(q1),
         },
         domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
         name="pendula_identical", params={"f%d" % k: c for k, c in enumerate(cs)},
@@ -541,7 +529,7 @@ def _weak_h_funcs(lam: float):
     return h, h_h1, h_jet
 
 
-def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
+def _pendula_weak(lam: float) -> HamiltonianModel:
     if lam < 1.0:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
@@ -575,22 +563,6 @@ def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
     def dV1(q1):
         _r, hh, h1, _sin_h2 = h_h1(q1)
         return -lsq * h1 * math.cos(hh)
-
-    def dY(q1):
-        _r, hh, h1, _sin_h2 = h_h1(q1)
-        return -lsq * h1 * math.sin(hh)
-
-    zero = lambda q1: 0.0
-    model = HamiltonianModel.from_jet(
-        jet, {
-            "b110": zero,
-            "b120": lambda q1: -h_jet(q1)[2],
-            "b112": zero, "b122": zero, "b222": zero,
-            "V0": dV0, "ddV0": ddV0, "V1": dV1, "Y": dY,
-        },
-        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
-        name="pendula_weak", params={"lam": lam},
-        matching=(math.pi, torus_shift_transition()))
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
     # the s=0 loop lies on q2=0
@@ -643,18 +615,24 @@ def _pendula_weak(lam: float) -> tuple[HamiltonianModel, PerturbationModel]:
         decay_rate=1.0, time_scale=max(1.0, lam),
         d_integrand_ds=d_integrand_ds, d2_integrand_ds2=d2_integrand_ds2,
         locate=locate, name="pendula_weak")
-    return model, pert
+    return HamiltonianModel.from_jet(
+        jet, {"V0": dV0, "ddV0": ddV0, "V1": dV1},
+        domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
+        name="pendula_weak", params={"lam": lam},
+        matching=(math.pi, torus_shift_transition()), perturbation=pert)
 
 
 BUILTIN_NAMES = ("neumann", "pendula_identical", "pendula_weak")
 
 
-def builtin_model(name: str, params: Sequence[float], strict: bool = True):
+def builtin_model(name: str, params: Sequence[float],
+                  strict: bool = True) -> HamiltonianModel:
     """Construct a built-in model by name.
 
     neumann: params (lambda1, lambda2) with 0 < lambda1 < lambda2.
     pendula_identical: params are cosine coefficients of the coupling f.
-    pendula_weak: params (lam,) with lam >= 1; returns (model, perturbation).
+    pendula_weak: params (lam,) with lam >= 1; the model carries its
+    perturbation (None for the other built-ins).
 
     strict=False skips the admissibility bound on f(0) so a model that
     violates the saddle hypothesis can still be constructed and reported on

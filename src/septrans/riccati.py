@@ -20,14 +20,14 @@ the equivalent second-order linear ODE in the time variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .loops import LoopProfile, loop_profile
-from .models import CoefficientJet, HamiltonianModel, JetView
+from .models import HamiltonianModel
 
 
 class BlowUpError(RuntimeError):
@@ -46,22 +46,7 @@ class HypothesesError(ValueError):
 # of the tuple riccati_terms returns; q1dot = beta * dS0 is the inner
 # dynamics on the loop
 TERM_NAMES = ("q1dot", "alpha", "beta", "delta", "b220", "db220")
-
-
-@dataclass(frozen=True)
-class RiccatiCoefficients:
-    """alpha, beta, delta and b220 as functions of q1.
-
-    jet is the jet of the model they come from; integration evaluates it
-    through riccati_terms.  Hand-built coefficients without a jet serve
-    riccati_initial only.
-    """
-    alpha: Callable[[float], float]
-    beta: Callable[[float], float]
-    delta: Callable[[float], float]
-    b220: Callable[[float], float]
-    jet: Callable[[float], CoefficientJet] | None = field(
-        default=None, repr=False, compare=False)
+Terms = Callable[[float], tuple]
 
 
 @dataclass(frozen=True)
@@ -79,9 +64,7 @@ class RiccatiSolution:
     Delta: float
     epsilon_start: float
     q1_target: float
-    samples: np.ndarray          # (n, 2) columns q1, T
     diagnostics: dict = field(default_factory=dict)
-    stable: bool = False
     _dense: object = None
     _initial: float = 0.0
 
@@ -101,11 +84,12 @@ class RiccatiSolution:
         return float(out) if np.isscalar(q1) or q1a.ndim == 0 else out
 
 
-def riccati_terms(jet: Callable[[float], CoefficientJet],
-                  profile: LoopProfile) -> Callable[[float], tuple]:
-    """q1 -> the terms named by TERM_NAMES, with the coefficients of jet and
-    the loop of profile, from one evaluation of the profile's point."""
-    point = replace(profile, jet=jet).point
+def riccati_terms(profile: LoopProfile) -> Terms:
+    """q1 -> the terms named by TERM_NAMES, from one evaluation of the
+    profile's point:
+    alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2,
+    delta = b120 dS1."""
+    point = profile.point
 
     def terms(q1: float) -> tuple:
         c, beta, ds0, s1, ds1 = point(q1)
@@ -117,27 +101,13 @@ def riccati_terms(jet: Callable[[float], CoefficientJet],
     return terms
 
 
-def riccati_coefficients(model: HamiltonianModel,
-                         profile: LoopProfile) -> RiccatiCoefficients:
-    """alpha, beta, delta, b220 from the model's jet and the loop profile:
-    alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2,
-    delta = b120 dS1."""
-    terms = riccati_terms(model.jet, profile)
-    return RiccatiCoefficients(
-        **{name: JetView(terms, TERM_NAMES.index(name))
-           for name in ("alpha", "beta", "delta", "b220")},
-        jet=model.jet)
-
-
-def riccati_initial(coeffs: RiccatiCoefficients) -> tuple[float, float]:
+def riccati_initial(terms: Terms) -> tuple[float, float]:
     """Initial slope at the singular point and its discriminant.
 
     T(0) solves b220 T^2 + 2 delta T - alpha = 0; the positive branch of the
     square root is the unstable one.
     """
-    d0 = coeffs.delta(0.0)
-    b0 = coeffs.b220(0.0)
-    a0 = coeffs.alpha(0.0)
+    _q1dot, a0, _beta, d0, b0, _db0 = terms(0.0)
     Delta = d0 * d0 + b0 * a0
     if Delta < 0:
         raise HypothesesError(
@@ -146,11 +116,9 @@ def riccati_initial(coeffs: RiccatiCoefficients) -> tuple[float, float]:
     return T0, Delta
 
 
-def _integrate(coeffs: RiccatiCoefficients, profile: LoopProfile,
-               eps: float, q1_target: float, T_start: float,
+def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
                opts: SolverOptions, stable: bool):
     sgn = -1.0 if stable else 1.0
-    terms = riccati_terms(coeffs.jet, profile)
 
     def rhs(q1, y):
         q1dot, alpha, _beta, delta, b220, _db220 = terms(q1)
@@ -170,43 +138,48 @@ def _integrate(coeffs: RiccatiCoefficients, profile: LoopProfile,
     return sol
 
 
+def _model_profile(model: HamiltonianModel,
+                   profile: LoopProfile | None) -> LoopProfile:
+    """The given profile, or the model's; a profile of another model raises
+    ValueError."""
+    if profile is None:
+        return loop_profile(model)
+    if profile.jet is not model.jet:
+        raise ValueError("the loop profile was built from another model")
+    return profile
+
+
 def solve_riccati(model: HamiltonianModel, q1_target: float,
                   opts: SolverOptions | None = None,
                   profile: LoopProfile | None = None,
-                  stable: bool = False, n_samples: int = 200) -> RiccatiSolution:
+                  stable: bool = False) -> RiccatiSolution:
     """Integrate the slope equation from the singular point to q1_target.
 
     stable=True integrates the stable-side slope instead (coefficients alpha
     and b220 flip sign and the negative initial branch is used); in both
     cases the integrated branch is forward-attracting, which makes the
-    O(epsilon) start-up error self-correcting.
+    O(epsilon) start-up error self-correcting.  A given profile must be the
+    model's loop profile.
     """
     opts = opts or SolverOptions()
-    if profile is None:
-        profile = loop_profile(model)
+    profile = _model_profile(model, profile)
     a, b = profile.interval
     if not (0.0 < q1_target <= b):
         raise ValueError("q1_target must lie in (0, %g]" % b)
-    coeffs = riccati_coefficients(model, profile)
-    T0, Delta = riccati_initial(coeffs)
+    terms = riccati_terms(profile)
+    T0, Delta = riccati_initial(terms)
     initial = -T0 if stable else T0
     eps = opts.epsilon if opts.epsilon is not None else 1e-4 * (b - a)
 
-    sol = _integrate(coeffs, profile, eps, q1_target, initial, opts, stable)
-    qs = np.linspace(eps, q1_target, n_samples)
-    Ts = sol.sol(qs)[0]
-    diagnostics = {
-        "n_rhs_evaluations": int(sol.nfev),
-        "n_steps": int(len(sol.t) - 1),
-        "max_abs_T": float(np.max(np.abs(Ts))),
-        "blow_up": False,
-    }
+    sol = _integrate(terms, eps, q1_target, initial, opts, stable)
+    diagnostics = {"n_rhs_evaluations": int(sol.nfev),
+                   "n_steps": int(len(sol.t) - 1)}
     if opts.sensitivity_check:
         bump = 10.0 * eps
         ends = []
         for shift in (+bump, -bump):
-            s2 = _integrate(coeffs, profile, eps, q1_target,
-                            initial + shift, opts, stable)
+            s2 = _integrate(terms, eps, q1_target, initial + shift, opts,
+                            stable)
             ends.append(float(s2.sol(q1_target)[0]))
         spread = abs(ends[0] - ends[1])
         ref = float(sol.sol(q1_target)[0])
@@ -214,9 +187,7 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
         diagnostics["startup_sensitivity_ok"] = bool(
             spread <= 100.0 * opts.rtol * max(1.0, abs(ref)))
     return RiccatiSolution(T0=T0, Delta=Delta, epsilon_start=eps,
-                           q1_target=q1_target,
-                           samples=np.column_stack([qs, Ts]),
-                           diagnostics=diagnostics, stable=stable,
+                           q1_target=q1_target, diagnostics=diagnostics,
                            _dense=sol.sol, _initial=initial)
 
 
@@ -232,11 +203,9 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
     the value at t = 0 maps back to T(q1_target).
     """
     opts = opts or SolverOptions()
-    if profile is None:
-        profile = loop_profile(model)
-    coeffs = riccati_coefficients(model, profile)
-    T0, _ = riccati_initial(coeffs)
-    terms = riccati_terms(model.jet, profile)
+    profile = _model_profile(model, profile)
+    terms = riccati_terms(profile)
+    T0, _ = riccati_initial(terms)
 
     # inner expansion rate at the equilibrium sets the time horizon
     h = 1e-5
@@ -262,7 +231,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
         return y[0] - q1_target
 
     at_target.terminal = True
-    sol = solve_ivp(rhs, t_span, [q1s, 1.0, coeffs.b220(q1s) * T0],
+    sol = solve_ivp(rhs, t_span, [q1s, 1.0, profile.jet(q1s).b220 * T0],
                     method="RK45", rtol=min(opts.rtol, 1e-10), atol=opts.atol,
                     events=(y_zero, at_target))
     if sol.t_events[0].size > 0 or not sol.success:
@@ -272,4 +241,4 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
         raise BlowUpError(float(sol.y[0, -1]),
                           "oracle never reached q1_target=%g" % q1_target)
     q1_end, y_end, yp_end = (float(v) for v in sol.y_events[1][0])
-    return yp_end / (coeffs.b220(q1_end) * y_end)
+    return yp_end / (profile.jet(q1_end).b220 * y_end)

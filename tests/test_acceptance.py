@@ -19,8 +19,8 @@ from septrans.loops import loop_profile, restriction_residual
 from septrans.melnikov import (lambda0_threshold, melnikov_derivatives,
                                melnikov_potential, perturbed_loop_verdict)
 from septrans.models import builtin_model
-from septrans.riccati import (SolverOptions, _integrate, riccati_coefficients,
-                              riccati_initial, riccati_to_linear_oracle,
+from septrans.riccati import (SolverOptions, _integrate, riccati_initial,
+                              riccati_terms, riccati_to_linear_oracle,
                               solve_riccati)
 
 
@@ -41,11 +41,6 @@ def criterion(num, desc):
     return deco
 
 
-def get_model(name, params, **kw):
-    made = builtin_model(name, params, **kw)
-    return made[0] if isinstance(made, tuple) else made
-
-
 SPHERE_PAIRS = [(1.0, 2.0), (1.0, 3.0), (1.75, 2.0), (0.5, 1.5)]
 
 
@@ -53,7 +48,7 @@ SPHERE_PAIRS = [(1.0, 2.0), (1.0, 3.0), (1.75, 2.0), (0.5, 1.5)]
               "pairs, closed form to 1e-6, each solve under 1 s")
 def test_acceptance_01():
     for l1, l2 in SPHERE_PAIRS:
-        m = get_model("neumann", [l1, l2])
+        m = builtin_model("neumann", [l1, l2])
         t_start = time.perf_counter()
         sol = solve_riccati(m, 2.0)
         elapsed = time.perf_counter() - t_start
@@ -65,7 +60,7 @@ def test_acceptance_01():
 @criterion(2, "sphere-model transversality verdict with closed-form gap")
 def test_acceptance_02():
     for l1, l2 in SPHERE_PAIRS:
-        m = get_model("neumann", [l1, l2])
+        m = builtin_model("neumann", [l1, l2])
         r = chart_transversality(m, 2.0, inversion_transition())
         Tu = 0.25 * (l2 + l1 - l1 * l1 / l2)
         gap = 2.0 * Tu - l1 / 2.0
@@ -79,12 +74,12 @@ def test_acceptance_02():
 def test_acceptance_03():
     for l1, l2 in [(1.0, 2.0), (1.0, 3.0), (0.5, 1.5), (2.0, 2.5),
                    (1.75, 2.0)]:
-        m = get_model("neumann", [l1, l2])
-        T0, _ = riccati_initial(riccati_coefficients(m, loop_profile(m)))
+        m = builtin_model("neumann", [l1, l2])
+        T0, _ = riccati_initial(riccati_terms(loop_profile(m)))
         assert T0 == pytest.approx(l2, rel=1e-14)
     for f0 in (0.0, 0.05, 0.18, 0.3, 0.45):
-        m = get_model("pendula_identical", [f0])
-        T0, Delta = riccati_initial(riccati_coefficients(m, loop_profile(m)))
+        m = builtin_model("pendula_identical", [f0])
+        T0, Delta = riccati_initial(riccati_terms(loop_profile(m)))
         b = math.sqrt(1.0 - 2.0 * f0)
         assert T0 == pytest.approx((1.0 + b) / 2.0, rel=1e-14)
         assert Delta == pytest.approx(b * b, rel=1e-13)
@@ -95,7 +90,7 @@ def test_acceptance_03():
 def test_acceptance_04():
     for b in (0.3, 0.6, 0.9):
         f0 = (1.0 - b * b) / 2.0
-        m = get_model("pendula_identical", [f0])
+        m = builtin_model("pendula_identical", [f0])
         sol = solve_riccati(m, math.pi)
         xs = np.linspace(-1.0 + 1e-3, 0.0, 200)
         q1s = 2.0 * np.arccos(-xs)
@@ -107,7 +102,7 @@ def test_acceptance_04():
 @criterion(5, "uncoupled pendula give a vanishing slope and a tangent "
               "verdict")
 def test_acceptance_05():
-    m = get_model("pendula_identical", [0.0])
+    m = builtin_model("pendula_identical", [0.0])
     sol = solve_riccati(m, math.pi)
     assert abs(sol(math.pi)) < 1e-8
     assert torus_transversality(m).verdict == "tangent"
@@ -116,7 +111,7 @@ def test_acceptance_05():
 @criterion(6, "cosine-coupling slope bracketed by constant-coupling curves; "
               "negative midpoint slope certifies transversality")
 def test_acceptance_06():
-    m = get_model("pendula_identical", [0.25, -0.125])
+    m = builtin_model("pendula_identical", [0.25, -0.125])
     sol = solve_riccati(m, math.pi)
     xs = np.linspace(-1.0 + 1e-6, 0.0, 400)
     q1s = 2.0 * np.arccos(-xs)
@@ -152,7 +147,7 @@ def test_acceptance_07():
     cases += random_admissible_sets()
     assert len(cases) == 24
     for name, params in cases:
-        m = get_model(name, params)
+        m = builtin_model(name, params)
         target = 2.0 if name == "neumann" else math.pi
         sol = solve_riccati(m, target,
                             opts=SolverOptions(sensitivity_check=False))
@@ -167,7 +162,7 @@ def test_acceptance_08():
                          ("pendula_identical", [0.18]),
                          ("pendula_identical", [0.25, -0.125]),
                          ("pendula_weak", [1.0]), ("pendula_weak", [2.6])]:
-        m = get_model(name, params)
+        m = builtin_model(name, params)
         p = loop_profile(m)
         a, b = m.domain
         pad = 1e-6 * (b - a)
@@ -182,7 +177,7 @@ def test_acceptance_09():
                          ("pendula_identical", [0.18]),
                          ("pendula_identical", [0.25, -0.125]),
                          ("pendula_weak", [1.0]), ("pendula_weak", [3.0])]:
-        lin = linearize(get_model(name, params))
+        lin = linearize(builtin_model(name, params))
         res = lin.Eu @ lin.Bmat @ lin.Eu - lin.A
         assert np.max(np.abs(res)) < 1e-10 * max(1.0, np.max(np.abs(lin.A)))
         assert check_positive_definite(lin.Eu)
@@ -194,7 +189,7 @@ def test_acceptance_10():
     for name, params in [("pendula_identical", [0.18]),
                          ("pendula_identical", [0.25, -0.125]),
                          ("pendula_weak", [2.0])]:
-        m = get_model(name, params)
+        m = builtin_model(name, params)
         opts = SolverOptions(sensitivity_check=False)
         sol_u = solve_riccati(m, math.pi, opts=opts)
         sol_s = solve_riccati(m, math.pi, stable=True, opts=opts)
@@ -205,7 +200,7 @@ def test_acceptance_10():
 @criterion(11, "equal-frequency splitting potential matches its closed "
                "form; derivatives at the symmetric loop")
 def test_acceptance_11():
-    pert = builtin_model("pendula_weak", [1.0])[1]
+    pert = builtin_model("pendula_weak", [1.0]).perturbation
     for s in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0):
         expect = -4.0 * math.tanh(s / 2.0) * (
             s / math.cosh(s / 2.0) ** 2 + 2.0 * math.tanh(s / 2.0))
@@ -225,7 +220,7 @@ def test_acceptance_12():
                "the admissible frequency band")
 def test_acceptance_13():
     for lam in (1.0, 1.5, 2.0, 3.0, 3.6):
-        pert = builtin_model("pendula_weak", [lam])[1]
+        pert = builtin_model("pendula_weak", [lam]).perturbation
         derivs = melnikov_derivatives(pert)
         assert derivs[1] < 0
         res = perturbed_loop_verdict("B", derivs=derivs)
@@ -235,7 +230,7 @@ def test_acceptance_13():
 @criterion(14, "splitting potential is a first integral along each loop "
                "and even in the section parameter")
 def test_acceptance_14():
-    pert = builtin_model("pendula_weak", [1.5])[1]
+    pert = builtin_model("pendula_weak", [1.5]).perturbation
     s = 0.7
     vals = []
     for tau in (-1.0, 0.0, 1.0):
@@ -252,7 +247,7 @@ def test_acceptance_14():
 @criterion(15, "solution is insensitive to halving the startup offset and "
                "to perturbing the initial slope")
 def test_acceptance_15():
-    m = get_model("neumann", [1.0, 2.0])
+    m = builtin_model("neumann", [1.0, 2.0])
     a = solve_riccati(m, 2.0, opts=SolverOptions(epsilon=8e-4,
                                                  sensitivity_check=False))
     b = solve_riccati(m, 2.0, opts=SolverOptions(epsilon=4e-4,
@@ -260,11 +255,11 @@ def test_acceptance_15():
     assert abs(a(2.0) - b(2.0)) < 1e-8
 
     p = loop_profile(m)
-    c = riccati_coefficients(m, p)
-    T0, _ = riccati_initial(c)
+    terms = riccati_terms(p)
+    T0, _ = riccati_initial(terms)
     ref = solve_riccati(m, 2.0, profile=p,
                         opts=SolverOptions(sensitivity_check=False))
     for bump in (1e-4, -1e-4):
-        sol = _integrate(c, p, ref.epsilon_start, 2.0, T0 + bump,
+        sol = _integrate(terms, ref.epsilon_start, 2.0, T0 + bump,
                          SolverOptions(sensitivity_check=False), False)
         assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6

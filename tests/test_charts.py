@@ -67,8 +67,7 @@ def test_jet_transport_polynomial_ground_truth():
         chi=lambda q1, q2: (q1 + a * q2 * q2, q2 * (1.0 + b * q1)),
         chi0=lambda q1: q1,
         jet2=lambda q1: Jet2(dchi1_dq2=0.0, dchi2_dq2=1.0 + b * q1,
-                             d2chi1_dq22=2.0 * a, d2chi2_dq22=0.0,
-                             dchi1_dq1=1.0))
+                             d2chi1_dq22=2.0 * a, d2chi2_dq22=0.0))
     jet = StableJet(dS0=lambda q: c1 + 2 * c2 * q, ddS0=lambda q: 2 * c2,
                     S1=lambda q: c3 + c4 * q, dS1=lambda q: c4,
                     T=lambda q: 2 * c5, interval=(-10.0, 10.0))
@@ -195,8 +194,7 @@ def test_torus_transversality_cosine_coupling():
     ("pendula_identical", [0.1]), ("pendula_identical", [0.0]),
     ("pendula_identical", [0.25, -0.125]), ("pendula_weak", [2.0])])
 def test_torus_verdict_is_jet_transport_through_the_shift(name, params):
-    made = builtin_model(name, params)
-    m = made[0] if isinstance(made, tuple) else made
+    m = builtin_model(name, params)
     r = chart_transversality(m, math.pi, torus_shift_transition())
     assert r == torus_transversality(m)
     assert m.matching[0] == math.pi

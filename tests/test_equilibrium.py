@@ -7,7 +7,7 @@ from septrans.equilibrium import (NotHyperbolicError, check_positive_definite,
                                   linearize, sym_eig_2x2)
 from septrans.models import HamiltonianModel, builtin_model
 from septrans.loops import loop_profile
-from septrans.riccati import riccati_coefficients, riccati_initial
+from septrans.riccati import riccati_initial, riccati_terms
 
 
 def constant_model(A, B):
@@ -51,7 +51,7 @@ def test_diagonal_case():
 
 
 def test_eigenvector_residual():
-    m = builtin_model("pendula_weak", [2.0])[0]
+    m = builtin_model("pendula_weak", [2.0])
     lin = linearize(m)
     BA = lin.Bmat @ lin.A
     for k, lam in enumerate((lin.lambda1, lin.lambda2)):
@@ -109,13 +109,12 @@ def test_sym_eig_closed_form_random():
     ("pendula_weak", [3.0]),
 ])
 def test_quadratic_form_identity_builtins(spec):
-    made = builtin_model(*spec)
-    m = made[0] if isinstance(made, tuple) else made
+    m = builtin_model(*spec)
     lin = linearize(m)
     res = lin.Eu @ lin.Bmat @ lin.Eu - lin.A
     assert np.max(np.abs(res)) < 1e-10 * max(1.0, np.max(np.abs(lin.A)))
     assert check_positive_definite(lin.Eu)
     assert np.allclose(lin.Es, -lin.Eu)
     # (2,2) entry of Eu is the initial transverse slope of the Riccati flow
-    T0, _ = riccati_initial(riccati_coefficients(m, loop_profile(m)))
+    T0, _ = riccati_initial(riccati_terms(loop_profile(m)))
     assert lin.Eu[1, 1] == pytest.approx(T0, abs=1e-10)

@@ -31,15 +31,14 @@ def test_neumann_profiles():
 
 def test_profiles_vanish_at_equilibrium():
     for spec in (("neumann", [1.0, 2.0]), ("pendula_weak", [2.0])):
-        made = builtin_model(*spec)
-        m = made[0] if isinstance(made, tuple) else made
+        m = builtin_model(*spec)
         p = loop_profile(m)
         assert p.dS0(0.0) == 0.0
         assert p.S1(0.0) == 0.0
 
 
 def test_s1_relation_pointwise():
-    m, _ = builtin_model("pendula_weak", [2.3])
+    m = builtin_model("pendula_weak", [2.3])
     p = loop_profile(m)
     for q1 in np.linspace(0.1, 2 * math.pi - 0.1, 50):
         expect = -(m.b120(q1) / m.b220(q1)) * p.dS0(q1)
@@ -49,8 +48,7 @@ def test_s1_relation_pointwise():
 def test_energy_on_loop():
     for spec in (("neumann", [1.0, 2.0]), ("pendula_identical", [0.2]),
                  ("pendula_weak", [1.8])):
-        made = builtin_model(*spec)
-        m = made[0] if isinstance(made, tuple) else made
+        m = builtin_model(*spec)
         p = loop_profile(m)
         a, b = m.domain
         for q1 in np.linspace(a, b, 60):
@@ -144,15 +142,17 @@ def test_sigma_identical_pendula():
 
 
 def test_sigma_weak_lam1():
-    m, _ = builtin_model("pendula_weak", [1.0])
+    m = builtin_model("pendula_weak", [1.0])
     assert loop_action_sigma(loop_profile(m)) == pytest.approx(16.0, abs=1e-9)
 
 
 def test_sigma_scales_linearly():
+    # V scaled by 2.5^2 scales dS0 = sqrt(-2 V0 / beta) by 2.5
     m = builtin_model("pendula_identical", [0.0])
-    p = loop_profile(m)
-    scaled = replace(p, dS0=lambda q1: 2.5 * p.dS0(q1))
-    assert loop_action_sigma(scaled) == pytest.approx(40.0, abs=1e-9)
+    scaled = replace(m, V0=lambda q1: 6.25 * m.V0(q1),
+                     V1=lambda q1: 6.25 * m.V1(q1))
+    assert loop_action_sigma(loop_profile(scaled)) == pytest.approx(
+        40.0, abs=1e-9)
 
 
 def test_sigma_requires_periodic():
@@ -162,7 +162,7 @@ def test_sigma_requires_periodic():
 
 
 def test_antiperiodic_extension():
-    m, _ = builtin_model("pendula_weak", [2.0])
+    m = builtin_model("pendula_weak", [2.0])
     p = loop_profile(m)
     for q1 in np.linspace(0.05, 2 * math.pi - 0.05, 30):
         assert p.dS0_extended(q1 + 2 * math.pi) == pytest.approx(

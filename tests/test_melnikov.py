@@ -12,7 +12,7 @@ from septrans.models import PerturbationModel, builtin_model
 
 
 def weak(lam):
-    return builtin_model("pendula_weak", [lam])[1]
+    return builtin_model("pendula_weak", [lam]).perturbation
 
 
 def closed_form_lam1(s):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from septrans.loops import LoopConstructionError, loop_profile
 from septrans.models import (ConstructionError, DomainError, builtin_model,
-                             eval_coefficients, validate_hypotheses,
-                             HamiltonianModel, COEFF_NAMES)
+                             eval_coefficients, hessian_at_origin,
+                             validate_hypotheses, HamiltonianModel,
+                             COEFF_NAMES)
 from septrans.numerics import central_diff
 from septrans.riccati import (SolverOptions, riccati_to_linear_oracle,
                               solve_riccati)
@@ -105,7 +106,7 @@ def test_builtin_parameter_constraints():
 
 def test_kinetic_positive_definite_all_builtins():
     models = [neumann(), builtin_model("pendula_identical", [0.2]),
-              builtin_model("pendula_weak", [2.0])[0]]
+              builtin_model("pendula_weak", [2.0])]
     for m in models:
         a, b = m.domain
         for q1 in np.linspace(a, b, 80):
@@ -115,7 +116,7 @@ def test_kinetic_positive_definite_all_builtins():
 
 def test_periodic_coefficients():
     for m in (builtin_model("pendula_identical", [0.1, 0.05]),
-              builtin_model("pendula_weak", [2.0])[0]):
+              builtin_model("pendula_weak", [2.0])):
         for cname in COEFF_NAMES:
             fn = m.coefficient(cname)
             for q1 in np.linspace(0.0, 2 * math.pi, 100):
@@ -123,7 +124,7 @@ def test_periodic_coefficients():
 
 
 def test_weak_reduces_to_identical_at_lam_one():
-    mw, _ = builtin_model("pendula_weak", [1.0])
+    mw = builtin_model("pendula_weak", [1.0])
     # h is the identity, so the coupling terms of B collapse to constants
     for q1 in (0.5, 2.0, math.pi, 5.0):
         assert mw.b120(q1) == pytest.approx(-1.0, abs=1e-12)
@@ -133,7 +134,7 @@ def test_weak_reduces_to_identical_at_lam_one():
 
 
 def test_weak_loop_family_invariants():
-    _, pert = builtin_model("pendula_weak", [2.5])
+    pert = builtin_model("pendula_weak", [2.5]).perturbation
     k0 = pert.kappa(0.0)
     assert k0[0] == pytest.approx(math.pi, abs=1e-12)
     assert k0[1] == pytest.approx(0.0, abs=1e-12)
@@ -152,7 +153,7 @@ def test_analytic_derivatives_match_finite_differences():
     # guards the hand-expanded derivative formulas of the built-ins
     from septrans.numerics import central_diff
     models = [neumann(1.2, 2.6), builtin_model("pendula_identical", [0.2, -0.1]),
-              builtin_model("pendula_weak", [2.0])[0]]
+              builtin_model("pendula_weak", [2.0])]
     for m in models:
         for cname in ("b120", "b220", "V0", "V1", "Y"):
             fn = m.derivatives.get(cname)
@@ -163,16 +164,37 @@ def test_analytic_derivatives_match_finite_differences():
                     central_diff(m.coefficient(cname), q1), abs=1e-7)
 
 
+def test_replaced_potential_gives_its_own_hessian():
+    m = builtin_model("pendula_identical", [0.2])
+    scaled = replace(m, V0=lambda q1: 6.25 * m.V0(q1),
+                     V1=lambda q1: 6.25 * m.V1(q1))
+    assert hessian_at_origin(scaled) == pytest.approx((12.5, 6.25, 0.8),
+                                                      abs=1e-6)
+    assert scaled.derivatives == {}
+
+
+def test_replaced_b220_gives_its_own_derivative():
+    m = neumann()
+    b220 = lambda q1: m.b220(q1) + 0.07 * q1 * q1
+    changed = replace(m, b220=b220)
+    assert changed.jet(1.0).db220 == central_diff(b220, 1.0)
+    assert changed.jet(1.0).db220 == pytest.approx(1.39, abs=1e-9)
+
+
+def test_custom_derivatives_without_jet_views_are_kept():
+    m = neumann()
+    fields = {c: (lambda q1, f=getattr(m, c): f(q1)) for c in COEFF_NAMES}
+    derivs = {"V1": lambda q1: 0.0}
+    custom = HamiltonianModel(**fields, domain=m.domain, derivatives=derivs)
+    assert custom.derivatives is derivs
+    assert replace(custom, Y=m.Y).derivatives is derivs
+
+
 # ---------------------------------------------------------------------------
 # the fused jet against the jet assembled from the fields
 
 BUILTINS = [("neumann", [1.3, 2.4]), ("pendula_identical", [0.25, -0.125]),
             ("pendula_weak", [2.0])]
-
-
-def get_model(name, params):
-    made = builtin_model(name, params)
-    return made[0] if isinstance(made, tuple) else made
 
 
 def rebuilt(m, **fields):
@@ -193,7 +215,7 @@ def plain_solve(m):
 
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_fused_jet_solves_like_assembled_jet(name, params):
-    m = get_model(name, params)
+    m = builtin_model(name, params)
     copy = rebuilt(m)
     assert copy.jet is not m.jet
     for q1 in (0.3, 1.7, 2.9):
@@ -209,7 +231,7 @@ def test_fused_jet_solves_like_assembled_jet(name, params):
 
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_replaced_v1_fails_restriction_check(name, params):
-    m = get_model(name, params)
+    m = builtin_model(name, params)
     bad = replace(m, V1=lambda q1, v1=m.V1: v1(q1) + 0.1)
     assert bad.jet(1.0).V1 == m.V1(1.0) + 0.1
     with pytest.raises(LoopConstructionError, match="inconsistent V1"):
@@ -218,7 +240,7 @@ def test_replaced_v1_fails_restriction_check(name, params):
 
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_replaced_y_solves_like_rebuilt_copy(name, params):
-    m = get_model(name, params)
+    m = builtin_model(name, params)
     Y = lambda q1, y=m.Y: 0.9 * y(q1)
     a, b = plain_solve(replace(m, Y=Y)), plain_solve(rebuilt(m, Y=Y))
     assert a.diagnostics == b.diagnostics
@@ -240,7 +262,7 @@ def admissible_points(draw):
         params = [f0, draw(st.floats(-0.4, 0.4)) * f0]
     else:
         params = [draw(st.floats(1.5, 3.5))]
-    m = get_model(name, params)
+    m = builtin_model(name, params)
     return m, draw(st.floats(0.1, m.domain[1] - 0.1))
 
 
