@@ -223,7 +223,6 @@ def cmd_riccati(cfg: RunConfig) -> int:
         "T0": sol.T0,
         "Delta": sol.Delta,
         "epsilon_start": sol.epsilon_start,
-        "blow_up": "false",
         "startup_sensitivity": sol.diagnostics.get("startup_sensitivity", 0.0),
         "startup_sensitivity_ok": ("true" if sol.diagnostics[
             "startup_sensitivity_ok"] else "false"),

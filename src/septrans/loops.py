@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from scipy.integrate import quad, solve_ivp
-
 from .models import CoefficientJet, HamiltonianModel, loop_momenta
 
 
@@ -39,11 +37,6 @@ class UnsupportedOperationError(RuntimeError):
 class InnerTimeResult(NamedTuple):
     q1: float
     clipped: bool
-
-
-# a loop point is the tuple (c, beta, dS0, S1, dS1): the model's jet c at
-# q1 and the profiles at q1
-POINT_NAMES = ("c", "beta", "dS0", "S1", "dS1")
 
 
 def _loop_point(jet: Callable[[float], CoefficientJet], q1: float) -> tuple:
@@ -61,7 +54,8 @@ class LoopProfile:
     """Momentum profiles of the loop on q2 = 0.
 
     jet is the jet of the model the profile was built from, and point(q1)
-    the loop point there (see POINT_NAMES), from one jet evaluation.
+    the loop point there, the tuple (c, beta, dS0, S1, dS1) of the jet c at
+    q1 and the profiles at q1, from one jet evaluation.
     """
     jet: Callable[[float], CoefficientJet] = field(repr=False, compare=False)
     interval: tuple[float, float]
@@ -84,20 +78,6 @@ class LoopProfile:
 
     def dS1(self, q1: float) -> float:
         return self.point(q1)[4]
-
-    def dS0_extended(self, q1: float) -> float:
-        """2pi-antiperiodic extension of dS0 (periodic models only)."""
-        return _antiperiodic(self.dS0, q1)
-
-    def S1_extended(self, q1: float) -> float:
-        return _antiperiodic(self.S1, q1)
-
-
-def _antiperiodic(fn, q1):
-    two_pi = 2.0 * math.pi
-    n = math.floor(q1 / two_pi)
-    r = q1 - n * two_pi
-    return fn(r) * (1.0 if n % 2 == 0 else -1.0)
 
 
 def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
@@ -146,6 +126,8 @@ def inner_time_param(profile: LoopProfile, q1_start: float,
     if t == 0.0:
         return InnerTimeResult(q1_start, False)
 
+    from scipy.integrate import solve_ivp
+
     margin = 1e-12 * (b - a)
 
     def rhs(_t, y):
@@ -168,5 +150,6 @@ def loop_action_sigma(profile: LoopProfile) -> float:
     if not profile.periodic:
         raise UnsupportedOperationError(
             "loop action is defined for periodic models only")
+    from scipy.integrate import quad
     return quad(profile.dS0, 0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-12,
                 limit=200)[0]

@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, root
 
 from .charts import TransversalityReport
 from .models import PerturbationModel
@@ -47,6 +45,7 @@ def _t_cut(pert: PerturbationModel, s: float) -> float:
 def _locate(pert: PerturbationModel, q1: float, q2: float) -> tuple[float, float]:
     if pert.locate is not None:
         return pert.locate(q1, q2)
+    from scipy.optimize import root
 
     def residual(ts):
         x = pert.loop_family(ts[0], ts[1])
@@ -72,6 +71,7 @@ def melnikov_potential(pert: PerturbationModel,
     """
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or s")
+    from scipy.integrate import quad
     if q is not None:
         t0, s = _locate(pert, q[0], q[1])
     else:
@@ -110,6 +110,7 @@ def melnikov_derivatives(pert: PerturbationModel) -> tuple[float, float]:
     supplies them, else by Richardson-extrapolated central differences."""
     T = _t_cut(pert, 0.0)
     if pert.d_integrand_ds is not None and pert.d2_integrand_ds2 is not None:
+        from scipy.integrate import quad
         d1, _ = quad(lambda t: pert.d_integrand_ds(t, 0.0), -T, T,
                      epsabs=1e-13, epsrel=1e-12, limit=400)
         d2, _ = quad(lambda t: pert.d2_integrand_ds2(t, 0.0), -T, T,
@@ -182,6 +183,7 @@ def xi_max(lam: float) -> float:
     max over t > 0 of 4 arctan e^(lam t) - 4 arctan e^t."""
     if lam <= 1.0:
         return 0.0
+    from scipy.optimize import brentq
 
     def g(t):
         return math.cosh(lam * t) - lam * math.cosh(t)
@@ -197,5 +199,6 @@ def xi_max(lam: float) -> float:
 def lambda0_threshold() -> float:
     """Frequency ratio at which the phase advance reaches pi/2; above it the
     nondegeneracy argument for the reduced potential fails."""
+    from scipy.optimize import brentq
     return brentq(lambda lam: xi_max(lam) - 0.5 * math.pi, 1.0 + 1e-9, 10.0,
                   xtol=1e-10)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .loops import LoopProfile, loop_profile
 from .models import HamiltonianModel
@@ -42,11 +41,14 @@ class HypothesesError(ValueError):
     """No real initial slope: Delta < 0, hypotheses violated."""
 
 
-# what the slope equation and its linear form read at one q1, in the order
-# of the tuple riccati_terms returns; q1dot = beta * dS0 is the inner
-# dynamics on the loop
-TERM_NAMES = ("q1dot", "alpha", "beta", "delta", "b220", "db220")
 Terms = Callable[[float], tuple]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first solve so that
+    importing the package loads no scipy module."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,9 @@ class RiccatiSolution:
 
 
 def riccati_terms(profile: LoopProfile) -> Terms:
-    """q1 -> the terms named by TERM_NAMES, from one evaluation of the
-    profile's point:
+    """q1 -> (q1dot, alpha, beta, delta, b220, db220), what the slope
+    equation and its linear form read at q1, from one evaluation of the
+    profile's point; q1dot = beta * dS0 is the inner dynamics on the loop,
     alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2,
     delta = b120 dS1."""
     point = profile.point

@@ -76,7 +76,7 @@ def test_riccati_table(tmp_path, capsys):
     assert header == ["q1", "Tu"]
     assert float(comments["T0"]) == pytest.approx(2.0, abs=1e-14)
     assert float(comments["Delta"]) == pytest.approx(4.0, abs=1e-14)
-    assert comments["blow_up"] == "false"
+    assert "blow_up" not in comments
     assert rows.shape == (41, 2)
     assert rows[0, 0] == 0.0 and rows[0, 1] == pytest.approx(2.0, abs=1e-14)
     assert rows[-1, 1] == pytest.approx(0.625, abs=1e-7)

@@ -1,0 +1,61 @@
+"""scipy is imported on the first solve, quadrature or root search, not
+when the package loads: importing septrans and running `validate` must
+leave sys.modules free of scipy.  Each check runs in a fresh interpreter,
+since this test process has long imported scipy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import septrans
+
+# prints the scipy modules loaded after the import and after running the
+# CLI with the given arguments
+CHILD = """
+import contextlib, io, json, sys
+import septrans, septrans.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = septrans.cli.main(json.loads(sys.argv[1]))
+assert code == 0, code
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+def scipy_modules(args):
+    """(scipy modules after the import, after the run) in a fresh
+    interpreter."""
+    # the child process imports the same septrans as this one
+    src = os.path.dirname(os.path.dirname(septrans.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    r = subprocess.run([sys.executable, "-c", CHILD, json.dumps(args)],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+@pytest.mark.parametrize("model, params", [
+    ("neumann", ["lambda1=1", "lambda2=2"]),
+    ("pendula_identical", ["f0=0.25", "f1=-0.125"]),
+    ("pendula_weak", ["lam=2"]),
+])
+def test_import_and_validate_load_no_scipy(model, params):
+    assert scipy_modules(["validate", "--model", model,
+                          "--params", *params]) == [[], []]
+
+
+def test_first_solve_imports_scipy_integrate():
+    after_import, after_run = scipy_modules(
+        ["transversality", "--model", "neumann",
+         "--params", "lambda1=1", "lambda2=2"])
+    assert after_import == []
+    assert "scipy.integrate" in after_run

@@ -159,13 +159,3 @@ def test_sigma_requires_periodic():
     m = builtin_model("neumann", [1.0, 2.0])
     with pytest.raises(UnsupportedOperationError):
         loop_action_sigma(loop_profile(m))
-
-
-def test_antiperiodic_extension():
-    m = builtin_model("pendula_weak", [2.0])
-    p = loop_profile(m)
-    for q1 in np.linspace(0.05, 2 * math.pi - 0.05, 30):
-        assert p.dS0_extended(q1 + 2 * math.pi) == pytest.approx(
-            -p.dS0_extended(q1), abs=1e-10)
-        assert p.S1_extended(q1 + 2 * math.pi) == pytest.approx(
-            -p.S1_extended(q1), abs=1e-10)

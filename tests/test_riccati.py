@@ -7,6 +7,7 @@ import pytest
 from septrans.loops import loop_profile
 from septrans.models import builtin_model
 from septrans.numerics import central_diff
+import septrans.riccati as riccati
 from septrans.riccati import (BlowUpError, HypothesesError, SolverOptions,
                               _integrate, riccati_initial, riccati_terms,
                               riccati_to_linear_oracle, solve_riccati)
@@ -240,3 +241,25 @@ def test_profile_of_another_model_raises():
         solve_riccati(m, math.pi, profile=other)
     with pytest.raises(ValueError, match="another model"):
         riccati_to_linear_oracle(m, math.pi, profile=other)
+
+
+def test_solver_calls_through_module_solve_ivp(monkeypatch):
+    # the bench's traced run counts rhs evaluations by rebinding this name
+    m = builtin_model("neumann", [1.0, 2.0])
+    opts = SolverOptions(sensitivity_check=False)
+
+    def run():
+        sol = solve_riccati(m, 2.0, opts=opts)
+        return (sol(2.0), sol.diagnostics, riccati_to_linear_oracle(m, 2.0))
+
+    plain = run()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = riccati.solve_ivp
+    monkeypatch.setattr(riccati, "solve_ivp", counting)
+    assert run() == plain
+    assert len(calls) == 2
