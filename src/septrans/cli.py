@@ -282,6 +282,7 @@ def cmd_melnikov(cfg: RunConfig) -> int:
         "ddL0": verdict.ddL0,
         "case": "B",
         "verdict": verdict.verdict,
+        **res.quadrature_diag,
     }
     lam = cfg.params.get("lam")
     if lam is not None:

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .numerics import central_diff, second_diff
 
 ScalarFn = Callable[[float], float]
@@ -254,22 +256,28 @@ class PerturbationModel:
     loop_family(t, s) returns the phase point (q1, q2, p1, p2) of the loop
     with section parameter s at time t; kappa(s) is the configuration point
     the loop passes through at t = 0, with kappa(0) = (pi, 0).
+    loop_family, h_star and the optional s-derivatives of the integrand
+    take an ndarray t and broadcast over it: the Melnikov integrals
+    evaluate each of them once on the whole node array.
     decay_rate bounds the exponential approach of the loops to the
-    equilibrium and controls quadrature truncation.
+    equilibrium and sets the quadrature window.  time_scale is the loop
+    family's fastest rate: the window grows by |s| * time_scale, and the
+    trapezoid step is proportional to 1 / time_scale.
     """
-    h_star: Callable[[float, float, float, float], float]
+    h_star: Callable[..., np.ndarray]
     h_star_at_O: float
-    loop_family: Callable[[float, float], tuple[float, float, float, float]]
+    loop_family: Callable[..., tuple]
     kappa: Callable[[float], tuple[float, float]]
     decay_rate: float
     time_scale: float = 1.0
     # optional analytic hooks; melnikov falls back to finite differences in s
-    d_integrand_ds: Callable[[float, float], float] | None = None
-    d2_integrand_ds2: Callable[[float, float], float] | None = None
+    d_integrand_ds: Callable[[np.ndarray, float], np.ndarray] | None = None
+    d2_integrand_ds2: Callable[[np.ndarray, float], np.ndarray] | None = None
     locate: Callable[[float, float], tuple[float, float]] | None = None
     name: str = "custom"
 
-    def integrand(self, t: float, s: float) -> float:
+    def integrand(self, t, s: float):
+        """H*(loop) - H*(O) at the times t (a float or an ndarray)."""
         x = self.loop_family(t, s)
         return self.h_star(*x) - self.h_star_at_O
 
@@ -474,9 +482,10 @@ def _pendula_identical(f_coeffs: Sequence[float],
 
 
 def _weak_h_funcs(lam: float):
-    """The coupling profile h of the weak-pendula model, with h_h1(q1) =
-    (q1 mod 2pi, h, h', sin(h/2)) and h_jet(q1) = (h, h', h'', sin(h/2),
-    cos(h/2)).
+    """The coupling profile h of the weak-pendula model: h(q1) and
+    dh(q1) = h'(q1) on ndarrays for the Melnikov integrand, and the
+    scalar jets of the slope equation, h_h1(q1) = (q1 mod 2pi, h, h',
+    sin(h/2)) and h_jet(q1) = (h, h', h'', sin(h/2), cos(h/2)).
 
     h(0)=0, h(pi)=pi, h(2pi)=2pi, extended oddly and 2pi-equivariantly to
     the whole line.  Near multiples of 2pi, h ~ 4 (q1/4)^lam up to the sign,
@@ -492,9 +501,20 @@ def _weak_h_funcs(lam: float):
             return 4.0 * math.atan(math.tan(r / 4.0) ** lam)
         return two_pi - h_base(two_pi - r)
 
-    def h(q1: float) -> float:
-        n = math.floor(q1 / two_pi)
-        return h_base(q1 - n * two_pi) + n * two_pi
+    def h(q1):
+        n = np.floor(q1 / two_pi)
+        r = q1 - n * two_pi
+        # h_base's reflection: min(r, 2pi - r) is the distance to 0 or 2pi
+        hb = 4.0 * np.arctan(np.tan(np.minimum(r, two_pi - r) / 4.0) ** lam)
+        return np.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
+
+    def dh(q1):
+        r = q1 - np.floor(q1 / two_pi) * two_pi
+        d = np.minimum(r, two_pi - r)
+        near = d < 1e-5
+        return np.where(near, lam * 4.0 ** (1.0 - lam) * d ** (lam - 1.0),
+                        lam * np.sin(h(q1) / 2.0)
+                        / np.where(near, 1.0, np.sin(q1 / 2.0)))
 
     def h_h1(q1: float):
         n = math.floor(q1 / two_pi)
@@ -526,14 +546,14 @@ def _weak_h_funcs(lam: float):
             h2 = sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam) * d ** (lam - 2.0)
         return hh, h1, h2, sin_h2, cos_h2
 
-    return h, h_h1, h_jet
+    return h, dh, h_h1, h_jet
 
 
 def _pendula_weak(lam: float) -> HamiltonianModel:
     if lam < 1.0:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
-    h, h_h1, h_jet = _weak_h_funcs(lam)
+    h, dh, h_h1, h_jet = _weak_h_funcs(lam)
 
     def jet(q1):
         hh, h1, h2, _sin_h2, cos_h2 = h_jet(q1)
@@ -565,46 +585,49 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         return -lsq * h1 * math.cos(hh)
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
-    # the s=0 loop lies on q2=0
-    def xi1_of(u: float) -> float:
-        return 4.0 * math.atan(math.exp(u))
+    # the s=0 loop lies on q2=0; t may be an ndarray
+    def xi1_of(u):
+        return 4.0 * np.arctan(np.exp(u))
 
-    def loop_family(t: float, s: float):
+    def loop_family(t, s: float):
         u = t - s
-        q1 = xi1_of(u)
-        q2 = xi1_of(lam * t) - xi1_of(lam * u)
-        eta1 = 2.0 / math.cosh(u)
-        eta2 = 2.0 * lam / math.cosh(lam * t)
+        # far from the loop's centre exp and cosh overflow to inf, whose
+        # arctan and reciprocal are the exact limits
+        with np.errstate(over="ignore"):
+            q1 = xi1_of(u)
+            q2 = xi1_of(lam * t) - xi1_of(lam * u)
+            eta1 = 2.0 / np.cosh(u)
+            eta2 = 2.0 * lam / np.cosh(lam * t)
         p2 = eta2
-        p1 = eta1 + h_h1(q1)[2] * eta2
+        p1 = eta1 + dh(q1) * eta2
         return (q1, q2, p1, p2)
 
     def kappa(s: float):
         return (xi1_of(-s), math.pi - xi1_of(-lam * s))
 
     def h_star(q1, q2, p1, p2):
-        return 1.0 - math.cos(h(q1) - q1 + q2)
+        return 1.0 - np.cos(h(q1) - q1 + q2)
 
-    def d_integrand_ds(t: float, s: float) -> float:
+    def d_integrand_ds(t, s: float):
         u = t - s
         xi1 = xi1_of(u)
         xi2 = xi1_of(lam * t)
-        dxi1 = -2.0 * math.sin(xi1 / 2.0)
-        return -math.sin(xi2 - xi1) * dxi1
+        dxi1 = -2.0 * np.sin(xi1 / 2.0)
+        return -np.sin(xi2 - xi1) * dxi1
 
-    def d2_integrand_ds2(t: float, s: float) -> float:
+    def d2_integrand_ds2(t, s: float):
         u = t - s
         xi1 = xi1_of(u)
         xi2 = xi1_of(lam * t)
-        dxi1 = -2.0 * math.sin(xi1 / 2.0)
-        ddxi1 = math.sin(xi1)
-        return math.cos(xi2 - xi1) * dxi1 * dxi1 - math.sin(xi2 - xi1) * ddxi1
+        dxi1 = -2.0 * np.sin(xi1 / 2.0)
+        ddxi1 = np.sin(xi1)
+        return np.cos(xi2 - xi1) * dxi1 * dxi1 - np.sin(xi2 - xi1) * ddxi1
 
     def locate(q1: float, q2: float):
         if not (0.0 < q1 < 2.0 * math.pi):
             raise DomainError("loop point needs q1 in (0, 2pi)")
         u = math.log(math.tan(q1 / 4.0))
-        xi2 = q2 + h(q1)
+        xi2 = q2 + h_h1(q1)[1]
         if not (0.0 < xi2 < 2.0 * math.pi):
             raise DomainError("point not on the separatrix sheet")
         t0 = math.log(math.tan(xi2 / 4.0)) / lam

@@ -1,6 +1,6 @@
 """The traced benchmark (bench/tracing.py) rebinds septrans names from
 outside and reads solver diagnostics by key.  These tests run its binding
-plan, its counted solve and a traced op of two workloads, so that a rename
+plan, its counted solve and traced ops of three workloads, so that a rename
 in septrans fails here rather than in a benchmark run.  They read the bench
 files and change nothing in them."""
 
@@ -49,3 +49,19 @@ def test_traced_ops_record_their_spans(bench, capsys):
             "charts.transversality", "equilibrium.linearize"} <= names
     assert all(s.attrs["nfev"] > 0 for s in tracer.spans
                if s.name.startswith("riccati.solve"))
+
+
+def test_traced_melnikov_records_its_spans(bench, capsys):
+    tracing, _ = bench
+    tracer = tracing.Tracer(septrans)
+    tracer.install()
+    try:
+        assert septrans.cli.main(["melnikov", "--model", "pendula_weak",
+                                  "--params", "lam=2", "--grid=-1:1:3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    points = [s for s in tracer.spans if s.name == "melnikov.point"]
+    assert len(points) == 3
+    assert all({"tail_bound", "quad_error"} <= set(s.attrs) for s in points)
+    assert any(s.name == "melnikov.derivatives" for s in tracer.spans)

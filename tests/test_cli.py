@@ -177,6 +177,23 @@ def test_melnikov_table(capsys):
     assert abs(data[4, 1]) < 1e-12  # L~(0) = 0
 
 
+def test_melnikov_reports_quadrature_diagnostics(capsys):
+    argv = ["melnikov", "--model", "pendula_weak", "--params", "lam=2",
+            "--grid=-2:2:5"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    comments = {l[1:].split("=", 1)[0].strip(): float(l.split("=", 1)[1])
+                for l in out.splitlines()
+                if l.startswith("#") and l[1:].split("=", 1)[0].strip()
+                in ("t_cut", "tail_bound", "quad_error")}
+    assert comments["t_cut"] == 44.0   # 40 + |s| * lam at |s| = 2, lam = 2
+    assert 0.0 <= comments["tail_bound"] <= 1e-12
+    assert 0.0 <= comments["quad_error"] <= 1e-12
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert {k: json.loads(out)["comments"][k] for k in comments} == comments
+
+
 def test_melnikov_rejects_other_models(capsys):
     code, _ = run(capsys, "melnikov", "--model", "neumann",
                   "--params", "lambda1=1", "lambda2=2")

@@ -59,3 +59,12 @@ def test_first_solve_imports_scipy_integrate():
          "--params", "lambda1=1", "lambda2=2"])
     assert after_import == []
     assert "scipy.integrate" in after_run
+
+
+def test_melnikov_loads_no_scipy_integrate():
+    # the Melnikov integrals are numpy trapezoids; only the threshold's
+    # root search loads scipy
+    after_import, after_run = scipy_modules(
+        ["melnikov", "--model", "pendula_weak", "--params", "lam=2"])
+    assert after_import == []
+    assert "scipy.integrate" not in after_run

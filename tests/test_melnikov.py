@@ -1,14 +1,16 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from septrans.charts import transversality_verdict
 from septrans.melnikov import (lambda0_threshold, melnikov_derivatives,
                                melnikov_potential, perturbed_loop_verdict,
                                reduced_melnikov, xi_max)
-from septrans.models import PerturbationModel, builtin_model
+from septrans.models import PerturbationModel, _weak_h_funcs, builtin_model
 
 
 def weak(lam):
@@ -107,6 +109,15 @@ def test_quadrature_tail_robustness():
     assert abs(melnikov_potential(stretched, s=1.1) - base) < 1e-10
 
 
+def test_far_section_point_is_finite_and_silent():
+    # exp and cosh overflow at the far nodes of the wide window at s = 200
+    pert = weak(3.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = melnikov_potential(pert, s=200.0)
+    assert far == pytest.approx(melnikov_potential(pert, s=40.0), abs=1e-12)
+
+
 def test_derivatives_lam1():
     d1, d2 = melnikov_derivatives(weak(1.0))
     assert abs(d1) < 1e-9
@@ -155,14 +166,21 @@ def test_case_b_degenerate_for_zero_perturbation():
     assert res.verdict == "degenerate"
 
 
-def test_case_b_noncritical_reports_candidates():
-    s = np.linspace(-2.0, 2.0, 20)
-    L = -(s - 0.5) ** 2  # critical point at s = 0.5, not at 0
+@pytest.mark.parametrize("s", [
+    np.linspace(-2.0, 2.0, 20),
+    # non-uniform: difference quotients of a quadratic are exact at
+    # interval midpoints, whatever the spacing
+    [-2.0, -1.1, -0.05, 0.3, 0.42, 1.7, 1.9, 3.0],
+    # L(0.25) == L(0.75): the middle quotient is exactly zero
+    [0.0, 0.25, 0.75, 1.3],
+])
+def test_case_b_noncritical_reports_candidates(s):
+    L = -(np.asarray(s) - 0.5) ** 2  # critical point at s = 0.5, not at 0
     res = perturbed_loop_verdict("B", derivs=(1.0, -2.0), s_grid=s,
                                  L_samples=L)
     assert res.verdict == "inapplicable"
-    cands = res.quadrature_diag["critical_candidates"]
-    assert any(abs(c - 0.5) < 0.3 for c in cands)
+    (c,) = res.quadrature_diag["critical_candidates"]
+    assert abs(c - 0.5) < 1e-12
 
 
 def test_xi_max():
@@ -179,3 +197,39 @@ def test_lambda0_threshold():
     l0 = lambda0_threshold()
     assert l0 == pytest.approx(3.68078, abs=1e-4)
     assert xi_max(l0) == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 3.6), st.floats(-4.0, 4.0))
+def test_trapezoid_matches_adaptive_quadrature(lam, s):
+    from scipy.integrate import quad
+    pert = weak(lam)
+    diag = {}
+    L = melnikov_potential(pert, s=s, diag=diag)
+    T = diag["t_cut"]
+    ref, _ = quad(lambda t: float(pert.integrand(t, s)), -T, T,
+                  epsabs=1e-13, epsrel=1e-12, limit=400)
+    assert abs(L + ref) <= diag["quad_error"] + 1e-13
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7, 2.6, 3.6])
+def test_array_integrand_equals_scalar_integrand(lam):
+    pert = weak(lam)
+    for s in (-4.0, -0.3, 0.0, 2.5):
+        t = np.linspace(-50.0, 50.0, 1001)
+        vals = pert.integrand(t, s)
+        assert vals.shape == t.shape
+        scalar = np.array([pert.integrand(float(x), s) for x in t])
+        assert np.max(np.abs(vals - scalar)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.6])
+def test_array_h_matches_scalar_jet(lam):
+    h, dh, _h_h1, h_jet = _weak_h_funcs(lam)
+    near = 1e-5 * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
+    q1 = np.concatenate([np.linspace(-7.0, 13.0, 2001), near, -near,
+                         2.0 * math.pi + near, 2.0 * math.pi - near])
+    jets = np.array([h_jet(float(x))[:2] for x in q1])
+    np.testing.assert_allclose(h(q1), jets[:, 0], rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(dh(q1), jets[:, 1], rtol=1e-14, atol=1e-14)
+
