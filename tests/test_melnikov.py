@@ -166,21 +166,28 @@ def test_case_b_degenerate_for_zero_perturbation():
     assert res.verdict == "degenerate"
 
 
-@pytest.mark.parametrize("s", [
-    np.linspace(-2.0, 2.0, 20),
-    # non-uniform: difference quotients of a quadratic are exact at
-    # interval midpoints, whatever the spacing
-    [-2.0, -1.1, -0.05, 0.3, 0.42, 1.7, 1.9, 3.0],
-    # L(0.25) == L(0.75): the middle quotient is exactly zero
-    [0.0, 0.25, 0.75, 1.3],
-])
-def test_case_b_noncritical_reports_candidates(s):
+def _assert_single_candidate_at_half(s):
     L = -(np.asarray(s) - 0.5) ** 2  # critical point at s = 0.5, not at 0
     res = perturbed_loop_verdict("B", derivs=(1.0, -2.0), s_grid=s,
                                  L_samples=L)
     assert res.verdict == "inapplicable"
     (c,) = res.quadrature_diag["critical_candidates"]
     assert abs(c - 0.5) < 1e-12
+
+
+def test_case_b_noncritical_reports_candidates():
+    _assert_single_candidate_at_half(np.linspace(-2.0, 2.0, 20))
+
+
+@pytest.mark.parametrize("s", [
+    # non-uniform: difference quotients of a quadratic are exact at
+    # interval midpoints, whatever the spacing
+    [-2.0, -1.1, -0.05, 0.3, 0.42, 1.7, 1.9, 3.0],
+    # L(0.25) == L(0.75): the middle quotient is exactly zero
+    [0.0, 0.25, 0.75, 1.3],
+])
+def test_case_b_candidates_on_nonuniform_grids(s):
+    _assert_single_candidate_at_half(s)
 
 
 def test_xi_max():
