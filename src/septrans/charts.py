@@ -18,8 +18,7 @@ from typing import Callable
 from .loops import loop_profile
 # Jet2 and the transitions live in models; charts re-exports them
 from .models import (ChartTransition, HamiltonianModel, Jet2,
-                     identity_transition, inversion_transition,
-                     torus_shift_transition)
+                     inversion_transition, torus_shift_transition)
 from .numerics import central_diff
 from .riccati import RiccatiSolution, SolverOptions, solve_riccati, BlowUpError
 

@@ -15,9 +15,8 @@ import configparser
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import melnikov as mel
 from .charts import chart_transversality, verdict_options
@@ -141,10 +140,14 @@ def make_model(cfg: RunConfig, strict: bool = True) -> HamiltonianModel:
         raise UsageError(str(exc)) from exc
 
 
-def _open_out(cfg: RunConfig):
-    if cfg.out:
-        return open(cfg.out, "w")
-    return sys.stdout
+@contextmanager
+def _output(cfg: RunConfig):
+    """The configured output file, closed on exit, or stdout."""
+    if not cfg.out:
+        yield sys.stdout
+        return
+    with open(cfg.out, "w") as stream:
+        yield stream
 
 
 def write_table(stream, comments: dict, header: list[str], rows) -> None:
@@ -155,29 +158,6 @@ def write_table(stream, comments: dict, header: list[str], rows) -> None:
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(FMT % x for x in row) + "\n")
-
-
-def read_table(path: str):
-    """Re-read a table written by write_table: (comments, header, rows)."""
-    comments: dict = {}
-    header: list[str] = []
-    rows: list[list[float]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    comments[k.strip()] = v.strip()
-                continue
-            if not header:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([float(c) for c in line.split(",")])
-    return comments, header, np.array(rows)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -198,17 +178,15 @@ def cmd_validate(cfg: RunConfig) -> int:
     ok = report.ok and loop_error is None
     doc = {"model": cfg.model, "params": cfg.params, "ok": ok,
            "checks": entries}
-    stream = _open_out(cfg)
-    if (cfg.format or "json") == "json":
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
-    else:
-        for e in entries:
-            stream.write("%s,%s,%s\n" % (e["name"],
-                                         "pass" if e["passed"] else "fail",
-                                         e["detail"].replace(",", ";")))
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(cfg) as stream:
+        if (cfg.format or "json") == "json":
+            json.dump(doc, stream, indent=2)
+            stream.write("\n")
+        else:
+            for e in entries:
+                stream.write("%s,%s,%s\n" % (e["name"],
+                                             "pass" if e["passed"] else "fail",
+                                             e["detail"].replace(",", ";")))
     return 0 if ok else 1
 
 
@@ -228,15 +206,13 @@ def cmd_riccati(cfg: RunConfig) -> int:
             "startup_sensitivity_ok"] else "false"),
     }
     rows = [(q1, sol(q1)) for q1 in grid]
-    stream = _open_out(cfg)
-    if (cfg.format or "csv") == "json":
-        json.dump({"comments": comments, "header": ["q1", "Tu"], "rows": rows},
-                  stream, indent=2)
-        stream.write("\n")
-    else:
-        write_table(stream, comments, ["q1", "Tu"], rows)
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(cfg) as stream:
+        if (cfg.format or "csv") == "json":
+            json.dump({"comments": comments, "header": ["q1", "Tu"],
+                       "rows": rows}, stream, indent=2)
+            stream.write("\n")
+        else:
+            write_table(stream, comments, ["q1", "Tu"], rows)
     return 0
 
 
@@ -251,18 +227,16 @@ def cmd_transversality(cfg: RunConfig) -> int:
     report = _transversality_report(cfg)
     doc = {"model": cfg.model, "params": cfg.params}
     doc.update(report.as_dict())
-    stream = _open_out(cfg)
-    if (cfg.format or "json") == "csv":
-        write_table(stream, {"model": cfg.model},
-                    ["q1_star", "Tu", "Ts_hat", "gap", "tol"],
-                    [(report.q1_star, report.Tu, report.Ts_hat, report.gap,
-                      report.tol)])
-        stream.write("# verdict = %s\n" % report.verdict)
-    else:
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(cfg) as stream:
+        if (cfg.format or "json") == "csv":
+            write_table(stream, {"model": cfg.model},
+                        ["q1_star", "Tu", "Ts_hat", "gap", "tol"],
+                        [(report.q1_star, report.Tu, report.Ts_hat, report.gap,
+                          report.tol)])
+            stream.write("# verdict = %s\n" % report.verdict)
+        else:
+            json.dump(doc, stream, indent=2)
+            stream.write("\n")
     return 0
 
 
@@ -273,7 +247,8 @@ def cmd_melnikov(cfg: RunConfig) -> int:
                          "(pendula_weak)")
     grid = parse_grid(cfg.grid or "-4:4:81")
     res = mel.reduced_melnikov(pert, grid)
-    derivs = mel.melnikov_derivatives(pert)
+    derivs_diag: dict = {}
+    derivs = mel.melnikov_derivatives(pert, diag=derivs_diag)
     verdict = mel.perturbed_loop_verdict("B", derivs=derivs, s_grid=grid,
                                          L_samples=res.L_samples)
     comments = {
@@ -283,6 +258,7 @@ def cmd_melnikov(cfg: RunConfig) -> int:
         "case": "B",
         "verdict": verdict.verdict,
         **res.quadrature_diag,
+        **{"dL_" + k: v for k, v in derivs_diag.items()},
     }
     lam = cfg.params.get("lam")
     if lam is not None:
@@ -292,15 +268,14 @@ def cmd_melnikov(cfg: RunConfig) -> int:
                 "lam=%.6g is within 0.01 of the nondegeneracy threshold "
                 "lam0=%.6g" % (lam, lam0))
     rows = list(zip(grid, res.L_samples))
-    stream = _open_out(cfg)
-    if (cfg.format or "csv") == "json":
-        json.dump({"comments": comments, "header": ["s", "L"],
-                   "rows": [[a, float(b)] for a, b in rows]}, stream, indent=2)
-        stream.write("\n")
-    else:
-        write_table(stream, comments, ["s", "L"], rows)
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(cfg) as stream:
+        if (cfg.format or "csv") == "json":
+            json.dump({"comments": comments, "header": ["s", "L"],
+                       "rows": [[a, float(b)] for a, b in rows]},
+                      stream, indent=2)
+            stream.write("\n")
+        else:
+            write_table(stream, comments, ["s", "L"], rows)
     return 0 if verdict.verdict != "degenerate" else 1
 
 
@@ -330,11 +305,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rows.append((v, r.Tu, r.Ts_hat, r.gap,
                      {"transversal": 1.0, "tangent": 0.0,
                       "inconclusive": -1.0}[r.verdict]))
-    stream = _open_out(cfg)
-    write_table(stream, comments,
-                ["%s" % pname, "Tu", "Ts_hat", "gap", "verdict_code"], rows)
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(cfg) as stream:
+        write_table(stream, comments,
+                    ["%s" % pname, "Tu", "Ts_hat", "gap", "verdict_code"],
+                    rows)
     return code
 
 

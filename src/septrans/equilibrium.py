@@ -81,9 +81,8 @@ def linearize(model: HamiltonianModel) -> Linearization:
     """
     a11, a12, a22 = hessian_at_origin(model)
     A = np.array([[a11, a12], [a12, a22]])
-    b11 = model.b110(0.0)
-    b12 = model.b120(0.0)
-    b22 = model.b220(0.0)
+    c = model.jet(0.0)
+    b11, b12, b22 = c.b110, c.b120, c.b220
     Bmat = np.array([[b11, b12], [b12, b22]])
     if not check_positive_definite(Bmat):
         raise NotHyperbolicError("B(0,0) is not positive definite")

@@ -18,25 +18,15 @@ jet evaluation.  The profile's four functions read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .models import CoefficientJet, HamiltonianModel, loop_momenta
 
 
 class LoopConstructionError(ValueError):
     """The model admits no orbit on q2 = 0 (or V1 is inconsistent with it)."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    pass
-
-
-class InnerTimeResult(NamedTuple):
-    q1: float
-    clipped: bool
 
 
 def _loop_point(jet: Callable[[float], CoefficientJet], q1: float) -> tuple:
@@ -59,7 +49,6 @@ class LoopProfile:
     """
     jet: Callable[[float], CoefficientJet] = field(repr=False, compare=False)
     interval: tuple[float, float]
-    periodic: bool = False
     diagnostics: dict = field(default_factory=dict)
     point: Callable[[float], tuple] = field(
         init=False, repr=False, compare=False)
@@ -88,7 +77,7 @@ def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
     1e-6 on the check grid.
     """
     a, b = model.domain
-    profile = LoopProfile(model.jet, (a, b), periodic=model.periodic)
+    profile = LoopProfile(model.jet, (a, b))
 
     # consistency of V1 with the rest of the model, checked on the interior
     worst = 0.0
@@ -111,45 +100,3 @@ def restriction_residual(profile: LoopProfile, model: HamiltonianModel,
     _c, beta, ds0, _s1, ds1 = profile.point(q1)
     return ds1 * beta * ds0 + model.V1(q1)
 
-
-def inner_time_param(profile: LoopProfile, q1_start: float,
-                     t: float) -> InnerTimeResult:
-    """Advance the inner dynamics q1' = beta*dS0 from q1_start by time t.
-
-    The motion is clipped (with a flag) if it would leave the validity
-    interval, which only happens in finite time moving backward toward the
-    equilibrium at the left endpoint or past the right endpoint.
-    """
-    a, b = profile.interval
-    if not (a < q1_start < b):
-        raise ValueError("q1_start must lie in the open interior")
-    if t == 0.0:
-        return InnerTimeResult(q1_start, False)
-
-    from scipy.integrate import solve_ivp
-
-    margin = 1e-12 * (b - a)
-
-    def rhs(_t, y):
-        _c, beta, ds0, _s1, _ds1 = profile.point(y[0])
-        return [beta * ds0]
-
-    def hit_edge(_t, y):
-        return min(y[0] - a - margin, b - margin - y[0])
-
-    hit_edge.terminal = True
-    sol = solve_ivp(rhs, (0.0, t), [q1_start], method="RK45",
-                    rtol=1e-11, atol=1e-13, events=hit_edge)
-    clipped = bool(sol.t_events[0].size > 0)
-    q1 = float(sol.y[0, -1])
-    return InnerTimeResult(min(max(q1, a), b), clipped)
-
-
-def loop_action_sigma(profile: LoopProfile) -> float:
-    """Loop action = integral of p1 over one period (periodic case only)."""
-    if not profile.periodic:
-        raise UnsupportedOperationError(
-            "loop action is defined for periodic models only")
-    from scipy.integrate import quad
-    return quad(profile.dS0, 0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-12,
-                limit=200)[0]

@@ -59,7 +59,7 @@ def _locate(pert: PerturbationModel, q1: float, q2: float) -> tuple[float, float
 
 
 def _trapezoid(fn, t0: float, T: float,
-               pert: PerturbationModel) -> tuple[float, float, float]:
+               pert: PerturbationModel) -> tuple[float, dict]:
     """Integral of fn over [t0 - T, t0 + T] by the trapezoidal rule, from
     one evaluation of fn on the whole node array.
 
@@ -68,7 +68,7 @@ def _trapezoid(fn, t0: float, T: float,
     (Trefethen and Weideman, SIAM Review 56, 2014).  The coarse step is
     0.2 / pert.time_scale and the value is the sum at half that step; the
     difference of the two sums is the quadrature error estimate.  Returns
-    (value, quad_error, tail bound of the truncated window).
+    the value and its diagnostics t_cut = T, tail_bound and quad_error.
     """
     n = math.ceil(2.0 * T * pert.time_scale / 0.2)
     nodes = t0 + np.linspace(-T, T, 2 * n + 1)
@@ -82,7 +82,8 @@ def _trapezoid(fn, t0: float, T: float,
     for what, size in (("tail bound", tail), ("quadrature error", quad_error)):
         if size > 1e-12:
             warnings.warn("%s %.3g above 1e-12" % (what, size), RuntimeWarning)
-    return float(fine), float(quad_error), float(tail)
+    return float(fine), {"t_cut": T, "tail_bound": float(tail),
+                         "quad_error": float(quad_error)}
 
 
 def melnikov_potential(pert: PerturbationModel,
@@ -104,10 +105,16 @@ def melnikov_potential(pert: PerturbationModel,
     else:
         t0 = 0.0
     T = _t_cut(pert, s)
-    val, err, tail = _trapezoid(lambda t: pert.integrand(t, s), t0, T, pert)
+    val, d = _trapezoid(lambda t: pert.integrand(t, s), t0, T, pert)
     if diag is not None:
-        diag.update({"t_cut": T, "tail_bound": tail, "quad_error": err})
+        diag.update(d)
     return -val
+
+
+def _worst(diags: list[dict]) -> dict:
+    """The worst window, tail bound and quadrature error over diags."""
+    return ({k: max(d[k] for d in diags)
+             for k in ("t_cut", "tail_bound", "quad_error")} if diags else {})
 
 
 def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
@@ -120,26 +127,34 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
     diags = [{} for _ in s_grid]
     samples = np.array([melnikov_potential(pert, s=float(s), diag=d)
                         for s, d in zip(s_grid, diags)])
-    worst = ({k: max(d[k] for d in diags)
-              for k in ("t_cut", "tail_bound", "quad_error")} if diags else {})
     return MelnikovResult(s_grid=s_grid, L_samples=samples,
-                          quadrature_diag=worst)
+                          quadrature_diag=_worst(diags))
 
 
-def melnikov_derivatives(pert: PerturbationModel) -> tuple[float, float]:
+def melnikov_derivatives(pert: PerturbationModel,
+                         diag: dict | None = None) -> tuple[float, float]:
     """(L~'(0), L~''(0)) by analytic integrand derivatives when the model
-    supplies them, else by Richardson-extrapolated central differences."""
+    supplies them, else by Richardson-extrapolated central differences;
+    diag receives the worst t_cut, tail_bound and quad_error behind them."""
     if pert.d_integrand_ds is not None and pert.d2_integrand_ds2 is not None:
         T = _t_cut(pert, 0.0)
-        return tuple(-_trapezoid(lambda t: fn(t, 0.0), 0.0, T, pert)[0]
-                     for fn in (pert.d_integrand_ds, pert.d2_integrand_ds2))
+        runs = [_trapezoid(lambda t: fn(t, 0.0), 0.0, T, pert)
+                for fn in (pert.d_integrand_ds, pert.d2_integrand_ds2)]
+        derivs = tuple(-val for val, _d in runs)
+        diags = [d for _v, d in runs]
+    else:
+        diags = []
 
-    def Ltilde(s: float) -> float:
-        return melnikov_potential(pert, s=s)
+        def Ltilde(s: float) -> float:
+            diags.append({})
+            return melnikov_potential(pert, s=s, diag=diags[-1])
 
-    h = 1e-3
-    return (richardson_diff(Ltilde, 0.0, h, order=1),
-            richardson_diff(Ltilde, 0.0, h, order=2))
+        h = 1e-3
+        derivs = (richardson_diff(Ltilde, 0.0, h, order=1),
+                  richardson_diff(Ltilde, 0.0, h, order=2))
+    if diag is not None:
+        diag.update(_worst(diags))
+    return derivs
 
 
 def perturbed_loop_verdict(case: str,

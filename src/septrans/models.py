@@ -12,7 +12,8 @@ The sign convention puts Y positive when the potential curves downward in q2.
 A model is evaluated through one function, its jet: jet(q1) returns the
 nine coefficients together with S1' (the derivative of the loop's p2
 profile) and b220', the two derivatives the Riccati solver and its oracle
-need.  The nine coefficient fields are views of the jet.
+need.  The nine coefficient fields are views of the jet.  The saddle checks
+also read V0'(0), V1'(0) and V0''(0), which a model carries as its saddle.
 
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
@@ -64,10 +65,6 @@ class JetView:
         return self.jet(q1)[self.index]
 
 
-# derivatives keys whose entries are views of the jet: S1' and b220'
-_JET_DERIVATIVES = ("S1", "b220")
-
-
 def loop_momenta(b110: float, b120: float, b220: float,
                  V0: float) -> tuple[float, float, float]:
     """(beta, dS0, S1) of the zero-energy orbit on q2 = 0 from the
@@ -87,7 +84,7 @@ def loop_momenta(b110: float, b120: float, b220: float,
 
 
 class DomainError(ValueError):
-    """q1 outside the model's validity interval."""
+    """A point outside the region the model describes."""
 
 
 class ConstructionError(ValueError):
@@ -108,13 +105,6 @@ class ChartTransition:
     chi: Callable[[float, float], tuple[float, float]]
     chi0: Callable[[float], float]
     jet2: Callable[[float], Jet2]
-
-
-def identity_transition() -> ChartTransition:
-    return ChartTransition(
-        chi=lambda q1, q2: (q1, q2),
-        chi0=lambda q1: q1,
-        jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
 
 
 def torus_shift_transition() -> ChartTransition:
@@ -145,20 +135,13 @@ def inversion_transition() -> ChartTransition:
 class HamiltonianModel:
     """Transverse 2nd-order jets of B(q) and V(q) along q2 = 0, plus metadata.
 
-    derivatives maps a coefficient name to its analytic first derivative in
-    q1; two extra keys are recognized: "S1" (derivative of the loop's p2
-    profile) and "ddV0" (second derivative of V0, consumed by the
-    linearization).  Missing entries fall back to central finite
-    differences.
-
-    jet is the model's one evaluation (see CoefficientJet).  A built-in
-    passes its fused jet through from_jet, which makes the nine fields and
-    derivatives["S1"], derivatives["b220"] views of it.  A model given by
-    its fields, or one whose fields no longer are those views (as after
-    dataclasses.replace of a field), gets a jet assembled from its fields,
-    so a jet never disagrees with the fields.  Derivatives that hold views
-    of a fused jet describe that jet's fields only: unless all nine fields
-    are views of the same jet, the whole mapping is dropped.
+    jet is the model's one evaluation (see CoefficientJet), and saddle is
+    (V0'(0), V1'(0), V0''(0)); from_jet makes the nine fields views of the
+    jet.  A model whose fields are not views of its jet (given by its
+    fields, or after dataclasses.replace of a field) gets a jet assembled
+    from its fields and no saddle, so S1', b220' and the saddle numbers
+    come from finite differences.  A saddle with plain fields and no jet
+    raises ValueError.
 
     matching is (q1*, transition): the point on the loop line where the
     verdict compares the slopes, and the chart transition that carries the
@@ -177,7 +160,7 @@ class HamiltonianModel:
     domain: tuple[float, float]
     periodic: bool = False
     reversibility: tuple[int, int] | None = None
-    derivatives: Mapping[str, ScalarFn] = field(default_factory=dict)
+    saddle: tuple[float, float, float] | None = None
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
     matching: tuple[float, ChartTransition] | None = None
@@ -186,61 +169,51 @@ class HamiltonianModel:
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        fields = [getattr(self, c) for c in COEFF_NAMES]
-        fused = getattr(fields[0], "jet", None)
-        if not all(isinstance(f, JetView) and f.jet is fused and f.index == i
-                   for i, f in enumerate(fields)):
-            fused = None
-        if any(isinstance(d, JetView) and d.jet is not fused
-               for d in self.derivatives.values()):
-            object.__setattr__(self, "derivatives", {})
-        views = [self.derivatives.get(k) for k in _JET_DERIVATIVES]
-        if self.jet is None or self.jet is not fused or not all(
-                isinstance(v, JetView) and v.jet is fused and v.index == i
-                for i, v in enumerate(views, len(COEFF_NAMES))):
-            object.__setattr__(self, "jet", _assembled_jet(self))
+        if self.jet is not None and all(
+                isinstance(f, JetView) and f.jet is self.jet and f.index == i
+                for i, f in enumerate(getattr(self, c) for c in COEFF_NAMES)):
+            return
+        if self.jet is None and self.saddle is not None:
+            raise ValueError("saddle given without a jet; use from_jet")
+        object.__setattr__(self, "jet", _assembled_jet(self))
+        object.__setattr__(self, "saddle", None)
 
     @classmethod
     def from_jet(cls, jet: Callable[[float], CoefficientJet],
-                 derivatives: Mapping[str, ScalarFn], **kwargs):
-        """A model whose fields, S1' and b220' are views of jet."""
-        n = len(COEFF_NAMES)
-        derivs = dict(derivatives)
-        derivs.update((k, JetView(jet, n + i))
-                      for i, k in enumerate(_JET_DERIVATIVES))
+                 saddle: tuple[float, float, float] | None, **kwargs):
+        """A model whose nine fields are views of jet."""
         return cls(**{c: JetView(jet, i) for i, c in enumerate(COEFF_NAMES)},
-                   derivatives=derivs, jet=jet, **kwargs)
-
-    def coefficient(self, cname: str) -> ScalarFn:
-        if cname not in COEFF_NAMES:
-            raise KeyError(cname)
-        return getattr(self, cname)
+                   saddle=saddle, jet=jet, **kwargs)
 
     def derivative(self, cname: str, q1: float) -> float:
-        """First derivative of a coefficient function, analytic if supplied."""
-        fn = self.derivatives.get(cname)
-        if fn is not None:
-            return fn(q1)
-        return central_diff(self.coefficient(cname), q1)
-
-    def in_domain(self, q1: float, slack: float = 1e-12) -> bool:
-        a, b = self.domain
-        return a - slack <= q1 <= b + slack
+        """First derivative of a coefficient field by central differences."""
+        return central_diff(getattr(self, cname), q1)
 
 
 def _assembled_jet(model: HamiltonianModel
                    ) -> Callable[[float], CoefficientJet]:
     """The jet of a model given by its fields: each field is called once per
-    point; S1' and b220' come from derivatives or by central differences."""
+    point, and S1' and b220' come by fourth-order differences.  S1 behaves
+    like |q1 - a| at an end a where V0 vanishes, so there S1' takes a
+    one-sided stencil inside the domain, whose step (1e-4 of the domain)
+    outgrows the cancellation of fields such as cos(q1) - 1."""
     fields = tuple(getattr(model, c) for c in COEFF_NAMES)
-    ds1 = model.derivatives.get("S1")
-    if ds1 is None:
-        def s1(q1):
-            return loop_momenta(model.b110(q1), model.b120(q1),
-                                model.b220(q1), model.V0(q1))[2]
+    a, b = model.domain
 
-        def ds1(q1):
-            return central_diff(s1, q1)
+    def s1(q1):
+        return loop_momenta(model.b110(q1), model.b120(q1),
+                            model.b220(q1), model.V0(q1))[2]
+
+    def ds1(q1):
+        h = 1e-6 * max(1.0, abs(q1))
+        if a <= q1 < a + 2 * h:
+            s = 1e-4 * (b - a)
+        elif b - 2 * h < q1 <= b:
+            s = -1e-4 * (b - a)
+        else:
+            return central_diff(s1, q1, h)
+        return (-25 * s1(q1) + 48 * s1(q1 + s) - 36 * s1(q1 + 2 * s)
+                + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
     def jet(q1: float) -> CoefficientJet:
         return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
@@ -302,26 +275,18 @@ class ValidationReport:
         return [e for e in self.entries if not e.passed]
 
 
-def eval_coefficients(model: HamiltonianModel, q1: float) -> CoefficientJet:
-    """The model's jet at q1, after checking that q1 lies in its domain."""
-    if not model.in_domain(q1):
-        raise DomainError("q1=%g outside domain [%g, %g]"
-                          % (q1, model.domain[0], model.domain[1]))
-    return model.jet(q1)
-
-
-def _grid(model: HamiltonianModel, n: int = 256) -> list[float]:
-    a, b = model.domain
-    return [a + (b - a) * i / n for i in range(n + 1)]
+def saddle_numbers(model: HamiltonianModel) -> tuple[float, float, float]:
+    """(V0'(0), V1'(0), V0''(0)): the model's saddle, or finite differences
+    of its fields when it has none."""
+    return model.saddle or (central_diff(model.V0, 0.0),
+                            central_diff(model.V1, 0.0),
+                            second_diff(model.V0, 0.0))
 
 
 def hessian_at_origin(model: HamiltonianModel) -> tuple[float, float, float]:
     """Entries (a11, a12, a22) of A = -D^2 V(0,0) in loop-line coordinates."""
-    ddv0 = model.derivatives.get("ddV0")
-    a11 = -(ddv0(0.0) if ddv0 is not None else second_diff(model.V0, 0.0))
-    a12 = -model.derivative("V1", 0.0)
-    a22 = model.Y(0.0)
-    return a11, a12, a22
+    _dv0, dv1, ddv0 = saddle_numbers(model)
+    return -ddv0, -dv1, model.Y(0.0)
 
 
 def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
@@ -334,14 +299,12 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     when flagged.  The absence of an order-1 kinetic term is structural.
     """
     entries: list[CheckEntry] = []
-    grid = _grid(model)
+    a, b = model.domain
+    grid = [a + (b - a) * i / 256 for i in range(257)]
     jets = [model.jet(q1) for q1 in grid]
 
-    worst_det = math.inf
-    worst_b11 = math.inf
-    for c in jets:
-        worst_b11 = min(worst_b11, c.b110)
-        worst_det = min(worst_det, c.b110 * c.b220 - c.b120 * c.b120)
+    worst_b11 = min(c.b110 for c in jets)
+    worst_det = min(c.b110 * c.b220 - c.b120 * c.b120 for c in jets)
     ok = worst_b11 > 0 and worst_det > 0
     entries.append(CheckEntry(
         "kinetic_positive_definite", ok,
@@ -349,9 +312,7 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
         % (worst_b11, worst_det, len(grid)), min(worst_b11, worst_det)))
 
     c0 = model.jet(0.0)
-    v00 = c0.V0
-    dv00 = model.derivative("V0", 0.0)
-    v10 = c0.V1
+    v00, dv00, v10 = c0.V0, saddle_numbers(model)[0], c0.V1
     ok = abs(v00) < 1e-10 and abs(dv00) < 1e-8 and abs(v10) < 1e-10
     entries.append(CheckEntry(
         "critical_point_at_origin", ok,
@@ -367,24 +328,19 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
         min(a11, det_a)))
 
     # interior excludes a margin near the endpoints where V0 vanishes
-    a, b = model.domain
     margin = 1e-3 * (b - a)
-    worst_v0 = -math.inf
     lo, hi = a + margin, (b - margin if model.periodic else b)
-    for q1, c in zip(grid, jets):
-        if lo < q1 < hi:
-            worst_v0 = max(worst_v0, c.V0)
+    worst_v0 = max((c.V0 for q1, c in zip(grid, jets) if lo < q1 < hi),
+                   default=-math.inf)
     entries.append(CheckEntry(
         "potential_negative_on_interior", worst_v0 < 0,
         "max interior V0=%.3g" % worst_v0, worst_v0))
 
     if model.periodic:
-        worst = 0.0
         n = len(COEFF_NAMES)
-        for i in range(0, len(grid), 3):
-            shifted = model.jet(grid[i] + 2 * math.pi)
-            worst = max(worst, *(abs(x - y) for x, y
-                                 in zip(shifted[:n], jets[i][:n])))
+        worst = max(abs(x - y) for i in range(0, len(grid), 3)
+                    for x, y in zip(model.jet(grid[i] + 2 * math.pi)[:n],
+                                    jets[i][:n]))
         entries.append(CheckEntry(
             "coefficients_2pi_periodic", worst < 1e-10,
             "max |f(q1+2pi)-f(q1)|=%.2e" % worst, worst))
@@ -404,11 +360,8 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         raise ConstructionError("neumann requires 0 < lambda1 < lambda2")
     l1s, l2s = lambda1 * lambda1, lambda2 * lambda2
 
-    def A(q1):
-        return 4.0 + q1 * q1
-
     def jet(q1):
-        a = A(q1)
+        a = 4.0 + q1 * q1
         a2 = a ** 2
         b11 = a2 / 16.0
         b12 = a / 4.0
@@ -420,17 +373,9 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
             16.0 / a2 * (l2s - 2.0 * l1s * q1 * q1 / a),    # Y
             0.0, q1 * a / 4.0)                              # S1' b220'
 
-    def dV0(q1):
-        return -16.0 * l1s * q1 * (4.0 - q1 * q1) / A(q1) ** 3
-
-    def ddV0(q1):
-        a = A(q1)
-        # d/dq1 of dV0, expanded by hand
-        return -16.0 * l1s * ((4.0 - 3.0 * q1 * q1) / a ** 3
-                              - 6.0 * q1 * q1 * (4.0 - q1 * q1) / a ** 4)
-
+    # V0' = -16 l1^2 q1 (4 - q1^2) / A^3 is -0.0 at 0, and V0''(0) = -l1^2
     return HamiltonianModel.from_jet(
-        jet, {"V0": dV0, "ddV0": ddV0, "V1": lambda q1: 0.0},
+        jet, (-0.0, 0.0, -l1s),
         domain=(0.0, 8.0), periodic=False, reversibility=(1, 1),
         name="neumann", params={"lambda1": lambda1, "lambda2": lambda2},
         matching=(2.0, inversion_transition()))
@@ -450,15 +395,12 @@ def _cosine_poly(coeffs: Sequence[float]) -> ScalarFn:
 
 def _pendula_identical(f_coeffs: Sequence[float],
                        strict: bool = True) -> HamiltonianModel:
-    if len(f_coeffs) == 0:
-        f_coeffs = [0.0]
+    f_coeffs = list(f_coeffs) or [0.0]
     f = _cosine_poly(f_coeffs)
     f0 = f(0.0)
     if strict and not (0.0 <= f0 < 0.5):
         raise ConstructionError(
             "pendula_identical requires 0 <= f(0) < 1/2, got f(0)=%g" % f0)
-
-    cs = tuple(float(c) for c in f_coeffs)
 
     def jet(q1):
         cos_q = math.cos(q1)
@@ -470,14 +412,12 @@ def _pendula_identical(f_coeffs: Sequence[float],
             cos_q - f(q1),                                  # Y
             math.cos(q1 / 2.0), 0.0)                        # S1' b220'
 
+    # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0
     return HamiltonianModel.from_jet(
-        jet, {
-            "V0": lambda q1: -2.0 * math.sin(q1),
-            "ddV0": lambda q1: -2.0 * math.cos(q1),
-            "V1": lambda q1: -math.cos(q1),
-        },
+        jet, (-0.0, -1.0, -2.0),
         domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
-        name="pendula_identical", params={"f%d" % k: c for k, c in enumerate(cs)},
+        name="pendula_identical",
+        params={"f%d" % k: float(c) for k, c in enumerate(f_coeffs)},
         matching=(math.pi, torus_shift_transition()))
 
 
@@ -566,24 +506,6 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             lsq * cos_h,                                    # Y
             lam * h1 * cos_h2, 2.0 * h1 * h2)               # S1' b220'
 
-    def dV0(q1):
-        _r, hh, h1, _sin_h2 = h_h1(q1)
-        return -math.sin(q1) - lsq * h1 * math.sin(hh)
-
-    def ddV0(q1):
-        hh, h1, h2 = h_jet(q1)[:3]
-        # h''*sin(h) ~ d^(2*lam-2) -> 0 at the equilibria for every lam >= 1
-        r = q1 - math.floor(q1 / (2.0 * math.pi)) * 2.0 * math.pi
-        if min(r, 2.0 * math.pi - r) < 1e-5:
-            hpp_sin = 0.0
-        else:
-            hpp_sin = h2 * math.sin(hh)
-        return -math.cos(q1) - lsq * (hpp_sin + h1 * h1 * math.cos(hh))
-
-    def dV1(q1):
-        _r, hh, h1, _sin_h2 = h_h1(q1)
-        return -lsq * h1 * math.cos(hh)
-
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
     # the s=0 loop lies on q2=0; t may be an ndarray
     def xi1_of(u):
@@ -638,8 +560,11 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         decay_rate=1.0, time_scale=max(1.0, lam),
         d_integrand_ds=d_integrand_ds, d2_integrand_ds2=d2_integrand_ds2,
         locate=locate, name="pendula_weak")
+    # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
+    # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
+    h1 = h_h1(0.0)[2]   # h'(0): 1 at lam = 1, else 0
     return HamiltonianModel.from_jet(
-        jet, {"V0": dV0, "ddV0": ddV0, "V1": dV1},
+        jet, (-0.0, -lsq * h1, -1.0 - lsq * h1 * h1),
         domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),
         name="pendula_weak", params={"lam": lam},
         matching=(math.pi, torus_shift_transition()), perturbation=pert)

@@ -5,7 +5,7 @@ import pytest
 
 from septrans.charts import (ChartTransition, Jet2, ReversibilityError,
                              StableJet, chart_transversality,
-                             identity_transition, inversion_transition,
+                             inversion_transition,
                              jet_transport_stable, stable_from_reversibility,
                              stable_jet_from_unstable, torus_shift_transition,
                              torus_transversality, transversality_verdict)
@@ -42,7 +42,10 @@ def test_jet_transport_identity():
     jet = StableJet(dS0=lambda q: 0.3 * q, ddS0=lambda q: 0.3,
                     S1=lambda q: 0.1 * q, dS1=lambda q: 0.1,
                     T=lambda q: 2.0 + q, interval=(0.0, 5.0))
-    assert jet_transport_stable(jet, identity_transition(), 1.5) == \
+    identity = ChartTransition(chi=lambda q1, q2: (q1, q2),
+                               chi0=lambda q1: q1,
+                               jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
+    assert jet_transport_stable(jet, identity, 1.5) == \
         pytest.approx(3.5, abs=1e-14)
 
 

@@ -4,7 +4,30 @@ import math
 import numpy as np
 import pytest
 
-from septrans.cli import main, read_table
+from septrans.cli import main
+
+
+def read_table(path: str):
+    """Re-read a table written by cli.write_table: (comments, header, rows)."""
+    comments: dict = {}
+    header: list[str] = []
+    rows: list[list[float]] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    k, v = body.split("=", 1)
+                    comments[k.strip()] = v.strip()
+                continue
+            if not header:
+                header = [c.strip() for c in line.split(",")]
+                continue
+            rows.append([float(c) for c in line.split(",")])
+    return comments, header, np.array(rows)
 
 
 def run(capsys, *argv):
@@ -192,6 +215,25 @@ def test_melnikov_reports_quadrature_diagnostics(capsys):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert {k: json.loads(out)["comments"][k] for k in comments} == comments
+
+
+def test_melnikov_reports_derivative_quadrature(capsys):
+    # dL0 and ddL0 come from their own integrals, at s = 0
+    argv = ["melnikov", "--model", "pendula_weak", "--params", "lam=2",
+            "--grid=-2:2:5"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    keys = ("dL_t_cut", "dL_tail_bound", "dL_quad_error")
+    comments = {l[1:].split("=", 1)[0].strip(): float(l.split("=", 1)[1])
+                for l in out.splitlines()
+                if l.startswith("#") and l[1:].split("=", 1)[0].strip() in keys}
+    assert set(comments) == set(keys)
+    assert comments["dL_t_cut"] == 40.0   # 40 + |s| * lam at s = 0
+    assert 0.0 < comments["dL_tail_bound"] <= 1e-12
+    assert 0.0 <= comments["dL_quad_error"] <= 1e-12
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert {k: json.loads(out)["comments"][k] for k in keys} == comments
 
 
 def test_melnikov_rejects_other_models(capsys):

@@ -68,3 +68,15 @@ def test_melnikov_loads_no_scipy_integrate():
         ["melnikov", "--model", "pendula_weak", "--params", "lam=2"])
     assert after_import == []
     assert "scipy.integrate" not in after_run
+
+
+DELETED = ("eval_coefficients", "identity_transition", "inner_time_param",
+           "loop_action_sigma", "InnerTimeResult", "UnsupportedOperationError",
+           "read_table")
+
+
+def test_public_names_resolve():
+    for name in septrans.__all__:
+        assert hasattr(septrans, name), name
+    assert not set(DELETED) & set(septrans.__all__)
+    assert not any(hasattr(septrans, name) for name in DELETED)

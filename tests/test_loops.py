@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from septrans.loops import (LoopConstructionError, UnsupportedOperationError,
-                            inner_time_param, loop_action_sigma, loop_profile,
+from septrans.loops import (LoopConstructionError, loop_profile,
                             restriction_residual)
 from septrans.models import HamiltonianModel, builtin_model
+from septrans.riccati import riccati_terms
 
 
 def test_identical_pendula_profiles():
@@ -91,71 +91,58 @@ def test_no_loop_for_positive_potential():
         p.dS0(0.5)
 
 
-def test_inner_time_identity():
-    m = builtin_model("neumann", [1.0, 2.0])
-    p = loop_profile(m)
-    assert inner_time_param(p, 2.0, 0.0).q1 == 2.0
-
-
 def test_inner_time_neumann_exponential():
     # the inner dynamics is q1' = lambda1 * q1
-    m = builtin_model("neumann", [1.0, 2.0])
-    p = loop_profile(m)
-    r = inner_time_param(p, 2.0, 1.0)
-    assert not r.clipped
-    assert r.q1 == pytest.approx(2.0 * math.e, rel=1e-9)
+    terms = riccati_terms(loop_profile(builtin_model("neumann", [1.0, 2.0])))
+    for q1 in np.linspace(0.0, 8.0, 41):
+        assert terms(q1)[0] == pytest.approx(q1, rel=1e-12, abs=1e-15)
 
 
 def test_inner_time_pendula_closed_form():
+    # q1' = 2 sin(q1/2), whose orbit through pi is 4 arctan(e^t)
     m = builtin_model("pendula_identical", [0.0])
-    p = loop_profile(m)
-    # q1' = 2 sin(q1/2) with q1(0) = pi gives 4 arctan(e^t)
-    for t in (-1.0, 1.0):
-        r = inner_time_param(p, math.pi, t)
-        assert r.q1 == pytest.approx(4.0 * math.atan(math.exp(t)), rel=1e-9)
-        assert not r.clipped
-
-
-def test_inner_time_monotone_and_clipped():
-    m = builtin_model("neumann", [1.0, 2.0])
-    p = loop_profile(m)
-    qs = [inner_time_param(p, 2.0, t).q1 for t in (-1.0, 0.0, 0.5, 1.0)]
-    assert all(a < b for a, b in zip(qs, qs[1:]))
-    r = inner_time_param(p, 7.9, 5.0)
-    assert r.clipped
-    assert r.q1 <= 8.0
+    terms = riccati_terms(loop_profile(m))
+    for q1 in np.linspace(0.0, 2 * math.pi, 41):
+        assert terms(q1)[0] == pytest.approx(2.0 * math.sin(q1 / 2.0),
+                                             abs=1e-12)
 
 
 def test_loop_reparameterization_matches_momentum():
-    # evaluating dS0 along the inner flow reproduces the explicit loop's p1
+    # dS0 along the inner orbit q1 = 4 arctan(e^t) is the explicit loop's p1
     m = builtin_model("pendula_identical", [0.0])
     p = loop_profile(m)
     for t in (-2.0, -0.5, 0.7, 1.5):
-        q1 = inner_time_param(p, math.pi, t).q1
+        q1 = 4.0 * math.atan(math.exp(t))
         p1_expected = 4.0 * math.sin(2.0 * math.atan(math.exp(t)))  # 2/cosh(t)*2
         assert p.dS0(q1) == pytest.approx(p1_expected, abs=1e-8)
 
 
+def loop_action(profile):
+    """The loop action sigma, the integral of p1 = dS0 over one period, by
+    40-point Gauss-Legendre quadrature on [0, 2pi]."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    return math.pi * sum(wi * profile.dS0(math.pi * (xi + 1.0))
+                         for xi, wi in zip(x, w))
+
+
 def test_sigma_identical_pendula():
     m = builtin_model("pendula_identical", [0.3])
-    assert loop_action_sigma(loop_profile(m)) == pytest.approx(16.0, abs=1e-10)
+    assert loop_action(loop_profile(m)) == pytest.approx(16.0, abs=1e-10)
 
 
 def test_sigma_weak_lam1():
     m = builtin_model("pendula_weak", [1.0])
-    assert loop_action_sigma(loop_profile(m)) == pytest.approx(16.0, abs=1e-9)
+    assert loop_action(loop_profile(m)) == pytest.approx(16.0, abs=1e-9)
 
 
 def test_sigma_scales_linearly():
-    # V scaled by 2.5^2 scales dS0 = sqrt(-2 V0 / beta) by 2.5
+    # V scaled by 2.5^2 scales dS0 = sqrt(-2 V0 / beta), and so the loop
+    # action, by 2.5
     m = builtin_model("pendula_identical", [0.0])
     scaled = replace(m, V0=lambda q1: 6.25 * m.V0(q1),
                      V1=lambda q1: 6.25 * m.V1(q1))
-    assert loop_action_sigma(loop_profile(scaled)) == pytest.approx(
-        40.0, abs=1e-9)
-
-
-def test_sigma_requires_periodic():
-    m = builtin_model("neumann", [1.0, 2.0])
-    with pytest.raises(UnsupportedOperationError):
-        loop_action_sigma(loop_profile(m))
+    p, ps = loop_profile(m), loop_profile(scaled)
+    for q1 in np.linspace(0.0, 2 * math.pi, 41):
+        assert ps.dS0(q1) == pytest.approx(2.5 * p.dS0(q1), rel=1e-12,
+                                           abs=1e-15)
+    assert loop_action(ps) == pytest.approx(40.0, abs=1e-9)

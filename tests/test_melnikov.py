@@ -133,6 +133,20 @@ def test_derivatives_fallback_matches_analytic():
     assert d2f == pytest.approx(d2a, abs=1e-5)
 
 
+def test_derivatives_report_their_quadrature():
+    # the analytic route integrates at s = 0; the fallback's differences
+    # read the potential at s = 0, +-h and +-h/2 with h = 1e-3
+    pert = weak(2.0)
+    blind = replace(pert, d_integrand_ds=None, d2_integrand_ds2=None)
+    for p, t_cut in ((pert, 40.0), (blind, 40.0 + 1e-3 * 2.0)):
+        diag = {}
+        melnikov_derivatives(p, diag=diag)
+        assert set(diag) == {"t_cut", "tail_bound", "quad_error"}
+        assert diag["t_cut"] == t_cut
+        assert 0.0 <= diag["tail_bound"] <= 1e-12
+        assert 0.0 <= diag["quad_error"] <= 1e-12
+
+
 def test_second_derivative_consistent_with_samples():
     pert = weak(2.0)
     h = 0.05

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from septrans.loops import LoopConstructionError, loop_profile
-from septrans.models import (ConstructionError, DomainError, builtin_model,
-                             eval_coefficients, hessian_at_origin,
-                             validate_hypotheses, HamiltonianModel,
-                             COEFF_NAMES)
-from septrans.numerics import central_diff
-from septrans.riccati import (SolverOptions, riccati_to_linear_oracle,
-                              solve_riccati)
+from septrans.models import (ConstructionError, builtin_model,
+                             hessian_at_origin, validate_hypotheses,
+                             CoefficientJet, HamiltonianModel, COEFF_NAMES)
+from septrans.numerics import central_diff, second_diff
+from septrans.charts import chart_transversality
+from septrans.riccati import (SolverOptions, riccati_initial, riccati_terms,
+                              riccati_to_linear_oracle, solve_riccati)
 
 
 def neumann(l1=1.0, l2=2.0):
@@ -20,7 +20,7 @@ def neumann(l1=1.0, l2=2.0):
 
 
 def test_neumann_coefficients_at_zero():
-    c = eval_coefficients(neumann(), 0.0)
+    c = neumann().jet(0.0)
     assert c.b110 == 1.0
     assert c.b220 == 1.0
     assert c.b120 == 0.0
@@ -46,22 +46,15 @@ def test_neumann_closed_forms_random_points():
 def test_pendula_identical_constant_kinetic_matrix():
     m = builtin_model("pendula_identical", [0.1])
     for q1 in (0.0, 1.0, math.pi, 5.0):
-        c = eval_coefficients(m, q1)
+        c = m.jet(q1)
         assert (c.b110, c.b120, c.b220) == (1.0, -1.0, 2.0)
         assert (c.b112, c.b122, c.b222) == (0.0, 0.0, 0.0)
 
 
 def test_pendula_identical_potential_at_pi():
     m = builtin_model("pendula_identical", [0.0])
-    c = eval_coefficients(m, math.pi)
+    c = m.jet(math.pi)
     assert c.V0 == pytest.approx(-4.0, abs=1e-14)
-
-
-def test_eval_coefficients_domain_error():
-    with pytest.raises(DomainError):
-        eval_coefficients(neumann(), 9.0)
-    with pytest.raises(DomainError):
-        eval_coefficients(builtin_model("pendula_identical", [0.0]), -1.0)
 
 
 def test_validate_neumann_passes():
@@ -118,7 +111,7 @@ def test_periodic_coefficients():
     for m in (builtin_model("pendula_identical", [0.1, 0.05]),
               builtin_model("pendula_weak", [2.0])):
         for cname in COEFF_NAMES:
-            fn = m.coefficient(cname)
+            fn = getattr(m, cname)
             for q1 in np.linspace(0.0, 2 * math.pi, 100):
                 assert abs(fn(q1 + 2 * math.pi) - fn(q1)) < 1e-12
 
@@ -149,19 +142,35 @@ def test_weak_loop_family_invariants():
             assert dist < 1e-10
 
 
+@pytest.mark.parametrize("name,params,saddle", [
+    ("neumann", [1.2, 2.6], (0.0, 0.0, -1.44)),
+    ("pendula_identical", [0.2, -0.1], (0.0, -1.0, -2.0)),
+    ("pendula_weak", [1.0], (0.0, -1.0, -2.0)),
+    ("pendula_weak", [2.0], (0.0, 0.0, -1.0)),
+    ("pendula_weak", [2.5], (0.0, 0.0, -1.0)),
+])
+def test_saddle_matches_closed_forms(name, params, saddle):
+    # (V0'(0), V1'(0), V0''(0)); V0''(0) = -lambda1^2 on the sphere, and
+    # pendula_weak's coupling h has h'(0) = 1 at lam = 1, else 0
+    got = builtin_model(name, params).saddle
+    assert got == pytest.approx(saddle, abs=1e-15)
+    # validate prints V0'(0) as -0.00e+00
+    assert math.copysign(1.0, got[0]) == -1.0
+
+
 def test_analytic_derivatives_match_finite_differences():
-    # guards the hand-expanded derivative formulas of the built-ins
-    from septrans.numerics import central_diff
+    # guards the saddle numbers, the built-ins' hand-expanded derivative
+    # formulas at 0
     models = [neumann(1.2, 2.6), builtin_model("pendula_identical", [0.2, -0.1]),
+              builtin_model("pendula_weak", [1.0]),
               builtin_model("pendula_weak", [2.0])]
     for m in models:
-        for cname in ("b120", "b220", "V0", "V1", "Y"):
-            fn = m.derivatives.get(cname)
-            if fn is None:
-                continue
-            for q1 in (0.7, 1.9, 3.0):
-                assert fn(q1) == pytest.approx(
-                    central_diff(m.coefficient(cname), q1), abs=1e-7)
+        dv0, dv1, ddv0 = m.saddle
+        assert dv0 == pytest.approx(central_diff(m.V0, 0.0), abs=1e-9)
+        assert ddv0 == pytest.approx(second_diff(m.V0, 0.0), abs=1e-6)
+        # pendula_weak's V1 = -lam^2 sin h is not smooth at 0 for lam > 1
+        if m.params.get("lam", 1.0) == 1.0:
+            assert dv1 == pytest.approx(central_diff(m.V1, 0.0), abs=1e-9)
 
 
 def test_replaced_potential_gives_its_own_hessian():
@@ -170,7 +179,7 @@ def test_replaced_potential_gives_its_own_hessian():
                      V1=lambda q1: 6.25 * m.V1(q1))
     assert hessian_at_origin(scaled) == pytest.approx((12.5, 6.25, 0.8),
                                                       abs=1e-6)
-    assert scaled.derivatives == {}
+    assert scaled.saddle is None
 
 
 def test_replaced_b220_gives_its_own_derivative():
@@ -181,13 +190,16 @@ def test_replaced_b220_gives_its_own_derivative():
     assert changed.jet(1.0).db220 == pytest.approx(1.39, abs=1e-9)
 
 
-def test_custom_derivatives_without_jet_views_are_kept():
+def test_saddle_without_jet_raises():
     m = neumann()
     fields = {c: (lambda q1, f=getattr(m, c): f(q1)) for c in COEFF_NAMES}
-    derivs = {"V1": lambda q1: 0.0}
-    custom = HamiltonianModel(**fields, domain=m.domain, derivatives=derivs)
-    assert custom.derivatives is derivs
-    assert replace(custom, Y=m.Y).derivatives is derivs
+    with pytest.raises(ValueError, match="saddle"):
+        HamiltonianModel(**fields, domain=m.domain, saddle=m.saddle)
+    custom = HamiltonianModel.from_jet(m.jet, (0.0, 0.0, -1.0),
+                                       domain=m.domain)
+    assert custom.saddle == (0.0, 0.0, -1.0)
+    assert hessian_at_origin(custom) == (1.0, -0.0, 4.0)
+    assert replace(custom, Y=lambda q1: m.Y(q1)).saddle is None
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +210,28 @@ BUILTINS = [("neumann", [1.3, 2.4]), ("pendula_identical", [0.25, -0.125]),
 
 
 def rebuilt(m, **fields):
-    """m rebuilt from its nine fields and derivatives, which takes the
-    assembled-jet path; fields replaces some of the nine."""
+    """m rebuilt from its nine fields, which takes the assembled-jet path;
+    fields replaces some of the nine."""
     kw = {c: getattr(m, c) for c in COEFF_NAMES}
     kw.update(fields)
     return HamiltonianModel(
         **kw, domain=m.domain, periodic=m.periodic,
-        reversibility=m.reversibility, derivatives=m.derivatives,
-        name=m.name, params=m.params, matching=m.matching)
+        reversibility=m.reversibility, name=m.name, params=m.params,
+        matching=m.matching)
+
+
+def borrowing(m):
+    """A copy of m whose jet calls the nine fields one by one and borrows
+    S1' and b220' from m's jet."""
+    fields = [getattr(m, c) for c in COEFF_NAMES]
+
+    def jet(q1):
+        return CoefficientJet(*[f(q1) for f in fields], *m.jet(q1)[9:])
+
+    return HamiltonianModel.from_jet(
+        jet, m.saddle, domain=m.domain, periodic=m.periodic,
+        reversibility=m.reversibility, name=m.name, params=m.params,
+        matching=m.matching)
 
 
 def plain_solve(m):
@@ -216,7 +242,7 @@ def plain_solve(m):
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_fused_jet_solves_like_assembled_jet(name, params):
     m = builtin_model(name, params)
-    copy = rebuilt(m)
+    copy = borrowing(m)
     assert copy.jet is not m.jet
     for q1 in (0.3, 1.7, 2.9):
         assert copy.jet(q1) == m.jet(q1)
@@ -247,6 +273,29 @@ def test_replaced_y_solves_like_rebuilt_copy(name, params):
     target = m.matching[0]
     assert a(target) == b(target)
     assert a(target) != plain_solve(m)(target)
+
+
+def noop_replaced(m):
+    """m with its Y wrapped, which routes it through the assembled jet."""
+    return replace(m, Y=lambda q1, y=m.Y: y(q1))
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_assembled_jet_starts_from_the_fused_slope(name, params):
+    # S1 behaves like |q1| at the saddle: a central difference across
+    # q1 = 0 reads S1'(0) = 0, which gave pendula_identical T0 = 0.7071
+    m = builtin_model(name, params)
+    copy = noop_replaced(m)
+    assert copy.jet is not m.jet
+    assert copy.jet(0.0).dS1 == pytest.approx(m.jet(0.0).dS1, abs=1e-9)
+    T0 = riccati_initial(riccati_terms(loop_profile(m)))[0]
+    assert riccati_initial(riccati_terms(loop_profile(copy)))[0] == \
+        pytest.approx(T0, abs=1e-8)
+
+
+def test_assembled_jet_keeps_the_tangent_verdict():
+    copy = noop_replaced(builtin_model("pendula_identical", [0.0]))
+    assert chart_transversality(copy, *copy.matching).verdict == "tangent"
 
 
 @st.composite
