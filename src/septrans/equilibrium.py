@@ -11,7 +11,6 @@ matrix of Bmat*A and N = Bmat^{-1} M.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,35 +42,6 @@ def check_positive_definite(S: np.ndarray) -> bool:
     return S[0, 0] > 0 and (S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]) > 0
 
 
-def sym_eig_2x2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix.
-
-    Returns (w, U) with eigenvalues w ascending and orthonormal eigenvector
-    columns in U.
-    """
-    a, b, c = S[0, 0], S[0, 1], S[1, 1]
-    half_tr = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    w = np.array([half_tr - disc, half_tr + disc])
-    if disc < 1e-300 or abs(b) < 1e-15 * max(1.0, abs(a), abs(c)):
-        # (near-)diagonal: eigenvectors are the axes
-        if a <= c:
-            U = np.eye(2)
-        else:
-            U = np.array([[0.0, 1.0], [1.0, 0.0]])
-            w = np.array([c, a])
-        return w, U
-    # eigenvector for w[0]: (b, w0 - a) or (w0 - c, b), whichever is larger
-    cols = []
-    for wk in w:
-        v1 = np.array([b, wk - a])
-        v2 = np.array([wk - c, b])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        cols.append(v / np.linalg.norm(v))
-    U = np.column_stack(cols)
-    return w, U
-
-
 def linearize(model: HamiltonianModel) -> Linearization:
     """Exponents and unstable quadratic form at the origin.
 
@@ -82,19 +52,14 @@ def linearize(model: HamiltonianModel) -> Linearization:
     a11, a12, a22 = hessian_at_origin(model)
     A = np.array([[a11, a12], [a12, a22]])
     c = model.jet(0.0)
-    b11, b12, b22 = c.b110, c.b120, c.b220
-    Bmat = np.array([[b11, b12], [b12, b22]])
+    Bmat = np.array([[c.b110, c.b120], [c.b120, c.b220]])
     if not check_positive_definite(Bmat):
         raise NotHyperbolicError("B(0,0) is not positive definite")
 
-    # Cholesky Bmat = L L^T in closed form, then C = L^T A L is symmetric
-    # and similar to Bmat*A
-    l11 = math.sqrt(b11)
-    l21 = b12 / l11
-    l22 = math.sqrt(b22 - l21 * l21)
-    L = np.array([[l11, 0.0], [l21, l22]])
-    C = L.T @ A @ L
-    w, U = sym_eig_2x2(C)
+    # Cholesky Bmat = L L^T, then L^T A L is symmetric and similar to
+    # Bmat*A; eigh gives its eigenvalues ascending
+    L = np.linalg.cholesky(Bmat)
+    w, U = np.linalg.eigh(L.T @ A @ L)
     if w[0] <= 0:
         raise NotHyperbolicError(
             "Bmat*A has eigenvalues %s; not hyperbolic" % (w,))

@@ -193,10 +193,11 @@ class HamiltonianModel:
 def _assembled_jet(model: HamiltonianModel
                    ) -> Callable[[float], CoefficientJet]:
     """The jet of a model given by its fields: each field is called once per
-    point, and S1' and b220' come by fourth-order differences.  S1 behaves
-    like |q1 - a| at an end a where V0 vanishes, so there S1' takes a
-    one-sided stencil inside the domain, whose step (1e-4 of the domain)
-    outgrows the cancellation of fields such as cos(q1) - 1."""
+    point, and S1' and b220' come by fourth-order differences.  S1' takes
+    one step, 1e-4 of the domain, which outgrows the cancellation of fields
+    such as cos(q1) - 1 near the saddle: a central stencil where it fits in
+    the domain, else a one-sided stencil inside it, since S1 behaves like
+    |q1 - a| at an end a where V0 vanishes."""
     fields = tuple(getattr(model, c) for c in COEFF_NAMES)
     a, b = model.domain
 
@@ -205,13 +206,11 @@ def _assembled_jet(model: HamiltonianModel
                             model.b220(q1), model.V0(q1))[2]
 
     def ds1(q1):
-        h = 1e-6 * max(1.0, abs(q1))
-        if a <= q1 < a + 2 * h:
-            s = 1e-4 * (b - a)
-        elif b - 2 * h < q1 <= b:
-            s = -1e-4 * (b - a)
-        else:
-            return central_diff(s1, q1, h)
+        s = 1e-4 * (b - a)
+        if a + 2 * s <= q1 <= b - 2 * s:
+            return central_diff(s1, q1, s)
+        if q1 > b - 2 * s:
+            s = -s
         return (-25 * s1(q1) + 48 * s1(q1 + s) - 36 * s1(q1 + 2 * s)
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 

@@ -267,6 +267,82 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert out.startswith("#")
 
 
+NEUMANN_INI = "[run]\nmodel = neumann\n[params]\nlambda1 = 1\nlambda2 = 2\n"
+
+
+def test_config_entry_in_any_section_is_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(NEUMANN_INI.replace("[run]\n", "[run]\nrtol = 1e-7\n"))
+    args = ("riccati", "--grid", "0:2:3")
+    code, out = run(capsys, *args, "--config", str(cfg))
+    assert code == 0
+    code, flags_out = run(capsys, *args, "--model", "neumann", "--params",
+                          "lambda1=1", "lambda2=2", "--rtol", "1e-7")
+    assert code == 0
+    assert out == flags_out
+    code, default_out = run(capsys, *args, "--model", "neumann", "--params",
+                            "lambda1=1", "lambda2=2")
+    assert out != default_out
+
+
+@pytest.mark.parametrize("text", [
+    NEUMANN_INI + "[solver]\nrtol = -1\n",
+    NEUMANN_INI + "[output]\nformat = JSON\n",
+    NEUMANN_INI + "[solver]\nrtool = 1e-3\n",
+    "model = neumann\n",
+], ids=["negative-rtol", "format-JSON", "misspelt-key", "no-section-header"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code, out = run(capsys, "riccati", "--config", str(cfg), "--grid", "0:2:3")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", [
+    "--tol=-1", "--tol=nan", "--rtol=nan", "--epsilon=nan", "--cap=0",
+])
+def test_non_positive_setting_is_usage_error(capsys, flag):
+    # a negative --tol would make the tangent f0 = 0 read "transversal"
+    code, out = run(capsys, "transversality", "--model", "pendula_identical",
+                    "--params", "f0=0", flag)
+    assert code == 2
+    assert out == ""
+
+
+def test_config_params_merge_with_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(NEUMANN_INI)
+    code, out = run(capsys, "validate", "--config", str(cfg),
+                    "--params", "lambda2=3", "--params", "lambda1=0.5")
+    assert code == 0
+    assert json.loads(out)["params"] == {"lambda1": 0.5, "lambda2": 3.0}
+
+
+def test_sweep_of_a_misspelt_parameter_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, _ = run(capsys, "sweep", "--model", "neumann", "--params",
+                  "lambda1=1", "lambda2=2", "--sweep", "lamda2=2:3:3",
+                  "--out", str(out_file))
+    assert code == 2
+    _, _, rows = read_table(str(out_file))
+    assert np.all(np.isnan(rows[:, 1:]))
+
+
+@pytest.mark.parametrize("model,params,culprit", [
+    ("neumann", ["lambda1=1", "lambda2=2", "lam=7"], "lam"),
+    ("pendula_identical", ["f0=0.2", "foo=1"], "foo"),
+    ("pendula_weak", ["lam=nan"], "lam"),
+])
+def test_bad_parameter_is_usage_error(capsys, model, params, culprit):
+    # a name the model does not take, or a value that is not finite
+    code = main(["validate", "--model", model, "--params", *params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "parameter %s " % culprit in captured.err
+
+
 def test_config_file_missing(capsys):
     code = main(["riccati", "--config", "/nonexistent.ini"])
     capsys.readouterr()

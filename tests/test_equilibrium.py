@@ -1,10 +1,9 @@
-import math
 
 import numpy as np
 import pytest
 
 from septrans.equilibrium import (NotHyperbolicError, check_positive_definite,
-                                  linearize, sym_eig_2x2)
+                                  linearize)
 from septrans.models import HamiltonianModel, builtin_model
 from septrans.loops import loop_profile
 from septrans.riccati import riccati_initial, riccati_terms
@@ -85,19 +84,6 @@ def test_product_eigenvalue_property():
         w = np.linalg.eigvals(G @ Q)
         all_real_pos = np.all(np.abs(w.imag) < 1e-12) and np.all(w.real > 0)
         assert all_real_pos == check_positive_definite(Q)
-
-
-def test_sym_eig_closed_form_random():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        S = rng.normal(size=(2, 2))
-        S = 0.5 * (S + S.T)
-        w, U = sym_eig_2x2(S)
-        assert w[0] <= w[1]
-        for k in range(2):
-            r = S @ U[:, k] - w[k] * U[:, k]
-            assert np.linalg.norm(r) < 1e-12 * max(1.0, np.linalg.norm(S))
-        assert abs(np.linalg.det(U)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [

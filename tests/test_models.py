@@ -293,6 +293,20 @@ def test_assembled_jet_starts_from_the_fused_slope(name, params):
         pytest.approx(T0, abs=1e-8)
 
 
+@pytest.mark.parametrize("q1,bound", [
+    (3.14e-6, 1e-7),                  # the oracle's start
+    (6.28e-4, 1e-9),                  # the Riccati start
+    (0.01, 1e-10),
+    (2 * math.pi - 6.28e-4, 2e-9),
+])
+def test_assembled_slope_derivative_near_the_saddle(q1, bound):
+    # pendula's V0 = 2 (cos q1 - 1) has lost most of its relative digits
+    # near the saddle, so a step of 1e-6 there reads mostly roundoff
+    m = builtin_model("pendula_identical", [0.0])
+    copy = noop_replaced(m)
+    assert abs(copy.jet(q1).dS1 - m.jet(q1).dS1) < bound
+
+
 def test_assembled_jet_keeps_the_tangent_verdict():
     copy = noop_replaced(builtin_model("pendula_identical", [0.0]))
     assert chart_transversality(copy, *copy.matching).verdict == "tangent"
