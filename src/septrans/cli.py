@@ -262,10 +262,8 @@ def cmd_sweep(args) -> int:
         rows.append((v, r.Tu, r.Ts_hat, r.gap,
                      {"transversal": 1.0, "tangent": 0.0,
                       "inconclusive": -1.0}[r.verdict]))
-    with _output(args) as stream:
-        write_table(stream, comments,
-                    [pname, "Tu", "Ts_hat", "gap", "verdict_code"],
-                    rows)
+    write_curve(args, comments, [pname, "Tu", "Ts_hat", "gap", "verdict_code"],
+                rows)
     return code
 
 
@@ -284,13 +282,15 @@ COMMANDS = {"validate": cmd_validate, "riccati": cmd_riccati,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a config entry rt = 1e-3 or a flag --to must not
+    # stand for --rtol or --tol
     ap = argparse.ArgumentParser(
-        prog="septrans",
+        prog="septrans", allow_abbrev=False,
         description="Transversality of separatrix intersections via Riccati "
                     "slopes and Melnikov potentials")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--model", choices=BUILTIN_NAMES)
         p.add_argument("--params", nargs="*", action="extend", type=param,
                        metavar="k=v")

@@ -289,8 +289,10 @@ def test_config_entry_in_any_section_is_its_flag(tmp_path, capsys):
     NEUMANN_INI + "[solver]\nrtol = -1\n",
     NEUMANN_INI + "[output]\nformat = JSON\n",
     NEUMANN_INI + "[solver]\nrtool = 1e-3\n",
+    NEUMANN_INI + "[solver]\nrt = 1e-3\n",
     "model = neumann\n",
-], ids=["negative-rtol", "format-JSON", "misspelt-key", "no-section-header"])
+], ids=["negative-rtol", "format-JSON", "misspelt-key", "abbreviated-key",
+        "no-section-header"])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
@@ -306,6 +308,15 @@ def test_non_positive_setting_is_usage_error(capsys, flag):
     # a negative --tol would make the tangent f0 = 0 read "transversal"
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0", flag)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", [["--to", "5"], ["--rt", "1e-3"]])
+def test_abbreviated_flag_is_usage_error(capsys, flag):
+    # argparse would otherwise read --to as --tol and --rt as --rtol
+    code, out = run(capsys, "transversality", "--model", "neumann",
+                    "--params", "lambda1=1", "lambda2=2", *flag)
     assert code == 2
     assert out == ""
 
@@ -365,6 +376,20 @@ def test_sweep_ordered_output(tmp_path, capsys):
     for f0, Tu in zip(rows[1:, 0], rows[1:, 1]):
         b = math.sqrt(1.0 - 2.0 * f0)
         assert Tu == pytest.approx((b - 1.0 / b) / 2.0, abs=1e-8)
+
+
+def test_sweep_json_is_the_table_as_one_document(tmp_path, capsys):
+    args = ("sweep", "--model", "pendula_identical", "--params", "f1=-0.1",
+            "--sweep", "f0=0.05:0.4:3")
+    csv_file = tmp_path / "sweep.csv"
+    run(capsys, *args, "--out", str(csv_file))
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    comments, header, rows = read_table(str(csv_file))
+    assert doc["header"] == header
+    assert set(doc["comments"]) == set(comments)
+    assert np.array_equal(np.array(doc["rows"]), rows, equal_nan=True)
 
 
 def test_sweep_keeps_going_past_a_failed_point(tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""scipy is imported on the first solve, quadrature or root search, not
-when the package loads: importing septrans and running `validate` must
-leave sys.modules free of scipy.  Each check runs in a fresh interpreter,
-since this test process has long imported scipy."""
+"""Only the Melnikov root searches import scipy: importing septrans and
+running `validate`, `transversality`, `riccati` or `sweep` must leave
+sys.modules free of scipy.  Each check runs in a fresh interpreter, since
+this test process has long imported scipy."""
 
 import json
 import os
@@ -53,12 +53,17 @@ def test_import_and_validate_load_no_scipy(model, params):
                           "--params", *params]) == [[], []]
 
 
-def test_first_solve_imports_scipy_integrate():
-    after_import, after_run = scipy_modules(
-        ["transversality", "--model", "neumann",
-         "--params", "lambda1=1", "lambda2=2"])
-    assert after_import == []
-    assert "scipy.integrate" in after_run
+NEUMANN = ["--model", "neumann", "--params", "lambda1=1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["transversality", *NEUMANN, "lambda2=2"],
+    ["riccati", *NEUMANN, "lambda2=2"],
+    ["sweep", *NEUMANN, "--sweep", "lambda2=1.5:2.5:3"],
+], ids=lambda args: args[0])
+def test_solves_load_no_scipy(args):
+    # the slope equations and the oracle run on the in-house RK45
+    assert scipy_modules(args) == [[], []]
 
 
 def test_melnikov_loads_no_scipy_integrate():

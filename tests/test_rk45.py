@@ -1,0 +1,107 @@
+"""The in-house RK45 against scipy's solve_ivp(method="RK45") as the
+reference: on every solve the slope equations make, the same rhs
+evaluations and steps, and the same values to 1e-12."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+from septrans import riccati
+from septrans.models import builtin_model
+from septrans.numerics import RK45Result, rk45
+from septrans.riccati import (BlowUpError, SolverOptions,
+                              riccati_to_linear_oracle, solve_riccati)
+
+
+def scipy_rk45(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
+    """rk45's contract on top of scipy's solve_ivp."""
+    def terminal(event):
+        def g(t, y):
+            # scipy passes the initial state as given, later ones as arrays
+            return event(t, np.asarray(y).tolist())
+        g.terminal = True
+        return g
+
+    r = scipy_solve_ivp(lambda t, y: fun(t, y.tolist()), t_span, y0,
+                        method="RK45", rtol=rtol, atol=atol,
+                        dense_output=dense_output,
+                        events=[terminal(e) for e in events] or None)
+    fired = [i for i, te in enumerate(r.t_events or ()) if te.size]
+    return RK45Result(float(r.t[-1]), r.y[:, -1].tolist(), r.nfev,
+                      len(r.t) - 1, r.success, fired[0] if fired else None,
+                      r.sol)
+
+
+CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
+         ("pendula_identical", [0.25, -0.125]), ("pendula_identical", [0.0]),
+         ("pendula_weak", [2.0]), ("pendula_weak", [3.4])]
+ROUTES = {
+    "plain": SolverOptions(),
+    "rtol-1e-12": SolverOptions(rtol=1e-12, atol=5e-14,
+                                sensitivity_check=False),
+    "cap-0.3": SolverOptions(cap=0.3, sensitivity_check=False),
+    "oracle": None,
+}
+
+
+def outcome(monkeypatch, solver, model, opts):
+    """(what the route returned, the counts of each of its solves) with
+    riccati's solver bound to solver: the slope on a grid up to the
+    matching point, the oracle's slope there, or the blow-up point."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solver(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
+    target = model.matching[0]
+    try:
+        if opts is None:
+            value = ("oracle", riccati_to_linear_oracle(model, target))
+        else:
+            sol = solve_riccati(model, target, opts=opts)
+            value = ("slope", sol(np.linspace(0.0, target, 9)))
+    except BlowUpError as exc:
+        value = ("blow-up", exc.q1)
+    return value, [(s.nfev, s.nsteps, s.success, s.event) for s in solves]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name, params", CASES)
+def test_steps_and_values_match_scipy(monkeypatch, name, params, route):
+    model = builtin_model(name, params)
+    (kind, ours), our_counts = outcome(monkeypatch, rk45, model,
+                                       ROUTES[route])
+    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_rk45, model,
+                                          ROUTES[route])
+    assert our_counts == ref_counts
+    assert kind == ref_kind
+    assert np.max(np.abs(np.asarray(ours) - ref)) <= 1e-12
+
+
+def test_too_small_step_fails_where_scipy_does():
+    def square(_t, y):
+        return [y[0] * y[0]]
+
+    # y = 1/(1 - t) has a pole at t = 1
+    ours = rk45(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    ref = scipy_rk45(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    assert not ours.success and not ref.success
+    assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
+    assert ours.t == pytest.approx(ref.t, abs=1e-12)
+    assert ours.t < 1.0
+
+
+def test_backward_solve_and_dense_output_match_scipy():
+    def rotation(t, y):
+        return [y[1], -y[0] + 0.1 * t]
+
+    ours = rk45(rotation, (3.0, -1.0), [1.0, 0.5], 1e-10, 1e-12,
+                dense_output=True)
+    ref = scipy_rk45(rotation, (3.0, -1.0), [1.0, 0.5], 1e-10, 1e-12,
+                     dense_output=True)
+    assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
+    assert ours.t == ref.t == -1.0
+    for t in np.linspace(-1.0, 3.0, 41):
+        assert np.max(np.abs(np.asarray(ours.sol(t)) - ref.sol(t))) <= 1e-12
