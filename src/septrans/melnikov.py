@@ -42,22 +42,6 @@ def _t_cut(pert: PerturbationModel, s: float) -> float:
     return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
 
 
-def _locate(pert: PerturbationModel, q1: float, q2: float) -> tuple[float, float]:
-    if pert.locate is not None:
-        return pert.locate(q1, q2)
-    from scipy.optimize import root
-
-    def residual(ts):
-        x = pert.loop_family(ts[0], ts[1])
-        return [x[0] - q1, x[1] - q2]
-
-    sol = root(residual, [0.0, 0.0], tol=1e-12)
-    if not sol.success:
-        raise ValueError("could not locate (t, s) of the loop point %r"
-                         % ((q1, q2),))
-    return float(sol.x[0]), float(sol.x[1])
-
-
 def _trapezoid(fn, t0: float, T: float,
                pert: PerturbationModel) -> tuple[float, dict]:
     """Integral of fn over [t0 - T, t0 + T] by the trapezoidal rule, from
@@ -90,8 +74,9 @@ def melnikov_potential(pert: PerturbationModel,
                        q: tuple[float, float] | None = None,
                        s: float | None = None,
                        diag: dict | None = None) -> float:
-    """L at a separatrix point, given either as q = (q1, q2) or directly by
-    the section parameter s (then the point is kappa(s)).
+    """L at a separatrix point, given either as q = (q1, q2), which needs the
+    perturbation's locate hook, or directly by the section parameter s
+    (then the point is kappa(s)).
 
     The trapezoid window is centered at the time the loop passes through
     the point and sized so the exponential tail stays below 1e-12; the
@@ -100,10 +85,9 @@ def melnikov_potential(pert: PerturbationModel,
     """
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or s")
-    if q is not None:
-        t0, s = _locate(pert, q[0], q[1])
-    else:
-        t0 = 0.0
+    if q is not None and pert.locate is None:
+        raise ValueError("perturbation %s has no locate hook" % pert.name)
+    t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
     T = _t_cut(pert, s)
     val, d = _trapezoid(lambda t: pert.integrand(t, s), t0, T, pert)
     if diag is not None:
@@ -220,27 +204,40 @@ def perturbed_loop_verdict(case: str,
                           verdict=verdict, quadrature_diag=diag)
 
 
-def xi_max(lam: float) -> float:
-    """Largest phase advance of the fast pendulum over the slow one:
-    max over t > 0 of 4 arctan e^(lam t) - 4 arctan e^t."""
-    if lam <= 1.0:
-        return 0.0
-    from scipy.optimize import brentq
-
+def _peak(lam: float) -> tuple[float, float]:
+    """(t*, xi_max) for lam > 1, where t* > 0 solves g(t) = cosh(lam t) -
+    lam cosh t = 0.  g is convex and rising on t > 0, so Newton's method
+    falls monotonically to t* from a t with g >= 0, and stops at the first
+    step that does not fall.  It starts at log(2 lam) / (lam - 1) if below
+    1 (cosh stays finite for large lam), else at 1 doubled until g >= 0."""
     def g(t):
         return math.cosh(lam * t) - lam * math.cosh(t)
 
-    hi = 1.0
-    while g(hi) < 0:
-        hi *= 2.0
-    t_star = brentq(g, 1e-12, hi, xtol=1e-12)
-    return 4.0 * (math.atan(math.exp(lam * t_star))
-                  - math.atan(math.exp(t_star)))
+    t = min(1.0, math.log(2.0 * lam) / (lam - 1.0))
+    while g(t) < 0:
+        t *= 2.0
+    while (new := t - g(t) / (lam * (math.sinh(lam * t) - math.sinh(t)))) < t:
+        t = new
+    return t, 4.0 * (math.atan(math.exp(lam * t)) - math.atan(math.exp(t)))
+
+
+def xi_max(lam: float) -> float:
+    """Largest phase advance of the fast pendulum over the slow one, for a
+    finite lam: max over t > 0 of 4 arctan e^(lam t) - 4 arctan e^t."""
+    if not math.isfinite(lam):
+        raise ValueError("xi_max needs a finite lam, got %r" % lam)
+    return _peak(lam)[1] if lam > 1.0 else 0.0
 
 
 def lambda0_threshold() -> float:
     """Frequency ratio at which the phase advance reaches pi/2; above it the
-    nondegeneracy argument for the reduced potential fails."""
-    from scipy.optimize import brentq
-    return brentq(lambda lam: xi_max(lam) - 0.5 * math.pi, 1.0 + 1e-9, 10.0,
-                  xtol=1e-10)
+    nondegeneracy argument for the reduced potential fails.  Newton's
+    method from lam = 3 with the envelope theorem's slope 2 t* / cosh(lam
+    t*), which falls with lam: the iterates rise until a step does not."""
+    lam = 3.0
+    while True:
+        t, xi = _peak(lam)
+        new = lam - (xi - 0.5 * math.pi) * math.cosh(lam * t) / (2.0 * t)
+        if not new > lam:
+            return lam
+        lam = new

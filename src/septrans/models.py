@@ -242,7 +242,8 @@ class PerturbationModel:
     kappa: Callable[[float], tuple[float, float]]
     decay_rate: float
     time_scale: float = 1.0
-    # optional analytic hooks; melnikov falls back to finite differences in s
+    # optional hooks: without both s-derivatives melnikov takes finite
+    # differences in s; without locate, melnikov_potential takes only s
     d_integrand_ds: Callable[[np.ndarray, float], np.ndarray] | None = None
     d2_integrand_ds2: Callable[[np.ndarray, float], np.ndarray] | None = None
     locate: Callable[[float, float], tuple[float, float]] | None = None

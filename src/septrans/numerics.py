@@ -54,8 +54,10 @@ def parse_grid(spec: str) -> list[float]:
         raise ValueError("grid spec must be a:b:n, got %r" % spec)
     a, b = float(parts[0]), float(parts[1])
     n = int(parts[2])
-    if n < 2 or not (b > a):
-        raise ValueError("grid spec needs b > a and n >= 2, got %r" % spec)
+    # a finite span b - a also rules out an infinite or nan end
+    if n < 2 or not (b > a and math.isfinite(b - a)):
+        raise ValueError("grid spec needs finite a < b, a finite span b - a "
+                         "and n >= 2, got %r" % spec)
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 

@@ -119,6 +119,11 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
 
 def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
                opts: SolverOptions, stable: bool):
+    # the blow-up event fires on a sign change only, so a start past the
+    # cap is caught here
+    if abs(T_start) > opts.cap:
+        raise BlowUpError(eps, "graph form lost / blow-up: start slope %g at "
+                          "q1=%g beyond the cap %g" % (T_start, eps, opts.cap))
     sgn = -1.0 if stable else 1.0
 
     def rhs(q1, y):

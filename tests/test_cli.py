@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from septrans.cli import main
+from septrans.numerics import parse_grid
 
 
 def read_table(path: str):
@@ -144,6 +145,25 @@ def test_riccati_blow_up_exit_three(capsys):
                  "lambda2=2", "--cap", "1.5"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_start_beyond_cap_exit_three(capsys):
+    # neumann [1, 2] starts at T0 = 2
+    code = main(["transversality", "--model", "neumann", "--params",
+                 "lambda1=1", "lambda2=2", "--cap", "0.3"])
+    assert "blows up" in capsys.readouterr().err
+    assert code == 3
+
+
+@pytest.mark.parametrize("spec", ["1.5:inf:3", "-1e308:1e308:3"])
+def test_non_finite_grid_is_usage_error(capsys, spec):
+    # an infinite end, or a span b - a that overflows
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid(spec)
+    code = main(["sweep", "--model", "neumann", "--params", "lambda1=1",
+                 "--sweep", "lambda2=" + spec])
+    assert capsys.readouterr().out == ""
+    assert code == 2
 
 
 def test_negative_rtol_is_usage_error(capsys):

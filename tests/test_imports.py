@@ -1,7 +1,6 @@
-"""Only the Melnikov root searches import scipy: importing septrans and
-running `validate`, `transversality`, `riccati` or `sweep` must leave
-sys.modules free of scipy.  Each check runs in a fresh interpreter, since
-this test process has long imported scipy."""
+"""septrans runs on numpy alone: importing septrans and running any
+subcommand must leave sys.modules free of scipy.  Each check runs in a
+fresh interpreter, since this test process has long imported scipy."""
 
 import json
 import os
@@ -60,19 +59,13 @@ NEUMANN = ["--model", "neumann", "--params", "lambda1=1"]
     ["transversality", *NEUMANN, "lambda2=2"],
     ["riccati", *NEUMANN, "lambda2=2"],
     ["sweep", *NEUMANN, "--sweep", "lambda2=1.5:2.5:3"],
+    ["melnikov", "--model", "pendula_weak", "--params", "lam=2"],
 ], ids=lambda args: args[0])
 def test_solves_load_no_scipy(args):
-    # the slope equations and the oracle run on the in-house RK45
+    # the slope equations and the oracle run on the in-house RK45, the
+    # Melnikov integrals are numpy trapezoids and its threshold is a Newton
+    # root
     assert scipy_modules(args) == [[], []]
-
-
-def test_melnikov_loads_no_scipy_integrate():
-    # the Melnikov integrals are numpy trapezoids; only the threshold's
-    # root search loads scipy
-    after_import, after_run = scipy_modules(
-        ["melnikov", "--model", "pendula_weak", "--params", "lam=2"])
-    assert after_import == []
-    assert "scipy.integrate" not in after_run
 
 
 DELETED = ("eval_coefficients", "identity_transition", "inner_time_param",

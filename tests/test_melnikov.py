@@ -43,6 +43,14 @@ def test_potential_at_located_point():
         closed_form_lam1(1.0), abs=1e-9)
 
 
+def test_located_point_needs_locate_hook():
+    pert = replace(weak(1.0), locate=None)
+    with pytest.raises(ValueError, match="locate"):
+        melnikov_potential(pert, q=pert.kappa(1.0))
+    assert melnikov_potential(pert, s=1.0) == pytest.approx(
+        closed_form_lam1(1.0), abs=1e-9)
+
+
 def test_constant_perturbation_gives_zero():
     pert = replace(weak(1.5), h_star=lambda q1, q2, p1, p2: 3.0,
                    h_star_at_O=3.0, d_integrand_ds=None,
@@ -218,6 +226,33 @@ def test_lambda0_threshold():
     l0 = lambda0_threshold()
     assert l0 == pytest.approx(3.68078, abs=1e-4)
     assert xi_max(l0) == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
+def brentq_xi_max(lam):
+    from scipy.optimize import brentq
+    t = brentq(lambda t: math.cosh(lam * t) - lam * math.cosh(t), 1e-12,
+               10.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return 4.0 * (math.atan(math.exp(lam * t)) - math.atan(math.exp(t)))
+
+
+@pytest.mark.parametrize("lam", [1.001, 1.5, 2.0, 3.6, 10.0, 50.0])
+def test_xi_max_matches_brentq(lam):
+    assert abs(xi_max(lam) - brentq_xi_max(lam)) <= 1e-12
+
+
+def test_lambda0_threshold_to_twenty_digits():
+    from scipy.optimize import brentq
+    # the 20-digit value; brentq on the reference xi_max agrees with it
+    ref = 3.6807790226683075955
+    assert abs(lambda0_threshold() - ref) <= 1e-12
+    assert abs(brentq(lambda lam: brentq_xi_max(lam) - 0.5 * math.pi, 3.0,
+                      4.0, xtol=1e-15) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_xi_max_rejects_non_finite(lam):
+    with pytest.raises(ValueError, match="finite"):
+        xi_max(lam)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

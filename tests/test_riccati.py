@@ -177,6 +177,21 @@ def test_blow_up_reported_with_location():
     assert "blow-up" in str(exc_info.value)
 
 
+def test_start_beyond_cap_is_blow_up(monkeypatch):
+    # T0 = 2 and T(2) = 0.625: |T| > 0.3 on the whole interval, so no sign
+    # change of the cap event would ever report it
+    m = builtin_model("neumann", [1.0, 2.0])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integrated from a start beyond the cap")
+
+    monkeypatch.setattr(riccati, "solve_ivp", no_solve)
+    with pytest.raises(BlowUpError, match="beyond the cap") as exc_info:
+        solve_riccati(m, 2.0, opts=SolverOptions(cap=0.3))
+    a, b = loop_profile(m).interval
+    assert exc_info.value.q1 == 1e-4 * (b - a)
+
+
 def test_query_beyond_target_raises():
     m = builtin_model("neumann", [1.0, 2.0])
     sol = solve_riccati(m, 1.0, opts=SolverOptions(sensitivity_check=False))

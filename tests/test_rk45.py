@@ -80,6 +80,21 @@ def test_steps_and_values_match_scipy(monkeypatch, name, params, route):
     assert np.max(np.abs(np.asarray(ours) - ref)) <= 1e-12
 
 
+def test_blow_up_event_matches_scipy(monkeypatch):
+    # every case above starts beyond cap 0.3 and raises before a step; on
+    # pendula_identical [0.45] the slope rises from T0 = 0.66 to 1.42 at pi,
+    # so cap 1 is crossed in flight
+    model = builtin_model("pendula_identical", [0.45])
+    opts = SolverOptions(cap=1.0, sensitivity_check=False)
+    (kind, ours), our_counts = outcome(monkeypatch, rk45, model, opts)
+    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_rk45, model,
+                                          opts)
+    assert kind == ref_kind == "blow-up"
+    assert our_counts == ref_counts and our_counts[0][3] == 0
+    assert 0.0 < ours < model.matching[0]
+    assert abs(ours - ref) <= 1e-12
+
+
 def test_too_small_step_fails_where_scipy_does():
     def square(_t, y):
         return [y[0] * y[0]]
