@@ -69,12 +69,12 @@ class LoopProfile:
         return self.point(q1)[4]
 
 
-def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
+def loop_profile(model: HamiltonianModel) -> LoopProfile:
     """Build the loop's momentum profiles from the model coefficients.
 
     Raises LoopConstructionError when the radicand -2 V0 / beta turns
     negative in the interior, or when the V1 consistency residual exceeds
-    1e-6 on the check grid.
+    1e-6 on the 199 interior points of the check grid.
     """
     a, b = model.domain
     profile = LoopProfile(model.jet, (a, b))
@@ -82,8 +82,8 @@ def loop_profile(model: HamiltonianModel, n_check: int = 200) -> LoopProfile:
     # consistency of V1 with the rest of the model, checked on the interior
     worst = 0.0
     margin = 1e-3 * (b - a)
-    for i in range(1, n_check):
-        q1 = a + margin + (b - a - 2 * margin) * i / n_check
+    for i in range(1, 200):
+        q1 = a + margin + (b - a - 2 * margin) * i / 200
         c, beta, ds0, _s1, ds1 = profile.point(q1)
         r = ds1 * beta * ds0 + c.V1
         worst = max(worst, abs(r))

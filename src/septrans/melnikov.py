@@ -143,7 +143,6 @@ def melnikov_derivatives(pert: PerturbationModel,
 
 def perturbed_loop_verdict(case: str,
                            report: TransversalityReport | None = None,
-                           pert: PerturbationModel | None = None,
                            derivs: tuple[float, float] | None = None,
                            s_grid=None,
                            L_samples=None) -> MelnikovResult:
@@ -151,13 +150,14 @@ def perturbed_loop_verdict(case: str,
 
     Case A (manifolds transverse before perturbing) consumes the
     unperturbed TransversalityReport; the perturbation is regular and no
-    Melnikov computation is needed.  Case B consumes the derivatives of the
-    reduced potential at s = 0; a critical, nondegenerate point certifies
-    the perturbed transverse loop.  If s = 0 is not critical the verdict is
-    "inapplicable" and the zeros of the sampled slope are reported as
-    candidate critical parameters: a difference quotient that is exactly
-    zero at its interval's midpoint, and the linear zero between two
-    midpoints where the quotients change sign.
+    Melnikov computation is needed.  Case B consumes derivs, the
+    derivatives of the reduced potential at s = 0 (melnikov_derivatives
+    gives them); a critical, nondegenerate point certifies the perturbed
+    transverse loop.  If s = 0 is not critical the verdict is
+    "inapplicable" and the zeros of the slope sampled on s_grid are
+    reported as candidate critical parameters: a difference quotient that
+    is exactly zero at its interval's midpoint, and the linear zero
+    between two midpoints where the quotients change sign.
     """
     if case == "A":
         if report is None:
@@ -169,9 +169,8 @@ def perturbed_loop_verdict(case: str,
         raise ValueError("case must be 'A' or 'B'")
 
     if derivs is None:
-        if pert is None:
-            raise ValueError("case B needs derivs or a perturbation model")
-        derivs = melnikov_derivatives(pert)
+        raise ValueError("case B needs derivs, the reduced potential's "
+                         "(L~'(0), L~''(0))")
     dL0, ddL0 = derivs
     tol_dd = 1e-8
     tol_crit = 1e-8 * max(1.0, abs(ddL0))
@@ -197,10 +196,7 @@ def perturbed_loop_verdict(case: str,
                         mids[i] - m * (mids[i + 1] - mids[i])
                         / (slopes[i + 1] - m)))
             diag["critical_candidates"] = candidates
-    return MelnikovResult(s_grid=None if s_grid is None else np.asarray(s_grid),
-                          L_samples=None if L_samples is None
-                          else np.asarray(L_samples),
-                          dL0=dL0, ddL0=ddL0, case_label="B",
+    return MelnikovResult(dL0=dL0, ddL0=ddL0, case_label="B",
                           verdict=verdict, quadrature_diag=diag)
 
 

@@ -114,21 +114,19 @@ class DenseOutput:
     either end the nearest piece is extrapolated, as in scipy's
     OdeSolution."""
 
-    def __init__(self, t0: float, y0: list[float], direction: float):
+    def __init__(self, t0: float, y0: list[float]):
         self.y0 = y0
-        self.direction = direction
-        # breakpoints times direction, so that they ascend either way
-        self.keys = [direction * t0]
+        self.keys = [t0]
         self.pieces: list[tuple] = []
 
     def append(self, piece: tuple, t_end: float) -> None:
         self.pieces.append(piece)
-        self.keys.append(self.direction * t_end)
+        self.keys.append(t_end)
 
     def __call__(self, t: float) -> list[float]:
         if not self.pieces:
             return list(self.y0)
-        i = bisect_left(self.keys, self.direction * t) - 1
+        i = bisect_left(self.keys, t) - 1
         return _quartic(self.pieces[min(max(i, 0), len(self.pieces) - 1)], t)
 
 
@@ -159,18 +157,16 @@ def _quartic(piece: tuple, s: float) -> list[float]:
 
 
 def _initial_step(fun, t0: float, y0: list[float], f0: Vector,
-                  t_bound: float, direction: float, rtol: float,
-                  atol: float) -> float:
+                  t_bound: float, rtol: float, atol: float) -> float:
     """scipy's select_initial_step for an error estimate of order 4, on a
-    nonempty interval; it evaluates fun once."""
-    interval = abs(t_bound - t0)
+    nonempty forward interval; it evaluates fun once."""
+    interval = t_bound - t0
     scale = [atol + abs(y) * rtol for y in y0]
     d0 = _rms([y / s for y, s in zip(y0, scale)])
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction,
-             [y + h0 * direction * f for y, f in zip(y0, f0)])
+    f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -201,26 +197,25 @@ def rk45(fun: Callable[[float, list[float]], Vector],
          t_span: tuple[float, float], y0: Vector, rtol: float, atol: float,
          events: Sequence[Callable[[float, list[float]], float]] = (),
          dense_output: bool = False) -> RK45Result:
-    """Solve y' = fun(t, y) over t_span by the Dormand-Prince 5(4) pair,
-    step for step scipy's solve_ivp(method="RK45") on plain floats.
+    """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by the
+    Dormand-Prince 5(4) pair, step for step scipy's
+    solve_ivp(method="RK45") on plain floats; t0 >= t1 raises ValueError.
 
     fun takes a list of floats and returns a sequence of as many.  Every
-    event is terminal: the solve stops at the first root, in the direction
-    of integration, of any event(t, y) that changed sign (or reached zero)
-    over a step, located on that step's quartic.  A step size below ten
-    spacings of the floats at t ends the solve with success False at the
-    last accepted point.
+    event is terminal: the solve stops at the first root of any event(t, y)
+    that changed sign (or reached zero) over a step, located on that
+    step's quartic.  A step size below ten spacings of the floats at t
+    ends the solve with success False at the last accepted point.
     """
     t, t_bound = (float(v) for v in t_span)
-    direction = 1.0 if t_bound >= t else -1.0
+    if not t < t_bound:
+        raise ValueError("rk45 integrates forward only: t_span %r needs "
+                         "t0 < t1" % (t_span,))
     y = [float(v) for v in y0]
     f = fun(t, y)
-    nfev = 1
-    h_abs = 0.0
-    if t != t_bound:
-        h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
-        nfev += 1
-    sol = DenseOutput(t, y, direction) if dense_output else None
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    nfev = 2
+    sol = DenseOutput(t, y) if dense_output else None
     g = [event(t, y) for event in events]
     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65)) = _A
@@ -228,18 +223,15 @@ def rk45(fun: Callable[[float, list[float]], Vector],
     b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
     nsteps = 0
-    while direction * (t - t_bound) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 return RK45Result(t, y, nfev, nsteps, False, None, sol)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
             k1 = f
             k2 = fun(t + c2 * h, [yi + p * a21 * h
                                   for yi, p in zip(y, k1)])
@@ -285,7 +277,7 @@ def rk45(fun: Callable[[float, list[float]], Vector],
                 piece = _piece(t_old, h, y_old, K)
             roots = {i: _event_root(events[i], piece, t_old, t)
                      for i in active}
-            first = min(active, key=lambda i: direction * roots[i])
+            first = min(active, key=roots.__getitem__)
             t = roots[first]
             y = _quartic(piece, t)
         if sol is not None:

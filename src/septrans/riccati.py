@@ -35,9 +35,9 @@ from .numerics import rk45 as solve_ivp
 class BlowUpError(RuntimeError):
     """|T| exceeded the cap: the manifold loses graph form before the target."""
 
-    def __init__(self, q1: float, message: str | None = None):
+    def __init__(self, q1: float, message: str):
         self.q1 = q1
-        super().__init__(message or "graph form lost / blow-up at q1=%g" % q1)
+        super().__init__(message)
 
 
 class HypothesesError(ValueError):
@@ -58,10 +58,13 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """The slope T on [0, q1_target], and the loop profile it was solved
+    on."""
     T0: float
     Delta: float
     epsilon_start: float
     q1_target: float
+    profile: LoopProfile
     diagnostics: dict = field(default_factory=dict)
     _dense: object = None
     _initial: float = 0.0
@@ -137,42 +140,34 @@ def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
     sol = solve_ivp(rhs, (eps, q1_target), [T_start], opts.rtol, opts.atol,
                     events=(blow_up,), dense_output=True)
     if sol.event is not None or not sol.success:
-        raise BlowUpError(sol.t)
+        raise BlowUpError(sol.t, "graph form lost / blow-up at q1=%g before "
+                          "q1_target=%g" % (sol.t, q1_target))
     return sol
-
-
-def _model_profile(model: HamiltonianModel,
-                   profile: LoopProfile | None) -> LoopProfile:
-    """The given profile, or the model's; a profile of another model raises
-    ValueError."""
-    if profile is None:
-        return loop_profile(model)
-    if profile.jet is not model.jet:
-        raise ValueError("the loop profile was built from another model")
-    return profile
 
 
 def solve_riccati(model: HamiltonianModel, q1_target: float,
                   opts: SolverOptions | None = None,
-                  profile: LoopProfile | None = None,
                   stable: bool = False) -> RiccatiSolution:
     """Integrate the slope equation from the singular point to q1_target.
 
     stable=True integrates the stable-side slope instead (coefficients alpha
     and b220 flip sign and the negative initial branch is used); in both
     cases the integrated branch is forward-attracting, which makes the
-    O(epsilon) start-up error self-correcting.  A given profile must be the
-    model's loop profile.
+    O(epsilon) start-up error self-correcting.  A start offset epsilon at
+    or past q1_target raises ValueError.
     """
     opts = opts or SolverOptions()
-    profile = _model_profile(model, profile)
+    profile = loop_profile(model)
     a, b = profile.interval
     if not (0.0 < q1_target <= b):
         raise ValueError("q1_target must lie in (0, %g]" % b)
+    eps = opts.epsilon if opts.epsilon is not None else 1e-4 * (b - a)
+    if not eps < q1_target:
+        raise ValueError("the start offset epsilon=%g must lie below "
+                         "q1_target=%g" % (eps, q1_target))
     terms = riccati_terms(profile)
     T0, Delta = riccati_initial(terms)
     initial = -T0 if stable else T0
-    eps = opts.epsilon if opts.epsilon is not None else 1e-4 * (b - a)
 
     sol = _integrate(terms, eps, q1_target, initial, opts, stable)
     diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps}
@@ -189,13 +184,13 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
         diagnostics["startup_sensitivity_ok"] = bool(
             spread <= 100.0 * opts.rtol * max(1.0, abs(ref)))
     return RiccatiSolution(T0=T0, Delta=Delta, epsilon_start=eps,
-                           q1_target=q1_target, diagnostics=diagnostics,
+                           q1_target=q1_target, profile=profile,
+                           diagnostics=diagnostics,
                            _dense=sol.sol, _initial=initial)
 
 
 def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
-                             opts: SolverOptions | None = None,
-                             profile: LoopProfile | None = None) -> float:
+                             opts: SolverOptions | None = None) -> float:
     """Independent value of T(q1_target) via the equivalent linear ODE.
 
     In the time variable the slope equation reads T. + a T + b T^2 = c with
@@ -205,7 +200,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
     the value at t = 0 maps back to T(q1_target).
     """
     opts = opts or SolverOptions()
-    profile = _model_profile(model, profile)
+    profile = loop_profile(model)
     terms = riccati_terms(profile)
     T0, _ = riccati_initial(terms)
 

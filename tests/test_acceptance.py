@@ -257,7 +257,7 @@ def test_acceptance_15():
     p = loop_profile(m)
     terms = riccati_terms(p)
     T0, _ = riccati_initial(terms)
-    ref = solve_riccati(m, 2.0, profile=p,
+    ref = solve_riccati(m, 2.0,
                         opts=SolverOptions(sensitivity_check=False))
     for bump in (1e-4, -1e-4):
         sol = _integrate(terms, ref.epsilon_start, 2.0, T0 + bump,

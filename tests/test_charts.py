@@ -9,7 +9,6 @@ from septrans.charts import (ChartTransition, Jet2, ReversibilityError,
                              jet_transport_stable, stable_from_reversibility,
                              stable_jet_from_unstable, torus_shift_transition,
                              torus_transversality, transversality_verdict)
-from septrans.loops import loop_profile
 from septrans.models import builtin_model
 from septrans.riccati import SolverOptions, solve_riccati
 
@@ -39,22 +38,21 @@ def test_inversion_jet_matches_finite_differences():
 
 
 def test_jet_transport_identity():
-    jet = StableJet(dS0=lambda q: 0.3 * q, ddS0=lambda q: 0.3,
-                    S1=lambda q: 0.1 * q, dS1=lambda q: 0.1,
-                    T=lambda q: 2.0 + q, interval=(0.0, 5.0))
     identity = ChartTransition(chi=lambda q1, q2: (q1, q2),
                                chi0=lambda q1: q1,
                                jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
-    assert jet_transport_stable(jet, identity, 1.5) == \
+    q = identity.chi0(1.5)
+    jet = StableJet(dS0=0.3 * q, ddS0=0.3, S1=0.1 * q, dS1=0.1, T=2.0 + q)
+    assert jet_transport_stable(jet, identity.jet2(1.5)) == \
         pytest.approx(3.5, abs=1e-14)
 
 
 def test_jet_transport_torus_shift():
-    jet = StableJet(dS0=lambda q: 0.0, ddS0=lambda q: 0.0,
-                    S1=lambda q: 0.0, dS1=lambda q: 0.0,
-                    T=lambda q: math.cos(q), interval=(-7.0, 7.0))
+    tr = torus_shift_transition()
     q1 = 4.0
-    assert jet_transport_stable(jet, torus_shift_transition(), q1) == \
+    jet = StableJet(dS0=0.0, ddS0=0.0, S1=0.0, dS1=0.0,
+                    T=math.cos(tr.chi0(q1)))
+    assert jet_transport_stable(jet, tr.jet2(q1)) == \
         pytest.approx(math.cos(q1 - 2 * math.pi), abs=1e-14)
 
 
@@ -71,16 +69,16 @@ def test_jet_transport_polynomial_ground_truth():
         chi0=lambda q1: q1,
         jet2=lambda q1: Jet2(dchi1_dq2=0.0, dchi2_dq2=1.0 + b * q1,
                              d2chi1_dq22=2.0 * a, d2chi2_dq22=0.0))
-    jet = StableJet(dS0=lambda q: c1 + 2 * c2 * q, ddS0=lambda q: 2 * c2,
-                    S1=lambda q: c3 + c4 * q, dS1=lambda q: c4,
-                    T=lambda q: 2 * c5, interval=(-10.0, 10.0))
     for q1 in (-0.5, 0.0, 1.3):
+        q = tr.chi0(q1)
+        jet = StableJet(dS0=c1 + 2 * c2 * q, ddS0=2 * c2, S1=c3 + c4 * q,
+                        dS1=c4, T=2 * c5)
         # composition: S(chi) = c1(q1 + a q2^2) + c2(q1 + a q2^2)^2
         #   + c3 q2 (1+b q1) + c4 (q1 + a q2^2) q2 (1+b q1) + c5 q2^2 (1+b q1)^2
         # d2/dq2^2 at q2=0:
         expect = (2 * a * c1 + 4 * a * c2 * q1
                   + 2 * c5 * (1.0 + b * q1) ** 2)
-        assert jet_transport_stable(jet, tr, q1) == pytest.approx(
+        assert jet_transport_stable(jet, tr.jet2(q1)) == pytest.approx(
             expect, abs=1e-12)
 
 
@@ -89,13 +87,11 @@ def test_jet_transport_reproduces_inversion_formula():
     # 32*l1/(q1^2+4)^2 - (16/q1^4) * Tu(4/q1)
     l1, l2 = 1.0, 2.0
     m = builtin_model("neumann", [l1, l2])
-    p = loop_profile(m)
-    sol = solve_riccati(m, 5.0, opts=SolverOptions(sensitivity_check=False),
-                        profile=p)
-    jet = stable_jet_from_unstable(sol, p, r1=1)
+    sol = solve_riccati(m, 5.0, opts=SolverOptions(sensitivity_check=False))
     tr = inversion_transition()
     for q1 in np.linspace(0.9, 4.4, 20):
-        got = jet_transport_stable(jet, tr, q1)
+        jet = stable_jet_from_unstable(sol, tr.chi0(q1), r1=1)
+        got = jet_transport_stable(jet, tr.jet2(q1))
         expect = (32.0 * l1 / (q1 * q1 + 4.0) ** 2
                   - 16.0 / q1 ** 4 * sol(4.0 / q1))
         assert got == pytest.approx(expect, abs=1e-12)
@@ -118,6 +114,32 @@ def test_stable_from_reversibility_torus():
     assert Ts_hat(math.pi) == pytest.approx(-sol(math.pi), abs=1e-14)
     q1 = math.pi - 0.3
     assert Ts_hat(q1) == pytest.approx(-sol(2 * math.pi - q1), abs=1e-14)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("neumann", [1.0, 2.0]), ("pendula_identical", [0.25, -0.125]),
+    ("pendula_weak", [2.0])])
+def test_jet_slope_is_the_reversibility_slope(name, params):
+    # the two reversibility constructions give the same stable slope, bit
+    # for bit: on (eps, 2] for r1 = 1, on [-pi, -eps) for r1 = -1
+    m = builtin_model(name, params)
+    r1 = m.reversibility[0]
+    target = 2.0 if r1 == 1 else math.pi
+    sol = solve_riccati(m, target, opts=SolverOptions(sensitivity_check=False))
+    Ts, _ = stable_from_reversibility(sol, m)
+    eps = sol.epsilon_start
+    for x in np.linspace(eps, target, 13)[1:]:
+        q = r1 * float(x)
+        assert stable_jet_from_unstable(sol, q, r1).T == Ts(q)
+
+
+def test_stable_jet_outside_the_solved_interval_raises():
+    m = builtin_model("neumann", [1.0, 2.0])
+    sol = solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
+    with pytest.raises(ValueError, match="beyond the solved interval"):
+        stable_jet_from_unstable(sol, 2.5, r1=1)
+    with pytest.raises(ValueError, match="below the solved interval"):
+        stable_jet_from_unstable(sol, 1.0, r1=-1)
 
 
 def test_stable_requires_declared_reversibility():

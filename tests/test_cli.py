@@ -151,8 +151,29 @@ def test_start_beyond_cap_exit_three(capsys):
     # neumann [1, 2] starts at T0 = 2
     code = main(["transversality", "--model", "neumann", "--params",
                  "lambda1=1", "lambda2=2", "--cap", "0.3"])
-    assert "blows up" in capsys.readouterr().err
+    assert "beyond the cap" in capsys.readouterr().err
     assert code == 3
+
+
+def test_blow_up_in_flight_exit_three(capsys):
+    # on pendula_identical [0.45] the slope rises from T0 = 0.66 past 1
+    # before the matching point pi
+    code = main(["transversality", "--model", "pendula_identical",
+                 "--params", "f0=0.45", "--cap", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "q1=2.9517" in err and "q1_target" in err
+
+
+@pytest.mark.parametrize("model, params, epsilon", [
+    ("neumann", ["lambda1=1", "lambda2=2"], "5"),
+    ("pendula_identical", ["f0=0.2"], "3.5")])
+def test_start_at_or_past_matching_point_is_usage_error(capsys, model,
+                                                        params, epsilon):
+    code = main(["transversality", "--model", model, "--params", *params,
+                 "--epsilon", epsilon])
+    assert "epsilon" in capsys.readouterr().err
+    assert code == 2
 
 
 @pytest.mark.parametrize("spec", ["1.5:inf:3", "-1e308:1e308:3"])

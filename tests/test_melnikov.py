@@ -183,6 +183,11 @@ def test_case_a_regular_perturbation():
     assert perturbed_loop_verdict("A", report=tangent).verdict == "inapplicable"
 
 
+def test_case_b_needs_derivs():
+    with pytest.raises(ValueError, match="derivs"):
+        perturbed_loop_verdict("B")
+
+
 def test_case_b_degenerate_for_zero_perturbation():
     res = perturbed_loop_verdict("B", derivs=(0.0, 0.0))
     assert res.verdict == "degenerate"

@@ -115,8 +115,7 @@ def test_equation_residual_along_dense_output():
         target = 2.0 if spec[0] == "neumann" else math.pi
         sol = solve_riccati(m, target,
                             opts=SolverOptions(rtol=1e-11, atol=1e-13,
-                                               sensitivity_check=False),
-                            profile=p)
+                                               sensitivity_check=False))
         # stay clear of both ends so the difference stencil remains inside
         # the dense-output range
         qs = np.linspace(sol.epsilon_start * 40, target - 5e-4, 200)
@@ -149,7 +148,7 @@ def test_oracle_separable_zero():
 def test_forward_stability_of_target_solution():
     m = builtin_model("neumann", [1.0, 2.0])
     p = loop_profile(m)
-    ref = solve_riccati(m, 2.0, profile=p)
+    ref = solve_riccati(m, 2.0)
     for bump in (1e-4, -1e-4):
         opts = SolverOptions(sensitivity_check=False)
         terms = riccati_terms(p)
@@ -190,6 +189,27 @@ def test_start_beyond_cap_is_blow_up(monkeypatch):
         solve_riccati(m, 2.0, opts=SolverOptions(cap=0.3))
     a, b = loop_profile(m).interval
     assert exc_info.value.q1 == 1e-4 * (b - a)
+
+
+@pytest.mark.parametrize("epsilon", [1.2, 1.0])
+def test_start_at_or_past_target_raises(monkeypatch, epsilon):
+    # integrating from 1.2 back to 1 would return T(1) = T0 = 2, where the
+    # true slope is 1.378
+    m = builtin_model("neumann", [1.0, 2.0])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integrated from a start at or past the target")
+
+    monkeypatch.setattr(riccati, "solve_ivp", no_solve)
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_riccati(m, 1.0, SolverOptions(epsilon=epsilon))
+
+
+def test_solution_keeps_its_loop_profile():
+    m = builtin_model("pendula_identical", [0.2])
+    sol = solve_riccati(m, math.pi)
+    assert sol.profile.jet is m.jet
+    assert sol.profile.diagnostics["restriction_residual_max"] < 1e-6
 
 
 def test_query_beyond_target_raises():
@@ -241,21 +261,12 @@ def test_oracle_equivalence_fundamental_solution_fixture():
         return (-4 * (l2 + l1) + (l1 - l2) * q1 * q1) * q1 ** (l2 / l1)
 
     p = loop_profile(m)
-    sol = solve_riccati(m, 2.0, profile=p)
+    sol = solve_riccati(m, 2.0)
     for q1 in (0.5, 1.0, 1.7):
         dy = central_diff(y1, q1, h=1e-6)
         # q1-form slope: T = beta * dS0 * y'/(b220 * y) in the q1 variable
         T_from_y = p.beta(q1) * p.dS0(q1) * dy / (m.b220(q1) * y1(q1))
         assert sol(q1) == pytest.approx(T_from_y, rel=1e-6)
-
-
-def test_profile_of_another_model_raises():
-    m = builtin_model("pendula_identical", [0.2])
-    other = loop_profile(builtin_model("pendula_identical", [0.3]))
-    with pytest.raises(ValueError, match="another model"):
-        solve_riccati(m, math.pi, profile=other)
-    with pytest.raises(ValueError, match="another model"):
-        riccati_to_linear_oracle(m, math.pi, profile=other)
 
 
 def test_solver_calls_through_module_solve_ivp(monkeypatch):

@@ -108,15 +108,24 @@ def test_too_small_step_fails_where_scipy_does():
     assert ours.t < 1.0
 
 
-def test_backward_solve_and_dense_output_match_scipy():
+def test_forward_solve_and_dense_output_match_scipy():
     def rotation(t, y):
         return [y[1], -y[0] + 0.1 * t]
 
-    ours = rk45(rotation, (3.0, -1.0), [1.0, 0.5], 1e-10, 1e-12,
+    ours = rk45(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
                 dense_output=True)
-    ref = scipy_rk45(rotation, (3.0, -1.0), [1.0, 0.5], 1e-10, 1e-12,
+    ref = scipy_rk45(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
                      dense_output=True)
     assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
-    assert ours.t == ref.t == -1.0
+    assert ours.t == ref.t == 3.0
     for t in np.linspace(-1.0, 3.0, 41):
         assert np.max(np.abs(np.asarray(ours.sol(t)) - ref.sol(t))) <= 1e-12
+
+
+@pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0)])
+def test_span_not_forward_raises(t_span):
+    def never(_t, _y):
+        raise AssertionError("evaluated the rhs")
+
+    with pytest.raises(ValueError, match="forward"):
+        rk45(never, t_span, [1.0], 1e-9, 1e-12)
