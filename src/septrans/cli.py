@@ -13,6 +13,7 @@ quadrature).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -178,11 +179,12 @@ def cmd_riccati(args) -> int:
         "T0": sol.T0,
         "Delta": sol.Delta,
         "epsilon_start": sol.epsilon_start,
-        "startup_sensitivity": sol.diagnostics.get("startup_sensitivity", 0.0),
+        "startup_sensitivity": sol.diagnostics["startup_sensitivity"],
         "startup_sensitivity_ok": ("true" if sol.diagnostics[
             "startup_sensitivity_ok"] else "false"),
     }
-    write_curve(args, comments, ["q1", "Tu"], [(q1, sol(q1)) for q1 in grid])
+    write_curve(args, comments, ["q1", "Tu"],
+                list(zip(grid, sol(grid).tolist())))
     return 0
 
 
@@ -281,7 +283,10 @@ COMMANDS = {"validate": cmd_validate, "riccati": cmd_riccati,
             "sweep": cmd_sweep}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it as it was, so
+    every main call shares it."""
     # no prefix matching: a config entry rt = 1e-3 or a flag --to must not
     # stand for --rtol or --tol
     ap = argparse.ArgumentParser(

@@ -110,23 +110,23 @@ class RK45Result:
 
 class DenseOutput:
     """The solve's piecewise quartic interpolant, one piece per accepted
-    step.  At a breakpoint the earlier step's piece is used, and beyond
-    either end the nearest piece is extrapolated, as in scipy's
-    OdeSolution."""
+    step, on the mesh ts of the step ends (scipy's OdeSolution name).  At
+    a breakpoint the earlier step's piece is used, and beyond either end
+    the nearest piece is extrapolated, as in scipy's OdeSolution."""
 
     def __init__(self, t0: float, y0: list[float]):
         self.y0 = y0
-        self.keys = [t0]
+        self.ts = [t0]
         self.pieces: list[tuple] = []
 
     def append(self, piece: tuple, t_end: float) -> None:
         self.pieces.append(piece)
-        self.keys.append(t_end)
+        self.ts.append(t_end)
 
     def __call__(self, t: float) -> list[float]:
         if not self.pieces:
             return list(self.y0)
-        i = bisect_left(self.keys, t) - 1
+        i = bisect_left(self.ts, t) - 1
         return _quartic(self.pieces[min(max(i, 0), len(self.pieces) - 1)], t)
 
 

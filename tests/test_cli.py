@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from septrans.cli import main
+from septrans.cli import build_parser, main
 from septrans.numerics import parse_grid
 
 
@@ -138,6 +138,19 @@ def test_riccati_reports_startup_sensitivity_ok(capsys):
     code, out = run(capsys, *args, "--format", "json")
     assert code == 0
     assert json.loads(out)["comments"]["startup_sensitivity_ok"] == "true"
+
+
+def test_riccati_reports_startup_sensitivity_not_ok(capsys):
+    # on pendula_identical [0.35, 0.1] the start-up error reaches the
+    # matching point at 4e-4, above 100 rtol
+    args = ("riccati", "--model", "pendula_identical", "--params", "f0=0.35",
+            "f1=0.1", "--grid", "0:3:4")
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert "# startup_sensitivity_ok = false" in out.splitlines()
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["comments"]["startup_sensitivity_ok"] == "false"
 
 
 def test_riccati_blow_up_exit_three(capsys):
@@ -360,6 +373,25 @@ def test_abbreviated_flag_is_usage_error(capsys, flag):
                     "--params", "lambda1=1", "lambda2=2", *flag)
     assert code == 2
     assert out == ""
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(NEUMANN_INI + "[solver]\nrtol = 1e-7\n"
+                   "[output]\nformat = json\n")
+    runs = [("riccati", "--config", str(cfg), "--grid", "0:2:3"),
+            ("riccati", "--model", "neumann", "--params", "lambda1=0.5",
+             "lambda2=0.6", "--grid", "0:2:3"),
+            ("riccati", "--params", "lambda1=1", "lambda2=2"),
+            ("validate", "--model", "pendula_weak", "--params", "lam=2")]
+    first = []
+    for argv in runs:
+        build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in runs] == first
+    assert [code for code, _out in first] == [0, 0, 2, 0]
 
 
 def test_config_params_merge_with_flags(tmp_path, capsys):

@@ -158,6 +158,50 @@ def test_forward_stability_of_target_solution():
         assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6
 
 
+def resolve_spread(sol, opts, stable=False):
+    """|T(target)| spread of two solves started 10 epsilon above and below
+    sol's start value, the first variation's finite-difference reference."""
+    terms = riccati_terms(sol.profile)
+    eps, target = sol.epsilon_start, sol.q1_target
+    ends = [_integrate(terms, eps, target, sol(0.0) + shift, opts,
+                       stable).sol(target)[0]
+            for shift in (10.0 * eps, -10.0 * eps)]
+    return abs(ends[0] - ends[1])
+
+
+@pytest.mark.parametrize("name, params, stable", [
+    ("pendula_identical", [0.2, 0.05], False),
+    ("pendula_identical", [0.35, 0.1], False),
+    ("pendula_identical", [0.05, -0.02], False),
+    ("neumann", [0.5, 0.6], False),
+    ("pendula_identical", [0.2, 0.05], True)])
+def test_startup_sensitivity_is_the_first_variation(name, params, stable):
+    # where the start-up error really propagates, the quadrature along the
+    # plain solve gives the spread of two tightly solved perturbed starts
+    m = builtin_model(name, params)
+    sol = solve_riccati(m, m.matching[0], stable=stable)
+    ref = resolve_spread(sol, SolverOptions(rtol=1e-12, atol=5e-14,
+                                            sensitivity_check=False), stable)
+    assert sol.diagnostics["startup_sensitivity"] == pytest.approx(ref,
+                                                                   rel=0.01)
+    assert sol.diagnostics["n_sensitivity_evaluations"] == (
+        5 * sol.diagnostics["n_steps"])
+
+
+@pytest.mark.parametrize("name, params", [("neumann", [1.2, 3.0]),
+                                          ("pendula_weak", [2.5])])
+def test_startup_sensitivity_leaves_out_the_solve_error(name, params):
+    # here the start-up error is contracted below the floats' spacing: two
+    # perturbed re-solves at the solve's own tolerance differ by their
+    # discretisation error alone (at rtol 1e-12 on neumann [1.2, 3], by
+    # exactly 0), which the first variation does not contain
+    m = builtin_model(name, params)
+    sol = solve_riccati(m, m.matching[0])
+    ref = resolve_spread(sol, SolverOptions(sensitivity_check=False))
+    assert sol.diagnostics["startup_sensitivity_ok"]
+    assert sol.diagnostics["startup_sensitivity"] < ref
+
+
 def test_epsilon_robustness():
     m = builtin_model("neumann", [1.0, 2.0])
     a = solve_riccati(m, 2.0, opts=SolverOptions(epsilon=8e-4,
@@ -289,3 +333,19 @@ def test_solver_calls_through_module_solve_ivp(monkeypatch):
     monkeypatch.setattr(riccati, "solve_ivp", counting)
     assert run() == plain
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_one_solve_with_or_without_sensitivity_check(monkeypatch, check):
+    m = builtin_model("pendula_identical", [0.2, 0.05])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = riccati.solve_ivp
+    monkeypatch.setattr(riccati, "solve_ivp", counting)
+    sol = solve_riccati(m, math.pi, opts=SolverOptions(sensitivity_check=check))
+    assert len(calls) == 1
+    assert ("startup_sensitivity" in sol.diagnostics) == check
