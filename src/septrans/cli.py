@@ -2,7 +2,8 @@
 
 Subcommands: validate | riccati | transversality | melnikov | sweep.
 Curves are emitted as comma-separated tables (17 significant digits,
-'#'-comment lines for scalar metadata); reports as JSON documents.
+'#'-comment lines for scalar metadata); reports as JSON documents, in
+which a non-finite number is null.
 Every setting is a flag of one argparse parser: a --config file stands
 for the flags its entries name, so it gets the same checks (see main).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
@@ -127,13 +128,30 @@ def write_table(stream, comments: dict, header: list[str], rows) -> None:
         stream.write(",".join(FMT % x for x in row) + "\n")
 
 
+def _finite_or_null(v):
+    """v with every non-finite float in it replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
+def write_json(stream, doc) -> None:
+    """doc as one strict JSON document: nan and inf, which JSON has no
+    token for, are written null."""
+    json.dump(_finite_or_null(doc), stream, indent=2, allow_nan=False)
+    stream.write("\n")
+
+
 def write_curve(args, comments: dict, header: list[str], rows) -> None:
     """A curve as a table, or as one JSON document with --format json."""
     with _output(args) as stream:
         if args.format == "json":
-            json.dump({"comments": comments, "header": header, "rows": rows},
-                      stream, indent=2)
-            stream.write("\n")
+            write_json(stream, {"comments": comments, "header": header,
+                                "rows": rows})
         else:
             write_table(stream, comments, header, rows)
 
@@ -158,8 +176,7 @@ def cmd_validate(args) -> int:
            "checks": entries}
     with _output(args) as stream:
         if args.format != "csv":
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
+            write_json(stream, doc)
         else:
             for e in entries:
                 stream.write("%s,%s,%s\n" % (e["name"],
@@ -205,9 +222,8 @@ def cmd_transversality(args) -> int:
                           report.tol)])
             stream.write("# verdict = %s\n" % report.verdict)
         else:
-            json.dump({"model": args.model, "params": args.params,
-                       **report.as_dict()}, stream, indent=2)
-            stream.write("\n")
+            write_json(stream, {"model": args.model, "params": args.params,
+                                **report.as_dict()})
     return 0
 
 

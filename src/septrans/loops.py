@@ -13,7 +13,8 @@ q1' = beta(q1) * dS0(q1).
 
 A profile is evaluated through one function, its point: point(q1) returns
 the model's jet at q1 together with beta, dS0, S1 and dS1 there, from one
-jet evaluation.  The profile's four functions read it.
+jet evaluation.  The profile's four functions read it.  Like the jet, it
+takes a float or a 1-D ndarray q1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+# np.ndarray is a slow lookup (numpy's module __getattr__), and the float
+# path tests its input against it per call
+from numpy import ndarray
+
 from .models import CoefficientJet, HamiltonianModel, loop_momenta
 
 
@@ -29,13 +35,23 @@ class LoopConstructionError(ValueError):
     """The model admits no orbit on q2 = 0 (or V1 is inconsistent with it)."""
 
 
-def _loop_point(jet: Callable[[float], CoefficientJet], q1: float) -> tuple:
+def _no_loop(rad: float, q1: float) -> LoopConstructionError:
+    return LoopConstructionError(
+        "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
+
+
+def _loop_point(jet: Callable[..., CoefficientJet], q1) -> tuple:
     c = jet(q1)
     beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
-    if ds0 != ds0:
-        raise LoopConstructionError(
-            "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g"
-            % (-2.0 * c.V0 / beta, q1))
+    if isinstance(q1, ndarray):
+        # the first point without a loop, in the order of q1
+        bad = np.flatnonzero(np.isnan(np.broadcast_to(ds0, q1.shape)))
+        if bad.size:
+            i = bad[0]
+            raise _no_loop(np.broadcast_to(-2.0 * c.V0 / beta, q1.shape)[i],
+                           q1[i])
+    elif ds0 != ds0:
+        raise _no_loop(-2.0 * c.V0 / beta, q1)
     return c, beta, ds0, s1, c.dS1
 
 
@@ -45,7 +61,8 @@ class LoopProfile:
 
     jet is the jet of the model the profile was built from, and point(q1)
     the loop point there, the tuple (c, beta, dS0, S1, dS1) of the jet c at
-    q1 and the profiles at q1, from one jet evaluation.
+    q1 and the profiles at q1, from one jet evaluation.  On an ndarray q1
+    a point without a loop raises for the first such entry.
     """
     jet: Callable[[float], CoefficientJet] = field(repr=False, compare=False)
     interval: tuple[float, float]
@@ -80,14 +97,12 @@ def loop_profile(model: HamiltonianModel) -> LoopProfile:
     profile = LoopProfile(model.jet, (a, b))
 
     # consistency of V1 with the rest of the model, checked on the interior
-    worst = 0.0
     margin = 1e-3 * (b - a)
-    for i in range(1, 200):
-        q1 = a + margin + (b - a - 2 * margin) * i / 200
-        c, beta, ds0, _s1, ds1 = profile.point(q1)
-        r = ds1 * beta * ds0 + c.V1
-        worst = max(worst, abs(r))
-    if worst > 1e-6:
+    q1 = a + margin + (b - a - 2 * margin) * np.arange(1, 200) / 200
+    c, beta, ds0, _s1, ds1 = profile.point(q1)
+    worst = float(np.max(np.abs(ds1 * beta * ds0 + c.V1)))
+    # a nan residual fails too
+    if not worst <= 1e-6:
         raise LoopConstructionError(
             "inconsistent V1: restriction residual %.3g > 1e-6" % worst)
     profile.diagnostics["restriction_residual_max"] = worst

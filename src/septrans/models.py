@@ -15,6 +15,11 @@ profile) and b220', the two derivatives the Riccati solver and its oracle
 need.  The nine coefficient fields are views of the jet.  The saddle checks
 also read V0'(0), V1'(0) and V0''(0), which a model carries as its saddle.
 
+q1 is a float or a 1-D ndarray.  On a float the jet returns floats (the
+slope solve steps one point at a time); on an ndarray each entry is an
+array of q1's shape, or a constant that broadcasts against it, so a grid
+known in advance costs one call.  A jet given to from_jet must accept both.
+
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
 ("pendula_identical"), and two pendula with different frequencies coupled
@@ -30,6 +35,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+# np.ndarray is a slow lookup (numpy's module __getattr__), and the float
+# path tests its input against it per call
+from numpy import ndarray
 
 from .numerics import central_diff, second_diff
 
@@ -39,7 +47,8 @@ COEFF_NAMES = ("b110", "b120", "b220", "b112", "b122", "b222", "V0", "V1", "Y")
 
 
 class CoefficientJet(NamedTuple):
-    """The nine coefficients at one q1, then S1' and b220' there."""
+    """The nine coefficients at q1, then S1' and b220' there: floats at a
+    float q1, arrays (or constants) at an ndarray q1."""
     b110: float
     b120: float
     b220: float
@@ -68,13 +77,18 @@ class JetView:
 def loop_momenta(b110: float, b120: float, b220: float,
                  V0: float) -> tuple[float, float, float]:
     """(beta, dS0, S1) of the zero-energy orbit on q2 = 0 from the
-    coefficients at one point (see septrans.loops).
+    coefficients at one point, or elementwise on arrays (see
+    septrans.loops).
 
     beta = det B0 / b220, dS0 = sqrt(-2 V0 / beta), S1 = -(b120 / b220) dS0.
     dS0 and S1 are nan where -2 V0 / beta < 0, where no loop passes.
     """
     beta = (b110 * b220 - b120 * b120) / b220
     rad = -2.0 * V0 / beta
+    if isinstance(rad, ndarray):
+        ds0 = np.sqrt(np.where(rad < 0.0,
+                               np.where(rad <= -1e-14, np.nan, 0.0), rad))
+        return beta, ds0, -(b120 / b220) * ds0
     if rad < 0.0:
         if rad <= -1e-14:
             return beta, math.nan, math.nan
@@ -181,7 +195,8 @@ class HamiltonianModel:
     @classmethod
     def from_jet(cls, jet: Callable[[float], CoefficientJet],
                  saddle: tuple[float, float, float] | None, **kwargs):
-        """A model whose nine fields are views of jet."""
+        """A model whose nine fields are views of jet, which takes a float
+        or a 1-D ndarray q1 (see the module docstring)."""
         return cls(**{c: JetView(jet, i) for i, c in enumerate(COEFF_NAMES)},
                    saddle=saddle, jet=jet, **kwargs)
 
@@ -193,11 +208,12 @@ class HamiltonianModel:
 def _assembled_jet(model: HamiltonianModel
                    ) -> Callable[[float], CoefficientJet]:
     """The jet of a model given by its fields: each field is called once per
-    point, and S1' and b220' come by fourth-order differences.  S1' takes
-    one step, 1e-4 of the domain, which outgrows the cancellation of fields
-    such as cos(q1) - 1 near the saddle: a central stencil where it fits in
-    the domain, else a one-sided stencil inside it, since S1 behaves like
-    |q1 - a| at an end a where V0 vanishes."""
+    point (an ndarray q1 one element at a time), and S1' and b220' come by
+    fourth-order differences.  S1' takes one step, 1e-4 of the domain,
+    which outgrows the cancellation of fields such as cos(q1) - 1 near the
+    saddle: a central stencil where it fits in the domain, else a
+    one-sided stencil inside it, since S1 behaves like |q1 - a| at an end
+    a where V0 vanishes."""
     fields = tuple(getattr(model, c) for c in COEFF_NAMES)
     a, b = model.domain
 
@@ -214,7 +230,9 @@ def _assembled_jet(model: HamiltonianModel
         return (-25 * s1(q1) + 48 * s1(q1 + s) - 36 * s1(q1 + 2 * s)
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
-    def jet(q1: float) -> CoefficientJet:
+    def jet(q1) -> CoefficientJet:
+        if isinstance(q1, ndarray):
+            return CoefficientJet(*np.array([jet(q) for q in q1.tolist()]).T)
         return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
                               model.derivative("b220", q1))
 
@@ -300,11 +318,12 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     """
     entries: list[CheckEntry] = []
     a, b = model.domain
-    grid = [a + (b - a) * i / 256 for i in range(257)]
-    jets = [model.jet(q1) for q1 in grid]
+    grid = a + (b - a) * np.arange(257) / 256
+    jets = CoefficientJet(*(np.broadcast_to(v, grid.shape)
+                            for v in model.jet(grid)))
 
-    worst_b11 = min(c.b110 for c in jets)
-    worst_det = min(c.b110 * c.b220 - c.b120 * c.b120 for c in jets)
+    worst_b11 = float(np.min(jets.b110))
+    worst_det = float(np.min(jets.b110 * jets.b220 - jets.b120 * jets.b120))
     ok = worst_b11 > 0 and worst_det > 0
     entries.append(CheckEntry(
         "kinetic_positive_definite", ok,
@@ -330,17 +349,17 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     # interior excludes a margin near the endpoints where V0 vanishes
     margin = 1e-3 * (b - a)
     lo, hi = a + margin, (b - margin if model.periodic else b)
-    worst_v0 = max((c.V0 for q1, c in zip(grid, jets) if lo < q1 < hi),
-                   default=-math.inf)
+    worst_v0 = float(np.max(jets.V0[(lo < grid) & (grid < hi)],
+                            initial=-math.inf))
     entries.append(CheckEntry(
         "potential_negative_on_interior", worst_v0 < 0,
         "max interior V0=%.3g" % worst_v0, worst_v0))
 
     if model.periodic:
         n = len(COEFF_NAMES)
-        worst = max(abs(x - y) for i in range(0, len(grid), 3)
-                    for x, y in zip(model.jet(grid[i] + 2 * math.pi)[:n],
-                                    jets[i][:n]))
+        shifted = model.jet(grid[::3] + 2 * math.pi)
+        worst = max(float(np.max(np.abs(x - y[::3])))
+                    for x, y in zip(shifted[:n], jets[:n]))
         entries.append(CheckEntry(
             "coefficients_2pi_periodic", worst < 1e-10,
             "max |f(q1+2pi)-f(q1)|=%.2e" % worst, worst))
@@ -360,6 +379,7 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         raise ConstructionError("neumann requires 0 < lambda1 < lambda2")
     l1s, l2s = lambda1 * lambda1, lambda2 * lambda2
 
+    # arithmetic alone, so a float and an ndarray q1 take the same code
     def jet(q1):
         a = 4.0 + q1 * q1
         a2 = a ** 2
@@ -381,13 +401,15 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         matching=(2.0, inversion_transition()))
 
 
-def _cosine_poly(coeffs: Sequence[float]) -> ScalarFn:
+def _cosine_poly(coeffs: Sequence[float]) -> Callable:
+    """f(q1, m) = sum of c_k cos(k q1) by m.cos: m is math for a float q1,
+    numpy for an ndarray."""
     terms = tuple(enumerate(float(c) for c in coeffs))
 
-    def f(q1: float) -> float:
+    def f(q1, m=math):
         total = 0
         for k, c in terms:
-            total += c * math.cos(k * q1)
+            total += c * m.cos(k * q1)
         return total
 
     return f
@@ -403,14 +425,15 @@ def _pendula_identical(f_coeffs: Sequence[float],
             "pendula_identical requires 0 <= f(0) < 1/2, got f(0)=%g" % f0)
 
     def jet(q1):
-        cos_q = math.cos(q1)
+        m = np if isinstance(q1, ndarray) else math
+        cos_q = m.cos(q1)
         return CoefficientJet(
             1.0, -1.0, 2.0,                                 # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
             2.0 * (cos_q - 1.0),                            # V0
-            -math.sin(q1),                                  # V1
-            cos_q - f(q1),                                  # Y
-            math.cos(q1 / 2.0), 0.0)                        # S1' b220'
+            -m.sin(q1),                                     # V1
+            cos_q - f(q1, m),                               # Y
+            m.cos(q1 / 2.0), 0.0)                           # S1' b220'
 
     # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0
     return HamiltonianModel.from_jet(
@@ -494,14 +517,39 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
     h, dh, h_h1, h_jet = _weak_h_funcs(lam)
+    two_pi = 2.0 * math.pi
+
+    def h_jet_array(q1: np.ndarray):
+        # h_jet on an ndarray: h and h' from h and dh, and h'' by h_jet's
+        # branches elementwise, the far branch's quotients evaluated
+        # everywhere and discarded where d < 1e-5
+        hh, h1 = h(q1), dh(q1)
+        sin_h2, cos_h2 = np.sin(hh / 2.0), np.cos(hh / 2.0)
+        r = q1 - np.floor(q1 / two_pi) * two_pi
+        d = np.minimum(r, two_pi - r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1 = np.sin(q1 / 2.0)
+            far = (lam / 2.0) * (h1 * cos_h2
+                                 - sin_h2 * np.cos(q1 / 2.0) / s1) / s1
+            if lam == 1.0:
+                near = 0.0
+            else:
+                sign = np.where(r <= math.pi, 1.0, -1.0)
+                near = np.where(
+                    (d == 0.0) & (lam < 2.0), math.nan,
+                    sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam)
+                    * d ** (lam - 2.0))
+        return hh, h1, np.where(d >= 1e-5, far, near), sin_h2, cos_h2
 
     def jet(q1):
-        hh, h1, h2, _sin_h2, cos_h2 = h_jet(q1)
-        sin_h, cos_h = math.sin(hh), math.cos(hh)
+        array = isinstance(q1, ndarray)
+        m = np if array else math
+        hh, h1, h2, _sin_h2, cos_h2 = (h_jet_array if array else h_jet)(q1)
+        sin_h, cos_h = m.sin(hh), m.cos(hh)
         return CoefficientJet(
             1.0, -h1, 1.0 + h1 ** 2,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
-            (math.cos(q1) - 1.0) + lsq * (cos_h - 1.0),     # V0
+            (m.cos(q1) - 1.0) + lsq * (cos_h - 1.0),        # V0
             -lsq * sin_h,                                   # V1
             lsq * cos_h,                                    # Y
             lam * h1 * cos_h2, 2.0 * h1 * h2)               # S1' b220'

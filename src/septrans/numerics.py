@@ -9,6 +9,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+# np.ndarray is a slow lookup (numpy's module __getattr__), and the float
+# path tests its input against it per call
+from numpy import ndarray
+
 
 def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
     """First derivative by the 4th-order central stencil.
@@ -112,7 +117,12 @@ class DenseOutput:
     """The solve's piecewise quartic interpolant, one piece per accepted
     step, on the mesh ts of the step ends (scipy's OdeSolution name).  At
     a breakpoint the earlier step's piece is used, and beyond either end
-    the nearest piece is extrapolated, as in scipy's OdeSolution."""
+    the nearest piece is extrapolated, as in scipy's OdeSolution.
+
+    Called at a float t it returns the state as a list; at a 1-D ndarray t,
+    an array of shape (len(y0), len(t)), OdeSolution's layout, whose
+    columns equal the calls at each t bit for bit (the same quartic in
+    the same order of operations)."""
 
     def __init__(self, t0: float, y0: list[float]):
         self.y0 = y0
@@ -123,11 +133,31 @@ class DenseOutput:
         self.pieces.append(piece)
         self.ts.append(t_end)
 
-    def __call__(self, t: float) -> list[float]:
+    def __call__(self, t):
+        if isinstance(t, ndarray):
+            return self._at_array(t)
         if not self.pieces:
             return list(self.y0)
         i = bisect_left(self.ts, t) - 1
         return _quartic(self.pieces[min(max(i, 0), len(self.pieces) - 1)], t)
+
+    def _at_array(self, s: np.ndarray) -> np.ndarray:
+        if not self.pieces:
+            return np.repeat(np.array(self.y0, dtype=float)[:, None], len(s),
+                             axis=1)
+        t, h, y, Q = zip(*self.pieces)
+        i = np.clip(np.searchsorted(self.ts, s, side="left") - 1, 0,
+                    len(t) - 1)
+        h = np.array(h)[i]
+        # _quartic on every point: y (components, points), Q's four
+        # coefficients each of that shape
+        y = np.array(y)[i].T
+        q1, q2, q3, q4 = np.array(Q)[i].transpose(2, 1, 0)
+        x = (s - np.array(t)[i]) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
 
 
 def _rms(v: list[float]) -> float:

@@ -451,6 +451,13 @@ def test_sweep_ordered_output(tmp_path, capsys):
         assert Tu == pytest.approx((b - 1.0 / b) / 2.0, abs=1e-8)
 
 
+def strict_json(text: str):
+    """text parsed as strict JSON, which has no NaN or Infinity token."""
+    def non_finite(token):
+        raise ValueError("non-JSON token %s" % token)
+    return json.loads(text, parse_constant=non_finite)
+
+
 def test_sweep_json_is_the_table_as_one_document(tmp_path, capsys):
     args = ("sweep", "--model", "pendula_identical", "--params", "f1=-0.1",
             "--sweep", "f0=0.05:0.4:3")
@@ -462,7 +469,36 @@ def test_sweep_json_is_the_table_as_one_document(tmp_path, capsys):
     comments, header, rows = read_table(str(csv_file))
     assert doc["header"] == header
     assert set(doc["comments"]) == set(comments)
-    assert np.array_equal(np.array(doc["rows"]), rows, equal_nan=True)
+    # the failed row's nan is null in JSON and nan in the table
+    assert np.array_equal(np.array(doc["rows"], dtype=float), rows,
+                          equal_nan=True)
+
+
+def test_sweep_json_failed_row_is_strict_json(capsys):
+    # f0 = 0.6 breaks the saddle hypothesis; its row is null in JSON
+    code, out = run(capsys, "sweep", "--model", "pendula_identical",
+                    "--sweep", "f0=0.3:0.6:3", "--format", "json")
+    assert code == 2
+    rows = strict_json(out)["rows"]
+    assert rows[-1] == [0.6, None, None, None, None]
+    assert all(None not in row for row in rows[:-1])
+
+
+def test_validate_json_failed_loop_is_strict_json(capsys, monkeypatch):
+    # no built-in fails the loop construction, so stand one in for it
+    from septrans import cli
+    from septrans.loops import LoopConstructionError
+
+    def no_loop(model):
+        raise LoopConstructionError("no loop on q2=0")
+
+    monkeypatch.setattr(cli, "loop_profile", no_loop)
+    code, out = run(capsys, "validate", "--model", "neumann",
+                    "--params", "lambda1=1", "lambda2=2")
+    assert code == 1
+    entry = strict_json(out)["checks"][-1]
+    assert entry["name"] == "loop_restriction_residual"
+    assert (entry["passed"], entry["worst"]) == (False, None)
 
 
 def test_sweep_keeps_going_past_a_failed_point(tmp_path, capsys):

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from septrans.loops import (LoopConstructionError, loop_profile,
-                            restriction_residual)
+from septrans.loops import (LoopConstructionError, LoopProfile,
+                            loop_profile, restriction_residual)
 from septrans.models import HamiltonianModel, builtin_model
 from septrans.riccati import riccati_terms
 
@@ -75,20 +75,56 @@ def test_corrupted_v1_detected():
     bad = replace(base, V1=lambda q1: -math.sin(q1) + 0.1)
     p = loop_profile(base)
     assert restriction_residual(p, bad, 1.0) == pytest.approx(0.1, abs=1e-10)
-    with pytest.raises(LoopConstructionError, match="inconsistent V1"):
+    with pytest.raises(LoopConstructionError) as exc:
         loop_profile(bad)
+    assert str(exc.value) == "inconsistent V1: restriction residual 0.1 > 1e-6"
 
 
-def test_no_loop_for_positive_potential():
+def positive_potential_model():
     one = lambda q1: 1.0
     zero = lambda q1: 0.0
-    m = HamiltonianModel(
+    return HamiltonianModel(
         b110=one, b120=zero, b220=one, b112=zero, b122=zero, b222=zero,
         V0=lambda q1: q1 * q1 * (1.0 - q1), V1=zero, Y=one,
         domain=(0.0, 2.0))
-    with pytest.raises(LoopConstructionError, match="no loop"):
-        p = loop_profile(m)
-        p.dS0(0.5)
+
+
+def test_no_loop_for_positive_potential():
+    # V0 > 0 on (0, 1): the check grid's first point already has no loop
+    with pytest.raises(LoopConstructionError) as exc:
+        loop_profile(positive_potential_model())
+    assert str(exc.value) == ("no loop on q2=0: -2*V0/beta = -0.000283602 "
+                              "< 0 at q1=0.01198")
+
+
+def test_point_on_an_array_names_its_first_point_without_a_loop():
+    m = positive_potential_model()
+    p = LoopProfile(m.jet, m.domain)
+    q1 = np.array([1.5, 0.5, 0.2, 1.2])
+    with pytest.raises(LoopConstructionError) as exc:
+        p.point(q1)
+    # the message of the scalar call at q1 = 0.5, not at the smaller 0.2
+    with pytest.raises(LoopConstructionError) as first:
+        p.point(0.5)
+    assert str(exc.value) == str(first.value)
+    assert "at q1=0.5" in str(exc.value)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("neumann", [1.3, 2.4]), ("pendula_identical", [0.25, -0.125]),
+    ("pendula_weak", [2.0]), ("pendula_weak", [1.5])])
+def test_point_on_an_array_is_the_points_at_each_entry(name, params):
+    m = builtin_model(name, params)
+    p = loop_profile(m)
+    q1 = np.linspace(0.01, m.domain[1] - 0.01, 37)
+    c, *profiles = p.point(q1)
+    pointwise = [p.point(q) for q in q1.tolist()]
+    # numpy's transcendental functions may differ from math's by ulps:
+    # within 1e-14 of each profile's size
+    for got, want in zip(profiles, zip(*[pt[1:] for pt in pointwise])):
+        scale = np.max(np.abs(want))
+        assert np.allclose(np.broadcast_to(got, q1.shape), want,
+                           rtol=1e-14, atol=1e-14 * scale)
 
 
 def test_inner_time_neumann_exponential():

@@ -313,10 +313,10 @@ def test_assembled_jet_keeps_the_tangent_verdict():
 
 
 @st.composite
-def admissible_points(draw):
-    """A built-in from the boxes of test_acceptance.random_admissible_sets,
-    and a point inside its loop."""
-    name = draw(st.sampled_from([n for n, _ in BUILTINS]))
+def admissible_models(draw, name=None):
+    """A built-in (name, or any) from the boxes of
+    test_acceptance.random_admissible_sets."""
+    name = name or draw(st.sampled_from([n for n, _ in BUILTINS]))
     if name == "neumann":
         l1 = draw(st.floats(0.5, 2.0))
         params = [l1, l1 * draw(st.floats(1.1, 4.0))]
@@ -325,7 +325,13 @@ def admissible_points(draw):
         params = [f0, draw(st.floats(-0.4, 0.4)) * f0]
     else:
         params = [draw(st.floats(1.5, 3.5))]
-    m = builtin_model(name, params)
+    return builtin_model(name, params)
+
+
+@st.composite
+def admissible_points(draw):
+    """A built-in from the acceptance boxes and a point inside its loop."""
+    m = draw(admissible_models())
     return m, draw(st.floats(0.1, m.domain[1] - 0.1))
 
 
@@ -338,3 +344,129 @@ def test_jet_derivatives_match_central_differences(point):
                                   rel=1e-7, abs=1e-7)
     assert c.db220 == pytest.approx(central_diff(m.b220, q1),
                                     rel=1e-7, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the jet on an ndarray against its calls one point at a time
+
+
+@st.composite
+def grids(draw, m):
+    """Points for m's jet: its domain, and for a periodic model the next
+    period too (the periodicity check reads it), with the saddle, the
+    matching point, the ends and the points near the ends where
+    pendula_weak's h switches to its power limits."""
+    a, b = m.domain
+    hi = b + (b - a if m.periodic else 0.0)
+    marked = [a, b, hi, m.matching[0], 5e-6, b - 5e-6, b + 5e-6, 1e-5]
+    q1 = draw(st.lists(st.floats(a, hi) | st.sampled_from(marked),
+                       min_size=1, max_size=40))
+    return np.array(q1)
+
+
+def assert_array_jet_is_pointwise(m, q1, close):
+    arr = m.jet(q1)
+    pointwise = [m.jet(q) for q in q1.tolist()]
+    for name, got, want in zip(CoefficientJet._fields, arr, zip(*pointwise)):
+        got = np.broadcast_to(got, q1.shape)
+        want = np.array(want, dtype=float)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        finite = ~np.isnan(want)
+        close(name, got[finite], want[finite])
+
+
+def field_scale(m):
+    """Each jet entry's largest finite magnitude over m's domain."""
+    c = m.jet(np.linspace(*m.domain, 257))
+    return {name: np.nanmax(np.abs(np.broadcast_to(v, (257,))))
+            for name, v in zip(CoefficientJet._fields, c)}
+
+
+def within_ulps_of_math(m):
+    """numpy's transcendental functions may differ from math's by an ulp:
+    agreement within 1e-14 of the entry's size on the domain."""
+    scale = field_scale(m)
+
+    def close(name, got, want):
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-14 * np.maximum(np.abs(want), scale[name])), \
+            (name, err.max())
+
+    return close
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_neumann_array_jet_within_two_ulps(data):
+    # the jet is arithmetic alone, but a ** 2 on a float is libm's pow,
+    # which misrounds about 1 square in 1,300, where numpy squares exactly:
+    # b110 and b220 differ by at most an ulp there, V0 and Y by two
+    m = data.draw(admissible_models("neumann"))
+    q1 = data.draw(grids(m))
+
+    def close(name, got, want):
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+    assert_array_jet_is_pointwise(m, q1, close)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pendula_array_jets_match_pointwise(data):
+    m = data.draw(admissible_models(
+        data.draw(st.sampled_from(["pendula_identical", "pendula_weak"]))))
+    assert_array_jet_is_pointwise(m, data.draw(grids(m)),
+                                  within_ulps_of_math(m))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.4])
+def test_pendula_weak_array_jet_near_the_saddle(lam):
+    # every branch of h'': the quotient, the power limit, lam = 1 and the
+    # nan at the saddle itself
+    m = builtin_model("pendula_weak", [lam])
+    q1 = np.array([0.0, 1e-7, 5e-6, 1e-5, 2e-5, math.pi,
+                   2 * math.pi - 5e-6, 2 * math.pi, 2 * math.pi + 5e-6])
+    assert_array_jet_is_pointwise(m, q1, within_ulps_of_math(m))
+    # h'' is unbounded at the saddle for 1 < lam < 2
+    assert np.isnan(m.jet(q1).db220[0]) == (1.0 < lam < 2.0)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_assembled_array_jet_is_its_pointwise_calls(data):
+    # the fields of a model given by its fields may take floats only: the
+    # assembled jet maps an array one point at a time
+    m = rebuilt(data.draw(admissible_models()))
+
+    def same(name, got, want):
+        assert np.array_equal(got, want), name
+
+    assert_array_jet_is_pointwise(m, data.draw(grids(m)), same)
+
+
+def pointwise(m):
+    """m with a jet that maps an array through m's float jet one point at
+    a time: the reference for the checks' array calls."""
+    def jet(q1):
+        if isinstance(q1, np.ndarray):
+            return CoefficientJet(*np.array([m.jet(q) for q in q1.tolist()]).T)
+        return m.jet(q1)
+
+    return HamiltonianModel.from_jet(
+        jet, m.saddle, domain=m.domain, periodic=m.periodic,
+        reversibility=m.reversibility, name=m.name, params=m.params,
+        matching=m.matching)
+
+
+@pytest.mark.parametrize("name,params", BUILTINS + [
+    ("pendula_identical", [0.6]), ("pendula_weak", [1.5])])
+def test_array_checks_match_pointwise_checks(name, params):
+    m = builtin_model(name, params, strict=False)
+    ref = pointwise(m)
+    for e, f in zip(validate_hypotheses(m).entries,
+                    validate_hypotheses(ref).entries):
+        assert (e.name, e.passed) == (f.name, f.passed)
+        assert e.worst == pytest.approx(f.worst, rel=1e-14, abs=1e-300)
+    residual = [loop_profile(x).diagnostics["restriction_residual_max"]
+                for x in (m, ref)]
+    assert residual[0] == pytest.approx(residual[1], abs=1e-14)

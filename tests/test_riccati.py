@@ -188,6 +188,30 @@ def test_startup_sensitivity_is_the_first_variation(name, params, stable):
         5 * sol.diagnostics["n_steps"])
 
 
+@pytest.mark.parametrize("name, params, stable", [
+    ("neumann", [1.2, 3.0], False), ("pendula_identical", [0.35, 0.1], False),
+    ("pendula_identical", [0.2, 0.05], True), ("pendula_weak", [2.5], False),
+    ("pendula_weak", [1.5], False)])
+def test_startup_quadrature_is_the_sum_over_its_nodes(name, params, stable):
+    # one terms call and one dense call on all nodes give the quadrature
+    # node by node, Gauss-Legendre on each accepted step
+    m = builtin_model(name, params)
+    sol = solve_riccati(m, m.matching[0], stable=stable)
+    terms, dense = riccati_terms(sol.profile), sol._dense
+    sgn2 = -2.0 if stable else 2.0
+    integral = 0.0
+    for a, b in zip(dense.ts[:-1], dense.ts[1:]):
+        for x, w in zip(riccati._GAUSS5_X.tolist(),
+                        riccati._GAUSS5_W.tolist()):
+            q1 = 0.5 * (a + b) + 0.5 * (b - a) * x
+            q1dot, _alpha, _beta, delta, b220, _db220 = terms(q1)
+            integral += 0.5 * (b - a) * w * (
+                2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
+    assert riccati._startup_propagation(terms, dense, stable) == (
+        pytest.approx(math.exp(-integral), rel=1e-12),
+        5 * (len(dense.ts) - 1))
+
+
 @pytest.mark.parametrize("name, params", [("neumann", [1.2, 3.0]),
                                           ("pendula_weak", [2.5])])
 def test_startup_sensitivity_leaves_out_the_solve_error(name, params):

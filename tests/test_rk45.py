@@ -129,3 +129,51 @@ def test_span_not_forward_raises(t_span):
 
     with pytest.raises(ValueError, match="forward"):
         rk45(never, t_span, [1.0], 1e-9, 1e-12)
+
+
+def rotation_solves():
+    def rotation(t, y):
+        return [y[1], -y[0] + 0.1 * t]
+
+    return [solver(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
+                   dense_output=True).sol for solver in (rk45, scipy_rk45)]
+
+
+def probe_times(sol, beyond):
+    """Random points, every breakpoint, and points the distances beyond
+    either end."""
+    rng = np.random.default_rng(7)
+    ts = np.asarray(sol.ts)
+    beyond = np.asarray(beyond)
+    return np.concatenate([rng.uniform(ts[0], ts[-1], 50), ts,
+                           ts[0] - beyond, ts[-1] + beyond])
+
+
+def test_dense_output_on_an_array_is_its_calls_bit_for_bit():
+    ours, _ref = rotation_solves()
+    t = probe_times(ours, [1e-9, 0.5])
+    got = ours(t)
+    assert got.shape == (2, t.size)
+    assert np.array_equal(got, np.array([ours(s) for s in t.tolist()]).T)
+
+
+def test_dense_output_on_an_array_matches_ode_solution():
+    # the end pieces' quartics, extrapolated far, magnify the ulps in
+    # which the two solvers' coefficients differ: stay near the ends
+    ours, ref = rotation_solves()
+    t = probe_times(ours, [1e-9, 1e-3])
+    assert ours(t).shape == ref(t).shape
+    assert np.max(np.abs(ours(t) - ref(t))) <= 1e-12
+
+
+@pytest.mark.parametrize("name, params", CASES)
+def test_slope_on_a_grid_is_its_calls(name, params):
+    model = builtin_model(name, params)
+    sol = solve_riccati(model, model.matching[0])
+    eps = sol.epsilon_start
+    grid = np.concatenate([[0.0, 0.5 * eps, eps], np.nextafter(eps, 1.0)
+                           + np.linspace(0.0, sol.q1_target - eps, 41)])
+    grid[-1] = sol.q1_target
+    got = sol(grid)
+    assert np.array_equal(got, [sol(q) for q in grid.tolist()])
+    assert got[:3].tolist() == [sol.T0] * 3
