@@ -109,9 +109,9 @@ def loop_profile(model: HamiltonianModel) -> LoopProfile:
     return profile
 
 
-def restriction_residual(profile: LoopProfile, model: HamiltonianModel,
-                         q1: float) -> float:
-    """dS1*beta*dS0 + V1 at q1; near zero certifies consistency."""
-    _c, beta, ds0, _s1, ds1 = profile.point(q1)
-    return ds1 * beta * ds0 + model.V1(q1)
+def restriction_residual(profile: LoopProfile, q1: float) -> float:
+    """dS1*beta*dS0 + V1 at q1, from the profile's loop point; near zero
+    certifies consistency."""
+    c, beta, ds0, _s1, ds1 = profile.point(q1)
+    return ds1 * beta * ds0 + c.V1
 

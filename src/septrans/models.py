@@ -304,7 +304,7 @@ def saddle_numbers(model: HamiltonianModel) -> tuple[float, float, float]:
 def hessian_at_origin(model: HamiltonianModel) -> tuple[float, float, float]:
     """Entries (a11, a12, a22) of A = -D^2 V(0,0) in loop-line coordinates."""
     _dv0, dv1, ddv0 = saddle_numbers(model)
-    return -ddv0, -dv1, model.Y(0.0)
+    return -ddv0, -dv1, model.jet(0.0).Y
 
 
 def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
@@ -379,10 +379,11 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         raise ConstructionError("neumann requires 0 < lambda1 < lambda2")
     l1s, l2s = lambda1 * lambda1, lambda2 * lambda2
 
-    # arithmetic alone, so a float and an ndarray q1 take the same code
+    # arithmetic alone, so a float and an ndarray q1 take the same code and
+    # round alike: a * a, where a ** 2 on a float would be libm's pow
     def jet(q1):
         a = 4.0 + q1 * q1
-        a2 = a ** 2
+        a2 = a * a
         b11 = a2 / 16.0
         b12 = a / 4.0
         return CoefficientJet(
@@ -444,115 +445,89 @@ def _pendula_identical(f_coeffs: Sequence[float],
         matching=(math.pi, torus_shift_transition()))
 
 
-def _weak_h_funcs(lam: float):
-    """The coupling profile h of the weak-pendula model: h(q1) and
-    dh(q1) = h'(q1) on ndarrays for the Melnikov integrand, and the
-    scalar jets of the slope equation, h_h1(q1) = (q1 mod 2pi, h, h',
-    sin(h/2)) and h_jet(q1) = (h, h', h'', sin(h/2), cos(h/2)).
+def _weak_h(lam: float):
+    """The coupling profile h of the weak-pendula model: (h, h_slope).
 
-    h(0)=0, h(pi)=pi, h(2pi)=2pi, extended oddly and 2pi-equivariantly to
-    the whole line.  Near multiples of 2pi, h ~ 4 (q1/4)^lam up to the sign,
-    so the direct quotient formulas for h', h'' are replaced by their power
-    limits to avoid 0/0; at the multiples themselves h'' is unbounded for
-    1 < lam < 2 and h_jet gives it as nan.
+    On the half cell [0, pi], h = 4 atan(u) with u = t^lam and t =
+    tan(q1/4); h(2pi - r) = 2pi - h(r) and h(q1 + 2pi) = h(q1) + 2pi extend
+    it to the whole line.  Writing q1 = 2pi n + r with r in [0, 2pi), the
+    half cell's t and u are taken at the distance d = min(r, 2pi - r) to
+    the nearest multiple of 2pi, where h' = lam t^(lam-1) (1+t^2) / (1+u^2)
+    is even in d, so every term of h in the slope jet is a rational
+    function of t and u, without cancellation near the saddle.
+
+    h(q1) is h itself, for H* and the location of loop points;
+    h_slope(q1) = (h', m, n, r, t, u, v) is h' with the terms it is built
+    from: m is math or numpy by the type of q1, and v = t^(lam-1).  Both
+    take a float or a 1-D ndarray q1.
     """
     two_pi = 2.0 * math.pi
 
-    def h_base(r: float) -> float:
-        # r in [0, 2pi]; reflect the upper half to keep tan bounded
-        if r <= math.pi:
-            return 4.0 * math.atan(math.tan(r / 4.0) ** lam)
-        return two_pi - h_base(two_pi - r)
+    def cell(q1):
+        array = isinstance(q1, ndarray)
+        m = np if array else math
+        n = m.floor(q1 / two_pi)
+        r = q1 - n * two_pi
+        # d = min(r, 2pi - r), since pi - |r - pi| loses the digits of a
+        # small d; its absolute value, since within an ulp or so of a
+        # multiple of 2pi, r rounds below 0 or above 2pi
+        t = m.tan(abs((np.minimum if array else min)(r, two_pi - r)) / 4.0)
+        v = t ** (lam - 1.0)
+        return m, n, r, t, v * t, v
+
+    def h_slope(q1):
+        m, n, r, t, u, v = cell(q1)
+        return lam * v * (1.0 + t * t) / (1.0 + u * u), m, n, r, t, u, v
 
     def h(q1):
-        n = np.floor(q1 / two_pi)
-        r = q1 - n * two_pi
-        # h_base's reflection: min(r, 2pi - r) is the distance to 0 or 2pi
-        hb = 4.0 * np.arctan(np.tan(np.minimum(r, two_pi - r) / 4.0) ** lam)
-        return np.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
+        _m, n, r, _t, u, _v = cell(q1)
+        if isinstance(q1, ndarray):
+            hb = 4.0 * np.arctan(u)
+            return np.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
+        hb = 4.0 * math.atan(u)
+        return (hb if r <= math.pi else two_pi - hb) + n * two_pi
 
-    def dh(q1):
-        r = q1 - np.floor(q1 / two_pi) * two_pi
-        d = np.minimum(r, two_pi - r)
-        near = d < 1e-5
-        return np.where(near, lam * 4.0 ** (1.0 - lam) * d ** (lam - 1.0),
-                        lam * np.sin(h(q1) / 2.0)
-                        / np.where(near, 1.0, np.sin(q1 / 2.0)))
-
-    def h_h1(q1: float):
-        n = math.floor(q1 / two_pi)
-        r = q1 - n * two_pi
-        hh = h_base(r) + n * two_pi
-        sin_h2 = math.sin(hh / 2.0)
-        d = min(r, two_pi - r)
-        if d < 1e-5:
-            # h ~ 4 (d/4)^lam about the nearest pendulum-1 equilibrium
-            h1 = lam * 4.0 ** (1.0 - lam) * d ** (lam - 1.0) if lam != 1.0 else 1.0
-        else:
-            h1 = lam * sin_h2 / math.sin(q1 / 2.0)
-        return r, hh, h1, sin_h2
-
-    def h_jet(q1: float):
-        r, hh, h1, sin_h2 = h_h1(q1)
-        cos_h2 = math.cos(hh / 2.0)
-        d = min(r, two_pi - r)
-        if d >= 1e-5:
-            s1 = math.sin(q1 / 2.0)
-            h2 = (lam / 2.0) * (h1 * cos_h2
-                                - sin_h2 * math.cos(q1 / 2.0) / s1) / s1
-        elif lam == 1.0:
-            h2 = 0.0
-        elif d == 0.0 and lam < 2.0:
-            h2 = math.nan
-        else:
-            sign = 1.0 if r <= math.pi else -1.0
-            h2 = sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam) * d ** (lam - 2.0)
-        return hh, h1, h2, sin_h2, cos_h2
-
-    return h, dh, h_h1, h_jet
+    return h, h_slope
 
 
 def _pendula_weak(lam: float) -> HamiltonianModel:
     if lam < 1.0:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
-    h, dh, h_h1, h_jet = _weak_h_funcs(lam)
-    two_pi = 2.0 * math.pi
+    h, h_slope = _weak_h(lam)
+    # h'' at the saddle itself, t = 0, where its formula is 0 / 0: the
+    # limit, 1/2 at lam = 2 and 0 for lam = 1 or lam > 2; for 1 < lam < 2
+    # h'' is unbounded there
+    h2_saddle = 0.5 if lam == 2.0 else math.nan if 1.0 < lam < 2.0 else 0.0
 
-    def h_jet_array(q1: np.ndarray):
-        # h_jet on an ndarray: h and h' from h and dh, and h'' by h_jet's
-        # branches elementwise, the far branch's quotients evaluated
-        # everywhere and discarded where d < 1e-5
-        hh, h1 = h(q1), dh(q1)
-        sin_h2, cos_h2 = np.sin(hh / 2.0), np.cos(hh / 2.0)
-        r = q1 - np.floor(q1 / two_pi) * two_pi
-        d = np.minimum(r, two_pi - r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = np.sin(q1 / 2.0)
-            far = (lam / 2.0) * (h1 * cos_h2
-                                 - sin_h2 * np.cos(q1 / 2.0) / s1) / s1
-            if lam == 1.0:
-                near = 0.0
-            else:
-                sign = np.where(r <= math.pi, 1.0, -1.0)
-                near = np.where(
-                    (d == 0.0) & (lam < 2.0), math.nan,
-                    sign * lam * (lam - 1.0) * 4.0 ** (1.0 - lam)
-                    * d ** (lam - 2.0))
-        return hh, h1, np.where(d >= 1e-5, far, near), sin_h2, cos_h2
+    def h2_half_cell(t, v, g, uu, w):
+        # h'' on the half cell off the saddle, t^(lam-2) = v / t
+        return lam * g / 4.0 * (v / t) / w * (
+            (lam - 1.0) * g + 2.0 * t * t - 2.0 * lam * g * uu / w)
 
     def jet(q1):
-        array = isinstance(q1, ndarray)
-        m = np if array else math
-        hh, h1, h2, _sin_h2, cos_h2 = (h_jet_array if array else h_jet)(q1)
-        sin_h, cos_h = m.sin(hh), m.cos(hh)
+        h1, m, n, r, t, u, v = h_slope(q1)
+        g, uu = 1.0 + t * t, u * u
+        w = 1.0 + uu
+        # sin(h/2) and cos(h/2) on the half cell; sigma is +1 on r <= pi,
+        # else -1: h'' and sin h are odd under the reflection
+        sin_h2, cos_h2 = 2.0 * u / w, (1.0 - uu) / w
+        sigma = 1.0 - 2.0 * (r > math.pi)
+        if isinstance(q1, ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h2 = np.where(t == 0.0, h2_saddle,
+                              h2_half_cell(t, v, g, uu, w))
+        else:
+            h2 = h2_half_cell(t, v, g, uu, w) if t else h2_saddle
         return CoefficientJet(
-            1.0, -h1, 1.0 + h1 ** 2,                        # b110 b120 b220
+            1.0, -h1, 1.0 + h1 * h1,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
-            (m.cos(q1) - 1.0) + lsq * (cos_h - 1.0),        # V0
-            -lsq * sin_h,                                   # V1
-            lsq * cos_h,                                    # Y
-            lam * h1 * cos_h2, 2.0 * h1 * h2)               # S1' b220'
+            (m.cos(q1) - 1.0) - 2.0 * lsq * sin_h2 * sin_h2,    # V0
+            -2.0 * lsq * sigma * sin_h2 * cos_h2,           # V1
+            lsq * (1.0 - 2.0 * sin_h2 * sin_h2),            # Y
+            # S1' = lam h' cos(h/2), whose sign flips from cell to cell
+            lam * h1 * (1.0 - 2.0 * (n % 2)) * sigma * cos_h2,
+            2.0 * h1 * sigma * h2)                          # b220'
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
     # the s=0 loop lies on q2=0; t may be an ndarray
@@ -569,7 +544,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             eta1 = 2.0 / np.cosh(u)
             eta2 = 2.0 * lam / np.cosh(lam * t)
         p2 = eta2
-        p1 = eta1 + dh(q1) * eta2
+        p1 = eta1 + h_slope(q1)[0] * eta2
         return (q1, q2, p1, p2)
 
     def kappa(s: float):
@@ -597,7 +572,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         if not (0.0 < q1 < 2.0 * math.pi):
             raise DomainError("loop point needs q1 in (0, 2pi)")
         u = math.log(math.tan(q1 / 4.0))
-        xi2 = q2 + h_h1(q1)[1]
+        xi2 = q2 + h(q1)
         if not (0.0 < xi2 < 2.0 * math.pi):
             raise DomainError("point not on the separatrix sheet")
         t0 = math.log(math.tan(xi2 / 4.0)) / lam
@@ -610,7 +585,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         locate=locate, name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
     # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
-    h1 = h_h1(0.0)[2]   # h'(0): 1 at lam = 1, else 0
+    h1 = -jet(0.0).b120     # h'(0): 1 at lam = 1, else 0
     return HamiltonianModel.from_jet(
         jet, (-0.0, -lsq * h1, -1.0 - lsq * h1 * h1),
         domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),

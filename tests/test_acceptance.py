@@ -167,7 +167,7 @@ def test_acceptance_08():
         a, b = m.domain
         pad = 1e-6 * (b - a)
         for q1 in np.linspace(a + pad, b - pad, 200):
-            assert abs(restriction_residual(p, m, q1)) < 1e-8
+            assert abs(restriction_residual(p, q1)) < 1e-8
 
 
 @criterion(9, "unstable quadratic form solves E B E = A, positive "

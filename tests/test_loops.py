@@ -60,21 +60,21 @@ def test_restriction_residual_identical_pendula():
     m = builtin_model("pendula_identical", [0.0])
     p = loop_profile(m)
     # dS1*beta*dS0 = cos(q1/2) * (1/2) * 4 sin(q1/2) = sin(q1) = -V1
-    assert abs(restriction_residual(p, m, math.pi / 2)) < 1e-12
+    assert abs(restriction_residual(p, math.pi / 2)) < 1e-12
 
 
 def test_restriction_residual_neumann_exact_zero():
     m = builtin_model("neumann", [1.0, 2.0])
     p = loop_profile(m)
     for q1 in (0.5, 2.0, 5.0):
-        assert restriction_residual(p, m, q1) == 0.0
+        assert restriction_residual(p, q1) == 0.0
 
 
 def test_corrupted_v1_detected():
     base = builtin_model("pendula_identical", [0.0])
     bad = replace(base, V1=lambda q1: -math.sin(q1) + 0.1)
-    p = loop_profile(base)
-    assert restriction_residual(p, bad, 1.0) == pytest.approx(0.1, abs=1e-10)
+    p = LoopProfile(bad.jet, bad.domain)
+    assert restriction_residual(p, 1.0) == pytest.approx(0.1, abs=1e-10)
     with pytest.raises(LoopConstructionError) as exc:
         loop_profile(bad)
     assert str(exc.value) == "inconsistent V1: restriction residual 0.1 > 1e-6"

@@ -10,7 +10,8 @@ from septrans.charts import transversality_verdict
 from septrans.melnikov import (lambda0_threshold, melnikov_derivatives,
                                melnikov_potential, perturbed_loop_verdict,
                                reduced_melnikov, xi_max)
-from septrans.models import PerturbationModel, _weak_h_funcs, builtin_model
+from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
+                             builtin_model)
 
 
 def weak(lam):
@@ -286,11 +287,24 @@ def test_array_integrand_equals_scalar_integrand(lam):
 
 @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.6])
 def test_array_h_matches_scalar_jet(lam):
-    h, dh, _h_h1, h_jet = _weak_h_funcs(lam)
+    # around the points where an earlier jet switched to power limits, at
+    # the saddle itself, and just below multiples of 2pi, where q1 - 2pi
+    # floor(q1 / 2pi) rounds below 0 (a fractional power of a negative
+    # float is complex)
+    h, h_slope = _weak_h(lam)
+    m = builtin_model("pendula_weak", [lam])
     near = 1e-5 * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
+    below = [math.nextafter(k * 2.0 * math.pi, -math.inf)
+             for k in (0, 16, -162)]
     q1 = np.concatenate([np.linspace(-7.0, 13.0, 2001), near, -near,
-                         2.0 * math.pi + near, 2.0 * math.pi - near])
-    jets = np.array([h_jet(float(x))[:2] for x in q1])
-    np.testing.assert_allclose(h(q1), jets[:, 0], rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(dh(q1), jets[:, 1], rtol=1e-14, atol=1e-14)
+                         2.0 * math.pi + near, 2.0 * math.pi - near, below])
+    ref = np.array([[h(x), *m.jet(x)] for x in q1.tolist()]).T
+    for name, got, want in zip(("h",) + CoefficientJet._fields,
+                               (h(q1), *m.jet(q1)), ref):
+        got = np.broadcast_to(got, q1.shape)
+        err = np.abs(got - want)
+        assert np.all((err <= 1e-14 * np.maximum(1.0, np.abs(want)))
+                      | (np.isnan(got) & np.isnan(want))), (name, np.nanmax(err))
+    # the loop family reads h' alone, the same numbers as the jet's b120
+    assert np.array_equal(h_slope(q1)[0], -m.jet(q1).b120)
 
