@@ -15,10 +15,12 @@ profile) and b220', the two derivatives the Riccati solver and its oracle
 need.  The nine coefficient fields are views of the jet.  The saddle checks
 also read V0'(0), V1'(0) and V0''(0), which a model carries as its saddle.
 
-q1 is a float or a 1-D ndarray.  On a float the jet returns floats (the
-slope solve steps one point at a time); on an ndarray each entry is an
-array of q1's shape, or a constant that broadcasts against it, so a grid
-known in advance costs one call.  A jet given to from_jet must accept both.
+q1 is a number or a 1-D ndarray.  On a number (a float, an int or a
+numpy float) the jet returns floats (the slope solve steps one point at a
+time); on an ndarray each entry is an array of q1's shape, or a constant
+that broadcasts against it, so a grid known in advance costs one call.  A
+jet given to from_jet must accept both.  numpy is imported on the array
+path only, so a run that evaluates numbers alone never loads it.
 
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
@@ -32,14 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-# np.ndarray is a slow lookup (numpy's module __getattr__), and the float
-# path tests its input against it per call
-from numpy import ndarray
+from .numerics import SCALARS, central_diff, second_diff
 
-from .numerics import central_diff, second_diff
+if TYPE_CHECKING:
+    import numpy as np
 
 ScalarFn = Callable[[float], float]
 
@@ -85,15 +85,16 @@ def loop_momenta(b110: float, b120: float, b220: float,
     """
     beta = (b110 * b220 - b120 * b120) / b220
     rad = -2.0 * V0 / beta
-    if isinstance(rad, ndarray):
-        ds0 = np.sqrt(np.where(rad < 0.0,
-                               np.where(rad <= -1e-14, np.nan, 0.0), rad))
+    if isinstance(rad, SCALARS):
+        if rad < 0.0:
+            if rad <= -1e-14:
+                return beta, math.nan, math.nan
+            rad = 0.0
+        ds0 = math.sqrt(rad)
         return beta, ds0, -(b120 / b220) * ds0
-    if rad < 0.0:
-        if rad <= -1e-14:
-            return beta, math.nan, math.nan
-        rad = 0.0
-    ds0 = math.sqrt(rad)
+    import numpy as np
+    ds0 = np.sqrt(np.where(rad < 0.0,
+                           np.where(rad <= -1e-14, np.nan, 0.0), rad))
     return beta, ds0, -(b120 / b220) * ds0
 
 
@@ -231,10 +232,11 @@ def _assembled_jet(model: HamiltonianModel
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
     def jet(q1) -> CoefficientJet:
-        if isinstance(q1, ndarray):
-            return CoefficientJet(*np.array([jet(q) for q in q1.tolist()]).T)
-        return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
-                              model.derivative("b220", q1))
+        if isinstance(q1, SCALARS):
+            return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
+                                  model.derivative("b220", q1))
+        import numpy as np
+        return CoefficientJet(*np.array([jet(q) for q in q1.tolist()]).T)
 
     return jet
 
@@ -314,8 +316,11 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     nondegenerate maximum at the origin (V0(0)=0, V0'(0)=0, V1(0)=0, and
     A = -D^2 V(0,0) positive definite); V0 < 0 on the open interior (so the
     zero-energy loop exists on q2=0); 2pi-periodicity of all coefficients
-    when flagged.  The absence of an order-1 kinetic term is structural.
+    when flagged; the loop restriction dS1 beta dS0 + V1 = 0 on the whole
+    domain, endpoints included (the slope solve checks it only where it
+    evaluates).  The absence of an order-1 kinetic term is structural.
     """
+    import numpy as np
     entries: list[CheckEntry] = []
     a, b = model.domain
     grid = a + (b - a) * np.arange(257) / 256
@@ -366,6 +371,13 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
 
     entries.append(CheckEntry(
         "no_first_order_kinetic_term", True, "structural: B1 fields do not exist"))
+
+    # nan where no loop passes, which fails the check too
+    beta, ds0, _s1 = loop_momenta(jets.b110, jets.b120, jets.b220, jets.V0)
+    worst = float(np.max(np.abs(jets.dS1 * beta * ds0 + jets.V1)))
+    entries.append(CheckEntry(
+        "loop_restriction_residual", worst <= 1e-6,
+        "max residual %.3g on %d-point grid" % (worst, len(grid)), worst))
 
     return ValidationReport(tuple(entries))
 
@@ -426,14 +438,19 @@ def _pendula_identical(f_coeffs: Sequence[float],
             "pendula_identical requires 0 <= f(0) < 1/2, got f(0)=%g" % f0)
 
     def jet(q1):
-        m = np if isinstance(q1, ndarray) else math
-        cos_q = m.cos(q1)
+        if isinstance(q1, SCALARS):
+            m = math
+        else:
+            import numpy as m
+        # V0 = 2 (cos q1 - 1) as -4 sin^2(q1/2), which does not cancel
+        # near the saddle
+        sin_half = m.sin(q1 / 2.0)
         return CoefficientJet(
             1.0, -1.0, 2.0,                                 # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
-            2.0 * (cos_q - 1.0),                            # V0
+            -4.0 * sin_half * sin_half,                     # V0
             -m.sin(q1),                                     # V1
-            cos_q - f(q1, m),                               # Y
+            m.cos(q1) - f(q1, m),                           # Y
             m.cos(q1 / 2.0), 0.0)                           # S1' b220'
 
     # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0
@@ -458,20 +475,23 @@ def _weak_h(lam: float):
 
     h(q1) is h itself, for H* and the location of loop points;
     h_slope(q1) = (h', m, n, r, t, u, v) is h' with the terms it is built
-    from: m is math or numpy by the type of q1, and v = t^(lam-1).  Both
-    take a float or a 1-D ndarray q1.
+    from: m is math for a number q1 and numpy for an ndarray, and v =
+    t^(lam-1).  Both take a number or a 1-D ndarray q1.
     """
     two_pi = 2.0 * math.pi
 
     def cell(q1):
-        array = isinstance(q1, ndarray)
-        m = np if array else math
+        if isinstance(q1, SCALARS):
+            m, lesser = math, min
+        else:
+            import numpy as m
+            lesser = m.minimum
         n = m.floor(q1 / two_pi)
         r = q1 - n * two_pi
         # d = min(r, 2pi - r), since pi - |r - pi| loses the digits of a
         # small d; its absolute value, since within an ulp or so of a
         # multiple of 2pi, r rounds below 0 or above 2pi
-        t = m.tan(abs((np.minimum if array else min)(r, two_pi - r)) / 4.0)
+        t = m.tan(abs(lesser(r, two_pi - r)) / 4.0)
         v = t ** (lam - 1.0)
         return m, n, r, t, v * t, v
 
@@ -480,12 +500,12 @@ def _weak_h(lam: float):
         return lam * v * (1.0 + t * t) / (1.0 + u * u), m, n, r, t, u, v
 
     def h(q1):
-        _m, n, r, _t, u, _v = cell(q1)
-        if isinstance(q1, ndarray):
-            hb = 4.0 * np.arctan(u)
-            return np.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
-        hb = 4.0 * math.atan(u)
-        return (hb if r <= math.pi else two_pi - hb) + n * two_pi
+        m, n, r, _t, u, _v = cell(q1)
+        if m is math:
+            hb = 4.0 * math.atan(u)
+            return (hb if r <= math.pi else two_pi - hb) + n * two_pi
+        hb = 4.0 * m.arctan(u)
+        return m.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
 
     return h, h_slope
 
@@ -512,17 +532,19 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         # sin(h/2) and cos(h/2) on the half cell; sigma is +1 on r <= pi,
         # else -1: h'' and sin h are odd under the reflection
         sin_h2, cos_h2 = 2.0 * u / w, (1.0 - uu) / w
+        sin_half = m.sin(q1 / 2.0)
         sigma = 1.0 - 2.0 * (r > math.pi)
-        if isinstance(q1, ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h2 = np.where(t == 0.0, h2_saddle,
-                              h2_half_cell(t, v, g, uu, w))
-        else:
+        if m is math:
             h2 = h2_half_cell(t, v, g, uu, w) if t else h2_saddle
+        else:
+            with m.errstate(divide="ignore", invalid="ignore"):
+                h2 = m.where(t == 0.0, h2_saddle,
+                             h2_half_cell(t, v, g, uu, w))
         return CoefficientJet(
             1.0, -h1, 1.0 + h1 * h1,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
-            (m.cos(q1) - 1.0) - 2.0 * lsq * sin_h2 * sin_h2,    # V0
+            # V0 = cos q1 - 1 - lam^2 (1 - cos h), each term as a square
+            -2.0 * sin_half * sin_half - 2.0 * lsq * sin_h2 * sin_h2,
             -2.0 * lsq * sigma * sin_h2 * cos_h2,           # V1
             lsq * (1.0 - 2.0 * sin_h2 * sin_h2),            # Y
             # S1' = lam h' cos(h/2), whose sign flips from cell to cell
@@ -530,11 +552,14 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             2.0 * h1 * sigma * h2)                          # b220'
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
-    # the s=0 loop lies on q2=0; t may be an ndarray
+    # the s=0 loop lies on q2=0; t may be an ndarray.  numpy is imported
+    # on first call: only the Melnikov integrals evaluate these
     def xi1_of(u):
+        import numpy as np
         return 4.0 * np.arctan(np.exp(u))
 
     def loop_family(t, s: float):
+        import numpy as np
         u = t - s
         # far from the loop's centre exp and cosh overflow to inf, whose
         # arctan and reciprocal are the exact limits
@@ -551,9 +576,11 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         return (xi1_of(-s), math.pi - xi1_of(-lam * s))
 
     def h_star(q1, q2, p1, p2):
+        import numpy as np
         return 1.0 - np.cos(h(q1) - q1 + q2)
 
     def d_integrand_ds(t, s: float):
+        import numpy as np
         u = t - s
         xi1 = xi1_of(u)
         xi2 = xi1_of(lam * t)
@@ -561,6 +588,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         return -np.sin(xi2 - xi1) * dxi1
 
     def d2_integrand_ds2(t, s: float):
+        import numpy as np
         u = t - s
         xi1 = xi1_of(u)
         xi2 = xi1_of(lam * t)

@@ -9,10 +9,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-# np.ndarray is a slow lookup (numpy's module __getattr__), and the float
-# path tests its input against it per call
-from numpy import ndarray
+# the types of a q1 (or t) that takes a function's float path; np.float64
+# is a float.  Anything else is an array, and only that path imports numpy.
+SCALARS = (float, int)
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
@@ -119,45 +118,53 @@ class DenseOutput:
     a breakpoint the earlier step's piece is used, and beyond either end
     the nearest piece is extrapolated, as in scipy's OdeSolution.
 
-    Called at a float t it returns the state as a list; at a 1-D ndarray t,
-    an array of shape (len(y0), len(t)), OdeSolution's layout, whose
-    columns equal the calls at each t bit for bit (the same quartic in
-    the same order of operations)."""
+    Called at a number t it returns the state as a list; at a 1-D array
+    t (an ndarray or a list), an ndarray of shape (len(y0), len(t)),
+    OdeSolution's layout, whose columns equal the calls at each t bit for
+    bit (the same quartic in the same order of operations).  The first
+    array call stacks the pieces into arrays, which later ones reuse."""
 
     def __init__(self, t0: float, y0: list[float]):
         self.y0 = y0
         self.ts = [t0]
         self.pieces: list[tuple] = []
+        self._stacked: tuple | None = None
 
     def append(self, piece: tuple, t_end: float) -> None:
         self.pieces.append(piece)
         self.ts.append(t_end)
+        self._stacked = None
 
     def __call__(self, t):
-        if isinstance(t, ndarray):
+        if not isinstance(t, SCALARS):
             return self._at_array(t)
         if not self.pieces:
             return list(self.y0)
         i = bisect_left(self.ts, t) - 1
         return _quartic(self.pieces[min(max(i, 0), len(self.pieces) - 1)], t)
 
-    def _at_array(self, s: np.ndarray) -> np.ndarray:
+    def _at_array(self, s):
+        import numpy as np
+        s = np.asarray(s, dtype=float)
         if not self.pieces:
             return np.repeat(np.array(self.y0, dtype=float)[:, None], len(s),
                              axis=1)
-        t, h, y, Q = zip(*self.pieces)
-        i = np.clip(np.searchsorted(self.ts, s, side="left") - 1, 0,
-                    len(t) - 1)
-        h = np.array(h)[i]
-        # _quartic on every point: y (components, points), Q's four
-        # coefficients each of that shape
-        y = np.array(y)[i].T
-        q1, q2, q3, q4 = np.array(Q)[i].transpose(2, 1, 0)
-        x = (s - np.array(t)[i]) / h
+        # the pieces stacked: the mesh, then each piece's start, size,
+        # y (components, pieces) and Q's four coefficients of that shape
+        if self._stacked is None:
+            t, h, y, Q = zip(*self.pieces)
+            self._stacked = (np.array(self.ts), np.array(t), np.array(h),
+                             np.array(y).T, np.array(Q).transpose(2, 1, 0))
+        ts, t, h, y, Q = self._stacked
+        i = np.clip(np.searchsorted(ts, s, side="left") - 1, 0, len(t) - 1)
+        h = h[i]
+        # _quartic on every point
+        q1, q2, q3, q4 = Q[:, :, i]
+        x = (s - t[i]) / h
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+        return y[:, i] + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
 
 
 def _rms(v: list[float]) -> float:

@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .loops import LoopProfile, loop_profile
+from .loops import LoopConstructionError, LoopProfile, loop_profile
 from .models import HamiltonianModel
+from .numerics import SCALARS
 # the solver's one binding, which the bench's traced run rebinds to count
 # rhs evaluations
 from .numerics import rk45 as solve_ivp
@@ -72,38 +71,49 @@ class RiccatiSolution:
     def __call__(self, q1):
         """T at q1 in [0, q1_target]; on [0, epsilon_start] the solve's
         start value (T0, or -T0 on the stable side).  Raises ValueError
-        outside that interval.  An array of q1 takes one dense-output
-        call and gives the values of the calls at each entry."""
-        q1a = np.asarray(q1, dtype=float)
-        if np.any(q1a > self.q1_target):
+        outside that interval.  A number q1 gives a float; an array of q1
+        (an ndarray or a list) takes one dense-output call and gives the
+        values of the calls at each entry."""
+        scalar = isinstance(q1, SCALARS)
+        if scalar:
+            q1a = hi = lo = float(q1)
+        else:
+            import numpy as np
+            q1a = np.asarray(q1, dtype=float)
+            hi = np.max(q1a, initial=-math.inf)
+            lo = np.min(q1a, initial=math.inf)
+        if hi > self.q1_target:
             raise ValueError("q1=%g beyond the solved interval, which ends "
-                             "at %g" % (np.max(q1a), self.q1_target))
-        if np.any(q1a < 0.0):
+                             "at %g" % (hi, self.q1_target))
+        if lo < 0.0:
             raise ValueError("q1=%g below the solved interval, which starts "
-                             "at 0" % np.min(q1a))
-        if q1a.ndim == 0:
-            q = float(q1a)
-            return (self._initial if q <= self.epsilon_start
-                    else self._dense(q)[0])
+                             "at 0" % lo)
+        if scalar:
+            return (self._initial if q1a <= self.epsilon_start
+                    else self._dense(q1a)[0])
         flat = q1a.ravel()
         return np.where(flat <= self.epsilon_start, self._initial,
                         self._dense(flat)[0]).reshape(q1a.shape)
 
 
 def riccati_terms(profile: LoopProfile) -> Terms:
-    """q1 -> (q1dot, alpha, beta, delta, b220, db220), what the slope
-    equation and its linear form read at q1 (a float or a 1-D ndarray),
-    from one evaluation of the profile's point; q1dot = beta * dS0 is the
-    inner dynamics on the loop, alpha = Y - b110 dS1^2 - (b112 dS0^2
-    + 2 b122 dS0 S1 + b222 S1^2) / 2, delta = b120 dS1."""
+    """q1 -> (q1dot, alpha, beta, delta, b220, db220, residual), what the
+    slope equation and its linear form read at q1 (a number or a 1-D
+    array), from one evaluation of the profile's point; q1dot = beta * dS0
+    is the inner dynamics on the loop, alpha = Y - b110 dS1^2 - (b112
+    dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2, delta = b120 dS1, and residual
+    = dS1 q1dot + V1 is the loop restriction's, zero on a consistent
+    model."""
     point = profile.point
 
     def terms(q1) -> tuple:
         c, beta, ds0, s1, ds1 = point(q1)
+        q1dot = beta * ds0
         alpha = (c.Y - c.b110 * ds1 * ds1
                  - 0.5 * (c.b112 * ds0 * ds0 + 2.0 * c.b122 * ds0 * s1
                           + c.b222 * s1 * s1))
-        return beta * ds0, alpha, beta, c.b120 * ds1, c.b220, c.db220
+        return (q1dot, alpha, beta, c.b120 * ds1, c.b220, c.db220,
+                ds1 * q1dot + c.V1)
 
     return terms
 
@@ -114,7 +124,7 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
     T(0) solves b220 T^2 + 2 delta T - alpha = 0; the positive branch of the
     square root is the unstable one.
     """
-    _q1dot, a0, _beta, d0, b0, _db0 = terms(0.0)
+    _q1dot, a0, _beta, d0, b0, *_rest = terms(0.0)
     Delta = d0 * d0 + b0 * a0
     if Delta < 0:
         raise HypothesesError(
@@ -125,15 +135,28 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
 
 def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
                opts: SolverOptions, stable: bool):
+    """(the rk45 result, the largest |residual| of the loop restriction
+    over the points the solve evaluated).  A residual above 1e-6 raises
+    LoopConstructionError at the first point that has it."""
     # the blow-up event fires on a sign change only, so a start past the
     # cap is caught here
     if abs(T_start) > opts.cap:
         raise BlowUpError(eps, "graph form lost / blow-up: start slope %g at "
                           "q1=%g beyond the cap %g" % (T_start, eps, opts.cap))
     sgn = -1.0 if stable else 1.0
+    worst = 0.0
 
     def rhs(q1, y):
-        q1dot, alpha, _beta, delta, b220, _db220 = terms(q1)
+        nonlocal worst
+        q1dot, alpha, _beta, delta, b220, _db220, residual = terms(q1)
+        r = abs(residual)
+        # only a new largest residual is tested; a nan one fails
+        if not r <= worst:
+            if not r <= 1e-6:
+                raise LoopConstructionError(
+                    "inconsistent V1: restriction residual %.3g > 1e-6 at "
+                    "q1=%g" % (r, q1))
+            worst = r
         T = y[0]
         return [(sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot]
 
@@ -145,15 +168,14 @@ def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
     if sol.event is not None or not sol.success:
         raise BlowUpError(sol.t, "graph form lost / blow-up at q1=%g before "
                           "q1_target=%g" % (sol.t, q1_target))
-    return sol
+    return sol, worst
 
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1]
-_GAUSS5_X = np.array((-0.906179845938664, -0.5384693101056831, 0.0,
-                      0.5384693101056831, 0.906179845938664))
-_GAUSS5_W = np.array((0.23692688505618908, 0.47862867049936647,
-                      0.5688888888888889, 0.47862867049936647,
-                      0.23692688505618908))
+_GAUSS5_X = (-0.906179845938664, -0.5384693101056831, 0.0,
+             0.5384693101056831, 0.906179845938664)
+_GAUSS5_W = (0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
+             0.47862867049936647, 0.23692688505618908)
 
 
 def _startup_propagation(terms: Terms, dense, stable: bool):
@@ -164,13 +186,14 @@ def _startup_propagation(terms: Terms, dense, stable: bool):
     integral is 5-point Gauss-Legendre on each accepted step, with T from
     the dense output; one terms call and one dense call take all the
     nodes."""
+    import numpy as np
     sgn2 = -2.0 if stable else 2.0
     ts = np.asarray(dense.ts)
     mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ts[1:] - ts[:-1])
-    q1 = (mid[:, None] + half[:, None] * _GAUSS5_X).ravel()
-    q1dot, _alpha, _beta, delta, b220, _db220 = terms(q1)
+    q1 = (mid[:, None] + half[:, None] * np.array(_GAUSS5_X)).ravel()
+    q1dot, _alpha, _beta, delta, b220, _db220, _res = terms(q1)
     f = (2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
-    integral = half @ (f.reshape(-1, _GAUSS5_W.size) @ _GAUSS5_W)
+    integral = half @ (f.reshape(-1, len(_GAUSS5_W)) @ np.array(_GAUSS5_W))
     return math.exp(-integral), q1.size
 
 
@@ -183,7 +206,10 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     and b220 flip sign and the negative initial branch is used); in both
     cases the integrated branch is forward-attracting, which makes the
     O(epsilon) start-up error self-correcting.  A start offset epsilon at
-    or past q1_target raises ValueError.  With opts.sensitivity_check the
+    or past q1_target raises ValueError.  Every point the solve evaluates
+    checks the loop restriction: a residual above 1e-6 raises
+    LoopConstructionError, and diagnostics carry the largest,
+    restriction_residual_max.  With opts.sensitivity_check the
     diagnostics carry startup_sensitivity, the spread at q1_target of
     starts 10 epsilon apart either side to first order, and whether it
     stays within 100 rtol of the slope; it costs no further solve.
@@ -201,8 +227,9 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     T0, Delta = riccati_initial(terms)
     initial = -T0 if stable else T0
 
-    sol = _integrate(terms, eps, q1_target, initial, opts, stable)
-    diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps}
+    sol, residual = _integrate(terms, eps, q1_target, initial, opts, stable)
+    diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps,
+                   "restriction_residual_max": residual}
     if opts.sensitivity_check:
         phi, n_nodes = _startup_propagation(terms, sol.sol, stable)
         # the spread two solves started at initial -+ 10 eps would show
@@ -244,7 +271,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
 
     def rhs(_t, y):
         q1, yy, yp = y
-        q1dot, alpha, _beta, delta, b, db = terms(q1)
+        q1dot, alpha, _beta, delta, b, db, _res = terms(q1)
         acoef = 2.0 * delta - db * q1dot / b
         return [q1dot, yp, -acoef * yp + b * alpha * yy]
 

@@ -485,20 +485,48 @@ def test_sweep_json_failed_row_is_strict_json(capsys):
 
 
 def test_validate_json_failed_loop_is_strict_json(capsys, monkeypatch):
-    # no built-in fails the loop construction, so stand one in for it
+    # no built-in fails the loop construction, so stand one in for it: V0 > 0
+    # on (0, 1), where the residual is nan
     from septrans import cli
-    from septrans.loops import LoopConstructionError
+    from septrans.models import HamiltonianModel
 
-    def no_loop(model):
-        raise LoopConstructionError("no loop on q2=0")
-
-    monkeypatch.setattr(cli, "loop_profile", no_loop)
+    one, zero = (lambda q1: 1.0), (lambda q1: 0.0)
+    no_loop = HamiltonianModel(
+        b110=one, b120=zero, b220=one, b112=zero, b122=zero, b222=zero,
+        V0=lambda q1: q1 * q1 * (1.0 - q1), V1=zero, Y=one,
+        domain=(0.0, 2.0))
+    monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: no_loop)
     code, out = run(capsys, "validate", "--model", "neumann",
                     "--params", "lambda1=1", "lambda2=2")
     assert code == 1
     entry = strict_json(out)["checks"][-1]
     assert entry["name"] == "loop_restriction_residual"
     assert (entry["passed"], entry["worst"]) == (False, None)
+
+
+def test_inconsistent_v1_fails_every_command_that_reads_it(capsys,
+                                                            monkeypatch):
+    # a V1 off by 0.1: the verdict's solve stops with exit 1, and validate
+    # reports the restriction failed
+    from dataclasses import replace
+    from septrans import cli
+
+    make_model = cli.make_model
+
+    def off(*args, **kwargs):
+        m = make_model(*args, **kwargs)
+        return replace(m, V1=lambda q1, v1=m.V1: v1(q1) + 0.1)
+
+    monkeypatch.setattr(cli, "make_model", off)
+    params = ("--model", "pendula_identical", "--params", "f0=0.2")
+    for argv in (("transversality",) + params,
+                 ("sweep",) + params + ("--sweep", "f0=0.1:0.3:3")):
+        assert main(list(argv)) == 1
+        assert "inconsistent V1" in capsys.readouterr().err
+    code, out = run(capsys, "validate", *params)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert "loop_restriction_residual" in failed
 
 
 def test_sweep_keeps_going_past_a_failed_point(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 
 from septrans.loops import (LoopConstructionError, LoopProfile,
                             loop_profile, restriction_residual)
-from septrans.models import HamiltonianModel, builtin_model
-from septrans.riccati import riccati_terms
+from septrans.models import (HamiltonianModel, builtin_model,
+                             validate_hypotheses)
+from septrans.riccati import riccati_terms, solve_riccati
 
 
 def test_identical_pendula_profiles():
@@ -75,9 +76,12 @@ def test_corrupted_v1_detected():
     bad = replace(base, V1=lambda q1: -math.sin(q1) + 0.1)
     p = LoopProfile(bad.jet, bad.domain)
     assert restriction_residual(p, 1.0) == pytest.approx(0.1, abs=1e-10)
+    # the solve checks the restriction at every point it evaluates, and
+    # stops at its first, the start offset 1e-4 * 2pi
     with pytest.raises(LoopConstructionError) as exc:
-        loop_profile(bad)
-    assert str(exc.value) == "inconsistent V1: restriction residual 0.1 > 1e-6"
+        solve_riccati(bad, math.pi)
+    assert str(exc.value) == ("inconsistent V1: restriction residual 0.1 > "
+                              "1e-6 at q1=0.000628319")
 
 
 def positive_potential_model():
@@ -90,11 +94,16 @@ def positive_potential_model():
 
 
 def test_no_loop_for_positive_potential():
-    # V0 > 0 on (0, 1): the check grid's first point already has no loop
+    # V0 > 0 on (0, 1): the solve's first point, its start offset 1e-4 * 2,
+    # already has no loop
     with pytest.raises(LoopConstructionError) as exc:
-        loop_profile(positive_potential_model())
-    assert str(exc.value) == ("no loop on q2=0: -2*V0/beta = -0.000283602 "
-                              "< 0 at q1=0.01198")
+        solve_riccati(positive_potential_model(), 1.5)
+    assert str(exc.value) == ("no loop on q2=0: -2*V0/beta = -7.9984e-08 "
+                              "< 0 at q1=0.0002")
+    # and validate's residual over the whole domain is nan, which fails
+    entry = validate_hypotheses(positive_potential_model()).entries[-1]
+    assert entry.name == "loop_restriction_residual"
+    assert not entry.passed and math.isnan(entry.worst)
 
 
 def test_point_on_an_array_names_its_first_point_without_a_loop():
