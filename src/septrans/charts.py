@@ -126,7 +126,8 @@ def verdict_options(model: HamiltonianModel) -> SolverOptions:
     A periodic model's stable slope is -Tu(pi), so its gap is 2 Tu(pi) and
     a genuine tangency must land below tol_tangent rather than in the
     inconclusive band; that needs a tighter solve than the Riccati defaults.
-    Other models keep the defaults, which are several times cheaper.
+    Other models keep the defaults, which take less than half the rhs
+    evaluations of the tight solve (698 against 1,598 on neumann [1.2, 3]).
     """
     if model.periodic:
         return SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)

@@ -1,5 +1,5 @@
-"""Small shared numerical helpers: finite differences, grid parsing and the
-Dormand-Prince 5(4) integrator of the slope equations."""
+"""Small shared numerical helpers: finite differences, grid parsing and
+dop853, the Dormand-Prince 8(5,3) integrator of the slope equations."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 # the types of a q1 (or t) that takes a function's float path; np.float64
@@ -65,43 +66,95 @@ def parse_grid(spec: str) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-# The Dormand-Prince 5(4) pair with Shampine's quartic dense output, with
-# the tableau and step control of scipy.integrate's RK45 (Hairer, Norsett
-# and Wanner, Solving ODEs I, II.4-5).  Stages 6 and 7 sit at t + h; the
-# zero entries of B, E and P (all on stage 2) are left out of the sums.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-      1 / 40)
-# the columns of P, each over stages 1 and 3..7
-_P = ((1, 0, 0, 0, 0, 0),
-      (-8048581381 / 2820520608, 131558114200 / 32700410799,
-       -1754552775 / 470086768, 127303824393 / 49829197408,
-       -282668133 / 205662961, 40617522 / 29380423),
-      (8663915743 / 2820520608, -68118460800 / 10900136933,
-       14199869525 / 1410260304, -318862633887 / 49829197408,
-       2019193451 / 616988883, -110615467 / 29380423),
-      (-12715105075 / 11282082432, 87487479700 / 32700410799,
-       -10690763975 / 1880347072, 701980252875 / 199316789632,
-       -1453857185 / 822651844, 69997945 / 29380423))
+# Dormand and Prince's 8(5,3) pair with its 7th-order dense output, with
+# the tableau and step control of scipy.integrate's DOP853 (Hairer,
+# Norsett and Wanner, Solving ODEs I, II.4-5; the Fortran DOP853).  Stage
+# i is ki, k1 being f at the step's start; stages 12 and 13 sit at t + h,
+# and k13 = f(t + h, y_new) starts the next step.  The zero weights are
+# left out: row i of A reads stages 1 and 4..i-1 (rows 2 to 5: 1, 1-2,
+# 1 and 3, 1 and 3-4).
+_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571)
+_A = ((0.05260015195876773,),
+      (0.0197250569845379, 0.0591751709536137),
+      (0.02958758547680685, 0.08876275643042054),
+      (0.2413651341592667, -0.8845494793282861, 0.924834003261792),
+      (0.037037037037037035, 0.17082860872947386, 0.12546768756682242),
+      (0.037109375, 0.17025221101954405, 0.06021653898045596,
+       -0.017578125),
+      (0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+       -0.015319437748624402, 0.008273789163814023),
+      (0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+       27.59209969944671, 20.154067550477894, -43.48988418106996),
+      (0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+       21.230051448181193, 15.279233632882423, -33.28821096898486,
+       -0.020331201708508627),
+      (-0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+       -8.149787010746927, -18.52006565999696, 22.739487099350505,
+       2.4936055526796523, -3.0467644718982196),
+      (2.273310147516538, -10.53449546673725, -2.0008720582248625,
+       -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+       -8.87285693353063, 12.360567175794303, 0.6433927460157636))
+# the 8th-order weights, and the 5th- and 3rd-order error weights, all
+# on stages 1 and 6..12
+_B = (0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+      0.20136540080403034, 0.04471061572777259)
+_E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+       0.08192320648511571, -0.022355307863886294)
+_E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+       0.20136540080403034, 0.02265179219836082)
+# the dense output's three extra stages 14..16: (c, the stages each
+# reads, counted from 0, and their weights)
+_EXTRA_STAGES = (
+    (0.1, (0, 6, 7, 8, 9, 10, 11, 12),
+     (0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
+      -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+      0.007567897660545699, -0.008298)),
+    (0.2, (0, 5, 6, 7, 10, 11, 12, 13),
+     (0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
+      -0.05492374857139099, -0.00010834732869724932,
+      0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325)),
+    (0.7777777777777778, (0, 5, 6, 7, 8, 12, 13, 14),
+     (-0.42889630158379194, -4.697621415361164, 7.683421196062599,
+      4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
+      2.9475147891527724, -9.15095847217987)))
+# the interpolant's coefficients 4..7, on stages 1 and 6..16
+_D_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_D = ((-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+       2.38466765651207, 2.117034582445028, -0.871391583777973,
+       2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+       18.148505520854727, -9.194632392478356, -4.436036387594894),
+      (10.427508642579134, 242.28349177525817, 165.20045171727028,
+       -374.5467547226902, -22.113666853125306, 7.733432668472264,
+       -30.674084731089398, -9.332130526430229, 15.697238121770845,
+       -31.139403219565178, -9.35292435884448, 35.81684148639408),
+      (19.985053242002433, -387.0373087493518, -189.17813819516758,
+       527.8081592054236, -11.57390253995963, 6.8812326946963,
+       -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+       -60.19669523126412, 84.32040550667716, 11.99229113618279),
+      (-25.69393346270375, -154.18974869023643, -231.5293791760455,
+       357.6391179106141, 93.40532418362432, -37.45832313645163,
+       104.0996495089623, 29.8402934266605, -43.53345659001114,
+       96.32455395918828, -39.17726167561544, -149.72683625798564))
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+# the longest step, as a share of the span t1 - t0 (see dop853)
+MAX_STEP = 0.125
 EPS = sys.float_info.epsilon
 
 Vector = Sequence[float]
 
 
 @dataclass
-class RK45Result:
-    """How an rk45 solve ended: the last time and state reached (the event
-    point when a terminal event stopped it), the rhs evaluations, the
-    accepted steps, whether the step size stayed above its floor, the
+class OdeResult:
+    """How a dop853 solve ended: the last time and state reached (the
+    event point when a terminal event stopped it), the rhs evaluations,
+    the accepted steps, whether the step size stayed above its floor, the
     index of the event that fired, and the dense output if asked for."""
     t: float
     y: list[float]
@@ -113,58 +166,79 @@ class RK45Result:
 
 
 class DenseOutput:
-    """The solve's piecewise quartic interpolant, one piece per accepted
-    step, on the mesh ts of the step ends (scipy's OdeSolution name).  At
-    a breakpoint the earlier step's piece is used, and beyond either end
-    the nearest piece is extrapolated, as in scipy's OdeSolution.
+    """The solve's piecewise interpolant of degree 7, one piece per
+    accepted step, on the mesh ts of the step ends (scipy's OdeSolution
+    name).  At a mesh point it is the state the solve stored there; between
+    them the piece of the step that holds t, the earlier step's at a
+    breakpoint; beyond either end the nearest piece extrapolated, as in
+    scipy's OdeSolution.  A piece costs 3 rhs evaluations, made when it is
+    first needed, so a solve read only at its mesh points pays none.
 
     Called at a number t it returns the state as a list; at a 1-D array
     t (an ndarray or a list), an ndarray of shape (len(y0), len(t)),
     OdeSolution's layout, whose columns equal the calls at each t bit for
-    bit (the same quartic in the same order of operations).  The first
-    array call stacks the pieces into arrays, which later ones reuse."""
+    bit (the same polynomial in the same order of operations).  The first
+    array call builds every piece and stacks them into arrays, which later
+    ones reuse."""
 
-    def __init__(self, t0: float, y0: list[float]):
-        self.y0 = y0
+    def __init__(self, fun: Callable, t0: float, y0: list[float]):
+        self._fun = fun
         self.ts = [t0]
-        self.pieces: list[tuple] = []
+        self.ys = [y0]
+        # per step, what builds its piece: (t, h, y, y_new, stages)
+        self._steps: list[tuple] = []
+        self._pieces: list[tuple | None] = []
         self._stacked: tuple | None = None
 
-    def append(self, piece: tuple, t_end: float) -> None:
-        self.pieces.append(piece)
+    def append(self, step: tuple, t_end: float, y_end: list[float],
+               piece: tuple | None = None) -> None:
+        self._steps.append(step)
+        self._pieces.append(piece)
         self.ts.append(t_end)
+        self.ys.append(y_end)
         self._stacked = None
+
+    def _piece(self, i: int) -> tuple:
+        """Step i's piece, built on first use."""
+        if self._pieces[i] is None:
+            self._pieces[i] = _interpolant(self._fun, *self._steps[i])
+        return self._pieces[i]
 
     def __call__(self, t):
         if not isinstance(t, SCALARS):
             return self._at_array(t)
-        if not self.pieces:
-            return list(self.y0)
-        i = bisect_left(self.ts, t) - 1
-        return _quartic(self.pieces[min(max(i, 0), len(self.pieces) - 1)], t)
+        j = bisect_left(self.ts, t)
+        if j < len(self.ts) and self.ts[j] == t:
+            return list(self.ys[j])
+        if not self._steps:
+            return list(self.ys[0])
+        return _interpolate(self._piece(min(max(j - 1, 0),
+                                            len(self._steps) - 1)), t)
 
     def _at_array(self, s):
         import numpy as np
         s = np.asarray(s, dtype=float)
-        if not self.pieces:
-            return np.repeat(np.array(self.y0, dtype=float)[:, None], len(s),
-                             axis=1)
-        # the pieces stacked: the mesh, then each piece's start, size,
-        # y (components, pieces) and Q's four coefficients of that shape
+        if not self._steps:
+            return np.repeat(np.array(self.ys[0], dtype=float)[:, None],
+                             len(s), axis=1)
+        # the mesh and its states (components, points), then each piece's
+        # start, size, y (components, pieces) and F of shape (7,
+        # components, pieces)
         if self._stacked is None:
-            t, h, y, Q = zip(*self.pieces)
-            self._stacked = (np.array(self.ts), np.array(t), np.array(h),
-                             np.array(y).T, np.array(Q).transpose(2, 1, 0))
-        ts, t, h, y, Q = self._stacked
-        i = np.clip(np.searchsorted(ts, s, side="left") - 1, 0, len(t) - 1)
-        h = h[i]
-        # _quartic on every point
-        q1, q2, q3, q4 = Q[:, :, i]
-        x = (s - t[i]) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return y[:, i] + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+            t, h, y, F = zip(*map(self._piece, range(len(self._steps))))
+            self._stacked = (np.array(self.ts), np.array(self.ys).T,
+                             np.array(t), np.array(h), np.array(y).T,
+                             np.array(F).transpose(2, 1, 0))
+        ts, ys, t, h, y, F = self._stacked
+        j = np.minimum(np.searchsorted(ts, s, side="left"), len(ts) - 1)
+        i = np.clip(j - 1, 0, len(t) - 1)
+        # _interpolate on every point
+        f0, f1, f2, f3, f4, f5, f6 = F[:, :, i]
+        x = (s - t[i]) / h[i]
+        u = 1.0 - x
+        inner = y[:, i] + x * (f0 + u * (f1 + x * (f2 + u * (
+            f3 + x * (f4 + u * (f5 + x * f6))))))
+        return np.where(ts[j] == s, ys[:, j], inner)
 
 
 def _rms(v: list[float]) -> float:
@@ -174,28 +248,43 @@ def _rms(v: list[float]) -> float:
     return math.sqrt(s) / len(v) ** 0.5
 
 
-def _piece(t: float, h: float, y: list[float], K: tuple) -> tuple:
-    """The quartic on the step from (t, y) of size h with stages K: per
-    component the coefficients of x, x^2, x^3, x^4, x = (s - t)/h."""
-    Q = [tuple(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
-               for p1, p3, p4, p5, p6, p7 in _P)
-         for k1, _k2, k3, k4, k5, k6, k7 in zip(*K)]
-    return t, h, y, Q
+def _combine(y: list[float], h: float, k: list, stages: tuple,
+             weights: tuple) -> list[float]:
+    """y + h * (the weighted sum of the given stages), per component."""
+    return [yi + h * sum(map(mul, weights, ki))
+            for yi, ki in zip(y, zip(*[k[s] for s in stages]))]
 
 
-def _quartic(piece: tuple, s: float) -> list[float]:
-    t, h, y, Q = piece
+def _interpolant(fun, t: float, h: float, y: list[float],
+                 y_new: list[float], k: tuple) -> tuple:
+    """The interpolant on the step from (t, y) of size h to y_new, with
+    stages k: the three extra stages, then per component the coefficients
+    F0..F6 of scipy's Dop853DenseOutput."""
+    k = list(k)
+    for c, stages, weights in _EXTRA_STAGES:
+        k.append(fun(t + c * h, _combine(y, h, k, stages, weights)))
+    F = []
+    for yi, zi, f_old, f_new, ki in zip(y, y_new, k[0], k[12],
+                                        zip(*[k[s] for s in _D_STAGES])):
+        dy = zi - yi
+        F.append((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old),
+                  *(h * sum(map(mul, d, ki)) for d in _D)))
+    return t, h, y, F
+
+
+def _interpolate(piece: tuple, s: float) -> list[float]:
+    t, h, y, F = piece
     x = (s - t) / h
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x3 * x
-    return [yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
-            for yi, (q1, q2, q3, q4) in zip(y, Q)]
+    u = 1.0 - x
+    return [yi + x * (f0 + u * (f1 + x * (f2 + u * (
+        f3 + x * (f4 + u * (f5 + x * f6))))))
+            for yi, (f0, f1, f2, f3, f4, f5, f6) in zip(y, F)]
 
 
 def _initial_step(fun, t0: float, y0: list[float], f0: Vector,
-                  t_bound: float, rtol: float, atol: float) -> float:
-    """scipy's select_initial_step for an error estimate of order 4, on a
+                  t_bound: float, rtol: float, atol: float,
+                  max_step: float) -> float:
+    """scipy's select_initial_step for an error estimate of order 7, on a
     nonempty forward interval; it evaluates fun once."""
     interval = t_bound - t0
     scale = [atol + abs(y) * rtol for y in y0]
@@ -208,20 +297,20 @@ def _initial_step(fun, t0: float, y0: list[float], f0: Vector,
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval, max_step)
 
 
 def _event_root(event, piece: tuple, a: float, b: float) -> float:
     """Where event changes sign on the step from a to b, by bisection of
-    its values on the step's quartic down to the 4 EPS relative bracket of
-    scipy's event search."""
-    ga = event(a, _quartic(piece, a))
+    its values on the step's interpolant down to the 4 EPS relative
+    bracket of scipy's event search."""
+    ga = event(a, _interpolate(piece, a))
     while True:
         m = 0.5 * (a + b)
         if abs(b - a) <= 4 * EPS * (1.0 + abs(m)):
             return m
-        gm = event(m, _quartic(piece, m))
+        gm = event(m, _interpolate(piece, m))
         if gm == 0:
             return m
         if (gm > 0) == (ga > 0):
@@ -230,96 +319,152 @@ def _event_root(event, piece: tuple, a: float, b: float) -> float:
             b = m
 
 
-def rk45(fun: Callable[[float, list[float]], Vector],
-         t_span: tuple[float, float], y0: Vector, rtol: float, atol: float,
-         events: Sequence[Callable[[float, list[float]], float]] = (),
-         dense_output: bool = False) -> RK45Result:
-    """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by the
-    Dormand-Prince 5(4) pair, step for step scipy's
-    solve_ivp(method="RK45") on plain floats; t0 >= t1 raises ValueError.
+def dop853(fun: Callable[[float, list[float]], Vector],
+           t_span: tuple[float, float], y0: Vector, rtol: float, atol: float,
+           events: Sequence[Callable[[float, list[float]], float]] = (),
+           dense_output: bool = False) -> OdeResult:
+    """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by
+    the Dormand-Prince 8(5,3) pair, step for step scipy's
+    solve_ivp(method="DOP853", max_step=MAX_STEP * (t1 - t0)) on plain
+    floats; t0 >= t1 raises ValueError.  The cap keeps every step within
+    the range where the pair's error estimate holds: uncapped, on
+    pendula_weak at rtol 1e-9, single steps of a quarter of the loop were
+    accepted with local errors 1e3 to 1e5 times the tolerance.
 
     fun takes a list of floats and returns a sequence of as many.  Every
     event is terminal: the solve stops at the first root of any event(t, y)
     that changed sign (or reached zero) over a step, located on that
-    step's quartic.  A step size below ten spacings of the floats at t
-    ends the solve with success False at the last accepted point.
+    step's interpolant.  A step size below ten spacings of the floats at t
+    ends the solve with success False at the last accepted point.  nfev
+    counts the evaluations of the steps and of the interpolant of an
+    event's step, as scipy's solve_ivp does without dense output; the
+    dense output makes the other steps' interpolants when first read.
     """
     t, t_bound = (float(v) for v in t_span)
     if not t < t_bound:
-        raise ValueError("rk45 integrates forward only: t_span %r needs "
+        raise ValueError("dop853 integrates forward only: t_span %r needs "
                          "t0 < t1" % (t_span,))
     y = [float(v) for v in y0]
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    n = len(y)
+    k1 = fun(t, y)
+    max_step = MAX_STEP * (t_bound - t)
+    h_abs = _initial_step(fun, t, y, k1, t_bound, rtol, atol, max_step)
     nfev = 2
-    sol = DenseOutput(t, y) if dense_output else None
+    sol = DenseOutput(fun, t, y) if dense_output else None
     g = [event(t, y) for event in events]
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65)) = _A
-    c2, c3, c4, c5 = _C
-    b1, b3, b4, b5, b6 = _B
-    e1, e3, e4, e5, e6, e7 = _E
+    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C
+    ((a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4),
+     (a6_1, a6_4, a6_5), (a7_1, a7_4, a7_5, a7_6),
+     (a8_1, a8_4, a8_5, a8_6, a8_7), (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10,
+      a12_11)) = _A
+    b1, b6, b7, b8, b9, b10, b11, b12 = _B
+    p1, p6, p7, p8, p9, p10, p11, p12 = _E5
+    q1, q6, q7, q8, q9, q10, q11, q12 = _E3
     nsteps = 0
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return RK45Result(t, y, nfev, nsteps, False, None, sol)
+                return OdeResult(t, y, nfev, nsteps, False, None, sol)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k1 = f
-            k2 = fun(t + c2 * h, [yi + p * a21 * h
-                                  for yi, p in zip(y, k1)])
-            k3 = fun(t + c3 * h, [yi + (p * a31 + q * a32) * h
-                                  for yi, p, q in zip(y, k1, k2)])
-            k4 = fun(t + c4 * h, [yi + (p * a41 + q * a42 + r * a43) * h
-                                  for yi, p, q, r in zip(y, k1, k2, k3)])
+            k2 = fun(t + c2 * h, [yi + (s1 * a2_1) * h
+                                  for yi, s1 in zip(y, k1)])
+            k3 = fun(t + c3 * h, [yi + (s1 * a3_1 + s2 * a3_2) * h
+                                  for yi, s1, s2 in zip(y, k1, k2)])
+            k4 = fun(t + c4 * h, [yi + (s1 * a4_1 + s3 * a4_3) * h
+                                  for yi, s1, s3 in zip(y, k1, k3)])
             k5 = fun(t + c5 * h,
-                     [yi + (p * a51 + q * a52 + r * a53 + s * a54) * h
-                      for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h,
-                     [yi + (p * a61 + q * a62 + r * a63 + s * a64
-                            + u * a65) * h
-                      for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [yi + h * (p * b1 + r * b3 + s * b4 + u * b5 + v * b6)
-                     for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
-            nfev += 6
-            error_norm = _rms([
-                (p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7) * h
-                / (atol + max(abs(yi), abs(zi)) * rtol)
-                for yi, zi, p, r, s, u, v, w
-                in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+                     [yi + (s1 * a5_1 + s3 * a5_3 + s4 * a5_4) * h
+                      for yi, s1, s3, s4 in zip(y, k1, k3, k4)])
+            k6 = fun(t + c6 * h,
+                     [yi + (s1 * a6_1 + s4 * a6_4 + s5 * a6_5) * h
+                      for yi, s1, s4, s5 in zip(y, k1, k4, k5)])
+            k7 = fun(t + c7 * h,
+                     [yi + (s1 * a7_1 + s4 * a7_4 + s5 * a7_5
+                            + s6 * a7_6) * h
+                      for yi, s1, s4, s5, s6 in zip(y, k1, k4, k5, k6)])
+            k8 = fun(t + c8 * h,
+                     [yi + (s1 * a8_1 + s4 * a8_4 + s5 * a8_5 + s6 * a8_6
+                            + s7 * a8_7) * h
+                      for yi, s1, s4, s5, s6, s7
+                      in zip(y, k1, k4, k5, k6, k7)])
+            k9 = fun(t + c9 * h,
+                     [yi + (s1 * a9_1 + s4 * a9_4 + s5 * a9_5 + s6 * a9_6
+                            + s7 * a9_7 + s8 * a9_8) * h
+                      for yi, s1, s4, s5, s6, s7, s8
+                      in zip(y, k1, k4, k5, k6, k7, k8)])
+            k10 = fun(t + c10 * h,
+                      [yi + (s1 * a10_1 + s4 * a10_4 + s5 * a10_5
+                             + s6 * a10_6 + s7 * a10_7 + s8 * a10_8
+                             + s9 * a10_9) * h
+                       for yi, s1, s4, s5, s6, s7, s8, s9
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+            k11 = fun(t + c11 * h,
+                      [yi + (s1 * a11_1 + s4 * a11_4 + s5 * a11_5
+                             + s6 * a11_6 + s7 * a11_7 + s8 * a11_8
+                             + s9 * a11_9 + s10 * a11_10) * h
+                       for yi, s1, s4, s5, s6, s7, s8, s9, s10
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+            k12 = fun(t + h,
+                      [yi + (s1 * a12_1 + s4 * a12_4 + s5 * a12_5
+                             + s6 * a12_6 + s7 * a12_7 + s8 * a12_8
+                             + s9 * a12_9 + s10 * a12_10
+                             + s11 * a12_11) * h
+                       for yi, s1, s4, s5, s6, s7, s8, s9, s10, s11
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+            y_new = [yi + (s1 * b1 + s6 * b6 + s7 * b7 + s8 * b8 + s9 * b9
+                           + s10 * b10 + s11 * b11 + s12 * b12) * h
+                     for yi, s1, s6, s7, s8, s9, s10, s11, s12
+                     in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+            k13 = fun(t + h, y_new)
+            nfev += 12
+            # scipy's error norm from the 5th- and 3rd-order estimates
+            e5 = e3 = 0.0
+            for yi, zi, s1, s6, s7, s8, s9, s10, s11, s12 in zip(
+                    y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):
+                scale = atol + max(abs(yi), abs(zi)) * rtol
+                a = (s1 * p1 + s6 * p6 + s7 * p7 + s8 * p8 + s9 * p9
+                     + s10 * p10 + s11 * p11 + s12 * p12) / scale
+                b = (s1 * q1 + s6 * q6 + s7 * q7 + s8 * q8 + s9 * q9
+                     + s10 * q10 + s11 * q11 + s12 * q12) / scale
+                e5 += a * a
+                e3 += b * b
+            error_norm = (0.0 if e5 == 0 and e3 == 0 else
+                          h * e5 / math.sqrt((e5 + 0.01 * e3) * n))
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
-                          min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
+                          min(MAX_FACTOR, SAFETY * error_norm ** -0.125))
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.125)
             rejected = True
-        K = (k1, k2, k3, k4, k5, k6, k7)
-        piece = _piece(t, h, y, K) if dense_output else None
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, k7
+        step = (t, h, y, y_new,
+                (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13))
+        t, y, k1 = t_new, y_new, k13
         nsteps += 1
         g_new = [event(t, y) for event in events]
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if a <= 0 <= b or a >= 0 >= b]
+        piece = None
         if active:
-            if piece is None:
-                piece = _piece(t_old, h, y_old, K)
-            roots = {i: _event_root(events[i], piece, t_old, t)
+            piece = _interpolant(fun, *step)
+            nfev += 3
+            roots = {i: _event_root(events[i], piece, step[0], t)
                      for i in active}
             first = min(active, key=roots.__getitem__)
             t = roots[first]
-            y = _quartic(piece, t)
+            y = _interpolate(piece, t)
         if sol is not None:
-            sol.append(piece, t)
+            sol.append(step, t, y, piece)
         if active:
-            return RK45Result(t, y, nfev, nsteps, True, first, sol)
+            return OdeResult(t, y, nfev, nsteps, True, first, sol)
         g = g_new
-    return RK45Result(t, y, nfev, nsteps, True, None, sol)
+    return OdeResult(t, y, nfev, nsteps, True, None, sol)

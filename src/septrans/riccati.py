@@ -28,7 +28,7 @@ from .models import HamiltonianModel
 from .numerics import SCALARS
 # the solver's one binding, which the bench's traced run rebinds to count
 # rhs evaluations
-from .numerics import rk45 as solve_ivp
+from .numerics import dop853 as solve_ivp
 
 
 class BlowUpError(RuntimeError):
@@ -135,7 +135,7 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
 
 def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
                opts: SolverOptions, stable: bool):
-    """(the rk45 result, the largest |residual| of the loop restriction
+    """(the dop853 result, the largest |residual| of the loop restriction
     over the points the solve evaluated).  A residual above 1e-6 raises
     LoopConstructionError at the first point that has it."""
     # the blow-up event fires on a sign change only, so a start past the

@@ -9,6 +9,7 @@ from septrans.charts import (ChartTransition, Jet2, ReversibilityError,
                              jet_transport_stable, stable_from_reversibility,
                              stable_jet_from_unstable, torus_shift_transition,
                              torus_transversality, transversality_verdict)
+from septrans import riccati
 from septrans.models import builtin_model
 from septrans.riccati import SolverOptions, solve_riccati
 
@@ -206,6 +207,39 @@ def test_torus_transversality_constant_coupling():
 def test_torus_transversality_separable_tangent():
     r = torus_transversality(builtin_model("pendula_identical", [0.0]))
     assert r.verdict == "tangent"
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5, 5.0, 12.0, 20.0, 40.0])
+def test_weak_coupling_is_tangent_by_construction(lam):
+    # the manifolds of pendula_weak coincide for every admissible lam; the
+    # verdict's default solve must land the gap below tol_tangent (with
+    # RK45 it read inconclusive from lam 12 on: gaps 1.2e-10 to 3.2e-9)
+    m = builtin_model("pendula_weak", [lam])
+    r = chart_transversality(m, *m.matching)
+    assert r.verdict == "tangent", r.gap
+
+
+@pytest.mark.parametrize("name, params", [
+    ("neumann", [1.2, 3.0]), ("pendula_identical", [0.2, 0.05]),
+    ("pendula_weak", [2.5])])
+def test_verdict_reads_the_slope_at_a_mesh_point(monkeypatch, name, params):
+    # T is read at the solve's target, its last mesh point, so the verdict
+    # makes no rhs evaluation beyond the solve's own: no interpolant
+    calls, solves = [], []
+
+    def counting(fun, *args, **kwargs):
+        def rhs(t, y):
+            calls.append(t)
+            return fun(t, y)
+
+        solves.append(original(rhs, *args, **kwargs))
+        return solves[-1]
+
+    original = riccati.solve_ivp
+    monkeypatch.setattr(riccati, "solve_ivp", counting)
+    m = builtin_model(name, params)
+    chart_transversality(m, *m.matching)
+    assert [len(calls)] == [s.nfev for s in solves]
 
 
 def test_torus_transversality_cosine_coupling():

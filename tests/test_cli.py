@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from septrans.charts import chart_transversality, verdict_options
 from septrans.cli import build_parser, main
+from septrans.models import builtin_model
 from septrans.numerics import parse_grid
 
 
@@ -228,7 +231,12 @@ def test_transversality_torus_tangent(capsys):
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0", "--rtol", "1e-9")
     assert code == 0
-    assert abs(json.loads(out)["gap"]) > 1e3 * abs(doc["gap"])
+    model = builtin_model("pendula_identical", [0.0])
+    given = chart_transversality(
+        model, *model.matching,
+        opts=replace(verdict_options(model), rtol=1e-9))
+    assert json.loads(out)["gap"] == given.gap
+    assert abs(given.gap) > abs(doc["gap"])
 
 
 def test_transversality_csv(capsys):

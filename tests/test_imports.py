@@ -71,7 +71,7 @@ NEUMANN = ["--model", "neumann", "--params", "lambda1=1"]
     ["melnikov", "--model", "pendula_weak", "--params", "lam=2"],
 ], ids=lambda args: args[0])
 def test_solves_load_no_scipy(args):
-    # the slope equations and the oracle run on the in-house RK45, the
+    # the slope equations and the oracle run on the in-house DOP853, the
     # Melnikov integrals are numpy trapezoids and its threshold is a Newton
     # root
     assert scipy_modules(args) == [[], []]

@@ -92,6 +92,25 @@ def test_neumann_solution_closed_form_along_the_way():
     assert sol.diagnostics["startup_sensitivity_ok"]
 
 
+def test_neumann_end_slope_at_default_tolerance():
+    # T(2) = (lambda2 + lambda1 - lambda1^2/lambda2)/4 in closed form; at
+    # the default rtol 1e-9 the 8th-order solve is within 1.9e-11 of it
+    l1, l2 = 1.2, 3.0
+    sol = solve_riccati(builtin_model("neumann", [l1, l2]), 2.0)
+    assert abs(sol(2.0) - (l2 + l1 - l1 * l1 / l2) / 4.0) <= 5e-11
+
+
+@pytest.mark.parametrize("lam", [2.3816082067277553, 2.5999948496581062,
+                                 2.67, 3.164723259410299])
+def test_weak_coupling_slope_at_default_tolerance(lam):
+    # T(pi) = 0 by construction.  Uncapped, DOP853's error estimate lets
+    # one step of 0.7-1.0 cross the fall of T at these lam and accepts a
+    # local error 1e3 to 1e5 times the tolerance: T(pi) was 1.2e-6 to
+    # 4.2e-4 at rtol 1e-9 (scipy's DOP853 gives the same)
+    sol = solve_riccati(builtin_model("pendula_weak", [lam]), math.pi)
+    assert abs(sol(math.pi)) <= 1e-8
+
+
 def test_constant_f_value_at_pi():
     for b in (0.4, 0.8):
         f0 = (1.0 - b * b) / 2.0

@@ -1,4 +1,4 @@
-"""The in-house RK45 against scipy's solve_ivp(method="RK45") as the
+"""The in-house DOP853 against scipy's solve_ivp(method="DOP853") as the
 reference: on every solve the slope equations make, the same rhs
 evaluations and steps, and the same values to 1e-12."""
 
@@ -8,13 +8,19 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from septrans import riccati
 from septrans.models import builtin_model
-from septrans.numerics import RK45Result, rk45
+from septrans.numerics import MAX_STEP, OdeResult, dop853
 from septrans.riccati import (BlowUpError, SolverOptions,
                               riccati_to_linear_oracle, solve_riccati)
 
 
-def scipy_rk45(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
-    """rk45's contract on top of scipy's solve_ivp."""
+def scipy_dop853(fun, t_span, y0, rtol, atol, events=(),
+                 dense_output=False):
+    """dop853's contract on top of scipy's solve_ivp, with its steps
+    capped at MAX_STEP of the span.  scipy builds every step's
+    interpolant, 3 rhs evaluations each, when asked for dense output;
+    dop853 builds one when it is first read.  So the counts come from a
+    solve without dense output, which takes the same steps, and the dense
+    output from a second one."""
     def terminal(event):
         def g(t, y):
             # scipy passes the initial state as given, later ones as arrays
@@ -22,14 +28,18 @@ def scipy_rk45(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         g.terminal = True
         return g
 
-    r = scipy_solve_ivp(lambda t, y: fun(t, y.tolist()), t_span, y0,
-                        method="RK45", rtol=rtol, atol=atol,
-                        dense_output=dense_output,
-                        events=[terminal(e) for e in events] or None)
+    def solve(dense):
+        return scipy_solve_ivp(lambda t, y: fun(t, y.tolist()), t_span, y0,
+                               method="DOP853", rtol=rtol, atol=atol,
+                               max_step=MAX_STEP * (t_span[1] - t_span[0]),
+                               dense_output=dense,
+                               events=[terminal(e) for e in events] or None)
+
+    r = solve(False)
     fired = [i for i, te in enumerate(r.t_events or ()) if te.size]
-    return RK45Result(float(r.t[-1]), r.y[:, -1].tolist(), r.nfev,
-                      len(r.t) - 1, r.success, fired[0] if fired else None,
-                      r.sol)
+    return OdeResult(float(r.t[-1]), r.y[:, -1].tolist(), r.nfev,
+                     len(r.t) - 1, r.success, fired[0] if fired else None,
+                     solve(True).sol if dense_output else None)
 
 
 CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
@@ -71,9 +81,9 @@ def outcome(monkeypatch, solver, model, opts):
 @pytest.mark.parametrize("name, params", CASES)
 def test_steps_and_values_match_scipy(monkeypatch, name, params, route):
     model = builtin_model(name, params)
-    (kind, ours), our_counts = outcome(monkeypatch, rk45, model,
+    (kind, ours), our_counts = outcome(monkeypatch, dop853, model,
                                        ROUTES[route])
-    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_rk45, model,
+    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_dop853, model,
                                           ROUTES[route])
     assert our_counts == ref_counts
     assert kind == ref_kind
@@ -86,8 +96,8 @@ def test_blow_up_event_matches_scipy(monkeypatch):
     # so cap 1 is crossed in flight
     model = builtin_model("pendula_identical", [0.45])
     opts = SolverOptions(cap=1.0, sensitivity_check=False)
-    (kind, ours), our_counts = outcome(monkeypatch, rk45, model, opts)
-    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_rk45, model,
+    (kind, ours), our_counts = outcome(monkeypatch, dop853, model, opts)
+    (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_dop853, model,
                                           opts)
     assert kind == ref_kind == "blow-up"
     assert our_counts == ref_counts and our_counts[0][3] == 0
@@ -100,26 +110,50 @@ def test_too_small_step_fails_where_scipy_does():
         return [y[0] * y[0]]
 
     # y = 1/(1 - t) has a pole at t = 1
-    ours = rk45(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
-    ref = scipy_rk45(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    ours = dop853(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    ref = scipy_dop853(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
     assert not ours.success and not ref.success
     assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
     assert ours.t == pytest.approx(ref.t, abs=1e-12)
-    assert ours.t < 1.0
+    # it stalls at the pole: the last accepted point is 9.6e-11 past it
+    assert abs(ours.t - 1.0) < 1e-9
 
 
 def test_forward_solve_and_dense_output_match_scipy():
     def rotation(t, y):
         return [y[1], -y[0] + 0.1 * t]
 
-    ours = rk45(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                dense_output=True)
-    ref = scipy_rk45(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                     dense_output=True)
+    ours = dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
+                  dense_output=True)
+    ref = scipy_dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
+                       dense_output=True)
     assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
     assert ours.t == ref.t == 3.0
     for t in np.linspace(-1.0, 3.0, 41):
         assert np.max(np.abs(np.asarray(ours.sol(t)) - ref.sol(t))) <= 1e-12
+
+
+def test_dense_output_builds_a_piece_when_first_read():
+    calls = []
+
+    def rotation(t, y):
+        calls.append(t)
+        return [y[1], -y[0] + 0.1 * t]
+
+    res = dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
+                 dense_output=True)
+    sol = res.sol
+    assert len(calls) == res.nfev
+    # a mesh point is the state stored there, and costs nothing
+    assert sol(3.0) == res.y and sol(sol.ts[2]) == sol.ys[2]
+    assert len(calls) == res.nfev
+    # a point inside a step builds that step's piece once
+    inside = 0.5 * (sol.ts[2] + sol.ts[3])
+    first = sol(inside)
+    assert sol(inside) == first and len(calls) == res.nfev + 3
+    # an array call builds the rest
+    sol(np.linspace(-1.0, 3.0, 5))
+    assert len(calls) == res.nfev + 3 * res.nsteps
 
 
 @pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0)])
@@ -128,7 +162,7 @@ def test_span_not_forward_raises(t_span):
         raise AssertionError("evaluated the rhs")
 
     with pytest.raises(ValueError, match="forward"):
-        rk45(never, t_span, [1.0], 1e-9, 1e-12)
+        dop853(never, t_span, [1.0], 1e-9, 1e-12)
 
 
 def rotation_solves():
@@ -136,7 +170,7 @@ def rotation_solves():
         return [y[1], -y[0] + 0.1 * t]
 
     return [solver(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                   dense_output=True).sol for solver in (rk45, scipy_rk45)]
+                   dense_output=True).sol for solver in (dop853, scipy_dop853)]
 
 
 def probe_times(sol, beyond):
@@ -158,7 +192,7 @@ def test_dense_output_on_an_array_is_its_calls_bit_for_bit():
 
 
 def test_dense_output_on_an_array_matches_ode_solution():
-    # the end pieces' quartics, extrapolated far, magnify the ulps in
+    # the end pieces' polynomials, extrapolated far, magnify the ulps in
     # which the two solvers' coefficients differ: stay near the ends
     ours, ref = rotation_solves()
     t = probe_times(ours, [1e-9, 1e-3])
