@@ -27,7 +27,7 @@ from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError
 from .models import (BUILTIN_NAMES, ConstructionError, HamiltonianModel,
                      builtin_model, validate_hypotheses)
-from .numerics import parse_grid
+from .numerics import QuadratureError, parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
 
 FMT = "%.17g"
@@ -275,11 +275,12 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def failure(exc: BlowUpError | ValueError) -> tuple[int, str]:
+def failure(exc: BlowUpError | QuadratureError | ValueError
+            ) -> tuple[int, str]:
     """The documented exit code of a failed run and its message."""
     if isinstance(exc, LoopConstructionError):
         return 1, "hypothesis failure: %s" % exc
-    if isinstance(exc, BlowUpError):
+    if isinstance(exc, (BlowUpError, QuadratureError)):
         return 3, "numerical failure: %s" % exc
     return 2, "error: %s" % exc
 
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (BlowUpError, ValueError) as exc:
+    except (BlowUpError, QuadratureError, ValueError) as exc:
         code, message = failure(exc)
         print(message, file=sys.stderr)
         return code

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import TransversalityReport
 from .models import PerturbationModel
-from .numerics import richardson_diff
+from .numerics import QuadratureError, richardson_diff
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class MelnikovResult:
     verdict: str | None = None          # perturbed_loop_transversal |
                                         # degenerate | inapplicable
     quadrature_diag: dict = field(default_factory=dict)
+
+
+# the most nodes one trapezoid sum may take: 80 MB per float array, and
+# over 60 times the widest tested window (lam = 40 at |s| = 4, 160,001)
+NODE_BUDGET = 10**7
 
 
 def _t_cut(pert: PerturbationModel, s: float) -> float:
@@ -53,8 +58,15 @@ def _trapezoid(fn, t0: float, T: float,
     0.2 / pert.time_scale and the value is the sum at half that step; the
     difference of the two sums is the quadrature error estimate.  Returns
     the value and its diagnostics t_cut = T, tail_bound and quad_error.
+    Raises QuadratureError, before allocating, if the rule needs more than
+    NODE_BUDGET nodes.
     """
     n = math.ceil(2.0 * T * pert.time_scale / 0.2)
+    if 2 * n + 1 > NODE_BUDGET:
+        raise QuadratureError(
+            "the trapezoid window [%.6g, %.6g] at step %.3g needs %d nodes, "
+            "above the budget of %d" % (t0 - T, t0 + T, T / n, 2 * n + 1,
+                                        NODE_BUDGET))
     nodes = t0 + np.linspace(-T, T, 2 * n + 1)
     vals = np.broadcast_to(fn(nodes), nodes.shape)
     ends = 0.5 * (vals[0] + vals[-1])

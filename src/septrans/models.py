@@ -245,12 +245,20 @@ def _assembled_jet(model: HamiltonianModel
 class PerturbationModel:
     """First-order perturbation H* together with the unperturbed loop family.
 
-    loop_family(t, s) returns the phase point (q1, q2, p1, p2) of the loop
-    with section parameter s at time t; kappa(s) is the configuration point
-    the loop passes through at t = 0, with kappa(0) = (pi, 0).
-    loop_family, h_star and the optional s-derivatives of the integrand
-    take an ndarray t and broadcast over it: the Melnikov integrals
-    evaluate each of them once on the whole node array.
+    integrand(t, s) is H*(x(t, s)) - H*(O) along the loop with section
+    parameter s, at a float or an ndarray t: the one evaluation of the
+    perturbation that the Melnikov integrals make, once on the whole node
+    array of each section point.  A model writes it in closed form where
+    the loops allow one, or passes the composition
+
+        lambda t, s: h_star(*loop_family(t, s)) - h_star_at_O
+
+    itself.  loop_family(t, s) returns the phase point (q1, q2, p1, p2) of
+    the loop with section parameter s at time t; kappa(s) is the
+    configuration point the loop passes through at t = 0, with kappa(0) =
+    (pi, 0).  h_star, h_star_at_O and loop_family define the perturbation,
+    and a closed-form integrand is checked against them.  The optional
+    s-derivatives of the integrand also take an ndarray t.
     decay_rate bounds the exponential approach of the loops to the
     equilibrium and sets the quadrature window.  time_scale is the loop
     family's fastest rate: the window grows by |s| * time_scale, and the
@@ -262,6 +270,10 @@ class PerturbationModel:
     kappa: Callable[[float], tuple[float, float]]
     decay_rate: float
     time_scale: float = 1.0
+    # required (see __post_init__); the None default keeps a class
+    # attribute PerturbationModel.integrand, which bench/tracing.py
+    # replaces while it traces
+    integrand: Callable[[np.ndarray, float], np.ndarray] | None = None
     # optional hooks: without both s-derivatives melnikov takes finite
     # differences in s; without locate, melnikov_potential takes only s
     d_integrand_ds: Callable[[np.ndarray, float], np.ndarray] | None = None
@@ -269,10 +281,9 @@ class PerturbationModel:
     locate: Callable[[float, float], tuple[float, float]] | None = None
     name: str = "custom"
 
-    def integrand(self, t, s: float):
-        """H*(loop) - H*(O) at the times t (a float or an ndarray)."""
-        x = self.loop_family(t, s)
-        return self.h_star(*x) - self.h_star_at_O
+    def __post_init__(self):
+        if self.integrand is None:
+            raise TypeError("PerturbationModel needs an integrand")
 
 
 @dataclass(frozen=True)
@@ -556,16 +567,18 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
     # on first call: only the Melnikov integrals evaluate these
     def xi1_of(u):
         import numpy as np
-        return 4.0 * np.arctan(np.exp(u))
+        # far from the loop's centre exp overflows to inf, whose arctan is
+        # the exact limit
+        with np.errstate(over="ignore"):
+            return 4.0 * np.arctan(np.exp(u))
 
     def loop_family(t, s: float):
         import numpy as np
         u = t - s
-        # far from the loop's centre exp and cosh overflow to inf, whose
-        # arctan and reciprocal are the exact limits
+        q1 = xi1_of(u)
+        q2 = xi1_of(lam * t) - xi1_of(lam * u)
+        # cosh overflows to inf as exp does, and 2 / inf is the exact limit
         with np.errstate(over="ignore"):
-            q1 = xi1_of(u)
-            q2 = xi1_of(lam * t) - xi1_of(lam * u)
             eta1 = 2.0 / np.cosh(u)
             eta2 = 2.0 * lam / np.cosh(lam * t)
         p2 = eta2
@@ -578,6 +591,14 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
     def h_star(q1, q2, p1, p2):
         import numpy as np
         return 1.0 - np.cos(h(q1) - q1 + q2)
+
+    def integrand(t, s: float):
+        # h(xi1(u)) = xi1(lam u), so on the loop h(q1) - q1 + q2 is
+        # xi1(lam t) - xi1(t - s); H* = 1 - cos of it, written as a square,
+        # which does not cancel in the tails
+        import numpy as np
+        half = np.sin(0.5 * (xi1_of(lam * t) - xi1_of(t - s)))
+        return 2.0 * half * half
 
     def d_integrand_ds(t, s: float):
         import numpy as np
@@ -608,7 +629,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
 
     pert = PerturbationModel(
         h_star=h_star, h_star_at_O=0.0, loop_family=loop_family, kappa=kappa,
-        decay_rate=1.0, time_scale=max(1.0, lam),
+        decay_rate=1.0, time_scale=max(1.0, lam), integrand=integrand,
         d_integrand_ds=d_integrand_ds, d2_integrand_ds2=d2_integrand_ds2,
         locate=locate, name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1

@@ -1,5 +1,6 @@
-"""Small shared numerical helpers: finite differences, grid parsing and
-dop853, the Dormand-Prince 8(5,3) integrator of the slope equations."""
+"""Small shared numerical helpers: finite differences, grid parsing, the
+error of a quadrature too large to run, and dop853, the Dormand-Prince
+8(5,3) integrator of the slope equations."""
 
 from __future__ import annotations
 
@@ -64,6 +65,11 @@ def parse_grid(spec: str) -> list[float]:
         raise ValueError("grid spec needs finite a < b, a finite span b - a "
                          "and n >= 2, got %r" % spec)
     return [a + (b - a) * i / (n - 1) for i in range(n)]
+
+
+class QuadratureError(RuntimeError):
+    """A quadrature needs more nodes than its budget allows.  It lives here,
+    with no numpy import, so that the command line can catch it."""
 
 
 # Dormand and Prince's 8(5,3) pair with its 7th-order dense output, with

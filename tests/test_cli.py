@@ -304,6 +304,33 @@ def test_melnikov_rejects_other_models(capsys):
     assert code == 2
 
 
+def test_melnikov_large_lam_is_silent(capsys):
+    # exp overflows on the far nodes; a RuntimeWarning would be an error
+    # here and text on stderr from the command line
+    code = main(["melnikov", "--model", "pendula_weak", "--params", "lam=40"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "# verdict = perturbed_loop_transversal" in captured.out
+
+
+def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
+    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB); the
+    # quadrature refuses before numpy allocates them
+    from septrans import melnikov
+    real = np.linspace
+
+    def linspace(start, stop, num, *args, **kwargs):
+        assert num <= melnikov.NODE_BUDGET
+        return real(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    code = main(["melnikov", "--model", "pendula_weak", "--params", "lam=1e4",
+                 "--grid=-4:4:3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and "budget" in err
+
+
 def test_melnikov_near_threshold_note(capsys):
     code, out = run(capsys, "melnikov", "--model", "pendula_weak",
                     "--params", "lam=3.6808", "--grid=-1:1:5")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from septrans.charts import transversality_verdict
-from septrans.melnikov import (lambda0_threshold, melnikov_derivatives,
-                               melnikov_potential, perturbed_loop_verdict,
-                               reduced_melnikov, xi_max)
+from septrans.melnikov import (NODE_BUDGET, _t_cut, lambda0_threshold,
+                               melnikov_derivatives, melnikov_potential,
+                               perturbed_loop_verdict, reduced_melnikov,
+                               xi_max)
 from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
                              builtin_model)
+from septrans.numerics import QuadratureError
 
 
 def weak(lam):
@@ -52,10 +54,16 @@ def test_located_point_needs_locate_hook():
         closed_form_lam1(1.0), abs=1e-9)
 
 
+def composed(pert):
+    """pert with its integrand taken from the definition, H*(loop) - H*(O)."""
+    return replace(pert, integrand=lambda t, s: (
+        pert.h_star(*pert.loop_family(t, s)) - pert.h_star_at_O))
+
+
 def test_constant_perturbation_gives_zero():
-    pert = replace(weak(1.5), h_star=lambda q1, q2, p1, p2: 3.0,
-                   h_star_at_O=3.0, d_integrand_ds=None,
-                   d2_integrand_ds2=None)
+    pert = composed(replace(weak(1.5), h_star=lambda q1, q2, p1, p2: 3.0,
+                            h_star_at_O=3.0, d_integrand_ds=None,
+                            d2_integrand_ds2=None))
     assert melnikov_potential(pert, s=0.8) == pytest.approx(0.0, abs=1e-12)
     d1, d2 = melnikov_derivatives(pert)
     assert abs(d1) < 1e-9 and abs(d2) < 1e-6
@@ -283,6 +291,91 @@ def test_array_integrand_equals_scalar_integrand(lam):
         assert vals.shape == t.shape
         scalar = np.array([pert.integrand(float(x), s) for x in t])
         assert np.max(np.abs(vals - scalar)) <= 1e-15
+
+
+def test_integrand_is_required():
+    pert = weak(2.0)
+    with pytest.raises(TypeError, match="integrand"):
+        PerturbationModel(h_star=pert.h_star, h_star_at_O=0.0,
+                          loop_family=pert.loop_family, kappa=pert.kappa,
+                          decay_rate=1.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7, 2.6, 3.6, 12.0, 40.0])
+def test_closed_form_integrand_matches_definition(lam):
+    # pendula_weak's integrand against H*(loop) - H*(O) over each point's
+    # window, densely where the loop passes the saddle's far side (t near
+    # 0 and near s).  The definition rounds q1 before h reads it, and h' =
+    # lam at q1 = pi, so its own error grows with lam: 6e-15 at lam 12 and
+    # 2e-14 at lam 40, where the closed form is within 7e-16 of the exact
+    # value (test_closed_form_integrand_golden)
+    pert = weak(lam)
+    ref = composed(pert)
+    for s in (-4.0, -0.3, 0.0, 2.5, 40.0, 200.0):
+        T = _t_cut(pert, s)
+        t = np.concatenate([np.linspace(-T, T, 20001),
+                            np.linspace(-3.0, 3.0, 6001),
+                            s + np.linspace(-30.0, 30.0, 6001)])
+        with np.errstate(over="ignore"):
+            want = ref.integrand(t, s)
+        err = np.max(np.abs(pert.integrand(t, s) - want))
+        assert err <= max(4e-15, 1e-15 * lam), (s, err)
+
+
+# 1 - cos(xi(lam t) - xi(t - s)), xi(u) = 4 atan(e^u), in 50-digit
+# arithmetic (mpmath 1.3.0) at the float t, rounded to a double; the
+# s = 0 points are where H*(loop) - H*(O) is furthest from it
+INTEGRAND_GOLDEN = [
+    (12.0, 0.0, 0.0726, 0.8411635889204447),
+    (12.0, 0.0, 0.0562, 0.5864964277364764),
+    (40.0, 0.0, 0.016, 0.6085821017471645),
+    (40.0, 0.0, 0.0183, 0.7439282496534829),
+    (40.0, 0.0, 0.0241, 1.0651999615500516),
+    (1.7, 2.5, -0.4, 1.0849387577138379),
+    (40.0, 2.5, 2.45, 1.9950083215431358),
+]
+
+
+@pytest.mark.parametrize("lam,s,t,want", INTEGRAND_GOLDEN)
+def test_closed_form_integrand_golden(lam, s, t, want):
+    assert abs(weak(lam).integrand(t, s) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 3.6])
+def test_reduced_potential_matches_definition(lam):
+    pert = weak(lam)
+    grid = np.linspace(-4.0, 4.0, 81)
+    L = reduced_melnikov(pert, grid).L_samples
+    L_ref = reduced_melnikov(composed(pert), grid).L_samples
+    assert np.max(np.abs(L - L_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [18.0, 40.0])
+def test_large_lam_is_silent(lam):
+    # exp overflows to inf on the far nodes of the s-derivatives' window,
+    # and at kappa(s) for lam s beyond 709
+    pert = weak(lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d1, d2 = melnikov_derivatives(pert)
+        L = reduced_melnikov(pert, [-4.0, 0.0, 4.0]).L_samples
+        q = pert.kappa(-40.0)
+    assert abs(d1) < 1e-13 and d2 < 0
+    assert L[0] == pytest.approx(L[2], abs=1e-12)
+    assert q == (4.0 * math.atan(math.exp(40.0)), -math.pi)
+
+
+def test_node_budget_refuses_before_allocating(monkeypatch):
+    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB)
+    real = np.linspace
+
+    def linspace(start, stop, num, *args, **kwargs):
+        assert num <= NODE_BUDGET
+        return real(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
+        melnikov_potential(weak(1e4), s=4.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.6])
