@@ -47,30 +47,32 @@ def _t_cut(pert: PerturbationModel, s: float) -> float:
     return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
 
 
-def _trapezoid(fn, t0: float, T: float,
+def _nodes(t0: float, T: float, pert: PerturbationModel) -> np.ndarray:
+    """The trapezoid nodes on [t0 - T, t0 + T] at step 0.1 / time_scale.
+    Raises QuadratureError, before allocating, above NODE_BUDGET nodes."""
+    # a float count, so that an infinite or nan one fails the test too
+    n = np.ceil(2.0 * T * pert.time_scale / 0.2)
+    if not 2.0 * n + 1.0 <= NODE_BUDGET:
+        raise QuadratureError("the trapezoid window [%.6g, %.6g] needs %.17g "
+                              "nodes, above the budget of %d"
+                              % (t0 - T, t0 + T, 2.0 * n + 1.0, NODE_BUDGET))
+    return t0 + np.linspace(-T, T, 2 * int(n) + 1)
+
+
+def _trapezoid(vals, nodes: np.ndarray, T: float,
                pert: PerturbationModel) -> tuple[float, dict]:
-    """Integral of fn over [t0 - T, t0 + T] by the trapezoidal rule, from
-    one evaluation of fn on the whole node array.
+    """Integral over _nodes' window of half-width T by the trapezoidal
+    rule, from the integrand's values vals on its nodes.
 
     The integrands are analytic in a strip about the real axis and decay
     exponentially, so the rule converges geometrically in the step
-    (Trefethen and Weideman, SIAM Review 56, 2014).  The coarse step is
-    0.2 / pert.time_scale and the value is the sum at half that step; the
-    difference of the two sums is the quadrature error estimate.  Returns
+    (Trefethen and Weideman, SIAM Review 56, 2014).  The difference from
+    the sum at twice the step is the quadrature error estimate.  Returns
     the value and its diagnostics t_cut = T, tail_bound and quad_error.
-    Raises QuadratureError, before allocating, if the rule needs more than
-    NODE_BUDGET nodes.
     """
-    n = math.ceil(2.0 * T * pert.time_scale / 0.2)
-    if 2 * n + 1 > NODE_BUDGET:
-        raise QuadratureError(
-            "the trapezoid window [%.6g, %.6g] at step %.3g needs %d nodes, "
-            "above the budget of %d" % (t0 - T, t0 + T, T / n, 2 * n + 1,
-                                        NODE_BUDGET))
-    nodes = t0 + np.linspace(-T, T, 2 * n + 1)
-    vals = np.broadcast_to(fn(nodes), nodes.shape)
+    vals = np.broadcast_to(vals, nodes.shape)
     ends = 0.5 * (vals[0] + vals[-1])
-    step = T / n
+    step = T / (nodes.size // 2)
     fine = step * (np.sum(vals) - ends)
     coarse = 2.0 * step * (np.sum(vals[::2]) - ends)
     tail = (abs(vals[0]) + abs(vals[-1])) / (2.0 * pert.decay_rate)
@@ -101,7 +103,8 @@ def melnikov_potential(pert: PerturbationModel,
         raise ValueError("perturbation %s has no locate hook" % pert.name)
     t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
     T = _t_cut(pert, s)
-    val, d = _trapezoid(lambda t: pert.integrand(t, s), t0, T, pert)
+    nodes = _nodes(t0, T, pert)
+    val, d = _trapezoid(pert.integrand(nodes, s), nodes, T, pert)
     if diag is not None:
         diag.update(d)
     return -val
@@ -129,15 +132,16 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
 
 def melnikov_derivatives(pert: PerturbationModel,
                          diag: dict | None = None) -> tuple[float, float]:
-    """(L~'(0), L~''(0)) by analytic integrand derivatives when the model
-    supplies them, else by Richardson-extrapolated central differences;
-    diag receives the worst t_cut, tail_bound and quad_error behind them."""
-    if pert.d_integrand_ds is not None and pert.d2_integrand_ds2 is not None:
+    """(L~'(0), L~''(0)) from one integrand_s_jet call on the s = 0 nodes
+    when the model has the hook, else by Richardson-extrapolated central
+    differences; diag receives the worst t_cut, tail_bound and quad_error
+    behind them."""
+    if pert.integrand_s_jet is not None:
         T = _t_cut(pert, 0.0)
-        runs = [_trapezoid(lambda t: fn(t, 0.0), 0.0, T, pert)
-                for fn in (pert.d_integrand_ds, pert.d2_integrand_ds2)]
-        derivs = tuple(-val for val, _d in runs)
-        diags = [d for _v, d in runs]
+        nodes = _nodes(0.0, T, pert)
+        (v1, d1), (v2, d2) = (_trapezoid(row, nodes, T, pert)
+                              for row in pert.integrand_s_jet(nodes, 0.0))
+        derivs, diags = (-v1, -v2), [d1, d2]
     else:
         diags = []
 

@@ -258,7 +258,9 @@ class PerturbationModel:
     configuration point the loop passes through at t = 0, with kappa(0) =
     (pi, 0).  h_star, h_star_at_O and loop_family define the perturbation,
     and a closed-form integrand is checked against them.  The optional
-    s-derivatives of the integrand also take an ndarray t.
+    integrand_s_jet(t, s) returns the integrand's first and second
+    s-derivatives on an ndarray t, from one evaluation; without it the
+    derivatives of the reduced potential are finite differences in s.
     decay_rate bounds the exponential approach of the loops to the
     equilibrium and sets the quadrature window.  time_scale is the loop
     family's fastest rate: the window grows by |s| * time_scale, and the
@@ -274,10 +276,9 @@ class PerturbationModel:
     # attribute PerturbationModel.integrand, which bench/tracing.py
     # replaces while it traces
     integrand: Callable[[np.ndarray, float], np.ndarray] | None = None
-    # optional hooks: without both s-derivatives melnikov takes finite
+    # optional hooks: without integrand_s_jet melnikov takes finite
     # differences in s; without locate, melnikov_potential takes only s
-    d_integrand_ds: Callable[[np.ndarray, float], np.ndarray] | None = None
-    d2_integrand_ds2: Callable[[np.ndarray, float], np.ndarray] | None = None
+    integrand_s_jet: Callable[[np.ndarray, float], tuple] | None = None
     locate: Callable[[float, float], tuple[float, float]] | None = None
     name: str = "custom"
 
@@ -563,8 +564,8 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             2.0 * h1 * sigma * h2)                          # b220'
 
     # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
-    # the s=0 loop lies on q2=0; t may be an ndarray.  numpy is imported
-    # on first call: only the Melnikov integrals evaluate these
+    # the s=0 loop lies on q2=0; t may be an ndarray, and numpy is imported
+    # on first call
     def xi1_of(u):
         import numpy as np
         # far from the loop's centre exp overflows to inf, whose arctan is
@@ -572,18 +573,22 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         with np.errstate(over="ignore"):
             return 4.0 * np.arctan(np.exp(u))
 
-    def loop_family(t, s: float):
+    # on the loops h(q1) - q1 + q2 = xi1(lam t) - xi1(t - s) with xi1 = pi
+    # + 2 gd, so H* is 2 g^2, g = sin(gd(lam t) - gd(t - s)) = A b - B a,
+    # A, B = tanh, sech of lam t and a, b of t - s; the momenta are sechs
+    def tanh_sech(t, s: float):
         import numpy as np
         u = t - s
-        q1 = xi1_of(u)
-        q2 = xi1_of(lam * t) - xi1_of(lam * u)
-        # cosh overflows to inf as exp does, and 2 / inf is the exact limit
-        with np.errstate(over="ignore"):
-            eta1 = 2.0 / np.cosh(u)
-            eta2 = 2.0 * lam / np.cosh(lam * t)
-        p2 = eta2
-        p1 = eta1 + h_slope(q1)[0] * eta2
-        return (q1, q2, p1, p2)
+        with np.errstate(over="ignore"):    # sech = 1 / inf = 0 far out
+            return (np.tanh(lam * t), 1.0 / np.cosh(lam * t), np.tanh(u),
+                    1.0 / np.cosh(u))
+
+    def loop_family(t, s: float):
+        _A, B, _a, b = tanh_sech(t, s)
+        q1 = xi1_of(t - s)
+        q2 = xi1_of(lam * t) - xi1_of(lam * (t - s))
+        p2 = 2.0 * lam * B
+        return (q1, q2, 2.0 * b + h_slope(q1)[0] * p2, p2)
 
     def kappa(s: float):
         return (xi1_of(-s), math.pi - xi1_of(-lam * s))
@@ -593,29 +598,17 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         return 1.0 - np.cos(h(q1) - q1 + q2)
 
     def integrand(t, s: float):
-        # h(xi1(u)) = xi1(lam u), so on the loop h(q1) - q1 + q2 is
-        # xi1(lam t) - xi1(t - s); H* = 1 - cos of it, written as a square,
-        # which does not cancel in the tails
-        import numpy as np
-        half = np.sin(0.5 * (xi1_of(lam * t) - xi1_of(t - s)))
-        return 2.0 * half * half
+        A, B, a, b = tanh_sech(t, s)
+        g = A * b - B * a
+        return 2.0 * g * g      # a square, which does not cancel in the tails
 
-    def d_integrand_ds(t, s: float):
-        import numpy as np
-        u = t - s
-        xi1 = xi1_of(u)
-        xi2 = xi1_of(lam * t)
-        dxi1 = -2.0 * np.sin(xi1 / 2.0)
-        return -np.sin(xi2 - xi1) * dxi1
-
-    def d2_integrand_ds2(t, s: float):
-        import numpy as np
-        u = t - s
-        xi1 = xi1_of(u)
-        xi2 = xi1_of(lam * t)
-        dxi1 = -2.0 * np.sin(xi1 / 2.0)
-        ddxi1 = np.sin(xi1)
-        return np.cos(xi2 - xi1) * dxi1 * dxi1 - np.sin(xi2 - xi1) * ddxi1
+    def integrand_s_jet(t, s: float):
+        # d/ds of a and b are -b^2 and a b
+        A, B, a, b = tanh_sech(t, s)
+        g = A * b - B * a
+        g_s = b * (A * a + B * b)
+        g_ss = 2.0 * B * a * b * b - A * b * (b * b - a * a)
+        return 4.0 * g * g_s, 4.0 * (g_s * g_s + g * g_ss)
 
     def locate(q1: float, q2: float):
         if not (0.0 < q1 < 2.0 * math.pi):
@@ -630,8 +623,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
     pert = PerturbationModel(
         h_star=h_star, h_star_at_O=0.0, loop_family=loop_family, kappa=kappa,
         decay_rate=1.0, time_scale=max(1.0, lam), integrand=integrand,
-        d_integrand_ds=d_integrand_ds, d2_integrand_ds2=d2_integrand_ds2,
-        locate=locate, name="pendula_weak")
+        integrand_s_jet=integrand_s_jet, locate=locate, name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
     # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
     h1 = -jet(0.0).b120     # h'(0): 1 at lam = 1, else 0

@@ -228,22 +228,18 @@ class DenseOutput:
             return np.repeat(np.array(self.ys[0], dtype=float)[:, None],
                              len(s), axis=1)
         # the mesh and its states (components, points), then each piece's
-        # start, size, y (components, pieces) and F of shape (7,
-        # components, pieces)
+        # start, size, y (components, pieces) and F of shape (components,
+        # 7, pieces)
         if self._stacked is None:
             t, h, y, F = zip(*map(self._piece, range(len(self._steps))))
             self._stacked = (np.array(self.ts), np.array(self.ys).T,
                              np.array(t), np.array(h), np.array(y).T,
-                             np.array(F).transpose(2, 1, 0))
+                             np.array(F).transpose(1, 2, 0))
         ts, ys, t, h, y, F = self._stacked
         j = np.minimum(np.searchsorted(ts, s, side="left"), len(ts) - 1)
         i = np.clip(j - 1, 0, len(t) - 1)
-        # _interpolate on every point
-        f0, f1, f2, f3, f4, f5, f6 = F[:, :, i]
-        x = (s - t[i]) / h[i]
-        u = 1.0 - x
-        inner = y[:, i] + x * (f0 + u * (f1 + x * (f2 + u * (
-            f3 + x * (f4 + u * (f5 + x * f6))))))
+        # every point's piece at once, as one piece of array entries
+        inner = _interpolate((t[i], h[i], y[:, i], F[:, :, i]), s)
         return np.where(ts[j] == s, ys[:, j], inner)
 
 
@@ -278,7 +274,9 @@ def _interpolant(fun, t: float, h: float, y: list[float],
     return t, h, y, F
 
 
-def _interpolate(piece: tuple, s: float) -> list[float]:
+def _interpolate(piece: tuple, s) -> list:
+    """The piece at s, per component; s and the piece's entries may be
+    floats or arrays alike."""
     t, h, y, F = piece
     x = (s - t) / h
     u = 1.0 - x

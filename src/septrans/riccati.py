@@ -32,7 +32,8 @@ from .numerics import dop853 as solve_ivp
 
 
 class BlowUpError(RuntimeError):
-    """|T| exceeded the cap: the manifold loses graph form before the target."""
+    """|T| exceeded the cap: the manifold loses graph form before the target
+    (or the loop speed q1dot, which the slope equation divides by, is 0)."""
 
     def __init__(self, q1: float, message: str):
         self.q1 = q1
@@ -163,8 +164,12 @@ def _integrate(terms: Terms, eps: float, q1_target: float, T_start: float,
     def blow_up(q1, y):
         return opts.cap - abs(y[0])
 
-    sol = solve_ivp(rhs, (eps, q1_target), [T_start], opts.rtol, opts.atol,
-                    events=(blow_up,), dense_output=True)
+    try:    # caught here, so that the rhs pays nothing for it
+        sol = solve_ivp(rhs, (eps, q1_target), [T_start], opts.rtol,
+                        opts.atol, events=(blow_up,), dense_output=True)
+    except ZeroDivisionError as exc:
+        raise BlowUpError(eps, "loop speed q1dot underflows to 0 between "
+                          "q1=%g and q1=%g" % (eps, q1_target)) from exc
     if sol.event is not None or not sol.success:
         raise BlowUpError(sol.t, "graph form lost / blow-up at q1=%g before "
                           "q1_target=%g" % (sol.t, q1_target))

@@ -331,6 +331,36 @@ def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
     assert err.startswith("numerical failure:") and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the node count overflows to inf at s = -1 and is 4e302 at s = 0
+    ["melnikov", "--model", "pendula_weak", "--params", "lam=1e300",
+     "--grid=-1:1:3"],
+    # the loop speed q1dot underflows to 0 in the slope solve
+    ["riccati", "--model", "pendula_identical", "--params", "f0=0.2",
+     "--grid=0:3.14:3", "--epsilon", "1e-300"],
+    ["transversality", "--model", "neumann", "--params", "lambda1=1e-300",
+     "lambda2=2"],
+], ids=["melnikov", "riccati", "transversality"])
+def test_extreme_parameters_exit_three(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:")
+    assert ("budget" if argv[0] == "melnikov" else "q1dot") in err
+
+
+def test_sweep_row_of_underflowing_loop_speed_is_nan(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, _ = run(capsys, "sweep", "--model", "neumann", "--params",
+                  "lambda2=2", "--sweep", "lambda1=1e-300:1:3",
+                  "--out", str(out_file))
+    assert code == 3
+    comments, _, rows = read_table(str(out_file))
+    assert "q1dot" in comments["error_1e-300"]
+    assert np.all(np.isnan(rows[0, 1:]))
+    assert np.all(np.isfinite(rows[1:]))
+
+
 def test_melnikov_near_threshold_note(capsys):
     code, out = run(capsys, "melnikov", "--model", "pendula_weak",
                     "--params", "lam=3.6808", "--grid=-1:1:5")

@@ -62,8 +62,7 @@ def composed(pert):
 
 def test_constant_perturbation_gives_zero():
     pert = composed(replace(weak(1.5), h_star=lambda q1, q2, p1, p2: 3.0,
-                            h_star_at_O=3.0, d_integrand_ds=None,
-                            d2_integrand_ds2=None))
+                            h_star_at_O=3.0, integrand_s_jet=None))
     assert melnikov_potential(pert, s=0.8) == pytest.approx(0.0, abs=1e-12)
     d1, d2 = melnikov_derivatives(pert)
     assert abs(d1) < 1e-9 and abs(d2) < 1e-6
@@ -144,7 +143,7 @@ def test_derivatives_lam1():
 def test_derivatives_fallback_matches_analytic():
     pert = weak(2.0)
     d1a, d2a = melnikov_derivatives(pert)
-    blind = replace(pert, d_integrand_ds=None, d2_integrand_ds2=None)
+    blind = replace(pert, integrand_s_jet=None)
     d1f, d2f = melnikov_derivatives(blind)
     assert d1f == pytest.approx(d1a, abs=1e-6)
     assert d2f == pytest.approx(d2a, abs=1e-5)
@@ -154,7 +153,7 @@ def test_derivatives_report_their_quadrature():
     # the analytic route integrates at s = 0; the fallback's differences
     # read the potential at s = 0, +-h and +-h/2 with h = 1e-3
     pert = weak(2.0)
-    blind = replace(pert, d_integrand_ds=None, d2_integrand_ds2=None)
+    blind = replace(pert, integrand_s_jet=None)
     for p, t_cut in ((pert, 40.0), (blind, 40.0 + 1e-3 * 2.0)):
         diag = {}
         melnikov_derivatives(p, diag=diag)
@@ -341,6 +340,41 @@ def test_closed_form_integrand_golden(lam, s, t, want):
     assert abs(weak(lam).integrand(t, s) - want) <= 1e-15
 
 
+# d/ds and d^2/ds^2 of 1 - cos(D), D = xi(lam t) - xi(t - s), in 50-digit
+# arithmetic (mpmath 1.3.0) at the float t, rounded to a double: sin(D) D'
+# and cos(D) D'^2 + sin(D) D'' with D' = 2 sech(t - s) and D'' = D' tanh(t
+# - s), which agree with mpmath.diff of 1 - cos(D) in s to 1e-40
+S_JET_GOLDEN = [
+    (12.0, 0.0, 0.0726, 1.9694173860568194, 0.7747376486642107),
+    (12.0, 0.0, 0.0562, 1.8181330047513593, 1.7508727996316429),
+    (40.0, 0.0, 0.016, 1.8401905196576462, 1.5947113855771615),
+    (40.0, 0.0, 0.0241, 1.9951650036238053, -0.2125742600462159),
+    (40.0, 0.0, -0.0183, -1.9329918760112639, 1.0593138575690992),
+    (1.7, 2.5, -0.4, 0.2186355716570066, -0.22140541201487338),
+    (40.0, 2.5, 2.45, -0.1993347475434848, -3.9601413229065363),
+]
+
+
+@pytest.mark.parametrize("lam,s,t,want1,want2", S_JET_GOLDEN)
+def test_integrand_s_jet_golden(lam, s, t, want1, want2):
+    got1, got2 = weak(lam).integrand_s_jet(t, s)
+    assert abs(got1 - want1) <= 1e-15 * max(1.0, abs(want1))
+    assert abs(got2 - want2) <= 1e-15 * max(1.0, abs(want2))
+
+
+def test_derivatives_call_the_s_jet_once():
+    pert = weak(2.0)
+    calls = []
+
+    def s_jet(t, s):
+        calls.append((t.size, s))
+        return pert.integrand_s_jet(t, s)
+
+    counted = replace(pert, integrand_s_jet=s_jet)
+    assert melnikov_derivatives(counted) == melnikov_derivatives(pert)
+    assert calls == [(1601, 0.0)]   # 40 / 0.05 steps each side
+
+
 @pytest.mark.parametrize("lam", [1.0, 2.0, 3.6])
 def test_reduced_potential_matches_definition(lam):
     pert = weak(lam)
@@ -376,6 +410,19 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "linspace", linspace)
     with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
         melnikov_potential(weak(1e4), s=4.0)
+
+
+@pytest.mark.parametrize("pert,s", [
+    # the node count overflows to inf at s = 1 and is 4e302 at s = 0
+    (weak(1e300), 1.0),
+    (weak(1e300), 0.0),
+    (replace(weak(2.0), time_scale=math.nan), 0.0),
+])
+def test_node_budget_refuses_a_non_finite_count(pert, s):
+    with pytest.raises(QuadratureError, match="budget"):
+        melnikov_potential(pert, s=s)
+    with pytest.raises(QuadratureError, match="budget"):
+        melnikov_derivatives(pert)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.6])

@@ -277,6 +277,18 @@ def test_start_beyond_cap_is_blow_up(monkeypatch):
     assert exc_info.value.q1 == 1e-4 * (b - a)
 
 
+@pytest.mark.parametrize("name,params,opts", [
+    # q1dot underflows to 0 at the start, or everywhere with lambda1
+    ("pendula_identical", [0.2], SolverOptions(epsilon=1e-300)),
+    ("neumann", [1e-300, 2.0], SolverOptions()),
+])
+def test_loop_speed_underflow_is_blow_up(name, params, opts):
+    with pytest.raises(BlowUpError, match="q1dot underflows to 0") as info:
+        solve_riccati(builtin_model(name, params), 2.0, opts=opts)
+    assert "q1=" in str(info.value)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
 @pytest.mark.parametrize("epsilon", [1.2, 1.0])
 def test_start_at_or_past_target_raises(monkeypatch, epsilon):
     # integrating from 1.2 back to 1 would return T(1) = T0 = 2, where the
