@@ -15,6 +15,7 @@ transverse before perturbing) needs no integral at all.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -42,27 +43,57 @@ class MelnikovResult:
 # over 60 times the widest tested window (lam = 40 at |s| = 4, 160,001)
 NODE_BUDGET = 10**7
 
+# the most values (rows times nodes) one integrand call on a block of
+# section points makes; a single row may exceed it.  The 81-point grid at
+# lam 1 / 2.3 / 3.6 took 2.7 / 6.3 / 7.9 ms with 2**12, 2.2 / 3.7 / 5.2 ms
+# with 2**14, 2.3 / 3.5 / 5.0 ms with 2**15 and 3.3 / 6.4 / 7.7 ms with
+# 2**17 (medians of 150 interleaved runs on a 2-core host): larger blocks
+# fall out of cache
+BLOCK_ELEMENTS = 2**14
+
 
 def _t_cut(pert: PerturbationModel, s: float) -> float:
     return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
 
 
-def _nodes(t0: float, T: float, pert: PerturbationModel) -> np.ndarray:
-    """The trapezoid nodes on [t0 - T, t0 + T] at step 0.1 / time_scale.
-    Raises QuadratureError, before allocating, above NODE_BUDGET nodes."""
+def _half_count(t0: float, T: float, pert: PerturbationModel) -> int:
+    """K = ceil(T time_scale / 0.1), the lattice nodes on each side of t0
+    that cover [t0 - T, t0 + T].  Raises QuadratureError, before anything
+    is allocated, above NODE_BUDGET nodes."""
     # a float count, so that an infinite or nan one fails the test too
     n = np.ceil(2.0 * T * pert.time_scale / 0.2)
     if not 2.0 * n + 1.0 <= NODE_BUDGET:
         raise QuadratureError("the trapezoid window [%.6g, %.6g] needs %.17g "
                               "nodes, above the budget of %d"
                               % (t0 - T, t0 + T, 2.0 * n + 1.0, NODE_BUDGET))
-    return t0 + np.linspace(-T, T, 2 * int(n) + 1)
+    return int(n)
 
 
-def _trapezoid(vals, nodes: np.ndarray, T: float,
+def _lattice(t0: float, K: int, pert: PerturbationModel) -> np.ndarray:
+    """The 2K + 1 nodes t0 + k h, |k| <= K, at the step h = 0.1 /
+    time_scale that every trapezoid sum takes."""
+    return t0 + (0.1 / pert.time_scale) * np.arange(-K, K + 1)
+
+
+def _integrand(pert: PerturbationModel, t: np.ndarray, s):
+    """pert.integrand on the 1-D nodes t at s, a float or an (M, 1) column,
+    held to its contract: values of shape (M, N), or (N,) for a float s,
+    or one scalar."""
+    vals = pert.integrand(t, s)
+    shape = np.shape(s)[:1] + t.shape
+    if np.ndim(vals) and np.shape(vals) != shape:
+        raise ValueError(
+            "integrand(t, s) gave values of shape %s on %d nodes and s of "
+            "shape %s: the contract is a 1-D t and either a float s or an "
+            "(M, 1) column of s, and values of their broadcast shape %s or "
+            "one scalar" % (np.shape(vals), t.size, np.shape(s), shape))
+    return vals
+
+
+def _trapezoid(vals, K: int, T: float,
                pert: PerturbationModel) -> tuple[float, dict]:
-    """Integral over _nodes' window of half-width T by the trapezoidal
-    rule, from the integrand's values vals on its nodes.
+    """Integral over a window of half-width T by the trapezoidal rule, from
+    the integrand's values vals on its 2K + 1 lattice nodes.
 
     The integrands are analytic in a strip about the real axis and decay
     exponentially, so the rule converges geometrically in the step
@@ -70,24 +101,26 @@ def _trapezoid(vals, nodes: np.ndarray, T: float,
     the sum at twice the step is the quadrature error estimate.  Returns
     the value and its diagnostics t_cut = T, tail_bound and quad_error.
     """
-    vals = np.broadcast_to(vals, nodes.shape)
-    ends = 0.5 * (vals[0] + vals[-1])
-    step = T / (nodes.size // 2)
-    fine = step * (np.sum(vals) - ends)
-    coarse = 2.0 * step * (np.sum(vals[::2]) - ends)
-    tail = (abs(vals[0]) + abs(vals[-1])) / (2.0 * pert.decay_rate)
+    if np.ndim(vals) == 0:
+        vals = np.full(2 * K + 1, vals, dtype=float)
+    first, last = float(vals[0]), float(vals[-1])
+    ends = 0.5 * (first + last)
+    step = 0.1 / pert.time_scale
+    fine = step * (float(vals.sum()) - ends)
+    coarse = 2.0 * step * (float(vals[::2].sum()) - ends)
+    tail = (abs(first) + abs(last)) / (2.0 * pert.decay_rate)
     quad_error = abs(fine - coarse)
     for what, size in (("tail bound", tail), ("quadrature error", quad_error)):
         if size > 1e-12:
             warnings.warn("%s %.3g above 1e-12" % (what, size), RuntimeWarning)
-    return float(fine), {"t_cut": T, "tail_bound": float(tail),
-                         "quad_error": float(quad_error)}
+    return fine, {"t_cut": T, "tail_bound": tail, "quad_error": quad_error}
 
 
 def melnikov_potential(pert: PerturbationModel,
                        q: tuple[float, float] | None = None,
                        s: float | None = None,
-                       diag: dict | None = None) -> float:
+                       diag: dict | None = None, *,
+                       values=None) -> float:
     """L at a separatrix point, given either as q = (q1, q2), which needs the
     perturbation's locate hook, or directly by the section parameter s
     (then the point is kappa(s)).
@@ -95,7 +128,10 @@ def melnikov_potential(pert: PerturbationModel,
     The trapezoid window is centered at the time the loop passes through
     the point and sized so the exponential tail stays below 1e-12; the
     window, tail bound and step-halving error are recorded in diag, and a
-    warning is raised if the tail or the error is above 1e-12.
+    warning is raised if the tail or the error is above 1e-12.  values,
+    with s only, are the integrand on the window's lattice nodes, as
+    reduced_melnikov slices them from a block; without them the integrand
+    is evaluated here, on the same nodes.
     """
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or s")
@@ -103,8 +139,10 @@ def melnikov_potential(pert: PerturbationModel,
         raise ValueError("perturbation %s has no locate hook" % pert.name)
     t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
     T = _t_cut(pert, s)
-    nodes = _nodes(t0, T, pert)
-    val, d = _trapezoid(pert.integrand(nodes, s), nodes, T, pert)
+    K = _half_count(t0, T, pert)
+    if values is None:
+        values = _integrand(pert, _lattice(t0, K, pert), s)
+    val, d = _trapezoid(values, K, T, pert)
     if diag is not None:
         diag.update(d)
     return -val
@@ -119,13 +157,32 @@ def _worst(diags: list[dict]) -> dict:
 def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
     """Sample the reduced potential L~(s) = L(kappa(s)) on a grid.
 
-    The quadrature diagnostics report the worst window, tail bound and
-    quadrature error over the grid.
+    Every section point's window lies on one lattice about t = 0.  The
+    integrand is called once per block of consecutive section points, on
+    the block's widest window with s as a column, so its lam t half is
+    computed once per block; each block holds at most BLOCK_ELEMENTS
+    values, or one row.  melnikov_potential then sums each point's row,
+    sliced to its own window: the same numbers as a call on that point
+    alone.  The quadrature diagnostics report the worst window, tail bound
+    and quadrature error over the grid.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    diags = [{} for _ in s_grid]
-    samples = np.array([melnikov_potential(pert, s=float(s), diag=d)
-                        for s, d in zip(s_grid, diags)])
+    s_list = s_grid.tolist()
+    Ks = [_half_count(0.0, _t_cut(pert, s), pert) for s in s_list]
+    diags = [{} for _ in s_list]
+    samples = np.empty(len(s_list))
+    K = max(Ks, default=0)
+    t = _lattice(0.0, K, pert)
+    rows = max(1, BLOCK_ELEMENTS // t.size)
+    for i in range(0, len(s_list), rows):
+        Kb = max(Ks[i:i + rows])
+        block = _integrand(pert, t[K - Kb:K + Kb + 1],
+                           s_grid[i:i + rows, None])
+        for j in range(i, min(i + rows, len(s_list))):
+            row = (block if np.ndim(block) == 0 else
+                   block[j - i, Kb - Ks[j]:Kb + Ks[j] + 1])
+            samples[j] = melnikov_potential(pert, s=s_list[j], diag=diags[j],
+                                            values=row)
     return MelnikovResult(s_grid=s_grid, L_samples=samples,
                           quadrature_diag=_worst(diags))
 
@@ -138,9 +195,10 @@ def melnikov_derivatives(pert: PerturbationModel,
     behind them."""
     if pert.integrand_s_jet is not None:
         T = _t_cut(pert, 0.0)
-        nodes = _nodes(0.0, T, pert)
-        (v1, d1), (v2, d2) = (_trapezoid(row, nodes, T, pert)
-                              for row in pert.integrand_s_jet(nodes, 0.0))
+        K = _half_count(0.0, T, pert)
+        (v1, d1), (v2, d2) = (
+            _trapezoid(row, K, T, pert)
+            for row in pert.integrand_s_jet(_lattice(0.0, K, pert), 0.0))
         derivs, diags = (-v1, -v2), [d1, d2]
     else:
         diags = []
@@ -241,6 +299,7 @@ def xi_max(lam: float) -> float:
     return _peak(lam)[1] if lam > 1.0 else 0.0
 
 
+@functools.cache
 def lambda0_threshold() -> float:
     """Frequency ratio at which the phase advance reaches pi/2; above it the
     nondegeneracy argument for the reduced potential fails.  Newton's

@@ -246,9 +246,13 @@ class PerturbationModel:
     """First-order perturbation H* together with the unperturbed loop family.
 
     integrand(t, s) is H*(x(t, s)) - H*(O) along the loop with section
-    parameter s, at a float or an ndarray t: the one evaluation of the
-    perturbation that the Melnikov integrals make, once on the whole node
-    array of each section point.  A model writes it in closed form where
+    parameter s: the one evaluation of the perturbation that the Melnikov
+    integrals make.  Its contract is a float or 1-D ndarray t of N nodes,
+    and either a float s or an (M, 1) column of M section parameters that
+    broadcasts against t; it returns values of their broadcast shape, (N,)
+    or (M, N), with row i at s[i], or one scalar if they are all equal.
+    melnikov evaluates a block of section points in one call and raises
+    ValueError on any other shape.  A model writes it in closed form where
     the loops allow one, or passes the composition
 
         lambda t, s: h_star(*loop_family(t, s)) - h_star_at_O
@@ -264,7 +268,7 @@ class PerturbationModel:
     decay_rate bounds the exponential approach of the loops to the
     equilibrium and sets the quadrature window.  time_scale is the loop
     family's fastest rate: the window grows by |s| * time_scale, and the
-    trapezoid step is proportional to 1 / time_scale.
+    trapezoid step is 0.1 / time_scale.
     """
     h_star: Callable[..., np.ndarray]
     h_star_at_O: float
@@ -275,7 +279,8 @@ class PerturbationModel:
     # required (see __post_init__); the None default keeps a class
     # attribute PerturbationModel.integrand, which bench/tracing.py
     # replaces while it traces
-    integrand: Callable[[np.ndarray, float], np.ndarray] | None = None
+    integrand: Callable[[np.ndarray, float | np.ndarray],
+                        np.ndarray] | None = None
     # optional hooks: without integrand_s_jet melnikov takes finite
     # differences in s; without locate, melnikov_potential takes only s
     integrand_s_jet: Callable[[np.ndarray, float], tuple] | None = None

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from septrans.charts import transversality_verdict
-from septrans.melnikov import (NODE_BUDGET, _t_cut, lambda0_threshold,
-                               melnikov_derivatives, melnikov_potential,
-                               perturbed_loop_verdict, reduced_melnikov,
-                               xi_max)
+from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _t_cut,
+                               lambda0_threshold, melnikov_derivatives,
+                               melnikov_potential, perturbed_loop_verdict,
+                               reduced_melnikov, xi_max)
 from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
                              builtin_model)
 from septrans.numerics import QuadratureError
@@ -237,6 +237,7 @@ def test_xi_max():
 
 def test_lambda0_threshold():
     l0 = lambda0_threshold()
+    assert lambda0_threshold() is l0        # a constant, computed once
     assert l0 == pytest.approx(3.68078, abs=1e-4)
     assert xi_max(l0) == pytest.approx(math.pi / 2.0, abs=1e-8)
 
@@ -400,16 +401,24 @@ def test_large_lam_is_silent(lam):
 
 
 def test_node_budget_refuses_before_allocating(monkeypatch):
-    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB)
-    real = np.linspace
+    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB), on its
+    # own and as the widest window of a grid
+    real_linspace, real_arange = np.linspace, np.arange
 
     def linspace(start, stop, num, *args, **kwargs):
         assert num <= NODE_BUDGET
-        return real(start, stop, num, *args, **kwargs)
+        return real_linspace(start, stop, num, *args, **kwargs)
+
+    def arange(start, stop=None, *args, **kwargs):
+        assert (start if stop is None else stop - start) <= NODE_BUDGET
+        return real_arange(start, stop, *args, **kwargs)
 
     monkeypatch.setattr(np, "linspace", linspace)
+    monkeypatch.setattr(np, "arange", arange)
     with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
         melnikov_potential(weak(1e4), s=4.0)
+    with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
+        reduced_melnikov(weak(1e4), [0.0, 4.0])
 
 
 @pytest.mark.parametrize("pert,s", [
@@ -448,3 +457,88 @@ def test_array_h_matches_scalar_jet(lam):
     # the loop family reads h' alone, the same numbers as the jet's b120
     assert np.array_equal(h_slope(q1)[0], -m.jet(q1).b120)
 
+
+def grid_and_alone(pert, grid):
+    """reduced_melnikov's samples and diagnostics on grid, and those of
+    melnikov_potential called alone at each point."""
+    diags = []
+    real = melnikov_potential
+
+    def recording(*args, **kwargs):
+        diags.append(kwargs.setdefault("diag", {}))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("septrans.melnikov.melnikov_potential", recording)
+        L = reduced_melnikov(pert, grid).L_samples
+    alone = [{} for _ in grid]
+    L_alone = [melnikov_potential(pert, s=float(s), diag=d)
+               for s, d in zip(grid, alone)]
+    return (L, diags), (L_alone, alone)
+
+
+GRID_81 = np.linspace(-4.0, 4.0, 81)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pert,grid", [
+    (weak(1.0), GRID_81),
+    (weak(2.3), GRID_81),
+    (weak(3.6), GRID_81),
+    (replace(weak(2.0), decay_rate=10.0), [-3.0, -1.0, 0.0]),
+    (weak(2.3), [1.7]),
+    # a window of 160,001 nodes, above BLOCK_ELEMENTS: one row per block
+    (weak(40.0), [-4.0, 0.0, 4.0]),
+])
+def test_grid_equals_standalone_bit_for_bit(pert, grid):
+    (L, diags), (L_alone, alone) = grid_and_alone(pert, grid)
+    assert len(diags) == len(grid)          # one call per section point
+    assert L.tolist() == L_alone
+    assert diags == alone
+
+
+def test_grid_sample_does_not_depend_on_the_grid():
+    pert = weak(2.3)
+    fine = reduced_melnikov(pert, GRID_81)
+    coarse = reduced_melnikov(pert, np.linspace(-4.0, 4.0, 3))
+    assert fine.s_grid[[0, 40, 80]].tolist() == coarse.s_grid.tolist()
+    assert fine.L_samples[[0, 40, 80]].tolist() == coarse.L_samples.tolist()
+
+
+def counted_grid(pert, grid):
+    """The value count of each integrand call that reduced_melnikov makes
+    on grid, after checking that the counted samples are the same."""
+    calls = []
+
+    def counting(t, s):
+        calls.append(np.broadcast(t, s).size)
+        return pert.integrand(t, s)
+
+    L = reduced_melnikov(replace(pert, integrand=counting), grid).L_samples
+    assert L.tolist() == reduced_melnikov(pert, grid).L_samples.tolist()
+    return calls
+
+
+def test_grid_calls_the_integrand_once_per_block():
+    calls = counted_grid(weak(2.0), GRID_81)
+    widest = 2 * 960 + 1                    # 48 / 0.05 steps each side
+    rows = BLOCK_ELEMENTS // widest
+    assert rows > 1
+    assert len(calls) <= math.ceil(81 / rows)
+    assert max(calls) <= BLOCK_ELEMENTS
+    # the budget is below lam = 40's widest window, which a block then
+    # takes one row at a time, each cut to its own window
+    assert BLOCK_ELEMENTS < 160001
+    assert counted_grid(weak(40.0), [-4.0, 0.0, 4.0]) == [160001, 32001,
+                                                          160001]
+
+
+def test_integrand_of_the_wrong_shape_fails_loudly():
+    pert = weak(2.0)
+    flat = replace(pert, integrand=lambda t, s: np.ravel(pert.integrand(t, s)))
+    with pytest.raises(ValueError, match=r"\(M, 1\) column"):
+        reduced_melnikov(flat, [-1.0, 0.0, 1.0])
+    # one scalar for every node and section point is in the contract
+    zero = replace(pert, integrand=lambda t, s: 0.0)
+    assert reduced_melnikov(zero, [-1.0, 0.0, 1.0]).L_samples.tolist() == [
+        0.0, 0.0, 0.0]
