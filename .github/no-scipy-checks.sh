@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Commands that need the runtime alone (septrans and numpy, no scipy):
+# run after `pip install -e .` and before the test extra brings scipy in.
+# Usage: bash .github/no-scipy-checks.sh
+set -eu
+
+septrans melnikov --model pendula_weak --params lam=2 \
+  | grep -q '^# verdict = perturbed_loop_transversal'
+# exp overflows on the far nodes: a warning on stderr fails here
+err=$(septrans melnikov --model pendula_weak --params lam=40 2>&1 >/dev/null)
+test -z "$err" || { echo "$err"; exit 1; }
+# a section point's L does not depend on the grid it is sampled on
+rows() { septrans melnikov --model pendula_weak --params lam=2.3 "--grid=$1" \
+  | grep -E '^(-4|0|4),'; }
+coarse=$(rows -4:4:3); fine=$(rows -4:4:81)
+test "$(echo "$coarse" | wc -l)" = 3 && test "$coarse" = "$fine" \
+  || { echo "$coarse"; echo "$fine"; exit 1; }
+septrans transversality --model neumann --params lambda1=1 lambda2=2
+septrans riccati --model pendula_identical --params f0=0.35 f1=0.1
+septrans validate --model pendula_weak --params lam=1.5
+septrans transversality --model pendula_weak --params lam=1.5
+septrans sweep --model pendula_weak --sweep lam=1.5:2.5:3
+# tangent by construction; the hardest lam the tests check
+septrans transversality --model pendula_weak --params lam=40 \
+  | grep '"verdict": "tangent"'
+# a node count that overflows, and a loop speed that underflows to 0: each
+# exits 3 with one line on stderr, not a traceback
+for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
+    "riccati --model pendula_identical --params f0=0.2 --grid=0:3.14:3 --epsilon 1e-300" \
+    "transversality --model neumann --params lambda1=1e-300 lambda2=2"; do
+  code=0; err=$(septrans $args 2>&1 >/dev/null) || code=$?
+  test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
+  case "$err" in *Traceback*) echo "$err"; exit 1;; esac
+done

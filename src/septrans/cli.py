@@ -25,15 +25,12 @@ from dataclasses import replace
 
 from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError
-from .models import (BUILTIN_NAMES, ConstructionError, HamiltonianModel,
-                     builtin_model, validate_hypotheses)
+from .models import (BUILTIN_NAMES, BUILTIN_PARAMS, ConstructionError,
+                     HamiltonianModel, builtin_model, validate_hypotheses)
 from .numerics import QuadratureError, parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
 
 FMT = "%.17g"
-
-# the parameter names of each built-in; pendula_identical takes f0, f1, ...
-PARAMS = {"neumann": ("lambda1", "lambda2"), "pendula_weak": ("lam",)}
 
 
 class UsageError(ValueError):
@@ -78,25 +75,28 @@ def make_model(name: str, params: dict,
                strict: bool = True) -> HamiltonianModel:
     """The built-in model name at params, which must be exactly the finite
     parameters it takes."""
-    if name == "pendula_identical":
-        n = max((int(k[1:]) + 1 for k in params
-                 if k[:1] == "f" and k[1:].isdecimal()), default=0)
-        names = tuple("f%d" % i for i in range(n))
+    names = used = BUILTIN_PARAMS[name]
+    if names is None:
+        # pendula_identical's f0, f1, ...: the coefficient list ends at the
+        # last nonzero one, so trailing zeros build nothing
+        names = [k for k in params if k[:1] == "f" and k[1:].isdecimal()
+                 and k == "f%d" % int(k[1:])]
+        top = max((int(k[1:]) for k in names if params[k] != 0.0), default=0)
+        used = ["f%d" % i for i in range(top + 1)]
         needs = "f0=.. [f1=..]"
     else:
-        names = PARAMS[name]
         needs = " ".join(k + "=.." for k in names)
     unknown = [k for k in params if k not in names]
     if unknown:
         raise UsageError("%s takes no parameter %s (it takes %s)"
                          % (name, ", ".join(unknown), needs))
-    if not params or any(k not in params for k in PARAMS.get(name, ())):
+    if not params or any(k not in params for k in names):
         raise UsageError("%s needs --params %s" % (name, needs))
     bad = [k for k, v in params.items() if not math.isfinite(v)]
     if bad:
         raise UsageError("parameter %s is not finite" % ", ".join(bad))
     try:
-        return builtin_model(name, [params.get(k, 0.0) for k in names],
+        return builtin_model(name, [params.get(k, 0.0) for k in used],
                              strict=strict)
     except ConstructionError as exc:
         raise UsageError(str(exc)) from exc

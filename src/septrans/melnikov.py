@@ -6,11 +6,12 @@ the Melnikov potential
 
     L(q) = - integral of [H*(flow through q) - H*(O)] dt over the real line,
 
-a first integral of the unperturbed flow.  Restricting to the transverse
-section kappa(s) gives the reduced potential L~(s); a nondegenerate
-critical point of L~ certifies a perturbed loop along which the perturbed
-manifolds intersect transversely (case B).  Case A (manifolds already
-transverse before perturbing) needs no integral at all.
+a first integral of the unperturbed flow.  Restricting to a transverse
+section, whose point kappa(s) the loop with parameter s passes at t = 0,
+gives the reduced potential L~(s); a nondegenerate critical point of L~
+certifies a perturbed loop along which the perturbed manifolds intersect
+transversely (case B).  Case A (manifolds already transverse before
+perturbing) needs no integral at all.
 """
 
 from __future__ import annotations
@@ -75,19 +76,18 @@ def _lattice(t0: float, K: int, pert: PerturbationModel) -> np.ndarray:
     return t0 + (0.1 / pert.time_scale) * np.arange(-K, K + 1)
 
 
-def _integrand(pert: PerturbationModel, t: np.ndarray, s):
-    """pert.integrand on the 1-D nodes t at s, a float or an (M, 1) column,
-    held to its contract: values of shape (M, N), or (N,) for a float s,
-    or one scalar."""
-    vals = pert.integrand(t, s)
+def _held(vals, t: np.ndarray, s, hook: str = "integrand") -> np.ndarray:
+    """vals, the values of the perturbation's hook on the 1-D nodes t at s,
+    a float or an (M, 1) column, held to its contract: values of shape (M,
+    N), or (N,) for a float s, or one scalar, broadcast to that shape."""
     shape = np.shape(s)[:1] + t.shape
     if np.ndim(vals) and np.shape(vals) != shape:
         raise ValueError(
-            "integrand(t, s) gave values of shape %s on %d nodes and s of "
-            "shape %s: the contract is a 1-D t and either a float s or an "
-            "(M, 1) column of s, and values of their broadcast shape %s or "
-            "one scalar" % (np.shape(vals), t.size, np.shape(s), shape))
-    return vals
+            "%s(t, s) gave values of shape %s on %d nodes and s of shape %s: "
+            "the contract is a 1-D t and either a float s or an (M, 1) "
+            "column of s, and values of their broadcast shape %s or one "
+            "scalar" % (hook, np.shape(vals), t.size, np.shape(s), shape))
+    return np.broadcast_to(vals, shape)
 
 
 def _trapezoid(vals, K: int, T: float,
@@ -101,8 +101,6 @@ def _trapezoid(vals, K: int, T: float,
     the sum at twice the step is the quadrature error estimate.  Returns
     the value and its diagnostics t_cut = T, tail_bound and quad_error.
     """
-    if np.ndim(vals) == 0:
-        vals = np.full(2 * K + 1, vals, dtype=float)
     first, last = float(vals[0]), float(vals[-1])
     ends = 0.5 * (first + last)
     step = 0.1 / pert.time_scale
@@ -141,7 +139,8 @@ def melnikov_potential(pert: PerturbationModel,
     T = _t_cut(pert, s)
     K = _half_count(t0, T, pert)
     if values is None:
-        values = _integrand(pert, _lattice(t0, K, pert), s)
+        t = _lattice(t0, K, pert)
+        values = _held(pert.integrand(t, s), t, s)
     val, d = _trapezoid(values, K, T, pert)
     if diag is not None:
         diag.update(d)
@@ -176,13 +175,12 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
     rows = max(1, BLOCK_ELEMENTS // t.size)
     for i in range(0, len(s_list), rows):
         Kb = max(Ks[i:i + rows])
-        block = _integrand(pert, t[K - Kb:K + Kb + 1],
-                           s_grid[i:i + rows, None])
+        tb, sb = t[K - Kb:K + Kb + 1], s_grid[i:i + rows, None]
+        block = _held(pert.integrand(tb, sb), tb, sb)
         for j in range(i, min(i + rows, len(s_list))):
-            row = (block if np.ndim(block) == 0 else
-                   block[j - i, Kb - Ks[j]:Kb + Ks[j] + 1])
-            samples[j] = melnikov_potential(pert, s=s_list[j], diag=diags[j],
-                                            values=row)
+            samples[j] = melnikov_potential(
+                pert, s=s_list[j], diag=diags[j],
+                values=block[j - i, Kb - Ks[j]:Kb + Ks[j] + 1])
     return MelnikovResult(s_grid=s_grid, L_samples=samples,
                           quadrature_diag=_worst(diags))
 
@@ -196,9 +194,10 @@ def melnikov_derivatives(pert: PerturbationModel,
     if pert.integrand_s_jet is not None:
         T = _t_cut(pert, 0.0)
         K = _half_count(0.0, T, pert)
+        t = _lattice(0.0, K, pert)
         (v1, d1), (v2, d2) = (
-            _trapezoid(row, K, T, pert)
-            for row in pert.integrand_s_jet(_lattice(0.0, K, pert), 0.0))
+            _trapezoid(_held(row, t, 0.0, "integrand_s_jet"), K, T, pert)
+            for row in pert.integrand_s_jet(t, 0.0))
         derivs, diags = (-v1, -v2), [d1, d2]
     else:
         diags = []

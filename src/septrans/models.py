@@ -117,7 +117,9 @@ class Jet2:
 
 @dataclass(frozen=True)
 class ChartTransition:
-    chi: Callable[[float, float], tuple[float, float]]
+    """A chart transition chi that maps the loop line q2 = 0 to itself, by
+    what the verdict reads of it: chi0(q1), the first component of chi(q1,
+    0), and jet2(q1), its q2-derivatives there."""
     chi0: Callable[[float], float]
     jet2: Callable[[float], Jet2]
 
@@ -125,19 +127,13 @@ class ChartTransition:
 def torus_shift_transition() -> ChartTransition:
     """chi(q) = (q1 - 2pi, q2): the deck transformation of the torus cover."""
     return ChartTransition(
-        chi=lambda q1, q2: (q1 - 2.0 * math.pi, q2),
         chi0=lambda q1: q1 - 2.0 * math.pi,
         jet2=lambda q1: Jet2(0.0, 1.0, 0.0, 0.0))
 
 
 def inversion_transition() -> ChartTransition:
     """The sphere model's second chart: chi(q) = 4 q / |q|^2."""
-    def chi(q1, q2):
-        r2 = q1 * q1 + q2 * q2
-        return (4.0 * q1 / r2, 4.0 * q2 / r2)
-
     return ChartTransition(
-        chi=chi,
         chi0=lambda q1: 4.0 / q1,
         jet2=lambda q1: Jet2(
             dchi1_dq2=0.0,
@@ -243,37 +239,28 @@ def _assembled_jet(model: HamiltonianModel
 
 @dataclass(frozen=True)
 class PerturbationModel:
-    """First-order perturbation H* together with the unperturbed loop family.
+    """First-order perturbation H* on the unperturbed loop family, given by
+    its Melnikov integrand.
 
-    integrand(t, s) is H*(x(t, s)) - H*(O) along the loop with section
-    parameter s: the one evaluation of the perturbation that the Melnikov
-    integrals make.  Its contract is a float or 1-D ndarray t of N nodes,
-    and either a float s or an (M, 1) column of M section parameters that
-    broadcasts against t; it returns values of their broadcast shape, (N,)
-    or (M, N), with row i at s[i], or one scalar if they are all equal.
-    melnikov evaluates a block of section points in one call and raises
-    ValueError on any other shape.  A model writes it in closed form where
-    the loops allow one, or passes the composition
-
-        lambda t, s: h_star(*loop_family(t, s)) - h_star_at_O
-
-    itself.  loop_family(t, s) returns the phase point (q1, q2, p1, p2) of
-    the loop with section parameter s at time t; kappa(s) is the
-    configuration point the loop passes through at t = 0, with kappa(0) =
-    (pi, 0).  h_star, h_star_at_O and loop_family define the perturbation,
-    and a closed-form integrand is checked against them.  The optional
-    integrand_s_jet(t, s) returns the integrand's first and second
-    s-derivatives on an ndarray t, from one evaluation; without it the
-    derivatives of the reduced potential are finite differences in s.
-    decay_rate bounds the exponential approach of the loops to the
-    equilibrium and sets the quadrature window.  time_scale is the loop
-    family's fastest rate: the window grows by |s| * time_scale, and the
-    trapezoid step is 0.1 / time_scale.
+    integrand(t, s) is H*(x(t, s)) - H*(O) along the loop x(t, s) with
+    section parameter s, the loop that passes the section point kappa(s)
+    at t = 0 (kappa(0) = (pi, 0)): the one evaluation of the perturbation
+    that the Melnikov integrals make.  Its contract is a float or 1-D
+    ndarray t of N nodes, and either a float s or an (M, 1) column of M
+    section parameters that broadcasts against t; it returns values of
+    their broadcast shape, (N,) or (M, N), with row i at s[i], or one
+    scalar if they are all equal.  melnikov evaluates a block of section
+    points in one call and raises ValueError on any other shape.  The
+    optional integrand_s_jet(t, s) returns the integrand's first and
+    second s-derivatives on an ndarray t, from one evaluation; without it
+    the derivatives of the reduced potential are finite differences in s.
+    The optional locate(q1, q2) returns (t0, s), the time and section
+    parameter of the loop through a separatrix point.  decay_rate bounds
+    the exponential approach of the loops to the equilibrium and sets the
+    quadrature window.  time_scale is the loop family's fastest rate: the
+    window grows by |s| * time_scale, and the trapezoid step is 0.1 /
+    time_scale.
     """
-    h_star: Callable[..., np.ndarray]
-    h_star_at_O: float
-    loop_family: Callable[..., tuple]
-    kappa: Callable[[float], tuple[float, float]]
     decay_rate: float
     time_scale: float = 1.0
     # required (see __post_init__); the None default keeps a class
@@ -281,8 +268,6 @@ class PerturbationModel:
     # replaces while it traces
     integrand: Callable[[np.ndarray, float | np.ndarray],
                         np.ndarray] | None = None
-    # optional hooks: without integrand_s_jet melnikov takes finite
-    # differences in s; without locate, melnikov_potential takes only s
     integrand_s_jet: Callable[[np.ndarray, float], tuple] | None = None
     locate: Callable[[float, float], tuple[float, float]] | None = None
     name: str = "custom"
@@ -433,8 +418,8 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
 
 def _cosine_poly(coeffs: Sequence[float]) -> Callable:
     """f(q1, m) = sum of c_k cos(k q1) by m.cos: m is math for a float q1,
-    numpy for an ndarray."""
-    terms = tuple(enumerate(float(c) for c in coeffs))
+    numpy for an ndarray.  A zero c_k, which adds nothing, costs no cos."""
+    terms = tuple((k, c) for k, c in enumerate(map(float, coeffs)) if c)
 
     def f(q1, m=math):
         total = 0
@@ -568,39 +553,16 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             lam * h1 * (1.0 - 2.0 * (n % 2)) * sigma * cos_h2,
             2.0 * h1 * sigma * h2)                          # b220'
 
-    # loops of the unperturbed (uncoupled) separatrix sheet, straightened so
-    # the s=0 loop lies on q2=0; t may be an ndarray, and numpy is imported
-    # on first call
-    def xi1_of(u):
-        import numpy as np
-        # far from the loop's centre exp overflows to inf, whose arctan is
-        # the exact limit
-        with np.errstate(over="ignore"):
-            return 4.0 * np.arctan(np.exp(u))
-
-    # on the loops h(q1) - q1 + q2 = xi1(lam t) - xi1(t - s) with xi1 = pi
-    # + 2 gd, so H* is 2 g^2, g = sin(gd(lam t) - gd(t - s)) = A b - B a,
-    # A, B = tanh, sech of lam t and a, b of t - s; the momenta are sechs
+    # on the loops h(q1) - q1 + q2 = xi(lam t) - xi(t - s) with xi(u) = 4
+    # atan(e^u) = pi + 2 gd(u), so H* = 1 - cos(h(q1) - q1 + q2) is 2 g^2,
+    # g = sin(gd(lam t) - gd(t - s)) = A b - B a, A, B = tanh, sech of
+    # lam t and a, b of t - s
     def tanh_sech(t, s: float):
         import numpy as np
         u = t - s
         with np.errstate(over="ignore"):    # sech = 1 / inf = 0 far out
             return (np.tanh(lam * t), 1.0 / np.cosh(lam * t), np.tanh(u),
                     1.0 / np.cosh(u))
-
-    def loop_family(t, s: float):
-        _A, B, _a, b = tanh_sech(t, s)
-        q1 = xi1_of(t - s)
-        q2 = xi1_of(lam * t) - xi1_of(lam * (t - s))
-        p2 = 2.0 * lam * B
-        return (q1, q2, 2.0 * b + h_slope(q1)[0] * p2, p2)
-
-    def kappa(s: float):
-        return (xi1_of(-s), math.pi - xi1_of(-lam * s))
-
-    def h_star(q1, q2, p1, p2):
-        import numpy as np
-        return 1.0 - np.cos(h(q1) - q1 + q2)
 
     def integrand(t, s: float):
         A, B, a, b = tanh_sech(t, s)
@@ -626,7 +588,6 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         return (t0, t0 - u)
 
     pert = PerturbationModel(
-        h_star=h_star, h_star_at_O=0.0, loop_family=loop_family, kappa=kappa,
         decay_rate=1.0, time_scale=max(1.0, lam), integrand=integrand,
         integrand_s_jet=integrand_s_jet, locate=locate, name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
@@ -639,7 +600,11 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         matching=(math.pi, torus_shift_transition()), perturbation=pert)
 
 
-BUILTIN_NAMES = ("neumann", "pendula_identical", "pendula_weak")
+# the parameter names of each built-in; None for pendula_identical, which
+# takes the cosine coefficients f0, f1, ... of its coupling, any number
+BUILTIN_PARAMS = {"neumann": ("lambda1", "lambda2"), "pendula_identical": None,
+                  "pendula_weak": ("lam",)}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
 def builtin_model(name: str, params: Sequence[float],
@@ -655,15 +620,13 @@ def builtin_model(name: str, params: Sequence[float],
     violates the saddle hypothesis can still be constructed and reported on
     by the hypothesis validator.
     """
-    if name == "neumann":
-        if len(params) != 2:
-            raise ConstructionError("neumann takes (lambda1, lambda2)")
-        return _neumann(params[0], params[1])
-    if name == "pendula_identical":
+    if name not in BUILTIN_PARAMS:
+        raise ConstructionError("unknown model %r (choose from %s)"
+                                % (name, ", ".join(BUILTIN_NAMES)))
+    names = BUILTIN_PARAMS[name]
+    if names is None:
         return _pendula_identical(list(params), strict=strict)
-    if name == "pendula_weak":
-        if len(params) != 1:
-            raise ConstructionError("pendula_weak takes (lam,)")
-        return _pendula_weak(params[0])
-    raise ConstructionError("unknown model %r (choose from %s)"
-                            % (name, ", ".join(BUILTIN_NAMES)))
+    if len(params) != len(names):
+        raise ConstructionError("%s takes (%s%s)" % (
+            name, ", ".join(names), "," * (len(names) == 1)))
+    return _neumann(*params) if name == "neumann" else _pendula_weak(*params)

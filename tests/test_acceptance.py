@@ -22,6 +22,7 @@ from septrans.models import builtin_model
 from septrans.riccati import (SolverOptions, _integrate, riccati_initial,
                               riccati_terms, riccati_to_linear_oracle,
                               solve_riccati)
+from weak_reference import WeakReference
 
 
 REPORT_LINES: list[str] = []
@@ -234,7 +235,7 @@ def test_acceptance_14():
     s = 0.7
     vals = []
     for tau in (-1.0, 0.0, 1.0):
-        x = pert.loop_family(tau, s)
+        x = WeakReference(1.5).loop_family(tau, s)
         vals.append(melnikov_potential(pert, q=(x[0], x[1])))
     assert max(vals) - min(vals) < 1e-8
     grid = np.array([0.4, 1.1, 2.3])

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,23 @@ def test_transversality_torus_tangent(capsys):
         opts=replace(verdict_options(model), rtol=1e-9))
     assert json.loads(out)["gap"] == given.gap
     assert abs(given.gap) > abs(doc["gap"])
+
+
+def test_zero_coefficients_cost_nothing(capsys):
+    # each of 20,000 zero cosine terms would cost a cos per jet call
+    start = time.perf_counter()
+    code, out = run(capsys, "transversality", "--model", "pendula_identical",
+                    "--params", "f0=0.2", "f20000=0")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.pop("params") == {"f0": 0.2, "f20000": 0.0}
+    code, out = run(capsys, "transversality", "--model", "pendula_identical",
+                    "--params", "f0=0.2")
+    want = json.loads(out)
+    del want["params"]
+    assert doc == want
+    assert elapsed < 1.0
 
 
 def test_transversality_csv(capsys):

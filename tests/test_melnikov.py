@@ -14,6 +14,7 @@ from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _t_cut,
 from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
                              builtin_model)
 from septrans.numerics import QuadratureError
+from weak_reference import WeakReference
 
 
 def weak(lam):
@@ -28,8 +29,8 @@ def closed_form_lam1(s):
 def test_potential_zero_on_central_loop():
     pert = weak(1.0)
     assert melnikov_potential(pert, s=0.0) == pytest.approx(0.0, abs=1e-13)
-    assert melnikov_potential(pert, q=pert.kappa(0.0)) == pytest.approx(
-        0.0, abs=1e-12)
+    assert melnikov_potential(
+        pert, q=WeakReference(1.0).kappa(0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_potential_lam1_closed_form():
@@ -41,7 +42,7 @@ def test_potential_lam1_closed_form():
 
 def test_potential_at_located_point():
     pert = weak(1.0)
-    q = pert.kappa(1.0)
+    q = WeakReference(1.0).kappa(1.0)
     assert melnikov_potential(pert, q=(q[0], q[1])) == pytest.approx(
         closed_form_lam1(1.0), abs=1e-9)
 
@@ -49,20 +50,20 @@ def test_potential_at_located_point():
 def test_located_point_needs_locate_hook():
     pert = replace(weak(1.0), locate=None)
     with pytest.raises(ValueError, match="locate"):
-        melnikov_potential(pert, q=pert.kappa(1.0))
+        melnikov_potential(pert, q=WeakReference(1.0).kappa(1.0))
     assert melnikov_potential(pert, s=1.0) == pytest.approx(
         closed_form_lam1(1.0), abs=1e-9)
 
 
-def composed(pert):
-    """pert with its integrand taken from the definition, H*(loop) - H*(O)."""
-    return replace(pert, integrand=lambda t, s: (
-        pert.h_star(*pert.loop_family(t, s)) - pert.h_star_at_O))
+def composed(lam):
+    """weak(lam) with its integrand taken from the definition, H*(loop) -
+    H*(O)."""
+    return replace(weak(lam), integrand=WeakReference(lam).integrand)
 
 
 def test_constant_perturbation_gives_zero():
-    pert = composed(replace(weak(1.5), h_star=lambda q1, q2, p1, p2: 3.0,
-                            h_star_at_O=3.0, integrand_s_jet=None))
+    pert = replace(weak(1.5), integrand=lambda t, s: 0.0,
+                   integrand_s_jet=None)
     assert melnikov_potential(pert, s=0.8) == pytest.approx(0.0, abs=1e-12)
     d1, d2 = melnikov_derivatives(pert)
     assert abs(d1) < 1e-9 and abs(d2) < 1e-6
@@ -113,7 +114,7 @@ def test_first_integral_property():
     s = 0.7
     vals = []
     for tau in (-1.0, 0.0, 1.0):
-        x = pert.loop_family(tau, s)
+        x = WeakReference(1.5).loop_family(tau, s)
         vals.append(melnikov_potential(pert, q=(x[0], x[1])))
     assert max(vals) - min(vals) < 1e-8
 
@@ -294,11 +295,19 @@ def test_array_integrand_equals_scalar_integrand(lam):
 
 
 def test_integrand_is_required():
-    pert = weak(2.0)
     with pytest.raises(TypeError, match="integrand"):
-        PerturbationModel(h_star=pert.h_star, h_star_at_O=0.0,
-                          loop_family=pert.loop_family, kappa=pert.kappa,
-                          decay_rate=1.0)
+        PerturbationModel(decay_rate=1.0)
+
+
+def test_integrand_alone_is_a_perturbation():
+    # no s-jet and no locate: the grid, and the derivatives by finite
+    # differences in s
+    pert = PerturbationModel(integrand=weak(1.0).integrand, decay_rate=1.0)
+    grid = np.linspace(-2.0, 2.0, 9)
+    L = reduced_melnikov(pert, grid).L_samples
+    want = [closed_form_lam1(s) for s in grid.tolist()]
+    assert np.max(np.abs(L - want)) <= 1e-9
+    assert melnikov_derivatives(pert)[1] == pytest.approx(-8.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7, 2.6, 3.6, 12.0, 40.0])
@@ -310,7 +319,7 @@ def test_closed_form_integrand_matches_definition(lam):
     # 2e-14 at lam 40, where the closed form is within 7e-16 of the exact
     # value (test_closed_form_integrand_golden)
     pert = weak(lam)
-    ref = composed(pert)
+    ref = composed(lam)
     for s in (-4.0, -0.3, 0.0, 2.5, 40.0, 200.0):
         T = _t_cut(pert, s)
         t = np.concatenate([np.linspace(-T, T, 20001),
@@ -381,23 +390,20 @@ def test_reduced_potential_matches_definition(lam):
     pert = weak(lam)
     grid = np.linspace(-4.0, 4.0, 81)
     L = reduced_melnikov(pert, grid).L_samples
-    L_ref = reduced_melnikov(composed(pert), grid).L_samples
+    L_ref = reduced_melnikov(composed(lam), grid).L_samples
     assert np.max(np.abs(L - L_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("lam", [18.0, 40.0])
 def test_large_lam_is_silent(lam):
-    # exp overflows to inf on the far nodes of the s-derivatives' window,
-    # and at kappa(s) for lam s beyond 709
+    # exp overflows to inf on the far nodes of the s-derivatives' window
     pert = weak(lam)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d1, d2 = melnikov_derivatives(pert)
         L = reduced_melnikov(pert, [-4.0, 0.0, 4.0]).L_samples
-        q = pert.kappa(-40.0)
     assert abs(d1) < 1e-13 and d2 < 0
     assert L[0] == pytest.approx(L[2], abs=1e-12)
-    assert q == (4.0 * math.atan(math.exp(40.0)), -math.pi)
 
 
 def test_node_budget_refuses_before_allocating(monkeypatch):
@@ -542,3 +548,11 @@ def test_integrand_of_the_wrong_shape_fails_loudly():
     zero = replace(pert, integrand=lambda t, s: 0.0)
     assert reduced_melnikov(zero, [-1.0, 0.0, 1.0]).L_samples.tolist() == [
         0.0, 0.0, 0.0]
+    # the s-jet's rows are held to the same contract
+    short = replace(pert, integrand_s_jet=lambda t, s: tuple(
+        row[1:] for row in pert.integrand_s_jet(t, s)))
+    with pytest.raises(ValueError, match=r"integrand_s_jet\(t, s\) gave"):
+        melnikov_derivatives(short)
+    zero = replace(pert, integrand_s_jet=lambda t, s: (0.0, 0.0))
+    assert melnikov_derivatives(zero) == (0.0, 0.0)
+

