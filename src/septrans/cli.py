@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError
-from .models import (BUILTIN_NAMES, BUILTIN_PARAMS, ConstructionError,
+from .models import (BUILTIN_NAMES, BUILTINS, ConstructionError,
                      HamiltonianModel, builtin_model, validate_hypotheses)
 from .numerics import QuadratureError, parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
@@ -75,14 +75,11 @@ def make_model(name: str, params: dict,
                strict: bool = True) -> HamiltonianModel:
     """The built-in model name at params, which must be exactly the finite
     parameters it takes."""
-    names = used = BUILTIN_PARAMS[name]
+    names = required = BUILTINS[name][1]
     if names is None:
-        # pendula_identical's f0, f1, ...: the coefficient list ends at the
-        # last nonzero one, so trailing zeros build nothing
-        names = [k for k in params if k[:1] == "f" and k[1:].isdecimal()
-                 and k == "f%d" % int(k[1:])]
-        top = max((int(k[1:]) for k in names if params[k] != 0.0), default=0)
-        used = ["f%d" % i for i in range(top + 1)]
+        n = max((int(k[1:]) + 1 for k in params
+                 if k[:1] == "f" and k[1:].isdecimal()), default=0)
+        names, required = tuple("f%d" % i for i in range(n)), ()
         needs = "f0=.. [f1=..]"
     else:
         needs = " ".join(k + "=.." for k in names)
@@ -90,13 +87,13 @@ def make_model(name: str, params: dict,
     if unknown:
         raise UsageError("%s takes no parameter %s (it takes %s)"
                          % (name, ", ".join(unknown), needs))
-    if not params or any(k not in params for k in names):
+    if not params or any(k not in params for k in required):
         raise UsageError("%s needs --params %s" % (name, needs))
     bad = [k for k, v in params.items() if not math.isfinite(v)]
     if bad:
         raise UsageError("parameter %s is not finite" % ", ".join(bad))
     try:
-        return builtin_model(name, [params.get(k, 0.0) for k in used],
+        return builtin_model(name, [params.get(k, 0.0) for k in names],
                              strict=strict)
     except ConstructionError as exc:
         raise UsageError(str(exc)) from exc

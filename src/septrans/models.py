@@ -600,11 +600,13 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         matching=(math.pi, torus_shift_transition()), perturbation=pert)
 
 
-# the parameter names of each built-in; None for pendula_identical, which
-# takes the cosine coefficients f0, f1, ... of its coupling, any number
-BUILTIN_PARAMS = {"neumann": ("lambda1", "lambda2"), "pendula_identical": None,
-                  "pendula_weak": ("lam",)}
-BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
+# each built-in's constructor and parameter names; pendula_identical's are
+# None, as it takes any number of cosine coefficients f0, f1, ... of its
+# coupling
+BUILTINS = {"neumann": (_neumann, ("lambda1", "lambda2")),
+            "pendula_identical": (_pendula_identical, None),
+            "pendula_weak": (_pendula_weak, ("lam",))}
+BUILTIN_NAMES = tuple(BUILTINS)
 
 
 def builtin_model(name: str, params: Sequence[float],
@@ -620,13 +622,13 @@ def builtin_model(name: str, params: Sequence[float],
     violates the saddle hypothesis can still be constructed and reported on
     by the hypothesis validator.
     """
-    if name not in BUILTIN_PARAMS:
+    if name not in BUILTINS:
         raise ConstructionError("unknown model %r (choose from %s)"
                                 % (name, ", ".join(BUILTIN_NAMES)))
-    names = BUILTIN_PARAMS[name]
+    make, names = BUILTINS[name]
     if names is None:
-        return _pendula_identical(list(params), strict=strict)
+        return make(list(params), strict=strict)
     if len(params) != len(names):
         raise ConstructionError("%s takes (%s%s)" % (
             name, ", ".join(names), "," * (len(names) == 1)))
-    return _neumann(*params) if name == "neumann" else _pendula_weak(*params)
+    return make(*params)
