@@ -6,9 +6,13 @@ set -eu
 
 septrans melnikov --model pendula_weak --params lam=2 \
   | grep -q '^# verdict = perturbed_loop_transversal'
-# exp overflows on the far nodes: a warning on stderr fails here
+# exp overflows on the far nodes: a warning on stderr fails here; the
+# grid's quad_error is a proven bound, at most 1e-12
 err=$(septrans melnikov --model pendula_weak --params lam=40 2>&1 >/dev/null)
 test -z "$err" || { echo "$err"; exit 1; }
+septrans melnikov --model pendula_weak --params lam=40 | awk '
+  /^# quad_error = / { seen = 1; ok = $4 <= 1e-12; print }
+  END { exit !(seen && ok) }'
 # a section point's L does not depend on the grid it is sampled on
 rows() { septrans melnikov --model pendula_weak --params lam=2.3 "--grid=$1" \
   | grep -E '^(-4|0|4),'; }
@@ -32,3 +36,8 @@ for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
   test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
   case "$err" in *Traceback*) echo "$err"; exit 1;; esac
 done
+# a cosine index above the cap exits 2 before a 50,000,001-entry list is
+# built (about 10 GB)
+code=0; timeout 20 septrans validate --model pendula_identical \
+  --params f0=0.2 f50000000=1e-9 2>/dev/null || code=$?
+test "$code" = 2 || { echo "f50000000: exit $code"; exit 1; }

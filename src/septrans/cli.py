@@ -32,6 +32,10 @@ from .riccati import BlowUpError, SolverOptions, solve_riccati
 
 FMT = "%.17g"
 
+# the highest cosine index fk that pendula_identical takes here: its
+# coefficient list is as long as the highest index given
+MAX_COSINE_INDEX = 10**5
+
 
 class UsageError(ValueError):
     pass
@@ -74,11 +78,14 @@ def config_flags(path: str) -> list[str]:
 def make_model(name: str, params: dict,
                strict: bool = True) -> HamiltonianModel:
     """The built-in model name at params, which must be exactly the finite
-    parameters it takes."""
+    parameters it takes (pendula_identical's up to f<MAX_COSINE_INDEX>)."""
     names = required = BUILTINS[name][1]
     if names is None:
         n = max((int(k[1:]) + 1 for k in params
                  if k[:1] == "f" and k[1:].isdecimal()), default=0)
+        if n > MAX_COSINE_INDEX + 1:
+            raise UsageError("%s takes cosine coefficients up to f%d, not f%d"
+                             % (name, MAX_COSINE_INDEX, n - 1))
         names, required = tuple("f%d" % i for i in range(n)), ()
         needs = "f0=.. [f1=..]"
     else:
@@ -223,8 +230,9 @@ def cmd_melnikov(args) -> int:
     res = mel.reduced_melnikov(pert, grid)
     derivs_diag: dict = {}
     derivs = mel.melnikov_derivatives(pert, diag=derivs_diag)
-    verdict = mel.perturbed_loop_verdict("B", derivs=derivs, s_grid=grid,
-                                         L_samples=res.L_samples)
+    verdict = mel.perturbed_loop_verdict(
+        "B", derivs=derivs, s_grid=grid, L_samples=res.L_samples,
+        error=derivs_diag.get("error_bound"))
     comments = {
         "model": args.model,
         "dL0": verdict.dL0,

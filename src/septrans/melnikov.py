@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,39 +43,99 @@ class MelnikovResult:
 
 
 # the most nodes one trapezoid sum may take: 80 MB per float array, and
-# over 60 times the widest tested window (lam = 40 at |s| = 4, 160,001)
+# over 450 times the widest tested window (lam = 40 at |s| = 40, 21,159)
 NODE_BUDGET = 10**7
 
 # the most values (rows times nodes) one integrand call on a block of
-# section points makes; a single row may exceed it.  The 81-point grid at
-# lam 1 / 2.3 / 3.6 took 2.7 / 6.3 / 7.9 ms with 2**12, 2.2 / 3.7 / 5.2 ms
-# with 2**14, 2.3 / 3.5 / 5.0 ms with 2**15 and 3.3 / 6.4 / 7.7 ms with
-# 2**17 (medians of 150 interleaved runs on a 2-core host): larger blocks
-# fall out of cache
+# section points makes; a single row may exceed it.  The 81-point
+# `septrans melnikov` run, in process, at lam 1 / 2.3 / 3.6 took 2.36 /
+# 2.81 / 3.38 ms with 2**12, 2.22 / 2.60 / 3.09 ms with 2**13, 2.27 / 2.71
+# / 2.95 ms with 2**14, 2.20 / 2.91 / 3.27 ms with 2**15 and 2.28 / 3.15 /
+# 3.92 ms with 2**16 (medians of 150 interleaved runs on a 2-core host):
+# larger blocks fall out of cache
 BLOCK_ELEMENTS = 2**14
 
+# what a proven rule allows each trapezoid sum of its quadrature error,
+# and apart from it of its tail.  pendula_weak's tail majorants are within
+# a small factor of its tails, so the windows they set keep the sums at
+# the rounding of potentials of size 1-10, as the fixed rule's did; each
+# factor 10 costs a step about 5% shorter and a window 1.15 wider
+TARGET = 1e-15
 
-def _t_cut(pert: PerturbationModel, s: float) -> float:
-    return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
+
+class _Rule(NamedTuple):
+    """A trapezoid rule: its step and, when proven, the reach of each
+    window past |t0| + |s| and per integrand (quad_error, c, r): its
+    quadrature error bound, and the tail bound c exp(-r x) of a window
+    whose ends lie x past |t0| + |s|.  Unproven (reach None), the window
+    is fixed and the errors are estimates."""
+    step: float
+    reach: float | None = None
+    errors: tuple[tuple[float, float, float], ...] = ()
 
 
-def _half_count(t0: float, T: float, pert: PerturbationModel) -> int:
-    """K = ceil(T time_scale / 0.1), the lattice nodes on each side of t0
-    that cover [t0 - T, t0 + T].  Raises QuadratureError, before anything
-    is allocated, above NODE_BUDGET nodes."""
-    # a float count, so that an infinite or nan one fails the test too
-    n = np.ceil(2.0 * T * pert.time_scale / 0.2)
-    if not 2.0 * n + 1.0 <= NODE_BUDGET:
+def _proven_rule(bounds) -> _Rule:
+    """The widest step at which each quadrature error bound 2 M / (exp(2
+    pi a / h) - 1) meets TARGET, for an integrand analytic in |Im t| < a
+    with M its strip integral (Trefethen and Weideman, SIAM Review 56,
+    2014, Thm 5.1), and the reach at which each tail bound does.  Past
+    window ends x beyond |t0| + |s|, the majorant tail exp(-rate (|t| -
+    |s|)) integrates to at most tail (2 / rate) exp(-rate x) over the two
+    sides, and the end nodes' half weights add at most h tail exp(-rate
+    x)."""
+    step = min(2.0 * math.pi * b.width / math.log1p(2.0 * b.strip / TARGET)
+               for b in bounds)
+    errors = tuple(
+        (2.0 * b.strip / math.expm1(2.0 * math.pi * b.width / step),
+         b.tail * (2.0 / b.rate + step), b.rate) for b in bounds)
+    return _Rule(step, max(math.log(c / TARGET) / r for _, c, r in errors),
+                 errors)
+
+
+@functools.lru_cache(maxsize=64)
+def _proven_rules(bounds) -> tuple[_Rule, _Rule]:
+    """The proven rules of the integrand and of the s-jet rows, from a
+    perturbation's bounds hook: computed once per perturbation."""
+    b = bounds()
+    return _proven_rule(b[:1]), _proven_rule(b[1:])
+
+
+def _rule(pert: PerturbationModel, jet: bool = False) -> _Rule:
+    """The rule of pert's integrand, or of its s-jet rows."""
+    if pert.bounds is None:
+        return _Rule(0.1 / pert.time_scale)
+    return _proven_rules(pert.bounds)[jet]
+
+
+def _t_cut(pert: PerturbationModel, s: float, rule: _Rule,
+           t0: float = 0.0) -> float:
+    """The window half-width at the point (t0, s): reach past |t0| + |s|
+    on a proven rule, else (40 + |s| time_scale) / decay_rate."""
+    if rule.reach is None:
+        return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
+    return abs(t0) + abs(s) + rule.reach
+
+
+def _half_count(t0: float, T: float, step: float) -> int:
+    """K = ceil(T / step), the lattice nodes on each side of t0 that cover
+    [t0 - T, t0 + T].  Raises QuadratureError, before anything is
+    allocated, above NODE_BUDGET nodes."""
+    # 2 ceil(n) + 1 <= NODE_BUDGET, as a test that an infinite or nan n
+    # fails too
+    n = T / step
+    if not n <= (NODE_BUDGET - 1) // 2:
         raise QuadratureError("the trapezoid window [%.6g, %.6g] needs %.17g "
                               "nodes, above the budget of %d"
-                              % (t0 - T, t0 + T, 2.0 * n + 1.0, NODE_BUDGET))
-    return int(n)
+                              % (t0 - T, t0 + T, 2.0 * np.ceil(n) + 1.0,
+                                 NODE_BUDGET))
+    return math.ceil(n)
 
 
-def _lattice(t0: float, K: int, pert: PerturbationModel) -> np.ndarray:
-    """The 2K + 1 nodes t0 + k h, |k| <= K, at the step h = 0.1 /
-    time_scale that every trapezoid sum takes."""
-    return t0 + (0.1 / pert.time_scale) * np.arange(-K, K + 1)
+def _lattice(t0: float, K: int, step: float) -> np.ndarray:
+    """The 2K + 1 nodes t0 + k step, |k| <= K: every window of a
+    perturbation's integrand lies on this lattice, and every window of its
+    s-jet on its own."""
+    return t0 + step * np.arange(-K, K + 1)
 
 
 def _held(vals, t: np.ndarray, s, hook: str = "integrand") -> np.ndarray:
@@ -90,24 +152,34 @@ def _held(vals, t: np.ndarray, s, hook: str = "integrand") -> np.ndarray:
     return np.broadcast_to(vals, shape)
 
 
-def _trapezoid(vals, K: int, T: float,
-               pert: PerturbationModel) -> tuple[float, dict]:
-    """Integral over a window of half-width T by the trapezoidal rule, from
-    the integrand's values vals on its 2K + 1 lattice nodes.
+def _trapezoid(vals, K: int, T: float, pert: PerturbationModel,
+               rule: _Rule, row: int = 0) -> tuple[float, dict]:
+    """Integral over the real line by the trapezoidal rule, from the
+    integrand's values vals on the 2K + 1 lattice nodes of a window of
+    half-width T.
 
     The integrands are analytic in a strip about the real axis and decay
     exponentially, so the rule converges geometrically in the step
-    (Trefethen and Weideman, SIAM Review 56, 2014).  The difference from
-    the sum at twice the step is the quadrature error estimate.  Returns
-    the value and its diagnostics t_cut = T, tail_bound and quad_error.
+    (Trefethen and Weideman, SIAM Review 56, 2014).  On a proven rule,
+    quad_error bounds the sum's distance from the sum over the whole
+    lattice, and that sum's from the integral, and tail_bound bounds what
+    the window leaves out; their sum bounds the error before rounding.
+    Otherwise quad_error is the difference from the sum at twice the step
+    and tail_bound estimates the tail from the end values.  Returns the
+    value and its diagnostics t_cut = T, tail_bound and quad_error, row's
+    on a proven rule.
     """
     first, last = float(vals[0]), float(vals[-1])
     ends = 0.5 * (first + last)
-    step = 0.1 / pert.time_scale
-    fine = step * (float(vals.sum()) - ends)
-    coarse = 2.0 * step * (float(vals[::2].sum()) - ends)
-    tail = (abs(first) + abs(last)) / (2.0 * pert.decay_rate)
-    quad_error = abs(fine - coarse)
+    fine = rule.step * (float(vals.sum()) - ends)
+    if rule.reach is None:
+        coarse = 2.0 * rule.step * (float(vals[::2].sum()) - ends)
+        tail = (abs(first) + abs(last)) / (2.0 * pert.decay_rate)
+        quad_error = abs(fine - coarse)
+    else:
+        # the window's ends lie K step - T + reach beyond |t0| + |s|
+        quad_error, coef, rate = rule.errors[row]
+        tail = coef * math.exp(-rate * (K * rule.step - T + rule.reach))
     for what, size in (("tail bound", tail), ("quadrature error", quad_error)):
         if size > 1e-12:
             warnings.warn("%s %.3g above 1e-12" % (what, size), RuntimeWarning)
@@ -123,10 +195,11 @@ def melnikov_potential(pert: PerturbationModel,
     perturbation's locate hook, or directly by the section parameter s
     (then the point is kappa(s)).
 
-    The trapezoid window is centered at the time the loop passes through
-    the point and sized so the exponential tail stays below 1e-12; the
-    window, tail bound and step-halving error are recorded in diag, and a
-    warning is raised if the tail or the error is above 1e-12.  values,
+    The trapezoid window is centered at the time t0 the loop passes
+    through the point and sized by the perturbation's rule (see
+    PerturbationModel); the window, tail bound and quadrature error are
+    recorded in diag, and a warning is raised if the tail or the error is
+    above 1e-12.  values,
     with s only, are the integrand on the window's lattice nodes, as
     reduced_melnikov slices them from a block; without them the integrand
     is evaluated here, on the same nodes.
@@ -136,12 +209,13 @@ def melnikov_potential(pert: PerturbationModel,
     if q is not None and pert.locate is None:
         raise ValueError("perturbation %s has no locate hook" % pert.name)
     t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
-    T = _t_cut(pert, s)
-    K = _half_count(t0, T, pert)
+    rule = _rule(pert)
+    T = _t_cut(pert, s, rule, t0)
+    K = _half_count(t0, T, rule.step)
     if values is None:
-        t = _lattice(t0, K, pert)
+        t = _lattice(t0, K, rule.step)
         values = _held(pert.integrand(t, s), t, s)
-    val, d = _trapezoid(values, K, T, pert)
+    val, d = _trapezoid(values, K, T, pert, rule)
     if diag is not None:
         diag.update(d)
     return -val
@@ -167,11 +241,12 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
     """
     s_grid = np.asarray(s_grid, dtype=float)
     s_list = s_grid.tolist()
-    Ks = [_half_count(0.0, _t_cut(pert, s), pert) for s in s_list]
+    rule = _rule(pert)
+    Ks = [_half_count(0.0, _t_cut(pert, s, rule), rule.step) for s in s_list]
     diags = [{} for _ in s_list]
     samples = np.empty(len(s_list))
     K = max(Ks, default=0)
-    t = _lattice(0.0, K, pert)
+    t = _lattice(0.0, K, rule.step)
     rows = max(1, BLOCK_ELEMENTS // t.size)
     for i in range(0, len(s_list), rows):
         Kb = max(Ks[i:i + rows])
@@ -190,15 +265,26 @@ def melnikov_derivatives(pert: PerturbationModel,
     """(L~'(0), L~''(0)) from one integrand_s_jet call on the s = 0 nodes
     when the model has the hook, else by Richardson-extrapolated central
     differences; diag receives the worst t_cut, tail_bound and quad_error
-    behind them."""
+    behind them.  With the s-jet on a proven rule it also receives
+    error_bound, which bounds the error of either derivative: the worst
+    row's quad_error and tail_bound plus N eps h sum |row| for the
+    rounding of the N values and of their sum."""
+    bound = None
     if pert.integrand_s_jet is not None:
-        T = _t_cut(pert, 0.0)
-        K = _half_count(0.0, T, pert)
-        t = _lattice(0.0, K, pert)
-        (v1, d1), (v2, d2) = (
-            _trapezoid(_held(row, t, 0.0, "integrand_s_jet"), K, T, pert)
-            for row in pert.integrand_s_jet(t, 0.0))
+        rule = _rule(pert, jet=True)
+        T = _t_cut(pert, 0.0, rule)
+        K = _half_count(0.0, T, rule.step)
+        t = _lattice(0.0, K, rule.step)
+        rows = [_held(row, t, 0.0, "integrand_s_jet")
+                for row in pert.integrand_s_jet(t, 0.0)]
+        (v1, d1), (v2, d2) = (_trapezoid(row, K, T, pert, rule, i)
+                              for i, row in enumerate(rows))
         derivs, diags = (-v1, -v2), [d1, d2]
+        if rule.reach is not None:
+            rounding = t.size * sys.float_info.epsilon * rule.step
+            bound = max(d["quad_error"] + d["tail_bound"]
+                        + rounding * float(np.abs(row).sum())
+                        for d, row in zip(diags, rows))
     else:
         diags = []
 
@@ -211,6 +297,8 @@ def melnikov_derivatives(pert: PerturbationModel,
                   richardson_diff(Ltilde, 0.0, h, order=2))
     if diag is not None:
         diag.update(_worst(diags))
+        if bound is not None:
+            diag["error_bound"] = bound
     return derivs
 
 
@@ -218,18 +306,22 @@ def perturbed_loop_verdict(case: str,
                            report: TransversalityReport | None = None,
                            derivs: tuple[float, float] | None = None,
                            s_grid=None,
-                           L_samples=None) -> MelnikovResult:
+                           L_samples=None,
+                           error: float | None = None) -> MelnikovResult:
     """Case-A / case-B verdict for persistence of a transverse loop.
 
     Case A (manifolds transverse before perturbing) consumes the
     unperturbed TransversalityReport; the perturbation is regular and no
     Melnikov computation is needed.  Case B consumes derivs, the
     derivatives of the reduced potential at s = 0 (melnikov_derivatives
-    gives them); a critical, nondegenerate point certifies the perturbed
-    transverse loop.  If s = 0 is not critical the verdict is
-    "inapplicable" and the zeros of the slope sampled on s_grid are
-    reported as candidate critical parameters: a difference quotient that
-    is exactly zero at its interval's midpoint, and the linear zero
+    gives them), and error, a bound on the error of each (its diag's
+    error_bound); a critical, nondegenerate point certifies the perturbed
+    transverse loop.  s = 0 is critical where |L~'(0)| <= error and
+    nondegenerate where |L~''(0)| > error; without a bound the thresholds
+    are 1e-8 max(1, |L~''(0)|) and 1e-8.  If s = 0 is not critical the
+    verdict is "inapplicable" and the zeros of the slope sampled on s_grid
+    are reported as candidate critical parameters: a difference quotient
+    that is exactly zero at its interval's midpoint, and the linear zero
     between two midpoints where the quotients change sign.
     """
     if case == "A":
@@ -245,8 +337,10 @@ def perturbed_loop_verdict(case: str,
         raise ValueError("case B needs derivs, the reduced potential's "
                          "(L~'(0), L~''(0))")
     dL0, ddL0 = derivs
-    tol_dd = 1e-8
-    tol_crit = 1e-8 * max(1.0, abs(ddL0))
+    if error is None:
+        tol_crit, tol_dd = 1e-8 * max(1.0, abs(ddL0)), 1e-8
+    else:
+        tol_crit = tol_dd = error
     diag: dict = {}
     if abs(dL0) <= tol_crit:
         verdict = ("perturbed_loop_transversal" if abs(ddL0) > tol_dd

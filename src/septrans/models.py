@@ -237,6 +237,17 @@ def _assembled_jet(model: HamiltonianModel
     return jet
 
 
+class IntegrandBound(NamedTuple):
+    """What a perturbation proves of one Melnikov integrand f(t, s), for
+    every s: f is analytic in the strip |Im t| < width, where the integral
+    over x of |f(x + iy)| is at most strip for each |y| < width; and on the
+    real axis |f(t)| <= tail exp(-rate (|t| - |s|)) wherever |t| >= |s|."""
+    width: float
+    strip: float
+    tail: float
+    rate: float
+
+
 @dataclass(frozen=True)
 class PerturbationModel:
     """First-order perturbation H* on the unperturbed loop family, given by
@@ -255,11 +266,15 @@ class PerturbationModel:
     second s-derivatives on an ndarray t, from one evaluation; without it
     the derivatives of the reduced potential are finite differences in s.
     The optional locate(q1, q2) returns (t0, s), the time and section
-    parameter of the loop through a separatrix point.  decay_rate bounds
-    the exponential approach of the loops to the equilibrium and sets the
-    quadrature window.  time_scale is the loop family's fastest rate: the
-    window grows by |s| * time_scale, and the trapezoid step is 0.1 /
-    time_scale.
+    parameter of the loop through a separatrix point.
+
+    The optional bounds() returns the IntegrandBound of the integrand and
+    of the two integrand_s_jet rows, in that order; melnikov derives its
+    trapezoid step and windows from them, once per perturbation, and
+    reports proven error bounds.  Without it the rule is fixed: decay_rate
+    bounds the exponential approach of the loops to the equilibrium and
+    time_scale is the loop family's fastest rate; the window is (40 + |s|
+    time_scale) / decay_rate and the trapezoid step is 0.1 / time_scale.
     """
     decay_rate: float
     time_scale: float = 1.0
@@ -270,6 +285,7 @@ class PerturbationModel:
                         np.ndarray] | None = None
     integrand_s_jet: Callable[[np.ndarray, float], tuple] | None = None
     locate: Callable[[float, float], tuple[float, float]] | None = None
+    bounds: Callable[[], tuple[IntegrandBound, ...]] | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -587,9 +603,32 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         t0 = math.log(math.tan(xi2 / 4.0)) / lam
         return (t0, t0 - u)
 
+    def bounds():
+        # on Im t = y, |tanh(x + iy)| <= 1 / cos y and |sech(x + iy)| <=
+        # sech x / cos y.  With P = 1 / cos(lam y), Q = 1 / cos y, sig =
+        # sech(x - s) and tau = sech(lam x) that gives |g| <= P Q (sig +
+        # tau), |g_s| <= 2 P Q^2 sig and |g_ss| <= 4 P Q^3 sig, and the
+        # x-integrals of sig^2, tau^2 and sig tau are at most 2, 2 / lam
+        # and pi / lam.  The poles nearest the real axis are those of lam t
+        # at +-i pi / (2 lam); the strip goes 93% of the way, near the
+        # widest step for every lam.  On the real axis (P = Q = 1) sig and
+        # tau are at most 2 exp(-(|t| - |s|)) wherever |t| >= |s|, so the
+        # three majorants are at most 32, 64 and 192 exp(-2 (|t| - |s|))
+        width = 0.93 * math.pi / (2.0 * lam)
+        pp = 1.0 / math.cos(lam * width) ** 2
+        q = 1.0 / math.cos(width)
+        return (
+            IntegrandBound(width, 2.0 * pp * q * q
+                           * (2.0 + (2.0 + 2.0 * math.pi) / lam), 32.0, 2.0),
+            IntegrandBound(width, 8.0 * pp * q ** 3 * (2.0 + math.pi / lam),
+                           64.0, 2.0),
+            IntegrandBound(width, 16.0 * pp * q ** 4 * (4.0 + math.pi / lam),
+                           192.0, 2.0))
+
     pert = PerturbationModel(
         decay_rate=1.0, time_scale=max(1.0, lam), integrand=integrand,
-        integrand_s_jet=integrand_s_jet, locate=locate, name="pendula_weak")
+        integrand_s_jet=integrand_s_jet, locate=locate, bounds=bounds,
+        name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
     # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
     h1 = -jet(0.0).b120     # h'(0): 1 at lam = 1, else 0

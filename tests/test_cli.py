@@ -239,6 +239,27 @@ def test_transversality_torus_tangent(capsys):
     assert abs(given.gap) > abs(doc["gap"])
 
 
+def test_cosine_index_above_the_cap_is_refused_unbuilt(capsys):
+    # f50000000 would take a 50,000,001-entry list (about 10 GB with its
+    # params dict); the refusal comes before any list is built
+    import tracemalloc
+    from septrans.cli import MAX_COSINE_INDEX, UsageError
+    big = {"f0": 0.2, "f%d" % (MAX_COSINE_INDEX + 1): 1e-9}
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="up to f%d" % MAX_COSINE_INDEX):
+            make_model("pendula_identical", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    code, _ = run(capsys, "validate", "--model", "pendula_identical",
+                  "--params", "f0=0.2", "f50000000=1e-9")
+    assert code == 2
+    assert make_model("pendula_identical", {"f0": 0.2, "f%d"
+                                            % MAX_COSINE_INDEX: 0.0})
+
+
 def test_zero_coefficients_cost_nothing(capsys, monkeypatch):
     # 20,000 zero cosine terms change no figure of the report and cost no
     # cos in a jet call
@@ -295,7 +316,11 @@ def test_melnikov_reports_quadrature_diagnostics(capsys):
                 for l in out.splitlines()
                 if l.startswith("#") and l[1:].split("=", 1)[0].strip()
                 in ("t_cut", "tail_bound", "quad_error")}
-    assert comments["t_cut"] == 44.0   # 40 + |s| * lam at |s| = 2, lam = 2
+    # the widest window, at |s| = 2: 19.05 past |s|
+    from septrans import melnikov
+    pert = builtin_model("pendula_weak", [2.0]).perturbation
+    assert comments["t_cut"] == melnikov._t_cut(pert, 2.0,
+                                                melnikov._rule(pert))
     assert 0.0 <= comments["tail_bound"] <= 1e-12
     assert 0.0 <= comments["quad_error"] <= 1e-12
     code, out = run(capsys, *argv, "--format", "json")
@@ -309,14 +334,20 @@ def test_melnikov_reports_derivative_quadrature(capsys):
             "--grid=-2:2:5"]
     code, out = run(capsys, *argv)
     assert code == 0
-    keys = ("dL_t_cut", "dL_tail_bound", "dL_quad_error")
+    keys = ("dL_t_cut", "dL_tail_bound", "dL_quad_error", "dL_error_bound")
     comments = {l[1:].split("=", 1)[0].strip(): float(l.split("=", 1)[1])
                 for l in out.splitlines()
                 if l.startswith("#") and l[1:].split("=", 1)[0].strip() in keys}
     assert set(comments) == set(keys)
-    assert comments["dL_t_cut"] == 40.0   # 40 + |s| * lam at s = 0
+    # the s-jet's own window at s = 0, 19.95
+    from septrans import melnikov
+    pert = builtin_model("pendula_weak", [2.0]).perturbation
+    assert comments["dL_t_cut"] == melnikov._t_cut(
+        pert, 0.0, melnikov._rule(pert, jet=True))
     assert 0.0 < comments["dL_tail_bound"] <= 1e-12
     assert 0.0 <= comments["dL_quad_error"] <= 1e-12
+    # the bound that the verdict's thresholds are
+    assert 0.0 < comments["dL_error_bound"] <= 1e-11
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert {k: json.loads(out)["comments"][k] for k in keys} == comments
@@ -338,8 +369,8 @@ def test_melnikov_large_lam_is_silent(capsys):
 
 
 def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
-    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB); the
-    # quadrature refuses before numpy allocates them
+    # lam = 5e4 at |s| = 4 would need 10,284,205 nodes; the quadrature
+    # refuses before numpy allocates them
     from septrans import melnikov
     real = np.linspace
 
@@ -348,11 +379,12 @@ def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
         return real(start, stop, num, *args, **kwargs)
 
     monkeypatch.setattr(np, "linspace", linspace)
-    code = main(["melnikov", "--model", "pendula_weak", "--params", "lam=1e4",
+    code = main(["melnikov", "--model", "pendula_weak", "--params", "lam=5e4",
                  "--grid=-4:4:3"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:") and "budget" in err
+    assert "needs 10284205 nodes" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from septrans.charts import transversality_verdict
-from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _t_cut,
-                               lambda0_threshold, melnikov_derivatives,
-                               melnikov_potential, perturbed_loop_verdict,
-                               reduced_melnikov, xi_max)
+from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _half_count,
+                               _lattice, _rule, _t_cut, _trapezoid,
+                               lambda0_threshold,
+                               melnikov_derivatives, melnikov_potential,
+                               perturbed_loop_verdict, reduced_melnikov,
+                               xi_max)
 from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
                              builtin_model)
 from septrans.numerics import QuadratureError
@@ -19,6 +21,13 @@ from weak_reference import WeakReference
 
 def weak(lam):
     return builtin_model("pendula_weak", [lam]).perturbation
+
+
+def widened(pert, factor=1e20):
+    """pert with each tail constant of its bounds times factor, which
+    widens every window by log(factor) / rate, 23 for pendula_weak."""
+    return replace(pert, bounds=lambda: tuple(
+        b._replace(tail=factor * b.tail) for b in pert.bounds()))
 
 
 def closed_form_lam1(s):
@@ -82,9 +91,10 @@ def test_reduced_potential_shape():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reduced_potential_reports_worst_quadrature():
-    # a short window makes every tail bound visible; the grid ends on its
-    # most benign point, so the worst values come from earlier points
-    pert = replace(weak(2.0), decay_rate=10.0)
+    # on the fixed rule a short window makes every tail bound visible; the
+    # grid ends on its most benign point, so the worst values come from
+    # earlier points
+    pert = replace(weak(2.0), bounds=None, decay_rate=10.0)
     grid = [-3.0, -1.0, 0.0]
     res = reduced_melnikov(pert, grid)
     diags = [{} for _ in grid]
@@ -121,9 +131,15 @@ def test_first_integral_property():
 
 def test_quadrature_tail_robustness():
     pert = weak(1.3)
-    base = melnikov_potential(pert, s=1.1)
-    stretched = replace(pert, time_scale=2.0 * pert.time_scale + 40.0)
-    assert abs(melnikov_potential(stretched, s=1.1) - base) < 1e-10
+    base, wide = {}, {}
+    L = melnikov_potential(pert, s=1.1, diag=base)
+    stretched = widened(pert)
+    assert abs(melnikov_potential(stretched, s=1.1, diag=wide) - L) < 1e-10
+    assert wide["t_cut"] > base["t_cut"] + 20.0
+    # the fixed rule's window and step, through time_scale
+    fixed = replace(pert, bounds=None)
+    stretched = replace(fixed, time_scale=2.0 * fixed.time_scale + 40.0)
+    assert abs(melnikov_potential(stretched, s=1.1) - L) < 1e-10
 
 
 def test_far_section_point_is_finite_and_silent():
@@ -153,15 +169,22 @@ def test_derivatives_fallback_matches_analytic():
 def test_derivatives_report_their_quadrature():
     # the analytic route integrates at s = 0; the fallback's differences
     # read the potential at s = 0, +-h and +-h/2 with h = 1e-3
+    # (the fallback's windows are the integrand's, the s-jet's its own);
+    # only the s-jet's, on a proven rule, bounds the derivatives' error
     pert = weak(2.0)
     blind = replace(pert, integrand_s_jet=None)
-    for p, t_cut in ((pert, 40.0), (blind, 40.0 + 1e-3 * 2.0)):
+    keys = {"t_cut", "tail_bound", "quad_error"}
+    for p, t_cut, more in ((pert, _t_cut(pert, 0.0, _rule(pert, jet=True)),
+                            {"error_bound"}),
+                           (blind, _t_cut(pert, 1e-3, _rule(pert)), set())):
         diag = {}
         melnikov_derivatives(p, diag=diag)
-        assert set(diag) == {"t_cut", "tail_bound", "quad_error"}
+        assert set(diag) == keys | more
         assert diag["t_cut"] == t_cut
         assert 0.0 <= diag["tail_bound"] <= 1e-12
         assert 0.0 <= diag["quad_error"] <= 1e-12
+        if more:
+            assert 0.0 < diag["error_bound"] <= 1e-11
 
 
 def test_second_derivative_consistent_with_samples():
@@ -174,12 +197,28 @@ def test_second_derivative_consistent_with_samples():
     assert dd_fd == pytest.approx(dd, abs=1e-5 * max(1.0, abs(dd)))
 
 
-@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 3.6])
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 3.6, 40.0])
 def test_nondegenerate_band(lam):
-    d1, d2 = melnikov_derivatives(weak(lam))
+    diag = {}
+    d1, d2 = melnikov_derivatives(weak(lam), diag=diag)
     assert d2 < 0
-    res = perturbed_loop_verdict("B", derivs=(d1, d2))
-    assert res.verdict == "perturbed_loop_transversal"
+    for error in (None, diag["error_bound"]):
+        res = perturbed_loop_verdict("B", derivs=(d1, d2), error=error)
+        assert res.verdict == "perturbed_loop_transversal"
+
+
+def test_slope_between_the_bound_and_1e8_is_not_critical():
+    # the derivatives' proven error bound, not the fixed 1e-8, decides
+    # whether s = 0 is critical
+    diag = {}
+    _, d2 = melnikov_derivatives(weak(2.0), diag=diag)
+    error = diag["error_bound"]
+    dL0 = 1e-10
+    assert error < dL0 < 1e-8
+    res = perturbed_loop_verdict("B", derivs=(dL0, d2), error=error)
+    assert res.verdict == "inapplicable"
+    assert perturbed_loop_verdict("B", derivs=(dL0, d2)).verdict == (
+        "perturbed_loop_transversal")
 
 
 def test_case_a_regular_perturbation():
@@ -283,6 +322,57 @@ def test_trapezoid_matches_adaptive_quadrature(lam, s):
     assert abs(L + ref) <= diag["quad_error"] + 1e-13
 
 
+def lattice_sums(rows, step, K):
+    """The trapezoid sums of rows(t) on the nodes k step, |k| <= K, in long
+    double, whose rounding (eps 1.1e-19 on x86-64) stays below the bounds."""
+    t = step * np.arange(-K, K + 1, dtype=np.longdouble)
+    return [step * (np.sum(v) - 0.5 * (v[0] + v[-1])) for v in rows(t)]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 40.0), st.floats(-4.0, 4.0))
+def test_stated_bounds_hold(lam, s):
+    # each sum on the proven lattice against one at the step 0.02 /
+    # time_scale on a window 10 wider, for the integrand and both s-jet
+    # rows: quad_error + tail_bound holds the difference
+    pert = weak(lam)
+    for jet, rows in ((False, lambda t: [pert.integrand(t, s)]),
+                      (True, lambda t: pert.integrand_s_jet(t, s))):
+        rule = _rule(pert, jet)
+        T = _t_cut(pert, s, rule)
+        K = _half_count(0.0, T, rule.step)
+        ref_step = 0.02 / pert.time_scale
+        refs = lattice_sums(rows, ref_step, math.ceil((T + 10.0) / ref_step))
+        vals = rows(_lattice(0.0, K, rule.step))
+        for i, (got, ref) in enumerate(zip(lattice_sums(rows, rule.step, K),
+                                           refs)):
+            d = _trapezoid(vals[i], K, T, pert, rule, i)[1]
+            bound = d["quad_error"] + d["tail_bound"]
+            assert abs(got - ref) <= bound, (jet, i)
+
+
+# L~ at these s by the fixed rule (step 0.1 / time_scale, window (40 + |s|
+# time_scale) / decay_rate), computed before the proven rule replaced it
+L_S = [-4.0, -1.3, 0.0, 2.5, 4.0]
+L_GOLDEN = [
+    (1.0, [-8.52454290059159, -4.615643679619336, -0.0, -8.135394504373902,
+           -8.52454290059159]),
+    (2.3, [-5.838831010834726, -4.852004119802356, -1.3632241594757608,
+           -5.961401656608383, -5.838831010834726]),
+    (3.6, [-5.146556102943814, -4.635828634520604, -2.3084395679453293,
+           -5.1961069806049185, -5.146556102943813]),
+    (40.0, [-4.100018584005146, -4.050406249704013, -3.8922787246850534,
+            -4.095889420813805, -4.100018584005146]),
+]
+
+
+@pytest.mark.parametrize("lam,want", L_GOLDEN)
+def test_reduced_potential_golden(lam, want):
+    L = reduced_melnikov(weak(lam), L_S).L_samples
+    for got, w in zip(L.tolist(), want):
+        assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
+
+
 @pytest.mark.parametrize("lam", [1.0, 1.7, 2.6, 3.6])
 def test_array_integrand_equals_scalar_integrand(lam):
     pert = weak(lam)
@@ -321,7 +411,7 @@ def test_closed_form_integrand_matches_definition(lam):
     pert = weak(lam)
     ref = composed(lam)
     for s in (-4.0, -0.3, 0.0, 2.5, 40.0, 200.0):
-        T = _t_cut(pert, s)
+        T = _t_cut(pert, s, _rule(pert))
         t = np.concatenate([np.linspace(-T, T, 20001),
                             np.linspace(-3.0, 3.0, 6001),
                             s + np.linspace(-30.0, 30.0, 6001)])
@@ -382,7 +472,7 @@ def test_derivatives_call_the_s_jet_once():
 
     counted = replace(pert, integrand_s_jet=s_jet)
     assert melnikov_derivatives(counted) == melnikov_derivatives(pert)
-    assert calls == [(1601, 0.0)]   # 40 / 0.05 steps each side
+    assert calls == [(395, 0.0)]    # 19.95 / 0.1013 steps each side
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 3.6])
@@ -407,8 +497,8 @@ def test_large_lam_is_silent(lam):
 
 
 def test_node_budget_refuses_before_allocating(monkeypatch):
-    # lam = 1e4 at |s| = 4 would need 8,008,000,001 nodes (60 GiB), on its
-    # own and as the widest window of a grid
+    # lam = 5e4 at |s| = 4 would need 10,284,205 nodes, on its own and as
+    # the widest window of a grid whose s = 0 window fits (8,495,823)
     real_linspace, real_arange = np.linspace, np.arange
 
     def linspace(start, stop, num, *args, **kwargs):
@@ -421,17 +511,18 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(np, "linspace", linspace)
     monkeypatch.setattr(np, "arange", arange)
-    with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
-        melnikov_potential(weak(1e4), s=4.0)
-    with pytest.raises(QuadratureError, match="needs 8008000001 nodes"):
-        reduced_melnikov(weak(1e4), [0.0, 4.0])
+    with pytest.raises(QuadratureError, match="needs 10284205 nodes"):
+        melnikov_potential(weak(5e4), s=4.0)
+    with pytest.raises(QuadratureError, match="needs 10284205 nodes"):
+        reduced_melnikov(weak(5e4), [0.0, 4.0])
 
 
 @pytest.mark.parametrize("pert,s", [
-    # the node count overflows to inf at s = 1 and is 4e302 at s = 0
-    (weak(1e300), 1.0),
+    # on the fixed rule the node count overflows to inf at s = 1; on the
+    # proven one it is 8e301 at s = 0
+    (replace(weak(1e300), bounds=None), 1.0),
     (weak(1e300), 0.0),
-    (replace(weak(2.0), time_scale=math.nan), 0.0),
+    (replace(weak(2.0), bounds=None, time_scale=math.nan), 0.0),
 ])
 def test_node_budget_refuses_a_non_finite_count(pert, s):
     with pytest.raises(QuadratureError, match="budget"):
@@ -491,10 +582,12 @@ GRID_81 = np.linspace(-4.0, 4.0, 81)
     (weak(1.0), GRID_81),
     (weak(2.3), GRID_81),
     (weak(3.6), GRID_81),
-    (replace(weak(2.0), decay_rate=10.0), [-3.0, -1.0, 0.0]),
+    (widened(weak(2.0)), [-3.0, -1.0, 0.0]),
     (weak(2.3), [1.7]),
-    # a window of 160,001 nodes, above BLOCK_ELEMENTS: one row per block
-    (weak(40.0), [-4.0, 0.0, 4.0]),
+    # a window of 21,159 nodes, above BLOCK_ELEMENTS: one row per block
+    (weak(40.0), [-40.0, 0.0, 40.0]),
+    # the fixed rule, on a short window
+    (replace(weak(2.0), bounds=None, decay_rate=10.0), [-3.0, -1.0, 0.0]),
 ])
 def test_grid_equals_standalone_bit_for_bit(pert, grid):
     (L, diags), (L_alone, alone) = grid_and_alone(pert, grid)
@@ -527,16 +620,16 @@ def counted_grid(pert, grid):
 
 def test_grid_calls_the_integrand_once_per_block():
     calls = counted_grid(weak(2.0), GRID_81)
-    widest = 2 * 960 + 1                    # 48 / 0.05 steps each side
+    widest = 2 * 215 + 1                    # 23.05 / 0.1074 steps each side
     rows = BLOCK_ELEMENTS // widest
     assert rows > 1
     assert len(calls) <= math.ceil(81 / rows)
     assert max(calls) <= BLOCK_ELEMENTS
-    # the budget is below lam = 40's widest window, which a block then
-    # takes one row at a time, each cut to its own window
-    assert BLOCK_ELEMENTS < 160001
-    assert counted_grid(weak(40.0), [-4.0, 0.0, 4.0]) == [160001, 32001,
-                                                          160001]
+    # the budget is below lam = 40's window at |s| = 40, which a block
+    # then takes one row at a time, each cut to its own window
+    assert BLOCK_ELEMENTS < 21159
+    assert counted_grid(weak(40.0), [-40.0, 0.0, 40.0]) == [21159, 6817,
+                                                            21159]
 
 
 def test_integrand_of_the_wrong_shape_fails_loudly():
