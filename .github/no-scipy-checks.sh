@@ -24,6 +24,12 @@ septrans riccati --model pendula_identical --params f0=0.35 f1=0.1
 septrans validate --model pendula_weak --params lam=1.5
 septrans transversality --model pendula_weak --params lam=1.5
 septrans sweep --model pendula_weak --sweep lam=1.5:2.5:3
+# constant coupling on the slope solve's float path: tangent at f0 = 0,
+# transversal at the other three values (the last column is verdict_code)
+septrans sweep --model pendula_identical --sweep f0=0:0.3:4 | awk -F, '
+  /^#/ || /^f0,/ { next }
+  { n++; ok += ($1 == 0) ? ($NF == 0) : ($NF == 1) }
+  END { exit !(n == 4 && ok == 4) }'
 # tangent by construction; the hardest lam the tests check
 septrans transversality --model pendula_weak --params lam=40 \
   | grep '"verdict": "tangent"'

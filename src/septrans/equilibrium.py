@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HamiltonianModel, hessian_at_origin
+from .models import CoefficientJet, HamiltonianModel, hessian_at_origin
 
 
 class NotHyperbolicError(ValueError):
@@ -51,7 +51,7 @@ def linearize(model: HamiltonianModel) -> Linearization:
     """
     a11, a12, a22 = hessian_at_origin(model)
     A = np.array([[a11, a12], [a12, a22]])
-    c = model.jet(0.0)
+    c = CoefficientJet(*model.jet(0.0))
     Bmat = np.array([[c.b110, c.b120], [c.b120, c.b220]])
     if not check_positive_definite(Bmat):
         raise NotHyperbolicError("B(0,0) is not positive definite")

@@ -9,13 +9,17 @@ p1 = dS0(q1), p2 = S1(q1), where the structural restrictions fix
 with beta = det B0 / b220.  The first two are built here by construction;
 the third is a consistency condition between V1 and the rest of the model,
 whose residual the slope solve checks at every point it evaluates and
-validate_hypotheses over the whole domain.  The induced inner dynamics on
-the loop is q1' = beta(q1) * dS0(q1).
+validate_hypotheses over the whole domain, each to 1e-6 of the size of
+its two terms.  The induced inner dynamics on the loop is
+q1' = beta(q1) * dS0(q1).
 
-A profile is evaluated through one function, its point: point(q1) returns
-the model's jet at q1 together with beta, dS0, S1 and dS1 there, from one
-jet evaluation.  The profile's four functions read it.  It takes a number
-or a 1-D array q1 (an ndarray or a list).
+A model's jet returns a plain tuple in CoefficientJet's field order.  A
+profile is evaluated through one function, its point: point(q1) returns
+that jet at q1, named as a CoefficientJet, together with beta, dS0, S1 and
+dS1 there, from one jet evaluation.  The profile's four functions read it.
+It takes a number or a 1-D array q1 (an ndarray or a list).  The slope
+solve's float path does not go through it: riccati_terms unpacks the jet's
+tuple itself, one jet call per step, and raises the same errors.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ def _no_loop(rad: float, q1: float) -> LoopConstructionError:
         "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
 
 
-def _loop_point(jet: Callable[..., CoefficientJet], q1) -> tuple:
+def _loop_point(jet: Callable[..., tuple], q1) -> tuple:
     array = not isinstance(q1, SCALARS)
     if array:
         import numpy as np
         q1 = np.asarray(q1, dtype=float)
-    c = jet(q1)
+    c = CoefficientJet(*jet(q1))
     beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
     if array:
         # the first point without a loop, in the order of q1
@@ -62,10 +66,11 @@ class LoopProfile:
 
     jet is the jet of the model the profile was built from, and point(q1)
     the loop point there, the tuple (c, beta, dS0, S1, dS1) of the jet c at
-    q1 and the profiles at q1, from one jet evaluation.  On an array q1
-    a point without a loop raises for the first such entry.
+    q1, as a CoefficientJet, and the profiles at q1, from one jet
+    evaluation.  On an array q1 a point without a loop raises for the
+    first such entry.
     """
-    jet: Callable[[float], CoefficientJet] = field(repr=False, compare=False)
+    jet: Callable[[float], tuple] = field(repr=False, compare=False)
     interval: tuple[float, float]
     point: Callable[[float], tuple] = field(
         init=False, repr=False, compare=False)

@@ -12,8 +12,11 @@ The sign convention puts Y positive when the potential curves downward in q2.
 A model is evaluated through one function, its jet: jet(q1) returns the
 nine coefficients together with S1' (the derivative of the loop's p2
 profile) and b220', the two derivatives the Riccati solver and its oracle
-need.  The nine coefficient fields are views of the jet.  The saddle checks
-also read V0'(0), V1'(0) and V0''(0), which a model carries as its saddle.
+need, as a plain 11-tuple in CoefficientJet's field order; the slope
+solve unpacks it at every step, and a reader that wants names wraps it,
+CoefficientJet(*jet(q1)).  The nine coefficient fields are views of the
+jet.  The saddle checks also read V0'(0), V1'(0) and V0''(0), which a
+model carries as its saddle.
 
 q1 is a number or a 1-D ndarray.  On a number (a float, an int or a
 numpy float) the jet returns floats (the slope solve steps one point at a
@@ -48,7 +51,9 @@ COEFF_NAMES = ("b110", "b120", "b220", "b112", "b122", "b222", "V0", "V1", "Y")
 
 class CoefficientJet(NamedTuple):
     """The nine coefficients at q1, then S1' and b220' there: floats at a
-    float q1, arrays (or constants) at an ndarray q1."""
+    float q1, arrays (or constants) at an ndarray q1.  It names the order
+    of a jet's plain tuple, which a jet returns since building this class
+    costs several times a tuple's price on every slope-equation step."""
     b110: float
     b120: float
     b220: float
@@ -176,7 +181,7 @@ class HamiltonianModel:
     params: Mapping[str, float] = field(default_factory=dict)
     matching: tuple[float, ChartTransition] | None = None
     perturbation: PerturbationModel | None = None
-    jet: Callable[[float], CoefficientJet] | None = field(
+    jet: Callable[[float], tuple] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,7 +195,7 @@ class HamiltonianModel:
         object.__setattr__(self, "saddle", None)
 
     @classmethod
-    def from_jet(cls, jet: Callable[[float], CoefficientJet],
+    def from_jet(cls, jet: Callable[[float], tuple],
                  saddle: tuple[float, float, float] | None, **kwargs):
         """A model whose nine fields are views of jet, which takes a float
         or a 1-D ndarray q1 (see the module docstring)."""
@@ -202,8 +207,7 @@ class HamiltonianModel:
         return central_diff(getattr(self, cname), q1)
 
 
-def _assembled_jet(model: HamiltonianModel
-                   ) -> Callable[[float], CoefficientJet]:
+def _assembled_jet(model: HamiltonianModel) -> Callable[[float], tuple]:
     """The jet of a model given by its fields: each field is called once per
     point (an ndarray q1 one element at a time), and S1' and b220' come by
     fourth-order differences.  S1' takes one step, 1e-4 of the domain,
@@ -227,12 +231,12 @@ def _assembled_jet(model: HamiltonianModel
         return (-25 * s1(q1) + 48 * s1(q1 + s) - 36 * s1(q1 + 2 * s)
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
-    def jet(q1) -> CoefficientJet:
+    def jet(q1) -> tuple:
         if isinstance(q1, SCALARS):
-            return CoefficientJet(*[f(q1) for f in fields], ds1(q1),
-                                  model.derivative("b220", q1))
+            return (*[f(q1) for f in fields], ds1(q1),
+                    model.derivative("b220", q1))
         import numpy as np
-        return CoefficientJet(*np.array([jet(q) for q in q1.tolist()]).T)
+        return tuple(np.array([jet(q) for q in q1.tolist()]).T)
 
     return jet
 
@@ -324,7 +328,7 @@ def saddle_numbers(model: HamiltonianModel) -> tuple[float, float, float]:
 def hessian_at_origin(model: HamiltonianModel) -> tuple[float, float, float]:
     """Entries (a11, a12, a22) of A = -D^2 V(0,0) in loop-line coordinates."""
     _dv0, dv1, ddv0 = saddle_numbers(model)
-    return -ddv0, -dv1, model.jet(0.0).Y
+    return -ddv0, -dv1, CoefficientJet(*model.jet(0.0)).Y
 
 
 def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
@@ -335,8 +339,9 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     A = -D^2 V(0,0) positive definite); V0 < 0 on the open interior (so the
     zero-energy loop exists on q2=0); 2pi-periodicity of all coefficients
     when flagged; the loop restriction dS1 beta dS0 + V1 = 0 on the whole
-    domain, endpoints included (the slope solve checks it only where it
-    evaluates).  The absence of an order-1 kinetic term is structural.
+    domain, endpoints included, to 1e-6 of the size of its two terms (the
+    slope solve checks it only where it evaluates).  The absence of an
+    order-1 kinetic term is structural.
     """
     import numpy as np
     entries: list[CheckEntry] = []
@@ -353,7 +358,7 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
         "min b110=%.3g, min det B0=%.3g on %d-point grid"
         % (worst_b11, worst_det, len(grid)), min(worst_b11, worst_det)))
 
-    c0 = model.jet(0.0)
+    c0 = CoefficientJet(*model.jet(0.0))
     v00, dv00, v10 = c0.V0, saddle_numbers(model)[0], c0.V1
     ok = abs(v00) < 1e-10 and abs(dv00) < 1e-8 and abs(v10) < 1e-10
     entries.append(CheckEntry(
@@ -390,11 +395,17 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     entries.append(CheckEntry(
         "no_first_order_kinetic_term", True, "structural: B1 fields do not exist"))
 
-    # nan where no loop passes, which fails the check too
+    # nan where no loop passes, which fails the check too; each residual
+    # is judged against 1e-6 max(1, |dS1 q1dot| + |V1|), the size of its
+    # two terms
     beta, ds0, _s1 = loop_momenta(jets.b110, jets.b120, jets.b220, jets.V0)
-    worst = float(np.max(np.abs(jets.dS1 * beta * ds0 + jets.V1)))
+    ds1_q1dot = jets.dS1 * beta * ds0
+    residual = np.abs(ds1_q1dot + jets.V1)
+    worst = float(np.max(residual))
+    ok = bool(np.all(residual <= 1e-6 * np.maximum(
+        1.0, np.abs(ds1_q1dot) + np.abs(jets.V1))))
     entries.append(CheckEntry(
-        "loop_restriction_residual", worst <= 1e-6,
+        "loop_restriction_residual", ok,
         "max residual %.3g on %d-point grid" % (worst, len(grid)), worst))
 
     return ValidationReport(tuple(entries))
@@ -416,7 +427,7 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         a2 = a * a
         b11 = a2 / 16.0
         b12 = a / 4.0
-        return CoefficientJet(
+        return (
             b11, 0.0, b11,                                  # b110 b120 b220
             b12, 0.0, b12,                                  # b112 b122 b222
             -8.0 * l1s * q1 * q1 / a2,                      # V0
@@ -463,7 +474,7 @@ def _pendula_identical(f_coeffs: Sequence[float],
         # V0 = 2 (cos q1 - 1) as -4 sin^2(q1/2), which does not cancel
         # near the saddle
         sin_half = m.sin(q1 / 2.0)
-        return CoefficientJet(
+        return (
             1.0, -1.0, 2.0,                                 # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
             -4.0 * sin_half * sin_half,                     # V0
@@ -558,7 +569,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             with m.errstate(divide="ignore", invalid="ignore"):
                 h2 = m.where(t == 0.0, h2_saddle,
                              h2_half_cell(t, v, g, uu, w))
-        return CoefficientJet(
+        return (
             1.0, -h1, 1.0 + h1 * h1,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
             # V0 = cos q1 - 1 - lam^2 (1 - cos h), each term as a square
@@ -631,7 +642,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
     # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
-    h1 = -jet(0.0).b120     # h'(0): 1 at lam = 1, else 0
+    h1 = -CoefficientJet(*jet(0.0)).b120    # h'(0): 1 at lam = 1, else 0
     return HamiltonianModel.from_jet(
         jet, (-0.0, -lsq * h1, -1.0 - lsq * h1 * h1),
         domain=(0.0, 2.0 * math.pi), periodic=True, reversibility=(-1, -1),

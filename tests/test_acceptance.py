@@ -261,7 +261,7 @@ def test_acceptance_15():
     ref = solve_riccati(m, 2.0,
                         opts=SolverOptions(sensitivity_check=False))
     for bump in (1e-4, -1e-4):
-        sol, _residual = _integrate(terms, ref.epsilon_start, 2.0, T0 + bump,
+        sol, _residual = _integrate(p, ref.epsilon_start, 2.0, T0 + bump,
                                     SolverOptions(sensitivity_check=False),
                                     False)
         assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6

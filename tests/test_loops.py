@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from septrans.loops import (LoopConstructionError, LoopProfile,
                             loop_profile, restriction_residual)
 from septrans.models import (HamiltonianModel, builtin_model,
                              validate_hypotheses)
+import septrans.riccati as riccati
 from septrans.riccati import riccati_terms, solve_riccati
 
 
@@ -82,6 +84,44 @@ def test_corrupted_v1_detected():
         solve_riccati(bad, math.pi)
     assert str(exc.value) == ("inconsistent V1: restriction residual 0.1 > "
                               "1e-6 at q1=0.000628319")
+
+
+def test_restriction_check_is_relative_to_its_terms(monkeypatch):
+    # pendula_weak at lam 1e5 near pi: the residual dS1 q1dot + V1 sums two
+    # terms of size about lam^2, whose rounding leaves more than 1e-6;
+    # against 1e-6 max(1, |dS1 q1dot| + |V1|) it is roundoff.  The solve's
+    # rhs is evaluated on that interval alone, not the stiff solve
+    m = builtin_model("pendula_weak", [1e5])
+    q1s = np.linspace(3.1410, 3.1421, 1101).tolist()
+
+    def evaluate(fun, _span, y0, *args, **kwargs):
+        for q1 in q1s:
+            fun(q1, y0)
+        return SimpleNamespace(event=None, success=True)
+
+    monkeypatch.setattr(riccati, "solve_ivp", evaluate)
+    _sol, worst = riccati._integrate(loop_profile(m), 1e-4, math.pi, 0.0,
+                                     riccati.SolverOptions(), False)
+    assert worst > 1e-6
+
+
+def test_validate_judges_the_restriction_against_its_terms():
+    # pendula_identical with V0 and V1 scaled by k^2 and S1' by k: a loop
+    # whose restriction terms, and their rounding, are 1e12 times larger.
+    # The absolute residual on validate's grid passes 1e-6; against the
+    # size of its terms it is roundoff
+    m = builtin_model("pendula_identical", [0.2])
+    k = 1e6
+
+    def jet(q1):
+        c = list(m.jet(q1))
+        c[6], c[7], c[9] = c[6] * k * k, c[7] * k * k, c[9] * k
+        return tuple(c)
+
+    big = HamiltonianModel.from_jet(jet, None, domain=m.domain, periodic=True)
+    entry = validate_hypotheses(big).entries[-1]
+    assert entry.name == "loop_restriction_residual"
+    assert entry.worst > 1e-6 and entry.passed
 
 
 def positive_potential_model():

@@ -552,7 +552,7 @@ def test_array_h_matches_scalar_jet(lam):
         assert np.all((err <= 1e-14 * np.maximum(1.0, np.abs(want)))
                       | (np.isnan(got) & np.isnan(want))), (name, np.nanmax(err))
     # the loop family reads h' alone, the same numbers as the jet's b120
-    assert np.array_equal(h_slope(q1)[0], -m.jet(q1).b120)
+    assert np.array_equal(h_slope(q1)[0], -CoefficientJet(*m.jet(q1)).b120)
 
 
 def grid_and_alone(pert, grid):

@@ -22,7 +22,7 @@ def neumann(l1=1.0, l2=2.0):
 
 
 def test_neumann_coefficients_at_zero():
-    c = neumann().jet(0.0)
+    c = CoefficientJet(*neumann().jet(0.0))
     assert c.b110 == 1.0
     assert c.b220 == 1.0
     assert c.b120 == 0.0
@@ -48,14 +48,14 @@ def test_neumann_closed_forms_random_points():
 def test_pendula_identical_constant_kinetic_matrix():
     m = builtin_model("pendula_identical", [0.1])
     for q1 in (0.0, 1.0, math.pi, 5.0):
-        c = m.jet(q1)
+        c = CoefficientJet(*m.jet(q1))
         assert (c.b110, c.b120, c.b220) == (1.0, -1.0, 2.0)
         assert (c.b112, c.b122, c.b222) == (0.0, 0.0, 0.0)
 
 
 def test_pendula_identical_potential_at_pi():
     m = builtin_model("pendula_identical", [0.0])
-    c = m.jet(math.pi)
+    c = CoefficientJet(*m.jet(math.pi))
     assert c.V0 == pytest.approx(-4.0, abs=1e-14)
 
 
@@ -70,7 +70,8 @@ def test_pendulum_potential_does_not_cancel_near_the_saddle(name, params,
     x = Fraction(q1)
     ref = float(-x * x * (1 - x * x / 12 + x ** 4 / 360))
     m = builtin_model(name, params)
-    for c in (m.jet(q1), m.jet(np.array([q1]))):
+    for c in (CoefficientJet(*m.jet(q1)),
+              CoefficientJet(*m.jet(np.array([q1])))):
         v0 = float(np.broadcast_to(c.V0, (1,))[0])
         assert abs(v0 - ref) <= 4 * math.ulp(ref), (v0, ref)
 
@@ -120,8 +121,8 @@ def test_zero_cosine_coefficients_change_nothing():
     with_zeros = builtin_model("pendula_identical", [0.2, 0.0, 0.05, 0.0])
     q1 = np.linspace(0.0, 2 * math.pi, 101)
     want = np.cos(q1) - (0.2 * np.cos(0 * q1) + 0.05 * np.cos(2 * q1))
-    assert np.array_equal(with_zeros.jet(q1).Y, want)
-    assert [with_zeros.jet(x).Y for x in q1.tolist()] == [
+    assert np.array_equal(CoefficientJet(*with_zeros.jet(q1)).Y, want)
+    assert [CoefficientJet(*with_zeros.jet(x)).Y for x in q1.tolist()] == [
         math.cos(x) - (0.2 * math.cos(0 * x) + 0.05 * math.cos(2 * x))
         for x in q1.tolist()]
 
@@ -215,8 +216,9 @@ def test_replaced_b220_gives_its_own_derivative():
     m = neumann()
     b220 = lambda q1: m.b220(q1) + 0.07 * q1 * q1
     changed = replace(m, b220=b220)
-    assert changed.jet(1.0).db220 == central_diff(b220, 1.0)
-    assert changed.jet(1.0).db220 == pytest.approx(1.39, abs=1e-9)
+    assert CoefficientJet(*changed.jet(1.0)).db220 == central_diff(b220, 1.0)
+    assert CoefficientJet(*changed.jet(1.0)).db220 == pytest.approx(
+        1.39, abs=1e-9)
 
 
 def test_saddle_without_jet_raises():
@@ -288,7 +290,7 @@ def test_fused_jet_solves_like_assembled_jet(name, params):
 def test_replaced_v1_fails_restriction_check(name, params):
     m = builtin_model(name, params)
     bad = replace(m, V1=lambda q1, v1=m.V1: v1(q1) + 0.1)
-    assert bad.jet(1.0).V1 == m.V1(1.0) + 0.1
+    assert CoefficientJet(*bad.jet(1.0)).V1 == m.V1(1.0) + 0.1
     with pytest.raises(LoopConstructionError, match="inconsistent V1"):
         solve_riccati(bad, m.matching[0])
     assert "loop_restriction_residual" in [
@@ -318,7 +320,8 @@ def test_assembled_jet_starts_from_the_fused_slope(name, params):
     m = builtin_model(name, params)
     copy = noop_replaced(m)
     assert copy.jet is not m.jet
-    assert copy.jet(0.0).dS1 == pytest.approx(m.jet(0.0).dS1, abs=1e-9)
+    assert CoefficientJet(*copy.jet(0.0)).dS1 == pytest.approx(
+        CoefficientJet(*m.jet(0.0)).dS1, abs=1e-9)
     T0 = riccati_initial(riccati_terms(loop_profile(m)))[0]
     assert riccati_initial(riccati_terms(loop_profile(copy)))[0] == \
         pytest.approx(T0, abs=1e-8)
@@ -335,7 +338,8 @@ def test_assembled_slope_derivative_near_the_saddle(q1, bound):
     # near the saddle, so a step of 1e-6 there reads mostly roundoff
     m = builtin_model("pendula_identical", [0.0])
     copy = noop_replaced(m)
-    assert abs(copy.jet(q1).dS1 - m.jet(q1).dS1) < bound
+    assert abs(CoefficientJet(*copy.jet(q1)).dS1
+               - CoefficientJet(*m.jet(q1)).dS1) < bound
 
 
 def test_assembled_jet_keeps_the_tangent_verdict():
@@ -370,7 +374,7 @@ def admissible_points(draw):
 @given(admissible_points())
 def test_jet_derivatives_match_central_differences(point):
     m, q1 = point
-    c = m.jet(q1)
+    c = CoefficientJet(*m.jet(q1))
     assert c.dS1 == pytest.approx(central_diff(loop_profile(m).S1, q1),
                                   rel=1e-7, abs=1e-7)
     assert c.db220 == pytest.approx(central_diff(m.b220, q1),
@@ -460,7 +464,7 @@ def test_pendula_weak_array_jet_near_the_saddle(lam):
                    2 * math.pi - 5e-6, 2 * math.pi, 2 * math.pi + 5e-6])
     assert_array_jet_is_pointwise(m, q1, within_ulps_of_math(m))
     # h'' is unbounded at the saddle for 1 < lam < 2
-    assert np.isnan(m.jet(q1).db220[0]) == (1.0 < lam < 2.0)
+    assert np.isnan(CoefficientJet(*m.jet(q1)).db220[0]) == (1.0 < lam < 2.0)
 
 
 # pendula_weak's jet entries (b120, b220, V0, V1, Y, S1', b220') at float
@@ -641,7 +645,8 @@ def test_pendula_weak_jet_matches_golden_values(lam):
     m = builtin_model("pendula_weak", [lam])
     names = ("b120", "b220", "V0", "V1", "Y", "dS1", "db220")
     for q1, ref in WEAK_GOLDEN[lam]:
-        for got in (m.jet(q1), m.jet(np.array([q1]))):
+        for got in (CoefficientJet(*m.jet(q1)),
+                    CoefficientJet(*m.jet(np.array([q1])))):
             for name, want in zip(names, ref):
                 value = float(np.broadcast_to(getattr(got, name), (1,))[0])
                 assert abs(value - want) <= 1e-14 * max(1.0, abs(want)), \

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from septrans.loops import loop_profile
-from septrans.models import builtin_model
+from septrans.models import CoefficientJet, HamiltonianModel, builtin_model
 from septrans.numerics import central_diff
 import septrans.riccati as riccati
 from septrans.riccati import (BlowUpError, HypothesesError, SolverOptions,
@@ -172,7 +172,7 @@ def test_forward_stability_of_target_solution():
         opts = SolverOptions(sensitivity_check=False)
         terms = riccati_terms(p)
         T0, _ = riccati_initial(terms)
-        sol, _residual = _integrate(terms, ref.epsilon_start, 2.0,
+        sol, _residual = _integrate(p, ref.epsilon_start, 2.0,
                                     T0 + bump, opts, False)
         assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6
 
@@ -180,9 +180,8 @@ def test_forward_stability_of_target_solution():
 def resolve_spread(sol, opts, stable=False):
     """|T(target)| spread of two solves started 10 epsilon above and below
     sol's start value, the first variation's finite-difference reference."""
-    terms = riccati_terms(sol.profile)
     eps, target = sol.epsilon_start, sol.q1_target
-    ends = [_integrate(terms, eps, target, sol(0.0) + shift, opts,
+    ends = [_integrate(sol.profile, eps, target, sol(0.0) + shift, opts,
                        stable)[0].sol(target)[0]
             for shift in (10.0 * eps, -10.0 * eps)]
     return abs(ends[0] - ends[1])
@@ -403,3 +402,75 @@ def test_one_solve_with_or_without_sensitivity_check(monkeypatch, check):
     sol = solve_riccati(m, math.pi, opts=SolverOptions(sensitivity_check=check))
     assert len(calls) == 1
     assert ("startup_sensitivity" in sol.diagnostics) == check
+
+
+def counting_model(m):
+    """m rebuilt on a jet that counts its calls in the returned list."""
+    calls = []
+
+    def jet(q1):
+        calls.append(q1)
+        return m.jet(q1)
+
+    return HamiltonianModel.from_jet(
+        jet, m.saddle, domain=m.domain, periodic=m.periodic,
+        reversibility=m.reversibility, name=m.name, params=m.params,
+        matching=m.matching), calls
+
+
+def counting_solver(monkeypatch):
+    """Rebinds riccati.solve_ivp to count the evaluations of each rhs it
+    is given, in the returned list."""
+    evaluations = []
+    original = riccati.solve_ivp
+
+    def solve(fun, *args, **kwargs):
+        def rhs(t, y):
+            evaluations.append(t)
+            return fun(t, y)
+        return original(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_ivp", solve)
+    return evaluations
+
+
+@pytest.mark.parametrize("name,params", [
+    ("neumann", [1.2, 3.0]), ("pendula_identical", [0.2, 0.05]),
+    ("pendula_weak", [2.5])])
+def test_built_in_jets_return_plain_tuples(name, params):
+    m = builtin_model(name, params)
+    assert type(m.jet(1.0)) is tuple and len(m.jet(1.0)) == 11
+    assert type(m.jet(np.array([1.0, 2.0]))) is tuple
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("name,params", [
+    ("neumann", [1.2, 3.0]), ("pendula_identical", [0.2, 0.05]),
+    ("pendula_weak", [2.5])])
+def test_one_jet_call_per_slope_evaluation(monkeypatch, name, params, check):
+    m, calls = counting_model(builtin_model(name, params))
+    evaluations = counting_solver(monkeypatch)
+    built = []
+    new = CoefficientJet.__new__
+
+    def counting_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(CoefficientJet, "__new__", counting_new)
+    solve_riccati(m, m.matching[0], opts=SolverOptions(sensitivity_check=check))
+    # outside the solve: riccati_initial's call at 0, and the start-up
+    # quadrature's one array call
+    assert len(calls) == len(evaluations) + 1 + check
+    # the float path names no jet; the array call, through the profile's
+    # point, names one
+    assert len(built) == check
+
+
+def test_one_jet_call_per_oracle_evaluation(monkeypatch):
+    m, calls = counting_model(builtin_model("pendula_weak", [2.5]))
+    evaluations = counting_solver(monkeypatch)
+    riccati_to_linear_oracle(m, math.pi)
+    # outside the solve: riccati_initial's call at 0, the rate's beta(0)
+    # and dS0(h), and b220 at the start and at the end
+    assert len(calls) == len(evaluations) + 5
