@@ -13,6 +13,13 @@ test -z "$err" || { echo "$err"; exit 1; }
 septrans melnikov --model pendula_weak --params lam=40 | awk '
   /^# quad_error = / { seen = 1; ok = $4 <= 1e-12; print }
   END { exit !(seen && ok) }'
+# case B's thresholds are the derivatives' proven error bound: printed,
+# and at most 1e-10 (1.0e-11 at lam 40)
+for lam in 1 40; do
+  septrans melnikov --model pendula_weak --params lam=$lam | awk '
+    /^# dL_error_bound = / { seen = 1; ok = $4 <= 1e-10; print }
+    END { exit !(seen && ok) }'
+done
 # a section point's L does not depend on the grid it is sampled on
 rows() { septrans melnikov --model pendula_weak --params lam=2.3 "--grid=$1" \
   | grep -E '^(-4|0|4),'; }

@@ -232,7 +232,7 @@ def cmd_melnikov(args) -> int:
     derivs = mel.melnikov_derivatives(pert, diag=derivs_diag)
     verdict = mel.perturbed_loop_verdict(
         "B", derivs=derivs, s_grid=grid, L_samples=res.L_samples,
-        error=derivs_diag.get("error_bound"))
+        error=derivs_diag["error_bound"])
     comments = {
         "model": args.model,
         "dL0": verdict.dL0,

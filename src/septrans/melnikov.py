@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .charts import TransversalityReport
 from .models import PerturbationModel
-from .numerics import QuadratureError, richardson_diff
+from .numerics import QuadratureError
 
 
 @dataclass(frozen=True)
@@ -58,20 +57,19 @@ BLOCK_ELEMENTS = 2**14
 # what a proven rule allows each trapezoid sum of its quadrature error,
 # and apart from it of its tail.  pendula_weak's tail majorants are within
 # a small factor of its tails, so the windows they set keep the sums at
-# the rounding of potentials of size 1-10, as the fixed rule's did; each
-# factor 10 costs a step about 5% shorter and a window 1.15 wider
+# the rounding of potentials of size 1-10; each factor 10 costs a step
+# about 5% shorter and a window 1.15 wider
 TARGET = 1e-15
 
 
 class _Rule(NamedTuple):
-    """A trapezoid rule: its step and, when proven, the reach of each
-    window past |t0| + |s| and per integrand (quad_error, c, r): its
-    quadrature error bound, and the tail bound c exp(-r x) of a window
-    whose ends lie x past |t0| + |s|.  Unproven (reach None), the window
-    is fixed and the errors are estimates."""
+    """A proven trapezoid rule: its step, the reach of each window past
+    |t0| + |s|, and per integrand (quad_error, c, r): its quadrature error
+    bound, and the tail bound c exp(-r x) of a window whose ends lie x past
+    |t0| + |s|."""
     step: float
-    reach: float | None = None
-    errors: tuple[tuple[float, float, float], ...] = ()
+    reach: float
+    errors: tuple[tuple[float, float, float], ...]
 
 
 def _proven_rule(bounds) -> _Rule:
@@ -82,11 +80,13 @@ def _proven_rule(bounds) -> _Rule:
     window ends x beyond |t0| + |s|, the majorant tail exp(-rate (|t| -
     |s|)) integrates to at most tail (2 / rate) exp(-rate x) over the two
     sides, and the end nodes' half weights add at most h tail exp(-rate
-    x)."""
+    x).  A row much wider than the step's would overflow expm1; capping
+    its exponent at 700 only loosens that row's bound."""
     step = min(2.0 * math.pi * b.width / math.log1p(2.0 * b.strip / TARGET)
                for b in bounds)
     errors = tuple(
-        (2.0 * b.strip / math.expm1(2.0 * math.pi * b.width / step),
+        (2.0 * b.strip / math.expm1(min(2.0 * math.pi * b.width / step,
+                                        700.0)),
          b.tail * (2.0 / b.rate + step), b.rate) for b in bounds)
     return _Rule(step, max(math.log(c / TARGET) / r for _, c, r in errors),
                  errors)
@@ -97,22 +97,21 @@ def _proven_rules(bounds) -> tuple[_Rule, _Rule]:
     """The proven rules of the integrand and of the s-jet rows, from a
     perturbation's bounds hook: computed once per perturbation."""
     b = bounds()
+    if len(b) != 3:
+        raise ValueError("bounds() gave %d IntegrandBounds: the contract is "
+                         "three, for the integrand and each integrand_s_jet "
+                         "row" % len(b))
     return _proven_rule(b[:1]), _proven_rule(b[1:])
 
 
 def _rule(pert: PerturbationModel, jet: bool = False) -> _Rule:
     """The rule of pert's integrand, or of its s-jet rows."""
-    if pert.bounds is None:
-        return _Rule(0.1 / pert.time_scale)
     return _proven_rules(pert.bounds)[jet]
 
 
-def _t_cut(pert: PerturbationModel, s: float, rule: _Rule,
-           t0: float = 0.0) -> float:
-    """The window half-width at the point (t0, s): reach past |t0| + |s|
-    on a proven rule, else (40 + |s| time_scale) / decay_rate."""
-    if rule.reach is None:
-        return (40.0 + abs(s) * pert.time_scale) / pert.decay_rate
+def _t_cut(s: float, rule: _Rule, t0: float = 0.0) -> float:
+    """The window half-width at the point (t0, s): the rule's reach past
+    |t0| + |s|."""
     return abs(t0) + abs(s) + rule.reach
 
 
@@ -152,38 +151,26 @@ def _held(vals, t: np.ndarray, s, hook: str = "integrand") -> np.ndarray:
     return np.broadcast_to(vals, shape)
 
 
-def _trapezoid(vals, K: int, T: float, pert: PerturbationModel,
-               rule: _Rule, row: int = 0) -> tuple[float, dict]:
+def _trapezoid(vals, K: int, T: float, rule: _Rule,
+               row: int = 0) -> tuple[float, dict]:
     """Integral over the real line by the trapezoidal rule, from the
     integrand's values vals on the 2K + 1 lattice nodes of a window of
     half-width T.
 
     The integrands are analytic in a strip about the real axis and decay
     exponentially, so the rule converges geometrically in the step
-    (Trefethen and Weideman, SIAM Review 56, 2014).  On a proven rule,
-    quad_error bounds the sum's distance from the sum over the whole
-    lattice, and that sum's from the integral, and tail_bound bounds what
-    the window leaves out; their sum bounds the error before rounding.
-    Otherwise quad_error is the difference from the sum at twice the step
-    and tail_bound estimates the tail from the end values.  Returns the
-    value and its diagnostics t_cut = T, tail_bound and quad_error, row's
-    on a proven rule.
+    (Trefethen and Weideman, SIAM Review 56, 2014).  quad_error bounds the
+    sum's distance from the sum over the whole lattice, and that sum's from
+    the integral, and tail_bound bounds what the window leaves out; their
+    sum bounds the error before rounding.  Returns the value and its
+    diagnostics t_cut = T and row's tail_bound and quad_error.
     """
-    first, last = float(vals[0]), float(vals[-1])
-    ends = 0.5 * (first + last)
-    fine = rule.step * (float(vals.sum()) - ends)
-    if rule.reach is None:
-        coarse = 2.0 * rule.step * (float(vals[::2].sum()) - ends)
-        tail = (abs(first) + abs(last)) / (2.0 * pert.decay_rate)
-        quad_error = abs(fine - coarse)
-    else:
-        # the window's ends lie K step - T + reach beyond |t0| + |s|
-        quad_error, coef, rate = rule.errors[row]
-        tail = coef * math.exp(-rate * (K * rule.step - T + rule.reach))
-    for what, size in (("tail bound", tail), ("quadrature error", quad_error)):
-        if size > 1e-12:
-            warnings.warn("%s %.3g above 1e-12" % (what, size), RuntimeWarning)
-    return fine, {"t_cut": T, "tail_bound": tail, "quad_error": quad_error}
+    # the window's ends lie K step - T + reach beyond |t0| + |s|
+    quad_error, coef, rate = rule.errors[row]
+    tail = coef * math.exp(-rate * (K * rule.step - T + rule.reach))
+    ends = 0.5 * (float(vals[0]) + float(vals[-1]))
+    return (rule.step * (float(vals.sum()) - ends),
+            {"t_cut": T, "tail_bound": tail, "quad_error": quad_error})
 
 
 def melnikov_potential(pert: PerturbationModel,
@@ -196,13 +183,12 @@ def melnikov_potential(pert: PerturbationModel,
     (then the point is kappa(s)).
 
     The trapezoid window is centered at the time t0 the loop passes
-    through the point and sized by the perturbation's rule (see
-    PerturbationModel); the window, tail bound and quadrature error are
-    recorded in diag, and a warning is raised if the tail or the error is
-    above 1e-12.  values,
-    with s only, are the integrand on the window's lattice nodes, as
-    reduced_melnikov slices them from a block; without them the integrand
-    is evaluated here, on the same nodes.
+    through the point, and its step and reach come from the perturbation's
+    bounds (see PerturbationModel); the window and the proven tail bound
+    and quadrature error are recorded in diag.  values, with s only, are
+    the integrand on the window's lattice nodes, as reduced_melnikov slices
+    them from a block; without them the integrand is evaluated here, on the
+    same nodes.
     """
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or s")
@@ -210,12 +196,12 @@ def melnikov_potential(pert: PerturbationModel,
         raise ValueError("perturbation %s has no locate hook" % pert.name)
     t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
     rule = _rule(pert)
-    T = _t_cut(pert, s, rule, t0)
+    T = _t_cut(s, rule, t0)
     K = _half_count(t0, T, rule.step)
     if values is None:
         t = _lattice(t0, K, rule.step)
         values = _held(pert.integrand(t, s), t, s)
-    val, d = _trapezoid(values, K, T, pert, rule)
+    val, d = _trapezoid(values, K, T, rule)
     if diag is not None:
         diag.update(d)
     return -val
@@ -242,7 +228,7 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
     s_grid = np.asarray(s_grid, dtype=float)
     s_list = s_grid.tolist()
     rule = _rule(pert)
-    Ks = [_half_count(0.0, _t_cut(pert, s, rule), rule.step) for s in s_list]
+    Ks = [_half_count(0.0, _t_cut(s, rule), rule.step) for s in s_list]
     diags = [{} for _ in s_list]
     samples = np.empty(len(s_list))
     K = max(Ks, default=0)
@@ -263,43 +249,25 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
 def melnikov_derivatives(pert: PerturbationModel,
                          diag: dict | None = None) -> tuple[float, float]:
     """(L~'(0), L~''(0)) from one integrand_s_jet call on the s = 0 nodes
-    when the model has the hook, else by Richardson-extrapolated central
-    differences; diag receives the worst t_cut, tail_bound and quad_error
-    behind them.  With the s-jet on a proven rule it also receives
-    error_bound, which bounds the error of either derivative: the worst
-    row's quad_error and tail_bound plus N eps h sum |row| for the
-    rounding of the N values and of their sum."""
-    bound = None
-    if pert.integrand_s_jet is not None:
-        rule = _rule(pert, jet=True)
-        T = _t_cut(pert, 0.0, rule)
-        K = _half_count(0.0, T, rule.step)
-        t = _lattice(0.0, K, rule.step)
-        rows = [_held(row, t, 0.0, "integrand_s_jet")
-                for row in pert.integrand_s_jet(t, 0.0)]
-        (v1, d1), (v2, d2) = (_trapezoid(row, K, T, pert, rule, i)
-                              for i, row in enumerate(rows))
-        derivs, diags = (-v1, -v2), [d1, d2]
-        if rule.reach is not None:
-            rounding = t.size * sys.float_info.epsilon * rule.step
-            bound = max(d["quad_error"] + d["tail_bound"]
-                        + rounding * float(np.abs(row).sum())
-                        for d, row in zip(diags, rows))
-    else:
-        diags = []
-
-        def Ltilde(s: float) -> float:
-            diags.append({})
-            return melnikov_potential(pert, s=s, diag=diags[-1])
-
-        h = 1e-3
-        derivs = (richardson_diff(Ltilde, 0.0, h, order=1),
-                  richardson_diff(Ltilde, 0.0, h, order=2))
+    of the s-jet's rule.  diag receives the worst t_cut, tail_bound and
+    quad_error of the two sums, and error_bound, which bounds the error of
+    either derivative: the worse row's quad_error and tail_bound plus N
+    eps h sum |row| for the rounding of the N values and of their sum."""
+    rule = _rule(pert, jet=True)
+    T = _t_cut(0.0, rule)
+    K = _half_count(0.0, T, rule.step)
+    t = _lattice(0.0, K, rule.step)
+    rows = [_held(row, t, 0.0, "integrand_s_jet")
+            for row in pert.integrand_s_jet(t, 0.0)]
+    (v1, d1), (v2, d2) = (_trapezoid(row, K, T, rule, i)
+                          for i, row in enumerate(rows))
     if diag is not None:
-        diag.update(_worst(diags))
-        if bound is not None:
-            diag["error_bound"] = bound
-    return derivs
+        rounding = t.size * sys.float_info.epsilon * rule.step
+        diag.update(_worst([d1, d2]), error_bound=max(
+            d["quad_error"] + d["tail_bound"]
+            + rounding * float(np.abs(row).sum())
+            for d, row in zip((d1, d2), rows)))
+    return -v1, -v2
 
 
 def perturbed_loop_verdict(case: str,
@@ -317,8 +285,7 @@ def perturbed_loop_verdict(case: str,
     gives them), and error, a bound on the error of each (its diag's
     error_bound); a critical, nondegenerate point certifies the perturbed
     transverse loop.  s = 0 is critical where |L~'(0)| <= error and
-    nondegenerate where |L~''(0)| > error; without a bound the thresholds
-    are 1e-8 max(1, |L~''(0)|) and 1e-8.  If s = 0 is not critical the
+    nondegenerate where |L~''(0)| > error.  If s = 0 is not critical the
     verdict is "inapplicable" and the zeros of the slope sampled on s_grid
     are reported as candidate critical parameters: a difference quotient
     that is exactly zero at its interval's midpoint, and the linear zero
@@ -336,14 +303,13 @@ def perturbed_loop_verdict(case: str,
     if derivs is None:
         raise ValueError("case B needs derivs, the reduced potential's "
                          "(L~'(0), L~''(0))")
-    dL0, ddL0 = derivs
     if error is None:
-        tol_crit, tol_dd = 1e-8 * max(1.0, abs(ddL0)), 1e-8
-    else:
-        tol_crit = tol_dd = error
+        raise ValueError("case B needs error, a bound on the error of each "
+                         "derivative (melnikov_derivatives' error_bound)")
+    dL0, ddL0 = derivs
     diag: dict = {}
-    if abs(dL0) <= tol_crit:
-        verdict = ("perturbed_loop_transversal" if abs(ddL0) > tol_dd
+    if abs(dL0) <= error:
+        verdict = ("perturbed_loop_transversal" if abs(ddL0) > error
                    else "degenerate")
     else:
         verdict = "inapplicable"

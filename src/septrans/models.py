@@ -265,24 +265,16 @@ class PerturbationModel:
     section parameters that broadcasts against t; it returns values of
     their broadcast shape, (N,) or (M, N), with row i at s[i], or one
     scalar if they are all equal.  melnikov evaluates a block of section
-    points in one call and raises ValueError on any other shape.  The
-    optional integrand_s_jet(t, s) returns the integrand's first and
-    second s-derivatives on an ndarray t, from one evaluation; without it
-    the derivatives of the reduced potential are finite differences in s.
-    The optional locate(q1, q2) returns (t0, s), the time and section
-    parameter of the loop through a separatrix point.
-
-    The optional bounds() returns the IntegrandBound of the integrand and
-    of the two integrand_s_jet rows, in that order; melnikov derives its
-    trapezoid step and windows from them, once per perturbation, and
-    reports proven error bounds.  Without it the rule is fixed: decay_rate
-    bounds the exponential approach of the loops to the equilibrium and
-    time_scale is the loop family's fastest rate; the window is (40 + |s|
-    time_scale) / decay_rate and the trapezoid step is 0.1 / time_scale.
+    points in one call and raises ValueError on any other shape.
+    integrand_s_jet(t, s) returns the integrand's first and second
+    s-derivatives on an ndarray t, from one evaluation.  bounds() returns
+    the three IntegrandBounds of the integrand and of the two
+    integrand_s_jet rows, in that order; melnikov derives its trapezoid
+    step and windows from them, once per perturbation, and reports proven
+    error bounds.  The optional locate(q1, q2) returns (t0, s), the time
+    and section parameter of the loop through a separatrix point.
     """
-    decay_rate: float
-    time_scale: float = 1.0
-    # required (see __post_init__); the None default keeps a class
+    # required (see __post_init__); the None defaults keep a class
     # attribute PerturbationModel.integrand, which bench/tracing.py
     # replaces while it traces
     integrand: Callable[[np.ndarray, float | np.ndarray],
@@ -293,8 +285,9 @@ class PerturbationModel:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.integrand is None:
-            raise TypeError("PerturbationModel needs an integrand")
+        for hook in ("integrand", "integrand_s_jet", "bounds"):
+            if getattr(self, hook) is None:
+                raise TypeError("PerturbationModel needs %s" % hook)
 
 
 @dataclass(frozen=True)
@@ -625,7 +618,8 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         # widest step for every lam.  On the real axis (P = Q = 1) sig and
         # tau are at most 2 exp(-(|t| - |s|)) wherever |t| >= |s|, so the
         # three majorants are at most 32, 64 and 192 exp(-2 (|t| - |s|))
-        width = 0.93 * math.pi / (2.0 * lam)
+        # halved before the division: 2 lam overflows above 9e307
+        width = 0.93 * math.pi / 2.0 / lam
         pp = 1.0 / math.cos(lam * width) ** 2
         q = 1.0 / math.cos(width)
         return (
@@ -637,9 +631,8 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
                            192.0, 2.0))
 
     pert = PerturbationModel(
-        decay_rate=1.0, time_scale=max(1.0, lam), integrand=integrand,
-        integrand_s_jet=integrand_s_jet, locate=locate, bounds=bounds,
-        name="pendula_weak")
+        integrand=integrand, integrand_s_jet=integrand_s_jet, locate=locate,
+        bounds=bounds, name="pendula_weak")
     # V0' = -sin q1 - lam^2 h' sin h, V1' = -lam^2 h' cos h, V0'' = -cos q1
     # - lam^2 (h'' sin h + h'^2 cos h) at 0, where h = h'' sin h = 0
     h1 = -CoefficientJet(*jet(0.0)).b120    # h'(0): 1 at lam = 1, else 0

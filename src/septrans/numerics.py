@@ -39,8 +39,9 @@ def richardson_diff(f: Callable[[float], float], x: float, h: float,
                     order: int = 1) -> float:
     """5-point central difference in x with one Richardson extrapolation step.
 
-    order=1 gives f', order=2 gives f''.  Used for derivative fallbacks in s
-    where analytic integrand derivatives are not supplied.
+    order=1 gives f', order=2 gives f''.  The tests' reference for the
+    s-derivatives of the reduced Melnikov potential, which the runtime
+    takes from the perturbation's s-jet.
     """
     if order == 1:
         d1 = (f(x + h) - f(x - h)) / (2 * h)

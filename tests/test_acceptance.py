@@ -222,9 +222,11 @@ def test_acceptance_12():
 def test_acceptance_13():
     for lam in (1.0, 1.5, 2.0, 3.0, 3.6):
         pert = builtin_model("pendula_weak", [lam]).perturbation
-        derivs = melnikov_derivatives(pert)
+        diag = {}
+        derivs = melnikov_derivatives(pert, diag=diag)
         assert derivs[1] < 0
-        res = perturbed_loop_verdict("B", derivs=derivs)
+        res = perturbed_loop_verdict("B", derivs=derivs,
+                                     error=diag["error_bound"])
         assert res.verdict == "perturbed_loop_transversal"
 
 

@@ -319,8 +319,7 @@ def test_melnikov_reports_quadrature_diagnostics(capsys):
     # the widest window, at |s| = 2: 19.05 past |s|
     from septrans import melnikov
     pert = builtin_model("pendula_weak", [2.0]).perturbation
-    assert comments["t_cut"] == melnikov._t_cut(pert, 2.0,
-                                                melnikov._rule(pert))
+    assert comments["t_cut"] == melnikov._t_cut(2.0, melnikov._rule(pert))
     assert 0.0 <= comments["tail_bound"] <= 1e-12
     assert 0.0 <= comments["quad_error"] <= 1e-12
     code, out = run(capsys, *argv, "--format", "json")
@@ -343,7 +342,7 @@ def test_melnikov_reports_derivative_quadrature(capsys):
     from septrans import melnikov
     pert = builtin_model("pendula_weak", [2.0]).perturbation
     assert comments["dL_t_cut"] == melnikov._t_cut(
-        pert, 0.0, melnikov._rule(pert, jet=True))
+        0.0, melnikov._rule(pert, jet=True))
     assert 0.0 < comments["dL_tail_bound"] <= 1e-12
     assert 0.0 <= comments["dL_quad_error"] <= 1e-12
     # the bound that the verdict's thresholds are
@@ -388,15 +387,19 @@ def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # the node count overflows to inf at s = -1 and is 4e302 at s = 0
+    # the proven rule's windows need 1.8e302 nodes
     ["melnikov", "--model", "pendula_weak", "--params", "lam=1e300",
+     "--grid=-1:1:3"],
+    # and an infinite count at lam 1e308, whose strip width 0.93 pi / (2
+    # lam) is subnormal, not the 0 of an overflowing 2 lam
+    ["melnikov", "--model", "pendula_weak", "--params", "lam=1e308",
      "--grid=-1:1:3"],
     # the loop speed q1dot underflows to 0 in the slope solve
     ["riccati", "--model", "pendula_identical", "--params", "f0=0.2",
      "--grid=0:3.14:3", "--epsilon", "1e-300"],
     ["transversality", "--model", "neumann", "--params", "lambda1=1e-300",
      "lambda2=2"],
-], ids=["melnikov", "riccati", "transversality"])
+], ids=["melnikov", "melnikov-1e308", "riccati", "transversality"])
 def test_extreme_parameters_exit_three(capsys, argv):
     code = main(argv)
     err = capsys.readouterr().err

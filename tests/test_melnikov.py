@@ -15,7 +15,7 @@ from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _half_count,
                                xi_max)
 from septrans.models import (CoefficientJet, PerturbationModel, _weak_h,
                              builtin_model)
-from septrans.numerics import QuadratureError
+from septrans.numerics import QuadratureError, richardson_diff
 from weak_reference import WeakReference
 
 
@@ -28,6 +28,12 @@ def widened(pert, factor=1e20):
     widens every window by log(factor) / rate, 23 for pendula_weak."""
     return replace(pert, bounds=lambda: tuple(
         b._replace(tail=factor * b.tail) for b in pert.bounds()))
+
+
+def with_bounds(pert, **fields):
+    """pert with each of its bounds' fields set to the given values."""
+    return replace(pert, bounds=lambda: tuple(
+        b._replace(**fields) for b in pert.bounds()))
 
 
 def closed_form_lam1(s):
@@ -72,7 +78,7 @@ def composed(lam):
 
 def test_constant_perturbation_gives_zero():
     pert = replace(weak(1.5), integrand=lambda t, s: 0.0,
-                   integrand_s_jet=None)
+                   integrand_s_jet=lambda t, s: (0.0, 0.0))
     assert melnikov_potential(pert, s=0.8) == pytest.approx(0.0, abs=1e-12)
     d1, d2 = melnikov_derivatives(pert)
     assert abs(d1) < 1e-9 and abs(d2) < 1e-6
@@ -89,12 +95,11 @@ def test_reduced_potential_shape():
     assert L[1] == pytest.approx(L[3], abs=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reduced_potential_reports_worst_quadrature():
-    # on the fixed rule a short window makes every tail bound visible; the
-    # grid ends on its most benign point, so the worst values come from
-    # earlier points
-    pert = replace(weak(2.0), bounds=None, decay_rate=10.0)
+    # the grid ends on its narrowest window, and on one whose lattice ends
+    # lie further out than at s = -1, so the worst window and tail bound
+    # come from earlier points; one rule has one quad_error at every point
+    pert = weak(2.0)
     grid = [-3.0, -1.0, 0.0]
     res = reduced_melnikov(pert, grid)
     diags = [{} for _ in grid]
@@ -102,6 +107,7 @@ def test_reduced_potential_reports_worst_quadrature():
         melnikov_potential(pert, s=s, diag=d)
     for key in ("t_cut", "tail_bound", "quad_error"):
         assert res.quadrature_diag[key] == max(d[key] for d in diags)
+    for key in ("t_cut", "tail_bound"):
         assert res.quadrature_diag[key] > diags[-1][key]
 
 
@@ -136,10 +142,6 @@ def test_quadrature_tail_robustness():
     stretched = widened(pert)
     assert abs(melnikov_potential(stretched, s=1.1, diag=wide) - L) < 1e-10
     assert wide["t_cut"] > base["t_cut"] + 20.0
-    # the fixed rule's window and step, through time_scale
-    fixed = replace(pert, bounds=None)
-    stretched = replace(fixed, time_scale=2.0 * fixed.time_scale + 40.0)
-    assert abs(melnikov_potential(stretched, s=1.1) - L) < 1e-10
 
 
 def test_far_section_point_is_finite_and_silent():
@@ -158,33 +160,30 @@ def test_derivatives_lam1():
 
 
 def test_derivatives_fallback_matches_analytic():
+    # the s-jet's derivatives against Richardson-extrapolated differences
+    # of the potential in s, h = 1e-3
     pert = weak(2.0)
     d1a, d2a = melnikov_derivatives(pert)
-    blind = replace(pert, integrand_s_jet=None)
-    d1f, d2f = melnikov_derivatives(blind)
+
+    def Ltilde(s):
+        return melnikov_potential(pert, s=s)
+
+    d1f = richardson_diff(Ltilde, 0.0, 1e-3, order=1)
+    d2f = richardson_diff(Ltilde, 0.0, 1e-3, order=2)
     assert d1f == pytest.approx(d1a, abs=1e-6)
     assert d2f == pytest.approx(d2a, abs=1e-5)
 
 
 def test_derivatives_report_their_quadrature():
-    # the analytic route integrates at s = 0; the fallback's differences
-    # read the potential at s = 0, +-h and +-h/2 with h = 1e-3
-    # (the fallback's windows are the integrand's, the s-jet's its own);
-    # only the s-jet's, on a proven rule, bounds the derivatives' error
+    # the s-jet integrates at s = 0, on its own window
     pert = weak(2.0)
-    blind = replace(pert, integrand_s_jet=None)
-    keys = {"t_cut", "tail_bound", "quad_error"}
-    for p, t_cut, more in ((pert, _t_cut(pert, 0.0, _rule(pert, jet=True)),
-                            {"error_bound"}),
-                           (blind, _t_cut(pert, 1e-3, _rule(pert)), set())):
-        diag = {}
-        melnikov_derivatives(p, diag=diag)
-        assert set(diag) == keys | more
-        assert diag["t_cut"] == t_cut
-        assert 0.0 <= diag["tail_bound"] <= 1e-12
-        assert 0.0 <= diag["quad_error"] <= 1e-12
-        if more:
-            assert 0.0 < diag["error_bound"] <= 1e-11
+    diag = {}
+    melnikov_derivatives(pert, diag=diag)
+    assert set(diag) == {"t_cut", "tail_bound", "quad_error", "error_bound"}
+    assert diag["t_cut"] == _t_cut(0.0, _rule(pert, jet=True))
+    assert 0.0 <= diag["tail_bound"] <= 1e-12
+    assert 0.0 <= diag["quad_error"] <= 1e-12
+    assert 0.0 < diag["error_bound"] <= 1e-11
 
 
 def test_second_derivative_consistent_with_samples():
@@ -202,9 +201,9 @@ def test_nondegenerate_band(lam):
     diag = {}
     d1, d2 = melnikov_derivatives(weak(lam), diag=diag)
     assert d2 < 0
-    for error in (None, diag["error_bound"]):
-        res = perturbed_loop_verdict("B", derivs=(d1, d2), error=error)
-        assert res.verdict == "perturbed_loop_transversal"
+    res = perturbed_loop_verdict("B", derivs=(d1, d2),
+                                 error=diag["error_bound"])
+    assert res.verdict == "perturbed_loop_transversal"
 
 
 def test_slope_between_the_bound_and_1e8_is_not_critical():
@@ -217,8 +216,6 @@ def test_slope_between_the_bound_and_1e8_is_not_critical():
     assert error < dL0 < 1e-8
     res = perturbed_loop_verdict("B", derivs=(dL0, d2), error=error)
     assert res.verdict == "inapplicable"
-    assert perturbed_loop_verdict("B", derivs=(dL0, d2)).verdict == (
-        "perturbed_loop_transversal")
 
 
 def test_case_a_regular_perturbation():
@@ -236,15 +233,21 @@ def test_case_b_needs_derivs():
         perturbed_loop_verdict("B")
 
 
+def test_case_b_needs_an_error_bound():
+    # the thresholds are the derivatives' error bound, and nothing else
+    with pytest.raises(ValueError, match="error"):
+        perturbed_loop_verdict("B", derivs=(0.0, -8.0))
+
+
 def test_case_b_degenerate_for_zero_perturbation():
-    res = perturbed_loop_verdict("B", derivs=(0.0, 0.0))
+    res = perturbed_loop_verdict("B", derivs=(0.0, 0.0), error=1e-12)
     assert res.verdict == "degenerate"
 
 
 def _assert_single_candidate_at_half(s):
     L = -(np.asarray(s) - 0.5) ** 2  # critical point at s = 0.5, not at 0
     res = perturbed_loop_verdict("B", derivs=(1.0, -2.0), s_grid=s,
-                                 L_samples=L)
+                                 L_samples=L, error=1e-12)
     assert res.verdict == "inapplicable"
     (c,) = res.quadrature_diag["critical_candidates"]
     assert abs(c - 0.5) < 1e-12
@@ -333,26 +336,26 @@ def lattice_sums(rows, step, K):
 @given(st.floats(1.0, 40.0), st.floats(-4.0, 4.0))
 def test_stated_bounds_hold(lam, s):
     # each sum on the proven lattice against one at the step 0.02 /
-    # time_scale on a window 10 wider, for the integrand and both s-jet
+    # max(1, lam) on a window 10 wider, for the integrand and both s-jet
     # rows: quad_error + tail_bound holds the difference
     pert = weak(lam)
     for jet, rows in ((False, lambda t: [pert.integrand(t, s)]),
                       (True, lambda t: pert.integrand_s_jet(t, s))):
         rule = _rule(pert, jet)
-        T = _t_cut(pert, s, rule)
+        T = _t_cut(s, rule)
         K = _half_count(0.0, T, rule.step)
-        ref_step = 0.02 / pert.time_scale
+        ref_step = 0.02 / max(1.0, lam)
         refs = lattice_sums(rows, ref_step, math.ceil((T + 10.0) / ref_step))
         vals = rows(_lattice(0.0, K, rule.step))
         for i, (got, ref) in enumerate(zip(lattice_sums(rows, rule.step, K),
                                            refs)):
-            d = _trapezoid(vals[i], K, T, pert, rule, i)[1]
+            d = _trapezoid(vals[i], K, T, rule, i)[1]
             bound = d["quad_error"] + d["tail_bound"]
             assert abs(got - ref) <= bound, (jet, i)
 
 
-# L~ at these s by the fixed rule (step 0.1 / time_scale, window (40 + |s|
-# time_scale) / decay_rate), computed before the proven rule replaced it
+# L~ at these s by an earlier fixed rule (step 0.1 / max(1, lam), window
+# 40 + |s| max(1, lam)), computed before the proven rule replaced it
 L_S = [-4.0, -1.3, 0.0, 2.5, 4.0]
 L_GOLDEN = [
     (1.0, [-8.52454290059159, -4.615643679619336, -0.0, -8.135394504373902,
@@ -384,15 +387,20 @@ def test_array_integrand_equals_scalar_integrand(lam):
         assert np.max(np.abs(vals - scalar)) <= 1e-15
 
 
-def test_integrand_is_required():
-    with pytest.raises(TypeError, match="integrand"):
-        PerturbationModel(decay_rate=1.0)
+HOOKS = ("integrand", "integrand_s_jet", "bounds")
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+def test_integrand_is_required(hook):
+    pert = weak(1.0)
+    hooks = {h: getattr(pert, h) for h in HOOKS if h != hook}
+    with pytest.raises(TypeError, match="needs %s$" % hook):
+        PerturbationModel(**hooks)
 
 
 def test_integrand_alone_is_a_perturbation():
-    # no s-jet and no locate: the grid, and the derivatives by finite
-    # differences in s
-    pert = PerturbationModel(integrand=weak(1.0).integrand, decay_rate=1.0)
+    # the three required hooks and no locate: the grid and the derivatives
+    pert = PerturbationModel(**{h: getattr(weak(1.0), h) for h in HOOKS})
     grid = np.linspace(-2.0, 2.0, 9)
     L = reduced_melnikov(pert, grid).L_samples
     want = [closed_form_lam1(s) for s in grid.tolist()]
@@ -411,7 +419,7 @@ def test_closed_form_integrand_matches_definition(lam):
     pert = weak(lam)
     ref = composed(lam)
     for s in (-4.0, -0.3, 0.0, 2.5, 40.0, 200.0):
-        T = _t_cut(pert, s, _rule(pert))
+        T = _t_cut(s, _rule(pert))
         t = np.concatenate([np.linspace(-T, T, 20001),
                             np.linspace(-3.0, 3.0, 6001),
                             s + np.linspace(-30.0, 30.0, 6001)])
@@ -518,11 +526,11 @@ def test_node_budget_refuses_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize("pert,s", [
-    # on the fixed rule the node count overflows to inf at s = 1; on the
-    # proven one it is 8e301 at s = 0
-    (replace(weak(1e300), bounds=None), 1.0),
+    # a nan strip width makes a nan step, an infinite tail constant an
+    # infinite window, and lam = 1e300 a count of 8e301 at s = 0
+    (with_bounds(weak(2.0), width=math.nan), 1.0),
     (weak(1e300), 0.0),
-    (replace(weak(2.0), bounds=None, time_scale=math.nan), 0.0),
+    (with_bounds(weak(2.0), tail=math.inf), 0.0),
 ])
 def test_node_budget_refuses_a_non_finite_count(pert, s):
     with pytest.raises(QuadratureError, match="budget"):
@@ -577,7 +585,6 @@ def grid_and_alone(pert, grid):
 GRID_81 = np.linspace(-4.0, 4.0, 81)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("pert,grid", [
     (weak(1.0), GRID_81),
     (weak(2.3), GRID_81),
@@ -586,8 +593,6 @@ GRID_81 = np.linspace(-4.0, 4.0, 81)
     (weak(2.3), [1.7]),
     # a window of 21,159 nodes, above BLOCK_ELEMENTS: one row per block
     (weak(40.0), [-40.0, 0.0, 40.0]),
-    # the fixed rule, on a short window
-    (replace(weak(2.0), bounds=None, decay_rate=10.0), [-3.0, -1.0, 0.0]),
 ])
 def test_grid_equals_standalone_bit_for_bit(pert, grid):
     (L, diags), (L_alone, alone) = grid_and_alone(pert, grid)
@@ -649,3 +654,31 @@ def test_integrand_of_the_wrong_shape_fails_loudly():
     zero = replace(pert, integrand_s_jet=lambda t, s: (0.0, 0.0))
     assert melnikov_derivatives(zero) == (0.0, 0.0)
 
+
+
+def test_a_row_far_narrower_than_the_others_is_proven():
+    # the third row's strip 30 times narrower sets the s-jet's step, at
+    # which the first row's error bound 2 M / expm1(2 pi a / h) would
+    # overflow; capped, it only loosens.  The integrand's rule is untouched
+    pert = weak(2.0)
+    first, second, third = pert.bounds()
+    narrow = replace(pert, bounds=lambda: (
+        first, second, third._replace(width=third.width / 30.0)))
+    assert melnikov_potential(narrow, s=0.5) == melnikov_potential(pert, s=0.5)
+    diag, narrow_diag = {}, {}
+    want = melnikov_derivatives(pert, diag=diag)
+    got = melnikov_derivatives(narrow, diag=narrow_diag)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= diag["error_bound"] + narrow_diag["error_bound"]
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_bounds_give_one_row_per_integral(count):
+    pert = weak(2.0)
+    rows = (pert.bounds() * 2)[:count]
+    other = replace(pert, bounds=lambda: rows)
+    for run in (lambda: melnikov_potential(other, s=0.5),
+                lambda: melnikov_derivatives(other)):
+        with pytest.raises(ValueError, match="three, for the integrand and "
+                                             "each integrand_s_jet row"):
+            run()
