@@ -54,3 +54,8 @@ done
 code=0; timeout 20 septrans validate --model pendula_identical \
   --params f0=0.2 f50000000=1e-9 2>/dev/null || code=$?
 test "$code" = 2 || { echo "f50000000: exit $code"; exit 1; }
+# a grid size above the cap exits 2 before a billion-point list is built
+# (about 32 GB)
+code=0; timeout 20 septrans riccati --model neumann \
+  --params lambda1=1 lambda2=2 --grid 0:2:1000000000 2>/dev/null || code=$?
+test "$code" = 2 || { echo "grid 1e9: exit $code"; exit 1; }

@@ -8,7 +8,7 @@ from importlib import import_module
 
 from .models import (HamiltonianModel, PerturbationModel, builtin_model,
                      validate_hypotheses)
-from .loops import LoopProfile, loop_profile, restriction_residual
+from .loops import LoopProfile, loop_profile
 from .riccati import (RiccatiSolution, SolverOptions, riccati_initial,
                       riccati_terms, solve_riccati, riccati_to_linear_oracle,
                       BlowUpError)
@@ -44,7 +44,7 @@ __all__ = [
     "HamiltonianModel", "PerturbationModel", "builtin_model",
     "validate_hypotheses",
     "Linearization", "check_positive_definite", "linearize",
-    "LoopProfile", "loop_profile", "restriction_residual",
+    "LoopProfile", "loop_profile",
     "RiccatiSolution", "SolverOptions", "riccati_initial", "riccati_terms",
     "solve_riccati", "riccati_to_linear_oracle", "BlowUpError",
     "ChartTransition", "StableJet", "TransversalityReport",

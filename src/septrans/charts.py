@@ -102,22 +102,25 @@ def stable_from_reversibility(Tu_solution: RiccatiSolution,
 
 
 def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
-                             r1: int = 1) -> StableJet:
-    """Stable-chart jet at q induced by reversibility from the unstable
-    solution, on the loop profile it was solved on.
+                             reversibility: tuple[int, int] = (1, 1)
+                             ) -> StableJet:
+    """Stable-chart jet at q induced by the reversibility (r1, r2) from the
+    unstable solution, on the loop profile it was solved on.
 
     For a model whose second chart carries the same coefficient functions
-    (as the sphere model does), the stable generating function there is the
-    time-reversal of the unstable one: every momentum profile flips sign
-    and the slope is -Tu(r1 * q).  r1 * q outside the solved interval
-    raises ValueError.
+    (as the sphere model does), the stable generating function there is
+    S_s(Q) = -S_u(r1 Q1, r2 Q2), so with x = r1 q its jet is dS0 = -r1
+    S0'(x), ddS0 = -S0''(x), S1 = -r2 S1(x), dS1 = -r1 r2 S1'(x) and
+    T = -Tu(x).  x outside the solved interval raises ValueError.
     """
+    r1, r2 = reversibility
     x = r1 * q
     T = -Tu_solution(x)
-    profile = Tu_solution.profile
-    _c, _beta, ds0, s1, ds1 = profile.point(x)
-    return StableJet(dS0=-ds0, ddS0=-r1 * central_diff(profile.dS0, x),
-                     S1=-s1, dS1=-ds1 * r1, T=T)
+    point = Tu_solution.profile.point
+    _c, _beta, ds0, s1, ds1 = point(x)
+    return StableJet(dS0=-r1 * ds0,
+                     ddS0=-central_diff(lambda y: point(y)[2], x),
+                     S1=-r2 * s1, dS1=-r1 * r2 * ds1, T=T)
 
 
 def verdict_options(model: HamiltonianModel) -> SolverOptions:
@@ -151,7 +154,7 @@ def chart_transversality(model: HamiltonianModel, q1_star: float,
     target = max(q1_star, transition.chi0(q1_star))
     sol = solve_riccati(model, target, opts=opts or verdict_options(model))
     jet = stable_jet_from_unstable(sol, transition.chi0(q1_star),
-                                   r1=model.reversibility[0])
+                                   model.reversibility)
     Ts_hat = jet_transport_stable(jet, transition.jet2(q1_star))
     return transversality_verdict(sol(q1_star), Ts_hat, tol=tol,
                                   q1_star=q1_star)

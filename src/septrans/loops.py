@@ -14,18 +14,18 @@ its two terms.  The induced inner dynamics on the loop is
 q1' = beta(q1) * dS0(q1).
 
 A model's jet returns a plain tuple in CoefficientJet's field order.  A
-profile is evaluated through one function, its point: point(q1) returns
-that jet at q1, named as a CoefficientJet, together with beta, dS0, S1 and
-dS1 there, from one jet evaluation.  The profile's four functions read it.
-It takes a number or a 1-D array q1 (an ndarray or a list).  The slope
-solve's float path does not go through it: riccati_terms unpacks the jet's
-tuple itself, one jet call per step, and raises the same errors.
+profile is its jet and its interval, evaluated through one method, its
+point: point(q1) returns that jet at q1, named as a CoefficientJet,
+together with beta, dS0, S1 and dS1 there, from one jet evaluation, and
+every reader takes the entries it needs from that tuple.  It takes a
+number or a 1-D array q1 (an ndarray or a list).  The slope solve's float
+path does not go through it: riccati_terms unpacks the jet's tuple itself,
+one jet call per step, and raises the same errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from .models import CoefficientJet, HamiltonianModel, loop_momenta
@@ -41,25 +41,6 @@ def _no_loop(rad: float, q1: float) -> LoopConstructionError:
         "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
 
 
-def _loop_point(jet: Callable[..., tuple], q1) -> tuple:
-    array = not isinstance(q1, SCALARS)
-    if array:
-        import numpy as np
-        q1 = np.asarray(q1, dtype=float)
-    c = CoefficientJet(*jet(q1))
-    beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
-    if array:
-        # the first point without a loop, in the order of q1
-        bad = np.flatnonzero(np.isnan(np.broadcast_to(ds0, q1.shape)))
-        if bad.size:
-            i = bad[0]
-            raise _no_loop(np.broadcast_to(-2.0 * c.V0 / beta, q1.shape)[i],
-                           q1[i])
-    elif ds0 != ds0:
-        raise _no_loop(-2.0 * c.V0 / beta, q1)
-    return c, beta, ds0, s1, c.dS1
-
-
 @dataclass(frozen=True)
 class LoopProfile:
     """Momentum profiles of the loop on q2 = 0.
@@ -72,23 +53,24 @@ class LoopProfile:
     """
     jet: Callable[[float], tuple] = field(repr=False, compare=False)
     interval: tuple[float, float]
-    point: Callable[[float], tuple] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", partial(_loop_point, self.jet))
-
-    def beta(self, q1: float) -> float:
-        return self.point(q1)[1]
-
-    def dS0(self, q1: float) -> float:
-        return self.point(q1)[2]
-
-    def S1(self, q1: float) -> float:
-        return self.point(q1)[3]
-
-    def dS1(self, q1: float) -> float:
-        return self.point(q1)[4]
+    def point(self, q1) -> tuple:
+        array = not isinstance(q1, SCALARS)
+        if array:
+            import numpy as np
+            q1 = np.asarray(q1, dtype=float)
+        c = CoefficientJet(*self.jet(q1))
+        beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
+        if array:
+            # the first point without a loop, in the order of q1
+            bad = np.flatnonzero(np.isnan(np.broadcast_to(ds0, q1.shape)))
+            if bad.size:
+                i = bad[0]
+                raise _no_loop(
+                    np.broadcast_to(-2.0 * c.V0 / beta, q1.shape)[i], q1[i])
+        elif ds0 != ds0:
+            raise _no_loop(-2.0 * c.V0 / beta, q1)
+        return c, beta, ds0, s1, c.dS1
 
 
 def loop_profile(model: HamiltonianModel) -> LoopProfile:
@@ -96,11 +78,3 @@ def loop_profile(model: HamiltonianModel) -> LoopProfile:
     domain.  A point without a loop raises LoopConstructionError when it
     is evaluated."""
     return LoopProfile(model.jet, model.domain)
-
-
-def restriction_residual(profile: LoopProfile, q1: float) -> float:
-    """dS1*beta*dS0 + V1 at q1, from the profile's loop point; near zero
-    certifies consistency."""
-    c, beta, ds0, _s1, ds1 = profile.point(q1)
-    return ds1 * beta * ds0 + c.V1
-

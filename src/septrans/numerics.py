@@ -54,8 +54,13 @@ def richardson_diff(f: Callable[[float], float], x: float, h: float,
     raise ValueError("order must be 1 or 2")
 
 
+# the most points a grid spec may ask for, checked before its list is built
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec: str) -> list[float]:
-    """Parse an 'a:b:n' grid spec into n evenly spaced points from a to b."""
+    """Parse an 'a:b:n' grid spec into n evenly spaced points from a to b,
+    2 <= n <= MAX_GRID_POINTS."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("grid spec must be a:b:n, got %r" % spec)
@@ -65,6 +70,9 @@ def parse_grid(spec: str) -> list[float]:
     if n < 2 or not (b > a and math.isfinite(b - a)):
         raise ValueError("grid spec needs finite a < b, a finite span b - a "
                          "and n >= 2, got %r" % spec)
+    if n > MAX_GRID_POINTS:
+        raise ValueError("grid spec %r asks for %d points, above the cap "
+                         "MAX_GRID_POINTS=%d" % (spec, n, MAX_GRID_POINTS))
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 

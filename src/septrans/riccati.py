@@ -98,12 +98,12 @@ class RiccatiSolution:
 
 
 def riccati_terms(profile: LoopProfile) -> Terms:
-    """q1 -> (q1dot, alpha, beta, delta, b220, db220, residual), what the
-    slope equation and its linear form read at q1 (a number or a 1-D
-    array), from one jet evaluation; q1dot = beta * dS0 is the inner
-    dynamics on the loop, alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122
-    dS0 S1 + b222 S1^2) / 2, delta = b120 dS1, and residual = dS1 q1dot +
-    V1 is the loop restriction's, zero on a consistent model.
+    """q1 -> (q1dot, alpha, delta, b220, db220, residual), what the slope
+    equation and its linear form read at q1 (a number or a 1-D array),
+    from one jet evaluation; q1dot = beta * dS0 is the inner dynamics on
+    the loop, alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222
+    S1^2) / 2, delta = b120 dS1, and residual = dS1 q1dot + V1 is the loop
+    restriction's, zero on a consistent model.
 
     A number q1, one per step of a solve, unpacks the jet's tuple here and
     takes the loop momenta from loop_momenta, raising the profile point's
@@ -125,7 +125,7 @@ def riccati_terms(profile: LoopProfile) -> Terms:
         alpha = (y - b110 * ds1 * ds1
                  - 0.5 * (b112 * ds0 * ds0 + 2.0 * b122 * ds0 * s1
                           + b222 * s1 * s1))
-        return (q1dot, alpha, beta, b120 * ds1, b220, db220, ds1 * q1dot + v1)
+        return (q1dot, alpha, b120 * ds1, b220, db220, ds1 * q1dot + v1)
 
     return terms
 
@@ -136,7 +136,7 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
     T(0) solves b220 T^2 + 2 delta T - alpha = 0; the positive branch of the
     square root is the unstable one.
     """
-    _q1dot, a0, _beta, d0, b0, *_rest = terms(0.0)
+    _q1dot, a0, d0, b0, *_rest = terms(0.0)
     Delta = d0 * d0 + b0 * a0
     if Delta < 0:
         raise HypothesesError(
@@ -163,7 +163,7 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
 
     def rhs(q1, y):
         nonlocal worst, passed
-        q1dot, alpha, _beta, delta, b220, _db220, residual = terms(q1)
+        q1dot, alpha, delta, b220, _db220, residual = terms(q1)
         r = abs(residual)
         # a residual up to passed passes untested, and only one past 1e-6
         # pays for its scale; a nan one fails
@@ -217,7 +217,7 @@ def _startup_propagation(terms: Terms, dense, stable: bool):
     ts = np.asarray(dense.ts)
     mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ts[1:] - ts[:-1])
     q1 = (mid[:, None] + half[:, None] * np.array(_GAUSS5_X)).ravel()
-    q1dot, _alpha, _beta, delta, b220, _db220, _res = terms(q1)
+    q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
     f = (2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
     integral = half @ (f.reshape(-1, len(_GAUSS5_W)) @ np.array(_GAUSS5_W))
     return math.exp(-integral), q1.size
@@ -289,7 +289,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
 
     # inner expansion rate at the equilibrium sets the time horizon
     h = 1e-5
-    rate = profile.beta(0.0) * profile.dS0(h) / h
+    rate = profile.point(0.0)[1] * profile.point(h)[2] / h
     # small enough that the asymptotic seeding error is contracted away on
     # the way up, large enough that coefficient formulas with cancellation
     # near the equilibrium (e.g. cos(q1) - 1) keep relative accuracy
@@ -298,7 +298,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
 
     def rhs(_t, y):
         q1, yy, yp = y
-        q1dot, alpha, _beta, delta, b, db, _res = terms(q1)
+        q1dot, alpha, delta, b, db, _res = terms(q1)
         acoef = 2.0 * delta - db * q1dot / b
         return [q1dot, yp, -acoef * yp + b * alpha * yy]
 

@@ -11,6 +11,7 @@ from septrans.charts import (ChartTransition, Jet2, ReversibilityError,
                              torus_transversality, transversality_verdict)
 from septrans import riccati
 from septrans.models import builtin_model
+from septrans.numerics import central_diff
 from septrans.riccati import SolverOptions, solve_riccati
 
 
@@ -97,7 +98,7 @@ def test_jet_transport_reproduces_inversion_formula():
     sol = solve_riccati(m, 5.0, opts=SolverOptions(sensitivity_check=False))
     tr = inversion_transition()
     for q1 in np.linspace(0.9, 4.4, 20):
-        jet = stable_jet_from_unstable(sol, tr.chi0(q1), r1=1)
+        jet = stable_jet_from_unstable(sol, tr.chi0(q1), m.reversibility)
         got = jet_transport_stable(jet, tr.jet2(q1))
         expect = (32.0 * l1 / (q1 * q1 + 4.0) ** 2
                   - 16.0 / q1 ** 4 * sol(4.0 / q1))
@@ -137,16 +138,35 @@ def test_jet_slope_is_the_reversibility_slope(name, params):
     eps = sol.epsilon_start
     for x in np.linspace(eps, target, 13)[1:]:
         q = r1 * float(x)
-        assert stable_jet_from_unstable(sol, q, r1).T == Ts(q)
+        assert stable_jet_from_unstable(sol, q, m.reversibility).T == Ts(q)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("neumann", [1.2, 3.0]), ("pendula_identical", [0.2, 0.05]),
+    ("pendula_weak", [2.5])])
+def test_transported_stable_jet_has_the_loop_momenta(name, params):
+    # the loop lies in both manifolds, so at q1* the transported stable
+    # generating function has the unstable one's orders 0 and 1: dS0 and S1
+    m = builtin_model(name, params)
+    q1_star, tr = m.matching
+    sol = solve_riccati(m, max(q1_star, tr.chi0(q1_star)),
+                        opts=SolverOptions(sensitivity_check=False))
+    jet = stable_jet_from_unstable(sol, tr.chi0(q1_star), m.reversibility)
+    j = tr.jet2(q1_star)
+    _c, _beta, ds0, s1, _ds1 = sol.profile.point(q1_star)
+    assert jet.dS0 * central_diff(tr.chi0, q1_star, h=1e-5) == (
+        pytest.approx(ds0, abs=1e-8))
+    assert jet.dS0 * j.dchi1_dq2 + jet.S1 * j.dchi2_dq2 == (
+        pytest.approx(s1, abs=1e-8))
 
 
 def test_stable_jet_outside_the_solved_interval_raises():
     m = builtin_model("neumann", [1.0, 2.0])
     sol = solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
     with pytest.raises(ValueError, match="beyond the solved interval"):
-        stable_jet_from_unstable(sol, 2.5, r1=1)
+        stable_jet_from_unstable(sol, 2.5, (1, 1))
     with pytest.raises(ValueError, match="below the solved interval"):
-        stable_jet_from_unstable(sol, 1.0, r1=-1)
+        stable_jet_from_unstable(sol, 1.0, (-1, -1))
 
 
 def test_stable_requires_declared_reversibility():

@@ -260,6 +260,29 @@ def test_cosine_index_above_the_cap_is_refused_unbuilt(capsys):
                                             % MAX_COSINE_INDEX: 0.0})
 
 
+def test_grid_size_above_the_cap_is_refused_unbuilt(capsys):
+    # the refusal names the cap and comes before the grid's list is built;
+    # the cap itself is a valid size
+    import tracemalloc
+    from septrans.numerics import MAX_GRID_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS=%d"
+                           % MAX_GRID_POINTS):
+            parse_grid("0:1:%d" % (MAX_GRID_POINTS + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    for args in (["riccati", "--model", "neumann", "--params", "lambda1=1",
+                  "lambda2=2", "--grid", "0:2:%d" % (MAX_GRID_POINTS + 1)],
+                 ["sweep", "--model", "pendula_weak", "--sweep",
+                  "lam=1:2:%d" % (MAX_GRID_POINTS + 1)]):
+        code, _ = run(capsys, *args)
+        assert code == 2
+    assert len(parse_grid("0:1:%d" % MAX_GRID_POINTS)) == MAX_GRID_POINTS
+
+
 def test_zero_coefficients_cost_nothing(capsys, monkeypatch):
     # 20,000 zero cosine terms change no figure of the report and cost no
     # cos in a jet call

@@ -5,8 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from septrans.loops import (LoopConstructionError, LoopProfile,
-                            loop_profile, restriction_residual)
+from septrans.loops import LoopConstructionError, LoopProfile, loop_profile
 from septrans.models import (HamiltonianModel, builtin_model,
                              validate_hypotheses)
 import septrans.riccati as riccati
@@ -17,9 +16,10 @@ def test_identical_pendula_profiles():
     m = builtin_model("pendula_identical", [0.12])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 2 * math.pi, 40):
-        assert p.dS0(q1) == pytest.approx(4.0 * math.sin(q1 / 2.0), abs=1e-12)
-        assert p.S1(q1) == pytest.approx(2.0 * math.sin(q1 / 2.0), abs=1e-12)
-        assert p.beta(q1) == pytest.approx(0.5, abs=1e-15)
+        _c, beta, ds0, s1, _ds1 = p.point(q1)
+        assert ds0 == pytest.approx(4.0 * math.sin(q1 / 2.0), abs=1e-12)
+        assert s1 == pytest.approx(2.0 * math.sin(q1 / 2.0), abs=1e-12)
+        assert beta == pytest.approx(0.5, abs=1e-15)
 
 
 def test_neumann_profiles():
@@ -27,25 +27,28 @@ def test_neumann_profiles():
     m = builtin_model("neumann", [l1, 2.0])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 8.0, 40):
-        assert p.dS0(q1) == pytest.approx(
+        _c, _beta, ds0, s1, _ds1 = p.point(q1)
+        assert ds0 == pytest.approx(
             16.0 * l1 * q1 / (4.0 + q1 * q1) ** 2, rel=1e-12, abs=1e-12)
-        assert p.S1(q1) == 0.0
+        assert s1 == 0.0
 
 
 def test_profiles_vanish_at_equilibrium():
     for spec in (("neumann", [1.0, 2.0]), ("pendula_weak", [2.0])):
         m = builtin_model(*spec)
         p = loop_profile(m)
-        assert p.dS0(0.0) == 0.0
-        assert p.S1(0.0) == 0.0
+        _c, _beta, ds0, s1, _ds1 = p.point(0.0)
+        assert ds0 == 0.0
+        assert s1 == 0.0
 
 
 def test_s1_relation_pointwise():
     m = builtin_model("pendula_weak", [2.3])
     p = loop_profile(m)
     for q1 in np.linspace(0.1, 2 * math.pi - 0.1, 50):
-        expect = -(m.b120(q1) / m.b220(q1)) * p.dS0(q1)
-        assert p.S1(q1) == pytest.approx(expect, rel=1e-9)
+        _c, _beta, ds0, s1, _ds1 = p.point(q1)
+        expect = -(m.b120(q1) / m.b220(q1)) * ds0
+        assert s1 == pytest.approx(expect, rel=1e-9)
 
 
 def test_energy_on_loop():
@@ -55,7 +58,8 @@ def test_energy_on_loop():
         p = loop_profile(m)
         a, b = m.domain
         for q1 in np.linspace(a, b, 60):
-            e = 0.5 * p.beta(q1) * p.dS0(q1) ** 2 + m.V0(q1)
+            _c, beta, ds0, _s1, _ds1 = p.point(q1)
+            e = 0.5 * beta * ds0 ** 2 + m.V0(q1)
             assert abs(e) < 1e-10
 
 
@@ -63,21 +67,21 @@ def test_restriction_residual_identical_pendula():
     m = builtin_model("pendula_identical", [0.0])
     p = loop_profile(m)
     # dS1*beta*dS0 = cos(q1/2) * (1/2) * 4 sin(q1/2) = sin(q1) = -V1
-    assert abs(restriction_residual(p, math.pi / 2)) < 1e-12
+    assert abs(riccati_terms(p)(math.pi / 2)[-1]) < 1e-12
 
 
 def test_restriction_residual_neumann_exact_zero():
     m = builtin_model("neumann", [1.0, 2.0])
     p = loop_profile(m)
     for q1 in (0.5, 2.0, 5.0):
-        assert restriction_residual(p, q1) == 0.0
+        assert riccati_terms(p)(q1)[-1] == 0.0
 
 
 def test_corrupted_v1_detected():
     base = builtin_model("pendula_identical", [0.0])
     bad = replace(base, V1=lambda q1: -math.sin(q1) + 0.1)
     p = LoopProfile(bad.jet, bad.domain)
-    assert restriction_residual(p, 1.0) == pytest.approx(0.1, abs=1e-10)
+    assert riccati_terms(p)(1.0)[-1] == pytest.approx(0.1, abs=1e-10)
     # the solve checks the restriction at every point it evaluates, and
     # stops at its first, the start offset 1e-4 * 2pi
     with pytest.raises(LoopConstructionError) as exc:
@@ -199,14 +203,14 @@ def test_loop_reparameterization_matches_momentum():
     for t in (-2.0, -0.5, 0.7, 1.5):
         q1 = 4.0 * math.atan(math.exp(t))
         p1_expected = 4.0 * math.sin(2.0 * math.atan(math.exp(t)))  # 2/cosh(t)*2
-        assert p.dS0(q1) == pytest.approx(p1_expected, abs=1e-8)
+        assert p.point(q1)[2] == pytest.approx(p1_expected, abs=1e-8)
 
 
 def loop_action(profile):
     """The loop action sigma, the integral of p1 = dS0 over one period, by
     40-point Gauss-Legendre quadrature on [0, 2pi]."""
     x, w = np.polynomial.legendre.leggauss(40)
-    return math.pi * sum(wi * profile.dS0(math.pi * (xi + 1.0))
+    return math.pi * sum(wi * profile.point(math.pi * (xi + 1.0))[2]
                          for xi, wi in zip(x, w))
 
 
@@ -228,6 +232,6 @@ def test_sigma_scales_linearly():
                      V1=lambda q1: 6.25 * m.V1(q1))
     p, ps = loop_profile(m), loop_profile(scaled)
     for q1 in np.linspace(0.0, 2 * math.pi, 41):
-        assert ps.dS0(q1) == pytest.approx(2.5 * p.dS0(q1), rel=1e-12,
-                                           abs=1e-15)
+        assert ps.point(q1)[2] == pytest.approx(2.5 * p.point(q1)[2],
+                                                rel=1e-12, abs=1e-15)
     assert loop_action(ps) == pytest.approx(40.0, abs=1e-9)

@@ -19,19 +19,20 @@ def terms_for(name, params):
 
 def test_neumann_coefficients():
     l1, l2 = 1.0, 2.0
-    terms = terms_for("neumann", [l1, l2])
+    profile = loop_profile(builtin_model("neumann", [l1, l2]))
+    terms = riccati_terms(profile)
     for q1 in (0.0, 1.0, 2.0, 4.0):
         a = 4.0 + q1 * q1
-        _q1dot, alpha, beta, delta, _b220, _db220, _res = terms(q1)
+        _q1dot, alpha, delta, _b220, _db220, _res = terms(q1)
         assert delta == 0.0
-        assert beta == pytest.approx(a * a / 16.0, rel=1e-14)
+        assert profile.point(q1)[1] == pytest.approx(a * a / 16.0, rel=1e-14)
         expect = 16.0 / a ** 2 * (l2 ** 2 - 4.0 * l1 ** 2 * q1 * q1 / a)
         assert alpha == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_identical_pendula_coefficients_at_zero():
     f0 = 0.15
-    _q1dot, alpha, _beta, delta, b220, _db220, _res = terms_for(
+    _q1dot, alpha, delta, b220, _db220, _res = terms_for(
         "pendula_identical", [f0])(0.0)
     assert delta == pytest.approx(-1.0, abs=1e-12)
     assert b220 == 2.0
@@ -65,14 +66,14 @@ def test_initial_condition_identical_pendula(f0):
 
 
 def test_initial_condition_pure_square_root():
-    # (q1dot, alpha, beta, delta, b220, db220)
-    T0, Delta = riccati_initial(lambda q: (0.0, 9.0, 1.0, 0.0, 1.0, 0.0))
+    # (q1dot, alpha, delta, b220, db220, residual)
+    T0, Delta = riccati_initial(lambda q: (0.0, 9.0, 0.0, 1.0, 0.0, 0.0))
     assert (T0, Delta) == (3.0, 9.0)
 
 
 def test_initial_condition_negative_discriminant():
     with pytest.raises(HypothesesError):
-        riccati_initial(lambda q: (0.0, -9.0, 1.0, 0.0, 1.0, 0.0))
+        riccati_initial(lambda q: (0.0, -9.0, 0.0, 1.0, 0.0, 0.0))
 
 
 def test_neumann_solution_closed_form_along_the_way():
@@ -129,8 +130,7 @@ def test_equation_residual_along_dense_output():
     for spec in (("neumann", [1.3, 2.2]), ("pendula_identical", [0.2]),
                  ("pendula_weak", [2.0])):
         m = builtin_model(*spec)
-        p = loop_profile(m)
-        terms = riccati_terms(p)
+        terms = riccati_terms(loop_profile(m))
         target = 2.0 if spec[0] == "neumann" else math.pi
         sol = solve_riccati(m, target,
                             opts=SolverOptions(rtol=1e-11, atol=1e-13,
@@ -141,9 +141,8 @@ def test_equation_residual_along_dense_output():
         for q1 in qs:
             dT = central_diff(sol, q1, h=1e-4)
             T = sol(q1)
-            _q1dot, alpha, beta, delta, b220, _db220, _res = terms(q1)
-            r = (beta * p.dS0(q1) * dT + 2 * delta * T + b220 * T * T
-                 - alpha)
+            q1dot, alpha, delta, b220, _db220, _res = terms(q1)
+            r = q1dot * dT + 2 * delta * T + b220 * T * T - alpha
             assert abs(r) < 1e-7 * (1.0 + abs(alpha))
 
 
@@ -221,7 +220,7 @@ def test_startup_quadrature_is_the_sum_over_its_nodes(name, params, stable):
     for a, b in zip(dense.ts[:-1], dense.ts[1:]):
         for x, w in zip(riccati._GAUSS5_X, riccati._GAUSS5_W):
             q1 = 0.5 * (a + b) + 0.5 * (b - a) * x
-            q1dot, _alpha, _beta, delta, b220, _db220, _res = terms(q1)
+            q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
             integral += 0.5 * (b - a) * w * (
                 2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
     assert riccati._startup_propagation(terms, dense, stable) == (
@@ -362,7 +361,8 @@ def test_oracle_equivalence_fundamental_solution_fixture():
     for q1 in (0.5, 1.0, 1.7):
         dy = central_diff(y1, q1, h=1e-6)
         # q1-form slope: T = beta * dS0 * y'/(b220 * y) in the q1 variable
-        T_from_y = p.beta(q1) * p.dS0(q1) * dy / (m.b220(q1) * y1(q1))
+        _c, beta, ds0, _s1, _ds1 = p.point(q1)
+        T_from_y = beta * ds0 * dy / (m.b220(q1) * y1(q1))
         assert sol(q1) == pytest.approx(T_from_y, rel=1e-6)
 
 
