@@ -59,3 +59,17 @@ test "$code" = 2 || { echo "f50000000: exit $code"; exit 1; }
 code=0; timeout 20 septrans riccati --model neumann \
   --params lambda1=1 lambda2=2 --grid 0:2:1000000000 2>/dev/null || code=$?
 test "$code" = 2 || { echo "grid 1e9: exit $code"; exit 1; }
+# a flag the command does not read is a usage error, with nothing on stdout
+code=0; out=$(septrans melnikov --model pendula_weak --params lam=2 \
+  --rtol 1e-3 2>/dev/null) || code=$?
+test "$code" = 2 && test -z "$out" \
+  || { echo "melnikov --rtol: exit $code"; exit 1; }
+# so is a setting that is not finite
+code=0; septrans transversality --model neumann --params lambda1=1 lambda2=2 \
+  --rtol inf >/dev/null 2>&1 || code=$?
+test "$code" = 2 || { echo "--rtol inf: exit $code"; exit 1; }
+# a reader that closes the pipe early gets exit 141 (as for SIGPIPE), with
+# nothing on stderr
+err=$( { septrans riccati --model neumann --params lambda1=1 lambda2=2 \
+  --grid 0:2:20000 | head -1 >/dev/null; echo "exit ${PIPESTATUS[0]}"; } 2>&1 )
+test "$err" = "exit 141" || { echo "$err"; exit 1; }

@@ -102,8 +102,7 @@ def stable_from_reversibility(Tu_solution: RiccatiSolution,
 
 
 def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
-                             reversibility: tuple[int, int] = (1, 1)
-                             ) -> StableJet:
+                             reversibility: tuple[int, int]) -> StableJet:
     """Stable-chart jet at q induced by the reversibility (r1, r2) from the
     unstable solution, on the loop profile it was solved on.
 

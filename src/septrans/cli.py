@@ -4,11 +4,12 @@ Subcommands: validate | riccati | transversality | melnikov | sweep.
 Curves are emitted as comma-separated tables (17 significant digits,
 '#'-comment lines for scalar metadata); reports as JSON documents, in
 which a non-finite number is null.
-Every setting is a flag of one argparse parser: a --config file stands
+Every setting is a flag of its command's argparse subparser, which takes
+only the flags that command reads (see COMMANDS): a --config file stands
 for the flags its entries name, so it gets the same checks (see main).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
 degenerate), 2 usage/config error, 3 numerical failure (blow-up,
-quadrature).
+quadrature), 141 stdout closed by its reader (as for SIGPIPE).
 Only validate, riccati and melnikov load numpy: transversality and sweep
 run on floats alone.
 """
@@ -19,14 +20,15 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
 from .charts import chart_transversality, verdict_options
 from .loops import LoopConstructionError
-from .models import (BUILTIN_NAMES, BUILTINS, ConstructionError,
-                     HamiltonianModel, builtin_model, validate_hypotheses)
+from .models import (BUILTIN_NAMES, BUILTINS, HamiltonianModel,
+                     builtin_model, validate_hypotheses)
 from .numerics import QuadratureError, parse_grid
 from .riccati import BlowUpError, SolverOptions, solve_riccati
 
@@ -42,9 +44,9 @@ class UsageError(ValueError):
 
 
 def positive(text: str) -> float:
-    """A number > 0, which excludes nan; argparse names the flag otherwise."""
+    """A finite number > 0; argparse names the flag otherwise."""
     value = float(text)
-    if not value > 0:
+    if not 0 < value < math.inf:
         raise ValueError(text)
     return value
 
@@ -99,11 +101,8 @@ def make_model(name: str, params: dict,
     bad = [k for k, v in params.items() if not math.isfinite(v)]
     if bad:
         raise UsageError("parameter %s is not finite" % ", ".join(bad))
-    try:
-        return builtin_model(name, [params.get(k, 0.0) for k in names],
-                             strict=strict)
-    except ConstructionError as exc:
-        raise UsageError(str(exc)) from exc
+    return builtin_model(name, [params.get(k, 0.0) for k in names],
+                         strict=strict)
 
 
 def solver_options(args, base: SolverOptions) -> SolverOptions:
@@ -115,9 +114,11 @@ def solver_options(args, base: SolverOptions) -> SolverOptions:
 
 @contextmanager
 def _output(args):
-    """The --out file, closed on exit, or stdout."""
+    """The --out file, closed on exit, or stdout, flushed on exit so that a
+    closed pipe is met inside main."""
     if not args.out:
         yield sys.stdout
+        sys.stdout.flush()
         return
     with open(args.out, "w") as stream:
         yield stream
@@ -290,9 +291,15 @@ def failure(exc: BlowUpError | QuadratureError | ValueError
     return 2, "error: %s" % exc
 
 
-COMMANDS = {"validate": cmd_validate, "riccati": cmd_riccati,
-            "transversality": cmd_transversality, "melnikov": cmd_melnikov,
-            "sweep": cmd_sweep}
+SOLVER = ("--rtol", "--atol", "--epsilon", "--cap")
+# each command's function and the flags it reads besides --model, --params,
+# --config, --out and --format
+COMMANDS = {"validate": (cmd_validate, ()),
+            "riccati": (cmd_riccati, SOLVER + ("--grid",)),
+            "transversality": (cmd_transversality, SOLVER + ("--tol",)),
+            "melnikov": (cmd_melnikov, ("--grid",)),
+            "sweep": (cmd_sweep, SOLVER + ("--tol", "--sweep"))}
+METAVARS = {"--grid": "a:b:n", "--sweep": "param=a:b:n"}  # others: positive
 
 
 @functools.cache
@@ -306,16 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transversality of separatrix intersections via Riccati "
                     "slopes and Melnikov potentials")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--model", choices=BUILTIN_NAMES)
         p.add_argument("--params", nargs="*", action="extend", type=param,
                        metavar="k=v")
         p.add_argument("--config")
-        for flag in ("--rtol", "--atol", "--epsilon", "--cap", "--tol"):
-            p.add_argument(flag, type=positive)
-        p.add_argument("--grid", metavar="a:b:n")
-        p.add_argument("--sweep", metavar="param=a:b:n")
+        for flag in flags:
+            p.add_argument(flag, metavar=METAVARS.get(flag),
+                           type=None if flag in METAVARS else positive)
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"))
     return ap
@@ -336,13 +342,18 @@ def main(argv=None) -> int:
             raise UsageError("--model is required (choose from %s)"
                              % ", ".join(BUILTIN_NAMES))
         args.params = dict(args.params or ())
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (BlowUpError, QuadratureError, ValueError) as exc:
         code, message = failure(exc)
         print(message, file=sys.stderr)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as cat reports
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from septrans.charts import chart_transversality, verdict_options
 from septrans.cli import build_parser, main, make_model
-from septrans.models import builtin_model
+from septrans.models import ConstructionError, builtin_model
 from septrans.numerics import parse_grid
 
 
@@ -492,8 +495,9 @@ def test_config_entry_in_any_section_is_its_flag(tmp_path, capsys):
     NEUMANN_INI + "[solver]\nrtool = 1e-3\n",
     NEUMANN_INI + "[solver]\nrt = 1e-3\n",
     "model = neumann\n",
+    NEUMANN_INI + "[solver]\nrtol = inf\n",
 ], ids=["negative-rtol", "format-JSON", "misspelt-key", "abbreviated-key",
-        "no-section-header"])
+        "no-section-header", "infinite-rtol"])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
@@ -504,13 +508,66 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("flag", [
     "--tol=-1", "--tol=nan", "--rtol=nan", "--epsilon=nan", "--cap=0",
+    "--rtol=inf", "--atol=inf", "--epsilon=inf", "--cap=inf", "--tol=inf",
 ])
 def test_non_positive_setting_is_usage_error(capsys, flag):
-    # a negative --tol would make the tangent f0 = 0 read "transversal"
+    # a negative --tol would make the tangent f0 = 0 read "transversal", an
+    # infinite one every verdict "inconclusive", and an infinite rtol would
+    # leave the steps to the step-size cap alone
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0", flag)
     assert code == 2
     assert out == ""
+
+
+# the flags each command reads besides --model, --params, --config, --out
+# and --format, and a valid value of each
+SOLVER = ("--rtol", "--atol", "--epsilon", "--cap")
+READS = {"validate": (), "riccati": SOLVER + ("--grid",),
+         "transversality": SOLVER + ("--tol",), "melnikov": ("--grid",),
+         "sweep": SOLVER + ("--tol", "--sweep")}
+VALUES = {"--rtol": "1e-7", "--atol": "1e-10", "--epsilon": "1e-3",
+          "--cap": "1e6", "--tol": "1e-6", "--grid": "0:1:3",
+          "--sweep": "lambda2=1.5:2.5:3"}
+VALID = {"melnikov": ["--model", "pendula_weak", "--params", "lam=2"],
+         "sweep": ["--model", "neumann", "--params", "lambda1=1",
+                   "--sweep", "lambda2=1.5:2.5:3"]}
+REFUSED = [(command, flag) for command in READS for flag in VALUES
+           if flag not in READS[command]]
+
+
+def valid_argv(command):
+    return [command, *VALID.get(command, ["--model", "neumann", "--params",
+                                          "lambda1=1", "lambda2=2"])]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, command, flag):
+    code = main(valid_argv(command) + [flag, VALUES[flag]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: %s" % flag in captured.err
+
+
+def test_config_entry_the_command_does_not_read_is_usage_error(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solver]\nrtol = 1e-7\n")
+    code = main(valid_argv("melnikov") + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--rtol=1e-7" in captured.err
+
+
+@pytest.mark.parametrize("command", READS)
+def test_help_lists_the_flags_the_command_reads(capsys, command):
+    import re
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert listed == {"--help", "--model", "--params", "--config", "--out",
+                      "--format", *READS[command]}
 
 
 @pytest.mark.parametrize("flag", [["--to", "5"], ["--rt", "1e-3"]])
@@ -572,6 +629,16 @@ def test_bad_parameter_is_usage_error(capsys, model, params, culprit):
     assert code == 2
     assert captured.out == ""
     assert "parameter %s " % culprit in captured.err
+
+
+def test_construction_error_keeps_its_type_and_exits_two(capsys):
+    with pytest.raises(ConstructionError, match="lambda >= 1"):
+        make_model("pendula_weak", {"lam": 0.5})
+    code = main(["transversality", "--model", "pendula_weak", "--params",
+                 "lam=0.5"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: pendula_weak requires "
+                                       "lambda >= 1\n")
 
 
 def test_config_file_missing(capsys):
@@ -701,17 +768,61 @@ def test_sweep_requires_spec(capsys):
     assert code == 2
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
+def septrans_command(*args) -> list[str]:
+    return [sys.executable, "-m", "septrans", *args]
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports the same septrans as
+    this one, with its stdout block-buffered as it is by default."""
     import septrans
-    # the child process imports the same septrans as this one
     src = os.path.dirname(os.path.dirname(septrans.__file__))
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    r = subprocess.run([sys.executable, "-m", "septrans", "validate",
-                        "--model", "neumann", "--params", "lambda1=1",
-                        "lambda2=2"], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_module_entry_point():
+    r = subprocess.run(septrans_command("validate", "--model", "neumann",
+                                        "--params", "lambda1=1", "lambda2=2"),
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     assert json.loads(r.stdout)["ok"] is True
+
+
+def test_reader_closing_the_pipe_exits_141_without_traceback():
+    # the reader takes one line of a table far larger than the pipe holds
+    proc = subprocess.Popen(
+        septrans_command("riccati", "--model", "neumann", "--params",
+                         "lambda1=1", "lambda2=2", "--grid", "0:2:20000"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert proc.stdout.readline() == b"# model = neumann\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 141
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pipe_closed_before_a_short_report_exits_141(fmt):
+    # the report fits the stdout buffer, so it reaches the pipe only at a
+    # flush: inside main, not at the interpreter's exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            septrans_command("transversality", "--model", "neumann",
+                             "--params", "lambda1=1", "lambda2=2",
+                             "--format", fmt),
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 141
+    assert r.stderr == b""
