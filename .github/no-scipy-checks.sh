@@ -40,6 +40,10 @@ septrans sweep --model pendula_identical --sweep f0=0:0.3:4 | awk -F, '
 # tangent by construction; the hardest lam the tests check
 septrans transversality --model pendula_weak --params lam=40 \
   | grep '"verdict": "tangent"'
+# its rtol 1e-12 solve reads inconclusive here (gap 2.7e-10, one step
+# accepted far above its tolerance); the re-solve at rtol 1e-14 decides
+septrans transversality --model pendula_weak --params lam=2.759886874077371 \
+  | grep '"verdict": "tangent"'
 # a node count that overflows, and a loop speed that underflows to 0: each
 # exits 3 with one line on stderr, not a traceback
 for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
@@ -73,3 +77,9 @@ test "$code" = 2 || { echo "--rtol inf: exit $code"; exit 1; }
 err=$( { septrans riccati --model neumann --params lambda1=1 lambda2=2 \
   --grid 0:2:20000 | head -1 >/dev/null; echo "exit ${PIPESTATUS[0]}"; } 2>&1 )
 test "$err" = "exit 141" || { echo "$err"; exit 1; }
+# an --out that cannot be written exits 2 with one error line, not a
+# traceback
+code=0; err=$(septrans validate --model neumann --params lambda1=1 \
+  lambda2=2 --out /nonexistent/x.json 2>&1 >/dev/null) || code=$?
+test "$code" = 2 || { echo "--out: exit $code"; echo "$err"; exit 1; }
+case "$err" in *Traceback*|*$'\n'*) echo "$err"; exit 1;; esac

@@ -12,7 +12,7 @@ deck shift, so the same construction covers both built-in geometries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 # Jet2 and the transitions live in models; charts re-exports them
@@ -48,11 +48,13 @@ class TransversalityReport:
     tol: float
     tol_tangent: float
     verdict: str                # transversal | tangent | inconclusive
+    rtol: float | None = None   # the rtol of the solve that decided
 
     def as_dict(self) -> dict:
         return {"q1_star": self.q1_star, "Tu": self.Tu, "Ts_hat": self.Ts_hat,
                 "gap": self.gap, "tol": self.tol,
-                "tol_tangent": self.tol_tangent, "verdict": self.verdict}
+                "tol_tangent": self.tol_tangent, "verdict": self.verdict,
+                "rtol": self.rtol}
 
 
 def jet_transport_stable(jet: StableJet, j: Jet2) -> float:
@@ -122,6 +124,10 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
                      S1=-r2 * s1, dS1=-r1 * r2 * ds1, T=T)
 
 
+# the tightest rtol an inconclusive verdict is solved again at
+MIN_RTOL = 1e-14
+
+
 def verdict_options(model: HamiltonianModel) -> SolverOptions:
     """Solver options of a verdict solve when the caller gives none.
 
@@ -145,18 +151,26 @@ def chart_transversality(model: HamiltonianModel, q1_star: float,
     Solves the unstable slope up to max(q1*, chi0(q1*)), builds the stable
     jet by reversibility at chi0(q1*), transports it through the
     transition, and compares at q1_star.  The solve defaults to
-    verdict_options(model).
+    verdict_options(model).  An inconclusive verdict is solved again at
+    rtol and atol over 100 until it decides or rtol would fall below
+    MIN_RTOL; the report carries the rtol of its last solve.
     """
     if model.reversibility is None:
         raise ReversibilityError(
             "jet route without reversibility needs a user-supplied stable jet")
     target = max(q1_star, transition.chi0(q1_star))
-    sol = solve_riccati(model, target, opts=opts or verdict_options(model))
-    jet = stable_jet_from_unstable(sol, transition.chi0(q1_star),
-                                   model.reversibility)
-    Ts_hat = jet_transport_stable(jet, transition.jet2(q1_star))
-    return transversality_verdict(sol(q1_star), Ts_hat, tol=tol,
-                                  q1_star=q1_star)
+    opts = opts or verdict_options(model)
+    while True:
+        sol = solve_riccati(model, target, opts=opts)
+        jet = stable_jet_from_unstable(sol, transition.chi0(q1_star),
+                                       model.reversibility)
+        Ts_hat = jet_transport_stable(jet, transition.jet2(q1_star))
+        report = replace(transversality_verdict(sol(q1_star), Ts_hat,
+                                                tol=tol, q1_star=q1_star),
+                         rtol=opts.rtol)
+        if report.verdict != "inconclusive" or opts.rtol / 100 < MIN_RTOL:
+            return report
+        opts = replace(opts, rtol=opts.rtol / 100, atol=opts.atol / 100)
 
 
 def transversality_verdict(Tu: float, Ts_hat: float,

@@ -115,12 +115,18 @@ def solver_options(args, base: SolverOptions) -> SolverOptions:
 @contextmanager
 def _output(args):
     """The --out file, closed on exit, or stdout, flushed on exit so that a
-    closed pipe is met inside main."""
+    closed pipe is met inside main.  A file that cannot be opened for
+    writing is a usage error."""
     if not args.out:
         yield sys.stdout
         sys.stdout.flush()
         return
-    with open(args.out, "w") as stream:
+    try:
+        stream = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError("cannot write --out %r: %s"
+                         % (args.out, exc.strerror)) from exc
+    with stream:
         yield stream
 
 

@@ -91,10 +91,10 @@ class RiccatiSolution:
                              "at 0" % lo)
         if scalar:
             return (self._initial if q1a <= self.epsilon_start
-                    else self._dense(q1a)[0])
+                    else self._dense(q1a))
         flat = q1a.ravel()
         return np.where(flat <= self.epsilon_start, self._initial,
-                        self._dense(flat)[0]).reshape(q1a.shape)
+                        self._dense(flat)).reshape(q1a.shape)
 
 
 def riccati_terms(profile: LoopProfile) -> Terms:
@@ -161,7 +161,7 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
     worst = 0.0
     passed = 0.0    # the largest residual so far that is at most 1e-6
 
-    def rhs(q1, y):
+    def rhs(q1, T):
         nonlocal worst, passed
         q1dot, alpha, delta, b220, _db220, residual = terms(q1)
         r = abs(residual)
@@ -179,14 +179,13 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
                         "q1=%g" % (r, "1e-6" if scale == 1.0
                                    else "1e-6 * %.3g" % scale, q1))
             worst = max(worst, r)
-        T = y[0]
-        return [(sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot]
+        return (sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot
 
-    def blow_up(q1, y):
-        return opts.cap - abs(y[0])
+    def blow_up(q1, T):
+        return opts.cap - abs(T)
 
     try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, (eps, q1_target), [T_start], opts.rtol,
+        sol = solve_ivp(rhs, (eps, q1_target), T_start, opts.rtol,
                         opts.atol, events=(blow_up,), dense_output=True)
     except ZeroDivisionError as exc:
         raise BlowUpError(eps, "loop speed q1dot underflows to 0 between "
@@ -218,7 +217,7 @@ def _startup_propagation(terms: Terms, dense, stable: bool):
     mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ts[1:] - ts[:-1])
     q1 = (mid[:, None] + half[:, None] * np.array(_GAUSS5_X)).ravel()
     q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
-    f = (2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
+    f = (2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot
     integral = half @ (f.reshape(-1, len(_GAUSS5_W)) @ np.array(_GAUSS5_W))
     return math.exp(-integral), q1.size
 
@@ -261,7 +260,7 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
         phi, n_nodes = _startup_propagation(terms, sol.sol, stable)
         # the spread two solves started at initial -+ 10 eps would show
         spread = 2.0 * (10.0 * eps) * phi
-        ref = sol.sol(q1_target)[0]
+        ref = sol.sol(q1_target)
         diagnostics["startup_sensitivity"] = spread
         diagnostics["startup_sensitivity_ok"] = bool(
             spread <= 100.0 * opts.rtol * max(1.0, abs(ref)))

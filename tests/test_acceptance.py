@@ -266,4 +266,4 @@ def test_acceptance_15():
         sol, _residual = _integrate(p, ref.epsilon_start, 2.0, T0 + bump,
                                     SolverOptions(sensitivity_check=False),
                                     False)
-        assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6
+        assert abs(sol.sol(2.0) - ref(2.0)) < 1e-6

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from septrans.charts import (ChartTransition, Jet2, ReversibilityError,
+from septrans.charts import (MIN_RTOL, ChartTransition, Jet2,
+                             ReversibilityError,
                              StableJet, chart_transversality,
                              inversion_transition,
                              jet_transport_stable, stable_from_reversibility,
@@ -235,11 +236,16 @@ def test_torus_transversality_separable_tangent():
     assert r.verdict == "tangent"
 
 
-@pytest.mark.parametrize("lam", [1.0, 2.5, 5.0, 12.0, 20.0, 40.0])
+@pytest.mark.parametrize("lam", [1.0, 2.5, 5.0, 12.0, 20.0, 40.0,
+                                 2.759886874077371, 2.760153213303326,
+                                 2.7637133533383347, 2.7642735433858463])
 def test_weak_coupling_is_tangent_by_construction(lam):
     # the manifolds of pendula_weak coincide for every admissible lam; the
     # verdict's default solve must land the gap below tol_tangent (with
-    # RK45 it read inconclusive from lam 12 on: gaps 1.2e-10 to 3.2e-9)
+    # RK45 it read inconclusive from lam 12 on: gaps 1.2e-10 to 3.2e-9).
+    # At the four lam near 2.76 the rtol 1e-12 solve accepts one step with
+    # an error far above its tolerance and reads gaps of 1.2e-10 to 8e-10;
+    # the solve at rtol 1e-14 decides them
     m = builtin_model("pendula_weak", [lam])
     r = chart_transversality(m, *m.matching)
     assert r.verdict == "tangent", r.gap
@@ -289,3 +295,55 @@ def test_torus_verdict_is_jet_transport_through_the_shift(name, params):
 def test_torus_transversality_requires_structure():
     with pytest.raises(ReversibilityError):
         torus_transversality(builtin_model("neumann", [1.0, 2.0]))
+
+
+def solve_rtols(monkeypatch):
+    """Rebinds riccati.solve_ivp to record the rtol of each solve in the
+    returned list."""
+    rtols = []
+    original = riccati.solve_ivp
+
+    def recording(fun, t_span, y0, rtol, *args, **kwargs):
+        rtols.append(rtol)
+        return original(fun, t_span, y0, rtol, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
+    return rtols
+
+
+@pytest.mark.parametrize("name, params, rtol", [
+    ("neumann", [1.2, 3.0], 1e-9), ("pendula_identical", [0.2, 0.05], 1e-12),
+    ("pendula_weak", [2.0], 1e-12)])
+def test_a_verdict_that_decides_takes_one_solve(monkeypatch, name, params,
+                                                rtol):
+    rtols = solve_rtols(monkeypatch)
+    m = builtin_model(name, params)
+    r = chart_transversality(m, *m.matching)
+    assert r.verdict != "inconclusive"
+    assert rtols == [rtol] and r.rtol == rtol
+    assert r.as_dict()["rtol"] == rtol
+
+
+def test_an_inconclusive_verdict_is_solved_again_at_rtol_over_100(
+        monkeypatch):
+    # gap 2.7e-10 at rtol 1e-12, above tol_tangent; 1.6e-14 at 1e-14
+    rtols = solve_rtols(monkeypatch)
+    m = builtin_model("pendula_weak", [2.759886874077371])
+    r = chart_transversality(m, *m.matching)
+    assert rtols == [1e-12, 1e-14]
+    assert r.verdict == "tangent" and r.rtol == 1e-14
+    assert abs(r.gap) < 1e-13
+
+
+@pytest.mark.parametrize("name, params, rungs", [
+    ("neumann", [1.2, 3.0], [1e-9, 1e-11, 1e-13]),
+    ("pendula_identical", [0.2, 0.05], [1e-12, 1e-14])])
+def test_the_rungs_stop_above_the_rtol_floor(monkeypatch, name, params,
+                                             rungs):
+    # a tol above every gap keeps the verdict inconclusive on every rung
+    rtols = solve_rtols(monkeypatch)
+    m = builtin_model(name, params)
+    r = chart_transversality(m, *m.matching, tol=1e9)
+    assert r.verdict == "inconclusive"
+    assert rtols == pytest.approx(rungs, rel=1e-12)
+    assert r.rtol == rtols[-1] and rtols[-1] / 100 < MIN_RTOL

@@ -826,3 +826,29 @@ def test_pipe_closed_before_a_short_report_exits_141(fmt):
         os.close(write_end)
     assert r.returncode == 141
     assert r.stderr == b""
+
+
+@pytest.mark.parametrize("args", [
+    ("validate", "--model", "neumann", "--params", "lambda1=1", "lambda2=2"),
+    ("sweep", "--model", "pendula_identical", "--sweep", "f0=0:0.3:4")])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
+    # a file in a missing directory, and a directory: exit 2 and one error
+    # line, not a traceback and exit 1
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main([*args, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot write --out %r: "
+                                       % str(target))
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam, rtol", [(2.0, 1e-12),
+                                       (2.759886874077371, 1e-14)])
+def test_transversality_reports_the_rtol_that_decided(capsys, lam, rtol):
+    # at lam 2.7599 the rtol 1e-12 solve reads inconclusive
+    code, out = run(capsys, "transversality", "--model", "pendula_weak",
+                    "--params", "lam=%r" % lam)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["verdict"] == "tangent" and doc["rtol"] == rtol

@@ -49,7 +49,7 @@ def test_numbers_take_the_float_path(name, params, q):
     terms = riccati_terms(loop_profile(m))
     assert_identical_floats([terms(x) for x in numbers(q)])
     sol = solve_riccati(m, m.domain[1] if name == "neumann" else math.pi)
-    assert_identical_floats([sol._dense(x) for x in numbers(q)])
+    assert_identical_floats([[sol._dense(x)] for x in numbers(q)])
     slopes = [sol(x) for x in numbers(q)]
     assert all(type(T) is float for T in slopes)
     assert slopes[0] == slopes[1] == slopes[2]
@@ -76,8 +76,8 @@ def test_arrays_take_the_array_path(name, params):
             assert np.allclose(np.broadcast_to(g, (len(q1),)), w,
                                rtol=1e-14, atol=1e-15)
         dense = sol._dense(arg)
-        assert isinstance(dense, np.ndarray) and dense.shape == (1, len(q1))
-        assert dense[0].tolist() == [sol._dense(q)[0] for q in q1]
+        assert isinstance(dense, np.ndarray) and dense.shape == (len(q1),)
+        assert dense.tolist() == [sol._dense(q) for q in q1]
         slopes = sol(arg)
         assert isinstance(slopes, np.ndarray)
         assert slopes.tolist() == [sol(q) for q in q1]

@@ -173,7 +173,7 @@ def test_forward_stability_of_target_solution():
         T0, _ = riccati_initial(terms)
         sol, _residual = _integrate(p, ref.epsilon_start, 2.0,
                                     T0 + bump, opts, False)
-        assert abs(float(sol.sol(2.0)[0]) - ref(2.0)) < 1e-6
+        assert abs(sol.sol(2.0) - ref(2.0)) < 1e-6
 
 
 def resolve_spread(sol, opts, stable=False):
@@ -181,7 +181,7 @@ def resolve_spread(sol, opts, stable=False):
     sol's start value, the first variation's finite-difference reference."""
     eps, target = sol.epsilon_start, sol.q1_target
     ends = [_integrate(sol.profile, eps, target, sol(0.0) + shift, opts,
-                       stable)[0].sol(target)[0]
+                       stable)[0].sol(target)
             for shift in (10.0 * eps, -10.0 * eps)]
     return abs(ends[0] - ends[1])
 
@@ -222,7 +222,7 @@ def test_startup_quadrature_is_the_sum_over_its_nodes(name, params, stable):
             q1 = 0.5 * (a + b) + 0.5 * (b - a) * x
             q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
             integral += 0.5 * (b - a) * w * (
-                2.0 * delta + sgn2 * b220 * dense(q1)[0]) / q1dot
+                2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot
     assert riccati._startup_propagation(terms, dense, stable) == (
         pytest.approx(math.exp(-integral), rel=1e-12),
         5 * (len(dense.ts) - 1))

@@ -20,26 +20,40 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, events=(),
     interpolant, 3 rhs evaluations each, when asked for dense output;
     dop853 builds one when it is first read.  So the counts come from a
     solve without dense output, which takes the same steps, and the dense
-    output from a second one."""
+    output from a second one.  A number y0 is a float state: scipy solves
+    it as one component, and fun, the events, the result and the dense
+    output see its float."""
+    scalar = isinstance(y0, (int, float))
+
+    def state(y):
+        # scipy passes the initial state as given, later ones as arrays
+        y = np.asarray(y)
+        return float(y[0]) if scalar else y.tolist()
+
     def terminal(event):
         def g(t, y):
-            # scipy passes the initial state as given, later ones as arrays
-            return event(t, np.asarray(y).tolist())
+            return event(t, state(y))
         g.terminal = True
         return g
 
     def solve(dense):
-        return scipy_solve_ivp(lambda t, y: fun(t, y.tolist()), t_span, y0,
-                               method="DOP853", rtol=rtol, atol=atol,
+        return scipy_solve_ivp(lambda t, y: np.atleast_1d(fun(t, state(y))),
+                               t_span, np.atleast_1d(y0), method="DOP853",
+                               rtol=rtol, atol=atol,
                                max_step=MAX_STEP * (t_span[1] - t_span[0]),
                                dense_output=dense,
                                events=[terminal(e) for e in events] or None)
 
     r = solve(False)
     fired = [i for i, te in enumerate(r.t_events or ()) if te.size]
-    return OdeResult(float(r.t[-1]), r.y[:, -1].tolist(), r.nfev,
+    sol = solve(True).sol if dense_output else None
+    if scalar and sol:
+        def dense(t):
+            return sol(t)[0]
+        dense.ts = sol.ts
+    return OdeResult(float(r.t[-1]), state(r.y[:, -1]), r.nfev,
                      len(r.t) - 1, r.success, fired[0] if fired else None,
-                     solve(True).sol if dense_output else None)
+                     dense if scalar and sol else sol)
 
 
 CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
@@ -103,6 +117,73 @@ def test_blow_up_event_matches_scipy(monkeypatch):
     assert our_counts == ref_counts and our_counts[0][3] == 0
     assert 0.0 < ours < model.matching[0]
     assert abs(ours - ref) <= 1e-12
+
+
+def bits(v):
+    """v's floats as bytes: equal only bit for bit (-0.0 is not 0.0)."""
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def float_against_list(compared):
+    """dop853 that solves a float state a second time as a one-element
+    list, checks that both give the same result and dense output bit for
+    bit, appends the float solve to compared and returns it; a list state
+    (the oracle's) is solved once."""
+    def solve(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
+        ours = dop853(fun, t_span, y0, rtol, atol, events=events,
+                      dense_output=dense_output)
+        if isinstance(y0, list):
+            return ours
+        ref = dop853(lambda t, y: [fun(t, y[0])], t_span, [y0], rtol, atol,
+                     events=[lambda t, y, e=e: e(t, y[0]) for e in events],
+                     dense_output=dense_output)
+        assert type(ours.y) is float and type(ref.y) is list
+        assert (ours.nfev, ours.nsteps, ours.success, ours.event) == (
+            ref.nfev, ref.nsteps, ref.success, ref.event)
+        assert bits([ours.t, ours.y]) == bits([ref.t, *ref.y])
+        if dense_output:
+            ts = ours.sol.ts
+            assert bits(ts) == bits(ref.sol.ts)
+            # mesh points, points inside every step, then beyond either end
+            inner = [a + (b - a) * x for a, b in zip(ts, ts[1:])
+                     for x in (0.1, 0.5, 0.93)]
+            probes = ts + inner + [ts[0] - 1e-3, ts[-1] + 1e-3]
+            for t in probes:
+                assert type(ours.sol(t)) is float
+                assert bits(ours.sol(t)) == bits(ref.sol(t))
+            got, want = ours.sol(np.array(probes)), ref.sol(probes)
+            assert got.shape == (len(probes),)
+            assert bits(got) == bits(want[0])
+        compared.append(ours)
+        return ours
+    return solve
+
+
+# the slope solves each route makes on a float state: cap 0.3 raises
+# before its solve (every case starts beyond it), and the oracle's state
+# has three components
+FLOAT_SOLVES = {"plain": 1, "rtol-1e-12": 1, "cap-0.3": 0, "oracle": 0}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name, params", CASES)
+def test_float_state_is_its_one_element_list_bit_for_bit(monkeypatch, name,
+                                                         params, route):
+    compared = []
+    model = builtin_model(name, params)
+    outcome(monkeypatch, float_against_list(compared), model, ROUTES[route])
+    assert len(compared) == FLOAT_SOLVES[route]
+
+
+def test_float_state_blow_up_is_its_one_element_list_bit_for_bit(
+        monkeypatch):
+    compared = []
+    model = builtin_model("pendula_identical", [0.45])
+    opts = SolverOptions(cap=1.0, sensitivity_check=False)
+    (kind, _q1), _counts = outcome(monkeypatch, float_against_list(compared),
+                                   model, opts)
+    assert kind == "blow-up"
+    assert len(compared) == 1 and compared[0].event == 0
 
 
 def test_too_small_step_fails_where_scipy_does():
