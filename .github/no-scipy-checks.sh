@@ -53,6 +53,25 @@ for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
   test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
   case "$err" in *Traceback*) echo "$err"; exit 1;; esac
 done
+# the linear-ODE oracle, through its Pruefer angle, agrees with the slope
+# solve at the matching point; a target beyond the loop interval (neumann's
+# is (0, 8]) raises ValueError, as it does for the solve
+python - <<'EOF_PY'
+from septrans import builtin_model, riccati_to_linear_oracle, solve_riccati
+for name, params in [("neumann", [1.2, 3.0]),
+                     ("pendula_identical", [0.2, 0.05]),
+                     ("pendula_weak", [2.5])]:
+    m = builtin_model(name, params)
+    q1 = m.matching[0]
+    gap = abs(riccati_to_linear_oracle(m, q1) - solve_riccati(m, q1)(q1))
+    assert gap <= 1e-8, (name, params, gap)
+try:
+    riccati_to_linear_oracle(builtin_model("neumann", [1.0, 2.0]), 9.0)
+except ValueError:
+    pass
+else:
+    raise SystemExit("oracle at q1=9 past neumann's (0, 8] did not raise")
+EOF_PY
 # a cosine index above the cap exits 2 before a 50,000,001-entry list is
 # built (about 10 GB)
 code=0; timeout 20 septrans validate --model pendula_identical \

@@ -1,7 +1,7 @@
 """Small shared numerical helpers: finite differences, grid parsing, the
 error of a quadrature too large to run, and dop853, the Dormand-Prince
-8(5,3) integrator of the slope equations, which steps a float state (the
-scalar slope equation) or a list of floats (the linear-ODE oracle)."""
+8(5,3) integrator of the slope equation and of the linear-ODE oracle's
+Pruefer angle, each a scalar equation, whose state is a float."""
 
 from __future__ import annotations
 
@@ -163,22 +163,20 @@ MAX_FACTOR = 10.0
 MAX_STEP = 0.125
 EPS = sys.float_info.epsilon
 
-State = float | list[float]    # a solve's state
-
 
 @dataclass
 class OdeResult:
     """How a dop853 solve ended: the last time and state reached (the
     event point when a terminal event stopped it), the rhs evaluations,
     the accepted steps, whether the step size stayed above its floor, the
-    index of the event that fired, and the dense output if asked for."""
+    index of the event that fired, and the dense output."""
     t: float
-    y: State
+    y: float
     nfev: int
     nsteps: int
     success: bool
     event: int | None
-    sol: DenseOutput | None
+    sol: DenseOutput
 
 
 class DenseOutput:
@@ -190,17 +188,14 @@ class DenseOutput:
     scipy's OdeSolution.  A piece costs 3 rhs evaluations, made when it is
     first needed, so a solve read only at its mesh points pays none.
 
-    Called at a number t it returns the state, a float or a list as the
-    solve's; at a 1-D array t (an ndarray or a list), an ndarray of shape
-    (len(t),) for a float state and (len(y0), len(t)) for a list,
-    OdeSolution's layout, whose entries equal the calls at each t bit for
-    bit (the same polynomial in the same order of operations).  The first
-    array call builds every piece and stacks them into arrays, which later
-    ones reuse."""
+    Called at a number t it returns the state, a float; at a 1-D array t
+    (an ndarray or a list), an ndarray of shape (len(t),), whose entries
+    equal the calls at each t bit for bit (the same polynomial in the same
+    order of operations).  The first array call builds every piece and
+    stacks them into arrays, which later ones reuse."""
 
-    def __init__(self, fun: Callable, t0: float, y0: State):
+    def __init__(self, fun: Callable, t0: float, y0: float):
         self._fun = fun
-        self._vector = isinstance(y0, list)
         self.ts = [t0]
         self.ys = [y0]
         # per step, what builds its piece: (t, h, y, y_new, stages)
@@ -208,7 +203,7 @@ class DenseOutput:
         self._pieces: list[tuple | None] = []
         self._stacked: tuple | None = None
 
-    def append(self, step: tuple, t_end: float, y_end: State,
+    def append(self, step: tuple, t_end: float, y_end: float,
                piece: tuple | None = None) -> None:
         self._steps.append(step)
         self._pieces.append(piece)
@@ -227,9 +222,9 @@ class DenseOutput:
             return self._at_array(t)
         j = bisect_left(self.ts, t)
         if j < len(self.ts) and self.ts[j] == t:
-            return list(self.ys[j]) if self._vector else self.ys[j]
+            return self.ys[j]
         if not self._steps:
-            return list(self.ys[0]) if self._vector else self.ys[0]
+            return self.ys[0]
         return _interpolate(self._piece(min(max(j - 1, 0),
                                             len(self._steps) - 1)), t)
 
@@ -237,92 +232,66 @@ class DenseOutput:
         import numpy as np
         s = np.asarray(s, dtype=float)
         if not self._steps:
-            return np.repeat(np.array(self.ys[0], dtype=float)[..., None],
-                             len(s), axis=-1)
+            return np.full(len(s), self.ys[0])
         # the mesh and its states, then each piece's start, size, y and F,
-        # points or pieces last (after components and F's 7 coefficients)
+        # F as 7 rows of one entry per piece
         if self._stacked is None:
             t, h, y, F = zip(*map(self._piece, range(len(self._steps))))
-            self._stacked = (np.array(self.ts), np.array(self.ys).T,
-                             np.array(t), np.array(h), np.array(y).T,
-                             np.moveaxis(np.array(F), 0, -1))
+            self._stacked = (np.array(self.ts), np.array(self.ys),
+                             np.array(t), np.array(h), np.array(y),
+                             np.array(F).T)
         ts, ys, t, h, y, F = self._stacked
         j = np.minimum(np.searchsorted(ts, s, side="left"), len(ts) - 1)
         i = np.clip(j - 1, 0, len(t) - 1)
         # every point's piece at once, as one piece of array entries
-        y = y[..., i]
-        inner = _interpolate((t[i], h[i], list(y) if self._vector else y,
-                              F[..., i]), s)
-        return np.where(ts[j] == s, ys[..., j], inner)
+        inner = _interpolate((t[i], h[i], y[i], F[:, i]), s)
+        return np.where(ts[j] == s, ys[j], inner)
 
 
-def _rms(v: list[float]) -> float:
-    s = 0.0
-    for x in v:
-        s += x * x
-    return math.sqrt(s) / len(v) ** 0.5
-
-
-def _combine(y: State, h: float, k: list, stages: tuple,
-             weights: tuple) -> State:
-    """y + h * (the weighted sum of the given stages), per component of a
-    list y."""
-    if isinstance(y, list):
-        return [_combine(yi, h, ki, stages, weights)
-                for yi, ki in zip(y, zip(*k))]
-    return y + h * sum(map(mul, weights, [k[s] for s in stages]))
-
-
-def _interpolant(fun, t: float, h: float, y: State, y_new: State,
+def _interpolant(fun, t: float, h: float, y: float, y_new: float,
                  k: tuple) -> tuple:
     """The interpolant on the step from (t, y) of size h to y_new, with
     stages k: the three extra stages, then the coefficients F0..F6 of
     scipy's Dop853DenseOutput."""
     k = list(k)
     for c, stages, weights in _EXTRA_STAGES:
-        k.append(fun(t + c * h, _combine(y, h, k, stages, weights)))
+        k.append(fun(t + c * h,
+                     y + h * sum(map(mul, weights, [k[s] for s in stages]))))
     return t, h, y, _coefficients(h, y, y_new, k)
 
 
-def _coefficients(h: float, y: State, y_new: State, k: list) -> tuple:
-    """F0..F6 from the 16 stages k, one tuple of them per component of a
-    list y."""
-    if isinstance(y, list):
-        return [_coefficients(h, *c) for c in zip(y, y_new, zip(*k))]
+def _coefficients(h: float, y: float, y_new: float, k: list) -> tuple:
+    """F0..F6 from the 16 stages k."""
     dy = y_new - y
     ks = [k[s] for s in _D_STAGES]
     return (dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]),
             *(h * sum(map(mul, d, ks)) for d in _D))
 
 
-def _interpolate(piece: tuple, s) -> State:
-    """The piece at s, per component of a list y; s and the piece's
-    entries may be floats or arrays alike."""
-    t, h, y, F = piece
-    if isinstance(y, list):
-        return [_interpolate((t, h, yi, Fi), s) for yi, Fi in zip(y, F)]
-    f0, f1, f2, f3, f4, f5, f6 = F
+def _interpolate(piece: tuple, s):
+    """The piece at s; s and the piece's entries may be floats or arrays
+    alike."""
+    t, h, y, (f0, f1, f2, f3, f4, f5, f6) = piece
     x = (s - t) / h
     u = 1.0 - x
     return y + x * (f0 + u * (f1 + x * (f2 + u * (
         f3 + x * (f4 + u * (f5 + x * f6))))))
 
 
-def _initial_step(fun, t0: float, y0: State, f0, t_bound: float,
+def _initial_step(fun, t0: float, y0: float, f0: float, t_bound: float,
                   rtol: float, atol: float, max_step: float) -> float:
     """scipy's select_initial_step for an error estimate of order 7, on a
-    nonempty forward interval; it evaluates fun once."""
-    if not isinstance(y0, list):    # the same arithmetic on a list of one
-        return _initial_step(lambda t, y: [fun(t, y[0])], t0, [y0], [f0],
-                             t_bound, rtol, atol, max_step)
+    nonempty forward interval; it evaluates fun once.  Each norm of one
+    entry x is scipy's, sqrt(x * x)."""
     interval = t_bound - t0
-    scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    scale = atol + abs(y0) * rtol
+    x0, x1 = y0 / scale, f0 / scale
+    d0, d1 = math.sqrt(x0 * x0), math.sqrt(x1 * x1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    x2 = (f1 - f0) / scale
+    d2 = math.sqrt(x2 * x2) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -348,10 +317,10 @@ def _event_root(event, piece: tuple, a: float, b: float) -> float:
             b = m
 
 
-def dop853(fun: Callable, t_span: tuple[float, float],
-           y0: float | Sequence[float], rtol: float, atol: float,
-           events: Sequence[Callable[[float, State], float]] = (),
-           dense_output: bool = False) -> OdeResult:
+def dop853(fun: Callable[[float, float], float],
+           t_span: tuple[float, float], y0: float, rtol: float, atol: float,
+           events: Sequence[Callable[[float, float], float]] = ()
+           ) -> OdeResult:
     """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by
     the Dormand-Prince 8(5,3) pair, step for step scipy's
     solve_ivp(method="DOP853", max_step=MAX_STEP * (t1 - t0)) on plain
@@ -360,30 +329,27 @@ def dop853(fun: Callable, t_span: tuple[float, float],
     pendula_weak at rtol 1e-9, single steps of a quarter of the loop were
     accepted with local errors 1e3 to 1e5 times the tolerance.
 
-    A number y0 makes the state a float, which fun returns and the events,
-    result and dense output see, and a step plain float arithmetic; a
-    sequence y0 makes it a list of floats, and fun returns as many.  A
-    one-element list takes its float's steps, bit for bit.  Every event is
-    terminal: the solve stops at the first root of any event(t, y)
+    The state is a float, which fun returns and the events, the result and
+    the dense output see, and a step is plain float arithmetic.  Every
+    event is terminal: the solve stops at the first root of any event(t, y)
     that changed sign (or reached zero) over a step, located on that
     step's interpolant.  A step size below ten spacings of the floats at t
     ends the solve with success False at the last accepted point.  nfev
     counts the evaluations of the steps and of the interpolant of an
     event's step, as scipy's solve_ivp does without dense output; the
-    dense output makes the other steps' interpolants when first read.
+    dense output makes the other steps' interpolants when first read, so
+    a solve that never reads it pays nothing for it.
     """
     t, t_bound = (float(v) for v in t_span)
     if not t < t_bound:
         raise ValueError("dop853 integrates forward only: t_span %r needs "
                          "t0 < t1" % (t_span,))
-    scalar = isinstance(y0, SCALARS)
-    y = float(y0) if scalar else [float(v) for v in y0]
-    n = 1 if scalar else len(y)
+    y = float(y0)
     k1 = fun(t, y)
     max_step = MAX_STEP * (t_bound - t)
     h_abs = _initial_step(fun, t, y, k1, t_bound, rtol, atol, max_step)
     nfev = 2
-    sol = DenseOutput(fun, t, y) if dense_output else None
+    sol = DenseOutput(fun, t, y)
     g = [event(t, y) for event in events]
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C
     ((a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4),
@@ -407,104 +373,41 @@ def dop853(fun: Callable, t_span: tuple[float, float],
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             # the stages, y_new and scipy's error sums from the 5th- and
-            # 3rd-order estimates, on a float as on each entry of a list
-            if scalar:
-                k2 = fun(t + c2 * h, y + (k1 * a2_1) * h)
-                k3 = fun(t + c3 * h, y + (k1 * a3_1 + k2 * a3_2) * h)
-                k4 = fun(t + c4 * h, y + (k1 * a4_1 + k3 * a4_3) * h)
-                k5 = fun(t + c5 * h,
-                         y + (k1 * a5_1 + k3 * a5_3 + k4 * a5_4) * h)
-                k6 = fun(t + c6 * h,
-                         y + (k1 * a6_1 + k4 * a6_4 + k5 * a6_5) * h)
-                k7 = fun(t + c7 * h, y + (k1 * a7_1 + k4 * a7_4 + k5 * a7_5
-                                          + k6 * a7_6) * h)
-                k8 = fun(t + c8 * h, y + (k1 * a8_1 + k4 * a8_4 + k5 * a8_5
-                                          + k6 * a8_6 + k7 * a8_7) * h)
-                k9 = fun(t + c9 * h, y + (
-                    k1 * a9_1 + k4 * a9_4 + k5 * a9_5 + k6 * a9_6
-                    + k7 * a9_7 + k8 * a9_8) * h)
-                k10 = fun(t + c10 * h, y + (
-                    k1 * a10_1 + k4 * a10_4 + k5 * a10_5 + k6 * a10_6
-                    + k7 * a10_7 + k8 * a10_8 + k9 * a10_9) * h)
-                k11 = fun(t + c11 * h, y + (
-                    k1 * a11_1 + k4 * a11_4 + k5 * a11_5 + k6 * a11_6
-                    + k7 * a11_7 + k8 * a11_8 + k9 * a11_9 + k10 * a11_10) * h)
-                k12 = fun(t + h, y + (
-                    k1 * a12_1 + k4 * a12_4 + k5 * a12_5 + k6 * a12_6
-                    + k7 * a12_7 + k8 * a12_8 + k9 * a12_9 + k10 * a12_10
-                    + k11 * a12_11) * h)
-                y_new = y + (k1 * b1 + k6 * b6 + k7 * b7 + k8 * b8 + k9 * b9
-                             + k10 * b10 + k11 * b11 + k12 * b12) * h
-                scale = atol + max(abs(y), abs(y_new)) * rtol
-                a = (k1 * p1 + k6 * p6 + k7 * p7 + k8 * p8 + k9 * p9
-                     + k10 * p10 + k11 * p11 + k12 * p12) / scale
-                b = (k1 * q1 + k6 * q6 + k7 * q7 + k8 * q8 + k9 * q9
-                     + k10 * q10 + k11 * q11 + k12 * q12) / scale
-                e5, e3 = a * a, b * b
-            else:
-                k2 = fun(t + c2 * h, [yi + (s1 * a2_1) * h
-                                      for yi, s1 in zip(y, k1)])
-                k3 = fun(t + c3 * h, [yi + (s1 * a3_1 + s2 * a3_2) * h
-                                      for yi, s1, s2 in zip(y, k1, k2)])
-                k4 = fun(t + c4 * h, [yi + (s1 * a4_1 + s3 * a4_3) * h
-                                      for yi, s1, s3 in zip(y, k1, k3)])
-                k5 = fun(t + c5 * h,
-                         [yi + (s1 * a5_1 + s3 * a5_3 + s4 * a5_4) * h
-                          for yi, s1, s3, s4 in zip(y, k1, k3, k4)])
-                k6 = fun(t + c6 * h,
-                         [yi + (s1 * a6_1 + s4 * a6_4 + s5 * a6_5) * h
-                          for yi, s1, s4, s5 in zip(y, k1, k4, k5)])
-                k7 = fun(t + c7 * h,
-                         [yi + (s1 * a7_1 + s4 * a7_4 + s5 * a7_5
-                                + s6 * a7_6) * h
-                          for yi, s1, s4, s5, s6 in zip(y, k1, k4, k5, k6)])
-                k8 = fun(t + c8 * h,
-                         [yi + (s1 * a8_1 + s4 * a8_4 + s5 * a8_5 + s6 * a8_6
-                                + s7 * a8_7) * h
-                          for yi, s1, s4, s5, s6, s7
-                          in zip(y, k1, k4, k5, k6, k7)])
-                k9 = fun(t + c9 * h,
-                         [yi + (s1 * a9_1 + s4 * a9_4 + s5 * a9_5 + s6 * a9_6
-                                + s7 * a9_7 + s8 * a9_8) * h
-                          for yi, s1, s4, s5, s6, s7, s8
-                          in zip(y, k1, k4, k5, k6, k7, k8)])
-                k10 = fun(t + c10 * h,
-                          [yi + (s1 * a10_1 + s4 * a10_4 + s5 * a10_5
-                                 + s6 * a10_6 + s7 * a10_7 + s8 * a10_8
-                                 + s9 * a10_9) * h
-                           for yi, s1, s4, s5, s6, s7, s8, s9
-                           in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-                k11 = fun(t + c11 * h,
-                          [yi + (s1 * a11_1 + s4 * a11_4 + s5 * a11_5
-                                 + s6 * a11_6 + s7 * a11_7 + s8 * a11_8
-                                 + s9 * a11_9 + s10 * a11_10) * h
-                           for yi, s1, s4, s5, s6, s7, s8, s9, s10
-                           in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-                k12 = fun(t + h,
-                          [yi + (s1 * a12_1 + s4 * a12_4 + s5 * a12_5
-                                 + s6 * a12_6 + s7 * a12_7 + s8 * a12_8
-                                 + s9 * a12_9 + s10 * a12_10
-                                 + s11 * a12_11) * h
-                           for yi, s1, s4, s5, s6, s7, s8, s9, s10, s11
-                           in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-                y_new = [yi + (s1 * b1 + s6 * b6 + s7 * b7 + s8 * b8 + s9 * b9
-                               + s10 * b10 + s11 * b11 + s12 * b12) * h
-                         for yi, s1, s6, s7, s8, s9, s10, s11, s12
-                         in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-                e5 = e3 = 0.0
-                for yi, zi, s1, s6, s7, s8, s9, s10, s11, s12 in zip(
-                        y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):
-                    scale = atol + max(abs(yi), abs(zi)) * rtol
-                    a = (s1 * p1 + s6 * p6 + s7 * p7 + s8 * p8 + s9 * p9
-                         + s10 * p10 + s11 * p11 + s12 * p12) / scale
-                    b = (s1 * q1 + s6 * q6 + s7 * q7 + s8 * q8 + s9 * q9
-                         + s10 * q10 + s11 * q11 + s12 * q12) / scale
-                    e5 += a * a
-                    e3 += b * b
+            # 3rd-order estimates
+            k2 = fun(t + c2 * h, y + (k1 * a2_1) * h)
+            k3 = fun(t + c3 * h, y + (k1 * a3_1 + k2 * a3_2) * h)
+            k4 = fun(t + c4 * h, y + (k1 * a4_1 + k3 * a4_3) * h)
+            k5 = fun(t + c5 * h, y + (k1 * a5_1 + k3 * a5_3 + k4 * a5_4) * h)
+            k6 = fun(t + c6 * h, y + (k1 * a6_1 + k4 * a6_4 + k5 * a6_5) * h)
+            k7 = fun(t + c7 * h, y + (k1 * a7_1 + k4 * a7_4 + k5 * a7_5
+                                      + k6 * a7_6) * h)
+            k8 = fun(t + c8 * h, y + (k1 * a8_1 + k4 * a8_4 + k5 * a8_5
+                                      + k6 * a8_6 + k7 * a8_7) * h)
+            k9 = fun(t + c9 * h, y + (
+                k1 * a9_1 + k4 * a9_4 + k5 * a9_5 + k6 * a9_6
+                + k7 * a9_7 + k8 * a9_8) * h)
+            k10 = fun(t + c10 * h, y + (
+                k1 * a10_1 + k4 * a10_4 + k5 * a10_5 + k6 * a10_6
+                + k7 * a10_7 + k8 * a10_8 + k9 * a10_9) * h)
+            k11 = fun(t + c11 * h, y + (
+                k1 * a11_1 + k4 * a11_4 + k5 * a11_5 + k6 * a11_6
+                + k7 * a11_7 + k8 * a11_8 + k9 * a11_9 + k10 * a11_10) * h)
+            k12 = fun(t + h, y + (
+                k1 * a12_1 + k4 * a12_4 + k5 * a12_5 + k6 * a12_6
+                + k7 * a12_7 + k8 * a12_8 + k9 * a12_9 + k10 * a12_10
+                + k11 * a12_11) * h)
+            y_new = y + (k1 * b1 + k6 * b6 + k7 * b7 + k8 * b8 + k9 * b9
+                         + k10 * b10 + k11 * b11 + k12 * b12) * h
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            a = (k1 * p1 + k6 * p6 + k7 * p7 + k8 * p8 + k9 * p9
+                 + k10 * p10 + k11 * p11 + k12 * p12) / scale
+            b = (k1 * q1 + k6 * q6 + k7 * q7 + k8 * q8 + k9 * q9
+                 + k10 * q10 + k11 * q11 + k12 * q12) / scale
+            e5, e3 = a * a, b * b
             k13 = fun(t + h, y_new)
             nfev += 12
             error_norm = (0.0 if e5 == 0 and e3 == 0 else
-                          h * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+                          h * e5 / math.sqrt(e5 + 0.01 * e3))
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** -0.125))
@@ -530,8 +433,7 @@ def dop853(fun: Callable, t_span: tuple[float, float],
             first = min(active, key=roots.__getitem__)
             t = roots[first]
             y = _interpolate(piece, t)
-        if sol is not None:
-            sol.append(step, t, y, piece)
+        sol.append(step, t, y, piece)
         if active:
             return OdeResult(t, y, nfev, nsteps, True, first, sol)
         g = g_new

@@ -14,7 +14,8 @@ the singular point.
 
 A sign-flipped variant integrates the stable-side slope directly (used to
 cross-check the reversibility shortcut), and an independent oracle solves
-the equivalent second-order linear ODE in the time variable.
+the equivalent second-order linear ODE through its Pruefer angle, a scalar
+equation without poles, in the variable log q1.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
 
     try:    # caught here, so that the rhs pays nothing for it
         sol = solve_ivp(rhs, (eps, q1_target), T_start, opts.rtol,
-                        opts.atol, events=(blow_up,), dense_output=True)
+                        opts.atol, events=(blow_up,))
     except ZeroDivisionError as exc:
         raise BlowUpError(eps, "loop speed q1dot underflows to 0 between "
                           "q1=%g and q1=%g" % (eps, q1_target)) from exc
@@ -277,47 +278,58 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
 
     In the time variable the slope equation reads T. + a T + b T^2 = c with
     a = 2 delta, b = b220, c = alpha, which the substitution T = y'/(b y)
-    turns into y'' + (a - b'/b) y' - b c y = 0.  Seeding far in the past
-    with the slope condition y' = b T(0) y selects the non-dominant ray, and
-    the value at t = 0 maps back to T(q1_target).
+    turns into y'' + A y' - B y = 0, A = 2 delta - b220' q1dot / b220,
+    B = b220 alpha.  Its Pruefer angle theta, (y, y') = r (sin theta,
+    cos theta), obeys the scalar equation without poles
+    theta' = P (cos^2 theta + A sin theta cos theta - B sin^2 theta) in
+    s = log q1, where d/dt = (1/P) d/ds and P = q1/q1dot tends to 1/rate
+    at the saddle.  Seeding at q1 = 1e-6 q1_target on the slope condition
+    y' = b220 T(0) y, theta = atan2(1, b220 T(0)), selects the
+    non-dominant ray; the solve ends at s = log q1_target exactly, where
+    T = 1 / (b220 tan theta).  A pole of T (a zero of y) is a sign change
+    of sin theta and raises BlowUpError at its q1, as do a loop speed that
+    underflows to 0 and a step size below its floor.  A q1_target outside
+    (0, b] raises ValueError, as in solve_riccati.
     """
     opts = opts or SolverOptions()
     profile = loop_profile(model)
+    end = profile.interval[1]
+    if not (0.0 < q1_target <= end):
+        raise ValueError("q1_target must lie in (0, %g]" % end)
     terms = riccati_terms(profile)
     T0, _ = riccati_initial(terms)
-
-    # inner expansion rate at the equilibrium sets the time horizon
-    h = 1e-5
-    rate = profile.point(0.0)[1] * profile.point(h)[2] / h
     # small enough that the asymptotic seeding error is contracted away on
     # the way up, large enough that coefficient formulas with cancellation
     # near the equilibrium (e.g. cos(q1) - 1) keep relative accuracy
     q1s = 1e-6 * q1_target
-    t_span = (0.0, 100.0 / rate)
 
-    def rhs(_t, y):
-        q1, yy, yp = y
+    def rhs(s, theta):
+        q1 = math.exp(s)
         q1dot, alpha, delta, b, db, _res = terms(q1)
+        sin, cos = math.sin(theta), math.cos(theta)
         acoef = 2.0 * delta - db * q1dot / b
-        return [q1dot, yp, -acoef * yp + b * alpha * yy]
+        return q1 / q1dot * (cos * cos + acoef * sin * cos
+                             - b * alpha * sin * sin)
 
-    def y_zero(_t, y):
-        return y[1]
-
-    def at_target(_t, y):
-        return y[0] - q1_target
+    def y_zero(_s, theta):
+        return math.sin(theta)
 
     def b220(q1):
         return CoefficientJet(*profile.jet(q1)).b220
 
-    sol = solve_ivp(rhs, t_span, [q1s, 1.0, b220(q1s) * T0],
-                    min(opts.rtol, 1e-10), opts.atol,
-                    events=(y_zero, at_target))
-    if sol.event == 0 or not sol.success:
-        raise BlowUpError(sol.y[0], "pole of T (y crossed zero) at q1=%g"
-                          % sol.y[0])
-    if sol.event is None:
-        raise BlowUpError(sol.y[0],
-                          "oracle never reached q1_target=%g" % q1_target)
-    q1_end, y_end, yp_end = sol.y
-    return yp_end / (b220(q1_end) * y_end)
+    span = (math.log(q1s), math.log(q1_target))
+    theta0 = math.atan2(1.0, b220(q1s) * T0)
+    # rtol 1e-10 left errors up to 8.6e-11 in T (pendula_identical [0.45])
+    try:    # caught here, so that the rhs pays nothing for it
+        sol = solve_ivp(rhs, span, theta0, min(opts.rtol, 1e-11), opts.atol,
+                        events=(y_zero,))
+    except ZeroDivisionError as exc:
+        raise BlowUpError(q1s, "loop speed q1dot underflows to 0 between "
+                          "q1=%g and q1=%g" % (q1s, q1_target)) from exc
+    q1 = math.exp(sol.t)
+    if sol.event is not None:
+        raise BlowUpError(q1, "pole of T (y crossed zero) at q1=%g" % q1)
+    if not sol.success:
+        raise BlowUpError(q1, "oracle step size fell below its floor at "
+                          "q1=%g before q1_target=%g" % (q1, q1_target))
+    return 1.0 / (b220(q1_target) * math.tan(sol.y))

@@ -163,6 +163,50 @@ def test_oracle_separable_zero():
     assert abs(riccati_to_linear_oracle(m, math.pi)) < 1e-8
 
 
+@pytest.mark.parametrize("name, params, target", [
+    ("neumann", [1.0, 2.0], 0.0), ("neumann", [1.0, 2.0], -1.0),
+    ("neumann", [1.0, 2.0], math.nan), ("neumann", [1.0, 2.0], 9.0),
+    ("pendula_identical", [0.2], 7.0)])
+@pytest.mark.parametrize("solve", [solve_riccati, riccati_to_linear_oracle])
+def test_target_outside_the_loop_interval_raises(solve, name, params,
+                                                 target):
+    # neumann's interval is (0, 8], pendula_identical's (0, 2 pi]
+    with pytest.raises(ValueError, match=r"q1_target must lie in \(0, "):
+        solve(builtin_model(name, params), target)
+
+
+@pytest.mark.parametrize("params, q1", [([3.0, -2.8], 1.93118),
+                                        ([1.5, -1.3], 2.60578)])
+def test_oracle_pole_is_where_the_solve_blows_up(params, q1):
+    m = builtin_model("pendula_identical", params)
+    with pytest.raises(BlowUpError, match="pole of T") as pole:
+        riccati_to_linear_oracle(m, math.pi)
+    with pytest.raises(BlowUpError, match="blow-up") as blow_up:
+        solve_riccati(m, math.pi)
+    assert abs(pole.value.q1 - blow_up.value.q1) <= 1e-4
+    assert blow_up.value.q1 == pytest.approx(q1, abs=1e-5)
+
+
+@pytest.mark.parametrize("solve", [solve_riccati, riccati_to_linear_oracle])
+def test_loop_speed_underflow_is_a_blow_up(solve):
+    # lambda1 = 1e-300 makes q1dot underflow to 0 at every q1
+    with pytest.raises(BlowUpError, match="underflows to 0"):
+        solve(builtin_model("neumann", [1e-300, 2.0]), 2.0)
+
+
+def test_oracle_step_floor_is_not_a_pole(monkeypatch):
+    original = riccati.solve_ivp
+
+    def stalled(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        sol.success = False
+        return sol
+
+    monkeypatch.setattr(riccati, "solve_ivp", stalled)
+    with pytest.raises(BlowUpError, match="below its floor"):
+        riccati_to_linear_oracle(builtin_model("neumann", [1.0, 2.0]), 2.0)
+
+
 def test_forward_stability_of_target_solution():
     m = builtin_model("neumann", [1.0, 2.0])
     p = loop_profile(m)
@@ -471,6 +515,6 @@ def test_one_jet_call_per_oracle_evaluation(monkeypatch):
     m, calls = counting_model(builtin_model("pendula_weak", [2.5]))
     evaluations = counting_solver(monkeypatch)
     riccati_to_linear_oracle(m, math.pi)
-    # outside the solve: riccati_initial's call at 0, the rate's beta(0)
-    # and dS0(h), and b220 at the start and at the end
-    assert len(calls) == len(evaluations) + 5
+    # outside the solve: riccati_initial's call at 0, and b220 at the start
+    # and at the end
+    assert len(calls) == len(evaluations) + 3

@@ -2,58 +2,51 @@
 reference: on every solve the slope equations make, the same rhs
 evaluations and steps, and the same values to 1e-12."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from septrans import riccati
+from septrans.loops import loop_profile
 from septrans.models import builtin_model
 from septrans.numerics import MAX_STEP, OdeResult, dop853
-from septrans.riccati import (BlowUpError, SolverOptions,
-                              riccati_to_linear_oracle, solve_riccati)
+from septrans.riccati import (BlowUpError, SolverOptions, riccati_initial,
+                              riccati_terms, riccati_to_linear_oracle,
+                              solve_riccati)
 
 
-def scipy_dop853(fun, t_span, y0, rtol, atol, events=(),
-                 dense_output=False):
+def scipy_dop853(fun, t_span, y0, rtol, atol, events=()):
     """dop853's contract on top of scipy's solve_ivp, with its steps
-    capped at MAX_STEP of the span.  scipy builds every step's
-    interpolant, 3 rhs evaluations each, when asked for dense output;
-    dop853 builds one when it is first read.  So the counts come from a
-    solve without dense output, which takes the same steps, and the dense
-    output from a second one.  A number y0 is a float state: scipy solves
-    it as one component, and fun, the events, the result and the dense
-    output see its float."""
-    scalar = isinstance(y0, (int, float))
-
-    def state(y):
-        # scipy passes the initial state as given, later ones as arrays
-        y = np.asarray(y)
-        return float(y[0]) if scalar else y.tolist()
-
+    capped at MAX_STEP of the span.  scipy solves the float state as one
+    component, and fun, the events, the result and the dense output see
+    its float.  scipy builds every step's interpolant, 3 rhs evaluations
+    each, when asked for dense output; dop853 builds one when it is first
+    read.  So the counts come from a solve without dense output, which
+    takes the same steps, and the dense output from a second one."""
     def terminal(event):
         def g(t, y):
-            return event(t, state(y))
+            return event(t, float(y[0]))
         g.terminal = True
         return g
 
     def solve(dense):
-        return scipy_solve_ivp(lambda t, y: np.atleast_1d(fun(t, state(y))),
-                               t_span, np.atleast_1d(y0), method="DOP853",
-                               rtol=rtol, atol=atol,
+        return scipy_solve_ivp(lambda t, y: [fun(t, float(y[0]))], t_span,
+                               [y0], method="DOP853", rtol=rtol, atol=atol,
                                max_step=MAX_STEP * (t_span[1] - t_span[0]),
                                dense_output=dense,
                                events=[terminal(e) for e in events] or None)
 
     r = solve(False)
     fired = [i for i, te in enumerate(r.t_events or ()) if te.size]
-    sol = solve(True).sol if dense_output else None
-    if scalar and sol:
-        def dense(t):
-            return sol(t)[0]
-        dense.ts = sol.ts
-    return OdeResult(float(r.t[-1]), state(r.y[:, -1]), r.nfev,
-                     len(r.t) - 1, r.success, fired[0] if fired else None,
-                     dense if scalar and sol else sol)
+    sol = solve(True).sol
+
+    def dense(t):
+        return sol(t)[0]
+    dense.ts = sol.ts
+    return OdeResult(float(r.t[-1]), float(r.y[0, -1]), r.nfev, len(r.t) - 1,
+                     r.success, fired[0] if fired else None, dense)
 
 
 CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
@@ -119,80 +112,58 @@ def test_blow_up_event_matches_scipy(monkeypatch):
     assert abs(ours - ref) <= 1e-12
 
 
-def bits(v):
-    """v's floats as bytes: equal only bit for bit (-0.0 is not 0.0)."""
-    return np.asarray(v, dtype=float).tobytes()
+# nfev, nsteps and the slope on the 9-point grid of neumann's two cases,
+# as float.hex, recorded while the float state was still checked bit for
+# bit against the one-element list state it replaced.  Neumann's jet is
+# arithmetic and sqrt alone, so no libm enters: any change to the float
+# arithmetic of a step (say, the order of y_new's sum) changes them.
+GOLDEN = {
+    ("neumann", (1.0, 2.0), "plain"): (614, 45, [
+        "0x1.0000000000000p+1", "0x1.f2f06eacbf918p+0",
+        "0x1.cecacc06a43bcp+0", "0x1.9b2820dc8225bp+0",
+        "0x1.60e2dafc3c178p+0", "0x1.2742b80186518p+0",
+        "0x1.e5a8002cd1eedp-1", "0x1.8b42d15cfadb5p-1",
+        "0x1.4000000032172p-1"]),
+    ("neumann", (1.0, 2.0), "rtol-1e-12"): (1358, 107, [
+        "0x1.0000000000000p+1", "0x1.f2f06eaccd44ap+0",
+        "0x1.cecacc06b99cdp+0", "0x1.9b2820dc8f7cfp+0",
+        "0x1.60e2dafa7ca95p+0", "0x1.2742b802cd311p+0",
+        "0x1.e5a8002c26fb6p-1", "0x1.8b42d15e08212p-1",
+        "0x1.40000000000bap-1"]),
+    ("neumann", (0.7, 2.9), "plain"): (938, 72, [
+        "0x1.7333333333333p+1", "0x1.69826e5496109p+1",
+        "0x1.4ea75839053cbp+1", "0x1.2836a875f005fp+1",
+        "0x1.f98904c3550edp+0", "0x1.a39d849499a6ep+0",
+        "0x1.55a40465f44b2p+0", "0x1.12ca35c35cf43p+0",
+        "0x1.b72c234f7dd57p-1"]),
+    ("neumann", (0.7, 2.9), "rtol-1e-12"): (2330, 189, [
+        "0x1.7333333333333p+1", "0x1.69826e5496560p+1",
+        "0x1.4ea758390c2b6p+1", "0x1.2836a875f6313p+1",
+        "0x1.f98904c320889p+0", "0x1.a39d8493adcb8p+0",
+        "0x1.55a40465a22cep+0", "0x1.12ca35c34bbcbp+0",
+        "0x1.b72c234f72c4fp-1"]),
+}
 
 
-def float_against_list(compared):
-    """dop853 that solves a float state a second time as a one-element
-    list, checks that both give the same result and dense output bit for
-    bit, appends the float solve to compared and returns it; a list state
-    (the oracle's) is solved once."""
-    def solve(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
-        ours = dop853(fun, t_span, y0, rtol, atol, events=events,
-                      dense_output=dense_output)
-        if isinstance(y0, list):
-            return ours
-        ref = dop853(lambda t, y: [fun(t, y[0])], t_span, [y0], rtol, atol,
-                     events=[lambda t, y, e=e: e(t, y[0]) for e in events],
-                     dense_output=dense_output)
-        assert type(ours.y) is float and type(ref.y) is list
-        assert (ours.nfev, ours.nsteps, ours.success, ours.event) == (
-            ref.nfev, ref.nsteps, ref.success, ref.event)
-        assert bits([ours.t, ours.y]) == bits([ref.t, *ref.y])
-        if dense_output:
-            ts = ours.sol.ts
-            assert bits(ts) == bits(ref.sol.ts)
-            # mesh points, points inside every step, then beyond either end
-            inner = [a + (b - a) * x for a, b in zip(ts, ts[1:])
-                     for x in (0.1, 0.5, 0.93)]
-            probes = ts + inner + [ts[0] - 1e-3, ts[-1] + 1e-3]
-            for t in probes:
-                assert type(ours.sol(t)) is float
-                assert bits(ours.sol(t)) == bits(ref.sol(t))
-            got, want = ours.sol(np.array(probes)), ref.sol(probes)
-            assert got.shape == (len(probes),)
-            assert bits(got) == bits(want[0])
-        compared.append(ours)
-        return ours
-    return solve
-
-
-# the slope solves each route makes on a float state: cap 0.3 raises
-# before its solve (every case starts beyond it), and the oracle's state
-# has three components
-FLOAT_SOLVES = {"plain": 1, "rtol-1e-12": 1, "cap-0.3": 0, "oracle": 0}
-
-
-@pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("name, params", CASES)
-def test_float_state_is_its_one_element_list_bit_for_bit(monkeypatch, name,
-                                                         params, route):
-    compared = []
-    model = builtin_model(name, params)
-    outcome(monkeypatch, float_against_list(compared), model, ROUTES[route])
-    assert len(compared) == FLOAT_SOLVES[route]
-
-
-def test_float_state_blow_up_is_its_one_element_list_bit_for_bit(
-        monkeypatch):
-    compared = []
-    model = builtin_model("pendula_identical", [0.45])
-    opts = SolverOptions(cap=1.0, sensitivity_check=False)
-    (kind, _q1), _counts = outcome(monkeypatch, float_against_list(compared),
-                                   model, opts)
-    assert kind == "blow-up"
-    assert len(compared) == 1 and compared[0].event == 0
+@pytest.mark.parametrize("name, params, route", GOLDEN)
+def test_float_arithmetic_matches_its_golden_values(monkeypatch, name,
+                                                    params, route):
+    model = builtin_model(name, list(params))
+    (kind, slope), counts = outcome(monkeypatch, dop853, model,
+                                    ROUTES[route])
+    nfev, nsteps, want = GOLDEN[name, params, route]
+    assert kind == "slope"
+    assert counts == [(nfev, nsteps, True, None)]
+    assert [float(T).hex() for T in slope] == want
 
 
 def test_too_small_step_fails_where_scipy_does():
     def square(_t, y):
-        return [y[0] * y[0]]
+        return y * y
 
     # y = 1/(1 - t) has a pole at t = 1
-    ours = dop853(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
-    ref = scipy_dop853(square, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    ours = dop853(square, (0.0, 2.0), 1.0, 1e-9, 1e-12)
+    ref = scipy_dop853(square, (0.0, 2.0), 1.0, 1e-9, 1e-12)
     assert not ours.success and not ref.success
     assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
     assert ours.t == pytest.approx(ref.t, abs=1e-12)
@@ -200,29 +171,27 @@ def test_too_small_step_fails_where_scipy_does():
     assert abs(ours.t - 1.0) < 1e-9
 
 
-def test_forward_solve_and_dense_output_match_scipy():
-    def rotation(t, y):
-        return [y[1], -y[0] + 0.1 * t]
+def forced(t, y):
+    return -y + math.sin(4.0 * t) + 0.1 * t
 
-    ours = dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                  dense_output=True)
-    ref = scipy_dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                       dense_output=True)
+
+def test_forward_solve_and_dense_output_match_scipy():
+    ours = dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12)
+    ref = scipy_dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12)
     assert (ours.nfev, ours.nsteps) == (ref.nfev, ref.nsteps)
     assert ours.t == ref.t == 3.0
     for t in np.linspace(-1.0, 3.0, 41):
-        assert np.max(np.abs(np.asarray(ours.sol(t)) - ref.sol(t))) <= 1e-12
+        assert abs(ours.sol(t) - ref.sol(t)) <= 1e-12
 
 
 def test_dense_output_builds_a_piece_when_first_read():
     calls = []
 
-    def rotation(t, y):
+    def rhs(t, y):
         calls.append(t)
-        return [y[1], -y[0] + 0.1 * t]
+        return forced(t, y)
 
-    res = dop853(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                 dense_output=True)
+    res = dop853(rhs, (-1.0, 3.0), 1.0, 1e-10, 1e-12)
     sol = res.sol
     assert len(calls) == res.nfev
     # a mesh point is the state stored there, and costs nothing
@@ -243,15 +212,12 @@ def test_span_not_forward_raises(t_span):
         raise AssertionError("evaluated the rhs")
 
     with pytest.raises(ValueError, match="forward"):
-        dop853(never, t_span, [1.0], 1e-9, 1e-12)
+        dop853(never, t_span, 1.0, 1e-9, 1e-12)
 
 
-def rotation_solves():
-    def rotation(t, y):
-        return [y[1], -y[0] + 0.1 * t]
-
-    return [solver(rotation, (-1.0, 3.0), [1.0, 0.5], 1e-10, 1e-12,
-                   dense_output=True).sol for solver in (dop853, scipy_dop853)]
+def forced_solves():
+    return [solver(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12).sol
+            for solver in (dop853, scipy_dop853)]
 
 
 def probe_times(sol, beyond):
@@ -265,17 +231,17 @@ def probe_times(sol, beyond):
 
 
 def test_dense_output_on_an_array_is_its_calls_bit_for_bit():
-    ours, _ref = rotation_solves()
+    ours, _ref = forced_solves()
     t = probe_times(ours, [1e-9, 0.5])
     got = ours(t)
-    assert got.shape == (2, t.size)
-    assert np.array_equal(got, np.array([ours(s) for s in t.tolist()]).T)
+    assert got.shape == (t.size,)
+    assert np.array_equal(got, np.array([ours(s) for s in t.tolist()]))
 
 
 def test_dense_output_on_an_array_matches_ode_solution():
     # the end pieces' polynomials, extrapolated far, magnify the ulps in
     # which the two solvers' coefficients differ: stay near the ends
-    ours, ref = rotation_solves()
+    ours, ref = forced_solves()
     t = probe_times(ours, [1e-9, 1e-3])
     assert ours(t).shape == ref(t).shape
     assert np.max(np.abs(ours(t) - ref(t))) <= 1e-12
@@ -292,3 +258,45 @@ def test_slope_on_a_grid_is_its_calls(name, params):
     got = sol(grid)
     assert np.array_equal(got, [sol(q) for q in grid.tolist()])
     assert got[:3].tolist() == [sol.T0] * 3
+
+
+def time_form_oracle(model, q1_target):
+    """T(q1_target) through the linear ODE y'' + A y' - B y = 0 in the
+    time variable, q1 its third component, by scipy's DOP853 at rtol
+    1e-13, seeded at q1 = 1e-7 q1_target on the slope condition y' = b220
+    T(0) y and stopped where q1 reaches q1_target."""
+    profile = loop_profile(model)
+    terms = riccati_terms(profile)
+    T0, _ = riccati_initial(terms)
+    h = 1e-5
+    rate = profile.point(0.0)[1] * profile.point(h)[2] / h
+
+    def rhs(_t, y):
+        q1, yy, yp = y
+        q1dot, alpha, delta, b, db, _res = terms(float(q1))
+        return [q1dot, yp, -(2.0 * delta - db * q1dot / b) * yp
+                + b * alpha * yy]
+
+    def at_target(_t, y):
+        return y[0] - q1_target
+    at_target.terminal = True
+
+    def b220(q1):
+        return profile.point(q1)[0].b220
+
+    q1s = 1e-7 * q1_target
+    r = scipy_solve_ivp(rhs, (0.0, 100.0 / rate), [q1s, 1.0, b220(q1s) * T0],
+                        method="DOP853", rtol=1e-13, atol=1e-12,
+                        events=at_target)
+    assert r.status == 1 and np.all(r.y[1] > 0.0)
+    q1, y, yp = r.y_events[0][0]
+    return yp / (b220(q1) * y)
+
+
+@pytest.mark.parametrize("name, params",
+                         CASES + [("pendula_identical", [0.45])])
+def test_oracle_matches_the_time_form(name, params):
+    model = builtin_model(name, params)
+    target = model.matching[0]
+    assert riccati_to_linear_oracle(model, target) == pytest.approx(
+        time_form_oracle(model, target), abs=2e-11)
