@@ -40,10 +40,18 @@ septrans sweep --model pendula_identical --sweep f0=0:0.3:4 | awk -F, '
 # tangent by construction; the hardest lam the tests check
 septrans transversality --model pendula_weak --params lam=40 \
   | grep '"verdict": "tangent"'
-# its rtol 1e-12 solve reads inconclusive here (gap 2.7e-10, one step
-# accepted far above its tolerance); the re-solve at rtol 1e-14 decides
+# in the band near lam 2.76 a solve at rtol 1e-12 accepts one step far
+# above its tolerance (gap 2.7e-10 here); a tangent verdict decides at its
+# second rung, rtol 1e-11, which reads 1.6e-12
 septrans transversality --model pendula_weak --params lam=2.759886874077371 \
   | grep '"verdict": "tangent"'
+# the slope climbs to about lam before it falls to 0 at pi: judged against
+# the end slopes alone, the loose rung read transversal here
+septrans transversality --model pendula_weak --params lam=1e4 \
+  | grep '"verdict": "tangent"'
+# a transversal verdict decides at the default first rung, printed as given
+septrans transversality --model pendula_identical --params f0=0.2 f1=0.05 \
+  | grep '"rtol": 1e-09'
 # a node count that overflows, and a loop speed that underflows to 0: each
 # exits 3 with one line on stderr, not a traceback
 for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \

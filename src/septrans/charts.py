@@ -48,7 +48,7 @@ class TransversalityReport:
     tol: float
     tol_tangent: float
     verdict: str                # transversal | tangent | inconclusive
-    rtol: float | None = None   # the rtol of the solve that decided
+    rtol: float = 0.0           # rtol of the deciding solve, 0 if exact
 
     def as_dict(self) -> dict:
         return {"q1_star": self.q1_star, "Tu": self.Tu, "Ts_hat": self.Ts_hat,
@@ -128,20 +128,6 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
 MIN_RTOL = 1e-14
 
 
-def verdict_options(model: HamiltonianModel) -> SolverOptions:
-    """Solver options of a verdict solve when the caller gives none.
-
-    A periodic model's stable slope is -Tu(pi), so its gap is 2 Tu(pi) and
-    a genuine tangency must land below tol_tangent rather than in the
-    inconclusive band; that needs a tighter solve than the Riccati defaults.
-    Other models keep the defaults, which take less than half the rhs
-    evaluations of the tight solve (698 against 1,598 on neumann [1.2, 3]).
-    """
-    if model.periodic:
-        return SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)
-    return SolverOptions(sensitivity_check=False)
-
-
 def chart_transversality(model: HamiltonianModel, q1_star: float,
                          transition: ChartTransition,
                          opts: SolverOptions | None = None,
@@ -150,55 +136,66 @@ def chart_transversality(model: HamiltonianModel, q1_star: float,
 
     Solves the unstable slope up to max(q1*, chi0(q1*)), builds the stable
     jet by reversibility at chi0(q1*), transports it through the
-    transition, and compares at q1_star.  The solve defaults to
-    verdict_options(model).  An inconclusive verdict is solved again at
-    rtol and atol over 100 until it decides or rtol would fall below
-    MIN_RTOL; the report carries the rtol of its last solve.
+    transition, and compares at q1_star.  The first solve takes opts, by
+    default the Riccati defaults without the start-up check, for every
+    model.  A verdict that its solve's tolerance leaves undecided (see
+    transversality_verdict) is solved again at rtol and atol over 100,
+    each rounded to 12 digits so that 1e-9 climbs to 1e-11 exactly, until
+    it decides or rtol would fall below MIN_RTOL; the report carries the
+    rtol of its last solve.
     """
     if model.reversibility is None:
         raise ReversibilityError(
             "jet route without reversibility needs a user-supplied stable jet")
     target = max(q1_star, transition.chi0(q1_star))
-    opts = opts or verdict_options(model)
+    opts = opts or SolverOptions(sensitivity_check=False)
     while True:
         sol = solve_riccati(model, target, opts=opts)
         jet = stable_jet_from_unstable(sol, transition.chi0(q1_star),
                                        model.reversibility)
         Ts_hat = jet_transport_stable(jet, transition.jet2(q1_star))
-        report = replace(transversality_verdict(sol(q1_star), Ts_hat,
-                                                tol=tol, q1_star=q1_star),
-                         rtol=opts.rtol)
+        report = transversality_verdict(
+            sol(q1_star), Ts_hat, tol=tol, q1_star=q1_star,
+            slope_max=sol.diagnostics["slope_max"], rtol=opts.rtol)
         if report.verdict != "inconclusive" or opts.rtol / 100 < MIN_RTOL:
             return report
-        opts = replace(opts, rtol=opts.rtol / 100, atol=opts.atol / 100)
+        opts = replace(opts, rtol=float("%.12g" % (opts.rtol / 100)),
+                       atol=float("%.12g" % (opts.atol / 100)))
 
 
 def transversality_verdict(Tu: float, Ts_hat: float,
-                           tol: float | None = None,
-                           q1_star: float = 0.0) -> TransversalityReport:
+                           tol: float | None = None, q1_star: float = 0.0,
+                           slope_max: float = 0.0,
+                           rtol: float = 0.0) -> TransversalityReport:
     """Three-valued verdict on the slope gap Tu - Ts_hat.
 
-    tol defaults to 1e-6 times the slope scale max(1, |Tu|, |Ts_hat|), and
-    the tangent threshold is 1e-10 times it; the band between them reports
-    "inconclusive" so numerical noise is never mistaken for a genuine
-    tangency.
+    The slope scale is max(1, |Tu|, |Ts_hat|, slope_max), slope_max the
+    largest |T| along the solve that gave the slopes.  tol defaults to
+    1e-6 times the scale, and the tangent threshold is 1e-10 times it; the
+    band between them reports "inconclusive" so numerical noise is never
+    mistaken for a genuine tangency.  Slopes solved at rtol (0 for exact
+    slopes) decide only with room over that tolerance, rtol times the
+    scale: "transversal" needs a gap above 1e4 times it as well as above
+    tol, and "tangent" an rtol at most a tenth of the tangent threshold
+    over the scale, 1e-11.
     """
     if not (math.isfinite(Tu) and math.isfinite(Ts_hat)):
         raise ValueError("slopes must be finite")
-    scale = max(1.0, abs(Tu), abs(Ts_hat))
+    scale = max(1.0, abs(Tu), abs(Ts_hat), slope_max)
     if tol is None:
         tol = 1e-6 * scale
     tol_tangent = 1e-10 * scale
     gap = Tu - Ts_hat
-    if abs(gap) > tol:
+    if abs(gap) > max(tol, 1e4 * rtol * scale):
         verdict = "transversal"
-    elif abs(gap) < tol_tangent:
+    # compared unscaled, so that rounding cannot turn rtol 1e-11 away
+    elif abs(gap) < tol_tangent and 10.0 * rtol <= 1e-10:
         verdict = "tangent"
     else:
         verdict = "inconclusive"
     return TransversalityReport(q1_star=q1_star, Tu=Tu, Ts_hat=Ts_hat,
                                 gap=gap, tol=tol, tol_tangent=tol_tangent,
-                                verdict=verdict)
+                                verdict=verdict, rtol=rtol)
 
 
 def torus_transversality(model: HamiltonianModel,

@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .charts import chart_transversality, verdict_options
+from .charts import chart_transversality
 from .loops import LoopConstructionError
 from .models import (BUILTIN_NAMES, BUILTINS, HamiltonianModel,
                      builtin_model, validate_hypotheses)
@@ -209,7 +209,8 @@ def _transversality_report(args, params: dict):
     model = make_model(args.model, params)
     return chart_transversality(
         model, *model.matching,
-        opts=solver_options(args, verdict_options(model)), tol=args.tol)
+        opts=solver_options(args, SolverOptions(sensitivity_check=False)),
+        tol=args.tol)
 
 
 def cmd_transversality(args) -> int:

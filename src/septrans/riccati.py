@@ -235,10 +235,12 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     or past q1_target raises ValueError.  Every point the solve evaluates
     checks the loop restriction: a residual above 1e-6 of the size of its
     two terms raises LoopConstructionError, and diagnostics carry the
-    largest, restriction_residual_max.  With opts.sensitivity_check the
-    diagnostics carry startup_sensitivity, the spread at q1_target of
-    starts 10 epsilon apart either side to first order, and whether it
-    stays within 100 rtol of the slope; it costs no further solve.
+    largest, restriction_residual_max, and slope_max, the largest |T| over
+    the solve's mesh states, at no rhs evaluation.  With
+    opts.sensitivity_check the diagnostics carry startup_sensitivity, the
+    spread at q1_target of starts 10 epsilon apart either side to first
+    order, and whether it stays within 100 rtol of the slope; it costs no
+    further solve.
     """
     opts = opts or SolverOptions()
     profile = loop_profile(model)
@@ -256,7 +258,8 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     sol, residual = _integrate(profile, eps, q1_target, initial, opts,
                                stable)
     diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps,
-                   "restriction_residual_max": residual}
+                   "restriction_residual_max": residual,
+                   "slope_max": max(map(abs, sol.sol.ys))}
     if opts.sensitivity_check:
         phi, n_nodes = _startup_propagation(terms, sol.sol, stable)
         # the spread two solves started at initial -+ 10 eps would show

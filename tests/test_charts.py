@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from septrans.charts import (MIN_RTOL, ChartTransition, Jet2,
                              ReversibilityError,
@@ -14,6 +15,11 @@ from septrans import riccati
 from septrans.models import builtin_model
 from septrans.numerics import central_diff
 from septrans.riccati import SolverOptions, solve_riccati
+from test_models import admissible_models
+
+# the first solve every periodic verdict took before the ladder started at
+# the Riccati defaults
+TIGHT = SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)
 
 
 def inversion_chi(q1, q2):
@@ -197,6 +203,32 @@ def test_verdict_classification():
     assert transversality_verdict(1.0, 1.0 - 5e-8).verdict == "inconclusive"
 
 
+def test_verdict_scale_takes_the_largest_slope_along_the_path():
+    r = transversality_verdict(0.0, 5e-13, slope_max=3000.0)
+    assert r.tol == pytest.approx(3e-3)
+    assert r.tol_tangent == pytest.approx(3e-7)
+    # a gap of 1.35e-5 is 4.5e-9 of that scale: not transversal
+    assert transversality_verdict(0.0, 1.35e-5).verdict == "transversal"
+    assert transversality_verdict(0.0, 1.35e-5,
+                                  slope_max=3000.0).verdict == "inconclusive"
+
+
+def test_a_rung_decides_only_with_room_over_its_tolerance():
+    # transversal needs a gap above 1e4 rtol scale, tangent rtol at most a
+    # tenth of tol_tangent / scale, so 1e-11 and not 1e-9
+    assert transversality_verdict(1.0 + 2e-6, 1.0,
+                                  rtol=1e-9).verdict == "inconclusive"
+    assert transversality_verdict(1.0 + 2e-6, 1.0,
+                                  rtol=1e-11).verdict == "transversal"
+    assert transversality_verdict(0.0, 5e-13,
+                                  rtol=1e-9).verdict == "inconclusive"
+    r = transversality_verdict(0.0, 5e-13, rtol=1e-11)
+    assert r.verdict == "tangent" and r.rtol == 1e-11
+    # a scale at which 10 (1e-11 scale) rounds above 1e-10 scale
+    assert transversality_verdict(0.0, 5e-13, slope_max=3.0206947378593334,
+                                  rtol=1e-11).verdict == "tangent"
+
+
 def test_verdict_never_flips_without_inconclusive_band():
     # widening tol moves transversal -> inconclusive -> tangent in order
     gap_values = np.logspace(-14, -2, 40)
@@ -238,25 +270,39 @@ def test_torus_transversality_separable_tangent():
 
 @pytest.mark.parametrize("lam", [1.0, 2.5, 5.0, 12.0, 20.0, 40.0,
                                  2.759886874077371, 2.760153213303326,
-                                 2.7637133533383347, 2.7642735433858463])
+                                 2.7637133533383347, 2.7642735433858463]
+                         + np.linspace(2.7597, 2.7643, 50).tolist())
 def test_weak_coupling_is_tangent_by_construction(lam):
     # the manifolds of pendula_weak coincide for every admissible lam; the
-    # verdict's default solve must land the gap below tol_tangent (with
-    # RK45 it read inconclusive from lam 12 on: gaps 1.2e-10 to 3.2e-9).
-    # At the four lam near 2.76 the rtol 1e-12 solve accepts one step with
-    # an error far above its tolerance and reads gaps of 1.2e-10 to 8e-10;
-    # the solve at rtol 1e-14 decides them
+    # verdict's rungs must land the gap below tol_tangent (with RK45 it
+    # read inconclusive from lam 12 on: gaps 1.2e-10 to 3.2e-9).  In the
+    # band near 2.76 a solve at rtol 1e-12 accepts one step with an error
+    # far above its tolerance and reads gaps of 1.2e-10 to 8e-10; the
+    # ladder, from rtol 1e-9, decides the band's 50 evenly spaced lam
     m = builtin_model("pendula_weak", [lam])
     r = chart_transversality(m, *m.matching)
     assert r.verdict == "tangent", r.gap
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(admissible_models())
+def test_default_verdict_equals_the_tight_first_solve(m):
+    # starting at the Riccati defaults gives the verdict of starting at the
+    # tight solve, and a transversal Tu within 1e-8 of it
+    r = chart_transversality(m, *m.matching)
+    ref = chart_transversality(m, *m.matching, opts=TIGHT)
+    assert r.verdict == ref.verdict
+    if r.verdict == "transversal":
+        assert abs(r.Tu - ref.Tu) <= 1e-8
 
 
 @pytest.mark.parametrize("name, params", [
     ("neumann", [1.2, 3.0]), ("pendula_identical", [0.2, 0.05]),
     ("pendula_weak", [2.5])])
 def test_verdict_reads_the_slope_at_a_mesh_point(monkeypatch, name, params):
-    # T is read at the solve's target, its last mesh point, so the verdict
-    # makes no rhs evaluation beyond the solve's own: no interpolant
+    # T is read at each solve's target, its last mesh point, so the verdict
+    # makes no rhs evaluation beyond its solves' own: no interpolant (a
+    # tangent verdict takes two solves, at rtol 1e-9 and 1e-11)
     calls, solves = [], []
 
     def counting(fun, *args, **kwargs):
@@ -271,7 +317,7 @@ def test_verdict_reads_the_slope_at_a_mesh_point(monkeypatch, name, params):
     monkeypatch.setattr(riccati, "solve_ivp", counting)
     m = builtin_model(name, params)
     chart_transversality(m, *m.matching)
-    assert [len(calls)] == [s.nfev for s in solves]
+    assert len(calls) == sum(s.nfev for s in solves)
 
 
 def test_torus_transversality_cosine_coupling():
@@ -311,6 +357,13 @@ def solve_rtols(monkeypatch):
     return rtols
 
 
+# the rungs of a default verdict: a transversal gap far above the
+# tolerance decides at the first, rtol 1e-9; a tangent one needs rtol
+# 1e-11, a tenth of the tangent threshold
+DEFAULT_RUNGS = {"neumann": [1e-9], "pendula_identical": [1e-9],
+                 "pendula_weak": [1e-9, 1e-11]}
+
+
 @pytest.mark.parametrize("name, params, rtol", [
     ("neumann", [1.2, 3.0], 1e-9), ("pendula_identical", [0.2, 0.05], 1e-12),
     ("pendula_weak", [2.0], 1e-12)])
@@ -320,24 +373,44 @@ def test_a_verdict_that_decides_takes_one_solve(monkeypatch, name, params,
     m = builtin_model(name, params)
     r = chart_transversality(m, *m.matching)
     assert r.verdict != "inconclusive"
+    rungs = DEFAULT_RUNGS[name]
+    assert rtols == rungs and r.rtol == rungs[-1]
+    assert r.as_dict()["rtol"] == rungs[-1]
+    # a first rung at rtol, given, decides in one solve
+    rtols.clear()
+    r = chart_transversality(m, *m.matching, opts=SolverOptions(
+        rtol=rtol, sensitivity_check=False))
+    assert r.verdict != "inconclusive"
     assert rtols == [rtol] and r.rtol == rtol
     assert r.as_dict()["rtol"] == rtol
 
 
 def test_an_inconclusive_verdict_is_solved_again_at_rtol_over_100(
         monkeypatch):
-    # gap 2.7e-10 at rtol 1e-12, above tol_tangent; 1.6e-14 at 1e-14
+    # from a first rung at rtol 1e-12: gap 8.0e-10 there, above
+    # tol_tangent 2.8e-10; 1.9e-14 at 1e-14
     rtols = solve_rtols(monkeypatch)
-    m = builtin_model("pendula_weak", [2.759886874077371])
-    r = chart_transversality(m, *m.matching)
+    m = builtin_model("pendula_weak", [2.760153213303326])
+    r = chart_transversality(m, *m.matching, opts=TIGHT)
     assert rtols == [1e-12, 1e-14]
     assert r.verdict == "tangent" and r.rtol == 1e-14
     assert abs(r.gap) < 1e-13
 
 
+def test_a_gap_above_tol_but_within_the_rungs_room_climbs_one_rung(
+        monkeypatch):
+    # gap -3e-6: above tol 1e-6, below 1e4 rtol scale = 1e-5 at rtol 1e-9
+    rtols = solve_rtols(monkeypatch)
+    m = builtin_model("pendula_identical", [1.5e-6])
+    r = chart_transversality(m, *m.matching)
+    assert r.tol < abs(r.gap) < 1e-5
+    assert r.verdict == "transversal"
+    assert rtols == [1e-9, 1e-11] and r.rtol == 1e-11
+
+
 @pytest.mark.parametrize("name, params, rungs", [
     ("neumann", [1.2, 3.0], [1e-9, 1e-11, 1e-13]),
-    ("pendula_identical", [0.2, 0.05], [1e-12, 1e-14])])
+    ("pendula_identical", [0.2, 0.05], [1e-9, 1e-11, 1e-13])])
 def test_the_rungs_stop_above_the_rtol_floor(monkeypatch, name, params,
                                              rungs):
     # a tol above every gap keeps the verdict inconclusive on every rung

@@ -8,10 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from septrans.charts import chart_transversality, verdict_options
+from septrans import riccati
+from septrans.charts import chart_transversality
 from septrans.cli import build_parser, main, make_model
 from septrans.models import ConstructionError, builtin_model
 from septrans.numerics import parse_grid
+from septrans.riccati import SolverOptions
 
 
 def read_table(path: str):
@@ -223,23 +225,31 @@ def test_transversality_sphere(capsys):
     assert doc["q1_star"] == 2.0
 
 
-def test_transversality_torus_tangent(capsys):
+def test_transversality_torus_tangent(capsys, monkeypatch):
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0")
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "tangent"
-    # an explicit --rtol is used as given, even when it equals the
-    # Riccati default; the verdict's own default solve is tighter
+    # an explicit --rtol is the first rung, used as given: at 1e-12 it
+    # decides in one solve, tighter than the default's deciding 1e-11
+    rtols = []
+    original = riccati.solve_ivp
+
+    def recording(fun, t_span, y0, rtol, *args, **kwargs):
+        rtols.append(rtol)
+        return original(fun, t_span, y0, rtol, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
-                    "--params", "f0=0", "--rtol", "1e-9")
-    assert code == 0
+                    "--params", "f0=0", "--rtol", "1e-12")
+    assert code == 0 and rtols == [1e-12]
     model = builtin_model("pendula_identical", [0.0])
     given = chart_transversality(
         model, *model.matching,
-        opts=replace(verdict_options(model), rtol=1e-9))
+        opts=SolverOptions(rtol=1e-12, sensitivity_check=False))
     assert json.loads(out)["gap"] == given.gap
-    assert abs(given.gap) > abs(doc["gap"])
+    assert abs(given.gap) < abs(doc["gap"])
 
 
 def test_cosine_index_above_the_cap_is_refused_unbuilt(capsys):
@@ -846,9 +856,36 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
 @pytest.mark.parametrize("lam, rtol", [(2.0, 1e-12),
                                        (2.759886874077371, 1e-14)])
 def test_transversality_reports_the_rtol_that_decided(capsys, lam, rtol):
-    # at lam 2.7599 the rtol 1e-12 solve reads inconclusive
+    # by default a tangent verdict decides at the second rung, 1e-9 / 100,
+    # which the report prints as 1e-11, not 1.0000000000000001e-11; a
+    # first rung at rtol, given with --rtol, decides at once
     code, out = run(capsys, "transversality", "--model", "pendula_weak",
                     "--params", "lam=%r" % lam)
     doc = json.loads(out)
     assert code == 0
+    assert doc["verdict"] == "tangent" and doc["rtol"] == 1e-11
+    assert '"rtol": 1e-11\n' in out
+    code, out = run(capsys, "transversality", "--model", "pendula_weak",
+                    "--params", "lam=%r" % lam, "--rtol", repr(rtol))
+    doc = json.loads(out)
+    assert code == 0
     assert doc["verdict"] == "tangent" and doc["rtol"] == rtol
+
+
+@pytest.mark.parametrize("lam", [300.0, 3000.0, 1e4])
+def test_weak_coupling_past_lam_40_reads_tangent(capsys, lam):
+    # the slope climbs to about lam before it falls to 0 at pi; judged
+    # against the end slopes alone, lam 1e4 read transversal
+    code, out = run(capsys, "transversality", "--model", "pendula_weak",
+                    "--params", "lam=%r" % lam)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "tangent"
+
+
+def test_a_tol_below_the_tangent_threshold_reads_tangent(capsys):
+    # gap 4.3e-12 at rtol 1e-11 is above this tol but has no room over the
+    # rung's tolerance to read transversal
+    code, out = run(capsys, "transversality", "--model", "pendula_weak",
+                    "--params", "lam=2", "--tol", "1e-12")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "tangent"

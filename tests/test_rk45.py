@@ -23,8 +23,9 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, events=()):
     component, and fun, the events, the result and the dense output see
     its float.  scipy builds every step's interpolant, 3 rhs evaluations
     each, when asked for dense output; dop853 builds one when it is first
-    read.  So the counts come from a solve without dense output, which
-    takes the same steps, and the dense output from a second one."""
+    read.  So the counts and the mesh states come from a solve without
+    dense output, which takes the same steps, and the dense output from a
+    second one."""
     def terminal(event):
         def g(t, y):
             return event(t, float(y[0]))
@@ -44,7 +45,7 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, events=()):
 
     def dense(t):
         return sol(t)[0]
-    dense.ts = sol.ts
+    dense.ts, dense.ys = sol.ts, r.y[0].tolist()
     return OdeResult(float(r.t[-1]), float(r.y[0, -1]), r.nfev, len(r.t) - 1,
                      r.success, fired[0] if fired else None, dense)
 
