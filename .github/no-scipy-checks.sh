@@ -90,11 +90,14 @@ test "$code" = 2 || { echo "f50000000: exit $code"; exit 1; }
 code=0; timeout 20 septrans riccati --model neumann \
   --params lambda1=1 lambda2=2 --grid 0:2:1000000000 2>/dev/null || code=$?
 test "$code" = 2 || { echo "grid 1e9: exit $code"; exit 1; }
-# a flag the command does not read is a usage error, with nothing on stdout
-code=0; out=$(septrans melnikov --model pendula_weak --params lam=2 \
-  --rtol 1e-3 2>/dev/null) || code=$?
-test "$code" = 2 && test -z "$out" \
-  || { echo "melnikov --rtol: exit $code"; exit 1; }
+# a flag the command does not read is a usage error, with nothing on
+# stdout; no command reads --atol (rtol / 1000) or --cap (a constant)
+for args in "melnikov --model pendula_weak --params lam=2 --rtol 1e-3" \
+    "transversality --model neumann --params lambda1=1 lambda2=2 --atol 1e-12" \
+    "riccati --model neumann --params lambda1=1 lambda2=2 --cap 10"; do
+  code=0; out=$(septrans $args 2>/dev/null) || code=$?
+  test "$code" = 2 && test -z "$out" || { echo "$args: exit $code"; exit 1; }
+done
 # so is a setting that is not finite
 code=0; septrans transversality --model neumann --params lambda1=1 lambda2=2 \
   --rtol inf >/dev/null 2>&1 || code=$?

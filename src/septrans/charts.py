@@ -12,7 +12,7 @@ deck shift, so the same construction covers both built-in geometries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 # Jet2 and the transitions live in models; charts re-exports them
@@ -51,10 +51,7 @@ class TransversalityReport:
     rtol: float = 0.0           # rtol of the deciding solve, 0 if exact
 
     def as_dict(self) -> dict:
-        return {"q1_star": self.q1_star, "Tu": self.Tu, "Ts_hat": self.Ts_hat,
-                "gap": self.gap, "tol": self.tol,
-                "tol_tangent": self.tol_tangent, "verdict": self.verdict,
-                "rtol": self.rtol}
+        return asdict(self)
 
 
 def jet_transport_stable(jet: StableJet, j: Jet2) -> float:
@@ -128,25 +125,28 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
 MIN_RTOL = 1e-14
 
 
-def chart_transversality(model: HamiltonianModel, q1_star: float,
-                         transition: ChartTransition,
+def chart_transversality(model: HamiltonianModel,
                          opts: SolverOptions | None = None,
                          tol: float | None = None) -> TransversalityReport:
-    """Verdict at a matching point by jet transport between the charts.
+    """Verdict at the model's matching point (q1*, transition) by jet
+    transport between the charts.
 
     Solves the unstable slope up to max(q1*, chi0(q1*)), builds the stable
     jet by reversibility at chi0(q1*), transports it through the
-    transition, and compares at q1_star.  The first solve takes opts, by
+    transition, and compares at q1*.  The first solve takes opts, by
     default the Riccati defaults without the start-up check, for every
     model.  A verdict that its solve's tolerance leaves undecided (see
-    transversality_verdict) is solved again at rtol and atol over 100,
-    each rounded to 12 digits so that 1e-9 climbs to 1e-11 exactly, until
-    it decides or rtol would fall below MIN_RTOL; the report carries the
-    rtol of its last solve.
+    transversality_verdict) is solved again at rtol over 100, rounded to
+    12 digits so that 1e-9 climbs to 1e-11 exactly, until it decides or
+    rtol would fall below MIN_RTOL; the report carries the rtol of its
+    last solve.
     """
     if model.reversibility is None:
         raise ReversibilityError(
             "jet route without reversibility needs a user-supplied stable jet")
+    if model.matching is None:
+        raise ValueError("the model declares no matching point")
+    q1_star, transition = model.matching
     target = max(q1_star, transition.chi0(q1_star))
     opts = opts or SolverOptions(sensitivity_check=False)
     while True:
@@ -159,8 +159,7 @@ def chart_transversality(model: HamiltonianModel, q1_star: float,
             slope_max=sol.diagnostics["slope_max"], rtol=opts.rtol)
         if report.verdict != "inconclusive" or opts.rtol / 100 < MIN_RTOL:
             return report
-        opts = replace(opts, rtol=float("%.12g" % (opts.rtol / 100)),
-                       atol=float("%.12g" % (opts.atol / 100)))
+        opts = replace(opts, rtol=float("%.12g" % (opts.rtol / 100)))
 
 
 def transversality_verdict(Tu: float, Ts_hat: float,
@@ -204,11 +203,13 @@ def torus_transversality(model: HamiltonianModel,
     """Verdict at q1* = pi for periodic reversible models with r1 = -1.
 
     The jet transport through the 2pi shift then turns the stable-side
-    slope into -Tu(pi), so the condition reduces to Tu(pi) != 0.
+    slope into -Tu(pi), so the condition reduces to Tu(pi) != 0.  The
+    model's own matching is set aside for (pi, the shift).
     """
     if not model.periodic:
         raise ReversibilityError("torus verdict needs a periodic model")
     if model.reversibility is None or model.reversibility[0] != -1:
         raise ReversibilityError("torus verdict needs reversibility with r1=-1")
-    return chart_transversality(model, math.pi, torus_shift_transition(),
-                                opts=opts, tol=tol)
+    return chart_transversality(
+        replace(model, matching=(math.pi, torus_shift_transition())),
+        opts=opts, tol=tol)

@@ -108,7 +108,7 @@ def make_model(name: str, params: dict,
 def solver_options(args, base: SolverOptions) -> SolverOptions:
     """base with every solver flag the user gave put in its place."""
     return replace(base, **{k: getattr(args, k)
-                            for k in ("rtol", "atol", "epsilon", "cap")
+                            for k in ("rtol", "epsilon")
                             if getattr(args, k) is not None})
 
 
@@ -207,10 +207,8 @@ def cmd_riccati(args) -> int:
 
 def _transversality_report(args, params: dict):
     model = make_model(args.model, params)
-    return chart_transversality(
-        model, *model.matching,
-        opts=solver_options(args, SolverOptions(sensitivity_check=False)),
-        tol=args.tol)
+    opts = solver_options(args, SolverOptions(sensitivity_check=False))
+    return chart_transversality(model, opts=opts, tol=args.tol)
 
 
 def cmd_transversality(args) -> int:
@@ -239,7 +237,7 @@ def cmd_melnikov(args) -> int:
     derivs_diag: dict = {}
     derivs = mel.melnikov_derivatives(pert, diag=derivs_diag)
     verdict = mel.perturbed_loop_verdict(
-        "B", derivs=derivs, s_grid=grid, L_samples=res.L_samples,
+        derivs=derivs, s_grid=grid, L_samples=res.L_samples,
         error=derivs_diag["error_bound"])
     comments = {
         "model": args.model,
@@ -298,7 +296,7 @@ def failure(exc: BlowUpError | QuadratureError | ValueError
     return 2, "error: %s" % exc
 
 
-SOLVER = ("--rtol", "--atol", "--epsilon", "--cap")
+SOLVER = ("--rtol", "--epsilon")
 # each command's function and the flags it reads besides --model, --params,
 # --config, --out and --format
 COMMANDS = {"validate": (cmd_validate, ()),

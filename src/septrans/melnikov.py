@@ -10,8 +10,7 @@ a first integral of the unperturbed flow.  Restricting to a transverse
 section, whose point kappa(s) the loop with parameter s passes at t = 0,
 gives the reduced potential L~(s); a nondegenerate critical point of L~
 certifies a perturbed loop along which the perturbed manifolds intersect
-transversely (case B).  Case A (manifolds already transverse before
-perturbing) needs no integral at all.
+transversely (case B).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charts import TransversalityReport
 from .models import PerturbationModel
 from .numerics import QuadratureError
 
@@ -35,7 +33,6 @@ class MelnikovResult:
     L_samples: np.ndarray | None = None
     dL0: float | None = None
     ddL0: float | None = None
-    case_label: str | None = None       # "A" | "B"
     verdict: str | None = None          # perturbed_loop_transversal |
                                         # degenerate | inapplicable
     quadrature_diag: dict = field(default_factory=dict)
@@ -270,42 +267,31 @@ def melnikov_derivatives(pert: PerturbationModel,
     return -v1, -v2
 
 
-def perturbed_loop_verdict(case: str,
-                           report: TransversalityReport | None = None,
-                           derivs: tuple[float, float] | None = None,
+def perturbed_loop_verdict(derivs: tuple[float, float] | None = None,
                            s_grid=None,
                            L_samples=None,
                            error: float | None = None) -> MelnikovResult:
-    """Case-A / case-B verdict for persistence of a transverse loop.
+    """Case-B verdict for persistence of a transverse loop when the
+    unperturbed manifolds coincide.
 
-    Case A (manifolds transverse before perturbing) consumes the
-    unperturbed TransversalityReport; the perturbation is regular and no
-    Melnikov computation is needed.  Case B consumes derivs, the
-    derivatives of the reduced potential at s = 0 (melnikov_derivatives
-    gives them), and error, a bound on the error of each (its diag's
-    error_bound); a critical, nondegenerate point certifies the perturbed
-    transverse loop.  s = 0 is critical where |L~'(0)| <= error and
-    nondegenerate where |L~''(0)| > error.  If s = 0 is not critical the
-    verdict is "inapplicable" and the zeros of the slope sampled on s_grid
-    are reported as candidate critical parameters: a difference quotient
-    that is exactly zero at its interval's midpoint, and the linear zero
-    between two midpoints where the quotients change sign.
+    It consumes derivs, the derivatives of the reduced potential at s = 0
+    (melnikov_derivatives gives them), and error, a bound on the error of
+    each (its diag's error_bound); a critical, nondegenerate point
+    certifies the perturbed transverse loop.  s = 0 is critical where
+    |L~'(0)| <= error and nondegenerate where |L~''(0)| > error.  If s = 0
+    is not critical the verdict is "inapplicable" and the zeros of the
+    slope sampled on s_grid are reported as candidate critical parameters:
+    a difference quotient that is exactly zero at its interval's midpoint,
+    and the linear zero between two midpoints where the quotients change
+    sign.
     """
-    if case == "A":
-        if report is None:
-            raise ValueError("case A needs the unperturbed report")
-        verdict = ("perturbed_loop_transversal"
-                   if report.verdict == "transversal" else "inapplicable")
-        return MelnikovResult(case_label="A", verdict=verdict)
-    if case != "B":
-        raise ValueError("case must be 'A' or 'B'")
-
     if derivs is None:
-        raise ValueError("case B needs derivs, the reduced potential's "
+        raise ValueError("the verdict needs derivs, the reduced potential's "
                          "(L~'(0), L~''(0))")
     if error is None:
-        raise ValueError("case B needs error, a bound on the error of each "
-                         "derivative (melnikov_derivatives' error_bound)")
+        raise ValueError("the verdict needs error, a bound on the error of "
+                         "each derivative (melnikov_derivatives' "
+                         "error_bound)")
     dL0, ddL0 = derivs
     diag: dict = {}
     if abs(dL0) <= error:
@@ -329,8 +315,8 @@ def perturbed_loop_verdict(case: str,
                         mids[i] - m * (mids[i + 1] - mids[i])
                         / (slopes[i + 1] - m)))
             diag["critical_candidates"] = candidates
-    return MelnikovResult(dL0=dL0, ddL0=ddL0, case_label="B",
-                          verdict=verdict, quadrature_diag=diag)
+    return MelnikovResult(dL0=dL0, ddL0=ddL0, verdict=verdict,
+                          quadrature_diag=diag)
 
 
 def _peak(lam: float) -> tuple[float, float]:

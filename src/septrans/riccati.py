@@ -33,8 +33,9 @@ from .numerics import dop853 as solve_ivp
 
 
 class BlowUpError(RuntimeError):
-    """|T| exceeded the cap: the manifold loses graph form before the target
-    (or the loop speed q1dot, which the slope equation divides by, is 0)."""
+    """|T| exceeded CAP: the manifold loses graph form before the target
+    (or the loop speed q1dot, which the slope equation divides by, is 0,
+    or the step size fell below its floor)."""
 
     def __init__(self, q1: float, message: str):
         self.q1 = q1
@@ -47,13 +48,17 @@ class HypothesesError(ValueError):
 
 Terms = Callable[..., tuple]
 
+# the |T| past which the manifold counts as lost from graph form
+CAP = 1e8
+
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """rtol of the slope solve, whose atol is rtol / 1000; epsilon, the
+    start offset from the singular point (None: 1e-4 of the loop
+    interval); and whether to report the start-up sensitivity."""
     rtol: float = 1e-9
-    atol: float = 1e-12
     epsilon: float | None = None
-    cap: float = 1e8
     sensitivity_check: bool = True
 
 
@@ -147,16 +152,16 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
 
 
 def _integrate(profile: LoopProfile, eps: float, q1_target: float,
-               T_start: float, opts: SolverOptions, stable: bool):
+               T_start: float, rtol: float, stable: bool):
     """(the dop853 result, the largest |residual| of the loop restriction
     over the points the solve evaluated).  A residual above 1e-6 max(1,
     |dS1 q1dot| + |V1|), the size of its two terms, raises
     LoopConstructionError at the first point that has it."""
     # the blow-up event fires on a sign change only, so a start past the
     # cap is caught here
-    if abs(T_start) > opts.cap:
+    if abs(T_start) > CAP:
         raise BlowUpError(eps, "graph form lost / blow-up: start slope %g at "
-                          "q1=%g beyond the cap %g" % (T_start, eps, opts.cap))
+                          "q1=%g beyond the cap %g" % (T_start, eps, CAP))
     terms = riccati_terms(profile)
     sgn = -1.0 if stable else 1.0
     worst = 0.0
@@ -183,17 +188,20 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
         return (sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot
 
     def blow_up(q1, T):
-        return opts.cap - abs(T)
+        return CAP - abs(T)
 
     try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, (eps, q1_target), T_start, opts.rtol,
-                        opts.atol, events=(blow_up,))
+        sol = solve_ivp(rhs, (eps, q1_target), T_start, rtol, rtol / 1000,
+                        events=(blow_up,))
     except ZeroDivisionError as exc:
         raise BlowUpError(eps, "loop speed q1dot underflows to 0 between "
                           "q1=%g and q1=%g" % (eps, q1_target)) from exc
-    if sol.event is not None or not sol.success:
+    if sol.event is not None:
         raise BlowUpError(sol.t, "graph form lost / blow-up at q1=%g before "
                           "q1_target=%g" % (sol.t, q1_target))
+    if not sol.success:
+        raise BlowUpError(sol.t, "slope step size fell below its floor at "
+                          "q1=%g before q1_target=%g" % (sol.t, q1_target))
     return sol, worst
 
 
@@ -255,7 +263,7 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     T0, Delta = riccati_initial(terms)
     initial = -T0 if stable else T0
 
-    sol, residual = _integrate(profile, eps, q1_target, initial, opts,
+    sol, residual = _integrate(profile, eps, q1_target, initial, opts.rtol,
                                stable)
     diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps,
                    "restriction_residual_max": residual,
@@ -275,8 +283,8 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
                            _dense=sol.sol, _initial=initial)
 
 
-def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
-                             opts: SolverOptions | None = None) -> float:
+def riccati_to_linear_oracle(model: HamiltonianModel,
+                             q1_target: float) -> float:
     """Independent value of T(q1_target) via the equivalent linear ODE.
 
     In the time variable the slope equation reads T. + a T + b T^2 = c with
@@ -294,7 +302,6 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
     underflows to 0 and a step size below its floor.  A q1_target outside
     (0, b] raises ValueError, as in solve_riccati.
     """
-    opts = opts or SolverOptions()
     profile = loop_profile(model)
     end = profile.interval[1]
     if not (0.0 < q1_target <= end):
@@ -324,8 +331,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel, q1_target: float,
     theta0 = math.atan2(1.0, b220(q1s) * T0)
     # rtol 1e-10 left errors up to 8.6e-11 in T (pendula_identical [0.45])
     try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, span, theta0, min(opts.rtol, 1e-11), opts.atol,
-                        events=(y_zero,))
+        sol = solve_ivp(rhs, span, theta0, 1e-11, 1e-12, events=(y_zero,))
     except ZeroDivisionError as exc:
         raise BlowUpError(q1s, "loop speed q1dot underflows to 0 between "
                           "q1=%g and q1=%g" % (q1s, q1_target)) from exc

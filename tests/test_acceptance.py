@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from septrans.charts import (chart_transversality, inversion_transition,
-                             stable_from_reversibility, torus_transversality)
+from septrans.charts import (chart_transversality, stable_from_reversibility,
+                             torus_transversality)
 from septrans.equilibrium import check_positive_definite, linearize
 from septrans.loops import loop_profile
 from septrans.melnikov import (lambda0_threshold, melnikov_derivatives,
@@ -62,7 +62,7 @@ def test_acceptance_01():
 def test_acceptance_02():
     for l1, l2 in SPHERE_PAIRS:
         m = builtin_model("neumann", [l1, l2])
-        r = chart_transversality(m, 2.0, inversion_transition())
+        r = chart_transversality(m)
         Tu = 0.25 * (l2 + l1 - l1 * l1 / l2)
         gap = 2.0 * Tu - l1 / 2.0
         assert gap > 0
@@ -225,7 +225,7 @@ def test_acceptance_13():
         diag = {}
         derivs = melnikov_derivatives(pert, diag=diag)
         assert derivs[1] < 0
-        res = perturbed_loop_verdict("B", derivs=derivs,
+        res = perturbed_loop_verdict(derivs=derivs,
                                      error=diag["error_bound"])
         assert res.verdict == "perturbed_loop_transversal"
 
@@ -264,6 +264,5 @@ def test_acceptance_15():
                         opts=SolverOptions(sensitivity_check=False))
     for bump in (1e-4, -1e-4):
         sol, _residual = _integrate(p, ref.epsilon_start, 2.0, T0 + bump,
-                                    SolverOptions(sensitivity_check=False),
-                                    False)
+                                    1e-9, False)
         assert abs(sol.sol(2.0) - ref(2.0)) < 1e-6

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from septrans.numerics import central_diff
 from septrans.riccati import SolverOptions, solve_riccati
 from test_models import admissible_models
 
-# the first solve every periodic verdict took before the ladder started at
-# the Riccati defaults
-TIGHT = SolverOptions(rtol=1e-12, atol=5e-14, sensitivity_check=False)
+# the rtol of the first solve every periodic verdict took before the ladder
+# started at the Riccati defaults
+TIGHT = SolverOptions(rtol=1e-12, sensitivity_check=False)
 
 
 def inversion_chi(q1, q2):
@@ -177,7 +178,6 @@ def test_stable_jet_outside_the_solved_interval_raises():
 
 
 def test_stable_requires_declared_reversibility():
-    from dataclasses import replace
     m = replace(builtin_model("neumann", [1.0, 2.0]), reversibility=None)
     sol = solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
     with pytest.raises(ReversibilityError):
@@ -248,7 +248,7 @@ def test_verdict_rejects_nonfinite():
 
 def test_sphere_transversality_report():
     m = builtin_model("neumann", [1.0, 2.0])
-    r = chart_transversality(m, 2.0, inversion_transition())
+    r = chart_transversality(m)
     assert r.verdict == "transversal"
     assert r.Tu == pytest.approx(0.625, abs=1e-8)
     assert r.Ts_hat == pytest.approx(0.5 - 0.625, abs=1e-8)
@@ -280,7 +280,7 @@ def test_weak_coupling_is_tangent_by_construction(lam):
     # far above its tolerance and reads gaps of 1.2e-10 to 8e-10; the
     # ladder, from rtol 1e-9, decides the band's 50 evenly spaced lam
     m = builtin_model("pendula_weak", [lam])
-    r = chart_transversality(m, *m.matching)
+    r = chart_transversality(m)
     assert r.verdict == "tangent", r.gap
 
 
@@ -289,8 +289,8 @@ def test_weak_coupling_is_tangent_by_construction(lam):
 def test_default_verdict_equals_the_tight_first_solve(m):
     # starting at the Riccati defaults gives the verdict of starting at the
     # tight solve, and a transversal Tu within 1e-8 of it
-    r = chart_transversality(m, *m.matching)
-    ref = chart_transversality(m, *m.matching, opts=TIGHT)
+    r = chart_transversality(m)
+    ref = chart_transversality(m, opts=TIGHT)
     assert r.verdict == ref.verdict
     if r.verdict == "transversal":
         assert abs(r.Tu - ref.Tu) <= 1e-8
@@ -316,7 +316,7 @@ def test_verdict_reads_the_slope_at_a_mesh_point(monkeypatch, name, params):
     original = riccati.solve_ivp
     monkeypatch.setattr(riccati, "solve_ivp", counting)
     m = builtin_model(name, params)
-    chart_transversality(m, *m.matching)
+    chart_transversality(m)
     assert len(calls) == sum(s.nfev for s in solves)
 
 
@@ -332,10 +332,20 @@ def test_torus_transversality_cosine_coupling():
     ("pendula_identical", [0.25, -0.125]), ("pendula_weak", [2.0])])
 def test_torus_verdict_is_jet_transport_through_the_shift(name, params):
     m = builtin_model(name, params)
-    r = chart_transversality(m, math.pi, torus_shift_transition())
+    r = chart_transversality(
+        replace(m, matching=(math.pi, torus_shift_transition())))
     assert r == torus_transversality(m)
     assert m.matching[0] == math.pi
-    assert r == chart_transversality(m, *m.matching)
+    assert r == chart_transversality(m)
+
+
+def test_chart_verdict_reads_the_models_matching():
+    # the torus verdict sets (pi, the shift) in place of the model's own
+    m = builtin_model("pendula_identical", [0.1])
+    with pytest.raises(ValueError, match="no matching point"):
+        chart_transversality(replace(m, matching=None))
+    assert torus_transversality(replace(m, matching=None)) == (
+        torus_transversality(m))
 
 
 def test_torus_transversality_requires_structure():
@@ -371,27 +381,53 @@ def test_a_verdict_that_decides_takes_one_solve(monkeypatch, name, params,
                                                 rtol):
     rtols = solve_rtols(monkeypatch)
     m = builtin_model(name, params)
-    r = chart_transversality(m, *m.matching)
+    r = chart_transversality(m)
     assert r.verdict != "inconclusive"
     rungs = DEFAULT_RUNGS[name]
     assert rtols == rungs and r.rtol == rungs[-1]
     assert r.as_dict()["rtol"] == rungs[-1]
     # a first rung at rtol, given, decides in one solve
     rtols.clear()
-    r = chart_transversality(m, *m.matching, opts=SolverOptions(
+    r = chart_transversality(m, opts=SolverOptions(
         rtol=rtol, sensitivity_check=False))
     assert r.verdict != "inconclusive"
     assert rtols == [rtol] and r.rtol == rtol
     assert r.as_dict()["rtol"] == rtol
 
 
+# the (rtol, atol) pairs dop853 received while atol was a setting of its
+# own, at its defaults: a slope solve's atol is rtol / 1000 on every rung
+@pytest.mark.parametrize("route, name, params, pairs", [
+    ("verdict", "neumann", [1.2, 3.0], [(1e-9, 1e-12)]),
+    ("verdict", "pendula_weak", [2.759886874077371],
+     [(1e-9, 1e-12), (1e-11, 1e-14)]),
+    ("verdict", "pendula_weak", [1e4], [(1e-9, 1e-12), (1e-11, 1e-14)]),
+    ("oracle", "neumann", [1.2, 3.0], [(1e-11, 1e-12)])])
+def test_dop853_receives_the_pinned_tolerance_pairs(monkeypatch, route, name,
+                                                    params, pairs):
+    seen = []
+    original = riccati.solve_ivp
+
+    def recording(fun, t_span, y0, rtol, atol, **kwargs):
+        seen.append((rtol, atol))
+        return original(fun, t_span, y0, rtol, atol, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
+    m = builtin_model(name, params)
+    if route == "oracle":
+        riccati.riccati_to_linear_oracle(m, m.matching[0])
+    else:
+        chart_transversality(m)
+    assert seen == pairs
+
+
 def test_an_inconclusive_verdict_is_solved_again_at_rtol_over_100(
         monkeypatch):
     # from a first rung at rtol 1e-12: gap 8.0e-10 there, above
-    # tol_tangent 2.8e-10; 1.9e-14 at 1e-14
+    # tol_tangent 2.8e-10; 7.5e-15 at 1e-14
     rtols = solve_rtols(monkeypatch)
-    m = builtin_model("pendula_weak", [2.760153213303326])
-    r = chart_transversality(m, *m.matching, opts=TIGHT)
+    m = builtin_model("pendula_weak", [2.761452380952381])
+    r = chart_transversality(m, opts=TIGHT)
     assert rtols == [1e-12, 1e-14]
     assert r.verdict == "tangent" and r.rtol == 1e-14
     assert abs(r.gap) < 1e-13
@@ -402,7 +438,7 @@ def test_a_gap_above_tol_but_within_the_rungs_room_climbs_one_rung(
     # gap -3e-6: above tol 1e-6, below 1e4 rtol scale = 1e-5 at rtol 1e-9
     rtols = solve_rtols(monkeypatch)
     m = builtin_model("pendula_identical", [1.5e-6])
-    r = chart_transversality(m, *m.matching)
+    r = chart_transversality(m)
     assert r.tol < abs(r.gap) < 1e-5
     assert r.verdict == "transversal"
     assert rtols == [1e-9, 1e-11] and r.rtol == 1e-11
@@ -416,7 +452,7 @@ def test_the_rungs_stop_above_the_rtol_floor(monkeypatch, name, params,
     # a tol above every gap keeps the verdict inconclusive on every rung
     rtols = solve_rtols(monkeypatch)
     m = builtin_model(name, params)
-    r = chart_transversality(m, *m.matching, tol=1e9)
+    r = chart_transversality(m, tol=1e9)
     assert r.verdict == "inconclusive"
     assert rtols == pytest.approx(rungs, rel=1e-12)
     assert r.rtol == rtols[-1] and rtols[-1] / 100 < MIN_RTOL

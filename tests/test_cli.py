@@ -162,28 +162,49 @@ def test_riccati_reports_startup_sensitivity_not_ok(capsys):
 
 
 def test_riccati_blow_up_exit_three(capsys):
-    code = main(["riccati", "--model", "neumann", "--params", "lambda1=1",
-                 "lambda2=2", "--cap", "1.5"])
+    # on pendula_identical [2, -1.9] the slope passes the cap 1e8 at q1 =
+    # 2.37514, before the matching point pi
+    code = main(["riccati", "--model", "pendula_identical", "--params",
+                 "f0=2", "f1=-1.9"])
     capsys.readouterr()
     assert code == 3
 
 
-def test_start_beyond_cap_exit_three(capsys):
+def test_start_beyond_cap_exit_three(capsys, monkeypatch):
     # neumann [1, 2] starts at T0 = 2
+    monkeypatch.setattr(riccati, "CAP", 0.3)
     code = main(["transversality", "--model", "neumann", "--params",
-                 "lambda1=1", "lambda2=2", "--cap", "0.3"])
+                 "lambda1=1", "lambda2=2"])
     assert "beyond the cap" in capsys.readouterr().err
     assert code == 3
 
 
-def test_blow_up_in_flight_exit_three(capsys):
+def test_blow_up_in_flight_exit_three(capsys, monkeypatch):
     # on pendula_identical [0.45] the slope rises from T0 = 0.66 past 1
     # before the matching point pi
+    monkeypatch.setattr(riccati, "CAP", 1.0)
     code = main(["transversality", "--model", "pendula_identical",
-                 "--params", "f0=0.45", "--cap", "1"])
+                 "--params", "f0=0.45"])
     err = capsys.readouterr().err
     assert code == 3
     assert "q1=2.9517" in err and "q1_target" in err
+
+
+def test_step_floor_exit_three_is_not_a_blow_up(capsys, monkeypatch):
+    # a slope solve that ends on dop853's step-size floor, with no event
+    original = riccati.solve_ivp
+
+    def stalled(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        sol.success, sol.event = False, None
+        return sol
+
+    monkeypatch.setattr(riccati, "solve_ivp", stalled)
+    code = main(["transversality", "--model", "neumann", "--params",
+                 "lambda1=1", "lambda2=2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "step size fell below its floor" in err and "blow-up" not in err
 
 
 @pytest.mark.parametrize("model, params, epsilon", [
@@ -246,8 +267,7 @@ def test_transversality_torus_tangent(capsys, monkeypatch):
     assert code == 0 and rtols == [1e-12]
     model = builtin_model("pendula_identical", [0.0])
     given = chart_transversality(
-        model, *model.matching,
-        opts=SolverOptions(rtol=1e-12, sensitivity_check=False))
+        model, opts=SolverOptions(rtol=1e-12, sensitivity_check=False))
     assert json.loads(out)["gap"] == given.gap
     assert abs(given.gap) < abs(doc["gap"])
 
@@ -524,6 +544,7 @@ def test_non_positive_setting_is_usage_error(capsys, flag):
     # a negative --tol would make the tangent f0 = 0 read "transversal", an
     # infinite one every verdict "inconclusive", and an infinite rtol would
     # leave the steps to the step-size cap alone
+    # (--atol and --cap are no flags of transversality, refused all the same)
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0", flag)
     assert code == 2
@@ -532,7 +553,7 @@ def test_non_positive_setting_is_usage_error(capsys, flag):
 
 # the flags each command reads besides --model, --params, --config, --out
 # and --format, and a valid value of each
-SOLVER = ("--rtol", "--atol", "--epsilon", "--cap")
+SOLVER = ("--rtol", "--epsilon")
 READS = {"validate": (), "riccati": SOLVER + ("--grid",),
          "transversality": SOLVER + ("--tol",), "melnikov": ("--grid",),
          "sweep": SOLVER + ("--tol", "--sweep")}

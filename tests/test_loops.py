@@ -105,7 +105,7 @@ def test_restriction_check_is_relative_to_its_terms(monkeypatch):
 
     monkeypatch.setattr(riccati, "solve_ivp", evaluate)
     _sol, worst = riccati._integrate(loop_profile(m), 1e-4, math.pi, 0.0,
-                                     riccati.SolverOptions(), False)
+                                     1e-9, False)
     assert worst > 1e-6
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from septrans.charts import transversality_verdict
 from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _half_count,
                                _lattice, _rule, _t_cut, _trapezoid,
                                lambda0_threshold,
@@ -201,7 +200,7 @@ def test_nondegenerate_band(lam):
     diag = {}
     d1, d2 = melnikov_derivatives(weak(lam), diag=diag)
     assert d2 < 0
-    res = perturbed_loop_verdict("B", derivs=(d1, d2),
+    res = perturbed_loop_verdict(derivs=(d1, d2),
                                  error=diag["error_bound"])
     assert res.verdict == "perturbed_loop_transversal"
 
@@ -214,39 +213,29 @@ def test_slope_between_the_bound_and_1e8_is_not_critical():
     error = diag["error_bound"]
     dL0 = 1e-10
     assert error < dL0 < 1e-8
-    res = perturbed_loop_verdict("B", derivs=(dL0, d2), error=error)
+    res = perturbed_loop_verdict(derivs=(dL0, d2), error=error)
     assert res.verdict == "inapplicable"
-
-
-def test_case_a_regular_perturbation():
-    # a loop along which the unperturbed manifolds are already transverse
-    report = transversality_verdict(2.0, -2.0)
-    res = perturbed_loop_verdict("A", report=report)
-    assert res.case_label == "A"
-    assert res.verdict == "perturbed_loop_transversal"
-    tangent = transversality_verdict(0.0, 0.0)
-    assert perturbed_loop_verdict("A", report=tangent).verdict == "inapplicable"
 
 
 def test_case_b_needs_derivs():
     with pytest.raises(ValueError, match="derivs"):
-        perturbed_loop_verdict("B")
+        perturbed_loop_verdict()
 
 
 def test_case_b_needs_an_error_bound():
     # the thresholds are the derivatives' error bound, and nothing else
     with pytest.raises(ValueError, match="error"):
-        perturbed_loop_verdict("B", derivs=(0.0, -8.0))
+        perturbed_loop_verdict(derivs=(0.0, -8.0))
 
 
 def test_case_b_degenerate_for_zero_perturbation():
-    res = perturbed_loop_verdict("B", derivs=(0.0, 0.0), error=1e-12)
+    res = perturbed_loop_verdict(derivs=(0.0, 0.0), error=1e-12)
     assert res.verdict == "degenerate"
 
 
 def _assert_single_candidate_at_half(s):
     L = -(np.asarray(s) - 0.5) ** 2  # critical point at s = 0.5, not at 0
-    res = perturbed_loop_verdict("B", derivs=(1.0, -2.0), s_grid=s,
+    res = perturbed_loop_verdict(derivs=(1.0, -2.0), s_grid=s,
                                  L_samples=L, error=1e-12)
     assert res.verdict == "inapplicable"
     (c,) = res.quadrature_diag["critical_candidates"]

@@ -344,7 +344,7 @@ def test_assembled_slope_derivative_near_the_saddle(q1, bound):
 
 def test_assembled_jet_keeps_the_tangent_verdict():
     copy = noop_replaced(builtin_model("pendula_identical", [0.0]))
-    assert chart_transversality(copy, *copy.matching).verdict == "tangent"
+    assert chart_transversality(copy).verdict == "tangent"
 
 
 @st.composite

@@ -133,7 +133,7 @@ def test_equation_residual_along_dense_output():
         terms = riccati_terms(loop_profile(m))
         target = 2.0 if spec[0] == "neumann" else math.pi
         sol = solve_riccati(m, target,
-                            opts=SolverOptions(rtol=1e-11, atol=1e-13,
+                            opts=SolverOptions(rtol=1e-11,
                                                sensitivity_check=False))
         # stay clear of both ends so the difference stencil remains inside
         # the dense-output range
@@ -212,19 +212,18 @@ def test_forward_stability_of_target_solution():
     p = loop_profile(m)
     ref = solve_riccati(m, 2.0)
     for bump in (1e-4, -1e-4):
-        opts = SolverOptions(sensitivity_check=False)
         terms = riccati_terms(p)
         T0, _ = riccati_initial(terms)
         sol, _residual = _integrate(p, ref.epsilon_start, 2.0,
-                                    T0 + bump, opts, False)
+                                    T0 + bump, 1e-9, False)
         assert abs(sol.sol(2.0) - ref(2.0)) < 1e-6
 
 
-def resolve_spread(sol, opts, stable=False):
+def resolve_spread(sol, rtol, stable=False):
     """|T(target)| spread of two solves started 10 epsilon above and below
     sol's start value, the first variation's finite-difference reference."""
     eps, target = sol.epsilon_start, sol.q1_target
-    ends = [_integrate(sol.profile, eps, target, sol(0.0) + shift, opts,
+    ends = [_integrate(sol.profile, eps, target, sol(0.0) + shift, rtol,
                        stable)[0].sol(target)
             for shift in (10.0 * eps, -10.0 * eps)]
     return abs(ends[0] - ends[1])
@@ -241,8 +240,7 @@ def test_startup_sensitivity_is_the_first_variation(name, params, stable):
     # plain solve gives the spread of two tightly solved perturbed starts
     m = builtin_model(name, params)
     sol = solve_riccati(m, m.matching[0], stable=stable)
-    ref = resolve_spread(sol, SolverOptions(rtol=1e-12, atol=5e-14,
-                                            sensitivity_check=False), stable)
+    ref = resolve_spread(sol, 1e-12, stable)
     assert sol.diagnostics["startup_sensitivity"] == pytest.approx(ref,
                                                                    rel=0.01)
     assert sol.diagnostics["n_sensitivity_evaluations"] == (
@@ -281,7 +279,7 @@ def test_startup_sensitivity_leaves_out_the_solve_error(name, params):
     # exactly 0), which the first variation does not contain
     m = builtin_model(name, params)
     sol = solve_riccati(m, m.matching[0])
-    ref = resolve_spread(sol, SolverOptions(sensitivity_check=False))
+    ref = resolve_spread(sol, 1e-9)
     assert sol.diagnostics["startup_sensitivity_ok"]
     assert sol.diagnostics["startup_sensitivity"] < ref
 
@@ -295,11 +293,11 @@ def test_epsilon_robustness():
     assert abs(a(2.0) - b(2.0)) < 1e-8
 
 
-def test_blow_up_reported_with_location():
+def test_blow_up_reported_with_location(monkeypatch):
     m = builtin_model("neumann", [1.0, 2.0])
+    monkeypatch.setattr(riccati, "CAP", 1.5)
     with pytest.raises(BlowUpError) as exc_info:
-        solve_riccati(m, 2.0, opts=SolverOptions(cap=1.5,
-                                                 sensitivity_check=False))
+        solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
     assert 0.0 <= exc_info.value.q1 <= 2.0
     assert "blow-up" in str(exc_info.value)
 
@@ -313,8 +311,9 @@ def test_start_beyond_cap_is_blow_up(monkeypatch):
         raise AssertionError("integrated from a start beyond the cap")
 
     monkeypatch.setattr(riccati, "solve_ivp", no_solve)
+    monkeypatch.setattr(riccati, "CAP", 0.3)
     with pytest.raises(BlowUpError, match="beyond the cap") as exc_info:
-        solve_riccati(m, 2.0, opts=SolverOptions(cap=0.3))
+        solve_riccati(m, 2.0)
     a, b = loop_profile(m).interval
     assert exc_info.value.q1 == 1e-4 * (b - a)
 

@@ -53,19 +53,22 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, events=()):
 CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
          ("pendula_identical", [0.25, -0.125]), ("pendula_identical", [0.0]),
          ("pendula_weak", [2.0]), ("pendula_weak", [3.4])]
+# each route's options (None: the oracle) and riccati.CAP
 ROUTES = {
-    "plain": SolverOptions(),
-    "rtol-1e-12": SolverOptions(rtol=1e-12, atol=5e-14,
-                                sensitivity_check=False),
-    "cap-0.3": SolverOptions(cap=0.3, sensitivity_check=False),
-    "oracle": None,
+    "plain": (SolverOptions(), riccati.CAP),
+    "rtol-1e-12": (SolverOptions(rtol=1e-12, sensitivity_check=False),
+                   riccati.CAP),
+    "cap-0.3": (SolverOptions(sensitivity_check=False), 0.3),
+    "oracle": (None, riccati.CAP),
 }
 
 
-def outcome(monkeypatch, solver, model, opts):
+def outcome(monkeypatch, solver, model, route):
     """(what the route returned, the counts of each of its solves) with
     riccati's solver bound to solver: the slope on a grid up to the
     matching point, the oracle's slope there, or the blow-up point."""
+    opts, cap = route
+    monkeypatch.setattr(riccati, "CAP", cap)
     solves = []
 
     def recording(*args, **kwargs):
@@ -103,10 +106,10 @@ def test_blow_up_event_matches_scipy(monkeypatch):
     # pendula_identical [0.45] the slope rises from T0 = 0.66 to 1.42 at pi,
     # so cap 1 is crossed in flight
     model = builtin_model("pendula_identical", [0.45])
-    opts = SolverOptions(cap=1.0, sensitivity_check=False)
-    (kind, ours), our_counts = outcome(monkeypatch, dop853, model, opts)
+    route = (SolverOptions(sensitivity_check=False), 1.0)
+    (kind, ours), our_counts = outcome(monkeypatch, dop853, model, route)
     (ref_kind, ref), ref_counts = outcome(monkeypatch, scipy_dop853, model,
-                                          opts)
+                                          route)
     assert kind == ref_kind == "blow-up"
     assert our_counts == ref_counts and our_counts[0][3] == 0
     assert 0.0 < ours < model.matching[0]
@@ -114,8 +117,9 @@ def test_blow_up_event_matches_scipy(monkeypatch):
 
 
 # nfev, nsteps and the slope on the 9-point grid of neumann's two cases,
-# as float.hex, recorded while the float state was still checked bit for
-# bit against the one-element list state it replaced.  Neumann's jet is
+# as float.hex, each equal bit for bit to a solve on the one-element list
+# state the float state replaced (the rtol-1e-12 pair re-recorded when its
+# atol became rtol / 1000, on that list-state dop853 as well).  Neumann's jet is
 # arithmetic and sqrt alone, so no libm enters: any change to the float
 # arithmetic of a step (say, the order of y_new's sum) changes them.
 GOLDEN = {
@@ -125,24 +129,24 @@ GOLDEN = {
         "0x1.60e2dafc3c178p+0", "0x1.2742b80186518p+0",
         "0x1.e5a8002cd1eedp-1", "0x1.8b42d15cfadb5p-1",
         "0x1.4000000032172p-1"]),
-    ("neumann", (1.0, 2.0), "rtol-1e-12"): (1358, 107, [
-        "0x1.0000000000000p+1", "0x1.f2f06eaccd44ap+0",
-        "0x1.cecacc06b99cdp+0", "0x1.9b2820dc8f7cfp+0",
-        "0x1.60e2dafa7ca95p+0", "0x1.2742b802cd311p+0",
-        "0x1.e5a8002c26fb6p-1", "0x1.8b42d15e08212p-1",
-        "0x1.40000000000bap-1"]),
+    ("neumann", (1.0, 2.0), "rtol-1e-12"): (1346, 107, [
+        "0x1.0000000000000p+1", "0x1.f2f06eaccd4efp+0",
+        "0x1.cecacc06b9980p+0", "0x1.9b2820dc8f714p+0",
+        "0x1.60e2dafa7d441p+0", "0x1.2742b802cdc9ep+0",
+        "0x1.e5a8002c2660ap-1", "0x1.8b42d15e0826cp-1",
+        "0x1.400000000009ap-1"]),
     ("neumann", (0.7, 2.9), "plain"): (938, 72, [
         "0x1.7333333333333p+1", "0x1.69826e5496109p+1",
         "0x1.4ea75839053cbp+1", "0x1.2836a875f005fp+1",
         "0x1.f98904c3550edp+0", "0x1.a39d849499a6ep+0",
         "0x1.55a40465f44b2p+0", "0x1.12ca35c35cf43p+0",
         "0x1.b72c234f7dd57p-1"]),
-    ("neumann", (0.7, 2.9), "rtol-1e-12"): (2330, 189, [
-        "0x1.7333333333333p+1", "0x1.69826e5496560p+1",
-        "0x1.4ea758390c2b6p+1", "0x1.2836a875f6313p+1",
-        "0x1.f98904c320889p+0", "0x1.a39d8493adcb8p+0",
-        "0x1.55a40465a22cep+0", "0x1.12ca35c34bbcbp+0",
-        "0x1.b72c234f72c4fp-1"]),
+    ("neumann", (0.7, 2.9), "rtol-1e-12"): (2354, 190, [
+        "0x1.7333333333333p+1", "0x1.69826e5496542p+1",
+        "0x1.4ea758390c2cfp+1", "0x1.2836a875f63bep+1",
+        "0x1.f98904c3213c7p+0", "0x1.a39d8493ada14p+0",
+        "0x1.55a40465a26b3p+0", "0x1.12ca35c34bac5p+0",
+        "0x1.b72c234f72c4ep-1"]),
 }
 
 
