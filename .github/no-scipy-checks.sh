@@ -52,11 +52,13 @@ septrans transversality --model pendula_weak --params lam=1e4 \
 # a transversal verdict decides at the default first rung, printed as given
 septrans transversality --model pendula_identical --params f0=0.2 f1=0.05 \
   | grep '"rtol": 1e-09'
-# a node count that overflows, and a loop speed that underflows to 0: each
-# exits 3 with one line on stderr, not a traceback
+# a node count that overflows, a loop speed that underflows to 0, and a
+# coefficient that overflows to nan: each exits 3 with one line on stderr,
+# not a traceback
 for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
     "riccati --model pendula_identical --params f0=0.2 --grid=0:3.14:3 --epsilon 1e-300" \
-    "transversality --model neumann --params lambda1=1e-300 lambda2=2"; do
+    "transversality --model neumann --params lambda1=1e-300 lambda2=2" \
+    "transversality --model pendula_weak --params lam=1e300"; do
   code=0; err=$(septrans $args 2>&1 >/dev/null) || code=$?
   test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
   case "$err" in *Traceback*) echo "$err"; exit 1;; esac

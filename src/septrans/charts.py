@@ -16,14 +16,10 @@ from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 # Jet2 and the transitions live in models; charts re-exports them
-from .models import (ChartTransition, HamiltonianModel, Jet2,
-                     inversion_transition, torus_shift_transition)
+from .models import (ChartTransition, HamiltonianModel, HypothesesError,
+                     Jet2, inversion_transition, torus_shift_transition)
 from .numerics import central_diff
 from .riccati import RiccatiSolution, SolverOptions, solve_riccati
-
-
-class ReversibilityError(RuntimeError):
-    """Model declares no usable reversibility for the requested shortcut."""
 
 
 class StableJet(NamedTuple):
@@ -80,7 +76,7 @@ def stable_from_reversibility(Tu_solution: RiccatiSolution,
     2pi shift (periodic models with r1=-1 only, else None).
     """
     if model.reversibility is None:
-        raise ReversibilityError(
+        raise HypothesesError(
             "no reversibility declared; solve the stable side directly and "
             "use jet_transport_stable")
     r1, _r2 = model.reversibility
@@ -91,7 +87,7 @@ def stable_from_reversibility(Tu_solution: RiccatiSolution,
     Ts_hat = None
     if model.periodic:
         if r1 != -1:
-            raise ReversibilityError("torus form requires r1 = -1")
+            raise HypothesesError("torus form requires r1 = -1")
 
         def Ts_hat(q1: float) -> float:
             # Ts_hat(q1) = Ts(q1 - 2pi) = -Tu(2pi - q1)
@@ -142,7 +138,7 @@ def chart_transversality(model: HamiltonianModel,
     last solve.
     """
     if model.reversibility is None:
-        raise ReversibilityError(
+        raise HypothesesError(
             "jet route without reversibility needs a user-supplied stable jet")
     if model.matching is None:
         raise ValueError("the model declares no matching point")
@@ -207,9 +203,9 @@ def torus_transversality(model: HamiltonianModel,
     model's own matching is set aside for (pi, the shift).
     """
     if not model.periodic:
-        raise ReversibilityError("torus verdict needs a periodic model")
+        raise HypothesesError("torus verdict needs a periodic model")
     if model.reversibility is None or model.reversibility[0] != -1:
-        raise ReversibilityError("torus verdict needs reversibility with r1=-1")
+        raise HypothesesError("torus verdict needs reversibility with r1=-1")
     return chart_transversality(
         replace(model, matching=(math.pi, torus_shift_transition())),
         opts=opts, tol=tol)

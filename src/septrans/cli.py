@@ -8,7 +8,7 @@ Every setting is a flag of its command's argparse subparser, which takes
 only the flags that command reads (see COMMANDS): a --config file stands
 for the flags its entries name, so it gets the same checks (see main).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
-degenerate), 2 usage/config error, 3 numerical failure (blow-up,
+degenerate), 2 usage/config error, 3 numerical failure (blow-up, overflow,
 quadrature), 141 stdout closed by its reader (as for SIGPIPE).
 Only validate, riccati and melnikov load numpy: transversality and sweep
 run on floats alone.
@@ -26,11 +26,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .charts import chart_transversality
-from .loops import LoopConstructionError
 from .models import (BUILTIN_NAMES, BUILTINS, HamiltonianModel,
-                     builtin_model, validate_hypotheses)
-from .numerics import QuadratureError, parse_grid
-from .riccati import BlowUpError, SolverOptions, solve_riccati
+                     HypothesesError, builtin_model, validate_hypotheses)
+from .numerics import BlowUpError, QuadratureError, parse_grid
+from .riccati import SolverOptions, solve_riccati
 
 FMT = "%.17g"
 
@@ -243,7 +242,6 @@ def cmd_melnikov(args) -> int:
         "model": args.model,
         "dL0": verdict.dL0,
         "ddL0": verdict.ddL0,
-        "case": "B",
         "verdict": verdict.verdict,
         **res.quadrature_diag,
         **{"dL_" + k: v for k, v in derivs_diag.items()},
@@ -289,7 +287,7 @@ def cmd_sweep(args) -> int:
 def failure(exc: BlowUpError | QuadratureError | ValueError
             ) -> tuple[int, str]:
     """The documented exit code of a failed run and its message."""
-    if isinstance(exc, LoopConstructionError):
+    if isinstance(exc, HypothesesError):
         return 1, "hypothesis failure: %s" % exc
     if isinstance(exc, (BlowUpError, QuadratureError)):
         return 3, "numerical failure: %s" % exc

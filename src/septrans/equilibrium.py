@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CoefficientJet, HamiltonianModel, hessian_at_origin
-
-
-class NotHyperbolicError(ValueError):
-    """Bmat*A has a non-positive eigenvalue; the origin is not a saddle."""
+from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
+                     hessian_at_origin)
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,14 @@ def linearize(model: HamiltonianModel) -> Linearization:
     c = CoefficientJet(*model.jet(0.0))
     Bmat = np.array([[c.b110, c.b120], [c.b120, c.b220]])
     if not check_positive_definite(Bmat):
-        raise NotHyperbolicError("B(0,0) is not positive definite")
+        raise HypothesesError("B(0,0) is not positive definite")
 
     # Cholesky Bmat = L L^T, then L^T A L is symmetric and similar to
     # Bmat*A; eigh gives its eigenvalues ascending
     L = np.linalg.cholesky(Bmat)
     w, U = np.linalg.eigh(L.T @ A @ L)
     if w[0] <= 0:
-        raise NotHyperbolicError(
+        raise HypothesesError(
             "Bmat*A has eigenvalues %s; not hyperbolic" % (w,))
     # columns of M are eigenvectors of Bmat*A
     M = L @ U

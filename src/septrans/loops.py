@@ -28,16 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .models import CoefficientJet, HamiltonianModel, loop_momenta
-from .numerics import SCALARS
+from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
+                     loop_momenta)
+from .numerics import SCALARS, BlowUpError
 
 
-class LoopConstructionError(ValueError):
-    """The model admits no orbit on q2 = 0 (or V1 is inconsistent with it)."""
-
-
-def _no_loop(rad: float, q1: float) -> LoopConstructionError:
-    return LoopConstructionError(
+def _no_loop(rad: float, q1: float) -> HypothesesError | BlowUpError:
+    """The error of a point at q1 without a loop, the radicand rad of its
+    dS0 negative or nan; a nan one is a coefficient that overflowed (such
+    as lam**2 * 0), a numerical failure."""
+    if rad != rad:
+        return BlowUpError(q1, "coefficient overflow: -2*V0/beta = nan at "
+                           "q1=%g" % q1)
+    return HypothesesError(
         "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
 
 
@@ -75,6 +78,6 @@ class LoopProfile:
 
 def loop_profile(model: HamiltonianModel) -> LoopProfile:
     """The loop's momentum profiles, built from the model's jet on its
-    domain.  A point without a loop raises LoopConstructionError when it
-    is evaluated."""
+    domain.  A point without a loop raises HypothesesError when it is
+    evaluated, and one whose coefficients overflowed BlowUpError."""
     return LoopProfile(model.jet, model.domain)

@@ -267,10 +267,8 @@ def melnikov_derivatives(pert: PerturbationModel,
     return -v1, -v2
 
 
-def perturbed_loop_verdict(derivs: tuple[float, float] | None = None,
-                           s_grid=None,
-                           L_samples=None,
-                           error: float | None = None) -> MelnikovResult:
+def perturbed_loop_verdict(derivs: tuple[float, float], error: float,
+                           s_grid=None, L_samples=None) -> MelnikovResult:
     """Case-B verdict for persistence of a transverse loop when the
     unperturbed manifolds coincide.
 
@@ -285,13 +283,6 @@ def perturbed_loop_verdict(derivs: tuple[float, float] | None = None,
     and the linear zero between two midpoints where the quotients change
     sign.
     """
-    if derivs is None:
-        raise ValueError("the verdict needs derivs, the reduced potential's "
-                         "(L~'(0), L~''(0))")
-    if error is None:
-        raise ValueError("the verdict needs error, a bound on the error of "
-                         "each derivative (melnikov_derivatives' "
-                         "error_bound)")
     dL0, ddL0 = derivs
     diag: dict = {}
     if abs(dL0) <= error:

@@ -103,8 +103,10 @@ def loop_momenta(b110: float, b120: float, b220: float,
     return beta, ds0, -(b120 / b220) * ds0
 
 
-class DomainError(ValueError):
-    """A point outside the region the model describes."""
+class HypothesesError(ValueError):
+    """The model breaks a hypothesis of the verdict: no hyperbolic saddle,
+    no loop on q2 = 0 (or a V1 inconsistent with it), no real start slope,
+    or no reversibility to carry the stable slope across."""
 
 
 class ConstructionError(ValueError):
@@ -379,8 +381,9 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     if model.periodic:
         n = len(COEFF_NAMES)
         shifted = model.jet(grid[::3] + 2 * math.pi)
-        worst = max(float(np.max(np.abs(x - y[::3])))
-                    for x, y in zip(shifted[:n], jets[:n]))
+        # np.max, unlike max, keeps a nan, which fails the check
+        worst = float(np.max([np.max(np.abs(x - y[::3]))
+                              for x, y in zip(shifted[:n], jets[:n])]))
         entries.append(CheckEntry(
             "coefficients_2pi_periodic", worst < 1e-10,
             "max |f(q1+2pi)-f(q1)|=%.2e" % worst, worst))
@@ -599,11 +602,11 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
 
     def locate(q1: float, q2: float):
         if not (0.0 < q1 < 2.0 * math.pi):
-            raise DomainError("loop point needs q1 in (0, 2pi)")
+            raise ValueError("loop point needs q1 in (0, 2pi)")
         u = math.log(math.tan(q1 / 4.0))
         xi2 = q2 + h(q1)
         if not (0.0 < xi2 < 2.0 * math.pi):
-            raise DomainError("point not on the separatrix sheet")
+            raise ValueError("point not on the separatrix sheet")
         t0 = math.log(math.tan(xi2 / 4.0)) / lam
         return (t0, t0 - u)
 

@@ -1,7 +1,8 @@
 """Small shared numerical helpers: finite differences, grid parsing, the
-error of a quadrature too large to run, and dop853, the Dormand-Prince
-8(5,3) integrator of the slope equation and of the linear-ODE oracle's
-Pruefer angle, each a scalar equation, whose state is a float."""
+two numerical failures (a quadrature too large to run, a solve stopped
+short), and dop853, the Dormand-Prince 8(5,3) integrator of the slope
+equation and of the linear-ODE oracle's Pruefer angle, each a scalar
+equation, whose state is a float."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable
 
 # the types of a q1 (or t) that takes a function's float path; np.float64
 # is a float.  Anything else is an array, and only that path imports numpy.
@@ -80,6 +81,18 @@ def parse_grid(spec: str) -> list[float]:
 class QuadratureError(RuntimeError):
     """A quadrature needs more nodes than its budget allows.  It lives here,
     with no numpy import, so that the command line can catch it."""
+
+
+class BlowUpError(RuntimeError):
+    """A solve stopped before its target, at q1: |T| exceeded the cap and
+    the manifold loses graph form (or T has a pole), the loop speed q1dot,
+    which the slope equation divides by, is 0, or the step size fell below
+    its floor.  A coefficient that overflowed to nan raises it too, at the
+    first q1 that has one."""
+
+    def __init__(self, q1: float, message: str):
+        self.q1 = q1
+        super().__init__(message)
 
 
 # Dormand and Prince's 8(5,3) pair with its 7th-order dense output, with
@@ -167,15 +180,15 @@ EPS = sys.float_info.epsilon
 @dataclass
 class OdeResult:
     """How a dop853 solve ended: the last time and state reached (the
-    event point when a terminal event stopped it), the rhs evaluations,
-    the accepted steps, whether the step size stayed above its floor, the
-    index of the event that fired, and the dense output."""
+    event point when the event stopped it), the rhs evaluations, the
+    accepted steps, whether the step size stayed above its floor, whether
+    the event fired, and the dense output."""
     t: float
     y: float
     nfev: int
     nsteps: int
     success: bool
-    event: int | None
+    event: bool
     sol: DenseOutput
 
 
@@ -319,7 +332,7 @@ def _event_root(event, piece: tuple, a: float, b: float) -> float:
 
 def dop853(fun: Callable[[float, float], float],
            t_span: tuple[float, float], y0: float, rtol: float, atol: float,
-           events: Sequence[Callable[[float, float], float]] = ()
+           event: Callable[[float, float], float] | None = None
            ) -> OdeResult:
     """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by
     the Dormand-Prince 8(5,3) pair, step for step scipy's
@@ -329,13 +342,13 @@ def dop853(fun: Callable[[float, float], float],
     pendula_weak at rtol 1e-9, single steps of a quarter of the loop were
     accepted with local errors 1e3 to 1e5 times the tolerance.
 
-    The state is a float, which fun returns and the events, the result and
-    the dense output see, and a step is plain float arithmetic.  Every
-    event is terminal: the solve stops at the first root of any event(t, y)
-    that changed sign (or reached zero) over a step, located on that
+    The state is a float, which fun returns and the event, the result and
+    the dense output see, and a step is plain float arithmetic.  The event
+    is terminal: the solve stops at the root of event(t, y) on the first
+    step over which it changed sign (or reached zero), located on that
     step's interpolant.  A step size below ten spacings of the floats at t
     ends the solve with success False at the last accepted point.  nfev
-    counts the evaluations of the steps and of the interpolant of an
+    counts the evaluations of the steps and of the interpolant of the
     event's step, as scipy's solve_ivp does without dense output; the
     dense output makes the other steps' interpolants when first read, so
     a solve that never reads it pays nothing for it.
@@ -350,7 +363,7 @@ def dop853(fun: Callable[[float, float], float],
     h_abs = _initial_step(fun, t, y, k1, t_bound, rtol, atol, max_step)
     nfev = 2
     sol = DenseOutput(fun, t, y)
-    g = [event(t, y) for event in events]
+    g = event(t, y) if event is not None else None
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _C
     ((a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4),
      (a6_1, a6_4, a6_5), (a7_1, a7_4, a7_5, a7_6),
@@ -369,7 +382,7 @@ def dop853(fun: Callable[[float, float], float],
         rejected = False
         while True:
             if h_abs < min_step:
-                return OdeResult(t, y, nfev, nsteps, False, None, sol)
+                return OdeResult(t, y, nfev, nsteps, False, False, sol)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             # the stages, y_new and scipy's error sums from the 5th- and
@@ -421,20 +434,15 @@ def dop853(fun: Callable[[float, float], float],
                 (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13))
         t, y, k1 = t_new, y_new, k13
         nsteps += 1
-        g_new = [event(t, y) for event in events]
-        active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                  if a <= 0 <= b or a >= 0 >= b]
-        piece = None
-        if active:
-            piece = _interpolant(fun, *step)
-            nfev += 3
-            roots = {i: _event_root(events[i], piece, step[0], t)
-                     for i in active}
-            first = min(active, key=roots.__getitem__)
-            t = roots[first]
-            y = _interpolate(piece, t)
-        sol.append(step, t, y, piece)
-        if active:
-            return OdeResult(t, y, nfev, nsteps, True, first, sol)
-        g = g_new
-    return OdeResult(t, y, nfev, nsteps, True, None, sol)
+        if event is not None:
+            g_new = event(t, y)
+            if g <= 0 <= g_new or g >= 0 >= g_new:
+                piece = _interpolant(fun, *step)
+                nfev += 3
+                t = _event_root(event, piece, step[0], t)
+                y = _interpolate(piece, t)
+                sol.append(step, t, y, piece)
+                return OdeResult(t, y, nfev, nsteps, True, True, sol)
+            g = g_new
+        sol.append(step, t, y)
+    return OdeResult(t, y, nfev, nsteps, True, False, sol)

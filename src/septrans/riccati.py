@@ -24,27 +24,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .loops import LoopConstructionError, LoopProfile, _no_loop, loop_profile
-from .models import CoefficientJet, HamiltonianModel, loop_momenta
-from .numerics import SCALARS
+from .loops import LoopProfile, _no_loop, loop_profile
+from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
+                     loop_momenta)
+from .numerics import SCALARS, BlowUpError
 # the solver's one binding, which the bench's traced run rebinds to count
 # rhs evaluations
 from .numerics import dop853 as solve_ivp
-
-
-class BlowUpError(RuntimeError):
-    """|T| exceeded CAP: the manifold loses graph form before the target
-    (or the loop speed q1dot, which the slope equation divides by, is 0,
-    or the step size fell below its floor)."""
-
-    def __init__(self, q1: float, message: str):
-        self.q1 = q1
-        super().__init__(message)
-
-
-class HypothesesError(ValueError):
-    """No real initial slope: Delta < 0, hypotheses violated."""
-
 
 Terms = Callable[..., tuple]
 
@@ -156,7 +142,7 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
     """(the dop853 result, the largest |residual| of the loop restriction
     over the points the solve evaluated).  A residual above 1e-6 max(1,
     |dS1 q1dot| + |V1|), the size of its two terms, raises
-    LoopConstructionError at the first point that has it."""
+    HypothesesError at the first point that has it."""
     # the blow-up event fires on a sign change only, so a start past the
     # cap is caught here
     if abs(T_start) > CAP:
@@ -180,7 +166,7 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
                 c, beta, ds0, _s1, ds1 = profile.point(q1)
                 scale = max(1.0, abs(ds1 * (beta * ds0)) + abs(c.V1))
                 if not r <= 1e-6 * scale:
-                    raise LoopConstructionError(
+                    raise HypothesesError(
                         "inconsistent V1: restriction residual %.3g > %s at "
                         "q1=%g" % (r, "1e-6" if scale == 1.0
                                    else "1e-6 * %.3g" % scale, q1))
@@ -190,19 +176,31 @@ def _integrate(profile: LoopProfile, eps: float, q1_target: float,
     def blow_up(q1, T):
         return CAP - abs(T)
 
+    return _solve_to_target(rhs, (eps, q1_target), T_start, rtol,
+                            rtol / 1000, blow_up,
+                            "graph form lost / blow-up"), worst
+
+
+def _solve_to_target(rhs, span: tuple[float, float], start: float,
+                     rtol: float, atol: float, event, meaning: str,
+                     q1_at: Callable[[float], float] = float):
+    """The dop853 solve of rhs over span from start, stopped by event,
+    whose root means what meaning says; q1_at maps the solve's variable to
+    q1.  A solve that stops short raises BlowUpError at the q1 where it
+    stopped: on a loop speed q1dot that underflows to 0, at the event, or
+    on the step-size floor."""
+    q1_start, q1_end = map(q1_at, span)
     try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, (eps, q1_target), T_start, rtol, rtol / 1000,
-                        events=(blow_up,))
+        sol = solve_ivp(rhs, span, start, rtol, atol, event=event)
     except ZeroDivisionError as exc:
-        raise BlowUpError(eps, "loop speed q1dot underflows to 0 between "
-                          "q1=%g and q1=%g" % (eps, q1_target)) from exc
-    if sol.event is not None:
-        raise BlowUpError(sol.t, "graph form lost / blow-up at q1=%g before "
-                          "q1_target=%g" % (sol.t, q1_target))
-    if not sol.success:
-        raise BlowUpError(sol.t, "slope step size fell below its floor at "
-                          "q1=%g before q1_target=%g" % (sol.t, q1_target))
-    return sol, worst
+        raise BlowUpError(q1_start, "loop speed q1dot underflows to 0 between "
+                          "q1=%g and q1=%g" % (q1_start, q1_end)) from exc
+    if sol.event or not sol.success:
+        q1 = q1_at(sol.t)
+        raise BlowUpError(q1, "%s at q1=%g before q1_target=%g" % (
+            meaning if sol.event else "step size fell below its floor",
+            q1, q1_end))
+    return sol
 
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1]
@@ -242,7 +240,7 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     O(epsilon) start-up error self-correcting.  A start offset epsilon at
     or past q1_target raises ValueError.  Every point the solve evaluates
     checks the loop restriction: a residual above 1e-6 of the size of its
-    two terms raises LoopConstructionError, and diagnostics carry the
+    two terms raises HypothesesError, and diagnostics carry the
     largest, restriction_residual_max, and slope_max, the largest |T| over
     the solve's mesh states, at no rhs evaluation.  With
     opts.sensitivity_check the diagnostics carry startup_sensitivity, the
@@ -330,15 +328,6 @@ def riccati_to_linear_oracle(model: HamiltonianModel,
     span = (math.log(q1s), math.log(q1_target))
     theta0 = math.atan2(1.0, b220(q1s) * T0)
     # rtol 1e-10 left errors up to 8.6e-11 in T (pendula_identical [0.45])
-    try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, span, theta0, 1e-11, 1e-12, events=(y_zero,))
-    except ZeroDivisionError as exc:
-        raise BlowUpError(q1s, "loop speed q1dot underflows to 0 between "
-                          "q1=%g and q1=%g" % (q1s, q1_target)) from exc
-    q1 = math.exp(sol.t)
-    if sol.event is not None:
-        raise BlowUpError(q1, "pole of T (y crossed zero) at q1=%g" % q1)
-    if not sol.success:
-        raise BlowUpError(q1, "oracle step size fell below its floor at "
-                          "q1=%g before q1_target=%g" % (q1, q1_target))
+    sol = _solve_to_target(rhs, span, theta0, 1e-11, 1e-12, y_zero,
+                           "pole of T (y crossed zero)", math.exp)
     return 1.0 / (b220(q1_target) * math.tan(sol.y))

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from septrans.charts import (MIN_RTOL, ChartTransition, Jet2,
-                             ReversibilityError,
-                             StableJet, chart_transversality,
-                             inversion_transition,
+from septrans.charts import (MIN_RTOL, ChartTransition, Jet2, StableJet,
+                             chart_transversality, inversion_transition,
                              jet_transport_stable, stable_from_reversibility,
                              stable_jet_from_unstable, torus_shift_transition,
                              torus_transversality, transversality_verdict)
 from septrans import riccati
-from septrans.models import builtin_model
+from septrans.models import HypothesesError, builtin_model
 from septrans.numerics import central_diff
 from septrans.riccati import SolverOptions, solve_riccati
 from test_models import admissible_models
@@ -180,7 +178,7 @@ def test_stable_jet_outside_the_solved_interval_raises():
 def test_stable_requires_declared_reversibility():
     m = replace(builtin_model("neumann", [1.0, 2.0]), reversibility=None)
     sol = solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
-    with pytest.raises(ReversibilityError):
+    with pytest.raises(HypothesesError):
         stable_from_reversibility(sol, m)
 
 
@@ -349,8 +347,14 @@ def test_chart_verdict_reads_the_models_matching():
 
 
 def test_torus_transversality_requires_structure():
-    with pytest.raises(ReversibilityError):
+    with pytest.raises(HypothesesError):
         torus_transversality(builtin_model("neumann", [1.0, 2.0]))
+
+
+def test_chart_verdict_requires_declared_reversibility():
+    m = replace(builtin_model("neumann", [1, 2]), reversibility=None)
+    with pytest.raises(HypothesesError, match="without reversibility"):
+        chart_transversality(m)
 
 
 def solve_rtols(monkeypatch):

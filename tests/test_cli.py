@@ -10,8 +10,8 @@ import pytest
 
 from septrans import riccati
 from septrans.charts import chart_transversality
-from septrans.cli import build_parser, main, make_model
-from septrans.models import ConstructionError, builtin_model
+from septrans.cli import build_parser, failure, main, make_model
+from septrans.models import ConstructionError, HypothesesError, builtin_model
 from septrans.numerics import parse_grid
 from septrans.riccati import SolverOptions
 
@@ -442,26 +442,59 @@ def test_melnikov_over_node_budget_exits_three(capsys, monkeypatch):
     assert "needs 10284205 nodes" in err
 
 
-@pytest.mark.parametrize("argv", [
+OVERFLOW = "coefficient overflow: -2*V0/beta = nan at q1=0"
+
+
+@pytest.mark.parametrize("argv, message", [
     # the proven rule's windows need 1.8e302 nodes
-    ["melnikov", "--model", "pendula_weak", "--params", "lam=1e300",
-     "--grid=-1:1:3"],
+    (["melnikov", "--model", "pendula_weak", "--params", "lam=1e300",
+      "--grid=-1:1:3"], "budget"),
     # and an infinite count at lam 1e308, whose strip width 0.93 pi / (2
     # lam) is subnormal, not the 0 of an overflowing 2 lam
-    ["melnikov", "--model", "pendula_weak", "--params", "lam=1e308",
-     "--grid=-1:1:3"],
+    (["melnikov", "--model", "pendula_weak", "--params", "lam=1e308",
+      "--grid=-1:1:3"], "budget"),
     # the loop speed q1dot underflows to 0 in the slope solve
-    ["riccati", "--model", "pendula_identical", "--params", "f0=0.2",
-     "--grid=0:3.14:3", "--epsilon", "1e-300"],
-    ["transversality", "--model", "neumann", "--params", "lambda1=1e-300",
-     "lambda2=2"],
-], ids=["melnikov", "melnikov-1e308", "riccati", "transversality"])
-def test_extreme_parameters_exit_three(capsys, argv):
+    (["riccati", "--model", "pendula_identical", "--params", "f0=0.2",
+      "--grid=0:3.14:3", "--epsilon", "1e-300"], "q1dot"),
+    (["transversality", "--model", "neumann", "--params", "lambda1=1e-300",
+      "lambda2=2"], "q1dot"),
+    # lam**2 * 0 is nan: the loop's radicand overflows, which is not a
+    # missing loop
+    (["riccati", "--model", "pendula_weak", "--params", "lam=1e300"],
+     OVERFLOW),
+    (["transversality", "--model", "pendula_weak", "--params", "lam=1e300"],
+     OVERFLOW),
+    (["transversality", "--model", "neumann", "--params", "lambda1=1e200",
+      "lambda2=2e200"], OVERFLOW),
+], ids=["melnikov", "melnikov-1e308", "riccati", "transversality",
+        "riccati-overflow", "transversality-overflow", "neumann-overflow"])
+def test_extreme_parameters_exit_three(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:")
-    assert ("budget" if argv[0] == "melnikov" else "q1dot") in err
+    assert message in err
+
+
+def test_hypothesis_failure_is_exit_one():
+    assert failure(HypothesesError("no saddle")) == (
+        1, "hypothesis failure: no saddle")
+
+
+def test_hypothesis_failure_of_the_verdict_exits_one(capsys, monkeypatch):
+    from septrans import cli
+
+    def no_reversibility(model, **kwargs):
+        return chart_transversality(replace(model, reversibility=None),
+                                    **kwargs)
+
+    monkeypatch.setattr(cli, "chart_transversality", no_reversibility)
+    code = main(["transversality", "--model", "neumann", "--params",
+                 "lambda1=1", "lambda2=2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("hypothesis failure: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_sweep_row_of_underflowing_loop_speed_is_nan(tmp_path, capsys):

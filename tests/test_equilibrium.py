@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from septrans.equilibrium import (NotHyperbolicError, check_positive_definite,
-                                  linearize)
-from septrans.models import HamiltonianModel, builtin_model
+from septrans.equilibrium import check_positive_definite, linearize
+from septrans.models import HamiltonianModel, HypothesesError, builtin_model
 from septrans.loops import loop_profile
 from septrans.riccati import riccati_initial, riccati_terms
 
@@ -60,7 +59,7 @@ def test_eigenvector_residual():
 
 
 def test_not_hyperbolic():
-    with pytest.raises(NotHyperbolicError):
+    with pytest.raises(HypothesesError):
         linearize(constant_model([[-1.0, 0.0], [0.0, 1.0]],
                                  [[1.0, 0.0], [0.0, 1.0]]))
 

@@ -217,17 +217,6 @@ def test_slope_between_the_bound_and_1e8_is_not_critical():
     assert res.verdict == "inapplicable"
 
 
-def test_case_b_needs_derivs():
-    with pytest.raises(ValueError, match="derivs"):
-        perturbed_loop_verdict()
-
-
-def test_case_b_needs_an_error_bound():
-    # the thresholds are the derivatives' error bound, and nothing else
-    with pytest.raises(ValueError, match="error"):
-        perturbed_loop_verdict(derivs=(0.0, -8.0))
-
-
 def test_case_b_degenerate_for_zero_perturbation():
     res = perturbed_loop_verdict(derivs=(0.0, 0.0), error=1e-12)
     assert res.verdict == "degenerate"

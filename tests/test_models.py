@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from septrans.loops import LoopConstructionError, loop_profile
-from septrans.models import (ConstructionError, builtin_model,
-                             hessian_at_origin, validate_hypotheses,
-                             CoefficientJet, HamiltonianModel, COEFF_NAMES)
+from septrans.loops import loop_profile
+from septrans.models import (ConstructionError, HypothesesError,
+                             builtin_model, hessian_at_origin,
+                             validate_hypotheses, CoefficientJet,
+                             HamiltonianModel, COEFF_NAMES)
 from septrans.numerics import central_diff, second_diff
 from septrans.charts import chart_transversality
 from septrans.riccati import (SolverOptions, riccati_initial, riccati_terms,
@@ -89,6 +90,17 @@ def test_validate_catches_bad_coupling():
     assert not rep.ok
     assert any(e.name == "potential_maximum_nondegenerate"
                for e in rep.failed())
+
+
+def test_periodicity_check_fails_on_nan():
+    # lam**2 * 0 overflows to nan in V0 and V1; max(0.0, nan) is 0.0, so a
+    # per-field max over Python floats let the nan pass
+    m = builtin_model("pendula_weak", [1e300], strict=False)
+    with np.errstate(invalid="ignore"):
+        rep = validate_hypotheses(m)
+    (entry,) = [e for e in rep.entries
+                if e.name == "coefficients_2pi_periodic"]
+    assert not entry.passed and math.isnan(entry.worst)
 
 
 def test_validate_catches_wrong_sign_potential():
@@ -291,7 +303,7 @@ def test_replaced_v1_fails_restriction_check(name, params):
     m = builtin_model(name, params)
     bad = replace(m, V1=lambda q1, v1=m.V1: v1(q1) + 0.1)
     assert CoefficientJet(*bad.jet(1.0)).V1 == m.V1(1.0) + 0.1
-    with pytest.raises(LoopConstructionError, match="inconsistent V1"):
+    with pytest.raises(HypothesesError, match="inconsistent V1"):
         solve_riccati(bad, m.matching[0])
     assert "loop_restriction_residual" in [
         e.name for e in validate_hypotheses(bad).failed()]
