@@ -29,6 +29,14 @@ test "$(echo "$coarse" | wc -l)" = 3 && test "$coarse" = "$fine" \
 septrans transversality --model neumann --params lambda1=1 lambda2=2
 septrans riccati --model pendula_identical --params f0=0.35 f1=0.1
 septrans validate --model pendula_weak --params lam=1.5
+# coefficients that overflow to inf and nan fail validate's checks (exit
+# 1) on floats: a warning on stderr fails here
+for args in "--model neumann --params lambda1=1e200 lambda2=2e200" \
+    "--model pendula_weak --params lam=1e300"; do
+  code=0; err=$(septrans validate $args 2>&1 >/dev/null) || code=$?
+  test "$code" = 1 && test -z "$err" \
+    || { echo "validate $args: exit $code"; echo "$err"; exit 1; }
+done
 septrans transversality --model pendula_weak --params lam=1.5
 septrans sweep --model pendula_weak --sweep lam=1.5:2.5:3
 # constant coupling on the slope solve's float path: tangent at f0 = 0,

@@ -1,8 +1,9 @@
 """Numerical transversality of separatrix intersections in 2-d.o.f.
 classical Hamiltonians, via Riccati slope equations and Melnikov potentials.
 
-The modules a verdict runs on are imported here; equilibrium and melnikov,
-which need numpy, load on first use of them or of a name they define."""
+The modules every command but melnikov runs on are imported here, and none
+of them loads numpy; equilibrium and melnikov, which need it, load on first
+use of them or of a name they define."""
 
 from importlib import import_module
 

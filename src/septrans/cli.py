@@ -10,8 +10,8 @@ for the flags its entries name, so it gets the same checks (see main).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
 degenerate), 2 usage/config error, 3 numerical failure (blow-up, overflow,
 quadrature), 141 stdout closed by its reader (as for SIGPIPE).
-Only validate, riccati and melnikov load numpy: transversality and sweep
-run on floats alone.
+Only melnikov loads numpy: validate, riccati, transversality and sweep run
+on floats alone.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def cmd_riccati(args) -> int:
         "startup_sensitivity_ok": ("true" if sol.diagnostics[
             "startup_sensitivity_ok"] else "false"),
     }
-    write_curve(args, comments, ["q1", "Tu"],
-                list(zip(grid, sol(grid).tolist())))
+    write_curve(args, comments, ["q1", "Tu"], [(q1, sol(q1)) for q1 in grid])
     return 0
 
 

@@ -13,14 +13,13 @@ validate_hypotheses over the whole domain, each to 1e-6 of the size of
 its two terms.  The induced inner dynamics on the loop is
 q1' = beta(q1) * dS0(q1).
 
-A model's jet returns a plain tuple in CoefficientJet's field order.  A
-profile is its jet and its interval, evaluated through one method, its
-point: point(q1) returns that jet at q1, named as a CoefficientJet,
-together with beta, dS0, S1 and dS1 there, from one jet evaluation, and
-every reader takes the entries it needs from that tuple.  It takes a
-number or a 1-D array q1 (an ndarray or a list).  The slope solve's float
-path does not go through it: riccati_terms unpacks the jet's tuple itself,
-one jet call per step, and raises the same errors.
+A model's jet returns a plain tuple of floats in CoefficientJet's field
+order.  A profile is its jet and its interval, evaluated through one
+method, its point: point(q1) returns that jet at a number q1, named as a
+CoefficientJet, together with beta, dS0, S1 and dS1 there, from one jet
+evaluation, and every reader takes the entries it needs from that tuple.
+The slope solve does not go through it: riccati_terms unpacks the jet's
+tuple itself, one jet call per step, and raises the same errors.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable
 
 from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
                      loop_momenta)
-from .numerics import SCALARS, BlowUpError
+from .numerics import BlowUpError
 
 
 def _no_loop(rad: float, q1: float) -> HypothesesError | BlowUpError:
@@ -51,27 +50,15 @@ class LoopProfile:
     jet is the jet of the model the profile was built from, and point(q1)
     the loop point there, the tuple (c, beta, dS0, S1, dS1) of the jet c at
     q1, as a CoefficientJet, and the profiles at q1, from one jet
-    evaluation.  On an array q1 a point without a loop raises for the
-    first such entry.
+    evaluation.
     """
     jet: Callable[[float], tuple] = field(repr=False, compare=False)
     interval: tuple[float, float]
 
-    def point(self, q1) -> tuple:
-        array = not isinstance(q1, SCALARS)
-        if array:
-            import numpy as np
-            q1 = np.asarray(q1, dtype=float)
+    def point(self, q1: float) -> tuple:
         c = CoefficientJet(*self.jet(q1))
         beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
-        if array:
-            # the first point without a loop, in the order of q1
-            bad = np.flatnonzero(np.isnan(np.broadcast_to(ds0, q1.shape)))
-            if bad.size:
-                i = bad[0]
-                raise _no_loop(
-                    np.broadcast_to(-2.0 * c.V0 / beta, q1.shape)[i], q1[i])
-        elif ds0 != ds0:
+        if ds0 != ds0:
             raise _no_loop(-2.0 * c.V0 / beta, q1)
         return c, beta, ds0, s1, c.dS1
 

@@ -18,12 +18,12 @@ CoefficientJet(*jet(q1)).  The nine coefficient fields are views of the
 jet.  The saddle checks also read V0'(0), V1'(0) and V0''(0), which a
 model carries as its saddle.
 
-q1 is a number or a 1-D ndarray.  On a number (a float, an int or a
-numpy float) the jet returns floats (the slope solve steps one point at a
-time); on an ndarray each entry is an array of q1's shape, or a constant
-that broadcasts against it, so a grid known in advance costs one call.  A
-jet given to from_jet must accept both.  numpy is imported on the array
-path only, so a run that evaluates numbers alone never loads it.
+q1 is a number (a float, an int or a numpy float), and the jet returns
+floats: the slope solve steps one point at a time, and a grid known in
+advance, such as validate_hypotheses' 257 points, is a call per point.
+The built-in jets call math alone, so numpy loads only for the Melnikov
+integrals (a perturbation's integrand hooks) and the linearization at the
+saddle (septrans.equilibrium).
 
 Three built-in models are provided: a geodesic-flow model on the sphere with
 a quadratic potential ("neumann"), two identical coupled pendula
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .numerics import SCALARS, central_diff, second_diff
+from .numerics import central_diff, second_diff
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,10 +50,10 @@ COEFF_NAMES = ("b110", "b120", "b220", "b112", "b122", "b222", "V0", "V1", "Y")
 
 
 class CoefficientJet(NamedTuple):
-    """The nine coefficients at q1, then S1' and b220' there: floats at a
-    float q1, arrays (or constants) at an ndarray q1.  It names the order
-    of a jet's plain tuple, which a jet returns since building this class
-    costs several times a tuple's price on every slope-equation step."""
+    """The nine coefficients at q1, then S1' and b220' there.  It names
+    the order of a jet's plain tuple, which a jet returns since building
+    this class costs several times a tuple's price on every slope-equation
+    step."""
     b110: float
     b120: float
     b220: float
@@ -82,24 +82,18 @@ class JetView:
 def loop_momenta(b110: float, b120: float, b220: float,
                  V0: float) -> tuple[float, float, float]:
     """(beta, dS0, S1) of the zero-energy orbit on q2 = 0 from the
-    coefficients at one point, or elementwise on arrays (see
-    septrans.loops).
+    coefficients at one point (see septrans.loops).
 
     beta = det B0 / b220, dS0 = sqrt(-2 V0 / beta), S1 = -(b120 / b220) dS0.
     dS0 and S1 are nan where -2 V0 / beta < 0, where no loop passes.
     """
     beta = (b110 * b220 - b120 * b120) / b220
     rad = -2.0 * V0 / beta
-    if isinstance(rad, SCALARS):
-        if rad < 0.0:
-            if rad <= -1e-14:
-                return beta, math.nan, math.nan
-            rad = 0.0
-        ds0 = math.sqrt(rad)
-        return beta, ds0, -(b120 / b220) * ds0
-    import numpy as np
-    ds0 = np.sqrt(np.where(rad < 0.0,
-                           np.where(rad <= -1e-14, np.nan, 0.0), rad))
+    if rad < 0.0:
+        if rad <= -1e-14:
+            return beta, math.nan, math.nan
+        rad = 0.0
+    ds0 = math.sqrt(rad)
     return beta, ds0, -(b120 / b220) * ds0
 
 
@@ -199,8 +193,8 @@ class HamiltonianModel:
     @classmethod
     def from_jet(cls, jet: Callable[[float], tuple],
                  saddle: tuple[float, float, float] | None, **kwargs):
-        """A model whose nine fields are views of jet, which takes a float
-        or a 1-D ndarray q1 (see the module docstring)."""
+        """A model whose nine fields are views of jet (see the module
+        docstring)."""
         return cls(**{c: JetView(jet, i) for i, c in enumerate(COEFF_NAMES)},
                    saddle=saddle, jet=jet, **kwargs)
 
@@ -211,12 +205,11 @@ class HamiltonianModel:
 
 def _assembled_jet(model: HamiltonianModel) -> Callable[[float], tuple]:
     """The jet of a model given by its fields: each field is called once per
-    point (an ndarray q1 one element at a time), and S1' and b220' come by
-    fourth-order differences.  S1' takes one step, 1e-4 of the domain,
-    which outgrows the cancellation of fields such as cos(q1) - 1 near the
-    saddle: a central stencil where it fits in the domain, else a
-    one-sided stencil inside it, since S1 behaves like |q1 - a| at an end
-    a where V0 vanishes."""
+    point, and S1' and b220' come by fourth-order differences.  S1' takes
+    one step, 1e-4 of the domain, which outgrows the cancellation of fields
+    such as cos(q1) - 1 near the saddle: a central stencil where it fits in
+    the domain, else a one-sided stencil inside it, since S1 behaves like
+    |q1 - a| at an end a where V0 vanishes."""
     fields = tuple(getattr(model, c) for c in COEFF_NAMES)
     a, b = model.domain
 
@@ -233,12 +226,9 @@ def _assembled_jet(model: HamiltonianModel) -> Callable[[float], tuple]:
         return (-25 * s1(q1) + 48 * s1(q1 + s) - 36 * s1(q1 + 2 * s)
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
-    def jet(q1) -> tuple:
-        if isinstance(q1, SCALARS):
-            return (*[f(q1) for f in fields], ds1(q1),
-                    model.derivative("b220", q1))
-        import numpy as np
-        return tuple(np.array([jet(q) for q in q1.tolist()]).T)
+    def jet(q1: float) -> tuple:
+        return (*[f(q1) for f in fields], ds1(q1),
+                model.derivative("b220", q1))
 
     return jet
 
@@ -326,6 +316,15 @@ def hessian_at_origin(model: HamiltonianModel) -> tuple[float, float, float]:
     return -ddv0, -dv1, CoefficientJet(*model.jet(0.0)).Y
 
 
+def _keep_nan(pick: Callable, values: Sequence[float],
+              default: float) -> float:
+    """pick (min or max) of values, or nan if one is nan, as numpy's min and
+    max: the builtins keep or drop a nan by where it sits."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return float(pick(values, default=default))
+
+
 def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     """Spot-check the structural hypotheses on a sample grid.
 
@@ -336,17 +335,18 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     when flagged; the loop restriction dS1 beta dS0 + V1 = 0 on the whole
     domain, endpoints included, to 1e-6 of the size of its two terms (the
     slope solve checks it only where it evaluates).  The absence of an
-    order-1 kinetic term is structural.
+    order-1 kinetic term is structural.  A nan at a grid point fails the
+    check that reads it, with worst nan.
     """
-    import numpy as np
     entries: list[CheckEntry] = []
     a, b = model.domain
-    grid = a + (b - a) * np.arange(257) / 256
-    jets = CoefficientJet(*(np.broadcast_to(v, grid.shape)
-                            for v in model.jet(grid)))
+    grid = [a + (b - a) * i / 256 for i in range(257)]
+    jets = [model.jet(q1) for q1 in grid]
+    b110, b120, b220, _b112, _b122, _b222, v0, v1, _y, ds1, _db220 = zip(*jets)
 
-    worst_b11 = float(np.min(jets.b110))
-    worst_det = float(np.min(jets.b110 * jets.b220 - jets.b120 * jets.b120))
+    worst_b11 = _keep_nan(min, b110, math.inf)
+    worst_det = _keep_nan(min, [x * z - y * y for x, y, z
+                                in zip(b110, b120, b220)], math.inf)
     ok = worst_b11 > 0 and worst_det > 0
     entries.append(CheckEntry(
         "kinetic_positive_definite", ok,
@@ -372,18 +372,17 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     # interior excludes a margin near the endpoints where V0 vanishes
     margin = 1e-3 * (b - a)
     lo, hi = a + margin, (b - margin if model.periodic else b)
-    worst_v0 = float(np.max(jets.V0[(lo < grid) & (grid < hi)],
-                            initial=-math.inf))
+    worst_v0 = _keep_nan(max, [v for q1, v in zip(grid, v0) if lo < q1 < hi],
+                         -math.inf)
     entries.append(CheckEntry(
         "potential_negative_on_interior", worst_v0 < 0,
         "max interior V0=%.3g" % worst_v0, worst_v0))
 
     if model.periodic:
         n = len(COEFF_NAMES)
-        shifted = model.jet(grid[::3] + 2 * math.pi)
-        # np.max, unlike max, keeps a nan, which fails the check
-        worst = float(np.max([np.max(np.abs(x - y[::3]))
-                              for x, y in zip(shifted[:n], jets[:n])]))
+        worst = _keep_nan(max, [
+            abs(x - y) for q1, c in zip(grid[::3], jets[::3])
+            for x, y in zip(model.jet(q1 + 2 * math.pi)[:n], c[:n])], 0.0)
         entries.append(CheckEntry(
             "coefficients_2pi_periodic", worst < 1e-10,
             "max |f(q1+2pi)-f(q1)|=%.2e" % worst, worst))
@@ -393,13 +392,18 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
 
     # nan where no loop passes, which fails the check too; each residual
     # is judged against 1e-6 max(1, |dS1 q1dot| + |V1|), the size of its
-    # two terms
-    beta, ds0, _s1 = loop_momenta(jets.b110, jets.b120, jets.b220, jets.V0)
-    ds1_q1dot = jets.dS1 * beta * ds0
-    residual = np.abs(ds1_q1dot + jets.V1)
-    worst = float(np.max(residual))
-    ok = bool(np.all(residual <= 1e-6 * np.maximum(
-        1.0, np.abs(ds1_q1dot) + np.abs(jets.V1))))
+    # two terms, which only one past 1e-6 pays for
+    residuals, ok = [], True
+    for x, y, z, v, w, d in zip(b110, b120, b220, v0, v1, ds1):
+        try:
+            beta, ds0, _s1 = loop_momenta(x, y, z, v)
+            ds1_q1dot = d * beta * ds0
+        except ZeroDivisionError:   # beta or b220 is 0: nan, which fails
+            ds1_q1dot = math.nan
+        r = abs(ds1_q1dot + w)
+        residuals.append(r)
+        ok = ok and (r <= 1e-6 or r <= 1e-6 * (abs(ds1_q1dot) + abs(w)))
+    worst = _keep_nan(max, residuals, 0.0)
     entries.append(CheckEntry(
         "loop_restriction_residual", ok,
         "max residual %.3g on %d-point grid" % (worst, len(grid)), worst))
@@ -416,8 +420,7 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         raise ConstructionError("neumann requires 0 < lambda1 < lambda2")
     l1s, l2s = lambda1 * lambda1, lambda2 * lambda2
 
-    # arithmetic alone, so a float and an ndarray q1 take the same code and
-    # round alike: a * a, where a ** 2 on a float would be libm's pow
+    # squares as a * a, where a ** 2 on a float would be libm's pow
     def jet(q1):
         a = 4.0 + q1 * q1
         a2 = a * a
@@ -440,14 +443,14 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
 
 
 def _cosine_poly(coeffs: Sequence[float]) -> Callable:
-    """f(q1, m) = sum of c_k cos(k q1) by m.cos: m is math for a float q1,
-    numpy for an ndarray.  A zero c_k, which adds nothing, costs no cos."""
+    """f(q1) = sum of c_k cos(k q1).  A zero c_k, which adds nothing, costs
+    no cos."""
     terms = tuple((k, c) for k, c in enumerate(map(float, coeffs)) if c)
 
-    def f(q1, m=math):
+    def f(q1):
         total = 0
         for k, c in terms:
-            total += c * m.cos(k * q1)
+            total += c * math.cos(k * q1)
         return total
 
     return f
@@ -463,20 +466,16 @@ def _pendula_identical(f_coeffs: Sequence[float],
             "pendula_identical requires 0 <= f(0) < 1/2, got f(0)=%g" % f0)
 
     def jet(q1):
-        if isinstance(q1, SCALARS):
-            m = math
-        else:
-            import numpy as m
         # V0 = 2 (cos q1 - 1) as -4 sin^2(q1/2), which does not cancel
         # near the saddle
-        sin_half = m.sin(q1 / 2.0)
+        sin_half = math.sin(q1 / 2.0)
         return (
             1.0, -1.0, 2.0,                                 # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
             -4.0 * sin_half * sin_half,                     # V0
-            -m.sin(q1),                                     # V1
-            m.cos(q1) - f(q1, m),                           # Y
-            m.cos(q1 / 2.0), 0.0)                           # S1' b220'
+            -math.sin(q1),                                  # V1
+            math.cos(q1) - f(q1),                           # Y
+            math.cos(q1 / 2.0), 0.0)                        # S1' b220'
 
     # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0
     return HamiltonianModel.from_jet(
@@ -499,38 +498,26 @@ def _weak_h(lam: float):
     function of t and u, without cancellation near the saddle.
 
     h(q1) is h itself, for H* and the location of loop points;
-    h_slope(q1) = (h', m, n, r, t, u, v) is h' with the terms it is built
-    from: m is math for a number q1 and numpy for an ndarray, and v =
-    t^(lam-1).  Both take a number or a 1-D ndarray q1.
+    h_slope(q1) = (h', n, r, t, u, v) is h' with the terms it is built
+    from, v = t^(lam-1).
     """
     two_pi = 2.0 * math.pi
 
-    def cell(q1):
-        if isinstance(q1, SCALARS):
-            m, lesser = math, min
-        else:
-            import numpy as m
-            lesser = m.minimum
-        n = m.floor(q1 / two_pi)
+    def h_slope(q1):
+        n = math.floor(q1 / two_pi)
         r = q1 - n * two_pi
         # d = min(r, 2pi - r), since pi - |r - pi| loses the digits of a
         # small d; its absolute value, since within an ulp or so of a
         # multiple of 2pi, r rounds below 0 or above 2pi
-        t = m.tan(abs(lesser(r, two_pi - r)) / 4.0)
+        t = math.tan(abs(min(r, two_pi - r)) / 4.0)
         v = t ** (lam - 1.0)
-        return m, n, r, t, v * t, v
-
-    def h_slope(q1):
-        m, n, r, t, u, v = cell(q1)
-        return lam * v * (1.0 + t * t) / (1.0 + u * u), m, n, r, t, u, v
+        u = v * t
+        return lam * v * (1.0 + t * t) / (1.0 + u * u), n, r, t, u, v
 
     def h(q1):
-        m, n, r, _t, u, _v = cell(q1)
-        if m is math:
-            hb = 4.0 * math.atan(u)
-            return (hb if r <= math.pi else two_pi - hb) + n * two_pi
-        hb = 4.0 * m.arctan(u)
-        return m.where(r <= math.pi, hb, two_pi - hb) + n * two_pi
+        _h1, n, r, _t, u, _v = h_slope(q1)
+        hb = 4.0 * math.atan(u)
+        return (hb if r <= math.pi else two_pi - hb) + n * two_pi
 
     return h, h_slope
 
@@ -545,26 +532,19 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
     # h'' is unbounded there
     h2_saddle = 0.5 if lam == 2.0 else math.nan if 1.0 < lam < 2.0 else 0.0
 
-    def h2_half_cell(t, v, g, uu, w):
-        # h'' on the half cell off the saddle, t^(lam-2) = v / t
-        return lam * g / 4.0 * (v / t) / w * (
-            (lam - 1.0) * g + 2.0 * t * t - 2.0 * lam * g * uu / w)
-
     def jet(q1):
-        h1, m, n, r, t, u, v = h_slope(q1)
+        h1, n, r, t, u, v = h_slope(q1)
         g, uu = 1.0 + t * t, u * u
         w = 1.0 + uu
         # sin(h/2) and cos(h/2) on the half cell; sigma is +1 on r <= pi,
         # else -1: h'' and sin h are odd under the reflection
         sin_h2, cos_h2 = 2.0 * u / w, (1.0 - uu) / w
-        sin_half = m.sin(q1 / 2.0)
+        sin_half = math.sin(q1 / 2.0)
         sigma = 1.0 - 2.0 * (r > math.pi)
-        if m is math:
-            h2 = h2_half_cell(t, v, g, uu, w) if t else h2_saddle
-        else:
-            with m.errstate(divide="ignore", invalid="ignore"):
-                h2 = m.where(t == 0.0, h2_saddle,
-                             h2_half_cell(t, v, g, uu, w))
+        # h'' on the half cell off the saddle, t^(lam-2) = v / t
+        h2 = (lam * g / 4.0 * (v / t) / w
+              * ((lam - 1.0) * g + 2.0 * t * t - 2.0 * lam * g * uu / w)
+              if t else h2_saddle)
         return (
             1.0, -h1, 1.0 + h1 * h1,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222

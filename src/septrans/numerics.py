@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
-# the types of a q1 (or t) that takes a function's float path; np.float64
-# is a float.  Anything else is an array, and only that path imports numpy.
-SCALARS = (float, int)
-
-
 def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
     """First derivative by the 4th-order central stencil.
 
@@ -200,12 +195,7 @@ class DenseOutput:
     breakpoint; beyond either end the nearest piece extrapolated, as in
     scipy's OdeSolution.  A piece costs 3 rhs evaluations, made when it is
     first needed, so a solve read only at its mesh points pays none.
-
-    Called at a number t it returns the state, a float; at a 1-D array t
-    (an ndarray or a list), an ndarray of shape (len(t),), whose entries
-    equal the calls at each t bit for bit (the same polynomial in the same
-    order of operations).  The first array call builds every piece and
-    stacks them into arrays, which later ones reuse."""
+    Called at a number t it returns the state, a float."""
 
     def __init__(self, fun: Callable, t0: float, y0: float):
         self._fun = fun
@@ -214,7 +204,6 @@ class DenseOutput:
         # per step, what builds its piece: (t, h, y, y_new, stages)
         self._steps: list[tuple] = []
         self._pieces: list[tuple | None] = []
-        self._stacked: tuple | None = None
 
     def append(self, step: tuple, t_end: float, y_end: float,
                piece: tuple | None = None) -> None:
@@ -222,7 +211,6 @@ class DenseOutput:
         self._pieces.append(piece)
         self.ts.append(t_end)
         self.ys.append(y_end)
-        self._stacked = None
 
     def _piece(self, i: int) -> tuple:
         """Step i's piece, built on first use."""
@@ -230,35 +218,16 @@ class DenseOutput:
             self._pieces[i] = _interpolant(self._fun, *self._steps[i])
         return self._pieces[i]
 
-    def __call__(self, t):
-        if not isinstance(t, SCALARS):
-            return self._at_array(t)
-        j = bisect_left(self.ts, t)
-        if j < len(self.ts) and self.ts[j] == t:
+    def __call__(self, t: float) -> float:
+        ts = self.ts
+        j = bisect_left(ts, t)
+        if j < len(ts) and ts[j] == t:
             return self.ys[j]
-        if not self._steps:
+        n = len(self._steps)
+        if not n:
             return self.ys[0]
-        return _interpolate(self._piece(min(max(j - 1, 0),
-                                            len(self._steps) - 1)), t)
-
-    def _at_array(self, s):
-        import numpy as np
-        s = np.asarray(s, dtype=float)
-        if not self._steps:
-            return np.full(len(s), self.ys[0])
-        # the mesh and its states, then each piece's start, size, y and F,
-        # F as 7 rows of one entry per piece
-        if self._stacked is None:
-            t, h, y, F = zip(*map(self._piece, range(len(self._steps))))
-            self._stacked = (np.array(self.ts), np.array(self.ys),
-                             np.array(t), np.array(h), np.array(y),
-                             np.array(F).T)
-        ts, ys, t, h, y, F = self._stacked
-        j = np.minimum(np.searchsorted(ts, s, side="left"), len(ts) - 1)
-        i = np.clip(j - 1, 0, len(t) - 1)
-        # every point's piece at once, as one piece of array entries
-        inner = _interpolate((t[i], h[i], y[i], F[:, i]), s)
-        return np.where(ts[j] == s, ys[j], inner)
+        i = j - 1 if 0 < j <= n else 0 if j == 0 else n - 1
+        return _interpolate(self._pieces[i] or self._piece(i), t)
 
 
 def _interpolant(fun, t: float, h: float, y: float, y_new: float,
@@ -281,9 +250,8 @@ def _coefficients(h: float, y: float, y_new: float, k: list) -> tuple:
             *(h * sum(map(mul, d, ks)) for d in _D))
 
 
-def _interpolate(piece: tuple, s):
-    """The piece at s; s and the piece's entries may be floats or arrays
-    alike."""
+def _interpolate(piece: tuple, s: float) -> float:
+    """The piece at s."""
     t, h, y, (f0, f1, f2, f3, f4, f5, f6) = piece
     x = (s - t) / h
     u = 1.0 - x

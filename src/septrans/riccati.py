@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .loops import LoopProfile, _no_loop, loop_profile
-from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
-                     loop_momenta)
-from .numerics import SCALARS, BlowUpError
+from .models import CoefficientJet, HamiltonianModel, HypothesesError
+from .numerics import BlowUpError
 # the solver's one binding, which the bench's traced run rebinds to count
 # rhs evaluations
 from .numerics import dop853 as solve_ivp
@@ -61,58 +60,43 @@ class RiccatiSolution:
     _dense: object = None
     _initial: float = 0.0
 
-    def __call__(self, q1):
-        """T at q1 in [0, q1_target]; on [0, epsilon_start] the solve's
-        start value (T0, or -T0 on the stable side).  Raises ValueError
-        outside that interval.  A number q1 gives a float; an array of q1
-        (an ndarray or a list) takes one dense-output call and gives the
-        values of the calls at each entry."""
-        scalar = isinstance(q1, SCALARS)
-        if scalar:
-            q1a = hi = lo = float(q1)
-        else:
-            import numpy as np
-            q1a = np.asarray(q1, dtype=float)
-            hi = np.max(q1a, initial=-math.inf)
-            lo = np.min(q1a, initial=math.inf)
-        if hi > self.q1_target:
+    def __call__(self, q1: float) -> float:
+        """T at a number q1 in [0, q1_target], a float; on [0,
+        epsilon_start] the solve's start value (T0, or -T0 on the stable
+        side).  Raises ValueError outside that interval."""
+        q1 = float(q1)
+        if q1 > self.q1_target:
             raise ValueError("q1=%g beyond the solved interval, which ends "
-                             "at %g" % (hi, self.q1_target))
-        if lo < 0.0:
+                             "at %g" % (q1, self.q1_target))
+        if q1 < 0.0:
             raise ValueError("q1=%g below the solved interval, which starts "
-                             "at 0" % lo)
-        if scalar:
-            return (self._initial if q1a <= self.epsilon_start
-                    else self._dense(q1a))
-        flat = q1a.ravel()
-        return np.where(flat <= self.epsilon_start, self._initial,
-                        self._dense(flat)).reshape(q1a.shape)
+                             "at 0" % q1)
+        return self._initial if q1 <= self.epsilon_start else self._dense(q1)
 
 
 def riccati_terms(profile: LoopProfile) -> Terms:
     """q1 -> (q1dot, alpha, delta, b220, db220, residual), what the slope
-    equation and its linear form read at q1 (a number or a 1-D array),
-    from one jet evaluation; q1dot = beta * dS0 is the inner dynamics on
-    the loop, alpha = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222
-    S1^2) / 2, delta = b120 dS1, and residual = dS1 q1dot + V1 is the loop
-    restriction's, zero on a consistent model.
+    equation and its linear form read at a number q1, from one jet
+    evaluation; q1dot = beta * dS0 is the inner dynamics on the loop, alpha
+    = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2, delta
+    = b120 dS1, and residual = dS1 q1dot + V1 is the loop restriction's,
+    zero on a consistent model.
 
-    A number q1, one per step of a solve, unpacks the jet's tuple here and
-    takes the loop momenta from loop_momenta, raising the profile point's
-    error where no loop passes; an array goes through the profile's
-    point."""
-    jet, point = profile.jet, profile.point
+    Called once per step of a solve, it unpacks the jet's tuple and takes
+    the loop momenta as loop_momenta does, inline, raising the profile
+    point's error where no loop passes."""
+    jet = profile.jet
 
-    def terms(q1) -> tuple:
-        if isinstance(q1, SCALARS):
-            (b110, b120, b220, b112, b122, b222, v0, v1, y, ds1,
-             db220) = jet(q1)
-            beta, ds0, s1 = loop_momenta(b110, b120, b220, v0)
-            if ds0 != ds0:
-                raise _no_loop(-2.0 * v0 / beta, q1)
-        else:
-            c, beta, ds0, s1, ds1 = point(q1)
-            b110, b120, b220, b112, b122, b222, _v0, v1, y, _ds1, db220 = c
+    def terms(q1: float) -> tuple:
+        b110, b120, b220, b112, b122, b222, v0, v1, y, ds1, db220 = jet(q1)
+        beta = (b110 * b220 - b120 * b120) / b220
+        rad = -2.0 * v0 / beta
+        if not rad >= 0.0:      # negative or nan
+            if not rad > -1e-14:
+                raise _no_loop(rad, q1)
+            rad = 0.0
+        ds0 = math.sqrt(rad)
+        s1 = -(b120 / b220) * ds0
         q1dot = beta * ds0
         alpha = (y - b110 * ds1 * ds1
                  - 0.5 * (b112 * ds0 * ds0 + 2.0 * b122 * ds0 * s1
@@ -216,17 +200,19 @@ def _startup_propagation(terms: Terms, dense, stable: bool):
     / q1dot dq) from the solve's first mesh point to its last, the
     variational equation of the slope equation along its solution T.  The
     integral is 5-point Gauss-Legendre on each accepted step, with T from
-    the dense output; one terms call and one dense call take all the
-    nodes."""
-    import numpy as np
+    the dense output: a terms call and a dense call per node."""
     sgn2 = -2.0 if stable else 2.0
-    ts = np.asarray(dense.ts)
-    mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ts[1:] - ts[:-1])
-    q1 = (mid[:, None] + half[:, None] * np.array(_GAUSS5_X)).ravel()
-    q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
-    f = (2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot
-    integral = half @ (f.reshape(-1, len(_GAUSS5_W)) @ np.array(_GAUSS5_W))
-    return math.exp(-integral), q1.size
+    ts = dense.ts
+    integral = 0.0
+    for a, b in zip(ts[:-1], ts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        step = 0.0
+        for x, w in zip(_GAUSS5_X, _GAUSS5_W):
+            q1 = mid + half * x
+            q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
+            step += (2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot * w
+        integral += half * step
+    return math.exp(-integral), len(_GAUSS5_W) * (len(ts) - 1)
 
 
 def solve_riccati(model: HamiltonianModel, q1_target: float,

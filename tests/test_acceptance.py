@@ -95,7 +95,7 @@ def test_acceptance_04():
         sol = solve_riccati(m, math.pi)
         xs = np.linspace(-1.0 + 1e-3, 0.0, 200)
         q1s = 2.0 * np.arccos(-xs)
-        Tbar = 2.0 * sol(q1s) + xs
+        Tbar = 2.0 * np.array([sol(q) for q in q1s]) + xs
         expect = b - (1.0 - xs ** 2) / (b - xs)
         assert np.max(np.abs(Tbar - expect)) < 1e-6
 
@@ -116,7 +116,7 @@ def test_acceptance_06():
     sol = solve_riccati(m, math.pi)
     xs = np.linspace(-1.0 + 1e-6, 0.0, 400)
     q1s = 2.0 * np.arccos(-xs)
-    Tbar = 2.0 * sol(q1s) + xs
+    Tbar = 2.0 * np.array([sol(q) for q in q1s]) + xs
     c, d = 0.5, math.sqrt(3.0) / 2.0
     Tc = c - (1.0 - xs ** 2) / (c - xs)
     Td = d - (1.0 - xs ** 2) / (d - xs)

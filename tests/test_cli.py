@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,20 @@ def test_validate_failure_exit_one(capsys):
     assert doc["ok"] is False
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "potential_maximum_nondegenerate" in failed
+
+
+@pytest.mark.parametrize("model, params", [
+    ("neumann", ["lambda1=1e200", "lambda2=2e200"]),
+    ("pendula_weak", ["lam=1e300"])])
+def test_validate_of_an_overflow_is_silent(capsys, model, params):
+    # the coefficients overflow to inf and nan: the checks fail, with
+    # nothing on stderr and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate", "--model", model, "--params", *params])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert strict_json(out)["ok"] is False
 
 
 def test_validate_csv_format(capsys):

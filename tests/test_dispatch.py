@@ -1,9 +1,7 @@
-"""A number q1 takes a function's float path and an array takes its array
-path, by a test that needs no numpy: an int, a float and a numpy float64
-give identical floats, and a list or an ndarray gives the float calls
-element by element.  riccati_terms is held to it too, since its float path
-unpacks the jet itself while its array path goes through the profile's
-point."""
+"""Every function of q1 takes a number: an int, a float and a numpy
+float64 give identical floats, and none gives an array.  riccati_terms is
+held to it too, since it unpacks the jet and takes the loop momenta
+itself."""
 
 import math
 
@@ -11,7 +9,9 @@ import numpy as np
 import pytest
 
 from septrans.loops import loop_profile
-from septrans.models import CoefficientJet, builtin_model, loop_momenta
+from septrans.models import (CoefficientJet, HamiltonianModel,
+                             HypothesesError, builtin_model, loop_momenta)
+from septrans.numerics import BlowUpError
 from septrans.riccati import riccati_terms, solve_riccati
 
 BUILTINS = [("neumann", [1.3, 2.4]), ("pendula_identical", [0.25, -0.125]),
@@ -55,35 +55,29 @@ def test_numbers_take_the_float_path(name, params, q):
     assert slopes[0] == slopes[1] == slopes[2]
 
 
-@pytest.mark.parametrize("name,params", BUILTINS)
-def test_arrays_take_the_array_path(name, params):
-    m = builtin_model(name, params)
-    q1 = [0.3, 1.0, 2.0, 2.9]
-    profile = loop_profile(m)
+# pendula_identical's beta is 1/2, so the radicand -2 V0 / beta is -4 V0:
+# below 0 by less than 1e-14, by more, and nan
+@pytest.mark.parametrize("v0", [-0.5, 0.0, 5e-16, 2.4e-15, 2.6e-15,
+                                math.nan])
+def test_terms_take_the_loop_momenta_of_the_point(v0):
+    # riccati_terms takes the loop momenta inline: the profile point's
+    # q1dot, its clamp of a radicand within 1e-14 below 0, and its error
+    # where no loop passes
+    base = builtin_model("pendula_identical", [0.2])
+
+    def jet(q1):
+        c = base.jet(q1)
+        return c[:6] + (v0,) + c[7:]
+
+    profile = loop_profile(HamiltonianModel.from_jet(
+        jet, base.saddle, domain=base.domain, periodic=base.periodic,
+        reversibility=base.reversibility, matching=base.matching))
     terms = riccati_terms(profile)
-    sol = solve_riccati(m, math.pi)
-    for arg in (q1, np.array(q1)):
-        c, *profiles = profile.point(arg)
-        pointwise = [profile.point(q) for q in q1]
-        # numpy's transcendental functions may differ from math's by ulps
-        for got, want in zip(profiles, zip(*[pt[1:] for pt in pointwise])):
-            assert np.allclose(np.broadcast_to(got, (len(q1),)), want,
-                               rtol=1e-14, atol=1e-15)
-        # the terms on an array go through the profile's point, on a
-        # number through the jet alone
-        got, want = terms(arg), zip(*[terms(q) for q in q1])
-        for g, w in zip(got, want):
-            assert np.allclose(np.broadcast_to(g, (len(q1),)), w,
-                               rtol=1e-14, atol=1e-15)
-        dense = sol._dense(arg)
-        assert isinstance(dense, np.ndarray) and dense.shape == (len(q1),)
-        assert dense.tolist() == [sol._dense(q) for q in q1]
-        slopes = sol(arg)
-        assert isinstance(slopes, np.ndarray)
-        assert slopes.tolist() == [sol(q) for q in q1]
-    # a jet takes an ndarray, and loop_momenta arrays of coefficients
-    c = CoefficientJet(*m.jet(np.array(q1)))
-    beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
-    assert np.allclose(np.broadcast_to(ds0, (len(q1),)),
-                       [profile.point(q)[2] for q in q1], rtol=1e-14,
-                       atol=1e-15)
+    try:
+        _c, beta, ds0, _s1, _ds1 = profile.point(1.0)
+    except (HypothesesError, BlowUpError) as exc:
+        with pytest.raises(type(exc)) as got:
+            terms(1.0)
+        assert str(got.value) == str(exc)
+    else:
+        assert terms(1.0)[0] == beta * ds0

@@ -1,7 +1,8 @@
 """septrans runs on numpy alone: importing septrans and running any
-subcommand must leave sys.modules free of scipy.  A verdict runs on floats
-alone: importing septrans and septrans.cli, and running transversality or
-sweep, must leave it free of numpy too.  Each check runs in a fresh
+subcommand must leave sys.modules free of scipy.  Every command but
+melnikov runs on floats alone: importing septrans and septrans.cli, and
+running validate, riccati, transversality or sweep, must leave it free of
+numpy too.  Each check runs in a fresh
 interpreter, since this test process has long imported scipy and numpy."""
 
 import json
@@ -82,10 +83,11 @@ def test_solves_load_no_scipy(args):
     ("pendula_identical", ["f0=0.25", "f1=-0.125"], "f0=0.15:0.35:3"),
     ("pendula_weak", ["lam=2"], "lam=1.5:2.5:3"),
 ])
-@pytest.mark.parametrize("command", ["transversality", "sweep"])
+@pytest.mark.parametrize("command",
+                         ["validate", "riccati", "transversality", "sweep"])
 def test_verdicts_load_no_numpy(command, model, params, sweep):
-    # the verdict's solve, its restriction check and the stable jet run on
-    # floats; numpy loads only where a function is given an array
+    # the hypothesis grid, the solve, its restriction check, the start-up
+    # quadrature, the output grid and the stable jet run on floats
     args = [command, "--model", model, "--params", *params]
     if command == "sweep":
         args += ["--sweep", sweep]

@@ -522,7 +522,8 @@ def test_array_h_matches_scalar_jet(lam):
     # around the points where an earlier jet switched to power limits, at
     # the saddle itself, and just below multiples of 2pi, where q1 - 2pi
     # floor(q1 / 2pi) rounds below 0 (a fractional power of a negative
-    # float is complex)
+    # float is complex).  The reference's h on the array, and the jet at
+    # its entries, numpy floats, against h and the jet at Python floats
     h, h_slope = _weak_h(lam)
     m = builtin_model("pendula_weak", [lam])
     near = 1e-5 * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
@@ -531,14 +532,17 @@ def test_array_h_matches_scalar_jet(lam):
     q1 = np.concatenate([np.linspace(-7.0, 13.0, 2001), near, -near,
                          2.0 * math.pi + near, 2.0 * math.pi - near, below])
     ref = np.array([[h(x), *m.jet(x)] for x in q1.tolist()]).T
+    arrays = np.array([m.jet(x) for x in q1]).T
     for name, got, want in zip(("h",) + CoefficientJet._fields,
-                               (h(q1), *m.jet(q1)), ref):
+                               (WeakReference(lam).h_jet(q1)[0], *arrays),
+                               ref):
         got = np.broadcast_to(got, q1.shape)
         err = np.abs(got - want)
         assert np.all((err <= 1e-14 * np.maximum(1.0, np.abs(want)))
                       | (np.isnan(got) & np.isnan(want))), (name, np.nanmax(err))
     # the loop family reads h' alone, the same numbers as the jet's b120
-    assert np.array_equal(h_slope(q1)[0], -CoefficientJet(*m.jet(q1)).b120)
+    assert np.array_equal([h_slope(x)[0] for x in q1],
+                          [-CoefficientJet(*m.jet(x)).b120 for x in q1])
 
 
 def grid_and_alone(pert, grid):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +15,7 @@ from septrans.models import (ConstructionError, HypothesesError,
                              HamiltonianModel, COEFF_NAMES)
 from septrans.numerics import central_diff, second_diff
 from septrans.charts import chart_transversality
+from septrans.cli import write_json
 from septrans.riccati import (SolverOptions, riccati_initial, riccati_terms,
                               riccati_to_linear_oracle, solve_riccati)
 from weak_reference import WeakReference
@@ -71,9 +74,8 @@ def test_pendulum_potential_does_not_cancel_near_the_saddle(name, params,
     x = Fraction(q1)
     ref = float(-x * x * (1 - x * x / 12 + x ** 4 / 360))
     m = builtin_model(name, params)
-    for c in (CoefficientJet(*m.jet(q1)),
-              CoefficientJet(*m.jet(np.array([q1])))):
-        v0 = float(np.broadcast_to(c.V0, (1,))[0])
+    for q in (q1, np.float64(q1)):
+        v0 = CoefficientJet(*m.jet(q)).V0
         assert abs(v0 - ref) <= 4 * math.ulp(ref), (v0, ref)
 
 
@@ -92,15 +94,38 @@ def test_validate_catches_bad_coupling():
                for e in rep.failed())
 
 
-def test_periodicity_check_fails_on_nan():
+def nan_at(m, index, q1):
+    """m with a jet whose entry index is nan at q1 alone."""
+    def jet(x):
+        c = m.jet(x)
+        return c[:index] + (math.nan,) + c[index + 1:] if x == q1 else c
+
+    return HamiltonianModel.from_jet(
+        jet, m.saddle, domain=m.domain, periodic=m.periodic,
+        reversibility=m.reversibility, name=m.name, params=m.params,
+        matching=m.matching)
+
+
+@pytest.mark.parametrize("model, check", [
     # lam**2 * 0 overflows to nan in V0 and V1; max(0.0, nan) is 0.0, so a
     # per-field max over Python floats let the nan pass
-    m = builtin_model("pendula_weak", [1e300], strict=False)
-    with np.errstate(invalid="ignore"):
-        rep = validate_hypotheses(m)
-    (entry,) = [e for e in rep.entries
-                if e.name == "coefficients_2pi_periodic"]
+    (lambda: builtin_model("pendula_weak", [1e300], strict=False),
+     "coefficients_2pi_periodic"),
+    # a nan at neumann's interior grid point 4 = 8 * 128 / 256, which min
+    # and max over Python floats drop
+    (lambda: nan_at(neumann(), 0, 4.0), "kinetic_positive_definite"),
+    (lambda: nan_at(neumann(), 6, 4.0), "potential_negative_on_interior"),
+    (lambda: nan_at(neumann(), 7, 4.0), "loop_restriction_residual"),
+], ids=["periodic", "b110", "V0", "V1"])
+def test_a_nan_fails_the_check_that_reads_it(model, check):
+    rep = validate_hypotheses(model())
+    (entry,) = [e for e in rep.entries if e.name == check]
     assert not entry.passed and math.isnan(entry.worst)
+    # null in validate's JSON
+    out = io.StringIO()
+    write_json(out, [e.__dict__ for e in rep.entries])
+    (doc,) = [e for e in json.loads(out.getvalue()) if e["name"] == check]
+    assert doc["worst"] is None
 
 
 def test_validate_catches_wrong_sign_potential():
@@ -133,7 +158,8 @@ def test_zero_cosine_coefficients_change_nothing():
     with_zeros = builtin_model("pendula_identical", [0.2, 0.0, 0.05, 0.0])
     q1 = np.linspace(0.0, 2 * math.pi, 101)
     want = np.cos(q1) - (0.2 * np.cos(0 * q1) + 0.05 * np.cos(2 * q1))
-    assert np.array_equal(CoefficientJet(*with_zeros.jet(q1)).Y, want)
+    assert np.array_equal([CoefficientJet(*with_zeros.jet(x)).Y for x in q1],
+                          want)
     assert [CoefficientJet(*with_zeros.jet(x)).Y for x in q1.tolist()] == [
         math.cos(x) - (0.2 * math.cos(0 * x) + 0.05 * math.cos(2 * x))
         for x in q1.tolist()]
@@ -395,7 +421,8 @@ def test_jet_derivatives_match_central_differences(point):
 
 
 # ---------------------------------------------------------------------------
-# the jet on an ndarray against its calls one point at a time
+# the jet at an ndarray's entries, numpy floats, against its calls at the
+# same points as Python floats
 
 
 @st.composite
@@ -413,7 +440,7 @@ def grids(draw, m):
 
 
 def assert_array_jet_is_pointwise(m, q1, close):
-    arr = m.jet(q1)
+    arr = list(zip(*[m.jet(q) for q in q1]))
     pointwise = [m.jet(q) for q in q1.tolist()]
     for name, got, want in zip(CoefficientJet._fields, arr, zip(*pointwise)):
         got = np.broadcast_to(got, q1.shape)
@@ -425,14 +452,13 @@ def assert_array_jet_is_pointwise(m, q1, close):
 
 def field_scale(m):
     """Each jet entry's largest finite magnitude over m's domain."""
-    c = m.jet(np.linspace(*m.domain, 257))
+    c = zip(*[m.jet(q) for q in np.linspace(*m.domain, 257)])
     return {name: np.nanmax(np.abs(np.broadcast_to(v, (257,))))
             for name, v in zip(CoefficientJet._fields, c)}
 
 
 def within_ulps_of_math(m):
-    """numpy's transcendental functions may differ from math's by an ulp:
-    agreement within 1e-14 of the entry's size on the domain."""
+    """Agreement within 1e-14 of the entry's size on the domain."""
     scale = field_scale(m)
 
     def close(name, got, want):
@@ -451,8 +477,8 @@ def bit_equal(name, got, want):
 @given(st.data())
 def test_neumann_array_jet_equals_float_jet(data):
     # the jet is arithmetic alone, squares included (a ** 2 on a float
-    # would be libm's pow, which misrounds about 1 square in 1,300), so
-    # both paths round alike
+    # would be libm's pow, which misrounds about 1 square in 1,300), which
+    # a numpy float rounds as a Python float does
     m = data.draw(admissible_models("neumann"))
     q1 = np.concatenate([data.draw(grids(m)), np.linspace(0.0, 8.0, 2001)])
     assert_array_jet_is_pointwise(m, q1, bit_equal)
@@ -477,7 +503,7 @@ def test_pendula_weak_array_jet_near_the_saddle(lam):
                    2 * math.pi - 5e-6, 2 * math.pi, 2 * math.pi + 5e-6])
     assert_array_jet_is_pointwise(m, q1, within_ulps_of_math(m))
     # h'' is unbounded at the saddle for 1 < lam < 2
-    assert np.isnan(CoefficientJet(*m.jet(q1)).db220[0]) == (1.0 < lam < 2.0)
+    assert math.isnan(CoefficientJet(*m.jet(q1[0])).db220) == (1.0 < lam < 2.0)
 
 
 # pendula_weak's jet entries (b120, b220, V0, V1, Y, S1', b220') at float
@@ -658,10 +684,10 @@ def test_pendula_weak_jet_matches_golden_values(lam):
     m = builtin_model("pendula_weak", [lam])
     names = ("b120", "b220", "V0", "V1", "Y", "dS1", "db220")
     for q1, ref in WEAK_GOLDEN[lam]:
-        for got in (CoefficientJet(*m.jet(q1)),
-                    CoefficientJet(*m.jet(np.array([q1])))):
+        for x in (q1, np.float64(q1)):
+            got = CoefficientJet(*m.jet(x))
             for name, want in zip(names, ref):
-                value = float(np.broadcast_to(getattr(got, name), (1,))[0])
+                value = getattr(got, name)
                 assert abs(value - want) <= 1e-14 * max(1.0, abs(want)), \
                     (q1, name, value, want)
 
@@ -675,32 +701,62 @@ def test_assembled_array_jet_is_its_pointwise_calls(data):
     assert_array_jet_is_pointwise(m, data.draw(grids(m)), bit_equal)
 
 
-def pointwise(m):
-    """m with a jet that maps an array through m's float jet one point at
-    a time: the reference for the checks' array calls."""
-    def jet(q1):
-        if isinstance(q1, np.ndarray):
-            return CoefficientJet(*np.array([m.jet(q) for q in q1.tolist()]).T)
-        return m.jet(q1)
-
-    return HamiltonianModel.from_jet(
-        jet, m.saddle, domain=m.domain, periodic=m.periodic,
-        reversibility=m.reversibility, name=m.name, params=m.params,
-        matching=m.matching)
+def array_checks(m):
+    """{name: (passed, worst)} of validate_hypotheses' grid checks by
+    numpy's reductions, which keep a nan, of the jet at each grid point:
+    the reference for the checks on floats."""
+    a, b = m.domain
+    grid = a + (b - a) * np.arange(257) / 256
+    jets = np.array([m.jet(q) for q in grid.tolist()])
+    c = CoefficientJet(*jets.T)
+    margin = 1e-3 * (b - a)
+    lo, hi = a + margin, (b - margin if m.periodic else b)
+    with np.errstate(all="ignore"):
+        det = c.b110 * c.b220 - c.b120 * c.b120
+        worst_b11, worst_det = np.min(c.b110), np.min(det)
+        worst_v0 = np.max(c.V0[(lo < grid) & (grid < hi)], initial=-math.inf)
+        beta = det / c.b220
+        rad = -2.0 * c.V0 / beta
+        ds0 = np.sqrt(np.where(rad < 0.0,
+                               np.where(rad <= -1e-14, np.nan, 0.0), rad))
+        ds1_q1dot = c.dS1 * beta * ds0
+        residual = np.abs(ds1_q1dot + c.V1)
+        checks = {
+            "kinetic_positive_definite": (
+                worst_b11 > 0 and worst_det > 0, min(worst_b11, worst_det)),
+            "potential_negative_on_interior": (worst_v0 < 0, worst_v0),
+            "loop_restriction_residual": (
+                np.all(residual <= 1e-6 * np.maximum(
+                    1.0, np.abs(ds1_q1dot) + np.abs(c.V1))),
+                np.max(residual))}
+        if m.periodic:
+            shifted = np.array([m.jet(q + 2 * math.pi)
+                                for q in grid[::3].tolist()])
+            worst = np.max(np.abs(shifted[:, :9] - jets[::3, :9]))
+            checks["coefficients_2pi_periodic"] = (worst < 1e-10, worst)
+    return checks
 
 
 @pytest.mark.parametrize("name,params", BUILTINS + [
-    ("pendula_identical", [0.6]), ("pendula_weak", [1.5])])
+    ("pendula_identical", [0.6]), ("pendula_weak", [1.5]),
+    ("neumann", [1e200, 2e200]), ("pendula_weak", [1e300]),
+    # det B0 rounds to 0 near pi, where the float checks divide by 0
+    ("pendula_weak", [1e9])])
 def test_array_checks_match_pointwise_checks(name, params):
     m = builtin_model(name, params, strict=False)
-    ref = pointwise(m)
+    ref = array_checks(m)
     residual = []
-    for e, f in zip(validate_hypotheses(m).entries,
-                    validate_hypotheses(ref).entries):
-        assert (e.name, e.passed) == (f.name, f.passed)
+    for e in validate_hypotheses(m).entries:
+        if e.name not in ref:
+            continue
+        f_passed, f_worst = ref.pop(e.name)
+        assert e.passed == f_passed, e.name
         if e.name == "loop_restriction_residual":
             # a difference of terms a few ulps apart, so absolute
-            residual = [e.worst, f.worst]
+            residual = [e.worst, f_worst]
+        elif math.isnan(f_worst):
+            assert math.isnan(e.worst), e.name
         else:
-            assert e.worst == pytest.approx(f.worst, rel=1e-14, abs=1e-300)
-    assert residual[0] == pytest.approx(residual[1], abs=1e-14)
+            assert e.worst == pytest.approx(f_worst, rel=1e-14, abs=1e-300)
+    assert not ref
+    assert residual[0] == pytest.approx(residual[1], abs=1e-14, nan_ok=True)
