@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # the names of the lazily loaded modules, by module
 _LAZY = {
     "equilibrium": ("Linearization", "check_positive_definite", "linearize"),
-    "melnikov": ("MelnikovResult", "lambda0_threshold",
+    "melnikov": ("critical_candidates", "lambda0_threshold",
                  "melnikov_derivatives", "melnikov_potential",
                  "perturbed_loop_verdict", "reduced_melnikov", "xi_max"),
 }
@@ -53,7 +53,7 @@ __all__ = [
     "jet_transport_stable", "stable_from_reversibility",
     "stable_jet_from_unstable", "torus_shift_transition",
     "torus_transversality", "transversality_verdict",
-    "MelnikovResult", "lambda0_threshold", "melnikov_derivatives",
+    "critical_candidates", "lambda0_threshold", "melnikov_derivatives",
     "melnikov_potential", "perturbed_loop_verdict", "reduced_melnikov",
     "xi_max",
 ]

@@ -231,18 +231,17 @@ def cmd_melnikov(args) -> int:
         raise UsageError("melnikov needs a model with a perturbation "
                          "(pendula_weak)")
     grid = parse_grid(args.grid or "-4:4:81")
-    res = mel.reduced_melnikov(pert, grid)
+    L, quad_diag = mel.reduced_melnikov(pert, grid)
     derivs_diag: dict = {}
-    derivs = mel.melnikov_derivatives(pert, diag=derivs_diag)
-    verdict = mel.perturbed_loop_verdict(
-        derivs=derivs, s_grid=grid, L_samples=res.L_samples,
-        error=derivs_diag["error_bound"])
+    dL0, ddL0 = mel.melnikov_derivatives(pert, diag=derivs_diag)
+    verdict = mel.perturbed_loop_verdict((dL0, ddL0),
+                                         derivs_diag["error_bound"])
     comments = {
         "model": args.model,
-        "dL0": verdict.dL0,
-        "ddL0": verdict.ddL0,
-        "verdict": verdict.verdict,
-        **res.quadrature_diag,
+        "dL0": dL0,
+        "ddL0": ddL0,
+        "verdict": verdict,
+        **quad_diag,
         **{"dL_" + k: v for k, v in derivs_diag.items()},
     }
     lam, lam0 = args.params["lam"], mel.lambda0_threshold()
@@ -251,8 +250,8 @@ def cmd_melnikov(args) -> int:
             "lam=%.6g is within 0.01 of the nondegeneracy threshold "
             "lam0=%.6g" % (lam, lam0))
     write_curve(args, comments, ["s", "L"],
-                [[s, float(L)] for s, L in zip(grid, res.L_samples)])
-    return 0 if verdict.verdict != "degenerate" else 1
+                [[s, float(v)] for s, v in zip(grid, L)])
+    return 0 if verdict != "degenerate" else 1
 
 
 def cmd_sweep(args) -> int:

@@ -11,6 +11,12 @@ section, whose point kappa(s) the loop with parameter s passes at t = 0,
 gives the reduced potential L~(s); a nondegenerate critical point of L~
 certifies a perturbed loop along which the perturbed manifolds intersect
 transversely (case B).
+
+Each step returns its own values: reduced_melnikov the samples of L~ on a
+grid and their worst quadrature diagnostics, melnikov_derivatives L~'(0)
+and L~''(0), perturbed_loop_verdict the case-B verdict at s = 0 from
+those two and their error bound, and critical_candidates the parameters
+where the slope of any sampled L~ changes sign.
 """
 
 from __future__ import annotations
@@ -18,24 +24,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .models import PerturbationModel
 from .numerics import QuadratureError
-
-
-@dataclass(frozen=True)
-class MelnikovResult:
-    s_grid: np.ndarray | None = None
-    L_samples: np.ndarray | None = None
-    dL0: float | None = None
-    ddL0: float | None = None
-    verdict: str | None = None          # perturbed_loop_transversal |
-                                        # degenerate | inapplicable
-    quadrature_diag: dict = field(default_factory=dict)
 
 
 # the most nodes one trapezoid sum may take: 80 MB per float array, and
@@ -210,8 +204,10 @@ def _worst(diags: list[dict]) -> dict:
              for k in ("t_cut", "tail_bound", "quad_error")} if diags else {})
 
 
-def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
-    """Sample the reduced potential L~(s) = L(kappa(s)) on a grid.
+def reduced_melnikov(pert: PerturbationModel,
+                     s_grid) -> tuple[np.ndarray, dict]:
+    """Sample the reduced potential L~(s) = L(kappa(s)) on a grid: returns
+    the samples and their quadrature diagnostics.
 
     Every section point's window lies on one lattice about t = 0.  The
     integrand is called once per block of consecutive section points, on
@@ -239,8 +235,7 @@ def reduced_melnikov(pert: PerturbationModel, s_grid) -> MelnikovResult:
             samples[j] = melnikov_potential(
                 pert, s=s_list[j], diag=diags[j],
                 values=block[j - i, Kb - Ks[j]:Kb + Ks[j] + 1])
-    return MelnikovResult(s_grid=s_grid, L_samples=samples,
-                          quadrature_diag=_worst(diags))
+    return samples, _worst(diags)
 
 
 def melnikov_derivatives(pert: PerturbationModel,
@@ -267,47 +262,49 @@ def melnikov_derivatives(pert: PerturbationModel,
     return -v1, -v2
 
 
-def perturbed_loop_verdict(derivs: tuple[float, float], error: float,
-                           s_grid=None, L_samples=None) -> MelnikovResult:
+def perturbed_loop_verdict(derivs: tuple[float, float], error: float) -> str:
     """Case-B verdict for persistence of a transverse loop when the
-    unperturbed manifolds coincide.
+    unperturbed manifolds coincide: "perturbed_loop_transversal",
+    "degenerate" or "inapplicable".
 
     It consumes derivs, the derivatives of the reduced potential at s = 0
     (melnikov_derivatives gives them), and error, a bound on the error of
     each (its diag's error_bound); a critical, nondegenerate point
     certifies the perturbed transverse loop.  s = 0 is critical where
-    |L~'(0)| <= error and nondegenerate where |L~''(0)| > error.  If s = 0
-    is not critical the verdict is "inapplicable" and the zeros of the
-    slope sampled on s_grid are reported as candidate critical parameters:
-    a difference quotient that is exactly zero at its interval's midpoint,
-    and the linear zero between two midpoints where the quotients change
-    sign.
+    |L~'(0)| <= error and nondegenerate where |L~''(0)| > error; if it is
+    not critical the verdict is "inapplicable".  A derivative or bound
+    that is not finite raises QuadratureError.
     """
     dL0, ddL0 = derivs
-    diag: dict = {}
-    if abs(dL0) <= error:
-        verdict = ("perturbed_loop_transversal" if abs(ddL0) > error
-                   else "degenerate")
-    else:
-        verdict = "inapplicable"
-        if s_grid is not None and L_samples is not None:
-            s_grid = np.asarray(s_grid, dtype=float)
-            L = np.asarray(L_samples, dtype=float)
-            # a difference quotient is L' at its interval's midpoint when L
-            # is quadratic, so the linear zero between two of them is exact
-            slopes = np.diff(L) / np.diff(s_grid)
-            mids = 0.5 * (s_grid[1:] + s_grid[:-1])
-            candidates = []
-            for i, m in enumerate(slopes):
-                if m == 0.0:
-                    candidates.append(float(mids[i]))
-                elif i + 1 < len(slopes) and m * slopes[i + 1] < 0:
-                    candidates.append(float(
-                        mids[i] - m * (mids[i + 1] - mids[i])
-                        / (slopes[i + 1] - m)))
-            diag["critical_candidates"] = candidates
-    return MelnikovResult(dL0=dL0, ddL0=ddL0, verdict=verdict,
-                          quadrature_diag=diag)
+    if not all(map(math.isfinite, (dL0, ddL0, error))):
+        raise QuadratureError("the case-B verdict needs finite derivatives "
+                              "and error bound, got L~'(0) = %r, L~''(0) = "
+                              "%r, error = %r" % (dL0, ddL0, error))
+    if abs(dL0) > error:
+        return "inapplicable"
+    return ("perturbed_loop_transversal" if abs(ddL0) > error
+            else "degenerate")
+
+
+def critical_candidates(s_grid, L_samples) -> list[float]:
+    """Candidate critical parameters of L~ sampled as L_samples on s_grid:
+    the midpoint of an interval whose difference quotient is exactly zero,
+    and the linear zero between two midpoints where the quotients change
+    sign."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    L = np.asarray(L_samples, dtype=float)
+    # a difference quotient is L' at its interval's midpoint when L is
+    # quadratic, so the linear zero between two of them is exact
+    slopes = np.diff(L) / np.diff(s_grid)
+    mids = 0.5 * (s_grid[1:] + s_grid[:-1])
+    candidates = []
+    for i, m in enumerate(slopes):
+        if m == 0.0:
+            candidates.append(float(mids[i]))
+        elif i + 1 < len(slopes) and m * slopes[i + 1] < 0:
+            candidates.append(float(
+                mids[i] - m * (mids[i + 1] - mids[i]) / (slopes[i + 1] - m)))
+    return candidates
 
 
 def _peak(lam: float) -> tuple[float, float]:

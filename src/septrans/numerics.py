@@ -74,8 +74,9 @@ def parse_grid(spec: str) -> list[float]:
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature needs more nodes than its budget allows.  It lives here,
-    with no numpy import, so that the command line can catch it."""
+    """A quadrature needs more nodes than its budget allows, or gives the
+    Melnikov verdict a value that is not finite.  It lives here, with no
+    numpy import, so that the command line can catch it."""
 
 
 class BlowUpError(RuntimeError):

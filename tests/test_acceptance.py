@@ -225,9 +225,8 @@ def test_acceptance_13():
         diag = {}
         derivs = melnikov_derivatives(pert, diag=diag)
         assert derivs[1] < 0
-        res = perturbed_loop_verdict(derivs=derivs,
-                                     error=diag["error_bound"])
-        assert res.verdict == "perturbed_loop_transversal"
+        verdict = perturbed_loop_verdict(derivs, diag["error_bound"])
+        assert verdict == "perturbed_loop_transversal"
 
 
 @criterion(14, "splitting potential is a first integral along each loop "

@@ -398,6 +398,38 @@ def test_melnikov_reports_quadrature_diagnostics(capsys):
     assert {k: json.loads(out)["comments"][k] for k in comments} == comments
 
 
+def test_melnikov_comment_order(capsys):
+    # keys and order only: the last digits of the values vary with libm
+    # and numpy
+    want = ["model", "dL0", "ddL0", "verdict", "t_cut", "tail_bound",
+            "quad_error", "dL_t_cut", "dL_tail_bound", "dL_quad_error",
+            "dL_error_bound", "near_threshold"]
+    argv = ["melnikov", "--model", "pendula_weak", "--params", "lam=3.675",
+            "--grid=-2:2:5"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [l[1:].split("=", 1)[0].strip() for l in out.splitlines()
+            if l.startswith("#")] == want
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["comments"]) == want
+
+
+def test_melnikov_non_finite_derivative_exits_three(capsys, monkeypatch):
+    from septrans import melnikov
+
+    def nan_slope(pert, diag=None):
+        diag.update(error_bound=1e-12)
+        return math.nan, -8.0
+
+    monkeypatch.setattr(melnikov, "melnikov_derivatives", nan_slope)
+    code = main(["melnikov", "--model", "pendula_weak", "--params", "lam=1",
+                 "--grid=-1:1:3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+
+
 def test_melnikov_reports_derivative_quadrature(capsys):
     # dL0 and ddL0 come from their own integrals, at s = 0
     argv = ["melnikov", "--model", "pendula_weak", "--params", "lam=2",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _half_count,
                                _lattice, _rule, _t_cut, _trapezoid,
-                               lambda0_threshold,
+                               critical_candidates, lambda0_threshold,
                                melnikov_derivatives, melnikov_potential,
                                perturbed_loop_verdict, reduced_melnikov,
                                xi_max)
@@ -86,8 +86,7 @@ def test_constant_perturbation_gives_zero():
 def test_reduced_potential_shape():
     pert = weak(1.0)
     grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    res = reduced_melnikov(pert, grid)
-    L = res.L_samples
+    L, _ = reduced_melnikov(pert, grid)
     assert L[2] == pytest.approx(0.0, abs=1e-12)
     assert np.all(L[[0, 1, 3, 4]] < 0)
     assert L[0] == pytest.approx(L[4], abs=1e-10)
@@ -100,26 +99,26 @@ def test_reduced_potential_reports_worst_quadrature():
     # come from earlier points; one rule has one quad_error at every point
     pert = weak(2.0)
     grid = [-3.0, -1.0, 0.0]
-    res = reduced_melnikov(pert, grid)
+    _, quad_diag = reduced_melnikov(pert, grid)
     diags = [{} for _ in grid]
     for s, d in zip(grid, diags):
         melnikov_potential(pert, s=s, diag=d)
     for key in ("t_cut", "tail_bound", "quad_error"):
-        assert res.quadrature_diag[key] == max(d[key] for d in diags)
+        assert quad_diag[key] == max(d[key] for d in diags)
     for key in ("t_cut", "tail_bound"):
-        assert res.quadrature_diag[key] > diags[-1][key]
+        assert quad_diag[key] > diags[-1][key]
 
 
 def test_reduced_potential_matches_closed_form_at_three():
-    res = reduced_melnikov(weak(1.0), [3.0])
-    assert res.L_samples[0] == pytest.approx(closed_form_lam1(3.0), abs=1e-6)
+    L, _ = reduced_melnikov(weak(1.0), [3.0])
+    assert L[0] == pytest.approx(closed_form_lam1(3.0), abs=1e-6)
 
 
 def test_evenness_property():
     pert = weak(2.2)
     grid = np.linspace(0.2, 2.6, 7)
-    Lp = reduced_melnikov(pert, grid).L_samples
-    Lm = reduced_melnikov(pert, -grid).L_samples
+    Lp = reduced_melnikov(pert, grid)[0]
+    Lm = reduced_melnikov(pert, -grid)[0]
     scale = max(1.0, np.max(np.abs(Lp)))
     assert np.max(np.abs(Lp - Lm)) < 1e-8 * scale
 
@@ -189,7 +188,7 @@ def test_second_derivative_consistent_with_samples():
     pert = weak(2.0)
     h = 0.05
     grid = [-2 * h, -h, 0.0, h, 2 * h]
-    L = reduced_melnikov(pert, grid).L_samples
+    L = reduced_melnikov(pert, grid)[0]
     dd_fd = (-L[4] + 16 * L[3] - 30 * L[2] + 16 * L[1] - L[0]) / (12 * h * h)
     _, dd = melnikov_derivatives(pert)
     assert dd_fd == pytest.approx(dd, abs=1e-5 * max(1.0, abs(dd)))
@@ -200,9 +199,8 @@ def test_nondegenerate_band(lam):
     diag = {}
     d1, d2 = melnikov_derivatives(weak(lam), diag=diag)
     assert d2 < 0
-    res = perturbed_loop_verdict(derivs=(d1, d2),
-                                 error=diag["error_bound"])
-    assert res.verdict == "perturbed_loop_transversal"
+    verdict = perturbed_loop_verdict((d1, d2), diag["error_bound"])
+    assert verdict == "perturbed_loop_transversal"
 
 
 def test_slope_between_the_bound_and_1e8_is_not_critical():
@@ -213,21 +211,17 @@ def test_slope_between_the_bound_and_1e8_is_not_critical():
     error = diag["error_bound"]
     dL0 = 1e-10
     assert error < dL0 < 1e-8
-    res = perturbed_loop_verdict(derivs=(dL0, d2), error=error)
-    assert res.verdict == "inapplicable"
+    assert perturbed_loop_verdict((dL0, d2), error) == "inapplicable"
 
 
 def test_case_b_degenerate_for_zero_perturbation():
-    res = perturbed_loop_verdict(derivs=(0.0, 0.0), error=1e-12)
-    assert res.verdict == "degenerate"
+    assert perturbed_loop_verdict((0.0, 0.0), 1e-12) == "degenerate"
 
 
 def _assert_single_candidate_at_half(s):
     L = -(np.asarray(s) - 0.5) ** 2  # critical point at s = 0.5, not at 0
-    res = perturbed_loop_verdict(derivs=(1.0, -2.0), s_grid=s,
-                                 L_samples=L, error=1e-12)
-    assert res.verdict == "inapplicable"
-    (c,) = res.quadrature_diag["critical_candidates"]
+    assert perturbed_loop_verdict((1.0, -2.0), 1e-12) == "inapplicable"
+    (c,) = critical_candidates(s, L)
     assert abs(c - 0.5) < 1e-12
 
 
@@ -244,6 +238,45 @@ def test_case_b_noncritical_reports_candidates():
 ])
 def test_case_b_candidates_on_nonuniform_grids(s):
     _assert_single_candidate_at_half(s)
+
+
+@pytest.mark.parametrize("derivs,error", [
+    ((math.nan, -8.0), 1e-12),
+    ((1e-15, -8.0), math.nan),
+    ((math.inf, -8.0), 1e-12),
+    ((0.0, math.nan), 1e-12),
+])
+def test_verdict_refuses_a_non_finite_input(derivs, error):
+    # a comparison with nan is false and inf passes any bound, so a
+    # verdict from these would read inapplicable or degenerate
+    with pytest.raises(QuadratureError, match="finite"):
+        perturbed_loop_verdict(derivs, error)
+
+
+def symmetric_candidates(lam):
+    """The positive one of the candidates on -4:4:81 of pendula_weak's
+    L~, after checking that they are s = 0 and a symmetric pair (L~ is
+    even)."""
+    L, _ = reduced_melnikov(weak(lam), GRID_81)
+    lo, mid, hi = critical_candidates(GRID_81, L)
+    assert abs(mid) <= 1e-12
+    assert abs(lo + hi) <= 1e-12
+    return hi
+
+
+def test_critical_candidates_match_the_closed_form():
+    # the closed form's critical points +-3.4358, roots of its central
+    # difference; the grid's quotients find +-3.4377
+    from scipy.optimize import brentq
+    h = 1e-5
+    s_star = brentq(lambda s: closed_form_lam1(s + h)
+                    - closed_form_lam1(s - h), 2.0, 5.0, xtol=1e-14)
+    assert abs(symmetric_candidates(1.0) - s_star) <= 5e-3
+
+
+@pytest.mark.parametrize("lam", [2.5, 3.6])
+def test_critical_candidates_near_the_threshold(lam):
+    assert abs(symmetric_candidates(lam) - 2.60) <= 1e-2
 
 
 def test_xi_max():
@@ -349,7 +382,7 @@ L_GOLDEN = [
 
 @pytest.mark.parametrize("lam,want", L_GOLDEN)
 def test_reduced_potential_golden(lam, want):
-    L = reduced_melnikov(weak(lam), L_S).L_samples
+    L = reduced_melnikov(weak(lam), L_S)[0]
     for got, w in zip(L.tolist(), want):
         assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
 
@@ -380,7 +413,7 @@ def test_integrand_alone_is_a_perturbation():
     # the three required hooks and no locate: the grid and the derivatives
     pert = PerturbationModel(**{h: getattr(weak(1.0), h) for h in HOOKS})
     grid = np.linspace(-2.0, 2.0, 9)
-    L = reduced_melnikov(pert, grid).L_samples
+    L = reduced_melnikov(pert, grid)[0]
     want = [closed_form_lam1(s) for s in grid.tolist()]
     assert np.max(np.abs(L - want)) <= 1e-9
     assert melnikov_derivatives(pert)[1] == pytest.approx(-8.0, abs=1e-5)
@@ -465,8 +498,8 @@ def test_derivatives_call_the_s_jet_once():
 def test_reduced_potential_matches_definition(lam):
     pert = weak(lam)
     grid = np.linspace(-4.0, 4.0, 81)
-    L = reduced_melnikov(pert, grid).L_samples
-    L_ref = reduced_melnikov(composed(lam), grid).L_samples
+    L = reduced_melnikov(pert, grid)[0]
+    L_ref = reduced_melnikov(composed(lam), grid)[0]
     assert np.max(np.abs(L - L_ref)) <= 1e-14
 
 
@@ -477,7 +510,7 @@ def test_large_lam_is_silent(lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d1, d2 = melnikov_derivatives(pert)
-        L = reduced_melnikov(pert, [-4.0, 0.0, 4.0]).L_samples
+        L = reduced_melnikov(pert, [-4.0, 0.0, 4.0])[0]
     assert abs(d1) < 1e-13 and d2 < 0
     assert L[0] == pytest.approx(L[2], abs=1e-12)
 
@@ -557,7 +590,7 @@ def grid_and_alone(pert, grid):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("septrans.melnikov.melnikov_potential", recording)
-        L = reduced_melnikov(pert, grid).L_samples
+        L = reduced_melnikov(pert, grid)[0]
     alone = [{} for _ in grid]
     L_alone = [melnikov_potential(pert, s=float(s), diag=d)
                for s, d in zip(grid, alone)]
@@ -585,10 +618,11 @@ def test_grid_equals_standalone_bit_for_bit(pert, grid):
 
 def test_grid_sample_does_not_depend_on_the_grid():
     pert = weak(2.3)
-    fine = reduced_melnikov(pert, GRID_81)
-    coarse = reduced_melnikov(pert, np.linspace(-4.0, 4.0, 3))
-    assert fine.s_grid[[0, 40, 80]].tolist() == coarse.s_grid.tolist()
-    assert fine.L_samples[[0, 40, 80]].tolist() == coarse.L_samples.tolist()
+    coarse_grid = np.linspace(-4.0, 4.0, 3)
+    fine, _ = reduced_melnikov(pert, GRID_81)
+    coarse, _ = reduced_melnikov(pert, coarse_grid)
+    assert GRID_81[[0, 40, 80]].tolist() == coarse_grid.tolist()
+    assert fine[[0, 40, 80]].tolist() == coarse.tolist()
 
 
 def counted_grid(pert, grid):
@@ -600,8 +634,8 @@ def counted_grid(pert, grid):
         calls.append(np.broadcast(t, s).size)
         return pert.integrand(t, s)
 
-    L = reduced_melnikov(replace(pert, integrand=counting), grid).L_samples
-    assert L.tolist() == reduced_melnikov(pert, grid).L_samples.tolist()
+    L = reduced_melnikov(replace(pert, integrand=counting), grid)[0]
+    assert L.tolist() == reduced_melnikov(pert, grid)[0].tolist()
     return calls
 
 
@@ -626,7 +660,7 @@ def test_integrand_of_the_wrong_shape_fails_loudly():
         reduced_melnikov(flat, [-1.0, 0.0, 1.0])
     # one scalar for every node and section point is in the contract
     zero = replace(pert, integrand=lambda t, s: 0.0)
-    assert reduced_melnikov(zero, [-1.0, 0.0, 1.0]).L_samples.tolist() == [
+    assert reduced_melnikov(zero, [-1.0, 0.0, 1.0])[0].tolist() == [
         0.0, 0.0, 0.0]
     # the s-jet's rows are held to the same contract
     short = replace(pert, integrand_s_jet=lambda t, s: tuple(
