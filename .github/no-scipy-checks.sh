@@ -112,6 +112,12 @@ done
 code=0; septrans transversality --model neumann --params lambda1=1 lambda2=2 \
   --rtol inf >/dev/null 2>&1 || code=$?
 test "$code" = 2 || { echo "--rtol inf: exit $code"; exit 1; }
+# an rtol below MIN_RTOL (1e-14) exits 2 with one error line naming the
+# floor, not a traceback: dop853's first trial step would be nan there
+code=0; err=$(septrans transversality --model neumann --params lambda1=1 \
+  lambda2=2 --rtol 1e-300 2>&1 >/dev/null) || code=$?
+test "$code" = 2 || { echo "--rtol 1e-300: exit $code"; echo "$err"; exit 1; }
+case "$err" in *Traceback*|*$'\n'*|"") echo "$err"; exit 1;; esac
 # a reader that closes the pipe early gets exit 141 (as for SIGPIPE), with
 # nothing on stderr
 err=$( { septrans riccati --model neumann --params lambda1=1 lambda2=2 \

@@ -9,10 +9,9 @@ from importlib import import_module
 
 from .models import (HamiltonianModel, PerturbationModel, builtin_model,
                      validate_hypotheses)
-from .loops import LoopProfile, loop_profile
+from .loops import loop_profile
 from .riccati import (RiccatiSolution, SolverOptions, riccati_initial,
-                      riccati_terms, solve_riccati, riccati_to_linear_oracle,
-                      BlowUpError)
+                      solve_riccati, riccati_to_linear_oracle, BlowUpError)
 from .charts import (ChartTransition, StableJet, TransversalityReport,
                      chart_transversality, inversion_transition,
                      jet_transport_stable, stable_from_reversibility,
@@ -45,8 +44,8 @@ __all__ = [
     "HamiltonianModel", "PerturbationModel", "builtin_model",
     "validate_hypotheses",
     "Linearization", "check_positive_definite", "linearize",
-    "LoopProfile", "loop_profile",
-    "RiccatiSolution", "SolverOptions", "riccati_initial", "riccati_terms",
+    "loop_profile",
+    "RiccatiSolution", "SolverOptions", "riccati_initial",
     "solve_riccati", "riccati_to_linear_oracle", "BlowUpError",
     "ChartTransition", "StableJet", "TransversalityReport",
     "chart_transversality", "inversion_transition",

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .models import (ChartTransition, HamiltonianModel, HypothesesError,
                      Jet2, inversion_transition, torus_shift_transition)
 from .numerics import central_diff
-from .riccati import RiccatiSolution, SolverOptions, solve_riccati
+from .riccati import MIN_RTOL, RiccatiSolution, SolverOptions, solve_riccati
 
 
 class StableJet(NamedTuple):
@@ -99,7 +99,7 @@ def stable_from_reversibility(Tu_solution: RiccatiSolution,
 def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
                              reversibility: tuple[int, int]) -> StableJet:
     """Stable-chart jet at q induced by the reversibility (r1, r2) from the
-    unstable solution, on the loop profile it was solved on.
+    unstable solution, on the loop it was solved on.
 
     For a model whose second chart carries the same coefficient functions
     (as the sphere model does), the stable generating function there is
@@ -110,15 +110,12 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
     r1, r2 = reversibility
     x = r1 * q
     T = -Tu_solution(x)
-    point = Tu_solution.profile.point
-    _c, _beta, ds0, s1, ds1 = point(x)
+    loop = Tu_solution.profile
+    (_q1dot, _alpha, _delta, _b220, _db220, _ds1_q1dot, _v1, _beta, ds0, s1,
+     ds1) = loop(x)
     return StableJet(dS0=-r1 * ds0,
-                     ddS0=-central_diff(lambda y: point(y)[2], x),
+                     ddS0=-central_diff(lambda y: loop(y)[8], x),
                      S1=-r2 * s1, dS1=-r1 * r2 * ds1, T=T)
-
-
-# the tightest rtol an inconclusive verdict is solved again at
-MIN_RTOL = 1e-14
 
 
 def chart_transversality(model: HamiltonianModel,

@@ -8,28 +8,27 @@ p1 = dS0(q1), p2 = S1(q1), where the structural restrictions fix
 
 with beta = det B0 / b220.  The first two are built here by construction;
 the third is a consistency condition between V1 and the rest of the model,
-whose residual the slope solve checks at every point it evaluates and
-validate_hypotheses over the whole domain, each to 1e-6 of the size of
-its two terms.  The induced inner dynamics on the loop is
+which the slope solve checks at every point it evaluates and
+validate_hypotheses over the whole domain, both by
+models.restriction_holds.  The induced inner dynamics on the loop is
 q1' = beta(q1) * dS0(q1).
 
-A model's jet returns a plain tuple of floats in CoefficientJet's field
-order.  A profile is its jet and its interval, evaluated through one
-method, its point: point(q1) returns that jet at a number q1, named as a
-CoefficientJet, together with beta, dS0, S1 and dS1 there, from one jet
-evaluation, and every reader takes the entries it needs from that tuple.
-The slope solve does not go through it: riccati_terms unpacks the jet's
-tuple itself, one jet call per step, and raises the same errors.
+A model's loop is one function of a number q1, which loop_profile builds:
+from one jet call it returns the terms of the slope equation there and the
+momenta they are made of, and every reader, the slope solve on each step
+included, unpacks what it needs from that tuple.  It takes the momenta as
+models.loop_momenta does, inline, and raises where no loop passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Callable
 
-from .models import (CoefficientJet, HamiltonianModel, HypothesesError,
-                     loop_momenta)
+from .models import HamiltonianModel, HypothesesError
 from .numerics import BlowUpError
+
+Loop = Callable[[float], tuple]
 
 
 def _no_loop(rad: float, q1: float) -> HypothesesError | BlowUpError:
@@ -43,28 +42,33 @@ def _no_loop(rad: float, q1: float) -> HypothesesError | BlowUpError:
         "no loop on q2=0: -2*V0/beta = %g < 0 at q1=%g" % (rad, q1))
 
 
-@dataclass(frozen=True)
-class LoopProfile:
-    """Momentum profiles of the loop on q2 = 0.
+def loop_profile(model: HamiltonianModel) -> Loop:
+    """The model's loop: q1 -> (q1dot, alpha, delta, b220, db220, dS1
+    q1dot, V1, beta, dS0, S1, dS1) at a number q1, from one jet call.
 
-    jet is the jet of the model the profile was built from, and point(q1)
-    the loop point there, the tuple (c, beta, dS0, S1, dS1) of the jet c at
-    q1, as a CoefficientJet, and the profiles at q1, from one jet
-    evaluation.
-    """
-    jet: Callable[[float], tuple] = field(repr=False, compare=False)
-    interval: tuple[float, float]
+    q1dot = beta dS0 is the inner dynamics on the loop, alpha = Y - b110
+    dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2 and delta = b120
+    dS1 are the slope equation's, and dS1 q1dot + V1 is the loop
+    restriction's residual, zero on a consistent model.  A radicand of dS0
+    within 1e-14 below 0 counts as 0; a point without a loop raises
+    HypothesesError, and one whose coefficients overflowed BlowUpError."""
+    jet = model.jet
 
-    def point(self, q1: float) -> tuple:
-        c = CoefficientJet(*self.jet(q1))
-        beta, ds0, s1 = loop_momenta(c.b110, c.b120, c.b220, c.V0)
-        if ds0 != ds0:
-            raise _no_loop(-2.0 * c.V0 / beta, q1)
-        return c, beta, ds0, s1, c.dS1
+    def loop(q1: float) -> tuple:
+        b110, b120, b220, b112, b122, b222, v0, v1, y, ds1, db220 = jet(q1)
+        beta = (b110 * b220 - b120 * b120) / b220
+        rad = -2.0 * v0 / beta
+        if not rad >= 0.0:      # negative or nan
+            if not rad > -1e-14:
+                raise _no_loop(rad, q1)
+            rad = 0.0
+        ds0 = math.sqrt(rad)
+        s1 = -(b120 / b220) * ds0
+        q1dot = beta * ds0
+        alpha = (y - b110 * ds1 * ds1
+                 - 0.5 * (b112 * ds0 * ds0 + 2.0 * b122 * ds0 * s1
+                          + b222 * s1 * s1))
+        return (q1dot, alpha, b120 * ds1, b220, db220, ds1 * q1dot, v1,
+                beta, ds0, s1, ds1)
 
-
-def loop_profile(model: HamiltonianModel) -> LoopProfile:
-    """The loop's momentum profiles, built from the model's jet on its
-    domain.  A point without a loop raises HypothesesError when it is
-    evaluated, and one whose coefficients overflowed BlowUpError."""
-    return LoopProfile(model.jet, model.domain)
+    return loop

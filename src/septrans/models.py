@@ -97,6 +97,14 @@ def loop_momenta(b110: float, b120: float, b220: float,
     return beta, ds0, -(b120 / b220) * ds0
 
 
+def restriction_holds(ds1_q1dot: float, v1: float) -> bool:
+    """Whether the loop restriction dS1 q1dot + V1 = 0 holds at one point,
+    to 1e-6 max(1, |dS1 q1dot| + |V1|), the size of its two terms; a nan
+    fails.  The slope solve and validate_hypotheses both judge by it."""
+    r = abs(ds1_q1dot + v1)
+    return r <= 1e-6 or r <= 1e-6 * (abs(ds1_q1dot) + abs(v1))
+
+
 class HypothesesError(ValueError):
     """The model breaks a hypothesis of the verdict: no hyperbolic saddle,
     no loop on q2 = 0 (or a V1 inconsistent with it), no real start slope,
@@ -390,9 +398,7 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     entries.append(CheckEntry(
         "no_first_order_kinetic_term", True, "structural: B1 fields do not exist"))
 
-    # nan where no loop passes, which fails the check too; each residual
-    # is judged against 1e-6 max(1, |dS1 q1dot| + |V1|), the size of its
-    # two terms, which only one past 1e-6 pays for
+    # nan where no loop passes, which fails the check too
     residuals, ok = [], True
     for x, y, z, v, w, d in zip(b110, b120, b220, v0, v1, ds1):
         try:
@@ -400,9 +406,8 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
             ds1_q1dot = d * beta * ds0
         except ZeroDivisionError:   # beta or b220 is 0: nan, which fails
             ds1_q1dot = math.nan
-        r = abs(ds1_q1dot + w)
-        residuals.append(r)
-        ok = ok and (r <= 1e-6 or r <= 1e-6 * (abs(ds1_q1dot) + abs(w)))
+        residuals.append(abs(ds1_q1dot + w))
+        ok = ok and restriction_holds(ds1_q1dot, w)
     worst = _keep_nan(max, residuals, 0.0)
     entries.append(CheckEntry(
         "loop_restriction_residual", ok,

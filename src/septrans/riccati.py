@@ -15,7 +15,8 @@ the singular point.
 A sign-flipped variant integrates the stable-side slope directly (used to
 cross-check the reversibility shortcut), and an independent oracle solves
 the equivalent second-order linear ODE through its Pruefer angle, a scalar
-equation without poles, in the variable log q1.
+equation without poles, in the variable log q1.  Both read the equation's
+terms from the model's loop (see septrans.loops), one call per point.
 """
 
 from __future__ import annotations
@@ -24,24 +25,27 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .loops import LoopProfile, _no_loop, loop_profile
-from .models import CoefficientJet, HamiltonianModel, HypothesesError
+from .loops import Loop, loop_profile
+from .models import HamiltonianModel, HypothesesError, restriction_holds
 from .numerics import BlowUpError
 # the solver's one binding, which the bench's traced run rebinds to count
 # rhs evaluations
 from .numerics import dop853 as solve_ivp
 
-Terms = Callable[..., tuple]
-
 # the |T| past which the manifold counts as lost from graph form
 CAP = 1e8
+# the tightest rtol a slope solve takes, near scipy's floor of 100 machine
+# epsilons; far below it (1e-300) dop853's start-step heuristic overflows
+# to a nan first step.  An inconclusive verdict is not solved again below it
+MIN_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """rtol of the slope solve, whose atol is rtol / 1000; epsilon, the
-    start offset from the singular point (None: 1e-4 of the loop
-    interval); and whether to report the start-up sensitivity."""
+    """rtol of the slope solve, at least MIN_RTOL, whose atol is rtol /
+    1000; epsilon, the start offset from the singular point (None: 1e-4 of
+    the model's domain); and whether to report the start-up
+    sensitivity."""
     rtol: float = 1e-9
     epsilon: float | None = None
     sensitivity_check: bool = True
@@ -49,13 +53,13 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """The slope T on [0, q1_target], and the loop profile it was solved
-    on."""
+    """The slope T on [0, q1_target], and the loop it was solved on, as
+    loop_profile returns it."""
     T0: float
     Delta: float
     epsilon_start: float
     q1_target: float
-    profile: LoopProfile
+    profile: Loop
     diagnostics: dict = field(default_factory=dict)
     _dense: object = None
     _initial: float = 0.0
@@ -63,56 +67,26 @@ class RiccatiSolution:
     def __call__(self, q1: float) -> float:
         """T at a number q1 in [0, q1_target], a float; on [0,
         epsilon_start] the solve's start value (T0, or -T0 on the stable
-        side).  Raises ValueError outside that interval."""
+        side).  Raises ValueError outside that interval, and at nan."""
         q1 = float(q1)
-        if q1 > self.q1_target:
+        if not 0.0 <= q1 <= self.q1_target:
+            if q1 < 0.0:
+                raise ValueError("q1=%g below the solved interval, which "
+                                 "starts at 0" % q1)
             raise ValueError("q1=%g beyond the solved interval, which ends "
                              "at %g" % (q1, self.q1_target))
-        if q1 < 0.0:
-            raise ValueError("q1=%g below the solved interval, which starts "
-                             "at 0" % q1)
         return self._initial if q1 <= self.epsilon_start else self._dense(q1)
 
 
-def riccati_terms(profile: LoopProfile) -> Terms:
-    """q1 -> (q1dot, alpha, delta, b220, db220, residual), what the slope
-    equation and its linear form read at a number q1, from one jet
-    evaluation; q1dot = beta * dS0 is the inner dynamics on the loop, alpha
-    = Y - b110 dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2, delta
-    = b120 dS1, and residual = dS1 q1dot + V1 is the loop restriction's,
-    zero on a consistent model.
-
-    Called once per step of a solve, it unpacks the jet's tuple and takes
-    the loop momenta as loop_momenta does, inline, raising the profile
-    point's error where no loop passes."""
-    jet = profile.jet
-
-    def terms(q1: float) -> tuple:
-        b110, b120, b220, b112, b122, b222, v0, v1, y, ds1, db220 = jet(q1)
-        beta = (b110 * b220 - b120 * b120) / b220
-        rad = -2.0 * v0 / beta
-        if not rad >= 0.0:      # negative or nan
-            if not rad > -1e-14:
-                raise _no_loop(rad, q1)
-            rad = 0.0
-        ds0 = math.sqrt(rad)
-        s1 = -(b120 / b220) * ds0
-        q1dot = beta * ds0
-        alpha = (y - b110 * ds1 * ds1
-                 - 0.5 * (b112 * ds0 * ds0 + 2.0 * b122 * ds0 * s1
-                          + b222 * s1 * s1))
-        return (q1dot, alpha, b120 * ds1, b220, db220, ds1 * q1dot + v1)
-
-    return terms
-
-
-def riccati_initial(terms: Terms) -> tuple[float, float]:
-    """Initial slope at the singular point and its discriminant.
+def riccati_initial(loop: Loop) -> tuple[float, float]:
+    """Initial slope at the singular point and its discriminant, from the
+    model's loop.
 
     T(0) solves b220 T^2 + 2 delta T - alpha = 0; the positive branch of the
     square root is the unstable one.
     """
-    _q1dot, a0, d0, b0, *_rest = terms(0.0)
+    (_q1dot, a0, d0, b0, _db220, _ds1_q1dot, _v1, _beta, _ds0, _s1,
+     _ds1) = loop(0.0)
     Delta = d0 * d0 + b0 * a0
     if Delta < 0:
         raise HypothesesError(
@@ -121,39 +95,37 @@ def riccati_initial(terms: Terms) -> tuple[float, float]:
     return T0, Delta
 
 
-def _integrate(profile: LoopProfile, eps: float, q1_target: float,
-               T_start: float, rtol: float, stable: bool):
+def _integrate(loop: Loop, eps: float, q1_target: float, T_start: float,
+               rtol: float, stable: bool):
     """(the dop853 result, the largest |residual| of the loop restriction
-    over the points the solve evaluated).  A residual above 1e-6 max(1,
-    |dS1 q1dot| + |V1|), the size of its two terms, raises
-    HypothesesError at the first point that has it."""
+    over the points the solve evaluated).  A point where the restriction
+    fails (see restriction_holds) raises HypothesesError, the first that
+    the solve evaluates."""
     # the blow-up event fires on a sign change only, so a start past the
     # cap is caught here
     if abs(T_start) > CAP:
         raise BlowUpError(eps, "graph form lost / blow-up: start slope %g at "
                           "q1=%g beyond the cap %g" % (T_start, eps, CAP))
-    terms = riccati_terms(profile)
     sgn = -1.0 if stable else 1.0
     worst = 0.0
     passed = 0.0    # the largest residual so far that is at most 1e-6
 
     def rhs(q1, T):
         nonlocal worst, passed
-        q1dot, alpha, delta, b220, _db220, residual = terms(q1)
-        r = abs(residual)
+        (q1dot, alpha, delta, b220, _db220, ds1_q1dot, v1, _beta, _ds0, _s1,
+         _ds1) = loop(q1)
+        r = abs(ds1_q1dot + v1)
         # a residual up to passed passes untested, and only one past 1e-6
-        # pays for its scale; a nan one fails
+        # is judged against its terms; a nan one fails
         if not r <= passed:
             if r <= 1e-6:
                 passed = r
-            else:
-                c, beta, ds0, _s1, ds1 = profile.point(q1)
-                scale = max(1.0, abs(ds1 * (beta * ds0)) + abs(c.V1))
-                if not r <= 1e-6 * scale:
-                    raise HypothesesError(
-                        "inconsistent V1: restriction residual %.3g > %s at "
-                        "q1=%g" % (r, "1e-6" if scale == 1.0
-                                   else "1e-6 * %.3g" % scale, q1))
+            elif not restriction_holds(ds1_q1dot, v1):
+                scale = max(1.0, abs(ds1_q1dot) + abs(v1))
+                raise HypothesesError(
+                    "inconsistent V1: restriction residual %.3g > %s at "
+                    "q1=%g" % (r, "1e-6" if scale == 1.0
+                               else "1e-6 * %.3g" % scale, q1))
             worst = max(worst, r)
         return (sgn * alpha - 2.0 * delta * T - sgn * b220 * T * T) / q1dot
 
@@ -194,13 +166,13 @@ _GAUSS5_W = (0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
              0.47862867049936647, 0.23692688505618908)
 
 
-def _startup_propagation(terms: Terms, dense, stable: bool):
+def _startup_propagation(loop: Loop, dense, stable: bool):
     """(Phi, nodes): the factor by which a change of the start value
     reaches the end of the solve, Phi = exp(-int (2 delta + 2 sgn b220 T)
     / q1dot dq) from the solve's first mesh point to its last, the
     variational equation of the slope equation along its solution T.  The
     integral is 5-point Gauss-Legendre on each accepted step, with T from
-    the dense output: a terms call and a dense call per node."""
+    the dense output: a loop call and a dense call per node."""
     sgn2 = -2.0 if stable else 2.0
     ts = dense.ts
     integral = 0.0
@@ -209,7 +181,8 @@ def _startup_propagation(terms: Terms, dense, stable: bool):
         step = 0.0
         for x, w in zip(_GAUSS5_X, _GAUSS5_W):
             q1 = mid + half * x
-            q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
+            (q1dot, _alpha, delta, b220, _db220, _ds1_q1dot, _v1, _beta,
+             _ds0, _s1, _ds1) = loop(q1)
             step += (2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot * w
         integral += half * step
     return math.exp(-integral), len(_GAUSS5_W) * (len(ts) - 1)
@@ -226,7 +199,8 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     O(epsilon) start-up error self-correcting.  A start offset epsilon at
     or past q1_target raises ValueError.  Every point the solve evaluates
     checks the loop restriction: a residual above 1e-6 of the size of its
-    two terms raises HypothesesError, and diagnostics carry the
+    two terms raises HypothesesError (see restriction_holds), and an rtol
+    below MIN_RTOL raises ValueError.  The diagnostics carry the
     largest, restriction_residual_max, and slope_max, the largest |T| over
     the solve's mesh states, at no rhs evaluation.  With
     opts.sensitivity_check the diagnostics carry startup_sensitivity, the
@@ -235,25 +209,27 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     further solve.
     """
     opts = opts or SolverOptions()
-    profile = loop_profile(model)
-    a, b = profile.interval
+    if not opts.rtol >= MIN_RTOL:
+        raise ValueError("rtol=%g below its floor MIN_RTOL=%g"
+                         % (opts.rtol, MIN_RTOL))
+    loop = loop_profile(model)
+    a, b = model.domain
     if not (0.0 < q1_target <= b):
         raise ValueError("q1_target must lie in (0, %g]" % b)
     eps = opts.epsilon if opts.epsilon is not None else 1e-4 * (b - a)
     if not eps < q1_target:
         raise ValueError("the start offset epsilon=%g must lie below "
                          "q1_target=%g" % (eps, q1_target))
-    terms = riccati_terms(profile)
-    T0, Delta = riccati_initial(terms)
+    T0, Delta = riccati_initial(loop)
     initial = -T0 if stable else T0
 
-    sol, residual = _integrate(profile, eps, q1_target, initial, opts.rtol,
+    sol, residual = _integrate(loop, eps, q1_target, initial, opts.rtol,
                                stable)
     diagnostics = {"n_rhs_evaluations": sol.nfev, "n_steps": sol.nsteps,
                    "restriction_residual_max": residual,
                    "slope_max": max(map(abs, sol.sol.ys))}
     if opts.sensitivity_check:
-        phi, n_nodes = _startup_propagation(terms, sol.sol, stable)
+        phi, n_nodes = _startup_propagation(loop, sol.sol, stable)
         # the spread two solves started at initial -+ 10 eps would show
         spread = 2.0 * (10.0 * eps) * phi
         ref = sol.sol(q1_target)
@@ -262,7 +238,7 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
             spread <= 100.0 * opts.rtol * max(1.0, abs(ref)))
         diagnostics["n_sensitivity_evaluations"] = n_nodes
     return RiccatiSolution(T0=T0, Delta=Delta, epsilon_start=eps,
-                           q1_target=q1_target, profile=profile,
+                           q1_target=q1_target, profile=loop,
                            diagnostics=diagnostics,
                            _dense=sol.sol, _initial=initial)
 
@@ -286,12 +262,11 @@ def riccati_to_linear_oracle(model: HamiltonianModel,
     underflows to 0 and a step size below its floor.  A q1_target outside
     (0, b] raises ValueError, as in solve_riccati.
     """
-    profile = loop_profile(model)
-    end = profile.interval[1]
+    loop = loop_profile(model)
+    end = model.domain[1]
     if not (0.0 < q1_target <= end):
         raise ValueError("q1_target must lie in (0, %g]" % end)
-    terms = riccati_terms(profile)
-    T0, _ = riccati_initial(terms)
+    T0, _ = riccati_initial(loop)
     # small enough that the asymptotic seeding error is contracted away on
     # the way up, large enough that coefficient formulas with cancellation
     # near the equilibrium (e.g. cos(q1) - 1) keep relative accuracy
@@ -299,7 +274,8 @@ def riccati_to_linear_oracle(model: HamiltonianModel,
 
     def rhs(s, theta):
         q1 = math.exp(s)
-        q1dot, alpha, delta, b, db, _res = terms(q1)
+        (q1dot, alpha, delta, b, db, _ds1_q1dot, _v1, _beta, _ds0, _s1,
+         _ds1) = loop(q1)
         sin, cos = math.sin(theta), math.cos(theta)
         acoef = 2.0 * delta - db * q1dot / b
         return q1 / q1dot * (cos * cos + acoef * sin * cos
@@ -309,7 +285,7 @@ def riccati_to_linear_oracle(model: HamiltonianModel,
         return math.sin(theta)
 
     def b220(q1):
-        return CoefficientJet(*profile.jet(q1)).b220
+        return loop(q1)[3]
 
     span = (math.log(q1s), math.log(q1_target))
     theta0 = math.atan2(1.0, b220(q1s) * T0)

@@ -159,7 +159,7 @@ def test_transported_stable_jet_has_the_loop_momenta(name, params):
                         opts=SolverOptions(sensitivity_check=False))
     jet = stable_jet_from_unstable(sol, tr.chi0(q1_star), m.reversibility)
     j = tr.jet2(q1_star)
-    _c, _beta, ds0, s1, _ds1 = sol.profile.point(q1_star)
+    _beta, ds0, s1, _ds1 = sol.profile(q1_star)[7:]
     assert jet.dS0 * central_diff(tr.chi0, q1_star, h=1e-5) == (
         pytest.approx(ds0, abs=1e-8))
     assert jet.dS0 * j.dchi1_dq2 + jet.S1 * j.dchi2_dq2 == (

@@ -619,11 +619,13 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("flag", [
     "--tol=-1", "--tol=nan", "--rtol=nan", "--epsilon=nan", "--cap=0",
     "--rtol=inf", "--atol=inf", "--epsilon=inf", "--cap=inf", "--tol=inf",
+    "--rtol=1e-300", "--rtol=5e-324",
 ])
 def test_non_positive_setting_is_usage_error(capsys, flag):
     # a negative --tol would make the tangent f0 = 0 read "transversal", an
     # infinite one every verdict "inconclusive", and an infinite rtol would
-    # leave the steps to the step-size cap alone
+    # leave the steps to the step-size cap alone; an rtol below MIN_RTOL
+    # made dop853's first trial step nan
     # (--atol and --cap are no flags of transversality, refused all the same)
     code, out = run(capsys, "transversality", "--model", "pendula_identical",
                     "--params", "f0=0", flag)

@@ -5,7 +5,7 @@ import pytest
 from septrans.equilibrium import check_positive_definite, linearize
 from septrans.models import HamiltonianModel, HypothesesError, builtin_model
 from septrans.loops import loop_profile
-from septrans.riccati import riccati_initial, riccati_terms
+from septrans.riccati import riccati_initial
 
 
 def constant_model(A, B):
@@ -101,5 +101,5 @@ def test_quadratic_form_identity_builtins(spec):
     assert check_positive_definite(lin.Eu)
     assert np.allclose(lin.Es, -lin.Eu)
     # (2,2) entry of Eu is the initial transverse slope of the Riccati flow
-    T0, _ = riccati_initial(riccati_terms(loop_profile(m)))
+    T0, _ = riccati_initial(loop_profile(m))
     assert lin.Eu[1, 1] == pytest.approx(T0, abs=1e-10)

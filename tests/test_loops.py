@@ -5,18 +5,25 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from septrans.loops import LoopProfile, loop_profile
+from septrans.loops import loop_profile
 from septrans.models import (HamiltonianModel, HypothesesError,
                              builtin_model, validate_hypotheses)
 import septrans.riccati as riccati
-from septrans.riccati import riccati_terms, solve_riccati
+from septrans.riccati import solve_riccati
+
+
+def residual(loop, q1):
+    """The loop restriction's residual dS1 q1dot + V1 at q1."""
+    (_q1dot, _alpha, _delta, _b220, _db220, ds1_q1dot, v1, _beta, _ds0, _s1,
+     _ds1) = loop(q1)
+    return ds1_q1dot + v1
 
 
 def test_identical_pendula_profiles():
     m = builtin_model("pendula_identical", [0.12])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 2 * math.pi, 40):
-        _c, beta, ds0, s1, _ds1 = p.point(q1)
+        beta, ds0, s1, _ds1 = p(q1)[7:]
         assert ds0 == pytest.approx(4.0 * math.sin(q1 / 2.0), abs=1e-12)
         assert s1 == pytest.approx(2.0 * math.sin(q1 / 2.0), abs=1e-12)
         assert beta == pytest.approx(0.5, abs=1e-15)
@@ -27,7 +34,7 @@ def test_neumann_profiles():
     m = builtin_model("neumann", [l1, 2.0])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 8.0, 40):
-        _c, _beta, ds0, s1, _ds1 = p.point(q1)
+        _beta, ds0, s1, _ds1 = p(q1)[7:]
         assert ds0 == pytest.approx(
             16.0 * l1 * q1 / (4.0 + q1 * q1) ** 2, rel=1e-12, abs=1e-12)
         assert s1 == 0.0
@@ -37,7 +44,7 @@ def test_profiles_vanish_at_equilibrium():
     for spec in (("neumann", [1.0, 2.0]), ("pendula_weak", [2.0])):
         m = builtin_model(*spec)
         p = loop_profile(m)
-        _c, _beta, ds0, s1, _ds1 = p.point(0.0)
+        _beta, ds0, s1, _ds1 = p(0.0)[7:]
         assert ds0 == 0.0
         assert s1 == 0.0
 
@@ -46,7 +53,7 @@ def test_s1_relation_pointwise():
     m = builtin_model("pendula_weak", [2.3])
     p = loop_profile(m)
     for q1 in np.linspace(0.1, 2 * math.pi - 0.1, 50):
-        _c, _beta, ds0, s1, _ds1 = p.point(q1)
+        _beta, ds0, s1, _ds1 = p(q1)[7:]
         expect = -(m.b120(q1) / m.b220(q1)) * ds0
         assert s1 == pytest.approx(expect, rel=1e-9)
 
@@ -58,7 +65,7 @@ def test_energy_on_loop():
         p = loop_profile(m)
         a, b = m.domain
         for q1 in np.linspace(a, b, 60):
-            _c, beta, ds0, _s1, _ds1 = p.point(q1)
+            beta, ds0, _s1, _ds1 = p(q1)[7:]
             e = 0.5 * beta * ds0 ** 2 + m.V0(q1)
             assert abs(e) < 1e-10
 
@@ -67,21 +74,21 @@ def test_restriction_residual_identical_pendula():
     m = builtin_model("pendula_identical", [0.0])
     p = loop_profile(m)
     # dS1*beta*dS0 = cos(q1/2) * (1/2) * 4 sin(q1/2) = sin(q1) = -V1
-    assert abs(riccati_terms(p)(math.pi / 2)[-1]) < 1e-12
+    assert abs(residual(p, math.pi / 2)) < 1e-12
 
 
 def test_restriction_residual_neumann_exact_zero():
     m = builtin_model("neumann", [1.0, 2.0])
     p = loop_profile(m)
     for q1 in (0.5, 2.0, 5.0):
-        assert riccati_terms(p)(q1)[-1] == 0.0
+        assert residual(p, q1) == 0.0
 
 
 def test_corrupted_v1_detected():
     base = builtin_model("pendula_identical", [0.0])
     bad = replace(base, V1=lambda q1: -math.sin(q1) + 0.1)
-    p = LoopProfile(bad.jet, bad.domain)
-    assert riccati_terms(p)(1.0)[-1] == pytest.approx(0.1, abs=1e-10)
+    p = loop_profile(bad)
+    assert residual(p, 1.0) == pytest.approx(0.1, abs=1e-10)
     # the solve checks the restriction at every point it evaluates, and
     # stops at its first, the start offset 1e-4 * 2pi
     with pytest.raises(HypothesesError) as exc:
@@ -128,6 +135,34 @@ def test_validate_judges_the_restriction_against_its_terms():
     assert entry.worst > 1e-6 and entry.passed
 
 
+@pytest.mark.parametrize("c, holds", [(0.9e-6, True), (1.1e-6, False)])
+def test_restriction_rule_is_one_for_validate_and_the_solve(c, holds):
+    # neumann's restriction terms are 0; V1 = c sin^2(pi q1 / 2) makes a
+    # residual of size c, whose terms are below 1, so both judge it against
+    # 1e-6 alone.  It peaks at q1 = 1, inside the solve's (0, 2] and on
+    # validate's grid
+    base = builtin_model("neumann", [1.0, 2.0])
+
+    def jet(q1):
+        c_ = base.jet(q1)
+        return c_[:7] + (c * math.sin(math.pi * q1 / 2.0) ** 2,) + c_[8:]
+
+    m = HamiltonianModel.from_jet(jet, base.saddle, domain=base.domain,
+                                  reversibility=base.reversibility,
+                                  matching=base.matching)
+    entry = validate_hypotheses(m).entries[-1]
+    assert entry.name == "loop_restriction_residual"
+    assert entry.passed is holds
+    if holds:
+        sol = solve_riccati(m, 2.0)
+        assert 0.8e-6 < sol.diagnostics["restriction_residual_max"] <= c
+    else:
+        # the first point the solve evaluates past 1e-6, on the way up
+        with pytest.raises(HypothesesError, match=r"^inconsistent V1: "
+                           r"restriction residual \S+ > 1e-6 at q1="):
+            solve_riccati(m, 2.0)
+
+
 def positive_potential_model():
     one = lambda q1: 1.0
     zero = lambda q1: 0.0
@@ -152,14 +187,14 @@ def test_no_loop_for_positive_potential():
 
 def test_point_on_an_array_names_its_first_point_without_a_loop():
     m = positive_potential_model()
-    p = LoopProfile(m.jet, m.domain)
+    p = loop_profile(m)
     q1 = np.array([1.5, 0.5, 0.2, 1.2])
     with pytest.raises(HypothesesError) as exc:
         for q in q1:
-            p.point(q)
+            p(q)
     # the message of the scalar call at q1 = 0.5, not at the smaller 0.2
     with pytest.raises(HypothesesError) as first:
-        p.point(0.5)
+        p(0.5)
     assert str(exc.value) == str(first.value)
     assert "at q1=0.5" in str(exc.value)
 
@@ -173,9 +208,9 @@ def test_point_on_an_array_is_the_points_at_each_entry(name, params):
     q1 = np.linspace(0.01, m.domain[1] - 0.01, 37)
     # the points at the array's entries, numpy floats, against those at
     # Python floats, within 1e-14 of each profile's size
-    profiles = list(zip(*[p.point(q)[1:] for q in q1]))
-    pointwise = [p.point(q) for q in q1.tolist()]
-    for got, want in zip(profiles, zip(*[pt[1:] for pt in pointwise])):
+    profiles = list(zip(*[p(q) for q in q1]))
+    pointwise = [p(q) for q in q1.tolist()]
+    for got, want in zip(profiles, zip(*pointwise)):
         scale = np.max(np.abs(want))
         assert np.allclose(np.broadcast_to(got, q1.shape), want,
                            rtol=1e-14, atol=1e-14 * scale)
@@ -183,17 +218,17 @@ def test_point_on_an_array_is_the_points_at_each_entry(name, params):
 
 def test_inner_time_neumann_exponential():
     # the inner dynamics is q1' = lambda1 * q1
-    terms = riccati_terms(loop_profile(builtin_model("neumann", [1.0, 2.0])))
+    loop = loop_profile(builtin_model("neumann", [1.0, 2.0]))
     for q1 in np.linspace(0.0, 8.0, 41):
-        assert terms(q1)[0] == pytest.approx(q1, rel=1e-12, abs=1e-15)
+        assert loop(q1)[0] == pytest.approx(q1, rel=1e-12, abs=1e-15)
 
 
 def test_inner_time_pendula_closed_form():
     # q1' = 2 sin(q1/2), whose orbit through pi is 4 arctan(e^t)
     m = builtin_model("pendula_identical", [0.0])
-    terms = riccati_terms(loop_profile(m))
+    loop = loop_profile(m)
     for q1 in np.linspace(0.0, 2 * math.pi, 41):
-        assert terms(q1)[0] == pytest.approx(2.0 * math.sin(q1 / 2.0),
+        assert loop(q1)[0] == pytest.approx(2.0 * math.sin(q1 / 2.0),
                                              abs=1e-12)
 
 
@@ -204,14 +239,14 @@ def test_loop_reparameterization_matches_momentum():
     for t in (-2.0, -0.5, 0.7, 1.5):
         q1 = 4.0 * math.atan(math.exp(t))
         p1_expected = 4.0 * math.sin(2.0 * math.atan(math.exp(t)))  # 2/cosh(t)*2
-        assert p.point(q1)[2] == pytest.approx(p1_expected, abs=1e-8)
+        assert p(q1)[8] == pytest.approx(p1_expected, abs=1e-8)
 
 
-def loop_action(profile):
+def loop_action(loop):
     """The loop action sigma, the integral of p1 = dS0 over one period, by
     40-point Gauss-Legendre quadrature on [0, 2pi]."""
     x, w = np.polynomial.legendre.leggauss(40)
-    return math.pi * sum(wi * profile.point(math.pi * (xi + 1.0))[2]
+    return math.pi * sum(wi * loop(math.pi * (xi + 1.0))[8]
                          for xi, wi in zip(x, w))
 
 
@@ -233,6 +268,6 @@ def test_sigma_scales_linearly():
                      V1=lambda q1: 6.25 * m.V1(q1))
     p, ps = loop_profile(m), loop_profile(scaled)
     for q1 in np.linspace(0.0, 2 * math.pi, 41):
-        assert ps.point(q1)[2] == pytest.approx(2.5 * p.point(q1)[2],
+        assert ps(q1)[8] == pytest.approx(2.5 * p(q1)[8],
                                                 rel=1e-12, abs=1e-15)
     assert loop_action(ps) == pytest.approx(40.0, abs=1e-9)

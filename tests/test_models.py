@@ -16,7 +16,7 @@ from septrans.models import (ConstructionError, HypothesesError,
 from septrans.numerics import central_diff, second_diff
 from septrans.charts import chart_transversality
 from septrans.cli import write_json
-from septrans.riccati import (SolverOptions, riccati_initial, riccati_terms,
+from septrans.riccati import (SolverOptions, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 from weak_reference import WeakReference
 
@@ -360,8 +360,8 @@ def test_assembled_jet_starts_from_the_fused_slope(name, params):
     assert copy.jet is not m.jet
     assert CoefficientJet(*copy.jet(0.0)).dS1 == pytest.approx(
         CoefficientJet(*m.jet(0.0)).dS1, abs=1e-9)
-    T0 = riccati_initial(riccati_terms(loop_profile(m)))[0]
-    assert riccati_initial(riccati_terms(loop_profile(copy)))[0] == \
+    T0 = riccati_initial(loop_profile(m))[0]
+    assert riccati_initial(loop_profile(copy))[0] == \
         pytest.approx(T0, abs=1e-8)
 
 
@@ -413,8 +413,8 @@ def admissible_points(draw):
 def test_jet_derivatives_match_central_differences(point):
     m, q1 = point
     c = CoefficientJet(*m.jet(q1))
-    point = loop_profile(m).point
-    assert c.dS1 == pytest.approx(central_diff(lambda q: point(q)[3], q1),
+    loop = loop_profile(m)
+    assert c.dS1 == pytest.approx(central_diff(lambda q: loop(q)[9], q1),
                                   rel=1e-7, abs=1e-7)
     assert c.db220 == pytest.approx(central_diff(m.b220, q1),
                                     rel=1e-7, abs=1e-7)

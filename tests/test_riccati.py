@@ -9,30 +9,30 @@ from septrans.models import CoefficientJet, HamiltonianModel, builtin_model
 from septrans.numerics import central_diff
 import septrans.riccati as riccati
 from septrans.riccati import (BlowUpError, HypothesesError, SolverOptions,
-                              _integrate, riccati_initial, riccati_terms,
+                              _integrate, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 
 
-def terms_for(name, params):
-    return riccati_terms(loop_profile(builtin_model(name, params)))
+def loop_for(name, params):
+    return loop_profile(builtin_model(name, params))
 
 
 def test_neumann_coefficients():
     l1, l2 = 1.0, 2.0
-    profile = loop_profile(builtin_model("neumann", [l1, l2]))
-    terms = riccati_terms(profile)
+    loop = loop_profile(builtin_model("neumann", [l1, l2]))
     for q1 in (0.0, 1.0, 2.0, 4.0):
         a = 4.0 + q1 * q1
-        _q1dot, alpha, delta, _b220, _db220, _res = terms(q1)
+        (_q1dot, alpha, delta, _b220, _db220, _ds1_q1dot, _v1, beta, _ds0,
+         _s1, _ds1) = loop(q1)
         assert delta == 0.0
-        assert profile.point(q1)[1] == pytest.approx(a * a / 16.0, rel=1e-14)
+        assert beta == pytest.approx(a * a / 16.0, rel=1e-14)
         expect = 16.0 / a ** 2 * (l2 ** 2 - 4.0 * l1 ** 2 * q1 * q1 / a)
         assert alpha == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_identical_pendula_coefficients_at_zero():
     f0 = 0.15
-    _q1dot, alpha, delta, b220, _db220, _res = terms_for(
+    _q1dot, alpha, delta, b220, *_rest = loop_for(
         "pendula_identical", [f0])(0.0)
     assert delta == pytest.approx(-1.0, abs=1e-12)
     assert b220 == 2.0
@@ -45,13 +45,13 @@ def test_alpha_reduces_to_y_without_coupling():
     m = builtin_model("neumann", [1.0, 2.0])
     flat = replace(m, b112=lambda q1: 0.0, b122=lambda q1: 0.0,
                    b222=lambda q1: 0.0)
-    terms = riccati_terms(loop_profile(flat))
+    loop = loop_profile(flat)
     for q1 in (0.3, 1.5, 3.0):
-        assert terms(q1)[1] == m.Y(q1)
+        assert loop(q1)[1] == m.Y(q1)
 
 
 def test_initial_condition_neumann():
-    T0, Delta = riccati_initial(terms_for("neumann", [1.0, 2.0]))
+    T0, Delta = riccati_initial(loop_for("neumann", [1.0, 2.0]))
     assert T0 == pytest.approx(2.0, abs=1e-14)
     assert Delta == pytest.approx(4.0, abs=1e-14)
 
@@ -59,21 +59,22 @@ def test_initial_condition_neumann():
 @pytest.mark.parametrize("f0", [0.0, 0.05, 0.1, 0.18, 0.25, 0.3, 0.35, 0.4,
                                 0.44, 0.49])
 def test_initial_condition_identical_pendula(f0):
-    T0, Delta = riccati_initial(terms_for("pendula_identical", [f0]))
+    T0, Delta = riccati_initial(loop_for("pendula_identical", [f0]))
     b = math.sqrt(1.0 - 2.0 * f0)
     assert T0 == pytest.approx((1.0 + b) / 2.0, abs=1e-14)
     assert Delta == pytest.approx(b * b, abs=1e-14)
 
 
 def test_initial_condition_pure_square_root():
-    # (q1dot, alpha, delta, b220, db220, residual)
-    T0, Delta = riccati_initial(lambda q: (0.0, 9.0, 0.0, 1.0, 0.0, 0.0))
+    # (q1dot, alpha, delta, b220, db220, dS1 q1dot, V1, beta, dS0, S1, dS1)
+    T0, Delta = riccati_initial(
+        lambda q: (0.0, 9.0, 0.0, 1.0) + (0.0,) * 7)
     assert (T0, Delta) == (3.0, 9.0)
 
 
 def test_initial_condition_negative_discriminant():
     with pytest.raises(HypothesesError):
-        riccati_initial(lambda q: (0.0, -9.0, 0.0, 1.0, 0.0, 0.0))
+        riccati_initial(lambda q: (0.0, -9.0, 0.0, 1.0) + (0.0,) * 7)
 
 
 def test_neumann_solution_closed_form_along_the_way():
@@ -130,7 +131,7 @@ def test_equation_residual_along_dense_output():
     for spec in (("neumann", [1.3, 2.2]), ("pendula_identical", [0.2]),
                  ("pendula_weak", [2.0])):
         m = builtin_model(*spec)
-        terms = riccati_terms(loop_profile(m))
+        loop = loop_profile(m)
         target = 2.0 if spec[0] == "neumann" else math.pi
         sol = solve_riccati(m, target,
                             opts=SolverOptions(rtol=1e-11,
@@ -141,7 +142,7 @@ def test_equation_residual_along_dense_output():
         for q1 in qs:
             dT = central_diff(sol, q1, h=1e-4)
             T = sol(q1)
-            q1dot, alpha, delta, b220, _db220, _res = terms(q1)
+            q1dot, alpha, delta, b220, *_rest = loop(q1)
             r = q1dot * dT + 2 * delta * T + b220 * T * T - alpha
             assert abs(r) < 1e-7 * (1.0 + abs(alpha))
 
@@ -212,8 +213,7 @@ def test_forward_stability_of_target_solution():
     p = loop_profile(m)
     ref = solve_riccati(m, 2.0)
     for bump in (1e-4, -1e-4):
-        terms = riccati_terms(p)
-        T0, _ = riccati_initial(terms)
+        T0, _ = riccati_initial(p)
         sol, _residual = _integrate(p, ref.epsilon_start, 2.0,
                                     T0 + bump, 1e-9, False)
         assert abs(sol.sol(2.0) - ref(2.0)) < 1e-6
@@ -252,20 +252,21 @@ def test_startup_sensitivity_is_the_first_variation(name, params, stable):
     ("pendula_identical", [0.2, 0.05], True), ("pendula_weak", [2.5], False),
     ("pendula_weak", [1.5], False)])
 def test_startup_quadrature_is_the_sum_over_its_nodes(name, params, stable):
-    # the quadrature is Gauss-Legendre on each accepted step, a terms call
+    # the quadrature is Gauss-Legendre on each accepted step, a loop call
     # and a dense call at each node
     m = builtin_model(name, params)
     sol = solve_riccati(m, m.matching[0], stable=stable)
-    terms, dense = riccati_terms(sol.profile), sol._dense
+    loop, dense = sol.profile, sol._dense
     sgn2 = -2.0 if stable else 2.0
     integral = 0.0
     for a, b in zip(dense.ts[:-1], dense.ts[1:]):
         for x, w in zip(riccati._GAUSS5_X, riccati._GAUSS5_W):
             q1 = 0.5 * (a + b) + 0.5 * (b - a) * x
-            q1dot, _alpha, delta, b220, _db220, _res = terms(q1)
+            (q1dot, _alpha, delta, b220, _db220, _ds1_q1dot, _v1, _beta,
+             _ds0, _s1, _ds1) = loop(q1)
             integral += 0.5 * (b - a) * w * (
                 2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot
-    assert riccati._startup_propagation(terms, dense, stable) == (
+    assert riccati._startup_propagation(loop, dense, stable) == (
         pytest.approx(math.exp(-integral), rel=1e-12),
         5 * (len(dense.ts) - 1))
 
@@ -314,7 +315,7 @@ def test_start_beyond_cap_is_blow_up(monkeypatch):
     monkeypatch.setattr(riccati, "CAP", 0.3)
     with pytest.raises(BlowUpError, match="beyond the cap") as exc_info:
         solve_riccati(m, 2.0)
-    a, b = loop_profile(m).interval
+    a, b = m.domain
     assert exc_info.value.q1 == 1e-4 * (b - a)
 
 
@@ -347,7 +348,7 @@ def test_start_at_or_past_target_raises(monkeypatch, epsilon):
 def test_solution_keeps_its_loop_profile():
     m = builtin_model("pendula_identical", [0.2])
     sol = solve_riccati(m, math.pi)
-    assert sol.profile.jet is m.jet
+    assert sol.profile(1.0) == loop_profile(m)(1.0)
     assert sol.diagnostics["restriction_residual_max"] < 1e-6
 
 
@@ -359,6 +360,26 @@ def test_query_beyond_target_raises():
         sol(1.5)
     with pytest.raises(ValueError):
         [sol(q) for q in np.array([0.5, 1.5])]
+
+
+def test_query_at_nan_raises():
+    m = builtin_model("neumann", [1.0, 2.0])
+    sol = solve_riccati(m, 2.0)
+    with pytest.raises(ValueError, match="q1=nan beyond the solved interval"):
+        sol(math.nan)
+
+
+@pytest.mark.parametrize("rtol", [1e-15, 1e-300, 5e-324])
+def test_rtol_below_its_floor_raises(monkeypatch, rtol):
+    # dop853's first trial step overflows to nan below it, which read as a
+    # coefficient overflow at q1=nan
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved at an rtol below the floor")
+
+    monkeypatch.setattr(riccati, "solve_ivp", no_solve)
+    with pytest.raises(ValueError, match="below its floor MIN_RTOL=1e-14"):
+        solve_riccati(builtin_model("neumann", [1.0, 2.0]), 2.0,
+                      SolverOptions(rtol=rtol))
 
 
 def test_query_below_interval_raises():
@@ -404,7 +425,7 @@ def test_oracle_equivalence_fundamental_solution_fixture():
     for q1 in (0.5, 1.0, 1.7):
         dy = central_diff(y1, q1, h=1e-6)
         # q1-form slope: T = beta * dS0 * y'/(b220 * y) in the q1 variable
-        _c, beta, ds0, _s1, _ds1 = p.point(q1)
+        beta, ds0, _s1, _ds1 = p(q1)[7:]
         T_from_y = beta * ds0 * dy / (m.b220(q1) * y1(q1))
         assert sol(q1) == pytest.approx(T_from_y, rel=1e-6)
 

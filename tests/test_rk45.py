@@ -13,8 +13,7 @@ from septrans.loops import loop_profile
 from septrans.models import builtin_model
 from septrans.numerics import MAX_STEP, OdeResult, dop853
 from septrans.riccati import (BlowUpError, SolverOptions, riccati_initial,
-                              riccati_terms, riccati_to_linear_oracle,
-                              solve_riccati)
+                              riccati_to_linear_oracle, solve_riccati)
 
 
 def scipy_dop853(fun, t_span, y0, rtol, atol, event=None):
@@ -270,15 +269,14 @@ def time_form_oracle(model, q1_target):
     time variable, q1 its third component, by scipy's DOP853 at rtol
     1e-13, seeded at q1 = 1e-7 q1_target on the slope condition y' = b220
     T(0) y and stopped where q1 reaches q1_target."""
-    profile = loop_profile(model)
-    terms = riccati_terms(profile)
-    T0, _ = riccati_initial(terms)
+    loop = loop_profile(model)
+    T0, _ = riccati_initial(loop)
     h = 1e-5
-    rate = profile.point(0.0)[1] * profile.point(h)[2] / h
+    rate = loop(0.0)[7] * loop(h)[8] / h
 
     def rhs(_t, y):
         q1, yy, yp = y
-        q1dot, alpha, delta, b, db, _res = terms(float(q1))
+        q1dot, alpha, delta, b, db, *_rest = loop(float(q1))
         return [q1dot, yp, -(2.0 * delta - db * q1dot / b) * yp
                 + b * alpha * yy]
 
@@ -287,7 +285,7 @@ def time_form_oracle(model, q1_target):
     at_target.terminal = True
 
     def b220(q1):
-        return profile.point(q1)[0].b220
+        return loop(q1)[3]
 
     q1s = 1e-7 * q1_target
     r = scipy_solve_ivp(rhs, (0.0, 100.0 / rate), [q1s, 1.0, b220(q1s) * T0],
