@@ -71,6 +71,17 @@ for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
   test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
   case "$err" in *Traceback*) echo "$err"; exit 1;; esac
 done
+# an over-budget grid (186 million nodes) is refused before numpy allocates
+# them: exit 3 with one line on stderr, in bounded time
+code=0; err=$(timeout 20 septrans melnikov --model pendula_weak \
+  --params lam=2 --grid=-1e7:1e7:5 2>&1 >/dev/null) || code=$?
+test "$code" = 3 || { echo "grid 1e7: exit $code"; echo "$err"; exit 1; }
+case "$err" in *Traceback*|*$'\n'*|"") echo "$err"; exit 1;; esac
+# a start offset above its default, 1e-4 of the domain, exits 2 with nothing
+# on stdout: epsilon 3 read transversal with the wrong sign of the gap
+code=0; out=$(septrans transversality --model pendula_identical \
+  --params f0=0.2 --epsilon 3 2>/dev/null) || code=$?
+test "$code" = 2 && test -z "$out" || { echo "--epsilon 3: exit $code"; exit 1; }
 # the linear-ODE oracle, through its Pruefer angle, agrees with the slope
 # solve at the matching point; a target beyond the loop interval (neumann's
 # is (0, 8]) raises ValueError, as it does for the solve

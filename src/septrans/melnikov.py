@@ -16,7 +16,8 @@ Each step returns its own values: reduced_melnikov the samples of L~ on a
 grid and their worst quadrature diagnostics, melnikov_derivatives L~'(0)
 and L~''(0), perturbed_loop_verdict the case-B verdict at s = 0 from
 those two and their error bound, and critical_candidates the parameters
-where the slope of any sampled L~ changes sign.
+where the slope of any sampled L~ changes sign.  Each point's trapezoid
+window, its half-width and node count, is decided once, by _window.
 """
 
 from __future__ import annotations
@@ -100,25 +101,21 @@ def _rule(pert: PerturbationModel, jet: bool = False) -> _Rule:
     return _proven_rules(pert.bounds)[jet]
 
 
-def _t_cut(s: float, rule: _Rule, t0: float = 0.0) -> float:
-    """The window half-width at the point (t0, s): the rule's reach past
-    |t0| + |s|."""
-    return abs(t0) + abs(s) + rule.reach
-
-
-def _half_count(t0: float, T: float, step: float) -> int:
-    """K = ceil(T / step), the lattice nodes on each side of t0 that cover
-    [t0 - T, t0 + T].  Raises QuadratureError, before anything is
-    allocated, above NODE_BUDGET nodes."""
+def _window(s: float, rule: _Rule, t0: float = 0.0) -> tuple[float, int]:
+    """The window of the point (t0, s): its half-width T, the rule's reach
+    past |t0| + |s|, and K = ceil(T / step), the lattice nodes on each side
+    of t0 that cover [t0 - T, t0 + T].  Raises QuadratureError, before
+    anything is allocated, above NODE_BUDGET nodes."""
+    T = abs(t0) + abs(s) + rule.reach
     # 2 ceil(n) + 1 <= NODE_BUDGET, as a test that an infinite or nan n
     # fails too
-    n = T / step
+    n = T / rule.step
     if not n <= (NODE_BUDGET - 1) // 2:
         raise QuadratureError("the trapezoid window [%.6g, %.6g] needs %.17g "
                               "nodes, above the budget of %d"
                               % (t0 - T, t0 + T, 2.0 * np.ceil(n) + 1.0,
                                  NODE_BUDGET))
-    return math.ceil(n)
+    return T, math.ceil(n)
 
 
 def _lattice(t0: float, K: int, step: float) -> np.ndarray:
@@ -142,11 +139,11 @@ def _held(vals, t: np.ndarray, s, hook: str = "integrand") -> np.ndarray:
     return np.broadcast_to(vals, shape)
 
 
-def _trapezoid(vals, K: int, T: float, rule: _Rule,
+def _trapezoid(vals, T: float, rule: _Rule,
                row: int = 0) -> tuple[float, dict]:
     """Integral over the real line by the trapezoidal rule, from the
     integrand's values vals on the 2K + 1 lattice nodes of a window of
-    half-width T.
+    half-width T, K read from len(vals).
 
     The integrands are analytic in a strip about the real axis and decay
     exponentially, so the rule converges geometrically in the step
@@ -157,6 +154,7 @@ def _trapezoid(vals, K: int, T: float, rule: _Rule,
     diagnostics t_cut = T and row's tail_bound and quad_error.
     """
     # the window's ends lie K step - T + reach beyond |t0| + |s|
+    K = len(vals) // 2
     quad_error, coef, rate = rule.errors[row]
     tail = coef * math.exp(-rate * (K * rule.step - T + rule.reach))
     ends = 0.5 * (float(vals[0]) + float(vals[-1]))
@@ -176,10 +174,10 @@ def melnikov_potential(pert: PerturbationModel,
     The trapezoid window is centered at the time t0 the loop passes
     through the point, and its step and reach come from the perturbation's
     bounds (see PerturbationModel); the window and the proven tail bound
-    and quadrature error are recorded in diag.  values, with s only, are
-    the integrand on the window's lattice nodes, as reduced_melnikov slices
-    them from a block; without them the integrand is evaluated here, on the
-    same nodes.
+    and quadrature error are recorded in diag.  values, the integrand on a
+    lattice row centred on t0 and at least as wide as the window (as
+    reduced_melnikov passes a block's row), are cut to the window here;
+    without them the integrand is evaluated on the window's nodes.
     """
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or s")
@@ -187,12 +185,14 @@ def melnikov_potential(pert: PerturbationModel,
         raise ValueError("perturbation %s has no locate hook" % pert.name)
     t0, s = (0.0, s) if q is None else pert.locate(q[0], q[1])
     rule = _rule(pert)
-    T = _t_cut(s, rule, t0)
-    K = _half_count(t0, T, rule.step)
+    T, K = _window(s, rule, t0)
     if values is None:
         t = _lattice(t0, K, rule.step)
         values = _held(pert.integrand(t, s), t, s)
-    val, d = _trapezoid(values, K, T, rule)
+    if (c := len(values) // 2) < K:
+        raise ValueError("values has %d nodes, fewer than the window's %d"
+                         % (len(values), 2 * K + 1))
+    val, d = _trapezoid(values[c - K:c + K + 1], T, rule)
     if diag is not None:
         diag.update(d)
     return -val
@@ -209,32 +209,31 @@ def reduced_melnikov(pert: PerturbationModel,
     """Sample the reduced potential L~(s) = L(kappa(s)) on a grid: returns
     the samples and their quadrature diagnostics.
 
-    Every section point's window lies on one lattice about t = 0.  The
-    integrand is called once per block of consecutive section points, on
-    the block's widest window with s as a column, so its lam t half is
-    computed once per block; each block holds at most BLOCK_ELEMENTS
-    values, or one row.  melnikov_potential then sums each point's row,
-    sliced to its own window: the same numbers as a call on that point
-    alone.  The quadrature diagnostics report the worst window, tail bound
-    and quadrature error over the grid.
+    Every section point's window lies on one lattice about t = 0, sized
+    by the grid's widest |s|.  The integrand is called once per block of
+    consecutive section points, on the block's widest window with s as a
+    column, so its lam t half is computed once per block; each block holds
+    at most BLOCK_ELEMENTS values, or one row.  Each point's
+    melnikov_potential call cuts its window from its row of the block:
+    the same numbers as a call on that point alone.  The quadrature
+    diagnostics report the worst window, tail bound and quadrature error
+    over the grid.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     s_list = s_grid.tolist()
     rule = _rule(pert)
-    Ks = [_half_count(0.0, _t_cut(s, rule), rule.step) for s in s_list]
     diags = [{} for _ in s_list]
     samples = np.empty(len(s_list))
-    K = max(Ks, default=0)
+    K = _window(max(map(abs, s_list), default=0.0), rule)[1]
     t = _lattice(0.0, K, rule.step)
     rows = max(1, BLOCK_ELEMENTS // t.size)
     for i in range(0, len(s_list), rows):
-        Kb = max(Ks[i:i + rows])
+        Kb = _window(max(map(abs, s_list[i:i + rows])), rule)[1]
         tb, sb = t[K - Kb:K + Kb + 1], s_grid[i:i + rows, None]
         block = _held(pert.integrand(tb, sb), tb, sb)
-        for j in range(i, min(i + rows, len(s_list))):
-            samples[j] = melnikov_potential(
-                pert, s=s_list[j], diag=diags[j],
-                values=block[j - i, Kb - Ks[j]:Kb + Ks[j] + 1])
+        for j, row in enumerate(block, i):
+            samples[j] = melnikov_potential(pert, s=s_list[j], diag=diags[j],
+                                            values=row)
     return samples, _worst(diags)
 
 
@@ -246,12 +245,11 @@ def melnikov_derivatives(pert: PerturbationModel,
     either derivative: the worse row's quad_error and tail_bound plus N
     eps h sum |row| for the rounding of the N values and of their sum."""
     rule = _rule(pert, jet=True)
-    T = _t_cut(0.0, rule)
-    K = _half_count(0.0, T, rule.step)
+    T, K = _window(0.0, rule)
     t = _lattice(0.0, K, rule.step)
     rows = [_held(row, t, 0.0, "integrand_s_jet")
             for row in pert.integrand_s_jet(t, 0.0)]
-    (v1, d1), (v2, d2) = (_trapezoid(row, K, T, rule, i)
+    (v1, d1), (v2, d2) = (_trapezoid(row, T, rule, i)
                           for i, row in enumerate(rows))
     if diag is not None:
         rounding = t.size * sys.float_info.epsilon * rule.step

@@ -43,9 +43,9 @@ MIN_RTOL = 1e-14
 @dataclass(frozen=True)
 class SolverOptions:
     """rtol of the slope solve, at least MIN_RTOL, whose atol is rtol /
-    1000; epsilon, the start offset from the singular point (None: 1e-4 of
-    the model's domain); and whether to report the start-up
-    sensitivity."""
+    1000; epsilon, the start offset from the singular point, at most 1e-4
+    of the model's domain (None: that ceiling); and whether to report the
+    start-up sensitivity."""
     rtol: float = 1e-9
     epsilon: float | None = None
     sensitivity_check: bool = True
@@ -196,13 +196,14 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     stable=True integrates the stable-side slope instead (coefficients alpha
     and b220 flip sign and the negative initial branch is used); in both
     cases the integrated branch is forward-attracting, which makes the
-    O(epsilon) start-up error self-correcting.  A start offset epsilon at
-    or past q1_target raises ValueError.  Every point the solve evaluates
-    checks the loop restriction: a residual above 1e-6 of the size of its
-    two terms raises HypothesesError (see restriction_holds), and an rtol
-    below MIN_RTOL raises ValueError.  The diagnostics carry the
-    largest, restriction_residual_max, and slope_max, the largest |T| over
-    the solve's mesh states, at no rhs evaluation.  With
+    O(epsilon) start-up error self-correcting.  A start offset epsilon
+    above its default, 1e-4 of the domain, or at or past q1_target raises
+    ValueError.  Every point the solve evaluates checks the loop
+    restriction: a residual above 1e-6 of the size of its two terms raises
+    HypothesesError (see restriction_holds), and an rtol below MIN_RTOL
+    raises ValueError.  The diagnostics carry the largest,
+    restriction_residual_max, and slope_max, the largest |T| over the
+    solve's mesh states, at no rhs evaluation.  With
     opts.sensitivity_check the diagnostics carry startup_sensitivity, the
     spread at q1_target of starts 10 epsilon apart either side to first
     order, and whether it stays within 100 rtol of the slope; it costs no
@@ -216,10 +217,14 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
     a, b = model.domain
     if not (0.0 < q1_target <= b):
         raise ValueError("q1_target must lie in (0, %g]" % b)
-    eps = opts.epsilon if opts.epsilon is not None else 1e-4 * (b - a)
+    ceiling = 1e-4 * (b - a)
+    eps = opts.epsilon if opts.epsilon is not None else ceiling
     if not eps < q1_target:
         raise ValueError("the start offset epsilon=%g must lie below "
                          "q1_target=%g" % (eps, q1_target))
+    if not eps <= ceiling:
+        raise ValueError("the start offset epsilon=%g is above its ceiling "
+                         "%r, 1e-4 of the domain" % (eps, ceiling))
     T0, Delta = riccati_initial(loop)
     initial = -T0 if stable else T0
 

@@ -351,6 +351,38 @@ def test_torus_transversality_requires_structure():
         torus_transversality(builtin_model("neumann", [1.0, 2.0]))
 
 
+def test_torus_form_requires_r1_minus_one():
+    m = replace(builtin_model("pendula_identical", [0.2]),
+                reversibility=(1, 1))
+    with pytest.raises(HypothesesError, match="needs reversibility with "
+                       "r1=-1"):
+        torus_transversality(m)
+    sol = solve_riccati(m, 2.0, opts=SolverOptions(sensitivity_check=False))
+    with pytest.raises(HypothesesError, match="torus form requires r1 = -1"):
+        stable_from_reversibility(sol, m)
+
+
+@pytest.mark.parametrize("f", [
+    [1e-3], [0.0, 1e-3], [0.0, 0.0, 1e-3], [0.0, 0.0, 0.0, 1e-3],
+    [1e-3, 5e-4, -3e-4], [1e-2, 2e-3]])
+def test_identical_pendula_gap_to_first_order(f):
+    # pendula_identical is pendula_weak's sheet at lam = 1 with Y - f, whose
+    # Melnikov second derivative gives gap = 2 sum f_k / (4 k^2 - 1) +
+    # O(|f|^2); the mean over +-f cancels the second order.  The worst
+    # ratio to the bound is 0.30, at [1e-3]
+    opts = SolverOptions(rtol=1e-12, sensitivity_check=False)
+
+    def gap(coeffs):
+        m = builtin_model("pendula_identical", coeffs, strict=False)
+        return chart_transversality(m, opts=opts).gap
+
+    first = 2.0 * sum(c / (4 * k * k - 1) for k, c in enumerate(f))
+    size = sum(map(abs, f))
+    plus, minus = gap(f), gap([-c for c in f])
+    assert abs((plus - minus) / 2.0 - first) <= 10.0 * size ** 3
+    assert abs(plus - first) <= 10.0 * size ** 2
+
+
 def test_chart_verdict_requires_declared_reversibility():
     m = replace(builtin_model("neumann", [1, 2]), reversibility=None)
     with pytest.raises(HypothesesError, match="without reversibility"):

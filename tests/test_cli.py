@@ -107,6 +107,17 @@ def test_bad_param_value_is_usage_error(capsys):
     assert code == 2
 
 
+def test_param_without_value_is_usage_error(capsys):
+    code, _ = run(capsys, "riccati", "--model", "neumann",
+                  "--params", "lambda1", "lambda2=2")
+    assert code == 2
+
+
+def test_grid_spec_needs_three_fields():
+    with pytest.raises(ValueError, match="grid spec must be a:b:n"):
+        parse_grid("0:1")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code = main(["riccati", "--model", "neumann", "--bogus"])
     capsys.readouterr()
@@ -231,6 +242,23 @@ def test_start_at_or_past_matching_point_is_usage_error(capsys, model,
                  "--epsilon", epsilon])
     assert "epsilon" in capsys.readouterr().err
     assert code == 2
+
+
+@pytest.mark.parametrize("model, params, epsilon, ceiling", [
+    # the defaults 1e-4 of the domain, 2 pi 1e-4 and 8e-4, printed so that
+    # they read back as themselves
+    ("pendula_identical", ["f0=0.2"], "3", "0.0006283185307179586"),
+    ("neumann", ["lambda1=1", "lambda2=2"], "1e-3", "0.0008")])
+def test_start_offset_above_its_default_is_usage_error(capsys, model, params,
+                                                       epsilon, ceiling):
+    # a wider start read transversal at f0 = 0.2 (gap +1.43, where the
+    # default start gives -0.516)
+    code = main(["transversality", "--model", model, "--params", *params,
+                 "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "epsilon=%g" % float(epsilon) in captured.err
+    assert "ceiling %s" % ceiling in captured.err
 
 
 @pytest.mark.parametrize("spec", ["1.5:inf:3", "-1e308:1e308:3"])
@@ -390,7 +418,7 @@ def test_melnikov_reports_quadrature_diagnostics(capsys):
     # the widest window, at |s| = 2: 19.05 past |s|
     from septrans import melnikov
     pert = builtin_model("pendula_weak", [2.0]).perturbation
-    assert comments["t_cut"] == melnikov._t_cut(2.0, melnikov._rule(pert))
+    assert comments["t_cut"] == melnikov._window(2.0, melnikov._rule(pert))[0]
     assert 0.0 <= comments["tail_bound"] <= 1e-12
     assert 0.0 <= comments["quad_error"] <= 1e-12
     code, out = run(capsys, *argv, "--format", "json")
@@ -444,8 +472,8 @@ def test_melnikov_reports_derivative_quadrature(capsys):
     # the s-jet's own window at s = 0, 19.95
     from septrans import melnikov
     pert = builtin_model("pendula_weak", [2.0]).perturbation
-    assert comments["dL_t_cut"] == melnikov._t_cut(
-        0.0, melnikov._rule(pert, jet=True))
+    assert comments["dL_t_cut"] == melnikov._window(
+        0.0, melnikov._rule(pert, jet=True))[0]
     assert 0.0 < comments["dL_tail_bound"] <= 1e-12
     assert 0.0 <= comments["dL_quad_error"] <= 1e-12
     # the bound that the verdict's thresholds are

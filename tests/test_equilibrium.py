@@ -48,6 +48,13 @@ def test_diagonal_case():
     assert np.allclose(lin.Eu, np.diag([2.0, 3.0]), atol=1e-8)
 
 
+def test_indefinite_kinetic_form_raises():
+    with pytest.raises(HypothesesError, match="B\\(0,0\\) is not positive "
+                       "definite"):
+        linearize(constant_model([[4.0, 0.0], [0.0, 9.0]],
+                                 [[-1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_eigenvector_residual():
     m = builtin_model("pendula_weak", [2.0])
     lin = linearize(m)

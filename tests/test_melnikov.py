@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _half_count,
-                               _lattice, _rule, _t_cut, _trapezoid,
+from septrans.melnikov import (BLOCK_ELEMENTS, NODE_BUDGET, _lattice,
+                               _rule, _trapezoid, _window,
                                critical_candidates, lambda0_threshold,
                                melnikov_derivatives, melnikov_potential,
                                perturbed_loop_verdict, reduced_melnikov,
@@ -67,6 +67,42 @@ def test_located_point_needs_locate_hook():
         melnikov_potential(pert, q=WeakReference(1.0).kappa(1.0))
     assert melnikov_potential(pert, s=1.0) == pytest.approx(
         closed_form_lam1(1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"q": (1.0, 1.0), "s": 1.0}])
+def test_potential_needs_exactly_one_of_q_or_s(kwargs):
+    with pytest.raises(ValueError, match="give exactly one of q or s"):
+        melnikov_potential(weak(1.0), **kwargs)
+
+
+@pytest.mark.parametrize("q, message", [
+    ((7.0, 0.0), r"loop point needs q1 in \(0, 2pi\)"),
+    ((1.0, 7.0), "point not on the separatrix sheet")])
+def test_locate_refuses_points_off_the_loops(q, message):
+    with pytest.raises(ValueError, match=message):
+        weak(2.0).locate(*q)
+
+
+def test_richardson_diff_takes_order_one_or_two():
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        richardson_diff(math.sin, 0.0, 1e-3, order=3)
+
+
+def test_potential_cuts_its_window_from_a_wider_row():
+    # a row of the lattice about t0 wider than the window sums as the
+    # window alone; a narrower one raises
+    pert = weak(2.0)
+    rule = _rule(pert)
+    diag, wide_diag = {}, {}
+    L = melnikov_potential(pert, s=1.5, diag=diag)
+    K = _window(1.5, rule)[1]
+    t = _lattice(0.0, K + 7, rule.step)
+    row = pert.integrand(t, 1.5)
+    assert melnikov_potential(pert, s=1.5, diag=wide_diag, values=row) == L
+    assert wide_diag == diag
+    with pytest.raises(ValueError, match="fewer than the window's %d"
+                       % (2 * K + 1)):
+        melnikov_potential(pert, s=1.5, values=row[8:-8])
 
 
 def composed(lam):
@@ -178,7 +214,7 @@ def test_derivatives_report_their_quadrature():
     diag = {}
     melnikov_derivatives(pert, diag=diag)
     assert set(diag) == {"t_cut", "tail_bound", "quad_error", "error_bound"}
-    assert diag["t_cut"] == _t_cut(0.0, _rule(pert, jet=True))
+    assert diag["t_cut"] == _window(0.0, _rule(pert, jet=True))[0]
     assert 0.0 <= diag["tail_bound"] <= 1e-12
     assert 0.0 <= diag["quad_error"] <= 1e-12
     assert 0.0 < diag["error_bound"] <= 1e-11
@@ -353,14 +389,13 @@ def test_stated_bounds_hold(lam, s):
     for jet, rows in ((False, lambda t: [pert.integrand(t, s)]),
                       (True, lambda t: pert.integrand_s_jet(t, s))):
         rule = _rule(pert, jet)
-        T = _t_cut(s, rule)
-        K = _half_count(0.0, T, rule.step)
+        T, K = _window(s, rule)
         ref_step = 0.02 / max(1.0, lam)
         refs = lattice_sums(rows, ref_step, math.ceil((T + 10.0) / ref_step))
         vals = rows(_lattice(0.0, K, rule.step))
         for i, (got, ref) in enumerate(zip(lattice_sums(rows, rule.step, K),
                                            refs)):
-            d = _trapezoid(vals[i], K, T, rule, i)[1]
+            d = _trapezoid(vals[i], T, rule, i)[1]
             bound = d["quad_error"] + d["tail_bound"]
             assert abs(got - ref) <= bound, (jet, i)
 
@@ -430,7 +465,7 @@ def test_closed_form_integrand_matches_definition(lam):
     pert = weak(lam)
     ref = composed(lam)
     for s in (-4.0, -0.3, 0.0, 2.5, 40.0, 200.0):
-        T = _t_cut(s, _rule(pert))
+        T = _window(s, _rule(pert))[0]
         t = np.concatenate([np.linspace(-T, T, 20001),
                             np.linspace(-3.0, 3.0, 6001),
                             s + np.linspace(-30.0, 30.0, 6001)])

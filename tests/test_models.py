@@ -153,6 +153,14 @@ def test_builtin_parameter_constraints():
         builtin_model("nope", [1.0])
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("neumann", [1.0], r"neumann takes \(lambda1, lambda2\)"),
+    ("pendula_weak", [1.0, 2.0], r"pendula_weak takes \(lam,\)")])
+def test_builtin_parameter_count(name, params, message):
+    with pytest.raises(ConstructionError, match=message):
+        builtin_model(name, params)
+
+
 def test_zero_cosine_coefficients_change_nothing():
     # a zero term is skipped, and the sum of the others is the same
     with_zeros = builtin_model("pendula_identical", [0.2, 0.0, 0.05, 0.0])

@@ -345,6 +345,24 @@ def test_start_at_or_past_target_raises(monkeypatch, epsilon):
         solve_riccati(m, 1.0, SolverOptions(epsilon=epsilon))
 
 
+def test_start_offset_above_its_default_raises(monkeypatch):
+    # the default, 1e-4 of the domain (8e-4 here), is the largest start
+    # taken; test_epsilon_robustness takes a smaller one
+    m = builtin_model("neumann", [1.0, 2.0])
+    widest = solve_riccati(m, 2.0, SolverOptions(epsilon=8e-4))
+    assert widest.epsilon_start == solve_riccati(m, 2.0).epsilon_start
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integrated from a start above the ceiling")
+
+    monkeypatch.setattr(riccati, "solve_ivp", no_solve)
+    for eps in (math.nextafter(8e-4, 1.0), 1e-3):
+        with pytest.raises(ValueError, match="above its ceiling 0.0008"):
+            solve_riccati(m, 2.0, SolverOptions(epsilon=eps))
+    with pytest.raises(ValueError, match="epsilon=nan"):
+        solve_riccati(m, 2.0, SolverOptions(epsilon=math.nan))
+
+
 def test_solution_keeps_its_loop_profile():
     m = builtin_model("pendula_identical", [0.2])
     sol = solve_riccati(m, math.pi)
