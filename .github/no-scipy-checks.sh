@@ -28,6 +28,22 @@ test "$(echo "$coarse" | wc -l)" = 3 && test "$coarse" = "$fine" \
   || { echo "$coarse"; echo "$fine"; exit 1; }
 septrans transversality --model neumann --params lambda1=1 lambda2=2
 septrans riccati --model pendula_identical --params f0=0.35 f1=0.1
+# neumann's jet is arithmetic and sqrt alone, so its slope rows read the
+# same bits on every supported Python and numpy: the dense output's pieces
+# and the row writer, byte for byte (test_rk45's golden slopes)
+rows=$(septrans riccati --model neumann --params lambda1=1 lambda2=2 \
+  --grid 0:2:9 | grep -v '^#')
+want='q1,Tu
+0,2
+0.25,1.9489812061070264
+0.5,1.8077819362845124
+0.75,1.6060810602522426
+1,1.3784615388686614
+1.25,1.1533617976877562
+1.5,0.94854736849899057
+1.75,0.77199415454872755
+2,0.62500000002277845'
+test "$rows" = "$want" || { echo "$rows"; exit 1; }
 septrans validate --model pendula_weak --params lam=1.5
 # coefficients that overflow to inf and nan fail validate's checks (exit
 # 1) on floats: a warning on stderr fails here

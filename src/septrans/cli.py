@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -129,14 +130,26 @@ def _output(args):
         yield stream
 
 
+def _write(stream, text: str) -> None:
+    """text in slices of at most io.DEFAULT_BUFFER_SIZE characters, one
+    write each.  An unbuffered stdout (python -u, PYTHONUNBUFFERED) makes
+    each write one raw write, and a reader that closes the pipe during it
+    leaves only a short count, which Python's text layer drops; the next
+    slice's write raises BrokenPipeError."""
+    step = io.DEFAULT_BUFFER_SIZE
+    for i in range(0, len(text), step):
+        stream.write(text[i:i + step])
+
+
 def write_table(stream, comments: dict, header: list[str], rows) -> None:
-    for k, v in comments.items():
-        if isinstance(v, float):
-            v = FMT % v
-        stream.write("# %s = %s\n" % (k, v))
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(FMT % x for x in row) + "\n")
+    """The comments as '# k = v' lines, then the header and the rows, each
+    row through one FMT-per-column format string."""
+    lines = ["# %s = %s\n" % (k, FMT % v if isinstance(v, float) else v)
+             for k, v in comments.items()]
+    lines.append(",".join(header) + "\n")
+    row_fmt = ",".join([FMT] * len(header)) + "\n"
+    lines += [row_fmt % tuple(row) for row in rows]
+    _write(stream, "".join(lines))
 
 
 def _finite_or_null(v):
@@ -153,8 +166,8 @@ def _finite_or_null(v):
 def write_json(stream, doc) -> None:
     """doc as one strict JSON document: nan and inf, which JSON has no
     token for, are written null."""
-    json.dump(_finite_or_null(doc), stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    _write(stream, json.dumps(_finite_or_null(doc), indent=2,
+                              allow_nan=False) + "\n")
 
 
 def write_curve(args, comments: dict, header: list[str], rows) -> None:

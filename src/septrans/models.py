@@ -566,24 +566,35 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
     # g = sin(gd(lam t) - gd(t - s)) = A b - B a, A, B = tanh, sech of
     # lam t and a, b of t - s
     def tanh_sech(t, s: float):
+        # A, B of lam t, and a, b of u = t - s in two arrays of their own
+        # (0-d at a float t and s), which integrand overwrites; sech is 1 /
+        # inf = 0 far out, so the callers ignore overflow
         import numpy as np
-        u = t - s
-        with np.errstate(over="ignore"):    # sech = 1 / inf = 0 far out
-            return (np.tanh(lam * t), 1.0 / np.cosh(lam * t), np.tanh(u),
-                    1.0 / np.cosh(u))
+        lt = lam * t
+        u = np.asarray(t - s, dtype=float)
+        a = np.tanh(u, out=np.empty_like(u))
+        b = np.divide(1.0, np.cosh(u, out=u), out=u)
+        return np.tanh(lt), 1.0 / np.cosh(lt), a, b
 
     def integrand(t, s: float):
-        A, B, a, b = tanh_sech(t, s)
-        g = A * b - B * a
-        return 2.0 * g * g      # a square, which does not cancel in the tails
+        # g = A b - B a in b, 2 g in a, and 2 g^2, a square, which does
+        # not cancel in the tails: three arrays of the broadcast shape
+        import numpy as np
+        with np.errstate(over="ignore"):
+            A, B, a, b = tanh_sech(t, s)
+            g = np.subtract(np.multiply(A, b, out=b),
+                            np.multiply(B, a, out=a), out=b)
+            return np.multiply(2.0, g, out=a) * g
 
     def integrand_s_jet(t, s: float):
         # d/ds of a and b are -b^2 and a b
-        A, B, a, b = tanh_sech(t, s)
-        g = A * b - B * a
-        g_s = b * (A * a + B * b)
-        g_ss = 2.0 * B * a * b * b - A * b * (b * b - a * a)
-        return 4.0 * g * g_s, 4.0 * (g_s * g_s + g * g_ss)
+        import numpy as np
+        with np.errstate(over="ignore"):
+            A, B, a, b = tanh_sech(t, s)
+            g = A * b - B * a
+            g_s = b * (A * a + B * b)
+            g_ss = 2.0 * B * a * b * b - A * b * (b * b - a * a)
+            return 4.0 * g * g_s, 4.0 * (g_s * g_s + g * g_ss)
 
     def locate(q1: float, q2: float):
         if not (0.0 < q1 < 2.0 * math.pi):

@@ -10,7 +10,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable
 
 def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
@@ -132,39 +131,6 @@ _E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
 _E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003,
        -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
        0.20136540080403034, 0.02265179219836082)
-# the dense output's three extra stages 14..16: (c, the stages each
-# reads, counted from 0, and their weights)
-_EXTRA_STAGES = (
-    (0.1, (0, 6, 7, 8, 9, 10, 11, 12),
-     (0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
-      -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
-      0.007567897660545699, -0.008298)),
-    (0.2, (0, 5, 6, 7, 10, 11, 12, 13),
-     (0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
-      -0.05492374857139099, -0.00010834732869724932,
-      0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325)),
-    (0.7777777777777778, (0, 5, 6, 7, 8, 12, 13, 14),
-     (-0.42889630158379194, -4.697621415361164, 7.683421196062599,
-      4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
-      2.9475147891527724, -9.15095847217987)))
-# the interpolant's coefficients 4..7, on stages 1 and 6..16
-_D_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
-_D = ((-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
-       2.38466765651207, 2.117034582445028, -0.871391583777973,
-       2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-       18.148505520854727, -9.194632392478356, -4.436036387594894),
-      (10.427508642579134, 242.28349177525817, 165.20045171727028,
-       -374.5467547226902, -22.113666853125306, 7.733432668472264,
-       -30.674084731089398, -9.332130526430229, 15.697238121770845,
-       -31.139403219565178, -9.35292435884448, 35.81684148639408),
-      (19.985053242002433, -387.0373087493518, -189.17813819516758,
-       527.8081592054236, -11.57390253995963, 6.8812326946963,
-       -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-       -60.19669523126412, 84.32040550667716, 11.99229113618279),
-      (-25.69393346270375, -154.18974869023643, -231.5293791760455,
-       357.6391179106141, 93.40532418362432, -37.45832313645163,
-       104.0996495089623, 29.8402934266605, -43.53345659001114,
-       96.32455395918828, -39.17726167561544, -149.72683625798564))
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -234,21 +200,55 @@ class DenseOutput:
 def _interpolant(fun, t: float, h: float, y: float, y_new: float,
                  k: tuple) -> tuple:
     """The interpolant on the step from (t, y) of size h to y_new, with
-    stages k: the three extra stages, then the coefficients F0..F6 of
-    scipy's Dop853DenseOutput."""
-    k = list(k)
-    for c, stages, weights in _EXTRA_STAGES:
-        k.append(fun(t + c * h,
-                     y + h * sum(map(mul, weights, [k[s] for s in stages]))))
-    return t, h, y, _coefficients(h, y, y_new, k)
-
-
-def _coefficients(h: float, y: float, y_new: float, k: list) -> tuple:
-    """F0..F6 from the 16 stages k."""
+    stages k = (k1, ..., k13): the three extra stages k14..k16 at t + c h,
+    c = 0.1, 0.2 and 7/9, then the coefficients F0..F6 of scipy's
+    Dop853DenseOutput, F3..F6 from its D rows.  Like a step, it is plain
+    float arithmetic on the tableau's nonzero entries (scipy's
+    dop853_coefficients A rows 14..16 and D), each sum taken left to right
+    over the stages in order."""
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13 = k
+    k14 = fun(t + 0.1 * h, y + h * (
+        k1 * 0.056167502283047954 + k7 * 0.25350021021662483
+        - k8 * 0.2462390374708025 - k9 * 0.12419142326381637
+        + k10 * 0.15329179827876568 + k11 * 0.00820105229563469
+        + k12 * 0.007567897660545699 - k13 * 0.008298))
+    k15 = fun(t + 0.2 * h, y + h * (
+        k1 * 0.03183464816350214 + k6 * 0.028300909672366776
+        + k7 * 0.053541988307438566 - k8 * 0.05492374857139099
+        - k11 * 0.00010834732869724932 + k12 * 0.0003825710908356584
+        - k13 * 0.00034046500868740456 + k14 * 0.1413124436746325))
+    k16 = fun(t + 0.7777777777777778 * h, y + h * (
+        -k1 * 0.42889630158379194 - k6 * 4.697621415361164
+        + k7 * 7.683421196062599 + k8 * 4.06898981839711
+        + k9 * 0.3567271874552811 - k13 * 0.0013990241651590145
+        + k14 * 2.9475147891527724 - k15 * 9.15095847217987))
     dy = y_new - y
-    ks = [k[s] for s in _D_STAGES]
-    return (dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]),
-            *(h * sum(map(mul, d, ks)) for d in _D))
+    return t, h, y, (
+        dy, h * k1 - dy, 2 * dy - h * (k13 + k1),
+        h * (-k1 * 8.428938276109013 + k6 * 0.5667149535193777
+             - k7 * 3.0689499459498917 + k8 * 2.38466765651207
+             + k9 * 2.117034582445028 - k10 * 0.871391583777973
+             + k11 * 2.2404374302607883 + k12 * 0.6315787787694688
+             - k13 * 0.08899033645133331 + k14 * 18.148505520854727
+             - k15 * 9.194632392478356 - k16 * 4.436036387594894),
+        h * (k1 * 10.427508642579134 + k6 * 242.28349177525817
+             + k7 * 165.20045171727028 - k8 * 374.5467547226902
+             - k9 * 22.113666853125306 + k10 * 7.733432668472264
+             - k11 * 30.674084731089398 - k12 * 9.332130526430229
+             + k13 * 15.697238121770845 - k14 * 31.139403219565178
+             - k15 * 9.35292435884448 + k16 * 35.81684148639408),
+        h * (k1 * 19.985053242002433 - k6 * 387.0373087493518
+             - k7 * 189.17813819516758 + k8 * 527.8081592054236
+             - k9 * 11.57390253995963 + k10 * 6.8812326946963
+             - k11 * 1.0006050966910838 + k12 * 0.7777137798053443
+             - k13 * 2.778205752353508 - k14 * 60.19669523126412
+             + k15 * 84.32040550667716 + k16 * 11.99229113618279),
+        h * (-k1 * 25.69393346270375 - k6 * 154.18974869023643
+             - k7 * 231.5293791760455 + k8 * 357.6391179106141
+             + k9 * 93.40532418362432 - k10 * 37.45832313645163
+             + k11 * 104.0996495089623 + k12 * 29.8402934266605
+             - k13 * 43.53345659001114 + k14 * 96.32455395918828
+             - k15 * 39.17726167561544 - k16 * 149.72683625798564))
 
 
 def _interpolate(piece: tuple, s: float) -> float:

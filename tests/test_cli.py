@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,10 +13,12 @@ import pytest
 
 from septrans import riccati
 from septrans.charts import chart_transversality
-from septrans.cli import build_parser, failure, main, make_model
+from septrans.cli import (FMT, _finite_or_null, build_parser, failure, main,
+                          make_model, write_json, write_table)
 from septrans.models import ConstructionError, HypothesesError, builtin_model
 from septrans.numerics import parse_grid
 from septrans.riccati import SolverOptions
+from test_rk45 import GOLDEN
 
 
 def read_table(path: str):
@@ -151,6 +155,64 @@ def test_riccati_roundtrip_is_bit_exact(tmp_path, capsys):
     sol = solve_riccati(builtin_model("pendula_identical", [0.18]), 3.0)
     for q1, Tu in rows:
         assert Tu == sol(q1)
+
+
+def test_riccati_rows_match_the_solver_golden(capsys):
+    # the pieces and the writer end to end: neumann's Tu on the 9-point
+    # grid is test_rk45's golden slope, printed at FMT
+    code, out = run(capsys, "riccati", "--model", "neumann",
+                    "--params", "lambda1=1", "lambda2=2", "--grid", "0:2:9")
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "q1,Tu"
+    want = GOLDEN[("neumann", (1.0, 2.0), "plain")][2]
+    assert [line.split(",")[1] for line in lines[1:]] == [
+        FMT % float.fromhex(h) for h in want]
+
+
+def value_by_value_table(stream, comments, header, rows):
+    """write_table's reference: each value formatted on its own and a write
+    per line."""
+    for k, v in comments.items():
+        if isinstance(v, float):
+            v = FMT % v
+        stream.write("# %s = %s\n" % (k, v))
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(FMT % x for x in row) + "\n")
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
+               -1e-300, 0.1, 2.0]
+
+
+@pytest.mark.parametrize("rows", [
+    [], [(0.0, 1.0)], [EDGE_VALUES[i:i + 5] for i in range(6)],
+    [(v, -v, 3) for v in EDGE_VALUES]])
+def test_write_table_bytes_match_value_by_value(rows):
+    header = ["c%d" % i for i in range(len(rows[0]) if rows else 2)]
+    comments = {"model": "neumann", "x": math.nan, "y": -0.0, "z": 5e-324,
+                "n": 3, "flag": "true"}
+    got, want = io.StringIO(), io.StringIO()
+    write_table(got, comments, header, rows)
+    value_by_value_table(want, comments, header, rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_write_json_bytes_match_json_dump():
+    doc = {"model": "pendula_weak", "params": {"lam": 2.5},
+           "rows": [(0.0, math.nan), [math.inf, -0.0], (5e-324, 1e300)],
+           "nested": {"a": [{"b": (1, -math.inf, "c")}], "d": None,
+                      "e": True, "f": []},
+           "empty": {}}
+    got, want = io.StringIO(), io.StringIO()
+    write_json(got, doc)
+    json.dump(_finite_or_null(doc), want, indent=2, allow_nan=False)
+    want.write("\n")
+    assert got.getvalue() == want.getvalue()
+    back = json.loads(got.getvalue())
+    assert back["rows"][0] == [0.0, None] and back["rows"][1][0] is None
+    assert back["nested"]["a"][0]["b"] == [1, None, "c"]
 
 
 def test_riccati_json_format(capsys):
@@ -948,6 +1010,29 @@ def test_reader_closing_the_pipe_exits_141_without_traceback():
         proc.stderr.close()
     assert code == 141
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(shutil.which("head") is None, reason="needs head(1)")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_head_closing_an_unbuffered_pipe_exits_141(fmt):
+    # `PYTHONUNBUFFERED=1 septrans riccati ... | head -1`: each write of
+    # the unbuffered stdout is one raw write, and head closes the pipe
+    # while the table, far larger than the pipe holds, is being written
+    with subprocess.Popen(
+            septrans_command("riccati", "--model", "neumann", "--params",
+                             "lambda1=1", "lambda2=2", "--grid", "0:2:20000",
+                             "--format", fmt),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**child_env(), "PYTHONUNBUFFERED": "1"}) as proc:
+        head = subprocess.Popen(["head", "-1"], stdin=proc.stdout,
+                                stdout=subprocess.PIPE)
+        proc.stdout.close()     # head alone holds the read end
+        first = head.communicate(timeout=60)[0]
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert first in (b"# model = neumann\n", b"{\n")
+    assert code == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

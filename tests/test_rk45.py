@@ -2,16 +2,19 @@
 reference: on every solve the slope equations make, the same rhs
 evaluations and steps, and the same values to 1e-12."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as tableau
 
 from septrans import riccati
 from septrans.loops import loop_profile
 from septrans.models import builtin_model
-from septrans.numerics import MAX_STEP, OdeResult, dop853
+from septrans.numerics import MAX_STEP, OdeResult, _interpolant, dop853
 from septrans.riccati import (BlowUpError, SolverOptions, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 
@@ -207,6 +210,39 @@ def test_dense_output_builds_a_piece_when_first_read():
     for a, b in zip(sol.ts[:-1], sol.ts[1:]):
         sol(0.5 * (a + b))
     assert len(calls) == res.nfev + 3 * res.nsteps
+
+
+def left_to_right(weights, stages):
+    """The sum of w k over the nonzero weights, in stage order."""
+    return functools.reduce(operator.add, [w * k for w, k in
+                                           zip(weights, stages) if w])
+
+
+def reference_piece(fun, t, h, y, y_new, k):
+    """A step's piece from scipy's DOP853 tableau as stored: its extra
+    stages' A rows and its D rows, each summed left to right."""
+    k = list(k)
+    for i in range(13, 16):
+        k.append(fun(t + float(tableau.C[i]) * h,
+                      y + h * left_to_right(tableau.A[i].tolist(), k)))
+    dy = y_new - y
+    return t, h, y, (dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]),
+                     *(h * left_to_right(d, k) for d in tableau.D.tolist()))
+
+
+def test_piece_is_the_tableau_bit_for_bit():
+    # _interpolant writes the tableau's nonzero entries out as literals
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        t, y = rng.uniform(-5.0, 5.0, 2)
+        h = 10.0 ** rng.uniform(-8.0, 0.0)
+        k = tuple((rng.uniform(-1.0, 1.0, 13)
+                   * 10.0 ** rng.integers(-4, 5, 13)).tolist())
+        step = (float(t), h, float(y), float(y + h * k[0]), k)
+        got = _interpolant(forced, *step)
+        want = reference_piece(forced, *step)
+        assert got[:3] == want[:3]
+        assert [f.hex() for f in got[3]] == [f.hex() for f in want[3]]
 
 
 @pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0)])
