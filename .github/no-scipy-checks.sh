@@ -156,3 +156,13 @@ code=0; err=$(septrans validate --model neumann --params lambda1=1 \
   lambda2=2 --out /nonexistent/x.json 2>&1 >/dev/null) || code=$?
 test "$code" = 2 || { echo "--out: exit $code"; echo "$err"; exit 1; }
 case "$err" in *Traceback*|*$'\n'*) echo "$err"; exit 1;; esac
+# so is an output that cannot be written, here a full device
+code=0; err=$(septrans validate --model neumann --params lambda1=1 \
+  lambda2=2 --out /dev/full 2>&1 >/dev/null) || code=$?
+test "$code" = 2 || { echo "--out /dev/full: exit $code"; echo "$err"; exit 1; }
+case "$err" in *Traceback*|*$'\n'*|"") echo "$err"; exit 1;; esac
+# a grid whose (b - a) * (n - 1) overflows exits 2 with nothing on stdout:
+# it printed a lam=inf row and exited 3, though the spec ends at 1e308
+code=0; out=$(septrans sweep --model pendula_weak --sweep lam=1:1e308:3 \
+  2>/dev/null) || code=$?
+test "$code" = 2 && test -z "$out" || { echo "lam=1:1e308:3: exit $code"; exit 1; }

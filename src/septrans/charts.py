@@ -12,7 +12,7 @@ deck shift, so the same construction covers both built-in geometries.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 # Jet2 and the transitions live in models; charts re-exports them
@@ -45,9 +45,6 @@ class TransversalityReport:
     tol_tangent: float
     verdict: str                # transversal | tangent | inconclusive
     rtol: float = 0.0           # rtol of the deciding solve, 0 if exact
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def jet_transport_stable(jet: StableJet, j: Jet2) -> float:

@@ -7,9 +7,12 @@ which a non-finite number is null.
 Every setting is a flag of its command's argparse subparser, which takes
 only the flags that command reads (see COMMANDS): a --config file stands
 for the flags its entries name, so it gets the same checks (see main).
+Each command returns its exit code and its text, formatted whole; main is
+the one writer, to stdout or --out, in slices (see _write).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
-degenerate), 2 usage/config error, 3 numerical failure (blow-up, overflow,
-quadrature), 141 stdout closed by its reader (as for SIGPIPE).
+degenerate), 2 usage/config error or output that cannot be written,
+3 numerical failure (blow-up, overflow, quadrature), 141 stdout closed by
+its reader (as for SIGPIPE).
 Only melnikov loads numpy: validate, riccati, transversality and sweep run
 on floats alone.
 """
@@ -17,14 +20,14 @@ on floats alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .charts import chart_transversality
 from .models import (BUILTIN_NAMES, BUILTINS, HamiltonianModel,
@@ -112,24 +115,6 @@ def solver_options(args, base: SolverOptions) -> SolverOptions:
                             if getattr(args, k) is not None})
 
 
-@contextmanager
-def _output(args):
-    """The --out file, closed on exit, or stdout, flushed on exit so that a
-    closed pipe is met inside main.  A file that cannot be opened for
-    writing is a usage error."""
-    if not args.out:
-        yield sys.stdout
-        sys.stdout.flush()
-        return
-    try:
-        stream = open(args.out, "w")
-    except OSError as exc:
-        raise UsageError("cannot write --out %r: %s"
-                         % (args.out, exc.strerror)) from exc
-    with stream:
-        yield stream
-
-
 def _write(stream, text: str) -> None:
     """text in slices of at most io.DEFAULT_BUFFER_SIZE characters, one
     write each.  An unbuffered stdout (python -u, PYTHONUNBUFFERED) makes
@@ -141,7 +126,7 @@ def _write(stream, text: str) -> None:
         stream.write(text[i:i + step])
 
 
-def write_table(stream, comments: dict, header: list[str], rows) -> None:
+def format_table(comments: dict, header: list[str], rows) -> str:
     """The comments as '# k = v' lines, then the header and the rows, each
     row through one FMT-per-column format string."""
     lines = ["# %s = %s\n" % (k, FMT % v if isinstance(v, float) else v)
@@ -149,7 +134,7 @@ def write_table(stream, comments: dict, header: list[str], rows) -> None:
     lines.append(",".join(header) + "\n")
     row_fmt = ",".join([FMT] * len(header)) + "\n"
     lines += [row_fmt % tuple(row) for row in rows]
-    _write(stream, "".join(lines))
+    return "".join(lines)
 
 
 def _finite_or_null(v):
@@ -163,41 +148,35 @@ def _finite_or_null(v):
     return v
 
 
-def write_json(stream, doc) -> None:
+def format_json(doc) -> str:
     """doc as one strict JSON document: nan and inf, which JSON has no
     token for, are written null."""
-    _write(stream, json.dumps(_finite_or_null(doc), indent=2,
-                              allow_nan=False) + "\n")
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
 
 
-def write_curve(args, comments: dict, header: list[str], rows) -> None:
+def format_curve(args, comments: dict, header: list[str], rows) -> str:
     """A curve as a table, or as one JSON document with --format json."""
-    with _output(args) as stream:
-        if args.format == "json":
-            write_json(stream, {"comments": comments, "header": header,
-                                "rows": rows})
-        else:
-            write_table(stream, comments, header, rows)
+    if args.format == "json":
+        return format_json({"comments": comments, "header": header,
+                            "rows": rows})
+    return format_table(comments, header, rows)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     model = make_model(args.model, args.params, strict=False)
     report = validate_hypotheses(model)
     entries = [e.__dict__ for e in report.entries]
-    doc = {"model": args.model, "params": args.params, "ok": report.ok,
-           "checks": entries}
-    with _output(args) as stream:
-        if args.format != "csv":
-            write_json(stream, doc)
-        else:
-            for e in entries:
-                stream.write("%s,%s,%s\n" % (e["name"],
-                                             "pass" if e["passed"] else "fail",
-                                             e["detail"].replace(",", ";")))
-    return 0 if report.ok else 1
+    code = 0 if report.ok else 1
+    if args.format != "csv":
+        return code, format_json({"model": args.model, "params": args.params,
+                                  "ok": report.ok, "checks": entries})
+    return code, "".join("%s,%s,%s\n" % (e["name"],
+                                         "pass" if e["passed"] else "fail",
+                                         e["detail"].replace(",", ";"))
+                         for e in entries)
 
 
-def cmd_riccati(args) -> int:
+def cmd_riccati(args) -> tuple[int, str]:
     model = make_model(args.model, args.params)
     # default grid: from the equilibrium to the matching point
     grid = parse_grid(args.grid or "0:%.17g:101" % model.matching[0])
@@ -212,8 +191,8 @@ def cmd_riccati(args) -> int:
         "startup_sensitivity_ok": ("true" if sol.diagnostics[
             "startup_sensitivity_ok"] else "false"),
     }
-    write_curve(args, comments, ["q1", "Tu"], [(q1, sol(q1)) for q1 in grid])
-    return 0
+    return 0, format_curve(args, comments, ["q1", "Tu"],
+                           [(q1, sol(q1)) for q1 in grid])
 
 
 def _transversality_report(args, params: dict):
@@ -222,22 +201,18 @@ def _transversality_report(args, params: dict):
     return chart_transversality(model, opts=opts, tol=args.tol)
 
 
-def cmd_transversality(args) -> int:
+def cmd_transversality(args) -> tuple[int, str]:
     report = _transversality_report(args, args.params)
-    with _output(args) as stream:
-        if args.format == "csv":
-            write_table(stream, {"model": args.model},
-                        ["q1_star", "Tu", "Ts_hat", "gap", "tol"],
-                        [(report.q1_star, report.Tu, report.Ts_hat, report.gap,
-                          report.tol)])
-            stream.write("# verdict = %s\n" % report.verdict)
-        else:
-            write_json(stream, {"model": args.model, "params": args.params,
-                                **report.as_dict()})
-    return 0
+    if args.format == "csv":
+        return 0, format_table(
+            {"model": args.model}, ["q1_star", "Tu", "Ts_hat", "gap", "tol"],
+            [(report.q1_star, report.Tu, report.Ts_hat, report.gap,
+              report.tol)]) + "# verdict = %s\n" % report.verdict
+    return 0, format_json({"model": args.model, "params": args.params,
+                           **asdict(report)})
 
 
-def cmd_melnikov(args) -> int:
+def cmd_melnikov(args) -> tuple[int, str]:
     from . import melnikov as mel
     pert = make_model(args.model, args.params).perturbation
     if pert is None:
@@ -262,12 +237,12 @@ def cmd_melnikov(args) -> int:
         comments["near_threshold"] = (
             "lam=%.6g is within 0.01 of the nondegeneracy threshold "
             "lam0=%.6g" % (lam, lam0))
-    write_curve(args, comments, ["s", "L"],
-                [[s, float(v)] for s, v in zip(grid, L)])
-    return 0 if verdict != "degenerate" else 1
+    return (0 if verdict != "degenerate" else 1,
+            format_curve(args, comments, ["s", "L"],
+                         [[s, float(v)] for s, v in zip(grid, L)]))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     """One row per sweep value.  A value whose model cannot be built or
     solved gets a row of nan and an error_<value> comment, and the sweep
     exits with the exit code of its first such failure."""
@@ -290,9 +265,8 @@ def cmd_sweep(args) -> int:
         rows.append((v, r.Tu, r.Ts_hat, r.gap,
                      {"transversal": 1.0, "tangent": 0.0,
                       "inconclusive": -1.0}[r.verdict]))
-    write_curve(args, comments, [pname, "Tu", "Ts_hat", "gap", "verdict_code"],
-                rows)
-    return code
+    return code, format_curve(
+        args, comments, [pname, "Tu", "Ts_hat", "gap", "verdict_code"], rows)
 
 
 def failure(exc: BlowUpError | QuadratureError | ValueError
@@ -342,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv and run its command.  With --config, parse again with the
-    file's flags after the command and before argv's own, so argv wins and
-    --params entries merge, the later one winning per key."""
+    """Parse argv, run its command and write the command's text: main is
+    the one writer of a command's output.  With --config, parse again with
+    the file's flags after the command and before argv's own, so argv wins
+    and --params entries merge, the later one winning per key."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
@@ -356,18 +331,36 @@ def main(argv=None) -> int:
             raise UsageError("--model is required (choose from %s)"
                              % ", ".join(BUILTIN_NAMES))
         args.params = dict(args.params or ())
-        return COMMANDS[args.command][0](args)
+        code, text = COMMANDS[args.command][0](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (BlowUpError, QuadratureError, ValueError) as exc:
         code, message = failure(exc)
         print(message, file=sys.stderr)
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to devnull,
-        # so the interpreter's final flush does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as cat reports
+    except BrokenPipeError:     # a sweep's per-value line met a closed stderr
+        return 141
+    try:
+        if args.out:
+            with open(args.out, "w") as stream:
+                _write(stream, text)
+        elif sys.stdout is None:    # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            _write(sys.stdout, text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out and sys.stdout is not None:
+            # what is still buffered goes to devnull, so the interpreter's
+            # final flush does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, as cat reports
+        print("error: cannot write %s: %s"
+              % ("--out %r" % args.out if args.out else "stdout",
+                 exc.strerror), file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -60,12 +60,16 @@ def parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("grid spec must be a:b:n, got %r" % spec)
-    a, b = float(parts[0]), float(parts[1])
-    n = int(parts[2])
-    # a finite span b - a also rules out an infinite or nan end
-    if n < 2 or not (b > a and math.isfinite(b - a)):
-        raise ValueError("grid spec needs finite a < b, a finite span b - a "
-                         "and n >= 2, got %r" % spec)
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError("grid spec needs numbers a, b and an integer n, "
+                         "got %r" % spec) from None
+    # a finite (b - a) * (n - 1), the product each point's formula forms,
+    # also rules out an infinite or nan end and an infinite span b - a
+    if n < 2 or not (b > a and math.isfinite((b - a) * (n - 1))):
+        raise ValueError("grid spec needs finite a < b, n >= 2 and a finite "
+                         "(b - a) * (n - 1), got %r" % spec)
     if n > MAX_GRID_POINTS:
         raise ValueError("grid spec %r asks for %d points, above the cap "
                          "MAX_GRID_POINTS=%d" % (spec, n, MAX_GRID_POINTS))

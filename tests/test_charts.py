@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -421,14 +421,14 @@ def test_a_verdict_that_decides_takes_one_solve(monkeypatch, name, params,
     assert r.verdict != "inconclusive"
     rungs = DEFAULT_RUNGS[name]
     assert rtols == rungs and r.rtol == rungs[-1]
-    assert r.as_dict()["rtol"] == rungs[-1]
+    assert asdict(r)["rtol"] == rungs[-1]
     # a first rung at rtol, given, decides in one solve
     rtols.clear()
     r = chart_transversality(m, opts=SolverOptions(
         rtol=rtol, sensitivity_check=False))
     assert r.verdict != "inconclusive"
     assert rtols == [rtol] and r.rtol == rtol
-    assert r.as_dict()["rtol"] == rtol
+    assert asdict(r)["rtol"] == rtol
 
 
 # the (rtol, atol) pairs dop853 received while atol was a setting of its

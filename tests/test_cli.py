@@ -13,8 +13,8 @@ import pytest
 
 from septrans import riccati
 from septrans.charts import chart_transversality
-from septrans.cli import (FMT, _finite_or_null, build_parser, failure, main,
-                          make_model, write_json, write_table)
+from septrans.cli import (FMT, _finite_or_null, build_parser, failure,
+                          format_json, format_table, main, make_model)
 from septrans.models import ConstructionError, HypothesesError, builtin_model
 from septrans.numerics import parse_grid
 from septrans.riccati import SolverOptions
@@ -22,7 +22,7 @@ from test_rk45 import GOLDEN
 
 
 def read_table(path: str):
-    """Re-read a table written by cli.write_table: (comments, header, rows)."""
+    """Re-read a table made by cli.format_table: (comments, header, rows)."""
     comments: dict = {}
     header: list[str] = []
     rows: list[list[float]] = []
@@ -122,6 +122,17 @@ def test_grid_spec_needs_three_fields():
         parse_grid("0:1")
 
 
+def test_grid_spec_with_a_non_integer_n_is_usage_error(capsys):
+    with pytest.raises(ValueError, match="integer n, got '0:2:1e3'"):
+        parse_grid("0:2:1e3")
+    code = main(["riccati", "--model", "neumann", "--params", "lambda1=1",
+                 "lambda2=2", "--grid", "0:2:1e3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: grid spec needs numbers a, b and an "
+                            "integer n, got '0:2:1e3'\n")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code = main(["riccati", "--model", "neumann", "--bogus"])
     capsys.readouterr()
@@ -171,7 +182,7 @@ def test_riccati_rows_match_the_solver_golden(capsys):
 
 
 def value_by_value_table(stream, comments, header, rows):
-    """write_table's reference: each value formatted on its own and a write
+    """format_table's reference: each value formatted on its own and a write
     per line."""
     for k, v in comments.items():
         if isinstance(v, float):
@@ -193,10 +204,9 @@ def test_write_table_bytes_match_value_by_value(rows):
     header = ["c%d" % i for i in range(len(rows[0]) if rows else 2)]
     comments = {"model": "neumann", "x": math.nan, "y": -0.0, "z": 5e-324,
                 "n": 3, "flag": "true"}
-    got, want = io.StringIO(), io.StringIO()
-    write_table(got, comments, header, rows)
+    want = io.StringIO()
     value_by_value_table(want, comments, header, rows)
-    assert got.getvalue() == want.getvalue()
+    assert format_table(comments, header, rows) == want.getvalue()
 
 
 def test_write_json_bytes_match_json_dump():
@@ -205,12 +215,11 @@ def test_write_json_bytes_match_json_dump():
            "nested": {"a": [{"b": (1, -math.inf, "c")}], "d": None,
                       "e": True, "f": []},
            "empty": {}}
-    got, want = io.StringIO(), io.StringIO()
-    write_json(got, doc)
+    got, want = format_json(doc), io.StringIO()
     json.dump(_finite_or_null(doc), want, indent=2, allow_nan=False)
     want.write("\n")
-    assert got.getvalue() == want.getvalue()
-    back = json.loads(got.getvalue())
+    assert got == want.getvalue()
+    back = json.loads(got)
     assert back["rows"][0] == [0.0, None] and back["rows"][1][0] is None
     assert back["nested"]["a"][0]["b"] == [1, None, "c"]
 
@@ -323,9 +332,11 @@ def test_start_offset_above_its_default_is_usage_error(capsys, model, params,
     assert "ceiling %s" % ceiling in captured.err
 
 
-@pytest.mark.parametrize("spec", ["1.5:inf:3", "-1e308:1e308:3"])
+@pytest.mark.parametrize("spec", ["1.5:inf:3", "-1e308:1e308:3",
+                                  "1:1e308:3"])
 def test_non_finite_grid_is_usage_error(capsys, spec):
-    # an infinite end, or a span b - a that overflows
+    # an infinite end, a span b - a that overflows, or a finite span whose
+    # (b - a) * (n - 1), which each point's formula forms, overflows
     with pytest.raises(ValueError, match="finite"):
         parse_grid(spec)
     code = main(["sweep", "--model", "neumann", "--params", "lambda1=1",
@@ -450,6 +461,44 @@ def test_transversality_csv(capsys):
                     "--params", "f0=0.18", "--format", "csv")
     assert code == 0
     assert "# verdict = transversal" in out
+
+
+# the two outputs that are not plain tables, byte for byte: neumann's jet
+# is arithmetic and sqrt alone, so these bits are the same on every
+# supported Python
+NEUMANN_BYTES = {
+    ("validate", "csv"): (
+        "kinetic_positive_definite,pass,min b110=1; min det B0=1 on "
+        "257-point grid\n"
+        "critical_point_at_origin,pass,V0(0)=-0.00e+00; V0'(0)=-0.00e+00; "
+        "V1(0)=0.00e+00\n"
+        "potential_maximum_nondegenerate,pass,A=[[1; -0];[-0; 4]]; det=4\n"
+        "potential_negative_on_interior,pass,max interior V0=-0.000488\n"
+        "no_first_order_kinetic_term,pass,structural: B1 fields do not "
+        "exist\n"
+        "loop_restriction_residual,pass,max residual 0 on 257-point grid\n"),
+    ("transversality", "csv"): (
+        "# model = neumann\n"
+        "q1_star,Tu,Ts_hat,gap,tol\n"
+        "2,0.62500000002277845,-0.12500000002277845,0.75000000004555689,"
+        "1.9999999999999999e-06\n"
+        "# verdict = transversal\n"),
+    ("transversality", "json"): (
+        '{\n  "model": "neumann",\n  "params": {\n    "lambda1": 1.0,\n'
+        '    "lambda2": 2.0\n  },\n  "q1_star": 2.0,\n'
+        '  "Tu": 0.6250000000227784,\n  "Ts_hat": -0.12500000002277845,\n'
+        '  "gap": 0.7500000000455569,\n  "tol": 2e-06,\n'
+        '  "tol_tangent": 2e-10,\n  "verdict": "transversal",\n'
+        '  "rtol": 1e-09\n}\n'),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(NEUMANN_BYTES))
+def test_neumann_report_bytes(capsys, command, fmt):
+    code, out = run(capsys, command, "--model", "neumann", "--params",
+                    "lambda1=1", "lambda2=2", "--format", fmt)
+    assert code == 0
+    assert out == NEUMANN_BYTES[command, fmt]
 
 
 def test_melnikov_table(capsys):
@@ -1067,6 +1116,39 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
         assert captured.err.startswith("error: cannot write --out %r: "
                                        % str(target))
         assert captured.err.count("\n") == 1
+
+
+WRITE_FAILURE_COMMANDS = [
+    ("validate", "--model", "neumann", "--params", "lambda1=1", "lambda2=2"),
+    ("riccati", "--model", "neumann", "--params", "lambda1=1", "lambda2=2"),
+    # two failing rows print their own lines first
+    ("sweep", "--model", "neumann", "--params", "lambda1=1",
+     "--sweep", "lambda2=0.5:2:4")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["--out", "stdout", "closed"])
+@pytest.mark.parametrize("args", WRITE_FAILURE_COMMANDS,
+                         ids=[a[0] for a in WRITE_FAILURE_COMMANDS])
+def test_output_that_cannot_be_written_exits_2(args, target):
+    # a full device, as --out or as stdout, and a stdout closed at start
+    # (sh's >&-): exit 2 and one error line, not a traceback and exit 1
+    argv = septrans_command(*args)
+    if target == "--out":
+        argv += ["--out", "/dev/full"]
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run(
+            argv, stdout=subprocess.DEVNULL if target == "--out" else full,
+            stderr=subprocess.PIPE, env=child_env(), timeout=60,
+            preexec_fn=(lambda: os.close(1)) if target == "closed" else None)
+    err = r.stderr.decode().splitlines()
+    rows = 2 if args[0] == "sweep" else 0
+    assert r.returncode == 2, err
+    assert len(err) == rows + 1, err
+    assert all(line.startswith("lambda2=") for line in err[:rows])
+    assert err[-1].startswith("error: cannot write %s: "
+                              % ("--out '/dev/full'" if target == "--out"
+                                 else "stdout"))
 
 
 @pytest.mark.parametrize("lam, rtol", [(2.0, 1e-12),

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from dataclasses import replace
@@ -15,7 +14,7 @@ from septrans.models import (ConstructionError, HypothesesError,
                              HamiltonianModel, COEFF_NAMES)
 from septrans.numerics import central_diff, second_diff
 from septrans.charts import chart_transversality
-from septrans.cli import write_json
+from septrans.cli import format_json
 from septrans.riccati import (SolverOptions, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 from weak_reference import WeakReference
@@ -122,9 +121,8 @@ def test_a_nan_fails_the_check_that_reads_it(model, check):
     (entry,) = [e for e in rep.entries if e.name == check]
     assert not entry.passed and math.isnan(entry.worst)
     # null in validate's JSON
-    out = io.StringIO()
-    write_json(out, [e.__dict__ for e in rep.entries])
-    (doc,) = [e for e in json.loads(out.getvalue()) if e["name"] == check]
+    docs = json.loads(format_json([e.__dict__ for e in rep.entries]))
+    (doc,) = [e for e in docs if e["name"] == check]
     assert doc["worst"] is None
 
 
