@@ -87,6 +87,16 @@ for args in "melnikov --model pendula_weak --params lam=1e300 --grid=-1:1:3" \
   test "$code" = 3 || { echo "$args: exit $code"; echo "$err"; exit 1; }
   case "$err" in *Traceback*) echo "$err"; exit 1;; esac
 done
+# a stderr that cannot be written changes no exit code: the exit-3 solve
+# above, with stderr on a full device; and a failing sweep (exit 2) with
+# stderr closed prints its table on stdout, not its per-value lines
+code=0; septrans transversality --model neumann --params lambda1=1e-300 \
+  lambda2=2 2>/dev/full || code=$?
+test "$code" = 3 || { echo "2>/dev/full: exit $code"; exit 1; }
+code=0; out=$(septrans sweep --model neumann --params lambda1=1 \
+  --sweep lambda2=0.5:2:4 2>&-) || code=$?
+case "$code:$out" in "2:# model = neumann"*) ;;
+  *) echo "sweep 2>&-: exit $code"; echo "$out"; exit 1;; esac
 # an over-budget grid (186 million nodes) is refused before numpy allocates
 # them: exit 3 with one line on stderr, in bounded time
 code=0; err=$(timeout 20 septrans melnikov --model pendula_weak \

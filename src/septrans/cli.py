@@ -7,12 +7,14 @@ which a non-finite number is null.
 Every setting is a flag of its command's argparse subparser, which takes
 only the flags that command reads (see COMMANDS): a --config file stands
 for the flags its entries name, so it gets the same checks (see main).
-Each command returns its exit code and its text, formatted whole; main is
-the one writer, to stdout or --out, in slices (see _write).
+Each command returns its exit code and its text, formatted whole; main
+alone picks the exit code, and emit alone writes, to stdout, --out and
+stderr (sweep's per-value lines as they happen).
 Exit codes: 0 verdict issued, 1 verdict-level failure (hypothesis fail or
 degenerate), 2 usage/config error or output that cannot be written,
 3 numerical failure (blow-up, overflow, quadrature), 141 stdout closed by
-its reader (as for SIGPIPE).
+its reader (as for SIGPIPE); a stderr that cannot be written changes no
+code, and a closed one sends nothing to stdout.
 Only melnikov loads numpy: validate, riccati, transversality and sweep run
 on floats alone.
 """
@@ -115,15 +117,31 @@ def solver_options(args, base: SolverOptions) -> SolverOptions:
                             if getattr(args, k) is not None})
 
 
-def _write(stream, text: str) -> None:
-    """text in slices of at most io.DEFAULT_BUFFER_SIZE characters, one
-    write each.  An unbuffered stdout (python -u, PYTHONUNBUFFERED) makes
-    each write one raw write, and a reader that closes the pipe during it
-    leaves only a short count, which Python's text layer drops; the next
-    slice's write raises BrokenPipeError."""
-    step = io.DEFAULT_BUFFER_SIZE
-    for i in range(0, len(text), step):
-        stream.write(text[i:i + step])
+def emit(text: str, stream) -> OSError | None:
+    """The one writer of stdout, stderr and --out: text in slices of at
+    most io.DEFAULT_BUFFER_SIZE characters, so that on an unbuffered
+    stream a pipe its reader closed raises BrokenPipeError at the next
+    slice, not a short write Python drops; then a flush.  It returns the
+    OSError that stopped it (EBADF for a stream closed at start, None) and
+    points the failed stream at devnull, so that nothing later raises."""
+    if stream is None:
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            stream.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
+        stream.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
+
+
+class Parser(argparse.ArgumentParser):
+    """argparse's, with help, usage and errors written by emit."""
+    _print_message = staticmethod(emit)
+
+    def print_usage(self, file=None):   # None: a closed stderr, not stdout
+        emit(self.format_usage(), file)
 
 
 def format_table(comments: dict, header: list[str], rows) -> str:
@@ -182,15 +200,11 @@ def cmd_riccati(args) -> tuple[int, str]:
     grid = parse_grid(args.grid or "0:%.17g:101" % model.matching[0])
     sol = solve_riccati(model, grid[-1],
                         opts=solver_options(args, SolverOptions()))
-    comments = {
-        "model": args.model,
-        "T0": sol.T0,
-        "Delta": sol.Delta,
-        "epsilon_start": sol.epsilon_start,
-        "startup_sensitivity": sol.diagnostics["startup_sensitivity"],
-        "startup_sensitivity_ok": ("true" if sol.diagnostics[
-            "startup_sensitivity_ok"] else "false"),
-    }
+    ok = sol.diagnostics["startup_sensitivity_ok"]
+    comments = {"model": args.model, "T0": sol.T0, "Delta": sol.Delta,
+                "epsilon_start": sol.epsilon_start,
+                "startup_sensitivity": sol.diagnostics["startup_sensitivity"],
+                "startup_sensitivity_ok": "true" if ok else "false"}
     return 0, format_curve(args, comments, ["q1", "Tu"],
                            [(q1, sol(q1)) for q1 in grid])
 
@@ -224,14 +238,9 @@ def cmd_melnikov(args) -> tuple[int, str]:
     dL0, ddL0 = mel.melnikov_derivatives(pert, diag=derivs_diag)
     verdict = mel.perturbed_loop_verdict((dL0, ddL0),
                                          derivs_diag["error_bound"])
-    comments = {
-        "model": args.model,
-        "dL0": dL0,
-        "ddL0": ddL0,
-        "verdict": verdict,
-        **quad_diag,
-        **{"dL_" + k: v for k, v in derivs_diag.items()},
-    }
+    comments = {"model": args.model, "dL0": dL0, "ddL0": ddL0,
+                "verdict": verdict, **quad_diag,
+                **{"dL_" + k: v for k, v in derivs_diag.items()}}
     lam, lam0 = args.params["lam"], mel.lambda0_threshold()
     if abs(lam - lam0) < 0.01:
         comments["near_threshold"] = (
@@ -250,14 +259,13 @@ def cmd_sweep(args) -> tuple[int, str]:
         raise UsageError("sweep needs --sweep param=a:b:n")
     pname, gspec = args.sweep.split("=", 1)
     comments = {"model": args.model, "sweep_param": pname}
-    rows = []
-    code = 0
+    rows, code = [], 0
     for v in parse_grid(gspec):
         try:
             r = _transversality_report(args, {**args.params, pname: v})
         except (BlowUpError, ValueError) as exc:
             fcode, message = failure(exc)
-            print("%s=%s: %s" % (pname, FMT % v, message), file=sys.stderr)
+            emit("%s=%s: %s\n" % (pname, FMT % v, message), sys.stderr)
             comments["error_" + FMT % v] = message
             rows.append((v, math.nan, math.nan, math.nan, math.nan))
             code = code or fcode
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     every main call shares it."""
     # no prefix matching: a config entry rt = 1e-3 or a flag --to must not
     # stand for --rtol or --tol
-    ap = argparse.ArgumentParser(
+    ap = Parser(
         prog="septrans", allow_abbrev=False,
         description="Transversality of separatrix intersections via Riccati "
                     "slopes and Melnikov potentials")
@@ -316,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv, run its command and write the command's text: main is
-    the one writer of a command's output.  With --config, parse again with
-    the file's flags after the command and before argv's own, so argv wins
-    and --params entries merge, the later one winning per key."""
+    """Parse argv, run its command, emit its text and pick the exit code.
+    With --config, parse again with the file's flags after the command and
+    before argv's own: argv wins, and --params merge, the later per key."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
@@ -336,29 +343,22 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     except (BlowUpError, QuadratureError, ValueError) as exc:
         code, message = failure(exc)
-        print(message, file=sys.stderr)
+        emit(message + "\n", sys.stderr)
         return code
-    except BrokenPipeError:     # a sweep's per-value line met a closed stderr
-        return 141
-    try:
-        if args.out:
+    if args.out:
+        try:
             with open(args.out, "w") as stream:
-                _write(stream, text)
-        elif sys.stdout is None:    # started with stdout closed
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        else:
-            _write(sys.stdout, text)
-            sys.stdout.flush()
-    except OSError as exc:
-        if not args.out and sys.stdout is not None:
-            # what is still buffered goes to devnull, so the interpreter's
-            # final flush does not raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return 141  # 128 + SIGPIPE, as cat reports
-        print("error: cannot write %s: %s"
-              % ("--out %r" % args.out if args.out else "stdout",
-                 exc.strerror), file=sys.stderr)
+                error = emit(text, stream)
+        except OSError as exc:
+            error = exc
+    else:
+        error = emit(text, sys.stdout)
+    if isinstance(error, BrokenPipeError):
+        return 141  # 128 + SIGPIPE, as cat reports
+    if error:
+        emit("error: cannot write %s: %s\n"
+             % ("--out %r" % args.out if args.out else "stdout",
+                error.strerror), sys.stderr)
         return 2
     return code
 

@@ -85,9 +85,10 @@ class QuadratureError(RuntimeError):
 class BlowUpError(RuntimeError):
     """A solve stopped before its target, at q1: |T| exceeded the cap and
     the manifold loses graph form (or T has a pole), the loop speed q1dot,
-    which the slope equation divides by, is 0, or the step size fell below
-    its floor.  A coefficient that overflowed to nan raises it too, at the
-    first q1 that has one."""
+    which the slope equation divides by, is 0, the start derivative is too
+    large for a first step, or the step size fell below its floor.  A
+    coefficient that overflowed to nan raises it too, at the first q1 that
+    has one."""
 
     def __init__(self, q1: float, message: str):
         self.q1 = q1
@@ -268,11 +269,16 @@ def _initial_step(fun, t0: float, y0: float, f0: float, t_bound: float,
                   rtol: float, atol: float, max_step: float) -> float:
     """scipy's select_initial_step for an error estimate of order 7, on a
     nonempty forward interval; it evaluates fun once.  Each norm of one
-    entry x is scipy's, sqrt(x * x)."""
+    entry x is scipy's, sqrt(x * x).  A start derivative f0 whose norm is
+    not finite raises FloatingPointError: scipy's first trial step would
+    be 0 or nan there."""
     interval = t_bound - t0
     scale = atol + abs(y0) * rtol
     x0, x1 = y0 / scale, f0 / scale
     d0, d1 = math.sqrt(x0 * x0), math.sqrt(x1 * x1)
+    if not d1 < math.inf:
+        raise FloatingPointError("start derivative %g over the error scale "
+                                 "%g is not finite" % (f0, scale))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, y0 + h0 * f0)

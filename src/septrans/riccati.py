@@ -143,14 +143,18 @@ def _solve_to_target(rhs, span: tuple[float, float], start: float,
     """The dop853 solve of rhs over span from start, stopped by event,
     whose root means what meaning says; q1_at maps the solve's variable to
     q1.  A solve that stops short raises BlowUpError at the q1 where it
-    stopped: on a loop speed q1dot that underflows to 0, at the event, or
-    on the step-size floor."""
+    stopped: on a loop speed q1dot that underflows to 0, on a start
+    derivative too large for a first step, at the event, or on the
+    step-size floor."""
     q1_start, q1_end = map(q1_at, span)
     try:    # caught here, so that the rhs pays nothing for it
         sol = solve_ivp(rhs, span, start, rtol, atol, event=event)
     except ZeroDivisionError as exc:
         raise BlowUpError(q1_start, "loop speed q1dot underflows to 0 between "
                           "q1=%g and q1=%g" % (q1_start, q1_end)) from exc
+    except FloatingPointError as exc:
+        raise BlowUpError(q1_start, "slope equation's %s at q1=%g"
+                          % (exc, q1_start)) from exc
     if sol.event or not sol.success:
         q1 = q1_at(sol.t)
         raise BlowUpError(q1, "%s at q1=%g before q1_target=%g" % (

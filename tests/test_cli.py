@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -662,6 +663,19 @@ def test_extreme_parameters_exit_three(capsys, argv, message):
     assert message in err
 
 
+def test_start_derivative_past_the_error_scale_exits_three(capsys):
+    # f1 and f2 cancel in the potential, but the slope equation's start
+    # derivative, -9.4e304, over its error scale overflows: not a loop
+    # speed that underflows
+    code = main(["transversality", "--model", "pendula_identical", "--params",
+                 "f0=0.2", "f1=1e308", "f2=-1e308"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: slope equation's start "
+                          "derivative -9.42478e+304 over the error scale ")
+    assert "q1dot" not in err
+
+
 def test_hypothesis_failure_is_exit_one():
     assert failure(HypothesesError("no saddle")) == (
         1, "hypothesis failure: no saddle")
@@ -1149,6 +1163,77 @@ def test_output_that_cannot_be_written_exits_2(args, target):
     assert err[-1].startswith("error: cannot write %s: "
                               % ("--out '/dev/full'" if target == "--out"
                                  else "stdout"))
+
+
+STDERR_FAILURE_COMMANDS = [
+    ("riccati", "--model", "neumann", "--params", "lambda1=2", "lambda2=1"),
+    ("transversality", "--model", "neumann", "--params", "lambda1=1e-300",
+     "lambda2=2"),
+    ("sweep", "--model", "neumann", "--params", "lambda1=1",
+     "--sweep", "lambda2=0.5:2:4")]
+
+
+@functools.cache
+def writable_stderr_run(args: tuple) -> tuple[int, bytes, bytes]:
+    r = subprocess.run(septrans_command(*args), capture_output=True,
+                       env=child_env(), timeout=60)
+    return r.returncode, r.stdout, r.stderr
+
+
+def run_with_stderr(args, state: str, unbuffered: bool):
+    """args run with stderr on a full device, closed at start (sh's 2>&-)
+    or on a pipe whose read end is closed: (exit code, stdout)."""
+    env = {**child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(
+                septrans_command(*args), stdout=subprocess.PIPE,
+                stderr=full if state == "full" else write_end, env=env,
+                timeout=60,
+                preexec_fn=(lambda: os.close(2)) if state == "closed"
+                else None)
+    finally:
+        os.close(write_end)
+    return r.returncode, r.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("state", ["full", "closed", "pipe"])
+@pytest.mark.parametrize("args", STDERR_FAILURE_COMMANDS,
+                         ids=[a[0] for a in STDERR_FAILURE_COMMANDS])
+def test_stderr_that_cannot_be_written_changes_no_exit_code(args, state,
+                                                            unbuffered):
+    # exit 2, 3 and 2 (sweep's two failing rows) on a writable stderr; a
+    # stderr that cannot be written changes neither the code nor stdout
+    code, out, err = writable_stderr_run(args)
+    assert code == {"riccati": 2, "transversality": 3, "sweep": 2}[args[0]]
+    assert err.count(b"\n") == (2 if args[0] == "sweep" else 1)
+    assert out.startswith(b"# model = neumann\n") == (args[0] == "sweep")
+    assert run_with_stderr(args, state, unbuffered) == (code, out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("state", ["full", "closed", "pipe"])
+def test_argparse_usage_error_on_an_unwritable_stderr_exits_2(state):
+    # argparse's own message goes through the one writer too
+    assert run_with_stderr(("validate", "--bogus"), state, False) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_stdout_and_stderr_on_a_full_device_exit_2(unbuffered):
+    env = {**child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run(
+            septrans_command("validate", "--model", "neumann", "--params",
+                             "lambda1=1", "lambda2=2"),
+            stdout=full, stderr=full, env=env, timeout=60)
+    assert r.returncode == 2
 
 
 @pytest.mark.parametrize("lam, rtol", [(2.0, 1e-12),

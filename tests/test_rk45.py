@@ -254,6 +254,15 @@ def test_span_not_forward_raises(t_span):
         dop853(never, t_span, 1.0, 1e-9, 1e-12)
 
 
+@pytest.mark.parametrize("f0", [1e300, -math.inf, math.nan])
+def test_start_derivative_past_the_error_scale_raises(f0):
+    # f0 / (atol + |y0| rtol) overflows: scipy's first trial step, 0.01 d0
+    # / d1, is 0, and the next line divided by it; a nan f0 gave a nan
+    # step, which the step loop rejected without end
+    with pytest.raises(FloatingPointError, match="start derivative"):
+        dop853(lambda _t, _y: f0, (0.0, 1.0), 1.0, 1e-9, 1e-12)
+
+
 def forced_solves():
     return [solver(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12).sol
             for solver in (dop853, scipy_dop853)]
