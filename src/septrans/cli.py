@@ -136,12 +136,30 @@ def emit(text: str, stream) -> OSError | None:
     return None
 
 
+def cannot_write(error: OSError, target: str) -> int:
+    """The exit code of output to target that emit could not write: 141
+    for a pipe its reader closed (128 + SIGPIPE, as cat reports), else 2
+    after one error line."""
+    if isinstance(error, BrokenPipeError):
+        return 141
+    emit("error: cannot write %s: %s\n" % (target, error.strerror),
+         sys.stderr)
+    return 2
+
+
 class Parser(argparse.ArgumentParser):
     """argparse's, with help, usage and errors written by emit."""
     _print_message = staticmethod(emit)
 
     def print_usage(self, file=None):   # None: a closed stderr, not stdout
         emit(self.format_usage(), file)
+
+    def print_help(self, file=None):
+        """The help on stdout; one that cannot be written exits as any
+        stdout does, where argparse would exit 0 after it."""
+        error = emit(self.format_help(), sys.stdout if file is None else file)
+        if error:
+            sys.exit(cannot_write(error, "stdout"))
 
 
 def format_table(comments: dict, header: list[str], rows) -> str:
@@ -339,8 +357,8 @@ def main(argv=None) -> int:
                              % ", ".join(BUILTIN_NAMES))
         args.params = dict(args.params or ())
         code, text = COMMANDS[args.command][0](args)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit as exc:   # help 0, usage error 2, unwritten help 2/141
+        return {None: 0, 0: 0, 141: 141}.get(exc.code, 2)
     except (BlowUpError, QuadratureError, ValueError) as exc:
         code, message = failure(exc)
         emit(message + "\n", sys.stderr)
@@ -353,13 +371,9 @@ def main(argv=None) -> int:
             error = exc
     else:
         error = emit(text, sys.stdout)
-    if isinstance(error, BrokenPipeError):
-        return 141  # 128 + SIGPIPE, as cat reports
     if error:
-        emit("error: cannot write %s: %s\n"
-             % ("--out %r" % args.out if args.out else "stdout",
-                error.strerror), sys.stderr)
-        return 2
+        return cannot_write(error, "--out %r" % args.out if args.out
+                            else "stdout")
     return code
 
 

@@ -447,25 +447,20 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
         matching=(2.0, inversion_transition()))
 
 
-def _cosine_poly(coeffs: Sequence[float]) -> Callable:
-    """f(q1) = sum of c_k cos(k q1).  A zero c_k, which adds nothing, costs
-    no cos."""
-    terms = tuple((k, c) for k, c in enumerate(map(float, coeffs)) if c)
-
-    def f(q1):
-        total = 0
-        for k, c in terms:
-            total += c * math.cos(k * q1)
-        return total
-
-    return f
-
-
 def _pendula_identical(f_coeffs: Sequence[float],
                        strict: bool = True) -> HamiltonianModel:
-    f_coeffs = list(f_coeffs) or [0.0]
-    f = _cosine_poly(f_coeffs)
-    f0 = f(0.0)
+    f_coeffs = [float(c) for c in f_coeffs] or [0.0]
+    # the coupling f = sum of c_k cos(k q1), summed left to right from 0
+    # over the nonzero c_k, as straight-line floats: c0 + 0.0 is the sum
+    # after its first term (0.0 for a zero c0); c1 cos q1 reuses Y's cos
+    # q1, and a zero c1 adds a zero, which leaves a sum that is never -0.0
+    # as it is; a c_k of k >= 2 costs a cos only when it is nonzero
+    c0 = f_coeffs[0] + 0.0
+    c1 = f_coeffs[1] if len(f_coeffs) > 1 else 0.0
+    higher = tuple((k, c) for k, c in enumerate(f_coeffs[2:], 2) if c)
+    f0 = c0 + c1
+    for _k, c in higher:
+        f0 += c
     if strict and not (0.0 <= f0 < 0.5):
         raise ConstructionError(
             "pendula_identical requires 0 <= f(0) < 1/2, got f(0)=%g" % f0)
@@ -474,12 +469,17 @@ def _pendula_identical(f_coeffs: Sequence[float],
         # V0 = 2 (cos q1 - 1) as -4 sin^2(q1/2), which does not cancel
         # near the saddle
         sin_half = math.sin(q1 / 2.0)
+        cos = math.cos(q1)
+        f = c0 + c1 * cos
+        if higher:      # skips the loop's setup, a tenth of a jet call
+            for k, c in higher:
+                f += c * math.cos(k * q1)
         return (
             1.0, -1.0, 2.0,                                 # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
             -4.0 * sin_half * sin_half,                     # V0
             -math.sin(q1),                                  # V1
-            math.cos(q1) - f(q1),                           # Y
+            cos - f,                                        # Y
             math.cos(q1 / 2.0), 0.0)                        # S1' b220'
 
     # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0

@@ -311,8 +311,8 @@ def _event_root(event, piece: tuple, a: float, b: float) -> float:
 
 def dop853(fun: Callable[[float, float], float],
            t_span: tuple[float, float], y0: float, rtol: float, atol: float,
-           event: Callable[[float, float], float] | None = None
-           ) -> OdeResult:
+           event: Callable[[float, float], float] | None = None,
+           first_step: float | None = None) -> OdeResult:
     """Solve y' = fun(t, y) forward over t_span = (t0, t1), t0 < t1, by
     the Dormand-Prince 8(5,3) pair, step for step scipy's
     solve_ivp(method="DOP853", max_step=MAX_STEP * (t1 - t0)) on plain
@@ -320,6 +320,11 @@ def dop853(fun: Callable[[float, float], float],
     the range where the pair's error estimate holds: uncapped, on
     pendula_weak at rtol 1e-9, single steps of a quarter of the loop were
     accepted with local errors 1e3 to 1e5 times the tolerance.
+
+    first_step, if given, bounds the first trial step: it is the smaller
+    of first_step and scipy's start-step heuristic, which still runs, so
+    the solve is step for step scipy's given that smaller step as its
+    first_step, plus the heuristic's one evaluation.
 
     The state is a float, which fun returns and the event, the result and
     the dense output see, and a step is plain float arithmetic.  The event
@@ -340,6 +345,8 @@ def dop853(fun: Callable[[float, float], float],
     k1 = fun(t, y)
     max_step = MAX_STEP * (t_bound - t)
     h_abs = _initial_step(fun, t, y, k1, t_bound, rtol, atol, max_step)
+    if first_step is not None:
+        h_abs = min(h_abs, first_step)
     nfev = 2
     sol = DenseOutput(fun, t, y)
     g = event(t, y) if event is not None else None

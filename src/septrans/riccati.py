@@ -132,23 +132,29 @@ def _integrate(loop: Loop, eps: float, q1_target: float, T_start: float,
     def blow_up(q1, T):
         return CAP - abs(T)
 
+    # the first step at most eps: the slope terms vary on the scale of q1
+    # near the singular point, but f(eps, T0) is nearly 0, and from it
+    # the start-step heuristic guessed up to 74 eps, which 5 to 7 rejected
+    # trials of 12 evaluations each cut down
     return _solve_to_target(rhs, (eps, q1_target), T_start, rtol,
-                            rtol / 1000, blow_up,
-                            "graph form lost / blow-up"), worst
+                            rtol / 1000, blow_up, "graph form lost / blow-up",
+                            first_step=eps), worst
 
 
 def _solve_to_target(rhs, span: tuple[float, float], start: float,
                      rtol: float, atol: float, event, meaning: str,
-                     q1_at: Callable[[float], float] = float):
+                     q1_at: Callable[[float], float] = float,
+                     first_step: float | None = None):
     """The dop853 solve of rhs over span from start, stopped by event,
-    whose root means what meaning says; q1_at maps the solve's variable to
-    q1.  A solve that stops short raises BlowUpError at the q1 where it
-    stopped: on a loop speed q1dot that underflows to 0, on a start
-    derivative too large for a first step, at the event, or on the
-    step-size floor."""
+    whose root means what meaning says, its first step at most first_step;
+    q1_at maps the solve's variable to q1.  A solve that stops short
+    raises BlowUpError at the q1 where it stopped: on a loop speed q1dot
+    that underflows to 0, on a start derivative too large for a first
+    step, at the event, or on the step-size floor."""
     q1_start, q1_end = map(q1_at, span)
     try:    # caught here, so that the rhs pays nothing for it
-        sol = solve_ivp(rhs, span, start, rtol, atol, event=event)
+        sol = solve_ivp(rhs, span, start, rtol, atol, event=event,
+                        first_step=first_step)
     except ZeroDivisionError as exc:
         raise BlowUpError(q1_start, "loop speed q1dot underflows to 0 between "
                           "q1=%g and q1=%g" % (q1_start, q1_end)) from exc

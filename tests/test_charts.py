@@ -457,6 +457,29 @@ def test_dop853_receives_the_pinned_tolerance_pairs(monkeypatch, route, name,
     assert seen == pairs
 
 
+def test_first_step_cap_costs_no_evaluations(monkeypatch):
+    # the slope solve's first step is at most its start offset epsilon.
+    # pendula_weak lam 1e4's heuristic step is 0.0016 epsilon, so its two
+    # rungs keep their steps; neumann [1e-3, 2]'s heuristic step was
+    # longer and rejected, and the cap takes 48 evaluations off its 68,822
+    nfevs = []
+    original = riccati.solve_ivp
+
+    def recording(*args, **kwargs):
+        res = original(*args, **kwargs)
+        nfevs.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
+    r = chart_transversality(builtin_model("pendula_weak", [1e4]))
+    assert (r.verdict, r.rtol) == ("tangent", 1e-11)
+    assert sum(nfevs) == 34864
+    nfevs.clear()
+    r = chart_transversality(builtin_model("neumann", [1e-3, 2.0]))
+    assert r.verdict == "transversal"
+    assert sum(nfevs) <= 68822
+
+
 def test_an_inconclusive_verdict_is_solved_again_at_rtol_over_100(
         monkeypatch):
     # from a first rung at rtol 1e-12: gap 8.0e-10 there, above

@@ -453,8 +453,8 @@ def test_zero_coefficients_cost_nothing(capsys, monkeypatch):
     monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
     for m in models:
         m.jet(1.0)
-    # cos q1, cos(q1 / 2) and one coupling term each
-    assert len(calls) == 6 and calls[:3] == calls[3:]
+    # cos q1, which the coupling's f0 + f1 cos q1 reuses, and cos(q1 / 2)
+    assert len(calls) == 4 and calls[:2] == calls[2:]
 
 
 def test_transversality_csv(capsys):
@@ -481,14 +481,14 @@ NEUMANN_BYTES = {
     ("transversality", "csv"): (
         "# model = neumann\n"
         "q1_star,Tu,Ts_hat,gap,tol\n"
-        "2,0.62500000002277845,-0.12500000002277845,0.75000000004555689,"
+        "2,0.62500000002342648,-0.12500000002342648,0.75000000004685297,"
         "1.9999999999999999e-06\n"
         "# verdict = transversal\n"),
     ("transversality", "json"): (
         '{\n  "model": "neumann",\n  "params": {\n    "lambda1": 1.0,\n'
         '    "lambda2": 2.0\n  },\n  "q1_star": 2.0,\n'
-        '  "Tu": 0.6250000000227784,\n  "Ts_hat": -0.12500000002277845,\n'
-        '  "gap": 0.7500000000455569,\n  "tol": 2e-06,\n'
+        '  "Tu": 0.6250000000234265,\n  "Ts_hat": -0.12500000002342648,\n'
+        '  "gap": 0.750000000046853,\n  "tol": 2e-06,\n'
         '  "tol_tangent": 2e-10,\n  "verdict": "transversal",\n'
         '  "rtol": 1e-09\n}\n'),
 }
@@ -1163,6 +1163,41 @@ def test_output_that_cannot_be_written_exits_2(args, target):
     assert err[-1].startswith("error: cannot write %s: "
                               % ("--out '/dev/full'" if target == "--out"
                                  else "stdout"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["full", "closed", "pipe"])
+@pytest.mark.parametrize("args", [("validate", "--help"), ("--help",)],
+                         ids=["validate", "top"])
+def test_help_that_cannot_be_written_exits_as_stdout_does(args, target,
+                                                          unbuffered):
+    # a full device and a stdout closed at start exit 2 with one error
+    # line, a pipe whose reader closed exits 141 with none: the help was
+    # lost with exit 0
+    env = {**child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    r = subprocess.run(septrans_command(*args), capture_output=True,
+                       env=env, timeout=60)
+    assert r.returncode == 0 and r.stdout.startswith(b"usage: septrans")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(
+                septrans_command(*args),
+                stdout=write_end if target == "pipe" else full,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+                preexec_fn=(lambda: os.close(1)) if target == "closed"
+                else None)
+    finally:
+        os.close(write_end)
+    if target == "pipe":
+        assert (r.returncode, r.stderr) == (141, b"")
+    else:
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith("error: cannot write stdout: ")
+        assert r.stderr.count(b"\n") == 1
 
 
 STDERR_FAILURE_COMMANDS = [

@@ -171,6 +171,44 @@ def test_zero_cosine_coefficients_change_nothing():
         for x in q1.tolist()]
 
 
+def left_to_right_coupling(coeffs, q1):
+    """f(q1) = sum of c_k cos(k q1), from 0 and left to right over the
+    nonzero c_k."""
+    total = 0.0
+    for k, c in enumerate(coeffs):
+        if c:
+            total += c * math.cos(k * q1)
+    return total
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+def test_coupling_is_the_left_to_right_sum_bit_for_bit(length):
+    # the jet's Y is cos q1 - f: a zero in every position, a -0.0 too, and
+    # coefficients of mixed sizes, at the saddle, at +-pi, at 2 pi and at
+    # random points; f(0)'s admissibility message names the same sum
+    rng = np.random.default_rng(length)
+    points = [0.0, math.pi, -math.pi, 2.0 * math.pi,
+              *rng.uniform(-10.0, 10.0, 20).tolist()]
+    for zeros in [(), tuple(range(length)), *((i,) for i in range(length))]:
+        coeffs = (rng.uniform(-1.0, 1.0, length)
+                  * 10.0 ** rng.integers(-3, 1, length)).tolist()
+        for i in zeros:
+            coeffs[i] = -0.0 if i % 2 else 0.0
+        m = builtin_model("pendula_identical", coeffs, strict=False)
+        for q1 in points:
+            want = math.cos(q1) - left_to_right_coupling(coeffs, q1)
+            assert CoefficientJet(*m.jet(q1)).Y.hex() == want.hex(), (
+                coeffs, q1)
+        f0 = left_to_right_coupling(coeffs, 0.0)
+        if 0.0 <= f0 < 0.5:
+            builtin_model("pendula_identical", coeffs)
+        else:
+            with pytest.raises(ConstructionError) as info:
+                builtin_model("pendula_identical", coeffs)
+            assert str(info.value) == ("pendula_identical requires 0 <= "
+                                       "f(0) < 1/2, got f(0)=%g" % f0)
+
+
 def test_kinetic_positive_definite_all_builtins():
     models = [neumann(), builtin_model("pendula_identical", [0.2]),
               builtin_model("pendula_weak", [2.0])]

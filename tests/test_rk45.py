@@ -8,6 +8,7 @@ import operator
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as tableau
 
@@ -19,7 +20,7 @@ from septrans.riccati import (BlowUpError, SolverOptions, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 
 
-def scipy_dop853(fun, t_span, y0, rtol, atol, event=None):
+def scipy_dop853(fun, t_span, y0, rtol, atol, event=None, first_step=None):
     """dop853's contract on top of scipy's solve_ivp, with its steps
     capped at MAX_STEP of the span.  scipy solves the float state as one
     component, and fun, the event, the result and the dense output see
@@ -27,16 +28,27 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, event=None):
     each, when asked for dense output; dop853 builds one when it is first
     read.  So the counts and the mesh states come from a solve without
     dense output, which takes the same steps, and the dense output from a
-    second one."""
+    second one.  A first_step bound gives scipy the smaller of it and
+    scipy's own start-step heuristic, read off a DOP853 solver made on the
+    same problem, and the count adds the heuristic's one evaluation."""
     def g(t, y):
         return event(t, float(y[0]))
     g.terminal = True
 
+    def f(t, y):
+        return [fun(t, float(y[0]))]
+
+    max_step = MAX_STEP * (t_span[1] - t_span[0])
+    probe = 0
+    if first_step is not None:
+        heuristic = DOP853(f, t_span[0], [y0], t_span[1], max_step=max_step,
+                           rtol=rtol, atol=atol).h_abs
+        first_step, probe = min(heuristic, first_step), 1
+
     def solve(dense):
-        return scipy_solve_ivp(lambda t, y: [fun(t, float(y[0]))], t_span,
-                               [y0], method="DOP853", rtol=rtol, atol=atol,
-                               max_step=MAX_STEP * (t_span[1] - t_span[0]),
-                               dense_output=dense,
+        return scipy_solve_ivp(f, t_span, [y0], method="DOP853", rtol=rtol,
+                               atol=atol, max_step=max_step,
+                               first_step=first_step, dense_output=dense,
                                events=None if event is None else g)
 
     r = solve(False)
@@ -46,8 +58,8 @@ def scipy_dop853(fun, t_span, y0, rtol, atol, event=None):
     def dense(t):
         return sol(t)[0]
     dense.ts, dense.ys = sol.ts, r.y[0].tolist()
-    return OdeResult(float(r.t[-1]), float(r.y[0, -1]), r.nfev, len(r.t) - 1,
-                     r.success, fired, dense)
+    return OdeResult(float(r.t[-1]), float(r.y[0, -1]), r.nfev + probe,
+                     len(r.t) - 1, r.success, fired, dense)
 
 
 CASES = [("neumann", [1.0, 2.0]), ("neumann", [0.7, 2.9]),
@@ -122,31 +134,44 @@ def test_blow_up_event_matches_scipy(monkeypatch):
 # atol became rtol / 1000, on that list-state dop853 as well).  Neumann's jet is
 # arithmetic and sqrt alone, so no libm enters: any change to the float
 # arithmetic of a step (say, the order of y_new's sum) changes them.
+# Re-recorded when the slope solve's first step was capped at its start
+# offset epsilon: scipy's heuristic guessed tens of epsilon on both cases,
+# and each value moved by at most 1.1e-12 of itself (the error against
+# the closed form T(2) = (lambda2 + lambda1 - lambda1^2 / lambda2) / 4 is
+# within 3% of what it was).  pendula_weak [3.4] was recorded before the
+# cap: its heuristic step is below epsilon, so the cap leaves its steps
+# as they were.  Its jet calls tan and pow, so its bits are glibc's libm.
 GOLDEN = {
-    ("neumann", (1.0, 2.0), "plain"): (614, 45, [
-        "0x1.0000000000000p+1", "0x1.f2f06eacbf918p+0",
-        "0x1.cecacc06a43bcp+0", "0x1.9b2820dc8225bp+0",
-        "0x1.60e2dafc3c178p+0", "0x1.2742b80186518p+0",
-        "0x1.e5a8002cd1eedp-1", "0x1.8b42d15cfadb5p-1",
-        "0x1.4000000032172p-1"]),
-    ("neumann", (1.0, 2.0), "rtol-1e-12"): (1346, 107, [
-        "0x1.0000000000000p+1", "0x1.f2f06eaccd4efp+0",
-        "0x1.cecacc06b9980p+0", "0x1.9b2820dc8f714p+0",
-        "0x1.60e2dafa7d441p+0", "0x1.2742b802cdc9ep+0",
-        "0x1.e5a8002c2660ap-1", "0x1.8b42d15e0826cp-1",
-        "0x1.400000000009ap-1"]),
-    ("neumann", (0.7, 2.9), "plain"): (938, 72, [
-        "0x1.7333333333333p+1", "0x1.69826e5496109p+1",
-        "0x1.4ea75839053cbp+1", "0x1.2836a875f005fp+1",
-        "0x1.f98904c3550edp+0", "0x1.a39d849499a6ep+0",
-        "0x1.55a40465f44b2p+0", "0x1.12ca35c35cf43p+0",
-        "0x1.b72c234f7dd57p-1"]),
-    ("neumann", (0.7, 2.9), "rtol-1e-12"): (2354, 190, [
+    ("neumann", (1.0, 2.0), "plain"): (578, 45, [
+        "0x1.0000000000000p+1", "0x1.f2f06eacc0258p+0",
+        "0x1.cecacc06a54a0p+0", "0x1.9b2820dc83778p+0",
+        "0x1.60e2dafc25ce4p+0", "0x1.2742b801f7e6dp+0",
+        "0x1.e5a8002cd3de4p-1", "0x1.8b42d15d22a2fp-1",
+        "0x1.400000003383fp-1"]),
+    ("neumann", (1.0, 2.0), "rtol-1e-12"): (1322, 107, [
+        "0x1.0000000000000p+1", "0x1.f2f06eaccd4eep+0",
+        "0x1.cecacc06b997ap+0", "0x1.9b2820dc8f70fp+0",
+        "0x1.60e2dafa7d432p+0", "0x1.2742b802cdc9cp+0",
+        "0x1.e5a8002c26632p-1", "0x1.8b42d15e0826cp-1",
+        "0x1.4000000000098p-1"]),
+    ("neumann", (0.7, 2.9), "plain"): (926, 72, [
+        "0x1.7333333333333p+1", "0x1.69826e54a2912p+1",
+        "0x1.4ea7583903a0cp+1", "0x1.2836a875e83cbp+1",
+        "0x1.f98904c36744fp+0", "0x1.a39d8493cd7acp+0",
+        "0x1.55a404661918ap+0", "0x1.12ca35c35b6d8p+0",
+        "0x1.b72c234f7e524p-1"]),
+    ("neumann", (0.7, 2.9), "rtol-1e-12"): (2330, 190, [
         "0x1.7333333333333p+1", "0x1.69826e5496542p+1",
-        "0x1.4ea758390c2cfp+1", "0x1.2836a875f63bep+1",
-        "0x1.f98904c3213c7p+0", "0x1.a39d8493ada14p+0",
-        "0x1.55a40465a26b3p+0", "0x1.12ca35c34bac5p+0",
-        "0x1.b72c234f72c4ep-1"]),
+        "0x1.4ea758390c2d2p+1", "0x1.2836a875f63bcp+1",
+        "0x1.f98904c3213a7p+0", "0x1.a39d8493ada3bp+0",
+        "0x1.55a40465a26b0p+0", "0x1.12ca35c34bab8p+0",
+        "0x1.b72c234f72c52p-1"]),
+    ("pendula_weak", (3.4,), "plain"): (350, 26, [
+        "0x1.b333333333333p+1", "0x1.b3332ad0f60cfp+1",
+        "0x1.b32f687c75e8fp+1", "0x1.b2f05cd038bcfp+1",
+        "0x1.b1089268f918dp+1", "0x1.a712d7ecdb5eap+1",
+        "0x1.7e7e74384a68fp+1", "0x1.fe43b40860b3dp+0",
+        "0x1.6564e80000000p-32"]),
 }
 
 
@@ -261,6 +286,56 @@ def test_start_derivative_past_the_error_scale_raises(f0):
     # step, which the step loop rejected without end
     with pytest.raises(FloatingPointError, match="start derivative"):
         dop853(lambda _t, _y: f0, (0.0, 1.0), 1.0, 1e-9, 1e-12)
+
+
+def first_steps(monkeypatch):
+    """Rebinds riccati.solve_ivp to record, per solve, its start offset and
+    first accepted step."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        res = dop853(*args, **kwargs)
+        ts = res.sol.ts
+        seen.append((ts[0], ts[1] - ts[0]))
+        return res
+
+    monkeypatch.setattr(riccati, "solve_ivp", recording)
+    return seen
+
+
+@pytest.mark.parametrize("stable", [False, True], ids=["unstable", "stable"])
+@pytest.mark.parametrize("rtol", [1e-9, 1e-12])
+@pytest.mark.parametrize("name, params", CASES)
+def test_slope_solve_first_step_is_at_most_its_start_offset(
+        monkeypatch, name, params, rtol, stable):
+    # scipy's heuristic guesses up to 74 epsilon at the singular point,
+    # 47 on neumann [1.2, 3]; a smaller epsilon than the default is
+    # capped the same way
+    seen = first_steps(monkeypatch)
+    model = builtin_model(name, params)
+    target = model.matching[0]
+    for eps in (None, 1e-6):
+        solve_riccati(model, target, stable=stable, opts=SolverOptions(
+            rtol=rtol, epsilon=eps, sensitivity_check=False))
+    assert len(seen) == 2
+    for start, step in seen:
+        assert 0.0 < step <= start
+    assert seen[1][0] == 1e-6
+
+
+def test_cap_takes_the_smaller_step():
+    # a bound above the heuristic's step changes nothing; one below it
+    # gives the first step, after the heuristic's own evaluation
+    free = dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12)
+    first = free.sol.ts[1] - free.sol.ts[0]
+    loose = dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12, first_step=1.0)
+    assert (loose.nfev, loose.sol.ts) == (free.nfev, free.sol.ts)
+    tight = dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12,
+                   first_step=first / 4)
+    assert tight.sol.ts[1] - tight.sol.ts[0] == first / 4
+    ref = scipy_dop853(forced, (-1.0, 3.0), 1.0, 1e-10, 1e-12,
+                       first_step=first / 4)
+    assert (tight.nfev, tight.nsteps) == (ref.nfev, ref.nsteps)
 
 
 def forced_solves():
