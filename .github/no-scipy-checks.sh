@@ -127,6 +127,22 @@ except ValueError:
 else:
     raise SystemExit("oracle at q1=9 past neumann's (0, 8] did not raise")
 EOF_PY
+# the oracle against two exact slopes, on the runtime alone: neumann's
+# closed form T(2) = 0.625 at [1, 2], and pendula_weak's T(pi) = 0, as it
+# is tangent by construction; and no scipy module loaded
+python - <<'EOF_PY'
+import math
+import sys
+from septrans import builtin_model, riccati_to_linear_oracle
+gap = riccati_to_linear_oracle(builtin_model("neumann", [1.0, 2.0]),
+                               2.0) - 0.625
+T = riccati_to_linear_oracle(builtin_model("pendula_weak", [2.5]), math.pi)
+print("oracle: neumann T(2) - 0.625 = %.2g, pendula_weak T(pi) = %.2g"
+      % (gap, T))
+assert abs(gap) <= 1e-10 and abs(T) < 1e-10
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+EOF_PY
 # a cosine index above the cap exits 2 before a 50,000,001-entry list is
 # built (about 10 GB)
 code=0; timeout 20 septrans validate --model pendula_identical \

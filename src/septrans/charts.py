@@ -108,10 +108,9 @@ def stable_jet_from_unstable(Tu_solution: RiccatiSolution, q: float,
     x = r1 * q
     T = -Tu_solution(x)
     loop = Tu_solution.profile
-    (_q1dot, _alpha, _delta, _b220, _db220, _ds1_q1dot, _v1, _beta, ds0, s1,
-     ds1) = loop(x)
+    _q1dot, _alpha, _delta, _b220, _ds1_q1dot, _v1, ds0, s1, ds1 = loop(x)
     return StableJet(dS0=-r1 * ds0,
-                     ddS0=-central_diff(lambda y: loop(y)[8], x),
+                     ddS0=-central_diff(lambda y: loop(y)[6], x),
                      S1=-r2 * s1, dS1=-r1 * r2 * ds1, T=T)
 
 

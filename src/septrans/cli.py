@@ -131,7 +131,9 @@ def emit(text: str, stream) -> OSError | None:
             stream.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
         stream.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
         return exc
     return None
 

@@ -14,9 +14,10 @@ models.restriction_holds.  The induced inner dynamics on the loop is
 q1' = beta(q1) * dS0(q1).
 
 A model's loop is one function of a number q1, which loop_profile builds:
-from one jet call it returns the terms of the slope equation there and the
-momenta they are made of, and every reader, the slope solve on each step
-included, unpacks what it needs from that tuple.  It takes the momenta as
+from one jet call it returns the terms of the slope equation there, the
+loop restriction's two terms and the momenta dS0, S1 and dS1 (beta only
+through q1dot), and every reader, the slope solve on each step included,
+unpacks what it needs from that tuple.  It takes the momenta as
 models.loop_momenta does, inline, and raises where no loop passes.
 """
 
@@ -43,8 +44,8 @@ def _no_loop(rad: float, q1: float) -> HypothesesError | BlowUpError:
 
 
 def loop_profile(model: HamiltonianModel) -> Loop:
-    """The model's loop: q1 -> (q1dot, alpha, delta, b220, db220, dS1
-    q1dot, V1, beta, dS0, S1, dS1) at a number q1, from one jet call.
+    """The model's loop: q1 -> (q1dot, alpha, delta, b220, dS1 q1dot, V1,
+    dS0, S1, dS1) at a number q1, from one jet call.
 
     q1dot = beta dS0 is the inner dynamics on the loop, alpha = Y - b110
     dS1^2 - (b112 dS0^2 + 2 b122 dS0 S1 + b222 S1^2) / 2 and delta = b120
@@ -55,7 +56,7 @@ def loop_profile(model: HamiltonianModel) -> Loop:
     jet = model.jet
 
     def loop(q1: float) -> tuple:
-        b110, b120, b220, b112, b122, b222, v0, v1, y, ds1, db220 = jet(q1)
+        b110, b120, b220, b112, b122, b222, v0, v1, y, ds1 = jet(q1)
         beta = (b110 * b220 - b120 * b120) / b220
         rad = -2.0 * v0 / beta
         if not rad >= 0.0:      # negative or nan
@@ -68,7 +69,7 @@ def loop_profile(model: HamiltonianModel) -> Loop:
         alpha = (y - b110 * ds1 * ds1
                  - 0.5 * (b112 * ds0 * ds0 + 2.0 * b122 * ds0 * s1
                           + b222 * s1 * s1))
-        return (q1dot, alpha, b120 * ds1, b220, db220, ds1 * q1dot, v1,
-                beta, ds0, s1, ds1)
+        return (q1dot, alpha, b120 * ds1, b220, ds1 * q1dot, v1, ds0, s1,
+                ds1)
 
     return loop

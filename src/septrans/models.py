@@ -11,9 +11,9 @@ The sign convention puts Y positive when the potential curves downward in q2.
 
 A model is evaluated through one function, its jet: jet(q1) returns the
 nine coefficients together with S1' (the derivative of the loop's p2
-profile) and b220', the two derivatives the Riccati solver and its oracle
-need, as a plain 11-tuple in CoefficientJet's field order; the slope
-solve unpacks it at every step, and a reader that wants names wraps it,
+profile), the one derivative the slope equation reads, as a plain
+10-tuple in CoefficientJet's field order; the slope solve unpacks it at
+every step, and a reader that wants names wraps it,
 CoefficientJet(*jet(q1)).  The nine coefficient fields are views of the
 jet.  The saddle checks also read V0'(0), V1'(0) and V0''(0), which a
 model carries as its saddle.
@@ -50,7 +50,7 @@ COEFF_NAMES = ("b110", "b120", "b220", "b112", "b122", "b222", "V0", "V1", "Y")
 
 
 class CoefficientJet(NamedTuple):
-    """The nine coefficients at q1, then S1' and b220' there.  It names
+    """The nine coefficients at q1, then S1' there.  It names
     the order of a jet's plain tuple, which a jet returns since building
     this class costs several times a tuple's price on every slope-equation
     step."""
@@ -64,7 +64,6 @@ class CoefficientJet(NamedTuple):
     V1: float
     Y: float
     dS1: float
-    db220: float
 
 
 class JetView:
@@ -159,9 +158,9 @@ class HamiltonianModel:
     (V0'(0), V1'(0), V0''(0)); from_jet makes the nine fields views of the
     jet.  A model whose fields are not views of its jet (given by its
     fields, or after dataclasses.replace of a field) gets a jet assembled
-    from its fields and no saddle, so S1', b220' and the saddle numbers
-    come from finite differences.  A saddle with plain fields and no jet
-    raises ValueError.
+    from its fields and no saddle, so S1' and the saddle numbers come from
+    finite differences.  A saddle with plain fields and no jet raises
+    ValueError.
 
     matching is (q1*, transition): the point on the loop line where the
     verdict compares the slopes, and the chart transition that carries the
@@ -213,11 +212,11 @@ class HamiltonianModel:
 
 def _assembled_jet(model: HamiltonianModel) -> Callable[[float], tuple]:
     """The jet of a model given by its fields: each field is called once per
-    point, and S1' and b220' come by fourth-order differences.  S1' takes
-    one step, 1e-4 of the domain, which outgrows the cancellation of fields
-    such as cos(q1) - 1 near the saddle: a central stencil where it fits in
-    the domain, else a one-sided stencil inside it, since S1 behaves like
-    |q1 - a| at an end a where V0 vanishes."""
+    point, and S1' comes by fourth-order differences.  It takes one step,
+    1e-4 of the domain, which outgrows the cancellation of fields such as
+    cos(q1) - 1 near the saddle: a central stencil where it fits in the
+    domain, else a one-sided stencil inside it, since S1 behaves like |q1 -
+    a| at an end a where V0 vanishes."""
     fields = tuple(getattr(model, c) for c in COEFF_NAMES)
     a, b = model.domain
 
@@ -235,8 +234,7 @@ def _assembled_jet(model: HamiltonianModel) -> Callable[[float], tuple]:
                 + 16 * s1(q1 + 3 * s) - 3 * s1(q1 + 4 * s)) / (12 * s)
 
     def jet(q1: float) -> tuple:
-        return (*[f(q1) for f in fields], ds1(q1),
-                model.derivative("b220", q1))
+        return (*[f(q1) for f in fields], ds1(q1))
 
     return jet
 
@@ -350,7 +348,7 @@ def validate_hypotheses(model: HamiltonianModel) -> ValidationReport:
     a, b = model.domain
     grid = [a + (b - a) * i / 256 for i in range(257)]
     jets = [model.jet(q1) for q1 in grid]
-    b110, b120, b220, _b112, _b122, _b222, v0, v1, _y, ds1, _db220 = zip(*jets)
+    b110, b120, b220, _b112, _b122, _b222, v0, v1, _y, ds1 = zip(*jets)
 
     worst_b11 = _keep_nan(min, b110, math.inf)
     worst_det = _keep_nan(min, [x * z - y * y for x, y, z
@@ -437,7 +435,7 @@ def _neumann(lambda1: float, lambda2: float) -> HamiltonianModel:
             -8.0 * l1s * q1 * q1 / a2,                      # V0
             0.0,                                            # V1
             16.0 / a2 * (l2s - 2.0 * l1s * q1 * q1 / a),    # Y
-            0.0, q1 * a / 4.0)                              # S1' b220'
+            0.0)                                            # S1'
 
     # V0' = -16 l1^2 q1 (4 - q1^2) / A^3 is -0.0 at 0, and V0''(0) = -l1^2
     return HamiltonianModel.from_jet(
@@ -480,7 +478,7 @@ def _pendula_identical(f_coeffs: Sequence[float],
             -4.0 * sin_half * sin_half,                     # V0
             -math.sin(q1),                                  # V1
             cos - f,                                        # Y
-            math.cos(q1 / 2.0), 0.0)                        # S1' b220'
+            math.cos(q1 / 2.0))                             # S1'
 
     # V0' = -2 sin q1, V1' = -cos q1 and V0'' = -2 cos q1 at 0
     return HamiltonianModel.from_jet(
@@ -503,8 +501,8 @@ def _weak_h(lam: float):
     function of t and u, without cancellation near the saddle.
 
     h(q1) is h itself, for H* and the location of loop points;
-    h_slope(q1) = (h', n, r, t, u, v) is h' with the terms it is built
-    from, v = t^(lam-1).
+    h_slope(q1) = (h', n, r, u) is h' with the cell n, the offset r and u,
+    which the slope jet's other terms are built from.
     """
     two_pi = 2.0 * math.pi
 
@@ -517,10 +515,10 @@ def _weak_h(lam: float):
         t = math.tan(abs(min(r, two_pi - r)) / 4.0)
         v = t ** (lam - 1.0)
         u = v * t
-        return lam * v * (1.0 + t * t) / (1.0 + u * u), n, r, t, u, v
+        return lam * v * (1.0 + t * t) / (1.0 + u * u), n, r, u
 
     def h(q1):
-        _h1, n, r, _t, u, _v = h_slope(q1)
+        _h1, n, r, u = h_slope(q1)
         hb = 4.0 * math.atan(u)
         return (hb if r <= math.pi else two_pi - hb) + n * two_pi
 
@@ -532,24 +530,16 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
         raise ConstructionError("pendula_weak requires lambda >= 1")
     lsq = lam * lam
     h, h_slope = _weak_h(lam)
-    # h'' at the saddle itself, t = 0, where its formula is 0 / 0: the
-    # limit, 1/2 at lam = 2 and 0 for lam = 1 or lam > 2; for 1 < lam < 2
-    # h'' is unbounded there
-    h2_saddle = 0.5 if lam == 2.0 else math.nan if 1.0 < lam < 2.0 else 0.0
 
     def jet(q1):
-        h1, n, r, t, u, v = h_slope(q1)
-        g, uu = 1.0 + t * t, u * u
+        h1, n, r, u = h_slope(q1)
+        uu = u * u
         w = 1.0 + uu
         # sin(h/2) and cos(h/2) on the half cell; sigma is +1 on r <= pi,
-        # else -1: h'' and sin h are odd under the reflection
+        # else -1: sin h is odd under the reflection
         sin_h2, cos_h2 = 2.0 * u / w, (1.0 - uu) / w
         sin_half = math.sin(q1 / 2.0)
         sigma = 1.0 - 2.0 * (r > math.pi)
-        # h'' on the half cell off the saddle, t^(lam-2) = v / t
-        h2 = (lam * g / 4.0 * (v / t) / w
-              * ((lam - 1.0) * g + 2.0 * t * t - 2.0 * lam * g * uu / w)
-              if t else h2_saddle)
         return (
             1.0, -h1, 1.0 + h1 * h1,                        # b110 b120 b220
             0.0, 0.0, 0.0,                                  # b112 b122 b222
@@ -558,8 +548,7 @@ def _pendula_weak(lam: float) -> HamiltonianModel:
             -2.0 * lsq * sigma * sin_h2 * cos_h2,           # V1
             lsq * (1.0 - 2.0 * sin_h2 * sin_h2),            # Y
             # S1' = lam h' cos(h/2), whose sign flips from cell to cell
-            lam * h1 * (1.0 - 2.0 * (n % 2)) * sigma * cos_h2,
-            2.0 * h1 * sigma * h2)                          # b220'
+            lam * h1 * (1.0 - 2.0 * (n % 2)) * sigma * cos_h2)
 
     # on the loops h(q1) - q1 + q2 = xi(lam t) - xi(t - s) with xi(u) = 4
     # atan(e^u) = pi + 2 gd(u), so H* = 1 - cos(h(q1) - q1 + q2) is 2 g^2,

@@ -14,9 +14,10 @@ the singular point.
 
 A sign-flipped variant integrates the stable-side slope directly (used to
 cross-check the reversibility shortcut), and an independent oracle solves
-the equivalent second-order linear ODE through its Pruefer angle, a scalar
-equation without poles, in the variable log q1.  Both read the equation's
-terms from the model's loop (see septrans.loops), one call per point.
+the equivalent 2x2 linear system, T = Y1 / Y2, through its Pruefer angle,
+a scalar equation without poles, in the variable log q1.  Both read the
+equation's terms from the model's loop (see septrans.loops), one call per
+point, and nothing else.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def riccati_initial(loop: Loop) -> tuple[float, float]:
     T(0) solves b220 T^2 + 2 delta T - alpha = 0; the positive branch of the
     square root is the unstable one.
     """
-    (_q1dot, a0, d0, b0, _db220, _ds1_q1dot, _v1, _beta, _ds0, _s1,
-     _ds1) = loop(0.0)
+    _q1dot, a0, d0, b0, _ds1_q1dot, _v1, _ds0, _s1, _ds1 = loop(0.0)
     Delta = d0 * d0 + b0 * a0
     if Delta < 0:
         raise HypothesesError(
@@ -112,8 +112,7 @@ def _integrate(loop: Loop, eps: float, q1_target: float, T_start: float,
 
     def rhs(q1, T):
         nonlocal worst, passed
-        (q1dot, alpha, delta, b220, _db220, ds1_q1dot, v1, _beta, _ds0, _s1,
-         _ds1) = loop(q1)
+        q1dot, alpha, delta, b220, ds1_q1dot, v1, _ds0, _s1, _ds1 = loop(q1)
         r = abs(ds1_q1dot + v1)
         # a residual up to passed passes untested, and only one past 1e-6
         # is judged against its terms; a nan one fails
@@ -191,8 +190,8 @@ def _startup_propagation(loop: Loop, dense, stable: bool):
         step = 0.0
         for x, w in zip(_GAUSS5_X, _GAUSS5_W):
             q1 = mid + half * x
-            (q1dot, _alpha, delta, b220, _db220, _ds1_q1dot, _v1, _beta,
-             _ds0, _s1, _ds1) = loop(q1)
+            (q1dot, _alpha, delta, b220, _ds1_q1dot, _v1, _ds0, _s1,
+             _ds1) = loop(q1)
             step += (2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot * w
         integral += half * step
     return math.exp(-integral), len(_GAUSS5_W) * (len(ts) - 1)
@@ -260,22 +259,21 @@ def solve_riccati(model: HamiltonianModel, q1_target: float,
 
 def riccati_to_linear_oracle(model: HamiltonianModel,
                              q1_target: float) -> float:
-    """Independent value of T(q1_target) via the equivalent linear ODE.
+    """Independent value of T(q1_target) via the equivalent linear system.
 
-    In the time variable the slope equation reads T. + a T + b T^2 = c with
-    a = 2 delta, b = b220, c = alpha, which the substitution T = y'/(b y)
-    turns into y'' + A y' - B y = 0, A = 2 delta - b220' q1dot / b220,
-    B = b220 alpha.  Its Pruefer angle theta, (y, y') = r (sin theta,
-    cos theta), obeys the scalar equation without poles
-    theta' = P (cos^2 theta + A sin theta cos theta - B sin^2 theta) in
-    s = log q1, where d/dt = (1/P) d/ds and P = q1/q1dot tends to 1/rate
-    at the saddle.  Seeding at q1 = 1e-6 q1_target on the slope condition
-    y' = b220 T(0) y, theta = atan2(1, b220 T(0)), selects the
-    non-dominant ray; the solve ends at s = log q1_target exactly, where
-    T = 1 / (b220 tan theta).  A pole of T (a zero of y) is a sign change
-    of sin theta and raises BlowUpError at its q1, as do a loop speed that
-    underflows to 0 and a step size below its floor.  A q1_target outside
-    (0, b] raises ValueError, as in solve_riccati.
+    T = Y1 / Y2 turns the slope equation into the 2x2 linear system
+    q1dot Y' = [[-delta, alpha], [b220, delta]] Y, which reads no
+    derivative of a coefficient.  The Pruefer angle theta of (Y2, c Y1) =
+    r (sin theta, cos theta), for the constant scale c = b220(q1s), obeys
+    the scalar equation without poles theta' = P (b220 / c cos^2 theta +
+    2 delta sin theta cos theta - c alpha sin^2 theta) in s = log q1, where
+    P = q1/q1dot tends to 1/rate at the saddle.  Seeding at q1s = 1e-6
+    q1_target on the start slope Y1 = T(0) Y2, theta = atan2(1, c T(0)),
+    selects the non-dominant solution; the solve ends at s = log q1_target
+    exactly, where T = 1 / (c tan theta).  A pole of T (a zero of Y2) is a
+    sign change of sin theta and raises BlowUpError at its q1, as do a loop
+    speed that underflows to 0 and a step size below its floor.  A
+    q1_target outside (0, b] raises ValueError, as in solve_riccati.
     """
     loop = loop_profile(model)
     end = model.domain[1]
@@ -286,25 +284,22 @@ def riccati_to_linear_oracle(model: HamiltonianModel,
     # the way up, large enough that coefficient formulas with cancellation
     # near the equilibrium (e.g. cos(q1) - 1) keep relative accuracy
     q1s = 1e-6 * q1_target
+    # cot theta = c T; where b220 is constant, c = b220 gives the angle of
+    # the second-order form T = y'/(b220 y) and its equation term for term
+    c = loop(q1s)[3]
 
     def rhs(s, theta):
         q1 = math.exp(s)
-        (q1dot, alpha, delta, b, db, _ds1_q1dot, _v1, _beta, _ds0, _s1,
-         _ds1) = loop(q1)
+        q1dot, alpha, delta, b220, _ds1_q1dot, _v1, _ds0, _s1, _ds1 = loop(q1)
         sin, cos = math.sin(theta), math.cos(theta)
-        acoef = 2.0 * delta - db * q1dot / b
-        return q1 / q1dot * (cos * cos + acoef * sin * cos
-                             - b * alpha * sin * sin)
+        return q1 / q1dot * (b220 / c * cos * cos + 2.0 * delta * sin * cos
+                             - c * alpha * sin * sin)
 
-    def y_zero(_s, theta):
+    def y2_zero(_s, theta):
         return math.sin(theta)
 
-    def b220(q1):
-        return loop(q1)[3]
-
     span = (math.log(q1s), math.log(q1_target))
-    theta0 = math.atan2(1.0, b220(q1s) * T0)
     # rtol 1e-10 left errors up to 8.6e-11 in T (pendula_identical [0.45])
-    sol = _solve_to_target(rhs, span, theta0, 1e-11, 1e-12, y_zero,
-                           "pole of T (y crossed zero)", math.exp)
-    return 1.0 / (b220(q1_target) * math.tan(sol.y))
+    sol = _solve_to_target(rhs, span, math.atan2(1.0, c * T0), 1e-11, 1e-12,
+                           y2_zero, "pole of T (Y2 crossed zero)", math.exp)
+    return 1.0 / (c * math.tan(sol.y))

@@ -167,8 +167,8 @@ def test_acceptance_08():
         a, b = m.domain
         pad = 1e-6 * (b - a)
         for q1 in np.linspace(a + pad, b - pad, 200):
-            (_q1dot, _alpha, _delta, _b220, _db220, ds1_q1dot, v1, _beta,
-             _ds0, _s1, _ds1) = loop(q1)
+            (_q1dot, _alpha, _delta, _b220, ds1_q1dot, v1, _ds0, _s1,
+             _ds1) = loop(q1)
             assert abs(ds1_q1dot + v1) < 1e-8
 
 

@@ -1271,6 +1271,21 @@ def test_stdout_and_stderr_on_a_full_device_exit_2(unbuffered):
     assert r.returncode == 2
 
 
+@pytest.mark.skipif(not (os.path.exists("/dev/full")
+                         and os.path.isdir("/proc/self/fd")),
+                    reason="needs /dev/full and /proc/self/fd")
+def test_an_unwritable_out_leaves_no_descriptor_open(capsys):
+    # the failed stream is pointed at devnull, and the descriptor opened
+    # for that is closed again
+    args = ("validate", "--model", "neumann", "--params", "lambda1=1",
+            "lambda2=2", "--out", "/dev/full")
+    assert run(capsys, *args)[0] == 2
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert run(capsys, *args)[0] == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("lam, rtol", [(2.0, 1e-12),
                                        (2.759886874077371, 1e-14)])
 def test_transversality_reports_the_rtol_that_decided(capsys, lam, rtol):

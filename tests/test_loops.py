@@ -14,8 +14,7 @@ from septrans.riccati import solve_riccati
 
 def residual(loop, q1):
     """The loop restriction's residual dS1 q1dot + V1 at q1."""
-    (_q1dot, _alpha, _delta, _b220, _db220, ds1_q1dot, v1, _beta, _ds0, _s1,
-     _ds1) = loop(q1)
+    _q1dot, _alpha, _delta, _b220, ds1_q1dot, v1, _ds0, _s1, _ds1 = loop(q1)
     return ds1_q1dot + v1
 
 
@@ -23,10 +22,12 @@ def test_identical_pendula_profiles():
     m = builtin_model("pendula_identical", [0.12])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 2 * math.pi, 40):
-        beta, ds0, s1, _ds1 = p(q1)[7:]
+        q1dot = p(q1)[0]
+        ds0, s1, _ds1 = p(q1)[6:]
         assert ds0 == pytest.approx(4.0 * math.sin(q1 / 2.0), abs=1e-12)
         assert s1 == pytest.approx(2.0 * math.sin(q1 / 2.0), abs=1e-12)
-        assert beta == pytest.approx(0.5, abs=1e-15)
+        # beta = 1/2
+        assert q1dot == pytest.approx(0.5 * ds0, rel=1e-15, abs=1e-15)
 
 
 def test_neumann_profiles():
@@ -34,7 +35,7 @@ def test_neumann_profiles():
     m = builtin_model("neumann", [l1, 2.0])
     p = loop_profile(m)
     for q1 in np.linspace(0.0, 8.0, 40):
-        _beta, ds0, s1, _ds1 = p(q1)[7:]
+        ds0, s1, _ds1 = p(q1)[6:]
         assert ds0 == pytest.approx(
             16.0 * l1 * q1 / (4.0 + q1 * q1) ** 2, rel=1e-12, abs=1e-12)
         assert s1 == 0.0
@@ -44,7 +45,7 @@ def test_profiles_vanish_at_equilibrium():
     for spec in (("neumann", [1.0, 2.0]), ("pendula_weak", [2.0])):
         m = builtin_model(*spec)
         p = loop_profile(m)
-        _beta, ds0, s1, _ds1 = p(0.0)[7:]
+        ds0, s1, _ds1 = p(0.0)[6:]
         assert ds0 == 0.0
         assert s1 == 0.0
 
@@ -53,7 +54,7 @@ def test_s1_relation_pointwise():
     m = builtin_model("pendula_weak", [2.3])
     p = loop_profile(m)
     for q1 in np.linspace(0.1, 2 * math.pi - 0.1, 50):
-        _beta, ds0, s1, _ds1 = p(q1)[7:]
+        ds0, s1, _ds1 = p(q1)[6:]
         expect = -(m.b120(q1) / m.b220(q1)) * ds0
         assert s1 == pytest.approx(expect, rel=1e-9)
 
@@ -65,8 +66,9 @@ def test_energy_on_loop():
         p = loop_profile(m)
         a, b = m.domain
         for q1 in np.linspace(a, b, 60):
-            beta, ds0, _s1, _ds1 = p(q1)[7:]
-            e = 0.5 * beta * ds0 ** 2 + m.V0(q1)
+            # beta dS0^2 = q1dot dS0
+            q1dot, ds0 = p(q1)[0], p(q1)[6]
+            e = 0.5 * q1dot * ds0 + m.V0(q1)
             assert abs(e) < 1e-10
 
 
@@ -239,14 +241,14 @@ def test_loop_reparameterization_matches_momentum():
     for t in (-2.0, -0.5, 0.7, 1.5):
         q1 = 4.0 * math.atan(math.exp(t))
         p1_expected = 4.0 * math.sin(2.0 * math.atan(math.exp(t)))  # 2/cosh(t)*2
-        assert p(q1)[8] == pytest.approx(p1_expected, abs=1e-8)
+        assert p(q1)[6] == pytest.approx(p1_expected, abs=1e-8)
 
 
 def loop_action(loop):
     """The loop action sigma, the integral of p1 = dS0 over one period, by
     40-point Gauss-Legendre quadrature on [0, 2pi]."""
     x, w = np.polynomial.legendre.leggauss(40)
-    return math.pi * sum(wi * loop(math.pi * (xi + 1.0))[8]
+    return math.pi * sum(wi * loop(math.pi * (xi + 1.0))[6]
                          for xi, wi in zip(x, w))
 
 
@@ -268,6 +270,6 @@ def test_sigma_scales_linearly():
                      V1=lambda q1: 6.25 * m.V1(q1))
     p, ps = loop_profile(m), loop_profile(scaled)
     for q1 in np.linspace(0.0, 2 * math.pi, 41):
-        assert ps(q1)[8] == pytest.approx(2.5 * p(q1)[8],
-                                                rel=1e-12, abs=1e-15)
+        assert ps(q1)[6] == pytest.approx(2.5 * p(q1)[6],
+                                          rel=1e-12, abs=1e-15)
     assert loop_action(ps) == pytest.approx(40.0, abs=1e-9)

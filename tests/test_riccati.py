@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -22,10 +23,11 @@ def test_neumann_coefficients():
     loop = loop_profile(builtin_model("neumann", [l1, l2]))
     for q1 in (0.0, 1.0, 2.0, 4.0):
         a = 4.0 + q1 * q1
-        (_q1dot, alpha, delta, _b220, _db220, _ds1_q1dot, _v1, beta, _ds0,
-         _s1, _ds1) = loop(q1)
+        (q1dot, alpha, delta, _b220, _ds1_q1dot, _v1, ds0, _s1,
+         _ds1) = loop(q1)
         assert delta == 0.0
-        assert beta == pytest.approx(a * a / 16.0, rel=1e-14)
+        # beta = a^2 / 16
+        assert q1dot == pytest.approx(a * a / 16.0 * ds0, rel=1e-14)
         expect = 16.0 / a ** 2 * (l2 ** 2 - 4.0 * l1 ** 2 * q1 * q1 / a)
         assert alpha == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -66,15 +68,15 @@ def test_initial_condition_identical_pendula(f0):
 
 
 def test_initial_condition_pure_square_root():
-    # (q1dot, alpha, delta, b220, db220, dS1 q1dot, V1, beta, dS0, S1, dS1)
+    # (q1dot, alpha, delta, b220, dS1 q1dot, V1, dS0, S1, dS1)
     T0, Delta = riccati_initial(
-        lambda q: (0.0, 9.0, 0.0, 1.0) + (0.0,) * 7)
+        lambda q: (0.0, 9.0, 0.0, 1.0) + (0.0,) * 5)
     assert (T0, Delta) == (3.0, 9.0)
 
 
 def test_initial_condition_negative_discriminant():
     with pytest.raises(HypothesesError):
-        riccati_initial(lambda q: (0.0, -9.0, 0.0, 1.0) + (0.0,) * 7)
+        riccati_initial(lambda q: (0.0, -9.0, 0.0, 1.0) + (0.0,) * 5)
 
 
 def test_neumann_solution_closed_form_along_the_way():
@@ -162,6 +164,31 @@ def test_oracle_constant_f():
 def test_oracle_separable_zero():
     m = builtin_model("pendula_identical", [0.0])
     assert abs(riccati_to_linear_oracle(m, math.pi)) < 1e-8
+
+
+# the oracle at pi where b220 is constant, recorded from the second-order
+# form T = y'/(b220 y), whose angle equation is the linear system's term
+# for term there
+ORACLE_IDENTICAL_HEX = [
+    ([0.0], "0x1.3f291a6263315p-39"),
+    ([0.25, -0.125], "-0x1.8127bc8aac08dp-2"),
+    ([0.45], "-0x1.6c4b5ce90bbfep+0"),
+    ([0.2, 0.05, -0.03], "-0x1.068ab30c36dc9p-2")]
+
+
+@pytest.mark.parametrize("params, want", ORACLE_IDENTICAL_HEX)
+def test_oracle_where_b220_is_constant_is_bit_for_bit(params, want):
+    m = builtin_model("pendula_identical", params)
+    assert riccati_to_linear_oracle(m, math.pi).hex() == want
+
+
+def test_oracle_reads_the_weak_pendula_zero_slope():
+    # pendula_weak is tangent by construction: T(pi) = 0
+    rng = random.Random(1)
+    for lam in [rng.uniform(1.0, 40.0) for _ in range(60)]:
+        T = riccati_to_linear_oracle(builtin_model("pendula_weak", [lam]),
+                                     math.pi)
+        assert abs(T) < 1e-9, (lam, T)
 
 
 @pytest.mark.parametrize("name, params, target", [
@@ -262,8 +289,8 @@ def test_startup_quadrature_is_the_sum_over_its_nodes(name, params, stable):
     for a, b in zip(dense.ts[:-1], dense.ts[1:]):
         for x, w in zip(riccati._GAUSS5_X, riccati._GAUSS5_W):
             q1 = 0.5 * (a + b) + 0.5 * (b - a) * x
-            (q1dot, _alpha, delta, b220, _db220, _ds1_q1dot, _v1, _beta,
-             _ds0, _s1, _ds1) = loop(q1)
+            (q1dot, _alpha, delta, b220, _ds1_q1dot, _v1, _ds0, _s1,
+             _ds1) = loop(q1)
             integral += 0.5 * (b - a) * w * (
                 2.0 * delta + sgn2 * b220 * dense(q1)) / q1dot
     assert riccati._startup_propagation(loop, dense, stable) == (
@@ -442,9 +469,8 @@ def test_oracle_equivalence_fundamental_solution_fixture():
     sol = solve_riccati(m, 2.0)
     for q1 in (0.5, 1.0, 1.7):
         dy = central_diff(y1, q1, h=1e-6)
-        # q1-form slope: T = beta * dS0 * y'/(b220 * y) in the q1 variable
-        beta, ds0, _s1, _ds1 = p(q1)[7:]
-        T_from_y = beta * ds0 * dy / (m.b220(q1) * y1(q1))
+        # q1-form slope: T = q1dot * y'/(b220 * y) in the q1 variable
+        T_from_y = p(q1)[0] * dy / (m.b220(q1) * y1(q1))
         assert sol(q1) == pytest.approx(T_from_y, rel=1e-6)
 
 
@@ -521,7 +547,7 @@ def counting_solver(monkeypatch):
     ("pendula_weak", [2.5])])
 def test_built_in_jets_return_plain_tuples(name, params):
     m = builtin_model(name, params)
-    assert type(m.jet(1.0)) is tuple and len(m.jet(1.0)) == 11
+    assert type(m.jet(1.0)) is tuple and len(m.jet(1.0)) == 10
     assert all(type(m.jet(q)) is tuple for q in np.array([1.0, 2.0]))
 
 
@@ -554,6 +580,6 @@ def test_one_jet_call_per_oracle_evaluation(monkeypatch):
     m, calls = counting_model(builtin_model("pendula_weak", [2.5]))
     evaluations = counting_solver(monkeypatch)
     riccati_to_linear_oracle(m, math.pi)
-    # outside the solve: riccati_initial's call at 0, and b220 at the start
-    # and at the end
-    assert len(calls) == len(evaluations) + 3
+    # outside the solve: riccati_initial's call at 0, and the scale b220
+    # at the start
+    assert len(calls) == len(evaluations) + 2

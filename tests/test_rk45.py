@@ -15,7 +15,8 @@ from scipy.integrate._ivp import dop853_coefficients as tableau
 from septrans import riccati
 from septrans.loops import loop_profile
 from septrans.models import builtin_model
-from septrans.numerics import MAX_STEP, OdeResult, _interpolant, dop853
+from septrans.numerics import (MAX_STEP, OdeResult, _interpolant, dop853,
+                               richardson_diff)
 from septrans.riccati import (BlowUpError, SolverOptions, riccati_initial,
                               riccati_to_linear_oracle, solve_riccati)
 
@@ -386,26 +387,32 @@ def test_slope_on_a_grid_is_its_calls(name, params):
 
 def time_form_oracle(model, q1_target):
     """T(q1_target) through the linear ODE y'' + A y' - B y = 0 in the
-    time variable, q1 its third component, by scipy's DOP853 at rtol
+    time variable, T = y'/(b220 y), with A = 2 delta - b220' q1dot / b220
+    and B = b220 alpha, q1 its third component, by scipy's DOP853 at rtol
     1e-13, seeded at q1 = 1e-7 q1_target on the slope condition y' = b220
-    T(0) y and stopped where q1 reaches q1_target."""
+    T(0) y and stopped where q1 reaches q1_target.  b220', which the
+    model does not supply, is a Richardson difference at step 3e-4 q1: on
+    pendula_weak, whose exact T(pi) is 0, it reads within 1e-12 of 0 at
+    lam 1 to 3.4, where the step 1e-3 q1 read 1.7e-11 at lam 3.4."""
     loop = loop_profile(model)
     T0, _ = riccati_initial(loop)
     h = 1e-5
-    rate = loop(0.0)[7] * loop(h)[8] / h
+    rate = loop(h)[0] / h
+
+    def b220(q1):
+        return loop(q1)[3]
 
     def rhs(_t, y):
         q1, yy, yp = y
-        q1dot, alpha, delta, b, db, *_rest = loop(float(q1))
+        q1 = float(q1)
+        q1dot, alpha, delta, b, *_rest = loop(q1)
+        db = richardson_diff(b220, q1, 3e-4 * q1)
         return [q1dot, yp, -(2.0 * delta - db * q1dot / b) * yp
                 + b * alpha * yy]
 
     def at_target(_t, y):
         return y[0] - q1_target
     at_target.terminal = True
-
-    def b220(q1):
-        return loop(q1)[3]
 
     q1s = 1e-7 * q1_target
     r = scipy_solve_ivp(rhs, (0.0, 100.0 / rate), [q1s, 1.0, b220(q1s) * T0],
